@@ -127,14 +127,6 @@ class PolyTables:
             seen.add(fac)
         return out
 
-    def squarefree_flags(self, d):
-        """Boolean array over degree-d monic codes, True = square-free."""
-        q = self.q
-        flags = np.empty(q ** d, dtype=bool)
-        for code in range(q ** d):
-            flags[code] = self.factor(d, code) is not None
-        return flags
-
     # -- batched reduction ----------------------------------------------
 
     def monic_coefmat(self, d):

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import ffpoly
 from .errors import InvariantError
-from .lfunc import squarefree_part
+from .lfunc import power_sums, squarefree_part
 
 MONIC, FULL = "monic", "full"
 
@@ -112,22 +112,7 @@ class CurveData:
         """q^n + 1 - (power sum of P_C reciprocal roots), exact."""
         if self.pc is None:
             raise ValueError("no zeta numerator attached")
-        return q ** n + 1 - _power_sum(self.pc, n)
-
-
-def _power_sum(pc_coeffs, n):
-    """Power sums of reciprocal roots of an ascending coefficient list."""
-    c = pc_coeffs
-    N = len(c) - 1
-    t = []
-    for k in range(1, n + 1):
-        acc = 0
-        for i in range(1, min(k - 1, N) + 1):
-            acc += c[i] * t[k - i - 1]
-        if k <= N:
-            acc += k * c[k]
-        t.append(-acc)
-    return t[n - 1] if n else 0
+        return q ** n + 1 - (power_sums(self.pc, n)[-1] if n else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,48 +120,64 @@ def _power_sum(pc_coeffs, n):
 # ---------------------------------------------------------------------------
 
 
-_triple_store = {}
+class MonicFamily(NamedTuple):
+    """The monic family as index rows.
+
+    `polys` holds the square-free monic polynomials of every degree the
+    kept patterns use, concatenated by degree; row i of the (N, 3) int64
+    array `rows` indexes (f1, f2, f3) of member i.
+    """
+
+    polys: tuple
+    rows: np.ndarray
 
 
-def preload_family(field, g, triples):
-    """Install an externally loaded (cached) monic enumeration."""
-    _triple_store[(field, g)] = tuple(triples)
+def _prime_masks(polys):
+    """One bitmask per polynomial with a bit per distinct prime factor."""
+    bits = {}
+    masks = []
+    for f in polys:
+        m = 0
+        for p, _ in ffpoly.factorize(f):
+            m |= 1 << bits.setdefault(p.coeffs, len(bits))
+        masks.append(m)
+    return masks
 
 
-def _monic_triples(field, g):
-    key = (field, g)
-    got = _triple_store.get(key)
-    if got is None:
-        got = _build_monic_triples(field, g)
-        _triple_store[key] = got
-    return got
-
-
-def _build_monic_triples(field, g):
+@functools.lru_cache(maxsize=None)
+def monic_family(field, g):
     """All monic-variant members for genus g, deterministic order.
 
-    Filter order is fixed (square-free lists, then coprimality, then
-    degree pattern order) so enumeration indices are stable.
+    Members run over the kept patterns in order, then f1, f2, f3 in
+    square-free enumeration order, so indices are stable.  Square-free
+    polynomials are pairwise coprime exactly when their prime-factor
+    masks are disjoint.
     """
     kept, _ = admissible_patterns(g)
-    out = []
-    sf = {d: ffpoly.enumerate_polys(field, d, "squarefree-monic")
-          for d in sorted({d for pat in kept for d in pat})}
+    polys, span = [], {}
+    for d in sorted({d for pat in kept for d in pat}):
+        sf = ffpoly.enumerate_polys(field, d, "squarefree-monic")
+        span[d] = range(len(polys), len(polys) + len(sf))
+        polys.extend(sf)
+    masks = _prime_masks(polys)
+    rows = []
     for d1, d2, d3 in kept:
-        for f1 in sf[d1]:
-            for f2 in sf[d2]:
-                if not ffpoly.poly_gcd(f1, f2).is_constant():
+        for i1 in span[d1]:
+            m1 = masks[i1]
+            for i2 in span[d2]:
+                m2 = masks[i2]
+                if m1 & m2:
                     continue
-                f12 = f1 * f2
-                for f3 in sf[d3]:
-                    if ffpoly.poly_gcd(f12, f3).is_constant():
-                        out.append(CurveTriple(f1, f2, f3, MONIC))
-    return tuple(out)
+                m12 = m1 | m2
+                rows.extend((i1, i2, i3) for i3 in span[d3] if not m12 & masks[i3])
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return MonicFamily(tuple(polys), rows)
 
 
 def family_size(field, g, variant=MONIC):
     """Exact member count; the full variant is (q-1)^2 times the monic one."""
-    n = len(_monic_triples(field, g))
+    n = len(monic_family(field, g).rows)
     if variant == FULL:
         return (field.q - 1) ** 2 * n
     if variant == MONIC:
@@ -186,15 +187,15 @@ def family_size(field, g, variant=MONIC):
 
 def family_member(field, g, variant, index):
     """Random access into the deterministic enumeration order."""
-    triples = _monic_triples(field, g)
+    fam = monic_family(field, g)
     if variant == MONIC:
-        t = triples[index]
-        return t
+        f1, f2, f3 = (fam.polys[i] for i in fam.rows[index])
+        return CurveTriple(f1, f2, f3, MONIC)
     u = field.q - 1
     tidx, rest = divmod(index, u * u)
     c1, c2 = divmod(rest, u)
-    base = triples[tidx]
-    return CurveTriple(base.f1.scale(c1 + 1), base.f2.scale(c2 + 1), base.f3, FULL)
+    f1, f2, f3 = (fam.polys[i] for i in fam.rows[tidx])
+    return CurveTriple(f1.scale(c1 + 1), f2.scale(c2 + 1), f3, FULL)
 
 
 def enumerate_family(field, g, variant=MONIC, start=0, stop=None):
@@ -264,11 +265,6 @@ class ChiCache:
             + self.pair_sum(t.f1, t.f2)
         )
 
-    def zero_count(self, f):
-        """Zeros of f among finite x (cached alongside chi)."""
-        va, _ = self.chi(f)
-        return int(np.count_nonzero(va == 0))
-
 
 @functools.lru_cache(maxsize=None)
 def chi_cache(field, n):
@@ -318,7 +314,7 @@ def zeta_numerator(triple, n_max=None):
     for j in range(g + 1, 2 * g + 1):
         a[j] = q ** (j - g) * a[2 * g - j]
     pc = tuple(a)
-    if _power_sum(pc, g + 1) != T[g]:
+    if power_sums(pc, g + 1)[g] != T[g]:
         raise InvariantError("zeta numerator inconsistent with point counts")
     return CurveData(data.N, data.T, pc)
 

@@ -1,4 +1,4 @@
-"""Versioned on-disk caches for prime tables and family enumerations.
+"""Versioned on-disk cache for prime tables.
 
 Format: one JSON header line (version, key fields, payload checksum)
 followed by one JSON line per record.  A version or checksum mismatch,
@@ -17,7 +17,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 
-from . import biquad, ffpoly
+from . import ffpoly
 
 CACHE_VERSION = 1
 
@@ -26,9 +26,9 @@ ENV_VAR = "FFSTAT_CACHE_DIR"
 
 @dataclass(frozen=True)
 class CacheEntry:
-    kind: str  # "primes" | "family"
+    kind: str  # "primes"
     q: int
-    param: int  # degree or genus
+    param: int  # degree
     variant: str
     payload: tuple  # tuple of JSON-serializable records
     checksum: str
@@ -107,30 +107,3 @@ def primes_cached(field, degree, cache_dir=None):
         ))
     return list(ps)
 
-
-def family_cached(field, g, variant=biquad.MONIC, cache_dir=None):
-    """Monic family members through the disk cache; reload preserves the
-    enumeration order exactly (checked by checksum).  The full variant
-    derives from the monic payload, so only monic lists are stored."""
-    if cache_dir:
-        entry = load(cache_dir, "family", field.q, g, biquad.MONIC)
-        if entry is not None:
-            triples = tuple(
-                biquad.CurveTriple(
-                    ffpoly.Poly.from_coeffs(field, rec[0]),
-                    ffpoly.Poly.from_coeffs(field, rec[1]),
-                    ffpoly.Poly.from_coeffs(field, rec[2]),
-                    biquad.MONIC,
-                )
-                for rec in entry.payload
-            )
-            biquad.preload_family(field, g, triples)
-            return triples
-    triples = biquad._monic_triples(field, g)
-    if cache_dir:
-        store(cache_dir, CacheEntry.build(
-            "family", field.q, g, biquad.MONIC,
-            [[list(t.f1.coeffs), list(t.f2.coeffs), list(t.f3.coeffs)]
-             for t in triples],
-        ))
-    return triples

@@ -167,7 +167,6 @@ def _cmd_lfunc(args):
 
 def _cmd_family(args):
     field = _field_for(args.q)
-    cache.family_cached(field, args.genus, cache_dir=args.cache_dir)
     if args.count:
         size, ratio = biquad.family_size_ratio(field, args.genus, args.variant)
         emit(
@@ -214,7 +213,6 @@ MOMENTS_HEADER = [
 
 def _cmd_moments(args):
     field = _field_for(args.q)
-    cache.family_cached(field, args.genus, cache_dir=args.cache_dir)
     rows = []
     for n in range(1, args.n_max + 1):
         size = biquad.family_size(field, args.genus, args.variant)
@@ -224,7 +222,7 @@ def _cmd_moments(args):
             mode = "sample" if (args.work_budget and cost > args.work_budget) else "exhaustive"
         rep = moments.average_trace(
             field, args.genus, n, args.variant, mode=mode,
-            sample_size=args.sample_size, seed=args.seed, threads=args.threads,
+            sample_size=args.sample_size, seed=args.seed,
         )
         row = {
             "q": args.q, "g": args.genus, "n": n,
@@ -239,7 +237,7 @@ def _cmd_moments(args):
             "nongen_bound": 3 * field.q ** (-n / 6),
         }
         if n % 2 == 0 and mode == "exhaustive":
-            dec = moments.error_decomposition(field, args.genus, n, threads=args.threads)
+            dec = moments.error_decomposition(field, args.genus, n)
             row["roots_term"] = dec.roots_term
             row["bilinear_term"] = dec.bilinear_term
         rows.append(row)
@@ -253,9 +251,7 @@ def _cmd_density(args):
     if not 0 < args.alpha <= 1:
         raise ConfigError("alpha: must lie in (0, 1]")
     fhat = moments.fejer_kernel(args.alpha)
-    rep = moments.one_level_density(
-        field, args.genus, fhat, args.alpha, args.variant, threads=args.threads
-    )
+    rep = moments.one_level_density(field, args.genus, fhat, args.alpha, args.variant)
     row = {
         "q": rep.q, "g": rep.g, "alpha": rep.alpha, "kernel": args.kernel,
         "variant": rep.variant, "terms": list(rep.terms),
@@ -336,8 +332,9 @@ def _add_common(sp, *, genus=False, variant=False):
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--cache-dir", default=os.environ.get(cache.ENV_VAR),
-                    help="cache directory (env FFSTAT_CACHE_DIR)")
-    sp.add_argument("--threads", type=int, default=1)
+                    help="prime-table cache directory (env FFSTAT_CACHE_DIR)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--work-budget", type=int, default=None,
                     help="cost cap (members x points) before sampling kicks in")

@@ -219,7 +219,15 @@ def frobenius_traces(lstar, n_max, with_eigenphases=False):
     """
     if not lstar.completed:
         raise ValueError("frobenius_traces needs a completed L-polynomial")
-    c = lstar.coeffs
+    phases = None
+    if with_eigenphases and len(lstar.coeffs) > 1:
+        phases = tuple(np.sort(np.angle(reciprocal_roots(lstar))))
+    return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max), phases)
+
+
+def power_sums(c, n_max):
+    """Power sums t_1..t_{n_max} of the reciprocal roots of the ascending
+    coefficient tuple c (c_0 = 1), by Newton's identities; exact ints."""
     N = len(c) - 1
     t = []
     for n in range(1, n_max + 1):
@@ -229,10 +237,7 @@ def frobenius_traces(lstar, n_max, with_eigenphases=False):
         if n <= N:
             acc += n * c[n]
         t.append(-acc)
-    phases = None
-    if with_eigenphases and N > 0:
-        phases = tuple(np.sort(np.angle(reciprocal_roots(lstar))))
-    return FrobeniusData(lstar.delta, lstar.q, tuple(t), phases)
+    return tuple(t)
 
 
 def reciprocal_roots(lstar):

@@ -23,9 +23,9 @@ trace-moment experiment and the one-level density.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
@@ -63,55 +63,59 @@ def matrix_integral_reference(group, g, n):
 # ---------------------------------------------------------------------------
 
 
-def _chunk_ranges(total, chunks):
-    step = max(1, -(-total // chunks))
-    return [(i, min(i + step, total)) for i in range(0, total, step)]
+#: int8 chi entries gathered per block of the family scan
+_SCAN_BLOCK = 1 << 16
 
 
-def _scan_family(field, g, n, start, stop):
-    """Per-chunk exhaustive totals over monic members [start, stop).
+def _member_sum(fam, chi):
+    """sum over members of chi(f1) chi(f2) for chi given per polynomial."""
+    return int((chi[fam.rows[:, 0]] * chi[fam.rows[:, 1]]).sum(dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def _family_totals(field, g, n):
+    """Exhaustive totals over the monic family.
 
     Returns (sum of S13+S23+S12, sum of S12, sum of (roots on P^1 of the
     half field minus 1), sum of the outside-subfield bilinear character
     sum, sum of its generating-x part) -- the last three only for even n.
     """
-    cache = biquad.chi_cache(field, n)
+    fam = biquad.monic_family(field, g)
+    ext = ffpoly.extension_field(field, n)
+    chi = np.empty((len(fam.polys), ext.order), dtype=np.int8)
+    for i, f in enumerate(fam.polys):
+        chi[i] = ext.chi_vector(f)[0]
+    deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
+    d1, d2, d3 = (deg[fam.rows[:, k]] for k in range(3))
+    # every member is monic, so chi at infinity of fa*fb is 1 for even degree
+    inf12 = int(np.count_nonzero((d1 + d2) % 2 == 0))
+    inf_rest = int(np.count_nonzero((d1 + d3) % 2 == 0) + np.count_nonzero((d2 + d3) % 2 == 0))
     even = n % 2 == 0
     if even:
-        half = biquad.chi_cache(field, n // 2)
-        gen_mask = np.ones(cache.ext.order, dtype=bool)
+        gen_mask = np.ones(ext.order, dtype=bool)
         for d in range(1, n):
             if n % d == 0:
-                gen_mask &= ~cache.ext.subfield_mask(d)
-    s_all = s12_tot = roots_tot = bil_tot = gen_tot = 0
-    triples = biquad._monic_triples(field, g)[start:stop]
-    for t in triples:
-        s13 = cache.pair_sum(t.f1, t.f3)
-        s23 = cache.pair_sum(t.f2, t.f3)
-        s12 = cache.pair_sum(t.f1, t.f2)
-        s_all += s13 + s23 + s12
-        s12_tot += s12
+                gen_mask &= ~ext.subfield_mask(d)
+    fin_rest = fin12 = gen_tot = 0
+    step = max(1, _SCAN_BLOCK // ext.order)
+    for lo in range(0, len(fam.rows), step):
+        v1, v2, v3 = (chi[r] for r in fam.rows[lo:lo + step].T)
+        fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
+        v12 = v1 * v2
+        fin12 += int(v12.sum(dtype=np.int64))
         if even:
-            v = cache.chi(t.f1)[0] * cache.chi(t.f2)[0]
-            zeros_half = half.zero_count(t.f1) + half.zero_count(t.f2)
-            deg12 = int(t.f1.degree) + int(t.f2.degree)
-            roots_tot += zeros_half + (deg12 % 2) - 1
-            s12_fin = s12 - cache.chi_inf_product(t.f1, t.f2)
-            bil_tot += s12_fin - (field.q ** (n // 2) - zeros_half)
-            gen_tot += int(v[gen_mask].sum(dtype=np.int64))
+            gen_tot += int(v12[:, gen_mask].sum(dtype=np.int64))
+    s12_tot = fin12 + inf12
+    s_all = fin_rest + inf_rest + s12_tot
+    if not even:
+        return s_all, s12_tot, 0, 0, 0
+    half = ffpoly.extension_field(field, n // 2)
+    zeros = np.array([half.zero_count(f) for f in fam.polys], dtype=np.int64)
+    zeros_half = int(zeros[fam.rows[:, 0]].sum() + zeros[fam.rows[:, 1]].sum())
+    size = len(fam.rows)
+    roots_tot = zeros_half + int(((d1 + d2) % 2).sum()) - size
+    bil_tot = fin12 - (size * field.q ** (n // 2) - zeros_half)
     return s_all, s12_tot, roots_tot, bil_tot, gen_tot
-
-
-def _family_totals(field, g, n, threads=1):
-    total = biquad.family_size(field, g, biquad.MONIC)
-    if threads <= 1:
-        parts = [_scan_family(field, g, n, 0, total)]
-    else:
-        ranges = _chunk_ranges(total, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_scan_family, field, g, n, a, b) for a, b in ranges]
-            parts = [f.result() for f in futs]  # merged in submission order
-    return tuple(sum(p[i] for p in parts) for i in range(5))
 
 
 @dataclass
@@ -137,7 +141,7 @@ class MomentReport:
 
 
 def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
-                  sample_size=None, seed=0, threads=1):
+                  sample_size=None, seed=0):
     """Family average of T_n = q^(n/2) Tr(Theta_C^n), exact in exhaustive
     mode; sample mode draws uniformly without replacement from the
     deterministic enumeration order using a counter-based generator."""
@@ -146,7 +150,7 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
         raise ValueError(f"family (q={field.q}, g={g}) is empty")
     q = field.q
     if mode == "exhaustive":
-        s_all, s12_tot, *_ = _family_totals(field, g, n, threads)
+        s_all, s12_tot, *_ = _family_totals(field, g, n)
         if variant == biquad.MONIC:
             avg_T = Fraction(-s_all, biquad.family_size(field, g, biquad.MONIC))
         else:
@@ -193,7 +197,7 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
     return Fraction(-total, size_full)
 
 
-def error_decomposition(field, g, n, threads=1):
+def error_decomposition(field, g, n):
     """Exact pieces of the even-n identity; raises InvariantError if the
     rearrangement fails to close (it cannot, barring bugs).
 
@@ -207,7 +211,7 @@ def error_decomposition(field, g, n, threads=1):
     size = biquad.family_size(field, g, biquad.MONIC)
     if size == 0:
         raise ValueError(f"family (q={field.q}, g={g}) is empty")
-    s_all, s12_tot, roots_tot, bil_tot, gen_tot = _family_totals(field, g, n, threads)
+    s_all, s12_tot, roots_tot, bil_tot, gen_tot = _family_totals(field, g, n)
     if s_all != 3 * s12_tot:
         raise InvariantError("pair-sum symmetry broke")
     qn2 = q ** (n // 2)
@@ -241,24 +245,30 @@ def error_decomposition(field, g, n, threads=1):
 
 
 def _bilinear_prime_form(field, g, n):
-    """sum_{deg P = n} sum_{family} chi_P(f1 f2), exact."""
-    triples = biquad._monic_triples(field, g)
+    """sum_{deg P = n} sum_{family} chi_P(f1 f2), exact.
+
+    chi_P is completely multiplicative, so each member's value is
+    chi_P(f1) chi_P(f2), with chi_P taken once per family polynomial.
+    """
+    fam = biquad.monic_family(field, g)
+    total = 0
     if field.e == 1:
         T = poly_tables(field.q, max(n, 1))
-        deg_max = max(int((t.f1 * t.f2).degree) for t in triples)
-        mat = np.zeros((len(triples), deg_max + 1), dtype=np.float64)
-        for i, t in enumerate(triples):
-            h = t.f1 * t.f2
-            mat[i, : len(h.coeffs)] = h.coeffs
-        total = 0
+        width = max(len(f.coeffs) for f in fam.polys)
+        mat = np.zeros((len(fam.polys), width), dtype=np.float64)
+        for i, f in enumerate(fam.polys):
+            mat[i, : len(f.coeffs)] = f.coeffs
         for pcode in T.prime_codes[n]:
-            total += int(T.legendre_array(mat, (n, int(pcode))).sum(dtype=np.int64))
+            total += _member_sum(fam, T.legendre_array(mat, (n, int(pcode))))
         return total
-    total = 0
     for P in ffpoly.primes(field, n):
-        for t in triples:
-            total += ffpoly.jacobi_symbol(t.f1 * t.f2, P)
+        total += _member_sum(fam, _jacobi_row(fam, P))
     return total
+
+
+def _jacobi_row(fam, P):
+    """int8 chi_P(f) over the family polynomials."""
+    return np.array([ffpoly.jacobi_symbol(f, P) for f in fam.polys], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +356,18 @@ def c_blocks(P, M):
     }
 
 
+def _c_products(b):
+    """The three L/H products (t1, t2, t3) read off a blocks dict."""
+    return (
+        b["L_plus"] ** 2 * b["H_plus"],
+        b["L_minus"] ** 2 * b["H_minus"],
+        b["L_plus"] * b["L_minus"] * b["H_zero"],
+    )
+
+
 def c_constant_kk(P, d, k1, k2, M, blocks=None):
     """C_{k1,k2}(d;P) from the three L/H products."""
-    b = blocks or c_blocks(P, M)
-    t1 = b["L_plus"] ** 2 * b["H_plus"]
-    t2 = b["L_minus"] ** 2 * b["H_minus"]
-    t3 = b["L_plus"] * b["L_minus"] * b["H_zero"]
+    t1, t2, t3 = _c_products(blocks or c_blocks(P, M))
     return (
         t1
         + (-1) ** (k1 + k2) * t2
@@ -362,25 +378,11 @@ def c_constant_kk(P, d, k1, k2, M, blocks=None):
 def c_constant_g(P, g, M, blocks=None):
     """C(g;P), the genus-level combination of the same blocks."""
     q = P.field.q
-    b = blocks or c_blocks(P, M)
-    t1 = b["L_plus"] ** 2 * b["H_plus"]
-    t2 = b["L_minus"] ** 2 * b["H_minus"]
-    t3 = b["L_plus"] * b["L_minus"] * b["H_zero"]
+    t1, t2, t3 = _c_products(blocks or c_blocks(P, M))
     return (
         Fraction(q + 3, q) * t1
         + Fraction(q - 1, q) * t2
         - 2 * (-1) ** g * Fraction(q + 1, q) * t3
-    )
-
-
-def nkk_report(field, P, d, k1, k2, M):
-    """Exact N_{k1,k2}(d;P) next to its main-term prediction C/4 q^d."""
-    blocks = c_blocks(P, M)
-    c = c_constant_kk(P, d, k1, k2, M, blocks)
-    return FixedPrimeReport(
-        P=P, M=M, exact_sum=nkk_sum(field, P, d, k1, k2),
-        predicted=float(c / 4 * field.q ** d), c_value=c, blocks=blocks,
-        d=d, k1k2=(k1, k2),
     )
 
 
@@ -397,9 +399,8 @@ def excluded_degree_correction(field, P, g):
 
 def fixed_prime_family_sum(field, g, P):
     """sum over the monic family of chi_P(f1 f2), exact by enumeration."""
-    triples = biquad._monic_triples(field, g)
-    chi_of = _chi_p_lookup(field, P, 2 * (g + 3))
-    return sum(chi_of(t.f1) * chi_of(t.f2) for t in triples)
+    fam = biquad.monic_family(field, g)
+    return _member_sum(fam, _jacobi_row(fam, P))
 
 
 def family_sum_report(field, g, P, M):
@@ -420,12 +421,9 @@ def family_sum_nkk_decomposition(field, g, P):
     """The exact combinatorial identity behind the family sum: the four
     parity-class sums at total degrees g+3 / g+2, minus the excluded
     degenerate triples when g is odd.  Exact integer."""
-    total = (
-        nkk_sum(field, P, g + 3, 0, 0)
-        + nkk_sum(field, P, g + 2, 0, 1)
-        + nkk_sum(field, P, g + 2, 1, 0)
-        + nkk_sum(field, P, g + 2, 1, 1)
-    )
+    top = nkk_sums_all(field, P, g + 3)
+    low = nkk_sums_all(field, P, g + 2)
+    total = top[(0, 0)] + low[(0, 1)] + low[(1, 0)] + low[(1, 1)]
     if g % 2 == 1:
         corr = 0
         for e in (g + 2, g + 3):
@@ -471,7 +469,7 @@ RANGE_LABEL_C = 5
 
 
 def theorem_experiment(field, g_list, n_max, variant=biquad.FULL,
-                       work_budget=None, sample_size=1000, seed=0, threads=1):
+                       work_budget=None, sample_size=1000, seed=0):
     """Rows of (g, n) cells: average trace, matrix-integral reference,
     gap, and the error-term scale diagnostics.  Falls back to sampling
     when family_size * q^n exceeds the work budget."""
@@ -482,10 +480,9 @@ def theorem_experiment(field, g_list, n_max, variant=biquad.FULL,
             cost = size * (field.q ** n + 1)
             if work_budget is not None and cost > work_budget:
                 rep = average_trace(field, g, n, variant, mode="sample",
-                                    sample_size=sample_size, seed=seed,
-                                    threads=threads)
+                                    sample_size=sample_size, seed=seed)
             else:
-                rep = average_trace(field, g, n, variant, threads=threads)
+                rep = average_trace(field, g, n, variant)
             logq_g = math.log(g, field.q) if g > 1 else 0.0
             lo = 3 * logq_g
             hi = 2 * g - RANGE_LABEL_C * logq_g
@@ -571,7 +568,7 @@ def curve_density_pair(triple, fhat, alpha):
 
 
 def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
-                      crosscheck_curves=10, threads=1):
+                      crosscheck_curves=10):
     """Family average of the linear statistic Z against the USp(2g)^3
     reference, plus a per-curve eigenphase-vs-trace cross-check on a
     deterministic sample of curves.
@@ -590,7 +587,7 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     # the average traces (linearity); computed from exact family totals
     fam = fhat(0.0)
     for n in terms:
-        rep = average_trace(field, g, n, variant, threads=threads)
+        rep = average_trace(field, g, n, variant)
         fam += fhat(n / (2 * g)) * float(rep.avg_T) / q ** (n / 2) / g
     ref = fhat(0.0)
     for n in terms:

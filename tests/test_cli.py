@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ffstat import biquad, cache, cli, ffpoly
+from ffstat import cache, cli, ffpoly
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -191,14 +191,6 @@ def test_cache_roundtrip_primes(tmp_path):
     assert os.path.exists(os.path.join(d, "primes-q3-3-monic.jsonl"))
     again = cache.primes_cached(F3, 3, cache_dir=d)
     assert first == again == list(ffpoly.primes(F3, 3))
-
-
-def test_cache_roundtrip_family_preserves_order(tmp_path):
-    d = str(tmp_path)
-    fresh = list(cache.family_cached(F3, 1, cache_dir=d))
-    biquad._triple_store.pop((F3, 1))  # force a reload from disk
-    reloaded = list(cache.family_cached(F3, 1, cache_dir=d))
-    assert fresh == reloaded
 
 
 def test_cache_tamper_triggers_rebuild(tmp_path):

@@ -10,6 +10,7 @@ from ffstat.ffpoly import GF, INFINITY, Poly, extension_field, quad_char_eval
 
 F3 = GF(3)
 F5 = GF(5)
+F9 = GF(3, 2)
 
 
 def P3(*coeffs):
@@ -124,16 +125,18 @@ def test_decomposition_rejects_odd_n():
         moments.error_decomposition(F3, 1, 3)
 
 
-def test_prime_form_oracle_g1_n2():
-    # literal double loop: generating x in F_9 against monic primes of degree 2
-    ext = extension_field(F3, 2)
+@pytest.mark.parametrize("field,g,n", [(F3, 1, 2), (F9, 0, 2)],
+                         ids=["3-1-2", "9-0-2"])
+def test_prime_form_oracle_g1_n2(field, g, n):
+    # literal double loop: generating x in F_{q^n} against monic primes of degree n
+    ext = extension_field(field, n)
     gen_xs = [x for x in ext.elements() if int(ext.subfield_mask(1)[x]) == 0]
-    triples = list(biquad.enumerate_family(F3, 1, biquad.MONIC))
+    triples = list(biquad.enumerate_family(field, g, biquad.MONIC))
     x_sum = sum(quad_char_eval(t.f1 * t.f2, x, ext) for t in triples for x in gen_xs)
     p_sum = sum(ffpoly.jacobi_symbol(t.f1 * t.f2, P)
-                for t in triples for P in ffpoly.primes(F3, 2))
-    assert x_sum == 2 * p_sum
-    assert moments._bilinear_prime_form(F3, 1, 2) == p_sum
+                for t in triples for P in ffpoly.primes(field, n))
+    assert x_sum == n * p_sum
+    assert moments._bilinear_prime_form(field, g, n) == p_sum
 
 
 def test_nongenerating_piece_appears_at_n6():
