@@ -16,11 +16,10 @@ the test suite.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import ffpoly
+from .errors import InvariantError
 
 
 class PolyTables:
@@ -88,9 +87,6 @@ class PolyTables:
             digits.append(r)
         return tuple(digits) + (1,)
 
-    def prime_count(self, d):
-        return len(self.prime_codes[d])
-
     def factor(self, deg, code):
         """Factor a monic square-free polynomial into [(deg, code), ...].
 
@@ -117,7 +113,7 @@ class PolyTables:
                     for j in range(a + 1):
                         fco[i - a + j] = (fco[i - a + j] - c * pco[j]) % q
             if any(fco[:a]):
-                raise AssertionError("spf does not divide")
+                raise InvariantError("spf does not divide")
             deg -= a
             code = sum(c * q ** i for i, c in enumerate(quot[:deg]))
         seen = set()
@@ -207,6 +203,18 @@ class PolyTables:
         return self.chiq(qkey)[self.reduce_codes(coefmat, qkey)]
 
 
-@functools.lru_cache(maxsize=None)
+#: the table of highest max_deg built so far, per q
+_largest = {}
+
+
 def poly_tables(q, max_deg):
-    return PolyTables(q, max_deg)
+    """A cached table for q reaching degree max_deg.
+
+    Sieve rows, factorizations and residue symbols of one degree do not
+    depend on max_deg, so the largest table built so far is returned
+    when it reaches max_deg; otherwise a new one is built and kept.
+    """
+    T = _largest.get(q)
+    if T is None or T.max_deg < max_deg:
+        T = _largest[q] = PolyTables(q, max_deg)
+    return T

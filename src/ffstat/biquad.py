@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import ffpoly
+from ._tables import poly_tables
 from .errors import InvariantError
 from .lfunc import power_sums, squarefree_part
 
@@ -132,16 +133,45 @@ class MonicFamily(NamedTuple):
     rows: np.ndarray
 
 
-def _prime_masks(polys):
-    """One bitmask per polynomial with a bit per distinct prime factor."""
-    bits = {}
-    masks = []
-    for f in polys:
+@functools.lru_cache(maxsize=None)
+def _prime_bits(field):
+    """Bit position of every prime factor met so far, keyed (degree, code);
+    shared so that masks from separate calls can be compared."""
+    return {}
+
+
+@functools.lru_cache(maxsize=None)
+def squarefree_masks(field, d):
+    """(polys, masks) for the square-free monic polynomials of degree d.
+
+    polys follow the enumeration order of ffpoly.enumerate_polys; masks[i]
+    has one bit per distinct prime factor of polys[i], so two square-free
+    polynomials are coprime exactly when their masks are disjoint.  Prime
+    q factors through the sieve tables, prime powers by trial division.
+    """
+    bits = _prime_bits(field)
+
+    def mask(factors):
         m = 0
-        for p, _ in ffpoly.factorize(f):
-            m |= 1 << bits.setdefault(p.coeffs, len(bits))
-        masks.append(m)
-    return masks
+        for key in factors:
+            m |= 1 << bits.setdefault(key, len(bits))
+        return m
+
+    if d == 0:
+        return (ffpoly.Poly.one(field),), (0,)
+    polys, masks = [], []
+    if field.e == 1:
+        T = poly_tables(field.q, d)
+        for code in range(field.q ** d):
+            fac = T.factor(d, code)
+            if fac is not None:
+                polys.append(ffpoly.Poly.monic_from_code(field, d, code))
+                masks.append(mask(fac))
+    else:
+        for f in ffpoly.enumerate_polys(field, d, "squarefree-monic"):
+            polys.append(f)
+            masks.append(mask((int(p.degree), p.monic_code()) for p, _ in ffpoly.factorize(f)))
+    return tuple(polys), tuple(masks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,17 +179,19 @@ def monic_family(field, g):
     """All monic-variant members for genus g, deterministic order.
 
     Members run over the kept patterns in order, then f1, f2, f3 in
-    square-free enumeration order, so indices are stable.  Square-free
-    polynomials are pairwise coprime exactly when their prime-factor
-    masks are disjoint.
+    square-free enumeration order, so indices are stable.  Coprimality
+    is decided by disjoint prime-factor masks (squarefree_masks).
     """
     kept, _ = admissible_patterns(g)
-    polys, span = [], {}
-    for d in sorted({d for pat in kept for d in pat}):
-        sf = ffpoly.enumerate_polys(field, d, "squarefree-monic")
+    degrees = sorted({d for pat in kept for d in pat})
+    # top degree first: its sieve table then serves every lower degree
+    by_degree = {d: squarefree_masks(field, d) for d in reversed(degrees)}
+    polys, masks, span = [], [], {}
+    for d in degrees:
+        sf, sf_masks = by_degree[d]
         span[d] = range(len(polys), len(polys) + len(sf))
         polys.extend(sf)
-    masks = _prime_masks(polys)
+        masks.extend(sf_masks)
     rows = []
     for d1, d2, d3 in kept:
         for i1 in span[d1]:

@@ -136,6 +136,14 @@ def _field_for(q):
     return ffpoly.GF(p, e)
 
 
+def _require_at_least(flag, value, bound, bound_flag=None):
+    """ConfigError naming `flag` unless value >= bound (the value of
+    `bound_flag` when given)."""
+    if value < bound:
+        limit = f"{bound_flag} ({bound})" if bound_flag else bound
+        raise ConfigError(f"{flag}: must be >= {limit}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -270,6 +278,9 @@ def _cmd_lemma61(args):
     P = parse_poly(field, args.prime)
     if not P.is_monic() or not ffpoly.is_irreducible(P):
         raise ConfigError("prime: must be monic irreducible")
+    _require_at_least("--M", args.M, 1)
+    _require_at_least("--d-min", args.d_min, 0)
+    _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
     blocks = moments.c_blocks(P, args.M)
     rows = []
     for d in range(args.d_min, args.d_max + 1):
@@ -288,6 +299,8 @@ def _cmd_lemma61(args):
 
 def _cmd_eulersum(args):
     field = _field_for(args.q)
+    _require_at_least("--n", args.n, 1)
+    _require_at_least("--M", args.M, 1)
     rows = []
     kinds = eulerprod.KINDS if args.kind == "all" else (args.kind,)
     for kind in kinds:

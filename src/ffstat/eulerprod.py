@@ -22,6 +22,7 @@ approximation alongside the exact value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -132,34 +133,29 @@ def _chi_pm(P, Q, sign, lookup=None):
     return chi
 
 
-def chi_plain_lookup(P, max_deg):
-    """Memoized Q -> (Q/P) over monic primes Q, table-backed for prime q."""
+@functools.lru_cache(maxsize=None)
+def chi_plain_rows(P, max_deg):
+    """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
+    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
+    for prime q, by reciprocity for prime powers.  Shared by the three
+    kinds, so the rows are read-only."""
     fld = P.field
     if fld.e == 1:
         T = poly_tables(fld.q, max(max_deg, int(P.degree)))
         qkey = (int(P.degree), P.monic_code())
-        arrays = {}
+        rows = [T.legendre_array(T.prime_coefmat(d), qkey) for d in range(1, max_deg + 1)]
+    else:
+        rows = [np.array([ffpoly.jacobi_symbol(Q, P) for Q in ffpoly.primes(fld, d)], dtype=np.int8)
+                for d in range(1, max_deg + 1)]
+    for row in rows:
+        row.flags.writeable = False
+    return tuple(rows)
 
-        def lookup(Q):
-            d = int(Q.degree)
-            arr = arrays.get(d)
-            if arr is None:
-                arr = T.legendre_array(T.prime_coefmat(d), qkey)
-                arrays[d] = arr
-            idx = int(np.searchsorted(T.prime_codes[d], Q.monic_code()))
-            return int(arr[idx])
 
-        return lookup
-    cache = {}
-
-    def lookup(Q):
-        v = cache.get(Q.coeffs)
-        if v is None:
-            v = ffpoly.jacobi_symbol(Q, P)
-            cache[Q.coeffs] = v
-        return v
-
-    return lookup
+def _value_counts(row):
+    """(value, multiplicity) pairs of an integer row."""
+    vals, counts = np.unique(row, return_counts=True)
+    return zip(vals.tolist(), counts.tolist())
 
 
 def local_factor(kind, P, Q, u, _validate=True):
@@ -217,29 +213,29 @@ def l_value(P, sign, u):
 
 def h_value(kind, P, u, M):
     """Truncated H_{P,kind}(u): the Euler factors left after dividing the
-    zeta and L local factors out of 1 + delta_{P,kind}."""
+    zeta and L local factors out of 1 + delta_{P,kind}.
+
+    With u = a/b, the factor at a prime of degree d is an integer over
+    b^(4d) that depends only on d and (Q/P), so the product is one
+    integer per (d, (Q/P)) raised to its multiplicity, over one power of b.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     u = Fraction(u)
-    lookup = chi_plain_lookup(P, M)
-    fracs = []
-    for d in range(1, M + 1):
-        ud, u2d = u ** d, u ** (2 * d)
-        for Q in ffpoly.primes(P.field, d):
-            chi = lookup(Q)
-            chi_p = chi
+    a, b = u.numerator, u.denominator
+    nums, den_exp = [], 0
+    for d, row in enumerate(chi_plain_rows(P, M), 1):
+        ad, bd = a ** d, b ** d
+        for chi, count in _value_counts(row):
             chi_m = -chi if d % 2 else chi
-            if kind == "plus":
-                c = chi_p
-                base = 1 + 2 * c * ud - (1 + 2 * c) * u2d
-                fracs.append(base * (1 - c * ud) ** 2)
-            elif kind == "minus":
-                c = chi_m
-                base = 1 + 2 * c * ud - (1 + 2 * c) * u2d
-                fracs.append(base * (1 - c * ud) ** 2)
-            else:
-                s = chi_p + chi_m
-                base = 1 + s * ud - (1 + s) * u2d
-                fracs.append(base * (1 - chi_p * ud) * (1 - chi_m * ud))
-    return prod_fractions(fracs)
+            c1, c2 = {"plus": (chi, chi), "minus": (chi_m, chi_m), "zero": (chi, chi_m)}[kind]
+            s = c1 + c2
+            base = bd * bd + s * ad * bd - (1 + s) * ad * ad
+            nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
+        den_exp += 4 * d * len(row)
+    return Fraction(_prod(nums), b ** den_exp)
 
 
 def assembled_product(kind, P, u, M):
@@ -296,10 +292,7 @@ def prime_sum(kind, field, n, M):
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     q = field.q
-    if field.e == 1:
-        value = _prime_sum_fast(kind, q, n, M)
-    else:
-        value = _prime_sum_pure(kind, field, n, M)
+    value = _prime_sum(kind, field, n, M)
     reference = Fraction(ffpoly.prime_count_exact(q, n)) * (
         1 / lfunc.zeta_q_value(q, 2)
     )
@@ -324,30 +317,14 @@ def _local_numerator(kind, q, d, chi_plain):
     return q ** (2 * d) + s * q ** d - (1 + s)
 
 
-def _prime_sum_fast(kind, q, n, M):
-    T = poly_tables(q, max(n, M))
-    den_exp = 2 * sum(d * T.prime_count(d) for d in range(1, M + 1))
-    den = q ** den_exp
-    total = Fraction(0)
-    coefmats = {d: T.prime_coefmat(d) for d in range(1, M + 1)}
-    for pcode in T.prime_codes[n]:
-        qkey = (n, int(pcode))
-        nums = []
-        for d in range(1, M + 1):
-            for chi in T.legendre_array(coefmats[d], qkey):
-                nums.append(_local_numerator(kind, q, d, int(chi)))
-        total += Fraction(_prod(nums), den)
-    return total
-
-
-def _prime_sum_pure(kind, field, n, M):
+def _prime_sum(kind, field, n, M):
+    """Every product shares the denominator q^(2 sum_{d<=M} d pi_q(d)), so
+    the numerators are summed as integers and reduced once."""
     q = field.q
-    total = Fraction(0)
+    total = 0
     for P in ffpoly.primes(field, n):
-        nums, den = [], 1
-        for d in range(1, M + 1):
-            for Q in ffpoly.primes(field, d):
-                nums.append(_local_numerator(kind, q, d, ffpoly.jacobi_symbol(Q, P)))
-                den *= q ** (2 * d)
-        total += Fraction(_prod(nums), den)
-    return total
+        total += _prod(_local_numerator(kind, q, d, chi) ** count
+                       for d, row in enumerate(chi_plain_rows(P, M), 1)
+                       for chi, count in _value_counts(row))
+    den_exp = 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))
+    return Fraction(total, q ** den_exp)

@@ -17,6 +17,8 @@ import functools
 
 import numpy as np
 
+from .errors import InvariantError
+
 
 class _Infinity:
     """Point at infinity on P^1; a unique sentinel, not a number."""
@@ -674,7 +676,8 @@ def prime_count_exact(q, n):
             mu = _mobius_int(d)
             if mu:
                 total += mu * q ** (n // d)
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"divisor sum for pi_{q}({n}) is not divisible by {n}")
     return total // n
 
 
@@ -870,7 +873,7 @@ class ExtensionField:
             log[acc] = j
             acc = self._mul_codes(acc, g)
         if acc != 1:
-            raise AssertionError("generator order mismatch")
+            raise InvariantError("generator order mismatch")
         exp[Q - 1:] = exp[: Q - 1]
         self.generator = g
         self._exp = exp

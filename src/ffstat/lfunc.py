@@ -108,7 +108,8 @@ class LPoly:
     @property
     def delta(self):
         d = self.modulus_degree - 1 - self.lam
-        assert d % 2 == 0
+        if d % 2:
+            raise InvariantError(f"odd degree {d} left after removing lambda")
         return d // 2
 
     @property

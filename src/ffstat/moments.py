@@ -251,24 +251,24 @@ def _bilinear_prime_form(field, g, n):
     chi_P(f1) chi_P(f2), with chi_P taken once per family polynomial.
     """
     fam = biquad.monic_family(field, g)
-    total = 0
+    return sum(_member_sum(fam, row) for row in _chi_rows(fam.polys, ffpoly.primes(field, n)))
+
+
+def _chi_rows(polys, primes):
+    """int8 rows chi_P(f) over polys, one per P in primes: read off the
+    residue tables for prime q, by jacobi_symbol for prime powers."""
+    field = polys[0].field
     if field.e == 1:
-        T = poly_tables(field.q, max(n, 1))
-        width = max(len(f.coeffs) for f in fam.polys)
-        mat = np.zeros((len(fam.polys), width), dtype=np.float64)
-        for i, f in enumerate(fam.polys):
+        T = poly_tables(field.q, max(int(P.degree) for P in primes))
+        width = max(len(f.coeffs) for f in polys)
+        mat = np.zeros((len(polys), width), dtype=np.float64)
+        for i, f in enumerate(polys):
             mat[i, : len(f.coeffs)] = f.coeffs
-        for pcode in T.prime_codes[n]:
-            total += _member_sum(fam, T.legendre_array(mat, (n, int(pcode))))
-        return total
-    for P in ffpoly.primes(field, n):
-        total += _member_sum(fam, _jacobi_row(fam, P))
-    return total
-
-
-def _jacobi_row(fam, P):
-    """int8 chi_P(f) over the family polynomials."""
-    return np.array([ffpoly.jacobi_symbol(f, P) for f in fam.polys], dtype=np.int8)
+        for P in primes:
+            yield T.legendre_array(mat, (int(P.degree), P.monic_code()))
+    else:
+        for P in primes:
+            yield np.array([ffpoly.jacobi_symbol(f, P) for f in polys], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -277,52 +277,61 @@ def _jacobi_row(fam, P):
 
 
 def nkk_sum(field, P, d, k1, k2):
-    """N_{k1,k2}(d;P): brute force over ordered monic triples with
-    square-free pairwise-coprime product of total degree d and the stated
-    degree parities of f1*f3 and f2*f3."""
+    """N_{k1,k2}(d;P): the sum of chi_P(f1 f2) over ordered monic triples
+    with square-free pairwise-coprime product of total degree d and the
+    stated degree parities of f1*f3 and f2*f3."""
     return nkk_sums_all(field, P, d)[(k1, k2)]
 
 
 def nkk_sums_all(field, P, d, chi_of=None):
     """All four parity classes of N_{k1,k2}(d;P) in one enumeration pass.
 
-    `chi_of` overrides the character (the degenerate chi = 1 turns the
-    sums into plain census counts, a sanity cross-check on the family)."""
+    Triples are coprime exactly when their prime-factor masks are
+    disjoint, so each coprime (f1, f2) adds chi_P(f1) chi_P(f2) times the
+    number of degree-c masks disjoint from theirs.  `chi_of` overrides
+    the character (the degenerate chi = 1 turns the sums into plain
+    census counts, a sanity cross-check on the family)."""
     if d < 0:
         raise ValueError("d must be >= 0")
+    # top degree first: its sieve table then serves every lower degree
+    sf = [biquad.squarefree_masks(field, e) for e in range(d, -1, -1)][::-1]
+    masks = [m for _, m in sf]
     if chi_of is None:
-        chi_of = _chi_p_lookup(field, P, d)
+        chis = [_squarefree_chi(field, P, e).tolist() for e in range(d + 1)]
+    else:
+        chis = [[chi_of(f) for f in polys] for polys, _ in sf]
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
-    sf = {e: ffpoly.enumerate_polys(field, e, "squarefree-monic") for e in range(d + 1)}
     for a in range(d + 1):
+        row1 = [(m, x) for m, x in zip(masks[a], chis[a]) if x]
         for b in range(d - a + 1):
             c = d - a - b
-            key = ((a + c) % 2, (b + c) % 2)
-            for f1 in sf[a]:
-                chi1 = chi_of(f1)
-                for f2 in sf[b]:
-                    if not ffpoly.poly_gcd(f1, f2).is_constant():
+            row2 = [(m, x) for m, x in zip(masks[b], chis[b]) if x]
+            masks3 = masks[c]
+            total = 0
+            for m1, x1 in row1:
+                for m2, x2 in row2:
+                    if m1 & m2:
                         continue
-                    chi12 = chi1 * chi_of(f2)
-                    f12 = f1 * f2
-                    for f3 in sf[c]:
-                        if ffpoly.poly_gcd(f12, f3).is_constant():
-                            out[key] += chi12
+                    m12 = m1 | m2
+                    total += x1 * x2 * sum(1 for m3 in masks3 if not m12 & m3)
+            out[((a + c) % 2, (b + c) % 2)] += total
     return out
 
 
-def _chi_p_lookup(field, P, max_deg):
-    """Memoized chi_P over polynomials of degree <= max_deg."""
-    cache = {}
+@functools.lru_cache(maxsize=None)
+def _squarefree_chi(field, P, e):
+    """int8 chi_P(f) over the square-free monics f of degree e, in
+    biquad.squarefree_masks order."""
+    row = next(_chi_rows(biquad.squarefree_masks(field, e)[0], (P,)))
+    row.flags.writeable = False  # shared by every caller through the cache
+    return row
 
-    def chi(f):
-        v = cache.get(f.coeffs)
-        if v is None:
-            v = ffpoly.jacobi_symbol(f, P)
-            cache[f.coeffs] = v
-        return v
 
-    return chi
+def _excluded_chi_sums(field, P, g):
+    """(sum of chi_P(f), count) over the square-free monics f of degrees
+    g+2 and g+3, the polynomials of the excluded degenerate patterns."""
+    rows = [_squarefree_chi(field, P, e) for e in (g + 2, g + 3)]
+    return sum(int(r.sum()) for r in rows), sum(len(r) for r in rows)
 
 
 @dataclass
@@ -345,6 +354,8 @@ class FixedPrimeReport:
 def c_blocks(P, M):
     """The building blocks at u = 1/q: exact L(1/q, chi_P^{+-}) and the
     truncated H_{P,+-}, H_{P,0}."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     q = P.field.q
     u = Fraction(1, q)
     return {
@@ -356,29 +367,43 @@ def c_blocks(P, M):
     }
 
 
-def _c_products(b):
-    """The three L/H products (t1, t2, t3) read off a blocks dict."""
-    return (
-        b["L_plus"] ** 2 * b["H_plus"],
-        b["L_minus"] ** 2 * b["H_minus"],
-        b["L_plus"] * b["L_minus"] * b["H_zero"],
-    )
+_BLOCK_KEYS = ("L_plus", "L_minus", "H_plus", "H_minus", "H_zero")
+
+
+@functools.lru_cache(maxsize=8)
+def _c_values(l_plus, l_minus, h_plus, h_minus, h_zero):
+    """The three L/H products (t1, t2, t3) and the only three values
+    C_{k1,k2}(d;P) takes: t1 + t2 + 2 t3, t1 + t2 - 2 t3 and t1 - t2.
+
+    The blocks are exact Fractions with denominators of ~10^5 bits, where
+    each sum costs a big gcd, so this runs once per distinct blocks."""
+    t1 = l_plus ** 2 * h_plus
+    t2 = l_minus ** 2 * h_minus
+    t3 = l_plus * l_minus * h_zero
+    s = t1 + t2
+    return (t1, t2, t3), (s + 2 * t3, s - 2 * t3, t1 - t2)
+
+
+def _c_of(blocks, P, M):
+    b = blocks or c_blocks(P, M)
+    return _c_values(*(b[k] for k in _BLOCK_KEYS))
 
 
 def c_constant_kk(P, d, k1, k2, M, blocks=None):
-    """C_{k1,k2}(d;P) from the three L/H products."""
-    t1, t2, t3 = _c_products(blocks or c_blocks(P, M))
-    return (
-        t1
-        + (-1) ** (k1 + k2) * t2
-        + (-1) ** d * ((-1) ** k1 + (-1) ** k2) * t3
-    )
+    """C_{k1,k2}(d;P) = t1 + (-1)^(k1+k2) t2 + (-1)^d ((-1)^k1 + (-1)^k2) t3.
+
+    Mixed parities give t1 - t2; equal parities give t1 + t2 + 2 t3 when
+    d + k1 is even and t1 + t2 - 2 t3 when it is odd."""
+    _, (even, odd, mixed) = _c_of(blocks, P, M)
+    if k1 != k2:
+        return mixed
+    return even if (d + k1) % 2 == 0 else odd
 
 
 def c_constant_g(P, g, M, blocks=None):
     """C(g;P), the genus-level combination of the same blocks."""
     q = P.field.q
-    t1, t2, t3 = _c_products(blocks or c_blocks(P, M))
+    (t1, t2, t3), _ = _c_of(blocks, P, M)
     return (
         Fraction(q + 3, q) * t1
         + Fraction(q - 1, q) * t2
@@ -390,17 +415,14 @@ def excluded_degree_correction(field, P, g):
     """2 sum_{deg f = g+2, g+3} mu^2(f) chi_P(f) + (q+1)/q * q^(g+3)/zeta_q(2),
     the excluded-pattern correction active for odd g; exact Fraction."""
     q = field.q
-    char_sum = 0
-    for e in (g + 2, g + 3):
-        for f in ffpoly.enumerate_polys(field, e, "squarefree-monic"):
-            char_sum += ffpoly.jacobi_symbol(f, P)
+    char_sum, _ = _excluded_chi_sums(field, P, g)
     return 2 * char_sum + Fraction(q + 1, q) * q ** (g + 3) / lfunc.zeta_q_value(q, 2)
 
 
 def fixed_prime_family_sum(field, g, P):
     """sum over the monic family of chi_P(f1 f2), exact by enumeration."""
     fam = biquad.monic_family(field, g)
-    return _member_sum(fam, _jacobi_row(fam, P))
+    return _member_sum(fam, next(_chi_rows(fam.polys, (P,))))
 
 
 def family_sum_report(field, g, P, M):
@@ -425,11 +447,8 @@ def family_sum_nkk_decomposition(field, g, P):
     low = nkk_sums_all(field, P, g + 2)
     total = top[(0, 0)] + low[(0, 1)] + low[(1, 0)] + low[(1, 1)]
     if g % 2 == 1:
-        corr = 0
-        for e in (g + 2, g + 3):
-            for f in ffpoly.enumerate_polys(field, e, "squarefree-monic"):
-                corr += 2 * ffpoly.jacobi_symbol(f, P) + 1
-        total -= corr
+        char_sum, count = _excluded_chi_sums(field, P, g)
+        total -= 2 * char_sum + count
     return total
 
 

@@ -1,7 +1,11 @@
 """CLI: parsing, output schemas, caching, determinism, exit codes."""
 
+import ast
+import hashlib
+import importlib.util
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -173,6 +177,37 @@ def test_exit_code_config_errors(capsys):
                    "--d-max", "2")[0] == 1  # reducible prime
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "0"], "--M"),
+    (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "-3"], "--M"),
+    (["lemma61", "--prime", "X^2+1", "--d-min", "3", "--d-max", "2"], "--d-max"),
+    (["lemma61", "--prime", "X^2+1", "--d-min", "-2", "--d-max", "2"], "--d-min"),
+    (["eulersum", "--n", "0", "--M", "3"], "--n"),
+    (["eulersum", "--n", "2", "--M", "0"], "--M"),
+])
+def test_fixed_prime_bounds_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {flag}: ")
+
+
+def test_no_bare_asserts_in_src():
+    # python -O strips assert statements, and an AssertionError would
+    # escape main() as a traceback; internal checks raise InvariantError
+    src = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_exit_code_invariant_violation(monkeypatch):
     def boom(args):
         raise InvariantError("synthetic")
@@ -228,3 +263,30 @@ def test_cache_env_var_respected(tmp_path, monkeypatch, capsys):
                            "--count")
     assert code == 0
     assert os.path.exists(tmp_path / "primes-q3-2-monic.jsonl")
+
+
+# -- output identity -----------------------------------------------------------------
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+FIXED_PRIME_COMMANDS = [
+    f"lemma61 --q 3 --prime {p} --d-max 7 --M 9" for p in _bench_workloads().FIXED_PRIMES
+] + ["eulersum --q 3 --n 3 --M 9", "eulersum --q 9 --n 2 --M 3"]
+
+
+@pytest.mark.parametrize("command", FIXED_PRIME_COMMANDS)
+def test_fixed_prime_output_matches_golden_digest(capsys, command):
+    # bench/golden.json holds the sha256 of each command's stdout as the
+    # unoptimised code printed it
+    golden = json.loads((BENCH / "golden.json").read_text())["digests"]
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[command]

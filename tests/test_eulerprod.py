@@ -182,10 +182,20 @@ def test_prime_sum_reference_values():
 
 
 def test_prime_sum_fast_equals_pure():
+    # table-backed rows over one shared denominator against the sum of
+    # the generic per-prime truncated products
     for kind in eulerprod.KINDS:
-        fast = eulerprod._prime_sum_fast(kind, 3, 2, 4)
-        pure = eulerprod._prime_sum_pure(kind, F3, 2, 4)
-        assert fast == pure
+        pure = sum(eulerprod.truncated_product(eulerprod.delta_spec(kind, P), 4, U3).value
+                   for P in ffpoly.primes(F3, 2))
+        assert eulerprod.prime_sum(kind, F3, 2, 4).value == pure
+
+
+def test_h_value_rejects_empty_product():
+    for M in (0, -1):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            eulerprod.h_value("plus", P_X2P1, U3, M)
+    with pytest.raises(ValueError, match="kind"):
+        eulerprod.h_value("bogus", P_X2P1, U3, 2)
 
 
 def test_prime_sum_kinds_converge_together():

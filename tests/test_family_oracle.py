@@ -1,17 +1,21 @@
-"""Scalar oracles for the index-row family and its numpy scan.
+"""Scalar oracles for the family, its numpy scan and the fixed-prime layer.
 
 The oracle enumeration tests coprimality with poly_gcd and builds a
 validated CurveTriple per member; the oracle scan sums ChiCache pair
-sums member by member.  Both are the straightforward definitions the
-fast paths in biquad.monic_family and moments._family_totals replace.
+sums member by member.  The fixed-prime oracles enumerate N_{k1,k2}
+triples with poly_gcd and scalar jacobi_symbol, multiply one Fraction
+per prime for H_{P,kind}, sum one Fraction per prime for the prime
+sums, and evaluate the C_{k1,k2} formula literally.  All are the
+straightforward definitions the fast paths replace.
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffstat import biquad, ffpoly, moments
+from ffstat import biquad, eulerprod, ffpoly, moments
 from ffstat.ffpoly import GF
 
 FIELDS = {3: GF(3), 5: GF(5), 9: GF(3, 2)}
@@ -81,3 +85,118 @@ def test_monic_family_matches_scalar_enumeration(q, g):
 def test_family_totals_match_scalar_scan(q, g, n):
     field = FIELDS[q]
     assert moments._family_totals(field, g, n) == scalar_family_totals(field, g, n)
+
+
+# -- fixed-prime layer -------------------------------------------------------------
+
+
+def scalar_nkk_sums_all(field, P, d, chi_of=None):
+    if chi_of is None:
+        chi_of = functools.lru_cache(maxsize=None)(lambda f: ffpoly.jacobi_symbol(f, P))
+    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
+    sf = {e: ffpoly.enumerate_polys(field, e, "squarefree-monic") for e in range(d + 1)}
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            c = d - a - b
+            key = ((a + c) % 2, (b + c) % 2)
+            for f1 in sf[a]:
+                chi1 = chi_of(f1)
+                for f2 in sf[b]:
+                    if not ffpoly.poly_gcd(f1, f2).is_constant():
+                        continue
+                    chi12 = chi1 * chi_of(f2)
+                    f12 = f1 * f2
+                    for f3 in sf[c]:
+                        if ffpoly.poly_gcd(f12, f3).is_constant():
+                            out[key] += chi12
+    return out
+
+
+def nth_prime(q, deg, index):
+    return ffpoly.primes(FIELDS[q], deg)[index]
+
+
+@pytest.mark.parametrize("q,deg,index,d_max", [
+    (3, 1, 0, 6), (3, 2, 0, 6), (3, 3, 5, 6), (5, 2, 3, 4), (9, 1, 4, 3), (9, 2, 7, 3),
+])
+def test_nkk_sums_all_matches_gcd_enumeration(q, deg, index, d_max):
+    field = FIELDS[q]
+    P = nth_prime(q, deg, index)
+    for d in range(d_max + 1):
+        assert moments.nkk_sums_all(field, P, d) == scalar_nkk_sums_all(field, P, d), d
+
+
+@pytest.mark.parametrize("q,d_max", [(3, 5), (9, 3)])
+def test_nkk_census_matches_gcd_enumeration(q, d_max):
+    field = FIELDS[q]
+    one = lambda f: 1
+    for d in range(d_max + 1):
+        assert (moments.nkk_sums_all(field, None, d, chi_of=one)
+                == scalar_nkk_sums_all(field, None, d, chi_of=one)), d
+
+
+def literal_h_value(kind, P, u, M):
+    u = Fraction(u)
+    value = Fraction(1)
+    for d in range(1, M + 1):
+        ud, u2d = u ** d, u ** (2 * d)
+        for Q in ffpoly.primes(P.field, d):
+            chi_p = ffpoly.jacobi_symbol(Q, P)
+            chi_m = -chi_p if d % 2 else chi_p
+            if kind == "zero":
+                s = chi_p + chi_m
+                value *= (1 + s * ud - (1 + s) * u2d) * (1 - chi_p * ud) * (1 - chi_m * ud)
+            else:
+                c = chi_p if kind == "plus" else chi_m
+                value *= (1 + 2 * c * ud - (1 + 2 * c) * u2d) * (1 - c * ud) ** 2
+    return value
+
+
+@pytest.mark.parametrize("q,deg,index,M_max", [(3, 2, 0, 6), (3, 1, 0, 6), (9, 2, 7, 3)])
+def test_h_value_matches_per_prime_fractions(q, deg, index, M_max):
+    P = nth_prime(q, deg, index)
+    for M in range(1, M_max + 1):
+        for u in (Fraction(1, q), Fraction(-1, q)):
+            for kind in eulerprod.KINDS:
+                assert eulerprod.h_value(kind, P, u, M) == literal_h_value(kind, P, u, M), (M, u, kind)
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_c_constants_match_literal_formula(deg):
+    P = nth_prime(3, deg, 0)
+    M = 5
+    blocks = moments.c_blocks(P, M)
+    t1 = blocks["L_plus"] ** 2 * blocks["H_plus"]
+    t2 = blocks["L_minus"] ** 2 * blocks["H_minus"]
+    t3 = blocks["L_plus"] * blocks["L_minus"] * blocks["H_zero"]
+    for d in (4, 5):
+        for k1 in (0, 1):
+            for k2 in (0, 1):
+                literal = t1 + (-1) ** (k1 + k2) * t2 + (-1) ** d * ((-1) ** k1 + (-1) ** k2) * t3
+                assert moments.c_constant_kk(P, d, k1, k2, M, blocks) == literal, (d, k1, k2)
+                assert moments.c_constant_kk(P, d, k1, k2, M) == literal, (d, k1, k2)
+    for g in (1, 2):
+        literal = 2 * t1 + Fraction(2, 3) * t2 - 2 * (-1) ** g * Fraction(4, 3) * t3
+        assert moments.c_constant_g(P, g, M, blocks) == literal
+
+
+def per_prime_fraction_sum(kind, field, n, M):
+    q = field.q
+    total = Fraction(0)
+    for P in ffpoly.primes(field, n):
+        nums, den = [], 1
+        for d in range(1, M + 1):
+            for Q in ffpoly.primes(field, d):
+                chi = ffpoly.jacobi_symbol(Q, P)
+                nums.append(eulerprod._local_numerator(kind, q, d, chi))
+                den *= q ** (2 * d)
+        total += Fraction(eulerprod._prod(nums), den)
+    return total
+
+
+@pytest.mark.parametrize("q,n,M", [(3, 1, 4), (3, 2, 5), (3, 3, 5), (5, 2, 3), (9, 1, 2), (9, 2, 2)])
+def test_prime_sum_matches_per_prime_fraction_sum(q, n, M):
+    field = FIELDS[q]
+    for kind in eulerprod.KINDS:
+        assert (eulerprod.prime_sum(kind, field, n, M).value
+                == per_prime_fraction_sum(kind, field, n, M)), kind

@@ -231,6 +231,11 @@ def test_c_constant_parity_structure():
             moments.c_constant_kk(P, d, 0, 0, 6, blocks)
 
 
+def test_c_blocks_rejects_empty_product():
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        moments.c_blocks(P3(1, 0, 1), 0)
+
+
 def test_family_sum_report_even_g_has_no_correction():
     P = Poly.x(F3)
     rep = moments.family_sum_report(F3, 2, P, 6)
