@@ -6,8 +6,11 @@ coefficients as base-q digits, leading 1 implicit), matching the
 enumeration order in :mod:`ffstat.ffpoly`.
 
 Reduction modulo a fixed monic Q is GF(q)-linear in the coefficient
-vector, so batches reduce with one float64 matmul against the matrix of
-X^j mod Q rows (entries stay far below 2^53, hence exact).  Quadratic
+vector, so a batch reduces with one float64 matmul against the matrix of
+X^j mod Q rows, then subtracts q * floor((x + 1/2) / q) from each entry
+and combines the residue digits with one more float64 matmul.  The floor
+step is exact while every matmul entry stays below 2^51, which
+`PolyTables` checks from q and max_deg when it is built.  Quadratic
 residue tables per prime come from squaring every residue in one batch.
 
 Everything here is cross-checked against the scalar paths in ffpoly by
@@ -33,10 +36,19 @@ class PolyTables:
     def __init__(self, q, max_deg):
         if not ffpoly._is_prime_int(q):
             raise ValueError("PolyTables requires prime q")
+        # the largest matmul entry reduce_codes meets is chiq's: 2k-1
+        # square coefficients up to k(q-1)^2 against X^j mod Q entries up
+        # to q-1, for Q of degree k <= max_deg; residue codes stay below
+        # q^max_deg
+        if 4 * max_deg ** 2 * (q - 1) ** 3 >= 2 ** 51 or q ** max_deg >= 2 ** 53:
+            raise ValueError(
+                f"PolyTables: q={q} with max_deg={max_deg} is beyond exact "
+                "float64 residue reduction")
         self.q = q
         self.max_deg = max_deg
         self.field = ffpoly.GF(q)
         self._qpow = np.array([q ** i for i in range(max_deg + 2)], dtype=np.int64)
+        self._qpow_f = self._qpow.astype(np.float64)
         self._sieve()
         self._digit_cache = {}
         self._coefmat_cache = {}
@@ -167,9 +179,15 @@ class PolyTables:
         """Residue codes modulo the prime Q given by qkey=(deg, code)."""
         k = qkey[0]
         R = self._xpow_rows(qkey, coefmat.shape[1])
-        res = coefmat @ R
-        res = res.astype(np.int64) % self.q
-        return res @ self._qpow[:k]
+        q = self.q
+        res = R.T @ coefmat.T  # (k, rows); BLAS reads both transposes in place
+        # res -= q * floor((res + 1/2) / q), with one temporary
+        quot = res + 0.5
+        quot *= 1.0 / q
+        np.floor(quot, out=quot)
+        quot *= q
+        res -= quot
+        return (self._qpow_f[:k] @ res).astype(np.int64)
 
     # -- quadratic residue tables ----------------------------------------
 
@@ -201,6 +219,24 @@ class PolyTables:
     def legendre_array(self, coefmat, qkey):
         """(F/Q) for every row F of coefmat, as int8."""
         return self.chiq(qkey)[self.reduce_codes(coefmat, qkey)]
+
+    def prime_char_sums(self, factorizations, n):
+        """sum over the monic primes P of degree n of chi_D(P), for each
+        square-free D given by its factorization [(deg, code), ...]:
+        chi_D(P) is the product of (P/Q) over the prime factors Q of D
+        (1 for D = 1, whose factorization is empty)."""
+        pmat = self.prime_coefmat(n)
+        legp = {}
+        sums = []
+        for fac in factorizations:
+            arr = None
+            for qkey in fac:
+                leg = legp.get(qkey)
+                if leg is None:
+                    leg = legp[qkey] = self.legendre_array(pmat, qkey)
+                arr = leg if arr is None else arr * leg
+            sums.append(len(pmat) if arr is None else int(arr.sum(dtype=np.int64)))
+        return sums
 
 
 #: the table of highest max_deg built so far, per q

@@ -1,9 +1,10 @@
 """Versioned on-disk cache for prime tables.
 
 Format: one JSON header line (version, key fields, payload checksum)
-followed by one JSON line per record.  A version or checksum mismatch,
-or any parse failure, is treated as a miss: the caller rebuilds and the
-stale file is overwritten.  Writes go through a temp file and an atomic
+followed by one JSON line per record.  A version mismatch, a header
+whose key fields differ from the request, a checksum mismatch or any
+parse failure is treated as a miss: the caller rebuilds and the stale
+file is overwritten.  Writes go through a temp file and an atomic
 replace so concurrent commands sharing a cache directory never see a
 half-written file.
 """
@@ -81,11 +82,17 @@ def load(cache_dir, kind, q, param, variant):
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
+            if not isinstance(header, dict):
+                raise ValueError("header is not a JSON object")
             if header.get("version") != CACHE_VERSION:
                 return None
             payload = tuple(tuple(json.loads(line)) for line in fh if line.strip())
     except (ValueError, OSError):
         warnings.warn(f"corrupt cache file {path}; rebuilding")
+        return None
+    request = {"kind": kind, "q": q, "param": param, "variant": variant}
+    if any(header.get(field) != value for field, value in request.items()):
+        warnings.warn(f"cache header of {path} does not match {request}; rebuilding")
         return None
     if _checksum(payload) != header.get("checksum"):
         warnings.warn(f"cache checksum mismatch in {path}; rebuilding")

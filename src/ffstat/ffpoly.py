@@ -721,7 +721,7 @@ def legendre_symbol(f, p, method="euler"):
             return 1
         if acc == Poly.constant(f.field, f.field.neg(1)):
             return -1
-        raise ArithmeticError("Euler criterion did not land on +-1")
+        raise InvariantError("Euler criterion did not land on +-1")
     if method == "reciprocity":
         return jacobi_symbol(f, p)
     raise ValueError(f"unknown method {method!r}")

@@ -358,6 +358,33 @@ def l_data(chi, n_max=8):
 # ---------------------------------------------------------------------------
 
 
+def _check_raw(raw, raw_minus, q, n_max, rh_tol):
+    """The checks of l_suite that depend on a modulus only through its raw
+    L-polynomial (plus sign) and its minus twist: (lstar, t_plus, dev,
+    problems), problems being failure messages without a modulus label.
+    A completion failure leaves lstar, t_plus and dev None."""
+    try:
+        lstar = complete_l(raw)
+        lstar_minus = complete_l(raw_minus)
+    except InvariantError as exc:
+        return None, None, None, [str(exc)]
+    problems = []
+    if lstar.degree != raw.modulus_degree - 1 - raw.lam:
+        problems.append("deg L* != deg D - 1 - lambda")
+    if not functional_equation_ok(lstar, q):
+        problems.append("functional equation (plus)")
+    if not functional_equation_ok(lstar_minus, q):
+        problems.append("functional equation (minus)")
+    t_plus = frobenius_traces(lstar, n_max).t
+    t_minus = frobenius_traces(lstar_minus, n_max).t
+    if any(t_minus[i] != (-1) ** (i + 1) * t_plus[i] for i in range(n_max)):
+        problems.append("minus traces != (-1)^n plus traces")
+    dev = rh_max_deviation(lstar, q)
+    if dev >= rh_tol:
+        problems.append(f"RH deviation {dev:.2e}")
+    return lstar, t_plus, dev, problems
+
+
 @dataclass
 class SuiteReport:
     """Aggregate results of the full-catalog L-function verification."""
@@ -401,8 +428,10 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
             legf_cache[qkey] = arr
         return arr
 
-    # phase 1: raw coefficients, completion, Newton traces, RH
+    # phase 1: raw coefficients, then the checks of each distinct raw
+    # L-polynomial (a pure function of its coefficients here), run once
     records = []
+    raw_checks = {}
     for dd in range(1, max_deg + 1):
         for code in range(q ** dd):
             factors = T.factor(dd, code)
@@ -420,61 +449,29 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
                 if sums[e] != 0:
                     failures.append(f"{label}: coefficient at degree {e} nonzero")
             raw = LPoly(tuple(sums[:dd]), dd, PLUS, completed=False, q=q)
-            raw_minus = LPoly(
-                tuple((-1) ** e * c for e, c in enumerate(raw.coeffs)),
-                dd, MINUS, completed=False, q=q,
-            )
-            rec = {"deg": dd, "code": code, "factors": factors, "raw": raw}
-            try:
-                lstar = complete_l(raw)
-                lstar_minus = complete_l(raw_minus)
-            except InvariantError as exc:
-                failures.append(f"{label}: {exc}")
+            checked = raw_checks.get(raw.coeffs)
+            if checked is None:
+                raw_minus = LPoly(
+                    tuple((-1) ** e * c for e, c in enumerate(raw.coeffs)),
+                    dd, MINUS, completed=False, q=q,
+                )
+                checked = raw_checks[raw.coeffs] = _check_raw(raw, raw_minus, q, n_max, rh_tol)
+            lstar, t_plus, dev, problems = checked
+            failures.extend(f"{label}: {msg}" for msg in problems)
+            if lstar is None:
                 continue
-            lam = raw.lam
-            if lstar.degree != dd - 1 - lam:
-                failures.append(f"{label}: deg L* != deg D - 1 - lambda")
-            if not functional_equation_ok(lstar, q):
-                failures.append(f"{label}: functional equation (plus)")
-            if not functional_equation_ok(lstar_minus, q):
-                failures.append(f"{label}: functional equation (minus)")
-            t_plus = frobenius_traces(lstar, n_max).t
-            t_minus = frobenius_traces(lstar_minus, n_max).t
-            if any(t_minus[i] != (-1) ** (i + 1) * t_plus[i] for i in range(n_max)):
-                failures.append(f"{label}: minus traces != (-1)^n plus traces")
-            dev = rh_max_deviation(lstar, q)
             rh_worst = max(rh_worst, dev)
-            if dev >= rh_tol:
-                failures.append(f"{label}: RH deviation {dev:.2e}")
-            rec["lstar"] = lstar
-            rec["t"] = t_plus
-            rec["lam"] = lam
-            records.append(rec)
+            records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
+                            "lstar": lstar, "t": t_plus, "lam": raw.lam})
 
     # phase 2: prime character sums s_d(D) for the explicit formula
-    s_table = {id(rec): [] for rec in records}
-    for d in range(1, n_max + 1):
-        pmat = T.prime_coefmat(d)
-        legp_cache = {}
-
-        def legp(qkey):
-            arr = legp_cache.get(qkey)
-            if arr is None:
-                arr = T.legendre_array(pmat, qkey)
-                legp_cache[qkey] = arr
-            return arr
-
-        for rec in records:
-            arr = legp(tuple(rec["factors"][0]))
-            for fac in rec["factors"][1:]:
-                arr = arr * legp(tuple(fac))
-            s_table[id(rec)].append(int(arr.sum(dtype=np.int64)))
-        del legp_cache
+    factorizations = [rec["factors"] for rec in records]
+    s_table = [T.prime_char_sums(factorizations, d) for d in range(1, n_max + 1)]
 
     # phase 3: explicit formula vs Newton, and the prime-sum size bound
     pi_q = {d: ffpoly.prime_count_exact(q, d) for d in range(1, n_max + 1)}
-    for rec in records:
-        s = s_table[id(rec)]
+    for i, rec in enumerate(records):
+        s = [row[i] for row in s_table]
         dd = rec["deg"]
         omega = {}
         for a, _ in rec["factors"]:

@@ -458,20 +458,8 @@ def double_char_sum(field, d, n):
     total = 0
     if field.e == 1:
         T = poly_tables(q, max(d, n))
-        pmat = T.prime_coefmat(n)
-        legp = {}
-        for code in range(q ** d):
-            fac = T.factor(d, code)
-            if fac is None:
-                continue
-            arr = None
-            for qk in fac:
-                leg = legp.get(tuple(qk))
-                if leg is None:
-                    leg = T.legendre_array(pmat, tuple(qk))
-                    legp[tuple(qk)] = leg
-                arr = leg if arr is None else arr * leg
-            total += int(arr.sum(dtype=np.int64))
+        facs = (T.factor(d, code) for code in range(q ** d))
+        total = sum(T.prime_char_sums([fac for fac in facs if fac is not None], n))
     else:
         for D in ffpoly.enumerate_polys(field, d, "squarefree-monic"):
             for Pr in ffpoly.primes(field, n):

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from ffstat import cache, cli, ffpoly
+from ffstat import cache, cli, ffpoly, lfunc
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -257,6 +257,27 @@ def test_cache_version_mismatch_ignored(tmp_path):
     assert cache.load(d, "primes", 3, 1, "monic") is None
 
 
+def test_cache_header_mismatch_is_miss(tmp_path):
+    d = str(tmp_path)
+    cache.primes_cached(F3, 2, cache_dir=d)
+    # a degree-2 file under the degree-3 name: checksum valid, header wrong
+    os.replace(os.path.join(d, "primes-q3-2-monic.jsonl"),
+               os.path.join(d, "primes-q3-3-monic.jsonl"))
+    with pytest.warns(UserWarning, match="header"):
+        assert cache.load(d, "primes", 3, 3, "monic") is None
+    with pytest.warns(UserWarning, match="header"):
+        rebuilt = cache.primes_cached(F3, 3, cache_dir=d)
+    assert rebuilt == list(ffpoly.primes(F3, 3))
+    assert cache.load(d, "primes", 3, 3, "monic").param == 3
+
+
+def test_cache_non_object_header_is_corrupt(tmp_path):
+    path = tmp_path / "primes-q3-1-monic.jsonl"
+    path.write_text("[1]\n[0,1]\n")
+    with pytest.warns(UserWarning, match="corrupt"):
+        assert cache.load(str(tmp_path), "primes", 3, 1, "monic") is None
+
+
 def test_cache_env_var_respected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     code, out, _ = run_cli(capsys, "primes", "--q", "3", "--degree", "2",
@@ -290,3 +311,25 @@ def test_fixed_prime_output_matches_golden_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[command]
+
+
+@pytest.mark.parametrize("command", ["l_suite 5 5 8", "l_suite 3 6 8"])
+def test_l_suite_output_matches_golden_digest(command):
+    # the record format bench/child.py prints for an l_suite command
+    q, max_deg, n_max = (int(a) for a in command.split()[1:])
+    golden = json.loads((BENCH / "golden.json").read_text())["digests"]
+    lines = []
+
+    def emit(rec):
+        lines.append(json.dumps([rec["deg"], rec["code"], rec["lstar"].coeffs,
+                                 rec["t"], rec["s"]]) + "\n")
+
+    rep = lfunc.l_suite(q, max_deg=max_deg, n_max=n_max, collect=emit)
+    lines.append(json.dumps(
+        {"q": rep.q, "max_deg": rep.max_deg, "n_max": rep.n_max,
+         "moduli": rep.moduli, "failures": rep.failures,
+         "rh_max_dev": repr(rep.rh_max_dev),
+         "prime_sum_bound_max": repr(rep.prime_sum_bound_max)},
+        sort_keys=True) + "\n")
+    assert rep.ok()
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == golden[command]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffstat import ffpoly
+from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, INFINITY, Poly, extension_field
 
 
@@ -199,6 +200,13 @@ def test_legendre_examples():
     assert ffpoly.legendre_symbol(Poly.x(F3), P) == 1
     with pytest.raises(ValueError):
         ffpoly.legendre_symbol(G, P3(2, 0, 1))  # reducible modulus
+
+
+def test_legendre_euler_miss_is_invariant_error(monkeypatch):
+    P = P3(1, 0, 1)
+    monkeypatch.setattr(ffpoly, "_poly_powmod", lambda base, n, modulus: Poly.x(F3))
+    with pytest.raises(InvariantError, match="Euler criterion"):
+        ffpoly.legendre_symbol(P3(1, 1), P)
 
 
 def test_legendre_completely_multiplicative():

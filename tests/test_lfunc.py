@@ -195,6 +195,49 @@ def test_l_suite_q5_degree2():
     assert rep.prime_sum_bound_max <= 1.0
 
 
+def _suite_labels_and_raws(q, max_deg, n_max):
+    recs = []
+    lfunc.l_suite(q, max_deg=max_deg, n_max=n_max, collect=recs.append)
+    labels = [f"D deg={r['deg']} code={r['code']}" for r in recs]
+    return labels, {r["raw"].coeffs for r in recs}
+
+
+def test_l_suite_checks_each_raw_polynomial_once(monkeypatch):
+    labels, raws = _suite_labels_and_raws(3, 3, 4)
+    assert len(raws) < len(labels)
+    calls = []
+    rh = lfunc.rh_max_deviation
+
+    def counting_rh(lstar, q):
+        calls.append(lstar.coeffs)
+        return rh(lstar, q)
+
+    monkeypatch.setattr(lfunc, "functional_equation_ok", lambda lstar, q: False)
+    monkeypatch.setattr(lfunc, "rh_max_deviation", counting_rh)
+    rep = lfunc.l_suite(3, max_deg=3, n_max=4)
+    assert rep.moduli == len(labels)
+    # every failing modulus is still reported, with its own label
+    assert rep.failures == [f"{label}: functional equation ({sign})"
+                            for label in labels for sign in ("plus", "minus")]
+    assert len(calls) == len(raws)
+
+
+def test_l_suite_reports_completion_failure_per_modulus(monkeypatch):
+    labels, raws = _suite_labels_and_raws(3, 3, 4)
+    calls = []
+
+    def failing_complete(lpoly):
+        calls.append(lpoly.coeffs)
+        raise InvariantError("non-exact division by trivial-zero factor")
+
+    monkeypatch.setattr(lfunc, "complete_l", failing_complete)
+    rep = lfunc.l_suite(3, max_deg=3, n_max=4)
+    assert rep.moduli == 0
+    assert rep.failures == [f"{label}: non-exact division by trivial-zero factor"
+                            for label in labels]
+    assert sorted(calls) == sorted(raws)
+
+
 def test_squarefree_part():
     # (1 + 2u + 3u^2)^2 reduces to the simple-root factor
     assert lfunc.squarefree_part((1, 4, 10, 12, 9)) == (1, 2, 3)
