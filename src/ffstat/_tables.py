@@ -6,12 +6,30 @@ coefficients as base-q digits, leading 1 implicit), matching the
 enumeration order in :mod:`ffstat.ffpoly`.
 
 Reduction modulo a fixed monic Q is GF(q)-linear in the coefficient
-vector, so a batch reduces with one float64 matmul against the matrix of
-X^j mod Q rows, then subtracts q * floor((x + 1/2) / q) from each entry
-and combines the residue digits with one more float64 matmul.  The floor
-step is exact while every matmul entry stays below 2^51, which
-`PolyTables` checks from q and max_deg when it is built.  Quadratic
-residue tables per prime come from squaring every residue in one batch.
+vector, so a batch reduces with one matmul against the matrix of X^j
+mod Q rows, then subtracts q * floor((x + 1/2) / q) from each entry and
+combines the residue digits with one more matmul.  There is one kernel,
+and it runs in its input's float type: float64 rows reduce in float64,
+float32 rows in float32.
+
+Exactness.  Every matmul entry x is a sum of products of non-negative
+integers, so it and each partial sum are exact while they stay below
+2^24 (float32) or 2^53 (float64).  For an integer x < 2^22 in float32,
+x + 1/2 is exact and fl((x + 1/2) * fl(1/q)) lies within
+(x + 1/2)/q * (2^-23 + 2^-48) < (1/2)/q of (x + 1/2)/q, which is itself
+at least (1/2)/q from the nearest integer, so the floor is exact;
+float64 gives the same below 2^51.  The digit combination is exact
+while residue codes, below q^deg Q, stay below 2^24 (float32) or 2^53
+(float64).
+
+`PolyTables.float_type` checks these bounds in one place, with 2^21 for
+float32 to keep a factor-2 margin.  Each table builds its own matrices
+(coefficient rows, X^j mod Q rows, the squares behind `chiq`) in
+float32 when every matmul entry they can produce stays below 2^21 and
+q^max_deg < 2^24, and in float64 otherwise; the largest such entry is
+chiq's, below 4 max_deg^2 (q-1)^3.  Callers that build their own rows
+ask `float_type` for the type of their width.  Quadratic residue tables
+per prime come from squaring every residue in one batch.
 
 Everything here is cross-checked against the scalar paths in ffpoly by
 the test suite.
@@ -36,19 +54,16 @@ class PolyTables:
     def __init__(self, q, max_deg):
         if not ffpoly._is_prime_int(q):
             raise ValueError("PolyTables requires prime q")
-        # the largest matmul entry reduce_codes meets is chiq's: 2k-1
-        # square coefficients up to k(q-1)^2 against X^j mod Q entries up
-        # to q-1, for Q of degree k <= max_deg; residue codes stay below
-        # q^max_deg
-        if 4 * max_deg ** 2 * (q - 1) ** 3 >= 2 ** 51 or q ** max_deg >= 2 ** 53:
-            raise ValueError(
-                f"PolyTables: q={q} with max_deg={max_deg} is beyond exact "
-                "float64 residue reduction")
         self.q = q
         self.max_deg = max_deg
+        # the largest matmul entry reduce_codes meets is chiq's: 2k-1
+        # square coefficients up to k(q-1)^2 against X^j mod Q entries up
+        # to q-1, for Q of degree k <= max_deg
+        self.dtype = self.float_type(2 * max_deg, 2 * max_deg * (q - 1) ** 2)
         self.field = ffpoly.GF(q)
         self._qpow = np.array([q ** i for i in range(max_deg + 2)], dtype=np.int64)
-        self._qpow_f = self._qpow.astype(np.float64)
+        # residue digit weights q^0..q^(max_deg-1), exact in self.dtype
+        self._qpow_f = self._qpow[:max_deg].astype(self.dtype)
         self._sieve()
         self._digit_cache = {}
         self._coefmat_cache = {}
@@ -137,22 +152,42 @@ class PolyTables:
 
     # -- batched reduction ----------------------------------------------
 
+    def float_type(self, width, entry=None):
+        """The float type in which reduce_codes is exact on rows of `width`
+        entries in 0..entry (default q-1): float32 while every matmul entry
+        stays below 2^21 and residue codes below 2^24, else float64 while
+        they stay below 2^51 and 2^53 (see the module docstring)."""
+        q = self.q
+        top = width * (q - 1 if entry is None else entry) * (q - 1)
+        codes = q ** self.max_deg
+        if top < 2 ** 21 and codes < 2 ** 24:
+            return np.float32
+        if top < 2 ** 51 and codes < 2 ** 53:
+            return np.float64
+        raise ValueError(
+            f"PolyTables: q={q} with max_deg={self.max_deg} is beyond exact "
+            f"float64 residue reduction (matmul entries up to {top}, "
+            f"residue codes up to {codes})")
+
     def monic_coefmat(self, d):
-        """Float64 (q^d x (d+1)) coefficient matrix of all monic of degree d."""
+        """(q^d x (d+1)) coefficient matrix of all monic of degree d, in
+        the table's float type and column-major, so that reduce_codes reads
+        its transpose as one contiguous block."""
         key = ("monic", d)
         if key not in self._coefmat_cache:
             digits = self._digits(np.arange(self.q ** d), d)
             full = np.hstack([digits, np.ones((self.q ** d, 1), dtype=np.int64)])
-            self._coefmat_cache[key] = full.astype(np.float64)
+            self._coefmat_cache[key] = full.astype(self.dtype, order="F")
         return self._coefmat_cache[key]
 
     def prime_coefmat(self, d):
+        """The rows of monic_coefmat(d) that are prime, in the same layout."""
         key = ("prime", d)
         if key not in self._coefmat_cache:
             codes = self.prime_codes[d]
             digits = self._digits(codes, d)
             full = np.hstack([digits, np.ones((len(codes), 1), dtype=np.int64)])
-            self._coefmat_cache[key] = full.astype(np.float64)
+            self._coefmat_cache[key] = full.astype(self.dtype, order="F")
         return self._coefmat_cache[key]
 
     def _xpow_rows(self, qkey, nrows):
@@ -161,7 +196,7 @@ class PolyTables:
         cached = self._xrow_cache.get(qkey)
         if cached is None or cached.shape[0] < nrows:
             pco = self._prime_coeffs(k, code)
-            rows = np.zeros((max(nrows, k), k), dtype=np.float64)
+            rows = np.zeros((max(nrows, k), k), dtype=self.dtype)
             cur = [0] * k
             cur[0] = 1
             for j in range(rows.shape[0]):
@@ -176,9 +211,23 @@ class PolyTables:
         return cached[:nrows]
 
     def reduce_codes(self, coefmat, qkey):
-        """Residue codes modulo the prime Q given by qkey=(deg, code)."""
+        """Residue codes modulo the prime Q given by qkey=(deg, code).
+
+        Runs in coefmat's float type.  float64 rows may hold any integers
+        whose matmul entries stay below 2^51; float32 rows hold entries in
+        0..q-1 at a width float_type admits in float32, or are the table's
+        own chiq squares."""
         k = qkey[0]
-        R = self._xpow_rows(qkey, coefmat.shape[1])
+        width = coefmat.shape[1]
+        R = self._xpow_rows(qkey, width)
+        qpow = self._qpow_f[:k]
+        if coefmat.dtype == np.float32 and self.float_type(width) is not np.float32:
+            raise InvariantError(
+                f"reduce_codes: float32 rows of width {width} are not exact "
+                f"at q={self.q} with max_deg={self.max_deg}")
+        if coefmat.dtype != R.dtype:
+            R = R.astype(coefmat.dtype)
+            qpow = qpow.astype(coefmat.dtype)
         q = self.q
         res = R.T @ coefmat.T  # (k, rows); BLAS reads both transposes in place
         # res -= q * floor((res + 1/2) / q), with one temporary
@@ -187,7 +236,7 @@ class PolyTables:
         np.floor(quot, out=quot)
         quot *= q
         res -= quot
-        return (self._qpow_f[:k] @ res).astype(np.int64)
+        return (qpow @ res).astype(np.int64)
 
     # -- quadratic residue tables ----------------------------------------
 
@@ -201,10 +250,10 @@ class PolyTables:
         n = q ** k
         digits = self._digit_cache.get(k)
         if digits is None:
-            digits = self._digits(np.arange(n), k).astype(np.float64)
+            digits = self._digits(np.arange(n), k).astype(self.dtype)
             self._digit_cache[k] = digits
         # batch squares of all residues
-        sq = np.zeros((n, 2 * k - 1), dtype=np.float64)
+        sq = np.zeros((n, 2 * k - 1), dtype=self.dtype)
         for i in range(k):
             sq[:, 2 * i] += digits[:, i] * digits[:, i]
             for j in range(i + 1, k):

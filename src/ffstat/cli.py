@@ -144,6 +144,12 @@ def _require_at_least(flag, value, bound, bound_flag=None):
         raise ConfigError(f"{flag}: must be >= {limit}, got {value}")
 
 
+def _require_family(field, args):
+    """ConfigError naming --genus when the requested family is empty."""
+    if biquad.family_size(field, args.genus, args.variant) == 0:
+        raise ConfigError(f"--genus: family (q={args.q}, g={args.genus}) is empty")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -151,6 +157,7 @@ def _require_at_least(flag, value, bound, bound_flag=None):
 
 def _cmd_lfunc(args):
     field = _field_for(args.q)
+    _require_at_least("--n-max", args.n_max, 1)
     D = parse_poly(field, args.modulus)
     chi = lfunc.QuadChar(D, lfunc.parse_sign(args.sign))
     raw, lstar, frob, dev = lfunc.l_data(chi, n_max=args.n_max)
@@ -192,6 +199,7 @@ def _cmd_family(args):
 
 def _cmd_curve(args):
     field = _field_for(args.q)
+    _require_at_least("--n-max", args.n_max, 1)
     t = biquad.CurveTriple(
         parse_poly(field, args.f1), parse_poly(field, args.f2),
         parse_poly(field, args.f3),
@@ -221,6 +229,10 @@ MOMENTS_HEADER = [
 
 def _cmd_moments(args):
     field = _field_for(args.q)
+    _require_at_least("--n-max", args.n_max, 1)
+    if args.mode != "exhaustive":
+        _require_at_least("--sample-size", args.sample_size, 1)
+    _require_family(field, args)
     rows = []
     for n in range(1, args.n_max + 1):
         size = biquad.family_size(field, args.genus, args.variant)
@@ -258,6 +270,7 @@ def _cmd_density(args):
         raise ConfigError(f"kernel: unknown kernel {args.kernel!r}")
     if not 0 < args.alpha <= 1:
         raise ConfigError("alpha: must lie in (0, 1]")
+    _require_family(field, args)
     fhat = moments.fejer_kernel(args.alpha)
     rep = moments.one_level_density(field, args.genus, fhat, args.alpha, args.variant)
     row = {

@@ -158,8 +158,8 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
         sample_size_out = None
         se = None
     elif mode == "sample":
-        if not sample_size:
-            raise ValueError("sample mode needs a sample size")
+        if sample_size is None or sample_size < 1:
+            raise ValueError(f"sample mode needs a sample size >= 1, got {sample_size}")
         rng = np.random.Generator(np.random.Philox(seed))
         k = min(sample_size, size)
         idx = np.sort(rng.choice(size, size=k, replace=False))
@@ -261,7 +261,7 @@ def _chi_rows(polys, primes):
     if field.e == 1:
         T = poly_tables(field.q, max(int(P.degree) for P in primes))
         width = max(len(f.coeffs) for f in polys)
-        mat = np.zeros((len(polys), width), dtype=np.float64)
+        mat = np.zeros((len(polys), width), dtype=T.float_type(width))
         for i, f in enumerate(polys):
             mat[i, : len(f.coeffs)] = f.coeffs
         for P in primes:
@@ -588,8 +588,10 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     if alpha > 1:
         warnings.warn("alpha > 1 exceeds the n <= 2g trace convention")
     q = field.q
-    terms = _density_terms(g, alpha)
     size = biquad.family_size(field, g, variant)
+    if size == 0:
+        raise ValueError(f"family (q={q}, g={g}) is empty")
+    terms = _density_terms(g, alpha)
     # family side: average of per-curve trace expansions = expansion of
     # the average traces (linearity); computed from exact family totals
     fam = fhat(0.0)

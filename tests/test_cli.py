@@ -1,13 +1,16 @@
 """CLI: parsing, output schemas, caching, determinism, exit codes."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import importlib.util
 import json
 import os
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffstat import cache, cli, ffpoly, lfunc
 from ffstat.cli import ConfigError, main, parse_poly
@@ -190,6 +193,54 @@ def test_fixed_prime_bounds_name_the_flag(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"config error: {flag}: ")
+
+
+_CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["lfunc", "--modulus", "X^2+1", "--n-max", "0"], "--n-max"),
+    (["lfunc", "--modulus", "X^2+1", "--n-max", "-1"], "--n-max"),
+    (["curve", *_CURVE, "--n-max", "-3"], "--n-max"),
+    (["moments", "--genus", "1", "--n-max", "-2"], "--n-max"),
+    (["moments", "--genus", "1", "--n-max", "1", "--mode", "sample",
+      "--sample-size", "-3"], "--sample-size"),
+    (["moments", "--genus", "1", "--n-max", "1", "--mode", "auto",
+      "--sample-size", "0"], "--sample-size"),
+    (["moments", "--genus", "-1", "--n-max", "2"], "--genus"),
+    (["density", "--genus", "-1", "--alpha", "1"], "--genus"),
+])
+def test_range_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {flag}: ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["lfunc", "curve", "moments", "density"]),
+       n_max=st.integers(-3, 3), genus=st.integers(-2, 1),
+       mode=st.sampled_from(["exhaustive", "sample", "auto"]),
+       sample_size=st.integers(-3, 3))
+def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode, sample_size):
+    # exit 1 exactly when a flag is out of range, naming it; never a traceback
+    argv = {
+        "lfunc": ["--modulus", "X^2+1", "--n-max", str(n_max)],
+        "curve": [*_CURVE, "--n-max", str(n_max)],
+        "moments": ["--genus", str(genus), "--n-max", str(n_max), "--mode", mode,
+                    "--sample-size", str(sample_size), "--work-budget", "1"],
+        "density": ["--genus", str(genus), "--alpha", "1"],
+    }[command]
+    bad = (command != "density" and n_max < 1) or (
+        command in ("moments", "density") and genus < 0) or (
+        command == "moments" and mode != "exhaustive" and sample_size < 1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--q", "3", *argv])
+    assert code == (1 if bad else 0)
+    if bad:
+        assert err.getvalue().startswith("config error: --")
+        assert out.getvalue() == ""
 
 
 def test_no_bare_asserts_in_src():

@@ -95,6 +95,20 @@ def test_empty_family_raises():
         moments.average_trace(F3, 0, 1, variant="nonsense")
 
 
+def test_empty_family_raises_in_every_family_average():
+    fhat = moments.fejer_kernel(1.0)
+    with pytest.raises(ValueError, match="is empty"):
+        moments.average_trace(F3, -1, 1)
+    with pytest.raises(ValueError, match="is empty"):
+        moments.one_level_density(F3, -1, fhat, 1.0)
+
+
+@pytest.mark.parametrize("size", [None, 0, -3])
+def test_sample_mode_refuses_sizes_below_one(size):
+    with pytest.raises(ValueError, match="sample size >= 1"):
+        moments.average_trace(F3, 1, 1, mode="sample", sample_size=size)
+
+
 def test_sample_mode_reproducible():
     a = moments.average_trace(F3, 2, 2, mode="sample", sample_size=50, seed=42)
     b = moments.average_trace(F3, 2, 2, mode="sample", sample_size=50, seed=42)

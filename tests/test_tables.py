@@ -1,6 +1,7 @@
 """The batched residue engine in _tables against the scalar ffpoly paths."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffstat import ffpoly
 from ffstat._tables import PolyTables, poly_tables
+from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 
 
@@ -78,3 +80,93 @@ def test_prime_char_sums_matches_scalar():
                 D = D * Poly.monic_from_code(F3, *qkey)
             expect.append(sum(ffpoly.jacobi_symbol(P, D) for P in primes))
         assert T.prime_char_sums(facs, n) == expect
+
+
+def _widest_float32_width(q):
+    """The widest row of entries in 0..q-1 that float_type admits in float32."""
+    return (2 ** 21 - 1) // (q - 1) ** 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_mod_prime())
+def test_float32_kernel_matches_float64_and_scalar(case):
+    T, qkey, rows = case
+    assert T.dtype is np.float32  # q <= 13, max_deg 4: inside the float32 bound
+    field = GF(T.q)
+    Q = Poly.monic_from_code(field, *qkey)
+    polys = [Poly.from_coeffs(field, row) for row in rows]
+    mat32 = np.array(rows, dtype=np.float32)
+    mat64 = np.array(rows, dtype=np.float64)
+    codes = T.reduce_codes(mat32, qkey)
+    assert codes.tolist() == T.reduce_codes(mat64, qkey).tolist()
+    assert codes.tolist() == [_residue_code(f, Q) for f in polys]
+    leg = T.legendre_array(mat32, qkey)
+    assert leg.tolist() == T.legendre_array(mat64, qkey).tolist()
+    assert leg.tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_float32_kernel_exact_at_widest_width(q):
+    # an all-(q-1) row puts every matmul entry just below 2^21
+    T = PolyTables(q, 4)
+    width = _widest_float32_width(q)
+    assert T.float_type(width) is np.float32
+    assert T.float_type(width + 1) is np.float64
+    rng = np.random.default_rng(q)
+    rows = np.vstack([np.full(width, q - 1), rng.integers(0, q, size=(3, width))])
+    qkey = (4, int(T.prime_codes[4][-1]))
+    Q = Poly.monic_from_code(T.field, *qkey)
+    codes = T.reduce_codes(rows.astype(np.float32), qkey)
+    assert codes.tolist() == T.reduce_codes(rows.astype(np.float64), qkey).tolist()
+    assert codes[0] == _residue_code(Poly.from_coeffs(T.field, rows[0].tolist()), Q)
+    leg = T.legendre_array(rows.astype(np.float32), qkey)
+    residues = [Poly.from_coeffs(T.field, [int(c) // q ** i % q for i in range(4)])
+                for c in codes]
+    assert leg.tolist() == [ffpoly.jacobi_symbol(r, Q) for r in residues]
+
+
+def test_float32_rows_beyond_the_bound_are_refused():
+    T = poly_tables(13, 4)
+    width = _widest_float32_width(13) + 1
+    qkey = (2, int(T.prime_codes[2][0]))
+    rows = np.full((2, width), 12)
+    with pytest.raises(InvariantError, match="float32 rows"):
+        T.reduce_codes(rows.astype(np.float32), qkey)
+    Q = Poly.monic_from_code(T.field, *qkey)
+    expect = _residue_code(Poly.from_coeffs(T.field, rows[0].tolist()), Q)
+    assert T.reduce_codes(rows.astype(np.float64), qkey).tolist() == [expect, expect]
+
+
+def test_table_beyond_float32_bound_runs_in_float64():
+    q = 1009
+    T = PolyTables(q, 2)  # chiq entries reach 4 * 2^2 * 1008^3 > 2^21
+    assert T.dtype is np.float64
+    assert T.monic_coefmat(2).dtype == np.float64
+    assert T.prime_coefmat(2).dtype == np.float64
+    # rows of entries in 0..1008 stay exact in float32 up to width 2
+    assert _widest_float32_width(q) == 2
+    assert T.float_type(2) is np.float32
+    assert T.float_type(3) is np.float64
+    rng = random.Random(q)
+    rows = [[rng.randrange(q) for _ in range(5)] for _ in range(40)] + [[q - 1] * 5]
+    for qkey in ((1, 7), (2, int(T.prime_codes[2][-1]))):
+        Q = Poly.monic_from_code(T.field, *qkey)
+        for dtype, width in ((np.float64, 5), (np.float32, 2)):
+            polys = [Poly.from_coeffs(T.field, row[:width]) for row in rows]
+            mat = np.array([row[:width] for row in rows], dtype=dtype)
+            assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
+            assert T.legendre_array(mat, qkey).tolist() == [
+                ffpoly.jacobi_symbol(f, Q) for f in polys]
+        with pytest.raises(InvariantError, match="float32 rows"):
+            T.reduce_codes(np.array(rows, dtype=np.float32)[:, :3], qkey)
+
+
+@pytest.mark.parametrize("q,max_deg,width,expect", [
+    (3, 15, 1, np.float32),                 # 3^15 < 2^24
+    (3, 16, 1, np.float64),                 # residue codes reach 3^16 > 2^24
+    (5, 2, (2 ** 21 - 1) // 16, np.float32),
+    (5, 2, (2 ** 21 - 1) // 16 + 1, np.float64),
+])
+def test_float_type_bounds(q, max_deg, width, expect):
+    # the rule alone, without building a q^max_deg sieve
+    assert PolyTables.float_type(SimpleNamespace(q=q, max_deg=max_deg), width) is expect
