@@ -1,6 +1,6 @@
 """Trace-of-Frobenius statistics for biquadratic curve families over F_q[X]."""
 
-from . import biquad, cache, eulerprod, ffpoly, lfunc, moments
+from . import biquad, eulerprod, ffpoly, lfunc, moments
 from .errors import InvariantError
 from .ffpoly import GF, INFINITY, ExtensionField, FiniteField, Poly
 
@@ -14,7 +14,6 @@ __all__ = [
     "InvariantError",
     "Poly",
     "biquad",
-    "cache",
     "eulerprod",
     "ffpoly",
     "lfunc",

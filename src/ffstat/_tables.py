@@ -1,38 +1,52 @@
-"""Vectorized residue/character tables over F_q[X] for prime q.
+"""Vectorized residue/character tables over F_q[X] for every odd q = p^e.
 
 Internal engine behind the batched L-function computations.  Monic
 polynomials of degree d are integer codes in range(q^d) (lower
 coefficients as base-q digits, leading 1 implicit), matching the
-enumeration order in :mod:`ffstat.ffpoly`.
+enumeration order in :mod:`ffstat.ffpoly`.  An element of F_q is the
+code of its base-p digit vector over the field generator alpha, so the
+base-p digits of a polynomial's code are its F_p coordinates: digit
+e*j + t is the alpha^t part of the X^j coefficient, and a row of e*width
+digits holds width coefficients.  For prime q (e = 1) digits and
+coefficients coincide.
 
-Reduction modulo a fixed monic Q is GF(q)-linear in the coefficient
-vector, so a batch reduces with one matmul against the matrix of X^j
-mod Q rows, then subtracts q * floor((x + 1/2) / q) from each entry and
-combines the residue digits with one more matmul.  There is one kernel,
-and it runs in its input's float type: float64 rows reduce in float64,
-float32 rows in float32.
+Reduction modulo a fixed monic Q is F_q-linear, hence F_p-linear on these
+digit rows, so a batch reduces with one matmul against the block matrix
+whose row (j, t) holds the digits of alpha^t (X^j mod Q), then subtracts
+p * floor((x + 1/2) / p) from each entry and combines the residue digits
+with one more matmul.  Residue codes keep their range, since
+q^k = p^(ek).  There is one kernel, and it runs in its input's float
+type: float64 rows reduce in float64, float32 rows in float32.
 
 Exactness.  Every matmul entry x is a sum of products of non-negative
 integers, so it and each partial sum are exact while they stay below
 2^24 (float32) or 2^53 (float64).  For an integer x < 2^22 in float32,
-x + 1/2 is exact and fl((x + 1/2) * fl(1/q)) lies within
-(x + 1/2)/q * (2^-23 + 2^-48) < (1/2)/q of (x + 1/2)/q, which is itself
-at least (1/2)/q from the nearest integer, so the floor is exact;
+x + 1/2 is exact and fl((x + 1/2) * fl(1/p)) lies within
+(x + 1/2)/p * (2^-23 + 2^-48) < (1/2)/p of (x + 1/2)/p, which is itself
+at least (1/2)/p from the nearest integer, so the floor is exact;
 float64 gives the same below 2^51.  The digit combination is exact
 while residue codes, below q^deg Q, stay below 2^24 (float32) or 2^53
 (float64).
 
 `PolyTables.float_type` checks these bounds in one place, with 2^21 for
-float32 to keep a factor-2 margin.  Each table builds its own matrices
-(coefficient rows, X^j mod Q rows, the squares behind `chiq`) in
-float32 when every matmul entry they can produce stays below 2^21 and
-q^max_deg < 2^24, and in float64 otherwise; the largest such entry is
-chiq's, below 4 max_deg^2 (q-1)^3.  Callers that build their own rows
-ask `float_type` for the type of their width.  Quadratic residue tables
-per prime come from squaring every residue in one batch.
+float32 to keep a factor-2 margin: rows of width coefficients are e*width
+digit entries, each times a matrix entry of at most p-1.  Each table
+builds its own matrices (digit rows, alpha^t X^j mod Q rows, the squares
+behind `chiq`) in float32 when every matmul entry they can produce stays
+below 2^21 and q^max_deg < 2^24, and in float64 otherwise; the largest
+such entry is chiq's, below 4 max_deg^2 e^2 (p-1)^3.  Callers that build
+their own rows ask `coef_rows` for them.  The quadratic residue table of
+a prime Q reduces the squares of every residue; the squares do not
+depend on Q, so they are built once per degree.
 
-Everything here is cross-checked against the scalar paths in ffpoly by
-the test suite.
+The sieve multiplies each prime by every monic of the complementary
+degree with the same kind of matmul (the block matrix of multiplication
+by the prime, in float64, whose entries stay far below chiq's) and
+records, for each composite code, a smallest-degree prime factor of
+least code together with its cofactor, so factoring needs no division.
+
+Everything here is cross-checked against scalar oracles by the test
+suite.
 """
 
 from __future__ import annotations
@@ -44,170 +58,187 @@ from .errors import InvariantError
 
 
 class PolyTables:
-    """Sieve tables for monic polynomials over a prime field F_q.
+    """Sieve tables for monic polynomials over a finite field F_q.
 
     Provides per-degree prime code arrays, smallest-prime-factor codes
     for factorization, and cached coefficient matrices for batched
     reduction.
     """
 
-    def __init__(self, q, max_deg):
-        if not ffpoly._is_prime_int(q):
-            raise ValueError("PolyTables requires prime q")
-        self.q = q
+    def __init__(self, field, max_deg):
+        self.field = field
+        self.p, self.e, self.q = field.p, field.e, field.q
         self.max_deg = max_deg
-        # the largest matmul entry reduce_codes meets is chiq's: 2k-1
-        # square coefficients up to k(q-1)^2 against X^j mod Q entries up
-        # to q-1, for Q of degree k <= max_deg
-        self.dtype = self.float_type(2 * max_deg, 2 * max_deg * (q - 1) ** 2)
-        self.field = ffpoly.GF(q)
-        self._qpow = np.array([q ** i for i in range(max_deg + 2)], dtype=np.int64)
-        # residue digit weights q^0..q^(max_deg-1), exact in self.dtype
-        self._qpow_f = self._qpow[:max_deg].astype(self.dtype)
+        # the largest matmul entry the reductions meet is chiq's: squares of
+        # residues of degree < k <= max_deg, taken over F_p[alpha, X], have
+        # (2k-1)(2e-1) digit entries up to k e (p-1)^2
+        self.dtype = self.float_type(2 * max_deg, 2 * max_deg * self.e * (self.p - 1) ** 2)
+        self._ppow = np.array([self.p ** i for i in range(self.e * max_deg)], dtype=np.int64)
+        # residue digit weights p^0..p^(e max_deg - 1), exact in self.dtype
+        self._ppow_f = self._ppow.astype(self.dtype)
+        # alpha^0..alpha^(2e-2) as element codes (alpha has code p)
+        self._alpha = [1]
+        for _ in range(2 * self.e - 2):
+            self._alpha.append(field.mul(self._alpha[-1], self.p))
         self._sieve()
-        self._digit_cache = {}
+        self._square_cache = {}
         self._coefmat_cache = {}
         self._chiq_cache = {}
         self._xrow_cache = {}
 
-    # -- sieve ----------------------------------------------------------
+    # -- digit rows -----------------------------------------------------
 
     def _digits(self, codes, length):
-        """Base-q digit matrix (len(codes) x length), int64."""
+        """Base-p digit matrix (len(codes) x length), int64."""
         out = np.empty((len(codes), length), dtype=np.int64)
         rem = np.asarray(codes, dtype=np.int64)
         for i in range(length):
-            rem, out[:, i] = np.divmod(rem, self.q)
+            rem, out[:, i] = np.divmod(rem, self.p)
         return out
 
+    def _monic_rows(self, codes, d):
+        """Digit rows of the monic polynomials of degree d with these codes."""
+        e = self.e
+        rows = np.zeros((len(codes), (d + 1) * e), dtype=np.int64)
+        rows[:, : d * e] = self._digits(codes, d * e)
+        rows[:, d * e] = 1
+        return rows
+
+    def _element_rows(self, codes, nrows):
+        """The base-p digits of an int array of element codes, e per entry
+        in order, laid out as nrows rows."""
+        return self._digits(np.ravel(codes), self.e).reshape(nrows, -1)
+
+    # -- sieve ----------------------------------------------------------
+
+    def _mul_matrix(self, pcoeffs, m, d):
+        """Block matrix of multiplication by the polynomial with element
+        codes pcoeffs: row (i, t) holds the digits of alpha^t X^i times it,
+        for i <= m, truncated to the coefficients below X^d."""
+        F, e = self.field, self.e
+        codes = [[F.mul(c, a) for c in pcoeffs] for a in self._alpha[:e]]
+        blocks = self._element_rows(codes, e)  # [t, e j + s]: digit s of alpha^t c_j
+        mat = np.zeros(((m + 1) * e, (d + 1) * e), dtype=np.float64)
+        for i in range(m + 1):
+            mat[i * e:(i + 1) * e, i * e:(i + len(pcoeffs)) * e] = blocks
+        return mat[:, : d * e]
+
     def _sieve(self):
-        q, D = self.q, self.max_deg
-        # spf[d][code] = packed (deg, code) of a smallest-degree prime factor
+        q, D, e = self.q, self.max_deg, self.e
+        # spf[d][code] = a * q^D + pcode * q^(d-a) + cofactor code, for the
+        # smallest-degree prime factor (a, pcode) of least code; 0 if prime
         self.spf = {d: np.zeros(q ** d, dtype=np.int64) for d in range(1, D + 1)}
         self.prime_codes = {1: np.arange(q, dtype=np.int64)}
         pack = q ** D
         for d in range(2, D + 1):
             spf_d = self.spf[d]
-            for a in range(1, d // 2 + 1):
-                mdeg = d - a
-                mult_digits = self._digits(np.arange(q ** mdeg), mdeg)
-                mult_full = np.hstack(
-                    [mult_digits, np.ones((q ** mdeg, 1), dtype=np.int64)]
-                )
-                for pcode in self.prime_codes[a]:
-                    pco = self._prime_coeffs(a, int(pcode))
-                    prod = np.zeros((q ** mdeg, d + 1), dtype=np.int64)
-                    for j, pj in enumerate(pco):
-                        if pj:
-                            prod[:, j : j + mdeg + 1] += pj * mult_full
-                    prod %= q
-                    codes = prod[:, :d] @ self._qpow[:d]
-                    packed = a * pack + int(pcode)
-                    cur = spf_d[codes]
-                    spf_d[codes] = np.where(cur == 0, packed, cur)
+            # the last write wins, so primes go in descending order
+            ppow = self._ppow[: d * e].astype(np.float64)
+            for a in range(d // 2, 0, -1):
+                m = d - a
+                cofactors = np.arange(q ** m, dtype=np.int64)
+                mult = self._monic_rows(cofactors, m).astype(np.float64)
+                for pcode in self.prime_codes[a][::-1].tolist():
+                    pco = ffpoly._decode_digits(pcode, a, q) + (1,)
+                    prod = mult @ self._mul_matrix(pco, m, d)
+                    prod -= self.p * np.floor((prod + 0.5) * (1.0 / self.p))
+                    codes = (prod @ ppow).astype(np.int64)
+                    spf_d[codes] = a * pack + pcode * q ** m + cofactors
             self.prime_codes[d] = np.nonzero(spf_d == 0)[0].astype(np.int64)
-
-    def _prime_coeffs(self, deg, code):
-        digits = []
-        for _ in range(deg):
-            code, r = divmod(code, self.q)
-            digits.append(r)
-        return tuple(digits) + (1,)
 
     def factor(self, deg, code):
         """Factor a monic square-free polynomial into [(deg, code), ...].
 
         Returns None when a repeated factor is found (not square-free).
         """
-        q = self.q
-        pack = q ** self.max_deg
+        pack = self.q ** self.max_deg
         out = []
-        while deg > 0:
-            packed = int(self.spf[deg][code]) if deg > 1 else 0
-            if deg == 1 or packed == 0:
-                out.append((deg, code))
+        while deg > 1:
+            packed = int(self.spf[deg][code])
+            if packed == 0:
                 break
-            a, pcode = divmod(packed, pack)
+            a, rest = divmod(packed, pack)
+            pcode, code = divmod(rest, self.q ** (deg - a))
             out.append((a, pcode))
-            pco = self._prime_coeffs(a, pcode)
-            fco = list(self._prime_coeffs(deg, code))
-            # synthetic division fco / pco
-            quot = [0] * (deg - a + 1)
-            for i in range(deg, a - 1, -1):
-                c = fco[i] % q
-                quot[i - a] = c
-                if c:
-                    for j in range(a + 1):
-                        fco[i - a + j] = (fco[i - a + j] - c * pco[j]) % q
-            if any(fco[:a]):
-                raise InvariantError("spf does not divide")
             deg -= a
-            code = sum(c * q ** i for i, c in enumerate(quot[:deg]))
-        seen = set()
-        for fac in out:
-            if fac in seen:
-                return None
-            seen.add(fac)
+        if deg > 0:
+            out.append((deg, code))
+        if len(set(out)) < len(out):
+            return None
         return out
 
     # -- batched reduction ----------------------------------------------
 
     def float_type(self, width, entry=None):
         """The float type in which reduce_codes is exact on rows of `width`
-        entries in 0..entry (default q-1): float32 while every matmul entry
-        stays below 2^21 and residue codes below 2^24, else float64 while
-        they stay below 2^51 and 2^53 (see the module docstring)."""
-        q = self.q
-        top = width * (q - 1 if entry is None else entry) * (q - 1)
-        codes = q ** self.max_deg
+        coefficients, that is e*width digit entries in 0..entry (default
+        p-1): float32 while every matmul entry stays below 2^21 and residue
+        codes below 2^24, else float64 while they stay below 2^51 and 2^53
+        (see the module docstring)."""
+        p, e = self.p, self.e
+        top = e * width * (p - 1 if entry is None else entry) * (p - 1)
+        codes = p ** (e * self.max_deg)
         if top < 2 ** 21 and codes < 2 ** 24:
             return np.float32
         if top < 2 ** 51 and codes < 2 ** 53:
             return np.float64
         raise ValueError(
-            f"PolyTables: q={q} with max_deg={self.max_deg} is beyond exact "
+            f"PolyTables: q={p ** e} with max_deg={self.max_deg} is beyond exact "
             f"float64 residue reduction (matmul entries up to {top}, "
             f"residue codes up to {codes})")
 
+    def coef_rows(self, polys):
+        """Digit rows of arbitrary polynomials, zero-padded to the widest,
+        in the float type float_type gives that width."""
+        width = max(len(f.coeffs) for f in polys)
+        codes = np.zeros((len(polys), width), dtype=np.int64)
+        for i, f in enumerate(polys):
+            codes[i, : len(f.coeffs)] = f.coeffs
+        return self._element_rows(codes, len(polys)).astype(self.float_type(width))
+
     def monic_coefmat(self, d):
-        """(q^d x (d+1)) coefficient matrix of all monic of degree d, in
-        the table's float type and column-major, so that reduce_codes reads
+        """(q^d x (d+1)e) digit rows of all monic of degree d, in the
+        table's float type and column-major, so that reduce_codes reads
         its transpose as one contiguous block."""
         key = ("monic", d)
         if key not in self._coefmat_cache:
-            digits = self._digits(np.arange(self.q ** d), d)
-            full = np.hstack([digits, np.ones((self.q ** d, 1), dtype=np.int64)])
-            self._coefmat_cache[key] = full.astype(self.dtype, order="F")
+            rows = self._monic_rows(np.arange(self.q ** d), d)
+            self._coefmat_cache[key] = rows.astype(self.dtype, order="F")
         return self._coefmat_cache[key]
 
     def prime_coefmat(self, d):
         """The rows of monic_coefmat(d) that are prime, in the same layout."""
         key = ("prime", d)
         if key not in self._coefmat_cache:
-            codes = self.prime_codes[d]
-            digits = self._digits(codes, d)
-            full = np.hstack([digits, np.ones((len(codes), 1), dtype=np.int64)])
-            self._coefmat_cache[key] = full.astype(self.dtype, order="F")
+            rows = self._monic_rows(self.prime_codes[d], d)
+            self._coefmat_cache[key] = rows.astype(self.dtype, order="F")
         return self._coefmat_cache[key]
 
     def _xpow_rows(self, qkey, nrows):
-        """Matrix whose row j holds the coefficients of X^j mod Q."""
+        """Array whose entry [j, u] holds the digits of alpha^u (X^j mod Q),
+        for u < 2e - 1 (the squares in chiq reach alpha^(2e-2))."""
         k, code = qkey
         cached = self._xrow_cache.get(qkey)
         if cached is None or cached.shape[0] < nrows:
-            pco = self._prime_coeffs(k, code)
-            rows = np.zeros((max(nrows, k), k), dtype=self.dtype)
-            cur = [0] * k
-            cur[0] = 1
-            for j in range(rows.shape[0]):
-                rows[j] = cur
-                top = cur[k - 1]
-                cur = [0] + cur[:-1]
-                if top:
-                    for i in range(k):
-                        cur[i] = (cur[i] - top * pco[i]) % self.q
-            self._xrow_cache[qkey] = rows
-            cached = rows
+            F, e, p = self.field, self.e, self.p
+            n, K = max(nrows, k), k * e
+            # C, multiplication by X mod Q: row (i, t) holds the digits of
+            # alpha^t X^(i+1) mod Q, a unit row below the top coefficient
+            C = np.eye(K, K, e, dtype=np.int64)
+            neg_q = [F.neg(c) for c in ffpoly._decode_digits(code, k, self.q)]
+            C[K - e:] = self._element_rows([[F.mul(a, c) for c in neg_q] for a in self._alpha[:e]], e)
+            # rows (j, t) for j < L, then j < 2L by one product with C^L
+            rows, power = np.eye(e, K, dtype=np.int64), C
+            while len(rows) < n * e:
+                rows = np.vstack([rows, rows @ power % p])
+                power = power @ power % p
+            rows = rows[: n * e].reshape(n, e, K)
+            blocks = [rows]
+            for a in self._alpha[e:]:
+                # alpha^u for u >= e: digit row t of M holds alpha^u alpha^t
+                M = self._element_rows([F.mul(a, t) for t in self._alpha[:e]], e)
+                blocks.append((rows[:, 0].reshape(n, k, e) @ M % p).reshape(n, 1, K))
+            cached = self._xrow_cache[qkey] = np.concatenate(blocks, axis=1).astype(self.dtype)
         return cached[:nrows]
 
     def reduce_codes(self, coefmat, qkey):
@@ -215,50 +246,65 @@ class PolyTables:
 
         Runs in coefmat's float type.  float64 rows may hold any integers
         whose matmul entries stay below 2^51; float32 rows hold entries in
-        0..q-1 at a width float_type admits in float32, or are the table's
-        own chiq squares."""
-        k = qkey[0]
-        width = coefmat.shape[1]
-        R = self._xpow_rows(qkey, width)
-        qpow = self._qpow_f[:k]
+        0..p-1 at a width float_type admits in float32."""
+        ncols = coefmat.shape[1]
+        width = -(-ncols // self.e)
         if coefmat.dtype == np.float32 and self.float_type(width) is not np.float32:
             raise InvariantError(
                 f"reduce_codes: float32 rows of width {width} are not exact "
                 f"at q={self.q} with max_deg={self.max_deg}")
-        if coefmat.dtype != R.dtype:
-            R = R.astype(coefmat.dtype)
-            qpow = qpow.astype(coefmat.dtype)
-        q = self.q
-        res = R.T @ coefmat.T  # (k, rows); BLAS reads both transposes in place
-        # res -= q * floor((res + 1/2) / q), with one temporary
+        R = self._xpow_rows(qkey, width)[:, : self.e].reshape(width * self.e, -1)
+        return self._reduce(coefmat, R[:ncols], qkey[0])
+
+    def _reduce(self, mat, R, k):
+        """The kernel: residue codes of the rows of mat against the rows R
+        of alpha^t X^j mod Q digits, for Q of degree k."""
+        ppow = self._ppow_f[: k * self.e]
+        if mat.dtype != R.dtype:
+            R = R.astype(mat.dtype)
+            ppow = ppow.astype(mat.dtype)
+        p = self.p
+        res = R.T @ mat.T  # (k e, rows); BLAS reads both transposes in place
+        # res -= p * floor((res + 1/2) / p), with one temporary
         quot = res + 0.5
-        quot *= 1.0 / q
+        quot *= 1.0 / p
         np.floor(quot, out=quot)
-        quot *= q
+        quot *= p
         res -= quot
-        return (qpow @ res).astype(np.int64)
+        return (ppow @ res).astype(np.int64)
 
     # -- quadratic residue tables ----------------------------------------
+
+    def _squares(self, k):
+        """The squares of all q^k residues of degree < k, taken over
+        F_p[alpha, X]: row r holds at (m, u) the coefficient of
+        alpha^u X^m, u < 2e - 1, in the square of r's digit polynomial
+        (digit e*i + s times digit e*j + t lands on alpha^(s+t) X^(i+j))."""
+        e, nu, K = self.e, len(self._alpha), k * self.e
+        digits = self._digits(np.arange(self.q ** k), K).astype(self.dtype)
+        sq = np.zeros((len(digits), (2 * k - 1) * nu), dtype=self.dtype)
+        for a in range(K):
+            # digit a times digits b >= a, weight 2 off the diagonal
+            (i, s), (j, t) = divmod(a, e), np.divmod(np.arange(a, K), e)
+            cols = (i + j) * nu + s + t
+            place = np.zeros((K - a, sq.shape[1]), dtype=self.dtype)
+            place[np.arange(K - a), cols] = 2
+            place[0, cols[0]] = 1  # digit a squared
+            sq += (digits[:, a:a + 1] * digits[:, a:]) @ place
+        return sq
 
     def chiq(self, qkey):
         """int8 table over residue codes mod prime Q: (r/Q) in {-1, 0, 1}."""
         tab = self._chiq_cache.get(qkey)
         if tab is not None:
             return tab
-        k, code = qkey
-        q = self.q
-        n = q ** k
-        digits = self._digit_cache.get(k)
-        if digits is None:
-            digits = self._digits(np.arange(n), k).astype(self.dtype)
-            self._digit_cache[k] = digits
-        # batch squares of all residues
-        sq = np.zeros((n, 2 * k - 1), dtype=self.dtype)
-        for i in range(k):
-            sq[:, 2 * i] += digits[:, i] * digits[:, i]
-            for j in range(i + 1, k):
-                sq[:, i + j] += 2.0 * digits[:, i] * digits[:, j]
-        sq_codes = self.reduce_codes(sq, qkey)
+        k, _ = qkey
+        n = self.q ** k
+        squares = self._square_cache.get(k)
+        if squares is None:
+            squares = self._square_cache[k] = self._squares(k)
+        R = self._xpow_rows(qkey, 2 * k - 1).reshape(-1, k * self.e)
+        sq_codes = self._reduce(squares, R, k)
         tab = np.full(n, -1, dtype=np.int8)
         tab[sq_codes] = 1
         tab[0] = 0
@@ -288,18 +334,19 @@ class PolyTables:
         return sums
 
 
-#: the table of highest max_deg built so far, per q
+#: the table of highest max_deg built so far, per field
 _largest = {}
 
 
-def poly_tables(q, max_deg):
-    """A cached table for q reaching degree max_deg.
+def poly_tables(field, max_deg):
+    """A cached table for the field reaching degree max_deg.
 
     Sieve rows, factorizations and residue symbols of one degree do not
     depend on max_deg, so the largest table built so far is returned
     when it reaches max_deg; otherwise a new one is built and kept.
+    Tables are keyed by the field, whose modulus fixes the element codes.
     """
-    T = _largest.get(q)
+    T = _largest.get(field)
     if T is None or T.max_deg < max_deg:
-        T = _largest[q] = PolyTables(q, max_deg)
+        T = _largest[field] = PolyTables(field, max_deg)
     return T

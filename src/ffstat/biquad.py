@@ -146,8 +146,8 @@ def squarefree_masks(field, d):
 
     polys follow the enumeration order of ffpoly.enumerate_polys; masks[i]
     has one bit per distinct prime factor of polys[i], so two square-free
-    polynomials are coprime exactly when their masks are disjoint.  Prime
-    q factors through the sieve tables, prime powers by trial division.
+    polynomials are coprime exactly when their masks are disjoint.  The
+    factors come from the sieve tables.
     """
     bits = _prime_bits(field)
 
@@ -160,17 +160,12 @@ def squarefree_masks(field, d):
     if d == 0:
         return (ffpoly.Poly.one(field),), (0,)
     polys, masks = [], []
-    if field.e == 1:
-        T = poly_tables(field.q, d)
-        for code in range(field.q ** d):
-            fac = T.factor(d, code)
-            if fac is not None:
-                polys.append(ffpoly.Poly.monic_from_code(field, d, code))
-                masks.append(mask(fac))
-    else:
-        for f in ffpoly.enumerate_polys(field, d, "squarefree-monic"):
-            polys.append(f)
-            masks.append(mask((int(p.degree), p.monic_code()) for p, _ in ffpoly.factorize(f)))
+    T = poly_tables(field, d)
+    for code in range(field.q ** d):
+        fac = T.factor(d, code)
+        if fac is not None:
+            polys.append(ffpoly.Poly.monic_from_code(field, d, code))
+            masks.append(mask(fac))
     return tuple(polys), tuple(masks)
 
 

@@ -14,12 +14,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
-from . import biquad, cache, eulerprod, ffpoly, lfunc, moments
+from . import biquad, eulerprod, ffpoly, lfunc, moments
 from .errors import InvariantError
 
 EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT = 0, 1, 2
@@ -127,13 +126,10 @@ def emit(rows, header, fmt, out):
 
 
 def _field_for(q):
-    fac = ffpoly._factor_int(q)
-    if len(fac) != 1:
-        raise ConfigError(f"q: {q} is not a prime power")
-    (p, e), = fac.items()
-    if p == 2 or q < 3:
-        raise ConfigError(f"q: {q} must be an odd prime power >= 3")
-    return ffpoly.GF(p, e)
+    try:
+        return ffpoly.field_of_order(q)
+    except ValueError as exc:
+        raise ConfigError(f"q: {exc}") from None
 
 
 def _require_at_least(flag, value, bound, bound_flag=None):
@@ -270,6 +266,7 @@ def _cmd_density(args):
         raise ConfigError(f"kernel: unknown kernel {args.kernel!r}")
     if not 0 < args.alpha <= 1:
         raise ConfigError("alpha: must lie in (0, 1]")
+    _require_at_least("--genus", args.genus, 1)
     _require_family(field, args)
     fhat = moments.fejer_kernel(args.alpha)
     rep = moments.one_level_density(field, args.genus, fhat, args.alpha, args.variant)
@@ -332,7 +329,8 @@ def _cmd_eulersum(args):
 
 def _cmd_primes(args):
     field = _field_for(args.q)
-    ps = cache.primes_cached(field, args.degree, cache_dir=args.cache_dir)
+    _require_at_least("--degree", args.degree, 1)
+    ps = ffpoly.primes(field, args.degree)
     if args.count:
         emit([{"q": args.q, "degree": args.degree, "count": len(ps)}],
              ["q", "degree", "count"], args.format, args.out)
@@ -357,8 +355,8 @@ def _add_common(sp, *, genus=False, variant=False):
     sp.add_argument("--q", type=int, required=True, help="odd prime power >= 3")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--cache-dir", default=os.environ.get(cache.ENV_VAR),
-                    help="prime-table cache directory (env FFSTAT_CACHE_DIR)")
+    sp.add_argument("--cache-dir", default=None,
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     sp.add_argument("--seed", type=int, default=0)

@@ -136,17 +136,11 @@ def _chi_pm(P, Q, sign, lookup=None):
 @functools.lru_cache(maxsize=None)
 def chi_plain_rows(P, max_deg):
     """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
-    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
-    for prime q, by reciprocity for prime powers.  Shared by the three
-    kinds, so the rows are read-only."""
-    fld = P.field
-    if fld.e == 1:
-        T = poly_tables(fld.q, max(max_deg, int(P.degree)))
-        qkey = (int(P.degree), P.monic_code())
-        rows = [T.legendre_array(T.prime_coefmat(d), qkey) for d in range(1, max_deg + 1)]
-    else:
-        rows = [np.array([ffpoly.jacobi_symbol(Q, P) for Q in ffpoly.primes(fld, d)], dtype=np.int8)
-                for d in range(1, max_deg + 1)]
+    ffpoly.primes order, for d = 1..max_deg; read off the residue tables.
+    Shared by the three kinds, so the rows are read-only."""
+    T = poly_tables(P.field, max(max_deg, int(P.degree)))
+    qkey = (int(P.degree), P.monic_code())
+    rows = [T.legendre_array(T.prime_coefmat(d), qkey) for d in range(1, max_deg + 1)]
     for row in rows:
         row.flags.writeable = False
     return tuple(rows)
@@ -185,10 +179,9 @@ def truncated_product(spec, M, u):
     if M < 1:
         raise ValueError("M must be >= 1")
     u = Fraction(u)
-    fracs = []
-    for d in range(1, M + 1):
-        for Q in ffpoly.primes(spec.field, d):
-            fracs.append(Fraction(spec.exact_factor(Q, u)))
+    # top degree first: its sieve table then serves every lower degree
+    by_degree = [ffpoly.primes(spec.field, d) for d in range(M, 0, -1)][::-1]
+    fracs = [Fraction(spec.exact_factor(Q, u)) for primes in by_degree for Q in primes]
     return TruncatedProduct(spec, M, u, prod_fractions(fracs), spec.in_disc(u))
 
 

@@ -208,6 +208,7 @@ class FiniteField:
             self.modulus_coeffs = modulus
             self._build_tables()
         self._squares = None
+        self._add_array = None
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
@@ -252,6 +253,16 @@ class FiniteField:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def add_array(self, a, c):
+        """a + c for every code in the int array a and one element c: a
+        gather from the q x q addition table (plain addition mod p when
+        e == 1, where a table would cost q^2 entries for nothing)."""
+        if self.e == 1:
+            return (a + c) % self.p
+        if self._add_array is None:
+            self._add_array = np.array(self._add_table, dtype=np.int64)
+        return self._add_array[a, c]
 
     def mul(self, a, b):
         if self.e == 1:
@@ -310,6 +321,17 @@ class FiniteField:
 def GF(p, e=1):
     """Cached constructor for F_{p^e} with the canonical modulus."""
     return FiniteField(p, e)
+
+
+def field_of_order(q):
+    """GF(p, e) for q = p^e; ValueError unless q is an odd prime power."""
+    fac = _factor_int(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, e), = fac.items()
+    if p == 2:
+        raise ValueError(f"{q} must be an odd prime power >= 3")
+    return GF(p, e)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +575,7 @@ def factorize(f):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     f = f.to_monic()
+    _prefetch_primes(f.field, f.degree // 2)
     out = []
     d = 1
     while f.degree >= 1:
@@ -591,6 +614,7 @@ def is_irreducible(f):
     if deg == 1:
         return True
     g = f.to_monic()
+    _prefetch_primes(f.field, deg // 2)
     for d in range(1, deg // 2 + 1):
         for p in primes(f.field, d):
             if (g % p).is_zero():
@@ -609,28 +633,26 @@ def monic_polys(field, d):
 
 
 @functools.lru_cache(maxsize=None)
-def _prime_list(field, d):
-    """Monic primes of degree d via an Eratosthenes-style sieve on codes."""
-    q = field.q
-    if d == 1:
-        return tuple(Poly(field, (c, 1)) for c in range(q))
-    composite = bytearray(q ** d)
-    for a in range(1, d // 2 + 1):
-        for p in _prime_list(field, a):
-            for m in monic_polys(field, d - a):
-                composite[(p * m).monic_code()] = 1
-    return tuple(
-        Poly.monic_from_code(field, d, code)
-        for code in range(q ** d)
-        if not composite[code]
-    )
-
-
 def primes(field, d):
-    """Monic prime polynomials of degree d, deterministic order."""
+    """Monic prime polynomials of degree d, ascending code order, read off
+    the sieve of the residue tables (every monic linear is prime)."""
     if d < 1:
-        raise ValueError("primes have degree >= 1")
-    return _prime_list(field, d)
+        raise ValueError(f"primes have degree >= 1, got {d}")
+    if d == 1:
+        codes = range(field.q)
+    else:
+        from ._tables import poly_tables
+
+        codes = poly_tables(field, d).prime_codes[d].tolist()
+    return tuple(Poly.monic_from_code(field, d, code) for code in codes)
+
+
+def _prefetch_primes(field, d):
+    """Sieve up to degree d at once before a caller asks for the primes of
+    degrees 1..d in ascending order, so that the tables are not rebuilt
+    once per degree."""
+    if d > 1:
+        primes(field, d)
 
 
 def squarefree_monics(field, d):
@@ -947,14 +969,8 @@ class ExtensionField:
             acc = self._mul_vec(acc, xs)
             c = self.embed_base(c)
             if c:
-                if self.base.e == 1:
-                    low = acc % self.q
-                    acc = acc - low + (low + c) % self.q
-                else:
-                    # digit-0 addition in a non-prime base field
-                    low = acc % self.q
-                    add = np.array([self.base.add(int(v), c) for v in low])
-                    acc = acc - low + add
+                low = acc % self.q
+                acc = acc - low + self.base.add_array(low, c)
         return acc
 
     def chi_vector(self, f):

@@ -12,8 +12,8 @@ cross-checkable against the von Mangoldt character sum (the explicit
 formula): -t_n = lambda + sum_{deg F = n} Lambda(F) chi(F).
 
 Scalar operations here are pure-Python exact; `l_suite` runs the whole
-catalog of moduli through a vectorized engine (prime q only) and reports
-aggregate check results.
+catalog of moduli through the vectorized residue engine (every odd q)
+and reports aggregate check results.
 """
 
 from __future__ import annotations
@@ -327,7 +327,8 @@ def explicit_formula_trace(chi, n):
     field = D.field
     lam = 1 if int(D.degree) % 2 == 0 else 0
     total = 0
-    for d in range(1, n + 1):
+    # top degree first: its sieve table then serves every lower degree
+    for d in range(n, 0, -1):
         if n % d:
             continue
         k = n // d
@@ -354,7 +355,7 @@ def l_data(chi, n_max=8):
 
 
 # ---------------------------------------------------------------------------
-# Batched catalog verification (prime q)
+# Batched catalog verification
 # ---------------------------------------------------------------------------
 
 
@@ -403,15 +404,22 @@ class SuiteReport:
 
 def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     """Verify the whole catalog of square-free monic moduli of degree
-    1..max_deg over F_q (q prime): exact completion, degree bookkeeping,
+    1..max_deg over F_q, for any odd prime power q = p^e, with the
+    canonical field of ffpoly.GF: exact completion, degree bookkeeping,
     functional equation, RH root moduli, minus-sign relation, vanishing
     of coefficients at degree >= deg D, and explicit-formula traces
     against Newton traces for n <= n_max.  Returns a SuiteReport.
 
+    Every character value comes from the residue tables of _tables,
+    whose float32/float64 kernel is exact while e*width digit entries
+    times (p-1)^2 stay below its bound (4 D^2 e^2 (p-1)^3 < 2^51 for
+    D = max(n_max, max_deg)) and q^D < 2^53; beyond that the tables
+    raise ValueError.
+
     `collect`, if given, is called with each record dict (used by tests
     to cross-check samples against the scalar path).
     """
-    T = poly_tables(q, max(n_max, max_deg))
+    T = poly_tables(ffpoly.field_of_order(q), max(n_max, max_deg))
     failures = []
     rh_worst = 0.0
     bound_worst = 0.0

@@ -255,20 +255,12 @@ def _bilinear_prime_form(field, g, n):
 
 
 def _chi_rows(polys, primes):
-    """int8 rows chi_P(f) over polys, one per P in primes: read off the
-    residue tables for prime q, by jacobi_symbol for prime powers."""
-    field = polys[0].field
-    if field.e == 1:
-        T = poly_tables(field.q, max(int(P.degree) for P in primes))
-        width = max(len(f.coeffs) for f in polys)
-        mat = np.zeros((len(polys), width), dtype=T.float_type(width))
-        for i, f in enumerate(polys):
-            mat[i, : len(f.coeffs)] = f.coeffs
-        for P in primes:
-            yield T.legendre_array(mat, (int(P.degree), P.monic_code()))
-    else:
-        for P in primes:
-            yield np.array([ffpoly.jacobi_symbol(f, P) for f in polys], dtype=np.int8)
+    """int8 rows chi_P(f) over polys, one per P in primes, read off the
+    residue tables."""
+    T = poly_tables(polys[0].field, max(int(P.degree) for P in primes))
+    mat = T.coef_rows(polys)
+    for P in primes:
+        yield T.legendre_array(mat, (int(P.degree), P.monic_code()))
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +447,9 @@ def family_sum_nkk_decomposition(field, g, P):
 def double_char_sum(field, d, n):
     """(n / q^(d + n/2)) * sum_{deg D = d, sq-free} sum_{deg P = n} chi_D(P)."""
     q = field.q
-    total = 0
-    if field.e == 1:
-        T = poly_tables(q, max(d, n))
-        facs = (T.factor(d, code) for code in range(q ** d))
-        total = sum(T.prime_char_sums([fac for fac in facs if fac is not None], n))
-    else:
-        for D in ffpoly.enumerate_polys(field, d, "squarefree-monic"):
-            for Pr in ffpoly.primes(field, n):
-                total += ffpoly.jacobi_symbol(Pr, D)
+    T = poly_tables(field, max(d, n))
+    facs = (T.factor(d, code) for code in range(q ** d))
+    total = sum(T.prime_char_sums([fac for fac in facs if fac is not None], n))
     return n * total / q ** (d + n / 2), total
 
 
@@ -584,13 +570,17 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     its own Frobenius class, while the reference moments integrate over
     the block group USp(2g)^3 sitting inside USp(6g).  Both sides are
     computed exactly as displayed; reconciling the bookkeeping is an open
-    modelling question, not something this function decides."""
+    modelling question, not something this function decides.
+
+    Z is normalised by 1/g, so the genus must be at least 1."""
     if alpha > 1:
         warnings.warn("alpha > 1 exceeds the n <= 2g trace convention")
     q = field.q
     size = biquad.family_size(field, g, variant)
     if size == 0:
         raise ValueError(f"family (q={q}, g={g}) is empty")
+    if g < 1:
+        raise ValueError(f"one-level density needs genus >= 1, got {g}")
     terms = _density_terms(g, alpha)
     # family side: average of per-curve trace expansions = expansion of
     # the average traces (linearity); computed from exact family totals

@@ -1,4 +1,4 @@
-"""CLI: parsing, output schemas, caching, determinism, exit codes."""
+"""CLI: parsing, output schemas, determinism, exit codes."""
 
 import ast
 import contextlib
@@ -6,13 +6,12 @@ import hashlib
 import io
 import importlib.util
 import json
-import os
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffstat import cache, cli, ffpoly, lfunc
+from ffstat import cli, lfunc
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -209,6 +208,8 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
       "--sample-size", "0"], "--sample-size"),
     (["moments", "--genus", "-1", "--n-max", "2"], "--genus"),
     (["density", "--genus", "-1", "--alpha", "1"], "--genus"),
+    (["density", "--genus", "0", "--alpha", "1"], "--genus"),
+    (["primes", "--degree", "0"], "--degree"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -217,12 +218,16 @@ def test_range_errors_name_the_flag(capsys, argv, flag):
     assert err.startswith(f"config error: {flag}: ")
 
 
-@settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["lfunc", "curve", "moments", "density"]),
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["lfunc", "curve", "moments", "density", "family",
+                                "lemma61", "eulersum", "primes"]),
        n_max=st.integers(-3, 3), genus=st.integers(-2, 1),
        mode=st.sampled_from(["exhaustive", "sample", "auto"]),
-       sample_size=st.integers(-3, 3))
-def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode, sample_size):
+       sample_size=st.integers(-3, 3), count=st.booleans(),
+       degree=st.integers(-2, 3), d_min=st.integers(-2, 2), d_max=st.integers(-2, 3),
+       M=st.integers(-2, 3), n=st.integers(-2, 3))
+def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode, sample_size,
+                                                     count, degree, d_min, d_max, M, n):
     # exit 1 exactly when a flag is out of range, naming it; never a traceback
     argv = {
         "lfunc": ["--modulus", "X^2+1", "--n-max", str(n_max)],
@@ -230,10 +235,24 @@ def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode
         "moments": ["--genus", str(genus), "--n-max", str(n_max), "--mode", mode,
                     "--sample-size", str(sample_size), "--work-budget", "1"],
         "density": ["--genus", str(genus), "--alpha", "1"],
+        "family": ["--genus", str(genus), *(["--count"] if count else [])],
+        "lemma61": ["--prime", "X^2+1", "--d-min", str(d_min), "--d-max", str(d_max),
+                    "--M", str(M)],
+        "eulersum": ["--n", str(n), "--M", str(M)],
+        "primes": ["--degree", str(degree), *(["--count"] if count else [])],
     }[command]
-    bad = (command != "density" and n_max < 1) or (
-        command in ("moments", "density") and genus < 0) or (
-        command == "moments" and mode != "exhaustive" and sample_size < 1)
+    bad = {
+        "lfunc": n_max < 1,
+        "curve": n_max < 1,
+        "moments": n_max < 1 or genus < 0 or (mode != "exhaustive" and sample_size < 1),
+        # the one-level density is normalised by 1/g
+        "density": genus < 1,
+        # an empty family is a valid answer: size 0, or a header alone
+        "family": False,
+        "lemma61": M < 1 or d_min < 0 or d_max < d_min,
+        "eulersum": n < 1 or M < 1,
+        "primes": degree < 1,
+    }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--q", "3", *argv])
@@ -259,6 +278,39 @@ def test_no_bare_asserts_in_src():
     assert found == []
 
 
+def test_no_prime_power_forks_outside_ffpoly():
+    # every odd q runs through one code path; only ffpoly's field
+    # arithmetic may look at the extension degree e of a field
+    src = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "ffpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "e"
+                    for side in (node.left, *node.comparators) for sub in ast.walk(side)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_primes_degree_one_for_a_large_prime(capsys):
+    # every monic linear is prime; no sieve, so no residue-table bound
+    code, out, _ = run_cli(capsys, "primes", "--q", "100003", "--degree", "1", "--count")
+    assert code == 0
+    assert out.splitlines()[1] == "100003,1,100003"
+
+
+def test_cache_dir_is_accepted_and_ignored(capsys, tmp_path):
+    argv = ["primes", "--q", "3", "--degree", "3"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, with_dir, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert with_dir == plain
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_invariant_violation(monkeypatch):
     def boom(args):
         raise InvariantError("synthetic")
@@ -266,75 +318,6 @@ def test_exit_code_invariant_violation(monkeypatch):
     # the parser binds the handler at build time, inside main()
     monkeypatch.setattr(cli, "_cmd_primes", boom)
     assert main(["primes", "--q", "3", "--degree", "1"]) == 2
-
-
-# -- caching -----------------------------------------------------------------------
-
-
-def test_cache_roundtrip_primes(tmp_path):
-    d = str(tmp_path)
-    first = cache.primes_cached(F3, 3, cache_dir=d)
-    assert os.path.exists(os.path.join(d, "primes-q3-3-monic.jsonl"))
-    again = cache.primes_cached(F3, 3, cache_dir=d)
-    assert first == again == list(ffpoly.primes(F3, 3))
-
-
-def test_cache_tamper_triggers_rebuild(tmp_path):
-    d = str(tmp_path)
-    cache.primes_cached(F3, 2, cache_dir=d)
-    path = os.path.join(d, "primes-q2-2-monic.jsonl")
-    path = os.path.join(d, "primes-q3-2-monic.jsonl")
-    lines = open(path).read().splitlines()
-    lines[1] = "[0,0,1]"  # corrupt one record
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.warns(UserWarning, match="checksum"):
-        got = cache.load(d, "primes", 3, 2, "monic")
-    assert got is None
-    with pytest.warns(UserWarning, match="checksum"):  # rebuild path warns too
-        rebuilt = cache.primes_cached(F3, 2, cache_dir=d)
-    assert rebuilt == list(ffpoly.primes(F3, 2))
-
-
-def test_cache_version_mismatch_ignored(tmp_path):
-    d = str(tmp_path)
-    entry = cache.CacheEntry.build("primes", 3, 1, "monic", [[0, 1]])
-    cache.store(d, entry)
-    path = os.path.join(d, "primes-q3-1-monic.jsonl")
-    lines = open(path).read().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 99
-    lines[0] = json.dumps(header)
-    open(path, "w").write("\n".join(lines) + "\n")
-    assert cache.load(d, "primes", 3, 1, "monic") is None
-
-
-def test_cache_header_mismatch_is_miss(tmp_path):
-    d = str(tmp_path)
-    cache.primes_cached(F3, 2, cache_dir=d)
-    # a degree-2 file under the degree-3 name: checksum valid, header wrong
-    os.replace(os.path.join(d, "primes-q3-2-monic.jsonl"),
-               os.path.join(d, "primes-q3-3-monic.jsonl"))
-    with pytest.warns(UserWarning, match="header"):
-        assert cache.load(d, "primes", 3, 3, "monic") is None
-    with pytest.warns(UserWarning, match="header"):
-        rebuilt = cache.primes_cached(F3, 3, cache_dir=d)
-    assert rebuilt == list(ffpoly.primes(F3, 3))
-    assert cache.load(d, "primes", 3, 3, "monic").param == 3
-
-
-def test_cache_non_object_header_is_corrupt(tmp_path):
-    path = tmp_path / "primes-q3-1-monic.jsonl"
-    path.write_text("[1]\n[0,1]\n")
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert cache.load(str(tmp_path), "primes", 3, 1, "monic") is None
-
-
-def test_cache_env_var_respected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-    code, out, _ = run_cli(capsys, "primes", "--q", "3", "--degree", "2",
-                           "--count")
-    assert code == 0
-    assert os.path.exists(tmp_path / "primes-q3-2-monic.jsonl")
 
 
 # -- output identity -----------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_empty_family_raises_in_every_family_average():
         moments.one_level_density(F3, -1, fhat, 1.0)
 
 
+def test_one_level_density_refuses_genus_zero():
+    # the genus-0 family is not empty, but Z is normalised by 1/g
+    assert biquad.family_size(F3, 0) > 0
+    with pytest.raises(ValueError, match="genus >= 1, got 0"):
+        moments.one_level_density(F3, 0, moments.fejer_kernel(1.0), 1.0)
+
+
 @pytest.mark.parametrize("size", [None, 0, -3])
 def test_sample_mode_refuses_sizes_below_one(size):
     with pytest.raises(ValueError, match="sample size >= 1"):

@@ -1,0 +1,78 @@
+"""The table-backed batched paths against their scalar oracles, over prime
+powers (q = 9, 25, 27) and a prime field, and the L-function suite over
+prime powers."""
+
+import numpy as np
+import pytest
+
+import scalar_oracles as oracle
+from ffstat import biquad, eulerprod, ffpoly, lfunc, moments
+from ffstat.ffpoly import GF, Poly
+
+F3 = GF(3)
+F9 = GF(3, 2)
+F25 = GF(5, 2)
+F27 = GF(3, 3)
+
+
+@pytest.mark.parametrize("field,max_deg", [(F3, 5), (F9, 3), (F25, 2), (F27, 2)])
+def test_primes_match_the_scalar_sieve(field, max_deg):
+    for d in range(max_deg, 0, -1):
+        assert ffpoly.primes(field, d) == oracle.prime_list(field, d)
+
+
+@pytest.mark.parametrize("field", [F3, F9])
+def test_chi_rows_match_reciprocity(field):
+    polys = biquad.monic_family(field, 0).polys
+    primes = ffpoly.primes(field, 1)[:4] + ffpoly.primes(field, 2)[::7]
+    got = list(moments._chi_rows(polys, primes))
+    assert [r.tolist() for r in got] == [r.tolist() for r in oracle.chi_rows(polys, primes)]
+
+
+def test_chi_plain_rows_match_reciprocity():
+    for P in (ffpoly.primes(F9, 1)[4], ffpoly.primes(F9, 2)[10]):
+        got = eulerprod.chi_plain_rows(P, 3)
+        assert [r.tolist() for r in got] == [r.tolist() for r in oracle.chi_plain_rows(P, 3)]
+
+
+@pytest.mark.parametrize("d,n", [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
+def test_double_char_sum_matches_the_scalar_loop(d, n):
+    _, total = moments.double_char_sum(F9, d, n)
+    assert total == oracle.double_char_total(F9, d, n)
+
+
+@pytest.mark.parametrize("field,d", [(F3, 4), (F9, 2), (F9, 3)])
+def test_squarefree_masks_match_trial_division(field, d):
+    polys, masks = biquad.squarefree_masks(field, d)
+    want_polys, want_factors = oracle.squarefree_factors(field, d)
+    assert polys == want_polys
+    key_of = {bit: key for key, bit in biquad._prime_bits(field).items()}
+    got = [frozenset(key_of[b] for b in range(m.bit_length()) if m >> b & 1) for m in masks]
+    assert got == want_factors
+
+
+@pytest.mark.parametrize("q,max_deg,n_max,step", [(9, 3, 3, 41), (25, 2, 2, 37), (27, 2, 2, 71)])
+def test_l_suite_runs_over_prime_powers(q, max_deg, n_max, step):
+    field = ffpoly.field_of_order(q)
+    records = []
+    rep = lfunc.l_suite(q, max_deg=max_deg, n_max=n_max, collect=records.append)
+    assert rep.ok(), rep.failures[:5]
+    assert rep.moduli == sum(ffpoly.squarefree_count(q, d) for d in range(1, max_deg + 1))
+    assert rep.rh_max_dev < 1e-9
+    for rec in records[::step]:
+        D = Poly.one(field)
+        for a, code in rec["factors"]:
+            D = D * Poly.monic_from_code(field, a, code)
+        assert rec["s"] == [oracle.prime_char_sum(D, n) for n in range(1, n_max + 1)]
+        # the raw L-polynomial is the character sum over monic polynomials
+        chi = lfunc.QuadChar(D, lfunc.PLUS)
+        if rec["deg"] <= 2:
+            assert rec["raw"].coeffs == lfunc.l_polynomial(chi).coeffs
+
+
+def test_eval_poly_all_over_a_prime_power_base():
+    for n in (1, 2):
+        ext = ffpoly.extension_field(F9, n)
+        for f in (Poly.from_coeffs(F9, (5, 0, 7, 1)), Poly.from_coeffs(F9, (8, 3, 1))):
+            assert ext.eval_poly_all(f).tolist() == [ext.eval_poly(f, x) for x in ext.elements()]
+    assert np.array_equal(F9.add_array(np.arange(9), 5), [F9.add(a, 5) for a in range(9)])

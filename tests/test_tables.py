@@ -1,4 +1,5 @@
-"""The batched residue engine in _tables against the scalar ffpoly paths."""
+"""The batched residue engine in _tables against the scalar ffpoly paths,
+over prime fields and prime-power fields alike."""
 
 import random
 from types import SimpleNamespace
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffstat import ffpoly
+import scalar_oracles as oracle
+from ffstat import _tables, ffpoly
 from ffstat._tables import PolyTables, poly_tables
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -18,11 +20,19 @@ def _residue_code(f, Q):
     return sum(int(c) * Q.field.q ** i for i, c in enumerate(r.coeffs))
 
 
+#: the prime-power fields the properties also draw, with the degree their
+#: tables reach (q^4 residues at q = 27 would cost 0.5 M rows per prime);
+#: the properties draw 240 examples, so the prime fields keep about 150
+PRIME_POWER_DEGREE = {GF(3, 2): 4, GF(5, 2): 3, GF(3, 3): 3}
+
+
 @st.composite
 def _rows_mod_prime(draw):
-    q = draw(st.sampled_from((3, 5, 7, 11, 13)))
-    k = draw(st.integers(1, 4))
-    T = poly_tables(q, 4)
+    field = draw(st.sampled_from([GF(q) for q in (3, 5, 7, 11, 13)] + list(PRIME_POWER_DEGREE)))
+    max_deg = PRIME_POWER_DEGREE.get(field, 4)
+    q = field.q
+    k = draw(st.integers(1, max_deg))
+    T = poly_tables(field, max_deg)
     code = int(draw(st.sampled_from(list(T.prime_codes[k]))))
     width = draw(st.integers(1, 2 * k + 2))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
@@ -30,14 +40,22 @@ def _rows_mod_prime(draw):
     return T, (k, code), rows
 
 
-@settings(max_examples=150, deadline=None)
+def _digits_of(T, rows):
+    """Rows of F_q coefficient codes as the tables' F_p digit rows (the
+    coefficients themselves when e = 1)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    digits = rows[..., None] // T.p ** np.arange(T.e) % T.p
+    return digits.reshape(len(rows), -1)
+
+
+@settings(max_examples=240, deadline=None)
 @given(_rows_mod_prime())
 def test_legendre_array_matches_scalar_jacobi(case):
     T, qkey, rows = case
-    field = GF(T.q)
+    field = T.field
     Q = Poly.monic_from_code(field, *qkey)
     polys = [Poly.from_coeffs(field, row) for row in rows]
-    mat = np.array(rows, dtype=np.float64)
+    mat = _digits_of(T, rows).astype(np.float64)
     assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
     assert T.legendre_array(mat, qkey).tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
 
@@ -45,7 +63,7 @@ def test_legendre_array_matches_scalar_jacobi(case):
 def test_reduce_codes_exact_for_large_entries():
     # reduction is linear, so any integer representatives are valid rows;
     # entries near 2^47 put the matmul within a factor 4 of the 2^51 limit
-    T = poly_tables(3, 4)
+    T = poly_tables(GF(3), 4)
     rng = random.Random(11)
     for k in (2, 4):
         Q = Poly.monic_from_code(T.field, k, int(T.prime_codes[k][-1]))
@@ -61,13 +79,15 @@ def test_reduce_codes_exact_for_large_entries():
 
 def test_poly_tables_refuses_inexact_range():
     with pytest.raises(ValueError, match="q=1000003"):
-        PolyTables(1000003, 1)
+        PolyTables(GF(1000003), 1)
     with pytest.raises(ValueError, match="q=3 "):
-        PolyTables(3, 34)  # residue codes reach 3^34 > 2^53
+        PolyTables(GF(3), 34)  # residue codes reach 3^34 > 2^53
+    with pytest.raises(ValueError, match="q=9 "):
+        PolyTables(GF(3, 2), 17)  # 9^17 = 3^34
 
 
 def test_prime_char_sums_matches_scalar():
-    T = poly_tables(3, 4)
+    T = poly_tables(GF(3), 4)
     F3 = T.field
     facs = [T.factor(3, code) for code in range(27)]
     facs = [[]] + [fac for fac in facs if fac is not None]
@@ -87,16 +107,16 @@ def _widest_float32_width(q):
     return (2 ** 21 - 1) // (q - 1) ** 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(_rows_mod_prime())
 def test_float32_kernel_matches_float64_and_scalar(case):
     T, qkey, rows = case
-    assert T.dtype is np.float32  # q <= 13, max_deg 4: inside the float32 bound
-    field = GF(T.q)
+    assert T.dtype is np.float32  # q <= 27, max_deg <= 4: inside the float32 bound
+    field = T.field
     Q = Poly.monic_from_code(field, *qkey)
     polys = [Poly.from_coeffs(field, row) for row in rows]
-    mat32 = np.array(rows, dtype=np.float32)
-    mat64 = np.array(rows, dtype=np.float64)
+    mat32 = _digits_of(T, rows).astype(np.float32)
+    mat64 = _digits_of(T, rows).astype(np.float64)
     codes = T.reduce_codes(mat32, qkey)
     assert codes.tolist() == T.reduce_codes(mat64, qkey).tolist()
     assert codes.tolist() == [_residue_code(f, Q) for f in polys]
@@ -108,7 +128,7 @@ def test_float32_kernel_matches_float64_and_scalar(case):
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_float32_kernel_exact_at_widest_width(q):
     # an all-(q-1) row puts every matmul entry just below 2^21
-    T = PolyTables(q, 4)
+    T = PolyTables(GF(q), 4)
     width = _widest_float32_width(q)
     assert T.float_type(width) is np.float32
     assert T.float_type(width + 1) is np.float64
@@ -126,7 +146,7 @@ def test_float32_kernel_exact_at_widest_width(q):
 
 
 def test_float32_rows_beyond_the_bound_are_refused():
-    T = poly_tables(13, 4)
+    T = poly_tables(GF(13), 4)
     width = _widest_float32_width(13) + 1
     qkey = (2, int(T.prime_codes[2][0]))
     rows = np.full((2, width), 12)
@@ -139,7 +159,7 @@ def test_float32_rows_beyond_the_bound_are_refused():
 
 def test_table_beyond_float32_bound_runs_in_float64():
     q = 1009
-    T = PolyTables(q, 2)  # chiq entries reach 4 * 2^2 * 1008^3 > 2^21
+    T = PolyTables(GF(q), 2)  # chiq entries reach 4 * 2^2 * 1008^3 > 2^21
     assert T.dtype is np.float64
     assert T.monic_coefmat(2).dtype == np.float64
     assert T.prime_coefmat(2).dtype == np.float64
@@ -169,4 +189,110 @@ def test_table_beyond_float32_bound_runs_in_float64():
 ])
 def test_float_type_bounds(q, max_deg, width, expect):
     # the rule alone, without building a q^max_deg sieve
-    assert PolyTables.float_type(SimpleNamespace(q=q, max_deg=max_deg), width) is expect
+    assert PolyTables.float_type(SimpleNamespace(p=q, e=1, max_deg=max_deg), width) is expect
+
+
+@pytest.mark.parametrize("p,e,max_deg", [(3, 2, 4), (5, 2, 3), (3, 3, 3)])
+def test_poly_tables_build_for_prime_powers(p, e, max_deg):
+    field = GF(p, e)
+    T = PolyTables(field, max_deg)
+    assert (T.p, T.e, T.q) == (p, e, p ** e)
+    for d in range(1, max_deg + 1):
+        assert len(T.prime_codes[d]) == ffpoly.prime_count_exact(T.q, d)
+        assert T.monic_coefmat(d).shape == (T.q ** d, (d + 1) * e)
+    # every square-free monic of the top degree factors into its primes
+    d = max_deg
+    for code in range(0, T.q ** d, 97):
+        f = Poly.monic_from_code(field, d, code)
+        fac = T.factor(d, code)
+        assert (fac is not None) == ffpoly.is_squarefree(f)
+        if fac is not None:
+            assert fac == sorted(fac)  # smallest degree, then least code, first
+            prod = Poly.one(field)
+            for a, c in fac:
+                assert c in T.prime_codes[a]
+                prod = prod * Poly.monic_from_code(field, a, c)
+            assert prod == f
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
+def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
+    field = GF(p, e)
+    T = poly_tables(field, 2)
+    for k in (1, 2):
+        for code in T.prime_codes[k][:: len(T.prime_codes[k]) - 1].tolist():
+            Q = Poly.monic_from_code(field, k, code)
+            tab = T.chiq((k, code))
+            residues = [Poly(field, [r // field.q ** i % field.q for i in range(k)])
+                        for r in range(field.q ** k)]
+            assert tab.tolist() == [ffpoly.legendre_symbol(r, Q) for r in residues]
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_float32_kernel_exact_at_widest_width_prime_power(q):
+    # e*width digits of p-1 (coefficients q-1) put every matmul entry
+    # just below 2^21
+    field = ffpoly.field_of_order(q)
+    p, e = field.p, field.e
+    T = PolyTables(field, 2)
+    width = (2 ** 21 - 1) // (e * (p - 1) ** 2)
+    assert T.float_type(width) is np.float32
+    assert T.float_type(width + 1) is np.float64
+    rows = np.vstack([np.full(width, q - 1), np.random.default_rng(q).integers(0, q, size=width)])
+    qkey = (2, int(T.prime_codes[2][-1]))
+    Q = Poly.monic_from_code(field, *qkey)
+    mat = _digits_of(T, rows)
+    codes = T.reduce_codes(mat.astype(np.float32), qkey)
+    assert codes.tolist() == T.reduce_codes(mat.astype(np.float64), qkey).tolist()
+    assert codes[0] == _residue_code(Poly(field, rows[0].tolist()), Q)
+    with pytest.raises(InvariantError, match="float32 rows"):
+        T.reduce_codes(np.hstack([mat, mat[:, :e]]).astype(np.float32), qkey)
+
+
+@pytest.mark.parametrize("p,e,max_deg,width,expect", [
+    (3, 2, 7, 1, np.float32),                   # 9^7 = 3^14 < 2^24
+    (3, 2, 8, 1, np.float64),                   # 9^8 = 3^16 > 2^24
+    (3, 2, 2, (2 ** 21 - 1) // 8, np.float32),  # e * (p-1)^2 = 8 per coefficient
+    (3, 2, 2, (2 ** 21 - 1) // 8 + 1, np.float64),
+    (5, 2, 2, (2 ** 21 - 1) // 32 + 1, np.float64),
+])
+def test_float_type_bounds_prime_power(p, e, max_deg, width, expect):
+    assert PolyTables.float_type(SimpleNamespace(p=p, e=e, max_deg=max_deg), width) is expect
+
+
+def test_tables_are_keyed_by_the_field_modulus():
+    # X^2 + 1 and X^2 + X + 2 give F_9 different element codes
+    canonical = GF(3, 2)
+    other = ffpoly.FiniteField(3, 2, modulus=(2, 1, 1))
+    assert canonical.modulus_coeffs != other.modulus_coeffs
+    assert poly_tables(canonical, 2) is not poly_tables(other, 2)
+    for field in (canonical, other):
+        T = poly_tables(field, 2)
+        for code in T.prime_codes[2][:6].tolist():
+            Q = Poly.monic_from_code(field, 2, code)
+            polys = [Poly.monic_from_code(field, 3, c) for c in range(0, 729, 13)]
+            assert T.legendre_array(T.coef_rows(polys), (2, code)).tolist() == [
+                ffpoly.jacobi_symbol(f, Q) for f in polys]
+
+
+def test_ascending_prime_requests_build_one_table(monkeypatch):
+    # is_irreducible and factorize ask for primes of degree 1, 2, ...; the
+    # sieve must be built once at the top degree, not once per degree
+    built = []
+
+    class Counting(PolyTables):
+        def __init__(self, field, max_deg):
+            built.append(max_deg)
+            super().__init__(field, max_deg)
+
+    monkeypatch.setattr(_tables, "PolyTables", Counting)
+    for fresh in (ffpoly.FiniteField(3, 2, modulus=(2, 1, 1)),
+                  ffpoly.FiniteField(5, 2, modulus=(3, 0, 1))):
+        # two cubic primes from the scalar sieve: trial division must
+        # climb to degree 3 before it finds a factor
+        cubics = oracle.prime_list(fresh, 3)
+        f = cubics[0] * cubics[-1]
+        assert not ffpoly.is_irreducible(f)
+        assert ffpoly.factorize(f) == [(cubics[0], 1), (cubics[-1], 1)]
+        assert built == [3]
+        built.clear()
