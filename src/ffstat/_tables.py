@@ -88,26 +88,18 @@ class PolyTables:
 
     # -- digit rows -----------------------------------------------------
 
-    def _digits(self, codes, length):
-        """Base-p digit matrix (len(codes) x length), int64."""
-        out = np.empty((len(codes), length), dtype=np.int64)
-        rem = np.asarray(codes, dtype=np.int64)
-        for i in range(length):
-            rem, out[:, i] = np.divmod(rem, self.p)
-        return out
-
     def _monic_rows(self, codes, d):
         """Digit rows of the monic polynomials of degree d with these codes."""
         e = self.e
         rows = np.zeros((len(codes), (d + 1) * e), dtype=np.int64)
-        rows[:, : d * e] = self._digits(codes, d * e)
+        rows[:, : d * e] = ffpoly._digit_rows(codes, d * e, self.p)
         rows[:, d * e] = 1
         return rows
 
     def _element_rows(self, codes, nrows):
         """The base-p digits of an int array of element codes, e per entry
         in order, laid out as nrows rows."""
-        return self._digits(np.ravel(codes), self.e).reshape(nrows, -1)
+        return ffpoly._digit_rows(np.ravel(codes), self.e, self.p).reshape(nrows, -1)
 
     # -- sieve ----------------------------------------------------------
 
@@ -227,12 +219,8 @@ class PolyTables:
             C = np.eye(K, K, e, dtype=np.int64)
             neg_q = [F.neg(c) for c in ffpoly._decode_digits(code, k, self.q)]
             C[K - e:] = self._element_rows([[F.mul(a, c) for c in neg_q] for a in self._alpha[:e]], e)
-            # rows (j, t) for j < L, then j < 2L by one product with C^L
-            rows, power = np.eye(e, K, dtype=np.int64), C
-            while len(rows) < n * e:
-                rows = np.vstack([rows, rows @ power % p])
-                power = power @ power % p
-            rows = rows[: n * e].reshape(n, e, K)
+            # rows (j, t): the unit rows alpha^t times C^j
+            rows = ffpoly._power_rows(np.eye(e, K, dtype=np.int64), C, n * e, p).reshape(n, e, K)
             blocks = [rows]
             for a in self._alpha[e:]:
                 # alpha^u for u >= e: digit row t of M holds alpha^u alpha^t
@@ -281,7 +269,7 @@ class PolyTables:
         alpha^u X^m, u < 2e - 1, in the square of r's digit polynomial
         (digit e*i + s times digit e*j + t lands on alpha^(s+t) X^(i+j))."""
         e, nu, K = self.e, len(self._alpha), k * self.e
-        digits = self._digits(np.arange(self.q ** k), K).astype(self.dtype)
+        digits = ffpoly._digit_rows(np.arange(self.q ** k), K, self.p).astype(self.dtype)
         sq = np.zeros((len(digits), (2 * k - 1) * nu), dtype=self.dtype)
         for a in range(K):
             # digit a times digits b >= a, weight 2 off the diagonal

@@ -125,11 +125,17 @@ def emit(rows, header, fmt, out):
         sys.stdout.write(text)
 
 
-def _field_for(q):
+def _flag_value(flag, fn, *args):
+    """fn(*args), with a ValueError raised by it turned into a ConfigError
+    that names the flag the arguments came from."""
     try:
-        return ffpoly.field_of_order(q)
+        return fn(*args)
     except ValueError as exc:
-        raise ConfigError(f"q: {exc}") from None
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _field_for(q):
+    return _flag_value("--q", ffpoly.field_of_order, q)
 
 
 def _require_at_least(flag, value, bound, bound_flag=None):
@@ -141,9 +147,12 @@ def _require_at_least(flag, value, bound, bound_flag=None):
 
 
 def _require_family(field, args):
-    """ConfigError naming --genus when the requested family is empty."""
-    if biquad.family_size(field, args.genus, args.variant) == 0:
+    """The size of the requested family; ConfigError naming --genus when
+    it is empty."""
+    size = biquad.family_size(field, args.genus, args.variant)
+    if size == 0:
         raise ConfigError(f"--genus: family (q={args.q}, g={args.genus}) is empty")
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +163,9 @@ def _require_family(field, args):
 def _cmd_lfunc(args):
     field = _field_for(args.q)
     _require_at_least("--n-max", args.n_max, 1)
-    D = parse_poly(field, args.modulus)
-    chi = lfunc.QuadChar(D, lfunc.parse_sign(args.sign))
+    D = _flag_value("--modulus", parse_poly, field, args.modulus)
+    sign = _flag_value("--sign", lfunc.parse_sign, args.sign)
+    chi = _flag_value("--modulus", lfunc.QuadChar, D, sign)
     raw, lstar, frob, dev = lfunc.l_data(chi, n_max=args.n_max)
     if args.check_rh and dev >= 1e-9:
         raise InvariantError(f"RH deviation {dev:.3e} exceeds 1e-9")
@@ -196,12 +206,10 @@ def _cmd_family(args):
 def _cmd_curve(args):
     field = _field_for(args.q)
     _require_at_least("--n-max", args.n_max, 1)
-    t = biquad.CurveTriple(
-        parse_poly(field, args.f1), parse_poly(field, args.f2),
-        parse_poly(field, args.f3),
-        biquad.MONIC if all(parse_poly(field, s).is_monic()
-                            for s in (args.f1, args.f2)) else biquad.FULL,
-    )
+    f1, f2, f3 = (_flag_value(flag, parse_poly, field, text)
+                  for flag, text in (("--f1", args.f1), ("--f2", args.f2), ("--f3", args.f3)))
+    variant = biquad.MONIC if f1.is_monic() and f2.is_monic() else biquad.FULL
+    t = _flag_value("--f1, --f2, --f3", biquad.CurveTriple, f1, f2, f3, variant)
     data = biquad.zeta_numerator(t, n_max=args.n_max)
     row = {
         "q": args.q, "genus": t.genus,
@@ -228,10 +236,9 @@ def _cmd_moments(args):
     _require_at_least("--n-max", args.n_max, 1)
     if args.mode != "exhaustive":
         _require_at_least("--sample-size", args.sample_size, 1)
-    _require_family(field, args)
+    size = _require_family(field, args)
     rows = []
     for n in range(1, args.n_max + 1):
-        size = biquad.family_size(field, args.genus, args.variant)
         cost = size * (field.q ** n + 1)
         mode = args.mode
         if mode == "auto":
@@ -263,9 +270,9 @@ def _cmd_moments(args):
 def _cmd_density(args):
     field = _field_for(args.q)
     if args.kernel != "fejer":
-        raise ConfigError(f"kernel: unknown kernel {args.kernel!r}")
+        raise ConfigError(f"--kernel: unknown kernel {args.kernel!r}")
     if not 0 < args.alpha <= 1:
-        raise ConfigError("alpha: must lie in (0, 1]")
+        raise ConfigError("--alpha: must lie in (0, 1]")
     _require_at_least("--genus", args.genus, 1)
     _require_family(field, args)
     fhat = moments.fejer_kernel(args.alpha)
@@ -285,9 +292,9 @@ def _cmd_density(args):
 
 def _cmd_lemma61(args):
     field = _field_for(args.q)
-    P = parse_poly(field, args.prime)
-    if not P.is_monic() or not ffpoly.is_irreducible(P):
-        raise ConfigError("prime: must be monic irreducible")
+    P = _flag_value("--prime", parse_poly, field, args.prime)
+    if P.is_constant() or not P.is_monic() or not ffpoly.is_irreducible(P):
+        raise ConfigError("--prime: must be monic irreducible")
     _require_at_least("--M", args.M, 1)
     _require_at_least("--d-min", args.d_min, 0)
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")

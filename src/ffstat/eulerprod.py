@@ -222,10 +222,7 @@ def h_value(kind, P, u, M):
     for d, row in enumerate(chi_plain_rows(P, M), 1):
         ad, bd = a ** d, b ** d
         for chi, count in _value_counts(row):
-            chi_m = -chi if d % 2 else chi
-            c1, c2 = {"plus": (chi, chi), "minus": (chi_m, chi_m), "zero": (chi, chi_m)}[kind]
-            s = c1 + c2
-            base = bd * bd + s * ad * bd - (1 + s) * ad * ad
+            base, c1, c2 = _local_terms(kind, d, chi, ad, bd)
             nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
         den_exp += 4 * d * len(row)
     return Fraction(_prod(nums), b ** den_exp)
@@ -297,17 +294,16 @@ def prime_sum(kind, field, n, M):
     return PrimeSumResult(q, n, M, kind, value, reference, scales)
 
 
-def _local_numerator(kind, q, d, chi_plain):
-    """Numerator of 1 + delta at u = 1/q over the denominator q^(2d);
-    chi_plain is (Q/P) before any sign twist."""
-    if kind == "plus":
-        chi = chi_plain
-        return q ** (2 * d) + 2 * chi * q ** d - (1 + 2 * chi)
-    if kind == "minus":
-        chi = -chi_plain if d % 2 else chi_plain
-        return q ** (2 * d) + 2 * chi * q ** d - (1 + 2 * chi)
-    s = 0 if d % 2 else 2 * chi_plain
-    return q ** (2 * d) + s * q ** d - (1 + s)
+def _local_terms(kind, d, chi_plain, ad, bd):
+    """(base, c1, c2) at a prime Q of degree d and u = a/b, given a^d and
+    b^d: c1, c2 are the two characters of the kind at Q (chi_plain is
+    (Q/P) before any sign twist), and base = b^(2d) (1 + delta), with
+    delta = s u^d - (1 + s) u^(2d) and s = c1 + c2."""
+    chi_m = -chi_plain if d % 2 else chi_plain
+    c1, c2 = {"plus": (chi_plain, chi_plain), "minus": (chi_m, chi_m),
+              "zero": (chi_plain, chi_m)}[kind]
+    s = c1 + c2
+    return bd * bd + s * ad * bd - (1 + s) * ad * ad, c1, c2
 
 
 def _prime_sum(kind, field, n, M):
@@ -316,7 +312,7 @@ def _prime_sum(kind, field, n, M):
     q = field.q
     total = 0
     for P in ffpoly.primes(field, n):
-        total += _prod(_local_numerator(kind, q, d, chi) ** count
+        total += _prod(_local_terms(kind, d, chi, 1, q ** d)[0] ** count
                        for d, row in enumerate(chi_plain_rows(P, M), 1)
                        for chi, count in _value_counts(row))
     den_exp = 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))

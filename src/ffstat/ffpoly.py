@@ -66,8 +66,8 @@ def _factor_int(n):
 
 
 # ---------------------------------------------------------------------------
-# Low-level digit-vector helpers over F_p, used to bootstrap field tables
-# before the Poly class is available.  Vectors are ascending int tuples.
+# Digit rows over F_p.  A field element's code is its vector of base-p
+# digits; multiplication by a fixed element is F_p-linear on these rows.
 # ---------------------------------------------------------------------------
 
 
@@ -78,46 +78,6 @@ def _vtrim(v):
     return tuple(v[:n])
 
 
-def _vmul_mod(a, b, modulus, p):
-    """(a*b) mod modulus over F_p; modulus monic, as ascending tuples."""
-    if not a or not b:
-        return ()
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    k = len(modulus) - 1
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    return _vtrim(prod)
-
-
-def _least_irreducible_mod_p(p, e):
-    """Lexicographically least monic irreducible of degree e over F_p.
-
-    Brute force: a monic polynomial of degree e <= 3 is irreducible iff it
-    has no roots; for larger e, test divisibility by every lower-degree
-    monic irreducible (recursively generated the same way).
-    """
-    smaller = {}
-    for d in range(1, e):
-        smaller[d] = []
-        for code in range(p ** d):
-            cand = _decode_digits(code, d, p) + (1,)
-            if _digits_irreducible(cand, p, smaller):
-                smaller[d].append(cand)
-    for code in range(p ** e):
-        cand = _decode_digits(code, e, p) + (1,)
-        if _digits_irreducible(cand, p, smaller):
-            return cand
-    raise RuntimeError(f"no irreducible of degree {e} over F_{p}")
-
-
 def _decode_digits(code, length, base):
     digits = []
     for _ in range(length):
@@ -126,39 +86,24 @@ def _decode_digits(code, length, base):
     return tuple(digits)
 
 
-def _digits_irreducible(v, p, smaller_primes):
-    deg = len(v) - 1
-    if deg == 1:
-        return True
-    if deg <= 3:
-        # no roots <=> irreducible for degree 2, 3
-        for x in range(p):
-            acc = 0
-            for c in reversed(v):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                return False
-        return True
-    for d in range(1, deg // 2 + 1):
-        for q in smaller_primes[d]:
-            if not _vdivides_rem(v, q, p):
-                return False
-    return True
+def _digit_rows(codes, length, p):
+    """Base-p digit matrix (len(codes) x length) of an int array, int64."""
+    out = np.empty((len(codes), length), dtype=np.int64)
+    rem = np.asarray(codes, dtype=np.int64)
+    for i in range(length):
+        rem, out[:, i] = np.divmod(rem, p)
+    return out
 
 
-def _vdivides_rem(a, b, p):
-    """True if b does not divide a over F_p (both monic tuples)."""
-    rem = list(a)
-    k = len(b) - 1
-    while len(rem) - 1 >= k:
-        c = rem[-1]
-        if c:
-            for j in range(k + 1):
-                rem[len(rem) - 1 - k + j] = (rem[len(rem) - 1 - k + j] - c * b[j]) % p
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) - 1 >= k:
-            rem.pop()
-    return any(rem)
+def _power_rows(start, step, count, p):
+    """The first `count` rows of start, start @ step, start @ step^2, ...
+    over F_p, each block of len(start) rows in turn: the rows so far times
+    step^L give the next L rows, then step^L is squared."""
+    rows, power = start, step
+    while len(rows) < count:
+        rows = np.vstack([rows, rows @ power % p])
+        power = power @ power % p
+    return rows[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +115,11 @@ class FiniteField:
     """The field F_q with q = p^e, p an odd prime.
 
     Elements are ints in range(q).  For e == 1 arithmetic is plain modular
-    arithmetic; for e > 1 the int encodes base-p digits of a residue modulo
-    an irreducible `modulus` and arithmetic goes through precomputed
-    tables (q <= a few hundred keeps these tiny).
+    arithmetic.  For e > 1 the field is ExtensionField(GF(p), e, modulus),
+    modulus the least monic irreducible of degree e over F_p unless given,
+    so the int encodes the base-p digits of a residue modulo it: mul and
+    inv read that extension's exp/log tables, and add and neg read q x q
+    and q tables built from the digits (q <= 2048 keeps them small).
     """
 
     def __init__(self, p, e=1, modulus=None):
@@ -185,66 +132,34 @@ class FiniteField:
         self.p = p
         self.e = e
         self.q = p ** e
+        self._squares = None
         if e == 1:
             self.modulus_coeffs = None
-        else:
-            if self.q > 2048:
-                raise ValueError(f"q = {self.q} exceeds desk scale for table-based fields")
-            if modulus is None:
-                modulus = _least_irreducible_mod_p(p, e)
-            else:
-                modulus = tuple(int(c) % p for c in modulus)
-                if len(modulus) != e + 1 or modulus[-1] != 1:
-                    raise ValueError("modulus must be monic of degree e")
-                smaller = {}
-                for d in range(1, e):
-                    smaller[d] = [
-                        v + (1,) for code in range(p ** d)
-                        for v in [_decode_digits(code, d, p)]
-                        if _digits_irreducible(v + (1,), p, smaller)
-                    ]
-                if not _digits_irreducible(modulus, p, smaller):
-                    raise ValueError("modulus is not irreducible over F_p")
-            self.modulus_coeffs = modulus
-            self._build_tables()
-        self._squares = None
-        self._add_array = None
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        mod = self.modulus_coeffs
-        vecs = [_decode_digits(c, e, p) for c in range(q)]
-        enc = {v: c for c, v in enumerate(vecs)}
-
-        def encode(v):
-            return enc[tuple(v) + (0,) * (e - len(v))]
-
-        self._mul_table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = _vtrim(vecs[a])
-            for b in range(a, q):
-                c = encode(_vmul_mod(va, _vtrim(vecs[b]), mod, p))
-                self._mul_table[a][b] = c
-                self._mul_table[b][a] = c
-        self._add_table = [
-            [sum(((va[i] + vb[i]) % p) * p ** i for i in range(e))
-             for vb in vecs]
-            for va in vecs
-        ]
-        self._neg_table = [sum(((-v[i]) % p) * p ** i for i in range(e)) for v in vecs]
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    self._inv_table[a] = b
-                    break
+            return
+        if self.q > 2048:
+            raise ValueError(f"q = {self.q} exceeds desk scale for table-based fields")
+        if modulus is not None:
+            modulus = Poly(GF(p), tuple(int(c) % p for c in modulus))
+        ext = ExtensionField(GF(p), e, modulus)
+        self.modulus_coeffs = ext.modulus.coeffs
+        self._exp = ext._exp.tolist()
+        self._log = ext._log.tolist()
+        digits = _digit_rows(np.arange(self.q), e, p)
+        ppow = p ** np.arange(e, dtype=np.int64)
+        self._add_table = np.zeros((self.q, self.q), dtype=np.int64)
+        for i in range(e):
+            column = np.add.outer(digits[:, i], digits[:, i])
+            column %= p
+            column *= ppow[i]
+            self._add_table += column
+        self._neg_table = ((-digits % p) @ ppow).tolist()
 
     # -- element arithmetic on int codes --
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        return self._add_table[a][b]
+        return self._add_table.item(a, b)
 
     def neg(self, a):
         if self.e == 1:
@@ -260,21 +175,21 @@ class FiniteField:
         e == 1, where a table would cost q^2 entries for nothing)."""
         if self.e == 1:
             return (a + c) % self.p
-        if self._add_array is None:
-            self._add_array = np.array(self._add_table, dtype=np.int64)
-        return self._add_array[a, c]
+        return self._add_table[a, c]
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        return self._mul_table[a][b]
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, n):
         if n < 0:
@@ -622,6 +537,12 @@ def is_irreducible(f):
     return True
 
 
+def _least_irreducible(field, n):
+    """The monic irreducible of degree n over field of least code."""
+    monics = (Poly.monic_from_code(field, n, code) for code in range(field.q ** n))
+    return next(f for f in monics if is_irreducible(f))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration and counting
 # ---------------------------------------------------------------------------
@@ -827,10 +748,14 @@ class ExtensionField:
     irreducible of degree n over the base.
 
     Element codes are base-q digit vectors packed into ints in range(q^n);
-    the base field embeds as the codes 0..q-1.  Multiplication, powering
-    and the quadratic character run off exp/log tables relative to a fixed
-    generator of the (cyclic) multiplicative group, so chi_2 is a log
-    parity lookup.
+    the base field embeds as the codes 0..q-1.  With q = p^e the base-p
+    digits of a code are its K = n e coordinates over F_p, and
+    multiplication by an element g is the K x K matrix M_g over F_p on
+    these digit rows.  The exp table g^0, g^1, ... is the row of 1 times
+    the powers of M_g, stacked by doubling, for the least code g >= 2 of
+    full multiplicative order.  Multiplication, powering and the quadratic
+    character run off these exp/log tables, so chi_2 is a log parity
+    lookup.  FiniteField(p, e) for e > 1 is built on ExtensionField(GF(p), e).
     """
 
     def __init__(self, base, n, modulus=None):
@@ -841,8 +766,7 @@ class ExtensionField:
         self.q = base.q
         self.order = base.q ** n
         if modulus is None:
-            cands = monic_polys(base, n)
-            modulus = next(f for f in cands if n == 1 or is_irreducible(f))
+            modulus = _least_irreducible(base, n)
         else:
             if modulus.degree != n or not modulus.is_monic():
                 raise ValueError("modulus must be monic of degree n")
@@ -864,63 +788,38 @@ class ExtensionField:
         da, db = self._decode(a), self._decode(b)
         return self._encode(tuple(F.add(x, y) for x, y in zip(da, db)))
 
-    def _mul_codes(self, a, b):
-        F = self.base
-        da, db = _vtrim(self._decode(a)), _vtrim(self._decode(b))
-        if not da or not db:
-            return 0
-        prod = [0] * (len(da) + len(db) - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
-        mod = self.modulus.coeffs
-        k = self.n
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = F.sub(prod[i - k + j], F.mul(c, mod[j]))
-        return self._encode(prod[:k])
+    def _mul_matrix(self, g):
+        """M_g: row e*i + t holds the F_p digits of alpha^t X^i g mod the
+        modulus, where alpha^t X^i is the element of code p^(e*i + t)."""
+        F, K = self.base, self.n * self.base.e
+        g_poly = Poly(F, self._decode(g))
+        products = [Poly(F, self._decode(F.p ** r)) * g_poly % self.modulus for r in range(K)]
+        return _digit_rows([self._encode(f.coeffs) for f in products], K, F.p)
 
     def _build_tables(self):
-        Q = self.order
-        g = self._find_generator()
-        exp = np.zeros(2 * (Q - 1), dtype=np.int64)
+        p, Q = self.base.p, self.order
+        K = self.n * self.base.e
+        ppow = p ** np.arange(K, dtype=np.int64)
+        one = _digit_rows([1], K, p)
+        # g has full order iff 1 appears once among g^0..g^(Q-2); for n > 1
+        # the codes below q are the base field, whose orders divide q - 1
+        for g in range(2 if self.n == 1 else self.q, Q):
+            exp = _power_rows(one, self._mul_matrix(g), Q - 1, p) @ ppow
+            if np.count_nonzero(exp == 1) == 1:
+                break
+        else:
+            raise InvariantError(f"no generator of the units of {self!r}")
         log = np.full(Q, -1, dtype=np.int64)
-        acc = 1
-        for j in range(Q - 1):
-            exp[j] = acc
-            log[acc] = j
-            acc = self._mul_codes(acc, g)
-        if acc != 1:
-            raise InvariantError("generator order mismatch")
-        exp[Q - 1:] = exp[: Q - 1]
+        log[exp] = np.arange(Q - 1)
+        if log[0] != -1 or np.any(log[1:] < 0):
+            raise InvariantError("generator powers do not cover the units")
         self.generator = g
-        self._exp = exp
+        self._exp = np.concatenate([exp, exp])
         self._log = log
         # chi2 by log parity: squares are even powers of the generator
         chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
         chi[0] = 0
         self._chi2 = chi
-
-    def _find_generator(self):
-        Q = self.order
-        prime_divs = list(_factor_int(Q - 1))
-        for cand in range(2, Q):
-            if all(self._pow_codes(cand, (Q - 1) // r) != 1 for r in prime_divs):
-                return cand
-        raise RuntimeError("no generator found")
-
-    def _pow_codes(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_codes(r, a)
-            a = self._mul_codes(a, a)
-            n >>= 1
-        return r
 
     # -- public ops --
 

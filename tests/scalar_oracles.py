@@ -1,12 +1,15 @@
-"""Scalar reference implementations of the batched residue-table paths.
+"""Scalar reference implementations of the batched paths.
 
-Each function here is the plain ffpoly computation a batched path in
-src/ffstat replaces: trial-division and reciprocity over Poly objects,
-with no tables.  They are slow and independent of _tables, which is what
+Each function here is the plain computation a batched path in src/ffstat
+replaces: trial-division and reciprocity over Poly objects with no
+residue tables, and finite-field tables built element by element from
+digit-vector products over F_p, with no matrices.  They are slow and
+independent of _tables and of the exp/log construction, which is what
 makes them oracles.
 """
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,3 +87,148 @@ def prime_char_sum(D, n):
     """sum over the monic primes P of degree n of (P/D), over the scalar
     sieve."""
     return sum(ffpoly.jacobi_symbol(P, D) for P in prime_list(D.field, n))
+
+
+# -- finite fields from scalar digit-vector products ----------------------------
+
+
+def _decode(code, length, base):
+    digits = []
+    for _ in range(length):
+        code, r = divmod(code, base)
+        digits.append(r)
+    return tuple(digits)
+
+
+def _trim(v):
+    n = len(v)
+    while n and v[n - 1] == 0:
+        n -= 1
+    return tuple(v[:n])
+
+
+def vmul_mod(a, b, modulus, p):
+    """(a*b) mod modulus over F_p; modulus monic, all ascending tuples."""
+    if not a or not b:
+        return ()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    k = len(modulus) - 1
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
+    return _trim(prod)
+
+
+def _has_remainder(a, b, p):
+    """True if the monic b does not divide a over F_p."""
+    rem = list(a)
+    k = len(b) - 1
+    while len(rem) - 1 >= k:
+        c = rem[-1]
+        if c:
+            for j in range(k + 1):
+                rem[len(rem) - 1 - k + j] = (rem[len(rem) - 1 - k + j] - c * b[j]) % p
+        rem.pop()
+        while rem and rem[-1] == 0 and len(rem) - 1 >= k:
+            rem.pop()
+    return any(rem)
+
+
+def _digits_irreducible(v, p, smaller_primes):
+    deg = len(v) - 1
+    if deg == 1:
+        return True
+    if deg <= 3:
+        # no roots <=> irreducible for degree 2, 3
+        for x in range(p):
+            acc = 0
+            for c in reversed(v):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                return False
+        return True
+    return all(_has_remainder(v, f, p)
+               for d in range(1, deg // 2 + 1) for f in smaller_primes[d])
+
+
+@functools.lru_cache(maxsize=None)
+def least_irreducible_mod_p(p, e):
+    """Lexicographically least monic irreducible of degree e over F_p, by
+    brute force: below degree 4 a root test, above it trial division by
+    every lower-degree monic irreducible, generated the same way."""
+    smaller = {}
+    for d in range(1, e):
+        smaller[d] = [v for v in (_decode(code, d, p) + (1,) for code in range(p ** d))
+                      if _digits_irreducible(v, p, smaller)]
+    return next(v for v in (_decode(code, e, p) + (1,) for code in range(p ** e))
+                if _digits_irreducible(v, p, smaller))
+
+
+@functools.lru_cache(maxsize=None)
+def field_tables(p, e, modulus=None):
+    """F_{p^e} = F_p[alpha]/(modulus) as q x q add and mul tables and q-entry
+    neg and inv lists over the base-p digit codes, one digit product per
+    pair and the inverse by search; modulus defaults to the least
+    irreducible of degree e."""
+    modulus = least_irreducible_mod_p(p, e) if modulus is None else modulus
+    q = p ** e
+    vecs = [_decode(c, e, p) for c in range(q)]
+    ppow = [p ** i for i in range(e)]
+
+    def encode(v):
+        return sum(c * w for c, w in zip(v, ppow))
+
+    mul = [[encode(vmul_mod(_trim(va), _trim(vb), modulus, p)) for vb in vecs] for va in vecs]
+    add = [[encode((x + y) % p for x, y in zip(va, vb)) for vb in vecs] for va in vecs]
+    neg = [encode(-x % p for x in v) for v in vecs]
+    inv = [0] + [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
+    return SimpleNamespace(q=q, modulus=modulus, add=add, neg=neg, mul=mul, inv=inv)
+
+
+def extension_exp_log(F, n, modulus):
+    """(generator, exp, log) of F_{q^n} = F[T]/(modulus) over a field_tables
+    field F, codes base-q digit vectors: the least g >= 2 whose power
+    (Q-1)/r is not 1 for any prime r | Q-1, by scalar powering, then the
+    chain g^0, g^1, ..., g^(Q-2) by one digit product per element."""
+    q, Q = F.q, F.q ** n
+
+    def mul(a, b):
+        da, db = _trim(_decode(a, n, q)), _trim(_decode(b, n, q))
+        if not da or not db:
+            return 0
+        prod = [0] * (len(da) + len(db) - 1)
+        for i, ai in enumerate(da):
+            for j, bj in enumerate(db):
+                prod[i + j] = F.add[prod[i + j]][F.mul[ai][bj]]
+        for i in range(len(prod) - 1, n - 1, -1):
+            c = prod[i]
+            prod[i] = 0
+            for j in range(n):
+                prod[i - n + j] = F.add[prod[i - n + j]][F.neg[F.mul[c][modulus[j]]]]
+        return sum(c * q ** i for i, c in enumerate(prod[:n]))
+
+    def power(a, k):
+        r = 1
+        while k:
+            if k & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            k >>= 1
+        return r
+
+    prime_divs = [r for r in range(2, Q) if (Q - 1) % r == 0
+                  and all(r % s for s in range(2, int(r ** 0.5) + 1))]
+    g = next(c for c in range(2, Q) if all(power(c, (Q - 1) // r) != 1 for r in prime_divs))
+    exp, log, acc = [], [-1] * Q, 1
+    for j in range(Q - 1):
+        exp.append(acc)
+        log[acc] = j
+        acc = mul(acc, g)
+    return g, exp, log

@@ -210,6 +210,22 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["density", "--genus", "-1", "--alpha", "1"], "--genus"),
     (["density", "--genus", "0", "--alpha", "1"], "--genus"),
     (["primes", "--degree", "0"], "--degree"),
+    (["density", "--genus", "1", "--alpha", "1.5"], "--alpha"),
+    (["density", "--genus", "1", "--alpha", "1", "--kernel", "box"], "--kernel"),
+    # a repeated --q overrides the leading --q 3
+    (["primes", "--degree", "1", "--q", "4"], "--q"),
+    (["primes", "--degree", "1", "--q", "2187"], "--q"),
+    (["lemma61", "--prime", "X^2+2", "--d-max", "2"], "--prime"),
+    (["lemma61", "--prime", "1", "--d-max", "2"], "--prime"),
+    (["lemma61", "--prime", "1,0,3", "--d-max", "2"], "--prime"),
+    (["lfunc", "--modulus", "1,0,3"], "--modulus"),
+    (["lfunc", "--modulus", "1"], "--modulus"),
+    (["lfunc", "--modulus", "X^2+1", "--sign", "x"], "--sign"),
+    (["curve", "--f1", "1,0,3", "--f2", "X+1", "--f3", "X+2"], "--f1"),
+    (["curve", "--f1", "X", "--f2", "X^2+5", "--f3", "X+2"], "--f2"),
+    (["curve", "--f1", "X", "--f2", "X+1", "--f3", "3X"], "--f3"),
+    (["curve", "--f1", "X", "--f2", "X", "--f3", "X+2"], "--f1, --f2, --f3"),
+    (["curve", "--f1", "X^2", "--f2", "X+1", "--f3", "X+2"], "--f1, --f2, --f3"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -225,16 +241,17 @@ def test_range_errors_name_the_flag(capsys, argv, flag):
        mode=st.sampled_from(["exhaustive", "sample", "auto"]),
        sample_size=st.integers(-3, 3), count=st.booleans(),
        degree=st.integers(-2, 3), d_min=st.integers(-2, 2), d_max=st.integers(-2, 3),
-       M=st.integers(-2, 3), n=st.integers(-2, 3))
+       M=st.integers(-2, 3), n=st.integers(-2, 3),
+       alpha=st.sampled_from(["-1", "0", "0.5", "1", "1.5", "nan", "inf"]))
 def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode, sample_size,
-                                                     count, degree, d_min, d_max, M, n):
+                                                     count, degree, d_min, d_max, M, n, alpha):
     # exit 1 exactly when a flag is out of range, naming it; never a traceback
     argv = {
         "lfunc": ["--modulus", "X^2+1", "--n-max", str(n_max)],
         "curve": [*_CURVE, "--n-max", str(n_max)],
         "moments": ["--genus", str(genus), "--n-max", str(n_max), "--mode", mode,
                     "--sample-size", str(sample_size), "--work-budget", "1"],
-        "density": ["--genus", str(genus), "--alpha", "1"],
+        "density": ["--genus", str(genus), "--alpha", alpha],
         "family": ["--genus", str(genus), *(["--count"] if count else [])],
         "lemma61": ["--prime", "X^2+1", "--d-min", str(d_min), "--d-max", str(d_max),
                     "--M", str(M)],
@@ -246,7 +263,7 @@ def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode
         "curve": n_max < 1,
         "moments": n_max < 1 or genus < 0 or (mode != "exhaustive" and sample_size < 1),
         # the one-level density is normalised by 1/g
-        "density": genus < 1,
+        "density": genus < 1 or not 0 < float(alpha) <= 1,
         # an empty family is a valid answer: size 0, or a header alone
         "family": False,
         "lemma61": M < 1 or d_min < 0 or d_max < d_min,

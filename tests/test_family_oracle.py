@@ -181,17 +181,11 @@ def test_c_constants_match_literal_formula(deg):
 
 
 def per_prime_fraction_sum(kind, field, n, M):
-    q = field.q
-    total = Fraction(0)
-    for P in ffpoly.primes(field, n):
-        nums, den = [], 1
-        for d in range(1, M + 1):
-            for Q in ffpoly.primes(field, d):
-                chi = ffpoly.jacobi_symbol(Q, P)
-                nums.append(eulerprod._local_numerator(kind, q, d, chi))
-                den *= q ** (2 * d)
-        total += Fraction(eulerprod._prod(nums), den)
-    return total
+    # each truncated product from the literal local factors at u = 1/q
+    u = Fraction(1, field.q)
+    return sum(eulerprod.prod_fractions(eulerprod.local_factor(kind, P, Q, u)
+                                        for d in range(1, M + 1) for Q in ffpoly.primes(field, d))
+               for P in ffpoly.primes(field, n))
 
 
 @pytest.mark.parametrize("q,n,M", [(3, 1, 4), (3, 2, 5), (3, 3, 5), (5, 2, 3), (9, 1, 2), (9, 2, 2)])

@@ -1,13 +1,14 @@
 """The table-backed batched paths against their scalar oracles, over prime
-powers (q = 9, 25, 27) and a prime field, and the L-function suite over
-prime powers."""
+powers (q = 9, 25, 27) and a prime field, the L-function suite over prime
+powers, and the exp/log field construction against element-by-element
+digit products."""
 
 import numpy as np
 import pytest
 
 import scalar_oracles as oracle
 from ffstat import biquad, eulerprod, ffpoly, lfunc, moments
-from ffstat.ffpoly import GF, Poly
+from ffstat.ffpoly import GF, ExtensionField, FiniteField, Poly
 
 F3 = GF(3)
 F9 = GF(3, 2)
@@ -76,3 +77,49 @@ def test_eval_poly_all_over_a_prime_power_base():
         for f in (Poly.from_coeffs(F9, (5, 0, 7, 1)), Poly.from_coeffs(F9, (8, 3, 1))):
             assert ext.eval_poly_all(f).tolist() == [ext.eval_poly(f, x) for x in ext.elements()]
     assert np.array_equal(F9.add_array(np.arange(9), 5), [F9.add(a, 5) for a in range(9)])
+
+
+# -- field construction ------------------------------------------------------------
+
+
+def _assert_field_matches(F, want):
+    q = F.q
+    assert F.modulus_coeffs == want.modulus
+    assert [[F.mul(a, b) for b in range(q)] for a in range(q)] == want.mul
+    assert [[F.add(a, b) for b in range(q)] for a in range(q)] == want.add
+    assert [F.neg(a) for a in range(q)] == want.neg
+    assert [F.inv(a) for a in range(1, q)] == want.inv[1:]
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (3, 5), (7, 3)])
+def test_field_tables_match_the_scalar_bootstrap(p, e):
+    _assert_field_matches(GF(p, e), oracle.field_tables(p, e))
+
+
+def test_custom_modulus_field_matches_the_scalar_bootstrap():
+    _assert_field_matches(FiniteField(3, 2, modulus=(2, 1, 1)), oracle.field_tables(3, 2, (2, 1, 1)))
+    # (X-1)(X+1), (X+2)(X^2+X+2), degree 1 for e = 2, not monic
+    for e, modulus in [(2, (2, 0, 1)), (3, (1, 1, 0, 1)), (2, (1, 2)), (2, (1, 0, 2))]:
+        with pytest.raises(ValueError):
+            FiniteField(3, e, modulus=modulus)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, n) for n in range(1, 7)] + [(5, 1, n) for n in range(1, 5)]
+                         + [(3, 2, n) for n in range(1, 4)] + [(5, 2, 2), (3, 3, 2)])
+def test_extension_tables_match_the_scalar_chain(p, e, n):
+    ext = ExtensionField(GF(p, e), n)
+    if e == 1:
+        assert ext.modulus.coeffs == oracle.least_irreducible_mod_p(p, n)
+    g, exp, log = oracle.extension_exp_log(oracle.field_tables(p, e), n, ext.modulus.coeffs)
+    assert ext.generator == g
+    assert ext._exp.tolist() == exp + exp
+    assert ext._log.tolist() == log
+
+
+def test_canonical_modulus_matches_brute_force():
+    # every odd prime power q = p^e <= 2048 with e > 1
+    cases = [(p, e) for p in range(3, 46, 2) if ffpoly._is_prime_int(p)
+             for e in range(2, 8) if p ** e <= 2048]
+    assert len(cases) == 21
+    for p, e in cases:
+        assert ffpoly._least_irreducible(GF(p), e).coeffs == oracle.least_irreducible_mod_p(p, e), (p, e)
