@@ -298,13 +298,16 @@ def _cmd_lemma61(args):
     _require_at_least("--M", args.M, 1)
     _require_at_least("--d-min", args.d_min, 0)
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
-    blocks = moments.c_blocks(P, args.M)
+    degrees = range(args.d_min, args.d_max + 1)
+    # the constants first: their chi rows sieve to degree M, and the sums
+    # then read that table instead of building smaller ones before it
+    preds = {(d, k1, k2): moments.predicted_nkk(P, d, k1, k2, args.M)
+             for d in degrees for k1 in (0, 1) for k2 in (0, 1)}
     rows = []
-    for d in range(args.d_min, args.d_max + 1):
+    for d in degrees:
         sums = moments.nkk_sums_all(field, P, d)
         for (k1, k2), exact in sorted(sums.items()):
-            c = moments.c_constant_kk(P, d, k1, k2, args.M, blocks)
-            pred = float(c / 4 * field.q ** d)
+            pred = preds[d, k1, k2]
             rows.append({
                 "q": args.q, "P": poly_str(P), "d": d, "k1": k1, "k2": k2,
                 "nkk": exact, "predicted": pred, "gap": exact - pred,
@@ -351,11 +354,22 @@ def _cmd_primes(args):
 # ---------------------------------------------------------------------------
 
 
+#: argparse messages that end in a list of arguments, and what they say
+_LISTED = {"the following arguments are required: ": "required",
+           "unrecognized arguments: ": "unrecognized"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse exits 2 on usage errors by default; config errors are 1
-        self.print_usage(sys.stderr)
-        raise ConfigError(message)
+        # argparse exits 2 on usage errors by default; config errors are 1,
+        # and their message leads with the flags, the usage comes after
+        for prefix, verdict in _LISTED.items():
+            if message.startswith(prefix):
+                message = f"{message[len(prefix):]}: {verdict}"
+                break
+        else:
+            message = re.sub(r"^argument ([^:]+): ", r"\1: ", message)
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _add_common(sp, *, genus=False, variant=False):

@@ -204,14 +204,36 @@ def l_value(P, sign, u):
     return lfunc.l_polynomial(chi).evaluate(Fraction(u))
 
 
+def _l_pair(P, sign):
+    """L(1/q, chi_P^sign) as (num, n) meaning num / q^n: with raw
+    coefficients c_0..c_n, num = sum_i c_i q^(n-i)."""
+    q = P.field.q
+    coeffs = lfunc.l_polynomial(lfunc.QuadChar(P, sign)).coeffs
+    num = 0
+    for c in coeffs:
+        num = num * q + c
+    return num, len(coeffs) - 1
+
+
 def h_value(kind, P, u, M):
     """Truncated H_{P,kind}(u): the Euler factors left after dividing the
     zeta and L local factors out of 1 + delta_{P,kind}.
 
-    With u = a/b, the factor at a prime of degree d is an integer over
-    b^(4d) that depends only on d and (Q/P), so the product is one
-    integer per (d, (Q/P)) raised to its multiplicity, over one power of b.
-    """
+    The Fraction of _h_pair's numerator over b^exponent, u = a/b.  At
+    u = 1/q and M around 9 that costs one gcd on numbers of ~10^5 bits,
+    so the fixed-prime constants read the pair instead."""
+    u = Fraction(u)
+    num, den_exp = _h_pair(kind, P, u, M)
+    return Fraction(num, u.denominator ** den_exp)
+
+
+def _h_pair(kind, P, u, M):
+    """Truncated H_{P,kind}(u) as (num, e) meaning num / b^e, u = a/b.
+
+    The factor at a prime of degree d is an integer over b^(4d) that
+    depends only on d and (Q/P), so the numerator is one integer per
+    (d, (Q/P)) raised to its multiplicity, and the exponent is 4 d summed
+    over the primes."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if M < 1:
@@ -225,7 +247,7 @@ def h_value(kind, P, u, M):
             base, c1, c2 = _local_terms(kind, d, chi, ad, bd)
             nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
         den_exp += 4 * d * len(row)
-    return Fraction(_prod(nums), b ** den_exp)
+    return _prod(nums), den_exp
 
 
 def assembled_product(kind, P, u, M):

@@ -146,11 +146,15 @@ class FiniteField:
         self._log = ext._log.tolist()
         digits = _digit_rows(np.arange(self.q), e, p)
         ppow = p ** np.arange(e, dtype=np.int64)
-        self._add_table = np.zeros((self.q, self.q), dtype=np.int64)
+        # codes lie below q <= 2048, so int16 holds every entry, and the
+        # two q x q arrays are the table and one digit's sums
+        self._add_table = np.zeros((self.q, self.q), dtype=np.int16)
+        column = np.empty_like(self._add_table)
         for i in range(e):
-            column = np.add.outer(digits[:, i], digits[:, i])
+            digit = digits[:, i].astype(np.int16)
+            np.add.outer(digit, digit, out=column)
             column %= p
-            column *= ppow[i]
+            column *= p ** i
             self._add_table += column
         self._neg_table = ((-digits % p) @ ppow).tolist()
 
@@ -171,11 +175,11 @@ class FiniteField:
 
     def add_array(self, a, c):
         """a + c for every code in the int array a and one element c: a
-        gather from the q x q addition table (plain addition mod p when
-        e == 1, where a table would cost q^2 entries for nothing)."""
+        gather from the q x q addition table, as int64 (plain addition mod
+        p when e == 1, where a table would cost q^2 entries for nothing)."""
         if self.e == 1:
             return (a + c) % self.p
-        return self._add_table[a, c]
+        return self._add_table[a, c].astype(np.int64)
 
     def mul(self, a, b):
         if self.e == 1:

@@ -344,8 +344,10 @@ class FixedPrimeReport:
 
 
 def c_blocks(P, M):
-    """The building blocks at u = 1/q: exact L(1/q, chi_P^{+-}) and the
-    truncated H_{P,+-}, H_{P,0}."""
+    """The building blocks at u = 1/q as exact Fractions: L(1/q, chi_P^{+-})
+    and the truncated H_{P,+-}, H_{P,0}.  For library callers: the C
+    constants read the same values as integer numerators over powers of
+    q, without building these."""
     if M < 1:
         raise ValueError("M must be >= 1")
     q = P.field.q
@@ -362,45 +364,110 @@ def c_blocks(P, M):
 _BLOCK_KEYS = ("L_plus", "L_minus", "H_plus", "H_minus", "H_zero")
 
 
-@functools.lru_cache(maxsize=8)
-def _c_values(l_plus, l_minus, h_plus, h_minus, h_zero):
-    """The three L/H products (t1, t2, t3) and the only three values
-    C_{k1,k2}(d;P) takes: t1 + t2 + 2 t3, t1 + t2 - 2 t3 and t1 - t2.
+@functools.lru_cache(maxsize=16)
+def _q_power(q, e):
+    """q^e, kept for the few exponents of the blocks in use."""
+    return q ** e
 
-    The blocks are exact Fractions with denominators of ~10^5 bits, where
-    each sum costs a big gcd, so this runs once per distinct blocks."""
-    t1 = l_plus ** 2 * h_plus
-    t2 = l_minus ** 2 * h_minus
-    t3 = l_plus * l_minus * h_zero
+
+def _q_pair(x, q):
+    """A rational as (num, e) meaning num / q^e; ValueError unless its
+    denominator divides a power of q."""
+    x = Fraction(x)
+    den = x.denominator
+    # q^e for the least e with q^e >= den: den divides a power of q
+    # exactly when it divides this one
+    e = max(0, int((den.bit_length() - 1) / math.log2(q)) - 1)
+    qe = _q_power(q, e)
+    while qe < den:
+        e, qe = e + 1, qe * q
+    if qe % den:
+        raise ValueError(f"block denominator {den} does not divide a power of q={q}")
+    return x.numerator * (qe // den), e
+
+
+def _c_combine(q, l_plus, l_minus, h_plus, h_minus, h_zero):
+    """t1 = L+^2 H+, t2 = L-^2 H-, t3 = L+ L- H0 and the only three values
+    C_{k1,k2}(d;P) takes (t1 + t2 + 2 t3, t1 + t2 - 2 t3, t1 - t2), from
+    blocks given as (num, e) pairs meaning num / q^e.
+
+    Returns (e, (t1, t2, t3), (even, odd, mixed)), all numerators over
+    the one power q^e: products multiply numerators and add exponents,
+    sums shift each numerator to the common exponent, so no gcd runs."""
+    (lp, ep), (lm, em) = l_plus, l_minus
+    t = [(lp * lp * h_plus[0], 2 * ep + h_plus[1]),
+         (lm * lm * h_minus[0], 2 * em + h_minus[1]),
+         (lp * lm * h_zero[0], ep + em + h_zero[1])]
+    e = max(te for _, te in t)
+    t1, t2, t3 = (num * q ** (e - te) for num, te in t)
     s = t1 + t2
-    return (t1, t2, t3), (s + 2 * t3, s - 2 * t3, t1 - t2)
+    return e, (t1, t2, t3), (s + 2 * t3, s - 2 * t3, t1 - t2)
+
+
+@functools.lru_cache(maxsize=8)
+def _c_pairs(P, M):
+    """_c_combine of the blocks of (P, M), read off the integer cores of
+    eulerprod's L and H values at u = 1/q."""
+    q = P.field.q
+    u = Fraction(1, q)
+    return _c_combine(q, eulerprod._l_pair(P, lfunc.PLUS), eulerprod._l_pair(P, lfunc.MINUS),
+                      *(eulerprod._h_pair(kind, P, u, M) for kind in eulerprod.KINDS))
 
 
 def _c_of(blocks, P, M):
-    b = blocks or c_blocks(P, M)
-    return _c_values(*(b[k] for k in _BLOCK_KEYS))
+    if not blocks:
+        return _c_pairs(P, M)
+    q = P.field.q
+    return _c_combine(q, *(_q_pair(blocks[k], q) for k in _BLOCK_KEYS))
+
+
+@functools.lru_cache(maxsize=16)
+def _q_fraction(num, q, e):
+    """num / q^e as a Fraction: one gcd on numbers of ~10^5 bits, paid
+    once per value a library caller asks for."""
+    return Fraction(num, _q_power(q, e))
+
+
+def _kk_index(d, k1, k2):
+    """Which of (even, odd, mixed) C_{k1,k2}(d;P) is."""
+    if k1 != k2:
+        return 2
+    return 0 if (d + k1) % 2 == 0 else 1
 
 
 def c_constant_kk(P, d, k1, k2, M, blocks=None):
     """C_{k1,k2}(d;P) = t1 + (-1)^(k1+k2) t2 + (-1)^d ((-1)^k1 + (-1)^k2) t3.
 
     Mixed parities give t1 - t2; equal parities give t1 + t2 + 2 t3 when
-    d + k1 is even and t1 + t2 - 2 t3 when it is odd."""
-    _, (even, odd, mixed) = _c_of(blocks, P, M)
-    if k1 != k2:
-        return mixed
-    return even if (d + k1) % 2 == 0 else odd
+    d + k1 is even and t1 + t2 - 2 t3 when it is odd.  Caller-supplied
+    blocks must have denominators dividing a power of q (ValueError
+    otherwise)."""
+    e, _, c = _c_of(blocks, P, M)
+    return _q_fraction(c[_kk_index(d, k1, k2)], P.field.q, e)
+
+
+def predicted_nkk(P, d, k1, k2, M):
+    """The Lemma 6.1 prediction C_{k1,k2}(d;P)/4 q^d as a float, without
+    building C's Fraction."""
+    e, _, c = _c_pairs(P, M)
+    return _scaled_float(c[_kk_index(d, k1, k2)], P.field.q, e, d)
+
+
+def _scaled_float(num, q, e, d):
+    """float(num / q^e / 4 * q^d) by one int true division of the
+    unreduced pair.  CPython rounds int / int correctly, and
+    Fraction.__float__ is the same division of the reduced pair, so both
+    give the same float (or both raise OverflowError)."""
+    return num * q ** d / (4 * _q_power(q, e))
 
 
 def c_constant_g(P, g, M, blocks=None):
-    """C(g;P), the genus-level combination of the same blocks."""
+    """C(g;P) = (q+3)/q t1 + (q-1)/q t2 - 2 (-1)^g (q+1)/q t3, the
+    genus-level combination of the same blocks."""
     q = P.field.q
-    (t1, t2, t3), _ = _c_of(blocks, P, M)
-    return (
-        Fraction(q + 3, q) * t1
-        + Fraction(q - 1, q) * t2
-        - 2 * (-1) ** g * Fraction(q + 1, q) * t3
-    )
+    e, (t1, t2, t3), _ = _c_of(blocks, P, M)
+    num = (q + 3) * t1 + (q - 1) * t2 - 2 * (-1) ** g * (q + 1) * t3
+    return _q_fraction(num, q, e + 1)
 
 
 def excluded_degree_correction(field, P, g):

@@ -6,12 +6,13 @@ import hashlib
 import io
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffstat import cli, lfunc
+from ffstat import cli, lfunc, moments
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -226,6 +227,14 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["curve", "--f1", "X", "--f2", "X+1", "--f3", "3X"], "--f3"),
     (["curve", "--f1", "X", "--f2", "X", "--f3", "X+2"], "--f1, --f2, --f3"),
     (["curve", "--f1", "X^2", "--f2", "X+1", "--f3", "X+2"], "--f1, --f2, --f3"),
+    # argparse's own errors
+    (["primes", "--degree", "1", "--q", "x"], "--q"),
+    (["primes", "--degree", "y"], "--degree"),
+    (["primes", "--degree", "1", "--q"], "--q"),
+    (["primes", "--degree", "1", "--format", "xml"], "--format"),
+    (["primes", "--degree", "1", "--bogus"], "--bogus"),
+    (["moments", "--genus", "1"], "--n-max"),
+    (["moments"], "--genus, --n-max"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -362,6 +371,33 @@ def test_fixed_prime_output_matches_golden_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[command]
+
+
+def test_fixed_prime_output_at_m10_matches_pinned_digest(capsys):
+    # sha256 of the stdout of the unoptimised code; the bench golden file
+    # pins only M = 9
+    code, out, _ = run_cli(capsys, *"lemma61 --q 3 --prime X^2+1 --d-max 8 --M 10".split())
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "9a3e6cc334f7d25285bb5c8f7b0670112ba6cf9af0ce1d45592c51b0bc10cb4f")
+
+
+def test_lemma61_runs_no_big_gcd(capsys, monkeypatch):
+    # every constant is an integer over a power of q, so no Fraction of
+    # ~10^5 bits needs normalising; a gcd on such operands means one crept back
+    biggest = []
+    real_gcd = math.gcd
+
+    def gcd(*args):
+        biggest.append(max(abs(a).bit_length() for a in args))
+        return real_gcd(*args)
+
+    moments._c_pairs.cache_clear()
+    monkeypatch.setattr(math, "gcd", gcd)
+    code, _, _ = run_cli(capsys, *"lemma61 --q 3 --prime X^2+1 --d-max 7 --M 9".split())
+    monkeypatch.undo()
+    assert code == 0
+    assert max(biggest, default=0) <= 10 ** 4
 
 
 @pytest.mark.parametrize("command", ["l_suite 5 5 8", "l_suite 3 6 8"])

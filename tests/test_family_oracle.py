@@ -9,13 +9,18 @@ sums, and evaluate the C_{k1,k2} formula literally.  All are the
 straightforward definitions the fast paths replace.
 """
 
+import csv
 import functools
+import io
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffstat import biquad, eulerprod, ffpoly, moments
+from ffstat import biquad, cli, eulerprod, ffpoly, moments
 from ffstat.ffpoly import GF
 
 FIELDS = {3: GF(3), 5: GF(5), 9: GF(3, 2)}
@@ -178,6 +183,51 @@ def test_c_constants_match_literal_formula(deg):
     for g in (1, 2):
         literal = 2 * t1 + Fraction(2, 3) * t2 - 2 * (-1) ** g * Fraction(4, 3) * t3
         assert moments.c_constant_g(P, g, M, blocks) == literal
+
+
+@pytest.mark.parametrize("q,M_max", [(3, 6), (5, 3), (9, 3)])
+def test_lemma61_float_matches_the_public_fraction(q, M_max):
+    for deg in (1, 2, 3):
+        P = nth_prime(q, deg, 0)
+        for M in range(1, M_max + 1):
+            for d in range(9):
+                for k1 in (0, 1):
+                    for k2 in (0, 1):
+                        want = float(moments.c_constant_kk(P, d, k1, k2, M) / 4 * q ** d)
+                        assert moments.predicted_nkk(P, d, k1, k2, M) == want, (P, M, d, k1, k2)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_lemma61_cli_prints_the_public_fraction_float(capsys, deg):
+    P, M = nth_prime(3, deg, 0), 6
+    assert cli.main(["lemma61", "--q", "3", "--prime", str(P), "--d-max", "8", "--M", str(M)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 9 * 4
+    for row in rows:
+        d, k1, k2 = int(row["d"]), int(row["k1"]), int(row["k2"])
+        assert float(row["predicted"]) == float(moments.c_constant_kk(P, d, k1, k2, M) / 4 * 3 ** d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 5, 9]), d=st.integers(0, 8),
+       e_bits=st.one_of(st.integers(0, 25), st.integers(0, 200_000)),
+       excess=st.one_of(st.integers(-1100, 1100), st.integers(-200_000, 200_000)),
+       seed=st.integers(0, 2 ** 32), negative=st.booleans())
+def test_unreduced_division_rounds_as_the_reduced_fraction(q, d, e_bits, excess, seed, negative):
+    # num / q^e with num up to 2 10^5 bits and q^e on both sides of q^d;
+    # excess near 0 gives finite floats, beyond +-1024 overflow and underflow
+    e = int(e_bits / math.log2(q))
+    bits = min(200_000, max(0, e_bits + excess))
+    num = random.Random(seed).getrandbits(bits) * (-1 if negative else 1)
+
+    def outcome(fn):
+        try:
+            return fn()
+        except OverflowError:
+            return OverflowError
+
+    assert (outcome(lambda: moments._scaled_float(num, q, e, d))
+            == outcome(lambda: float(Fraction(num, q ** e) / 4 * q ** d)))
 
 
 def per_prime_fraction_sum(kind, field, n, M):

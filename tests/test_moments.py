@@ -252,6 +252,31 @@ def test_c_constant_parity_structure():
             moments.c_constant_kk(P, d, 0, 0, 6, blocks)
 
 
+def test_c_constants_from_blocks_equal_the_pair_path():
+    # at q = 9 a reduced block denominator can be an odd power of 3, which
+    # divides a power of 9 without being one
+    P9 = ffpoly.primes(F9, 2)[7]
+    assert any(9 ** moments._q_pair(b, 9)[1] != b.denominator
+               for b in moments.c_blocks(P9, 3).values())
+    for P, M in ((P3(1, 0, 1), 5), (P9, 3)):
+        blocks = moments.c_blocks(P, M)
+        for d in (4, 5):
+            for k1 in (0, 1):
+                for k2 in (0, 1):
+                    assert (moments.c_constant_kk(P, d, k1, k2, M, blocks)
+                            == moments.c_constant_kk(P, d, k1, k2, M))
+        assert moments.c_constant_g(P, 1, M, blocks) == moments.c_constant_g(P, 1, M)
+
+
+def test_c_constants_reject_blocks_off_powers_of_q():
+    P = P3(1, 0, 1)
+    blocks = dict(moments.c_blocks(P, 4), H_zero=Fraction(1, 2))
+    with pytest.raises(ValueError, match="does not divide a power of q=3"):
+        moments.c_constant_kk(P, 4, 0, 0, 4, blocks)
+    with pytest.raises(ValueError, match="does not divide a power of q=3"):
+        moments.c_constant_g(P, 1, 4, blocks)
+
+
 def test_c_blocks_rejects_empty_product():
     with pytest.raises(ValueError, match="M must be >= 1"):
         moments.c_blocks(P3(1, 0, 1), 0)

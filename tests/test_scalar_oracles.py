@@ -96,6 +96,23 @@ def test_field_tables_match_the_scalar_bootstrap(p, e):
     _assert_field_matches(GF(p, e), oracle.field_tables(p, e))
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (43, 2)])
+def test_add_array_gathers_int64_from_an_int16_table(p, e):
+    F = GF(p, e)
+    q = F.q
+    assert F._add_table.dtype == np.int16  # q <= 2048: a quarter of int64's bytes
+    if q < 100:
+        want = np.array(oracle.field_tables(p, e).add)
+    else:
+        # digit-wise addition written out for the largest field q < 2048
+        lo, hi = np.arange(q) % p, np.arange(q) // p
+        want = (lo[:, None] + lo) % p + p * ((hi[:, None] + hi) % p)
+    for c in range(0, q, max(1, q // 50)):
+        got = F.add_array(np.arange(q), c)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[:, c])
+
+
 def test_custom_modulus_field_matches_the_scalar_bootstrap():
     _assert_field_matches(FiniteField(3, 2, modulus=(2, 1, 1)), oracle.field_tables(3, 2, (2, 1, 1)))
     # (X-1)(X+1), (X+2)(X^2+X+2), degree 1 for e = 2, not monic
