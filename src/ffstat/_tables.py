@@ -57,15 +57,27 @@ from . import ffpoly
 from .errors import InvariantError
 
 
+#: the most bytes of spf tables one PolyTables may hold; the sieve's
+#: temporaries take about 14 times as much again (PolyTables(GF(3), 12):
+#: 6.4 MB of spf, 90 MiB above the interpreter's own peak)
+SIEVE_BYTES_CAP = 1 << 25
+
+
 class PolyTables:
     """Sieve tables for monic polynomials over a finite field F_q.
 
     Provides per-degree prime code arrays, smallest-prime-factor codes
     for factorization, and cached coefficient matrices for batched
-    reduction.
+    reduction.  A table whose spf arrays would exceed SIEVE_BYTES_CAP is
+    refused with a ValueError before anything is allocated.
     """
 
     def __init__(self, field, max_deg):
+        spf_bytes = 8 * sum(field.q ** d for d in range(1, max_deg + 1))
+        if spf_bytes > SIEVE_BYTES_CAP:
+            raise ValueError(
+                f"PolyTables: q={field.q} with max_deg={max_deg} needs {spf_bytes} "
+                f"bytes of sieve tables, over the cap of {SIEVE_BYTES_CAP}")
         self.field = field
         self.p, self.e, self.q = field.p, field.e, field.q
         self.max_deg = max_deg
@@ -208,12 +220,16 @@ class PolyTables:
 
     def _xpow_rows(self, qkey, nrows):
         """Array whose entry [j, u] holds the digits of alpha^u (X^j mod Q),
-        for u < 2e - 1 (the squares in chiq reach alpha^(2e-2))."""
+        for u < 2e - 1 (the squares in chiq reach alpha^(2e-2)).
+
+        The first build covers every width the table's own rows need (the
+        monic and prime rows up to max_deg, chiq's 2k - 1 squares), so one
+        build serves Q; only wider coef_rows callers rebuild."""
         k, code = qkey
         cached = self._xrow_cache.get(qkey)
         if cached is None or cached.shape[0] < nrows:
             F, e, p = self.field, self.e, self.p
-            n, K = max(nrows, k), k * e
+            n, K = max(nrows, 2 * k - 1, self.max_deg + 1), k * e
             # C, multiplication by X mod Q: row (i, t) holds the digits of
             # alpha^t X^(i+1) mod Q, a unit row below the top coefficient
             C = np.eye(K, K, e, dtype=np.int64)

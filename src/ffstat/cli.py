@@ -146,10 +146,16 @@ def _require_at_least(flag, value, bound, bound_flag=None):
         raise ConfigError(f"{flag}: must be >= {limit}, got {value}")
 
 
+def _family_size(field, args):
+    """The size of the requested family; ConfigError naming --genus when
+    the tables it needs are refused."""
+    return _flag_value("--genus", biquad.family_size, field, args.genus, args.variant)
+
+
 def _require_family(field, args):
     """The size of the requested family; ConfigError naming --genus when
-    it is empty."""
-    size = biquad.family_size(field, args.genus, args.variant)
+    it is empty or its tables are refused."""
+    size = _family_size(field, args)
     if size == 0:
         raise ConfigError(f"--genus: family (q={args.q}, g={args.genus}) is empty")
     return size
@@ -188,6 +194,7 @@ def _cmd_lfunc(args):
 
 def _cmd_family(args):
     field = _field_for(args.q)
+    _family_size(field, args)  # an empty family is a valid answer here
     if args.count:
         size, ratio = biquad.family_size_ratio(field, args.genus, args.variant)
         emit(
@@ -301,7 +308,7 @@ def _cmd_lemma61(args):
     degrees = range(args.d_min, args.d_max + 1)
     # the constants first: their chi rows sieve to degree M, and the sums
     # then read that table instead of building smaller ones before it
-    preds = {(d, k1, k2): moments.predicted_nkk(P, d, k1, k2, args.M)
+    preds = {(d, k1, k2): _flag_value("--M", moments.predicted_nkk, P, d, k1, k2, args.M)
              for d in degrees for k1 in (0, 1) for k2 in (0, 1)}
     rows = []
     for d in degrees:
@@ -324,7 +331,7 @@ def _cmd_eulersum(args):
     rows = []
     kinds = eulerprod.KINDS if args.kind == "all" else (args.kind,)
     for kind in kinds:
-        r = eulerprod.prime_sum(kind, field, args.n, args.M)
+        r = _flag_value("--n, --M", eulerprod.prime_sum, kind, field, args.n, args.M)
         rows.append({
             "q": args.q, "n": args.n, "M": args.M, "kind": kind,
             "sum_num": r.value.numerator, "sum_den": r.value.denominator,
@@ -340,7 +347,7 @@ def _cmd_eulersum(args):
 def _cmd_primes(args):
     field = _field_for(args.q)
     _require_at_least("--degree", args.degree, 1)
-    ps = ffpoly.primes(field, args.degree)
+    ps = _flag_value("--degree", ffpoly.primes, field, args.degree)
     if args.count:
         emit([{"q": args.q, "degree": args.degree, "count": len(ps)}],
              ["q", "degree", "count"], args.format, args.out)

@@ -39,6 +39,10 @@ INFINITY = _Infinity()
 #: degree of the zero polynomial
 NEG_INFINITY = float("-inf")
 
+#: bytes of each block temporary in the batched passes over an extension
+#: field: 2^13 int64 Horner values, or 2^16 int8 chi entries in a scan
+BLOCK_BYTES = 1 << 16
+
 
 def _is_prime_int(n):
     if n < 2:
@@ -818,8 +822,14 @@ class ExtensionField:
         if log[0] != -1 or np.any(log[1:] < 0):
             raise InvariantError("generator powers do not cover the units")
         self.generator = g
-        self._exp = np.concatenate([exp, exp])
+        # the Horner pass's tables: log 0 points past the doubled exp table,
+        # and np.take(..., mode="clip") maps every index from there onto
+        # the trailing 0, so a product with a zero factor gathers 0
+        self._expz = np.concatenate([exp, exp, [0]])
+        self._exp = self._expz[:-1]
         self._log = log
+        self._logz = log.copy()
+        self._logz[0] = 2 * (Q - 1)
         # chi2 by log parity: squares are even powers of the generator
         chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
         chi[0] = 0
@@ -855,40 +865,69 @@ class ExtensionField:
             acc = self.add(self.mul(acc, x), self.embed_base(c))
         return acc
 
-    # -- vectorized helpers --
+    # -- batched evaluation --
 
-    def _mul_vec(self, a, b):
-        out = np.zeros_like(a)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[self._log[a[nz]] + self._log[b[nz]]]
-        return out
+    def _horner(self, coefs):
+        """Codes of f(x) for every code x, one row per row of coefs: the
+        base-field coefficient codes of f, highest degree first.  One
+        Horner pass for the whole block: acc * x is a gather from the exp
+        table at log acc + log x, and adding a base-field coefficient
+        changes only the lowest base-q digit of acc."""
+        q, base = self.q, self.base
+        acc = np.repeat(coefs[:, :1], self.order, axis=1)
+        for c in coefs[:, 1:].T:
+            logs = self._logz[acc]
+            logs += self._logz  # log x, as the columns run over every code x
+            np.take(self._expz, logs, out=acc, mode="clip")
+            low = acc % q
+            acc += base.add_array(low, c[:, None])
+            acc -= low
+        return acc
+
+    def eval_blocks(self, polys):
+        """Yield (start, values) for consecutive blocks of polys, values[i]
+        the codes of polys[start + i] at every x.  Blocks hold about
+        BLOCK_BYTES of int64 values; polynomials shorter than the longest
+        of their block are left-padded with zero coefficients."""
+        step = max(1, BLOCK_BYTES // (8 * self.order))
+        for lo in range(0, len(polys), step):
+            block = polys[lo:lo + step]
+            width = max(1, max(len(f.coeffs) for f in block))
+            coefs = np.zeros((len(block), width), dtype=np.int64)
+            for i, f in enumerate(block):
+                coefs[i, width - len(f.coeffs):] = f.coeffs[::-1]
+            yield lo, self._horner(coefs)
+
+    def chi_rows(self, polys):
+        """int8 matrix of chi_2(f(x)), one row per polynomial, indexed by x."""
+        chi = np.empty((len(polys), self.order), dtype=np.int8)
+        for lo, values in self.eval_blocks(polys):
+            np.take(self._chi2, values, out=chi[lo:lo + len(values)], mode="clip")
+        return chi
+
+    def zero_counts(self, polys):
+        """Number of x in F_{q^n} with f(x) = 0, for each polynomial f."""
+        counts = np.empty(len(polys), dtype=np.int64)
+        for lo, values in self.eval_blocks(polys):
+            counts[lo:lo + len(values)] = np.count_nonzero(values == 0, axis=1)
+        return counts
 
     def eval_poly_all(self, f):
         """Values f(x) for every x in the field, as a code array of
         length q^n indexed by x."""
-        xs = np.arange(self.order, dtype=np.int64)
-        acc = np.zeros(self.order, dtype=np.int64)
-        for c in reversed(f.coeffs):
-            acc = self._mul_vec(acc, xs)
-            c = self.embed_base(c)
-            if c:
-                low = acc % self.q
-                acc = acc - low + self.base.add_array(low, c)
-        return acc
+        return next(self.eval_blocks([f]))[1][0]
 
     def chi_vector(self, f):
         """(chi array over finite x, chi at infinity) for chi_2(f(x))."""
-        values = self.eval_poly_all(f)
-        chi_fin = self._chi2[values]
         if f.degree % 2 == 1:
             chi_inf = 0
         else:
             chi_inf = self.chi2(self.embed_base(f.leading))
-        return chi_fin, chi_inf
+        return self.chi_rows([f])[0], chi_inf
 
     def zero_count(self, f):
         """Number of x in F_{q^n} with f(x) = 0."""
-        return int(np.count_nonzero(self.eval_poly_all(f) == 0))
+        return int(self.zero_counts([f])[0])
 
     def subfield_mask(self, m):
         """Boolean array marking the image of F_{q^m} (requires m | n)."""

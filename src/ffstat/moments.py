@@ -63,10 +63,6 @@ def matrix_integral_reference(group, g, n):
 # ---------------------------------------------------------------------------
 
 
-#: int8 chi entries gathered per block of the family scan
-_SCAN_BLOCK = 1 << 16
-
-
 def _member_sum(fam, chi):
     """sum over members of chi(f1) chi(f2) for chi given per polynomial."""
     return int((chi[fam.rows[:, 0]] * chi[fam.rows[:, 1]]).sum(dtype=np.int64))
@@ -82,9 +78,7 @@ def _family_totals(field, g, n):
     """
     fam = biquad.monic_family(field, g)
     ext = ffpoly.extension_field(field, n)
-    chi = np.empty((len(fam.polys), ext.order), dtype=np.int8)
-    for i, f in enumerate(fam.polys):
-        chi[i] = ext.chi_vector(f)[0]
+    chi = ext.chi_rows(fam.polys)
     deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
     d1, d2, d3 = (deg[fam.rows[:, k]] for k in range(3))
     # every member is monic, so chi at infinity of fa*fb is 1 for even degree
@@ -97,7 +91,8 @@ def _family_totals(field, g, n):
             if n % d == 0:
                 gen_mask &= ~ext.subfield_mask(d)
     fin_rest = fin12 = gen_tot = 0
-    step = max(1, _SCAN_BLOCK // ext.order)
+    # int8 blocks of about BLOCK_BYTES per gathered operand
+    step = max(1, ffpoly.BLOCK_BYTES // ext.order)
     for lo in range(0, len(fam.rows), step):
         v1, v2, v3 = (chi[r] for r in fam.rows[lo:lo + step].T)
         fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
@@ -110,7 +105,7 @@ def _family_totals(field, g, n):
     if not even:
         return s_all, s12_tot, 0, 0, 0
     half = ffpoly.extension_field(field, n // 2)
-    zeros = np.array([half.zero_count(f) for f in fam.polys], dtype=np.int64)
+    zeros = half.zero_counts(fam.polys)
     zeros_half = int(zeros[fam.rows[:, 0]].sum() + zeros[fam.rows[:, 1]].sum())
     size = len(fam.rows)
     roots_tot = zeros_half + int(((d1 + d2) % 2).sum()) - size

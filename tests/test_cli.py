@@ -235,6 +235,16 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["primes", "--degree", "1", "--bogus"], "--bogus"),
     (["moments", "--genus", "1"], "--n-max"),
     (["moments"], "--genus, --n-max"),
+    # sieve tables over the size cap, refused before they are allocated
+    (["eulersum", "--n", "30", "--M", "2"], "--n, --M"),
+    (["eulersum", "--n", "2", "--M", "30"], "--n, --M"),
+    (["eulersum", "--n", "3", "--M", "12", "--q", "5"], "--n, --M"),
+    (["family", "--genus", "30", "--count"], "--genus"),
+    (["family", "--genus", "30"], "--genus"),
+    (["moments", "--genus", "50", "--n-max", "1"], "--genus"),
+    (["density", "--genus", "30", "--alpha", "1"], "--genus"),
+    (["primes", "--degree", "30"], "--degree"),
+    (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "30"], "--M"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -398,6 +408,19 @@ def test_lemma61_runs_no_big_gcd(capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 0
     assert max(biggest, default=0) <= 10 ** 4
+
+
+@pytest.mark.parametrize("command", [
+    " ".join(argv) for workload in ("family", "primepower")
+    for argv in _bench_workloads().all_commands(workload)])
+def test_family_and_prime_power_output_matches_golden_digest(capsys, tmp_path, command):
+    # the bench's empty cache directory becomes an empty temporary one
+    golden = json.loads((BENCH / "golden.json").read_text())["digests"]
+    cache = _bench_workloads().CACHE
+    argv = [str(tmp_path) if a == cache else a for a in command.split()]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[command]
 
 
 @pytest.mark.parametrize("command", ["l_suite 5 5 8", "l_suite 3 6 8"])

@@ -71,6 +71,56 @@ def test_l_suite_runs_over_prime_powers(q, max_deg, n_max, step):
             assert rec["raw"].coeffs == lfunc.l_polynomial(chi).coeffs
 
 
+def _batch_polys(field, order):
+    """Mixed degrees, a constant, zero inner coefficients and non-monic
+    leading coefficients, with the scaled f1, f2 of two genus-0 members of
+    the full variant; fewer above 2000 points, where each scalar Horner
+    step over the field costs about 0.2 s."""
+    q, u = field.q, field.q - 1
+    sparse = Poly.from_coeffs(field, (q - 1, 0, 0, 2))  # 2 X^3 - 1
+    # member t u^2 + u^2 - 1 is monic member t with f1, f2 scaled by -1
+    members = [biquad.family_member(field, 0, biquad.FULL, t * u * u + u * u - 1) for t in (1, 5)]
+    scaled = [f for m in members for f in (m.f1, m.f2)]
+    if order > 2000:
+        return [Poly.constant(field, q - 1), sparse, scaled[-1]]
+    return [Poly.constant(field, 2), Poly.from_coeffs(field, (1, q - 2)), sparse,
+            Poly.from_coeffs(field, [(3 * i + 1) % q for i in range(5)]), *scaled]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 9, 25, 27) for n in (1, 2, 3)])
+def test_batched_horner_matches_scalar_eval(monkeypatch, q, n):
+    field = ffpoly.field_of_order(q)
+    ext = ffpoly.extension_field(field, n)
+    polys = _batch_polys(field, ext.order)
+    degrees = {int(f.degree) for f in polys}
+    assert {0, 3} <= degrees and len(degrees) >= 3
+    assert any(not f.is_monic() for f in polys)
+    values = [[ext.eval_poly(f, x) for x in ext.elements()] for f in polys]
+    chi = [[ext.chi2(v) for v in row] for row in values]
+    zeros = [row.count(0) for row in values]
+    # two polynomials per block, so several blocks run and the last is short
+    monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 2 * 8 * ext.order)
+    blocks = list(ext.eval_blocks(polys))
+    assert [lo for lo, _ in blocks] == list(range(0, len(polys), 2))
+    assert np.concatenate([vals for _, vals in blocks]).tolist() == values
+    assert ext.chi_rows(polys).tolist() == chi
+    assert ext.zero_counts(polys).tolist() == zeros
+    for f, want_values, want_chi, want_zeros in zip(polys, values, chi, zeros):
+        assert ext.eval_poly_all(f).tolist() == want_values
+        assert ext.chi_vector(f)[0].tolist() == want_chi
+        assert ext.zero_count(f) == want_zeros
+
+
+def test_family_totals_do_not_depend_on_the_block_size(monkeypatch):
+    want = [moments._family_totals(F9, 1, n) for n in (1, 2)]
+    moments._family_totals.cache_clear()
+    monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 3 * 8 * 81)  # 3 Horner rows at n = 2
+    try:
+        assert [moments._family_totals(F9, 1, n) for n in (1, 2)] == want
+    finally:
+        moments._family_totals.cache_clear()
+
+
 def test_eval_poly_all_over_a_prime_power_base():
     for n in (1, 2):
         ext = ffpoly.extension_field(F9, n)

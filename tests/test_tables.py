@@ -2,6 +2,7 @@
 over prime fields and prime-power fields alike."""
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,25 @@ def test_poly_tables_refuses_inexact_range():
         PolyTables(GF(3), 34)  # residue codes reach 3^34 > 2^53
     with pytest.raises(ValueError, match="q=9 "):
         PolyTables(GF(3, 2), 17)  # 9^17 = 3^34
+
+
+def test_poly_tables_refuses_oversized_sieves_before_allocating(monkeypatch):
+    # spf holds q^d int64 codes for each d <= max_deg
+    monkeypatch.setattr(_tables, "SIEVE_BYTES_CAP", 8 * (3 + 9 + 27))
+    assert PolyTables(GF(3), 3).max_deg == 3
+    with pytest.raises(ValueError, match="q=3 with max_deg=4 .* over the cap"):
+        PolyTables(GF(3), 4)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        # 8 * 3^20 bytes = 28 GB of spf for degree 20 alone, 1.95 GB at q = 5, M = 12
+        for field, max_deg in ((GF(3), 20), (GF(5), 12), (GF(3, 2), 10)):
+            with pytest.raises(ValueError, match="over the cap"):
+                PolyTables(field, max_deg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_prime_char_sums_matches_scalar():
