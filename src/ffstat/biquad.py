@@ -10,10 +10,11 @@ Point counts are defined by the quadratic character sum over P^1(F_{q^n}):
 
     N_n = sum_x (1 + chi2(f1*f3(x)) + chi2(f2*f3(x)) + chi2(f1*f2(x)))
 
-with the infinity convention baked into quad_char_eval.  T_n = q^n+1-N_n
-is the integer q^{n/2} Tr(Theta_C^n), and the zeta numerator P_C(u) of
-degree 2g is recovered from T_1..T_g by Newton's identities plus the
-functional equation, with an independent T_{g+1} consistency check.
+where chi2 at infinity is chi2(leading coefficient) for even degree and 0
+for odd.  T_n = q^n+1-N_n is the integer q^{n/2} Tr(Theta_C^n), and the
+zeta numerator P_C(u) of degree 2g is recovered from T_1..T_g by Newton's
+identities plus the functional equation, with an independent T_{g+1}
+consistency check.
 """
 
 from __future__ import annotations
@@ -140,6 +141,18 @@ def _prime_bits(field):
     return {}
 
 
+#: the most codes q^d that squarefree_masks scans: a mask has a bit per
+#: prime met so far, so masks grow about 5x per degree (17 MiB at 3^10, 86 MiB at 3^11)
+SQUAREFREE_CODES_CAP = 3 ** 10
+
+
+def check_squarefree_degree(field, d):
+    """ValueError when squarefree_masks(field, d) would pass SQUAREFREE_CODES_CAP."""
+    if field.q ** d > SQUAREFREE_CODES_CAP:
+        raise ValueError(f"square-free masks: q={field.q} with degree {d} is over the cap "
+                         f"of {SQUAREFREE_CODES_CAP} codes")
+
+
 @functools.lru_cache(maxsize=None)
 def squarefree_masks(field, d):
     """(polys, masks) for the square-free monic polynomials of degree d.
@@ -147,8 +160,10 @@ def squarefree_masks(field, d):
     polys follow the enumeration order of ffpoly.enumerate_polys; masks[i]
     has one bit per distinct prime factor of polys[i], so two square-free
     polynomials are coprime exactly when their masks are disjoint.  The
-    factors come from the sieve tables.
+    factors come from the sieve tables.  A degree over the cap of
+    check_squarefree_degree is refused before anything is built.
     """
+    check_squarefree_degree(field, d)
     bits = _prime_bits(field)
 
     def mask(factors):
@@ -212,17 +227,27 @@ def family_size(field, g, variant=MONIC):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def member_rows(field, g, variant, index):
+    """(rows, twists) for a sequence of member indices: rows into
+    monic_family(field, g).polys and the codes (c1, c2) scaling f1, f2."""
+    u = 1 if variant == MONIC else field.q - 1
+    tidx, rest = np.divmod(index, u * u)
+    return monic_family(field, g).rows[tidx], np.stack(np.divmod(rest, u), axis=1) + 1
+
+
+def _members(field, g, variant, index):
+    """Validated CurveTriples for a sequence of member indices, decoded
+    4096 at a time."""
+    polys = monic_family(field, g).polys
+    for lo in range(0, len(index), 4096):
+        rows, twists = member_rows(field, g, variant, index[lo:lo + 4096])
+        for (i1, i2, i3), (c1, c2) in zip(rows.tolist(), twists.tolist()):
+            yield CurveTriple(polys[i1].scale(c1), polys[i2].scale(c2), polys[i3], variant)
+
+
 def family_member(field, g, variant, index):
     """Random access into the deterministic enumeration order."""
-    fam = monic_family(field, g)
-    if variant == MONIC:
-        f1, f2, f3 = (fam.polys[i] for i in fam.rows[index])
-        return CurveTriple(f1, f2, f3, MONIC)
-    u = field.q - 1
-    tidx, rest = divmod(index, u * u)
-    c1, c2 = divmod(rest, u)
-    f1, f2, f3 = (fam.polys[i] for i in fam.rows[tidx])
-    return CurveTriple(f1.scale(c1 + 1), f2.scale(c2 + 1), f3, FULL)
+    return next(_members(field, g, variant, [index]))
 
 
 def enumerate_family(field, g, variant=MONIC, start=0, stop=None):
@@ -230,8 +255,7 @@ def enumerate_family(field, g, variant=MONIC, start=0, stop=None):
     total = family_size(field, g, variant)
     if stop is None or stop > total:
         stop = total
-    for i in range(start, stop):
-        yield family_member(field, g, variant, i)
+    yield from _members(field, g, variant, range(start, stop))
 
 
 def family_size_ratio(field, g, variant=MONIC):
@@ -243,78 +267,55 @@ def family_size_ratio(field, g, variant=MONIC):
 
 
 # ---------------------------------------------------------------------------
-# Character-sum engine over P^1(F_{q^n})
+# Character sums over P^1(F_{q^n}), point counts and the zeta numerator
 # ---------------------------------------------------------------------------
 
 
-class ChiCache:
-    """Cached chi_2(f(x)) vectors over a fixed F_{q^n}, one per polynomial.
-
-    The finite-x vector is an int8 array indexed by element code; the
-    value at infinity is kept separately.  Pair sums use multiplicativity
-    chi(fg(x)) = chi(f(x)) chi(g(x)) pointwise, with the infinity term
-    recomputed from degree parity and leading coefficients.
-    """
-
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self.ext = ffpoly.extension_field(field, n)
-        self._vec = {}
-
-    def chi(self, f):
-        key = f.coeffs
-        got = self._vec.get(key)
-        if got is None:
-            got = self.ext.chi_vector(f)
-            self._vec[key] = got
-        return got
-
-    def chi_inf_product(self, fa, fb):
-        deg = int(fa.degree) + int(fb.degree)
-        if deg % 2 == 1:
-            return 0
-        lc = self.field.mul(fa.leading, fb.leading)
-        return self.ext.chi2(self.ext.embed_base(lc))
-
-    def pair_sum(self, fa, fb):
-        """sum over P^1(F_{q^n}) of chi2((fa*fb)(x)), exact int."""
-        va, _ = self.chi(fa)
-        vb, _ = self.chi(fb)
-        fin = int((va * vb).sum(dtype=np.int64))
-        return fin + self.chi_inf_product(fa, fb)
-
-    def triple_T(self, t):
-        """T_n = q^n + 1 - N_n for one family member."""
-        return -(
-            self.pair_sum(t.f1, t.f3)
-            + self.pair_sum(t.f2, t.f3)
-            + self.pair_sum(t.f1, t.f2)
-        )
+def chi_blocks(chi, rows):
+    """Yield (lo, v1, v2, v3): the int8 chi rows of f1, f2, f3 gathered
+    for the members rows[lo:lo + step], in blocks of about
+    ffpoly.BLOCK_BYTES per operand."""
+    step = max(1, ffpoly.BLOCK_BYTES // chi.shape[1])
+    for lo in range(0, len(rows), step):
+        yield (lo, *(chi[r] for r in rows[lo:lo + step].T))
 
 
-@functools.lru_cache(maxsize=None)
-def chi_cache(field, n):
-    return ChiCache(field, n)
-
-
-# ---------------------------------------------------------------------------
-# Point counts and the zeta numerator
-# ---------------------------------------------------------------------------
+def member_traces(field, n, polys, rows, twists):
+    """T_n = -(S13 + S23 + S12) for each member (c1 f1, c2 f2, f3), with
+    f1, f2, f3 the monic polys a row of `rows` indexes and (c1, c2) the
+    codes in the matching row of `twists`.  Chi rows are built for the
+    polys in use; chi_2 at infinity of a monic product is 1 for even degree,
+    and a twist enters as chi_2(c f(x)) = chi_2(c) chi_2(f(x)) on all of P^1."""
+    ext = ffpoly.extension_field(field, n)
+    used, local = np.unique(rows, return_inverse=True)
+    rows = local.reshape(rows.shape)
+    chi = ext.chi_rows([polys[i] for i in used])
+    deg = np.array([polys[i].degree for i in used], dtype=np.int64)
+    d1, d2, d3 = (deg[rows[:, k]] for k in range(3))
+    s13, s23, s12 = ((da + db + 1) % 2 for da, db in ((d1, d3), (d2, d3), (d1, d2)))
+    for lo, v1, v2, v3 in chi_blocks(chi, rows):
+        hi = lo + len(v1)
+        s13[lo:hi] += (v1 * v3).sum(axis=1, dtype=np.int64)
+        s23[lo:hi] += (v2 * v3).sum(axis=1, dtype=np.int64)
+        s12[lo:hi] += (v1 * v2).sum(axis=1, dtype=np.int64)
+    chi_c = np.array([ext.chi2(ext.embed_base(c)) for c in range(field.q)], dtype=np.int64)
+    x1, x2 = chi_c[twists[:, 0]], chi_c[twists[:, 1]]
+    return -(x1 * s13 + x2 * s23 + x1 * x2 * s12)
 
 
 def curve_counts(triple, n_max):
     """N_n and T_n for 1 <= n <= n_max by the character sum over P^1."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    f1, f2, f3 = triple.f1, triple.f2, triple.f3
+    polys = (f1.to_monic(), f2.to_monic(), f3)
+    twists = np.array([[f1.leading, f2.leading]])
     q = triple.field.q
-    N, T = [], []
-    for n in range(1, n_max + 1):
-        cache = chi_cache(triple.field, n)
-        t_n = cache.triple_T(triple)
-        T.append(t_n)
-        N.append(q ** n + 1 - t_n)
-    return CurveData(tuple(N), tuple(T))
+    # the top degree first: its field is refused before any lower n is run
+    T = tuple(int(member_traces(triple.field, n, polys, np.array([[0, 1, 2]]), twists)[0])
+              for n in range(n_max, 0, -1))[::-1]
+    N = tuple(q ** n + 1 - t for n, t in enumerate(T, start=1))
+    return CurveData(N, T)
 
 
 def zeta_numerator(triple, n_max=None):

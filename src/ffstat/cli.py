@@ -217,7 +217,9 @@ def _cmd_curve(args):
                   for flag, text in (("--f1", args.f1), ("--f2", args.f2), ("--f3", args.f3)))
     variant = biquad.MONIC if f1.is_monic() and f2.is_monic() else biquad.FULL
     t = _flag_value("--f1, --f2, --f3", biquad.CurveTriple, f1, f2, f3, variant)
-    data = biquad.zeta_numerator(t, n_max=args.n_max)
+    # the counts run to max(n_max, g + 1); past n_max the curve's genus sets the top
+    top_flag = "--n-max" if args.n_max > t.genus else "--f1, --f2, --f3"
+    data = _flag_value(top_flag, biquad.zeta_numerator, t, args.n_max)
     row = {
         "q": args.q, "genus": t.genus,
         "N": list(data.N[: args.n_max]), "T": list(data.T[: args.n_max]),
@@ -244,6 +246,8 @@ def _cmd_moments(args):
     if args.mode != "exhaustive":
         _require_at_least("--sample-size", args.sample_size, 1)
     size = _require_family(field, args)
+    # the top degree first: its field is refused before any lower n is run
+    _flag_value("--n-max", ffpoly.extension_field, field, args.n_max)
     rows = []
     for n in range(1, args.n_max + 1):
         cost = size * (field.q ** n + 1)
@@ -283,7 +287,8 @@ def _cmd_density(args):
     _require_at_least("--genus", args.genus, 1)
     _require_family(field, args)
     fhat = moments.fejer_kernel(args.alpha)
-    rep = moments.one_level_density(field, args.genus, fhat, args.alpha, args.variant)
+    rep = _flag_value("--genus", moments.one_level_density,
+                      field, args.genus, fhat, args.alpha, args.variant)
     row = {
         "q": rep.q, "g": rep.g, "alpha": rep.alpha, "kernel": args.kernel,
         "variant": rep.variant, "terms": list(rep.terms),
@@ -305,6 +310,7 @@ def _cmd_lemma61(args):
     _require_at_least("--M", args.M, 1)
     _require_at_least("--d-min", args.d_min, 0)
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
+    _flag_value("--d-max", biquad.check_squarefree_degree, field, args.d_max)
     degrees = range(args.d_min, args.d_max + 1)
     # the constants first: their chi rows sieve to degree M, and the sums
     # then read that table instead of building smaller ones before it

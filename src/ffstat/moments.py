@@ -91,10 +91,7 @@ def _family_totals(field, g, n):
             if n % d == 0:
                 gen_mask &= ~ext.subfield_mask(d)
     fin_rest = fin12 = gen_tot = 0
-    # int8 blocks of about BLOCK_BYTES per gathered operand
-    step = max(1, ffpoly.BLOCK_BYTES // ext.order)
-    for lo in range(0, len(fam.rows), step):
-        v1, v2, v3 = (chi[r] for r in fam.rows[lo:lo + step].T)
+    for _, v1, v2, v3 in biquad.chi_blocks(chi, fam.rows):
         fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
         v12 = v1 * v2
         fin12 += int(v12.sum(dtype=np.int64))
@@ -158,11 +155,10 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
         rng = np.random.Generator(np.random.Philox(seed))
         k = min(sample_size, size)
         idx = np.sort(rng.choice(size, size=k, replace=False))
-        cache = biquad.chi_cache(field, n)
-        vals = [cache.triple_T(biquad.family_member(field, g, variant, int(i)))
-                for i in idx]
-        avg_T = Fraction(sum(vals), k)
-        se = float(np.std(np.array(vals, dtype=float), ddof=1) / math.sqrt(k)) / q ** (n / 2) if k > 1 else 0.0
+        vals = biquad.member_traces(field, n, biquad.monic_family(field, g).polys,
+                                    *biquad.member_rows(field, g, variant, idx))
+        avg_T = Fraction(int(vals.sum()), k)
+        se = float(np.std(vals.astype(float), ddof=1) / math.sqrt(k)) / q ** (n / 2) if k > 1 else 0.0
         sample_size_out = k
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -184,7 +180,7 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
     The constant sum is computed literally: it is q-1 for even n (every
     unit of F_q is a square in F_{q^n}) and 0 for odd n.
     """
-    ext = biquad.chi_cache(field, n).ext
+    ext = ffpoly.extension_field(field, n)
     const_sum = sum(ext.chi2(ext.embed_base(c)) for c in field.units())
     u = field.q - 1
     size_full = u * u * biquad.family_size(field, g, biquad.MONIC)

@@ -89,6 +89,43 @@ def prime_char_sum(D, n):
     return sum(ffpoly.jacobi_symbol(P, D) for P in prime_list(D.field, n))
 
 
+class PointwiseChi:
+    """chi_2(f(x)) over F_{q^n} point by point with the scalar evaluator,
+    cached per polynomial; pair sums over P^1 multiply two cached vectors
+    and take the point at infinity from quad_char_eval on the product.
+    The per-polynomial path that biquad.member_traces replaces."""
+
+    def __init__(self, field, n):
+        self.ext = ffpoly.extension_field(field, n)
+        self._vec = {}
+
+    def chi(self, f):
+        got = self._vec.get(f)
+        if got is None:
+            ext = self.ext
+            got = np.array([ext.chi2(ext.eval_poly(f, x)) for x in ext.elements()],
+                           dtype=np.int8)
+            self._vec[f] = got
+        return got
+
+    def chi_inf_product(self, fa, fb):
+        return ffpoly.quad_char_eval(fa * fb, ffpoly.INFINITY, self.ext)
+
+    def pair_sum(self, fa, fb):
+        """sum over P^1(F_{q^n}) of chi_2((fa fb)(x)), exact int."""
+        fin = int((self.chi(fa) * self.chi(fb)).sum(dtype=np.int64))
+        return fin + self.chi_inf_product(fa, fb)
+
+    def triple_T(self, f1, f2, f3):
+        """T_n = -(S13 + S23 + S12) for the member (f1, f2, f3)."""
+        return -(self.pair_sum(f1, f3) + self.pair_sum(f2, f3) + self.pair_sum(f1, f2))
+
+
+@functools.lru_cache(maxsize=None)
+def pointwise_chi(field, n):
+    return PointwiseChi(field, n)
+
+
 # -- finite fields from scalar digit-vector products ----------------------------
 
 

@@ -1,6 +1,8 @@
 """Family enumeration, point counts, zeta numerators."""
 
+import functools
 import random
+import tracemalloc
 
 import pytest
 
@@ -67,6 +69,20 @@ def test_family_g0_members_are_distinct_linears():
         assert t.genus == 0
 
 
+def test_squarefree_masks_refuse_large_degrees_before_building():
+    biquad.check_squarefree_degree(F3, 10)
+    tracemalloc.start()
+    try:
+        # 86 MiB of masks at 3^11, five times more per degree after it
+        for field, d in ((F3, 11), (F5, 7), (F3, 30)):
+            with pytest.raises(ValueError, match="over the cap"):
+                biquad.squarefree_masks(field, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_enumeration_slicing_matches_full_stream():
     full = list(biquad.enumerate_family(F3, 1, biquad.FULL))
     pieces = []
@@ -110,6 +126,18 @@ def test_worked_curve_counts_against_pointwise_oracle():
         for x in list(ext.elements()) + [INFINITY]:
             total += 1 + sum(quad_char_eval(h, x, ext) for h in prods)
         assert total == biquad.curve_counts(t, n).N[n - 1]
+
+
+def test_curve_counts_refuse_the_top_field_before_building_any(monkeypatch):
+    built = []
+    fresh = functools.lru_cache(maxsize=None)(ffpoly.ExtensionField)
+    monkeypatch.setattr(ffpoly, "extension_field", lambda base, n: built.append(n) or fresh(base, n))
+    monkeypatch.setattr(ffpoly, "EXTENSION_BYTES_CAP", 32 * 3 * 27)  # F_27 builds, F_81 not
+    with pytest.raises(ValueError, match="n=4 .* over the cap"):
+        biquad.curve_counts(WORKED(), 4)
+    assert built == [4]
+    assert biquad.curve_counts(WORKED(), 3).N[:2] == (4, 16)
+    assert built == [4, 3, 2, 1]
 
 
 def test_genus0_traces_vanish():

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import functools
 import hashlib
 import io
 import importlib.util
@@ -12,7 +13,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffstat import cli, lfunc, moments
+from ffstat import cli, ffpoly, lfunc, moments
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -245,6 +246,18 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["density", "--genus", "30", "--alpha", "1"], "--genus"),
     (["primes", "--degree", "30"], "--degree"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "30"], "--M"),
+    # square-free masks over the size cap, refused before they are built
+    (["family", "--genus", "10", "--count"], "--genus"),
+    (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
+    # extension fields over the size cap: F_{3^12} is the first refused
+    (["moments", "--genus", "1", "--n-max", "12"], "--n-max"),
+    (["curve", *_CURVE, "--n-max", "12"], "--n-max"),
+    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "12"], "--n-max"),
+    # genus 11: the zeta numerator needs T_1..T_12 whatever --n-max asks
+    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "1"],
+     "--f1, --f2, --f3"),
+    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "11"],
+     "--f1, --f2, --f3"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -330,6 +343,36 @@ def test_no_prime_power_forks_outside_ffpoly():
     assert found == []
 
 
+def test_density_names_the_genus_for_a_refused_field(capsys, monkeypatch):
+    # genus 2 at alpha 1 sums T_1..T_3; a cap below F_{3^3} refuses the
+    # last, whose degree the genus sets
+    monkeypatch.setattr(ffpoly, "EXTENSION_BYTES_CAP", 32 * 3 * 27 - 1)
+    monkeypatch.setattr(ffpoly, "extension_field",
+                        functools.lru_cache(maxsize=None)(ffpoly.ExtensionField))
+    code, out, err = run_cli(capsys, "density", "--q", "3", "--genus", "2", "--alpha", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("config error: --genus: ExtensionField: q=3 with n=3 ")
+
+
+def test_no_per_polynomial_evaluation_outside_ffpoly():
+    # chi values and zero counts come from rows over a batch of
+    # polynomials; a one-polynomial evaluator called from another module
+    # would bring back a per-member path
+    banned = {"eval_poly", "eval_poly_all", "chi_vector", "zero_count"}
+    src = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "ffpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in banned:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_primes_degree_one_for_a_large_prime(capsys):
     # every monic linear is prime; no sieve, so no residue-table bound
     code, out, _ = run_cli(capsys, "primes", "--q", "100003", "--degree", "1", "--count")
@@ -381,6 +424,20 @@ def test_fixed_prime_output_matches_golden_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[command]
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("moments --q 5 --genus 2 --n-max 4 --variant full --mode sample --sample-size 1000",
+     "26981478b435e7be94244a062da9d132ed3d1070b346d8f3f9376e96cb3eb41c"),
+    ("moments --q 9 --genus 1 --n-max 3 --variant full --mode sample --sample-size 300 --seed 3",
+     "03c6a56f54b51e725cc9af7809247941fb3e1f0aaf51436064be2df0ede5a57e"),
+])
+def test_sample_mode_output_matches_pinned_digest(capsys, command, digest):
+    # sha256 of the stdout of the per-member validated path sample mode
+    # replaced
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fixed_prime_output_at_m10_matches_pinned_digest(capsys):

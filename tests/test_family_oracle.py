@@ -1,8 +1,9 @@
 """Scalar oracles for the family, its numpy scan and the fixed-prime layer.
 
 The oracle enumeration tests coprimality with poly_gcd and builds a
-validated CurveTriple per member; the oracle scan sums ChiCache pair
-sums member by member.  The fixed-prime oracles enumerate N_{k1,k2}
+validated CurveTriple per member; the oracle scan sums pair sums member
+by member from chi vectors evaluated point by point
+(scalar_oracles.PointwiseChi).  The fixed-prime oracles enumerate N_{k1,k2}
 triples with poly_gcd and scalar jacobi_symbol, multiply one Fraction
 per prime for H_{P,kind}, sum one Fraction per prime for the prime
 sums, and evaluate the C_{k1,k2} formula literally.  All are the
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_oracles as oracle
 from ffstat import biquad, cli, eulerprod, ffpoly, moments
 from ffstat.ffpoly import GF
 
@@ -45,10 +47,10 @@ def scalar_monic_triples(field, g):
 
 
 def scalar_family_totals(field, g, n):
-    cache = biquad.chi_cache(field, n)
+    cache = oracle.pointwise_chi(field, n)
     even = n % 2 == 0
     if even:
-        half = biquad.chi_cache(field, n // 2)
+        half = oracle.pointwise_chi(field, n // 2)
         gen_mask = np.ones(cache.ext.order, dtype=bool)
         for d in range(1, n):
             if n % d == 0:
@@ -61,8 +63,8 @@ def scalar_family_totals(field, g, n):
         s_all += s13 + s23 + s12
         s12_tot += s12
         if even:
-            v = cache.chi(t.f1)[0] * cache.chi(t.f2)[0]
-            zeros_half = sum(int(np.count_nonzero(half.chi(f)[0] == 0))
+            v = cache.chi(t.f1) * cache.chi(t.f2)
+            zeros_half = sum(int(np.count_nonzero(half.chi(f) == 0))
                              for f in (t.f1, t.f2))
             deg12 = int(t.f1.degree) + int(t.f2.degree)
             roots_tot += zeros_half + (deg12 % 2) - 1
@@ -90,6 +92,28 @@ def test_monic_family_matches_scalar_enumeration(q, g):
 def test_family_totals_match_scalar_scan(q, g, n):
     field = FIELDS[q]
     assert moments._family_totals(field, g, n) == scalar_family_totals(field, g, n)
+
+
+@pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])
+@pytest.mark.parametrize("q,g", [(3, 2), (5, 1), (9, 1)])
+def test_member_traces_match_curve_counts(monkeypatch, q, g, variant):
+    # sampled members as sample mode reads them: index rows into the
+    # family's polynomials, twists decoded from the index; five members
+    # per scan block, so the last block is short
+    field = FIELDS[q]
+    size = biquad.family_size(field, g, variant)
+    idx = np.sort(np.random.default_rng(q).choice(size, size=12, replace=False))
+    polys = biquad.monic_family(field, g).polys
+    rows, twists = biquad.member_rows(field, g, variant, idx)
+    members = [biquad.family_member(field, g, variant, int(i)) for i in idx]
+    if variant == biquad.FULL:
+        assert any(not m.f1.is_monic() for m in members)
+    for n in (1, 2, 3):
+        monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 5 * field.q ** n)
+        got = biquad.member_traces(field, n, polys, rows, twists).tolist()
+        assert got == [biquad.curve_counts(m, n).T[n - 1] for m in members], n
+        pointwise = oracle.pointwise_chi(field, n)
+        assert got == [pointwise.triple_T(m.f1, m.f2, m.f3) for m in members], n
 
 
 # -- fixed-prime layer -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Field and polynomial layer: arithmetic, predicates, enumeration, symbols."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,9 +334,29 @@ def test_extension_field_group_order():
         assert ext.pow(ext.generator, (order - 1) // 2) != 1
 
 
+def test_extension_field_refuses_oversized_tables_before_allocating(monkeypatch):
+    # the construction takes about 32 n e q^n bytes
+    monkeypatch.setattr(ffpoly, "EXTENSION_BYTES_CAP", 32 * 3 * 27)
+    assert ffpoly.ExtensionField(F3, 3).order == 27
+    with pytest.raises(ValueError, match="q=3 with n=4 .* over the cap"):
+        ffpoly.ExtensionField(F3, 4)
+    monkeypatch.undo()
+    F9 = GF(3, 2)
+    tracemalloc.start()
+    try:
+        # F_{3^12} and F_{9^6} peak at 196 MiB; F_{5^30} at 10^23 bytes
+        for base, n in ((F3, 12), (F9, 6), (F5, 30)):
+            with pytest.raises(ValueError, match="over the cap"):
+                ffpoly.ExtensionField(base, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_extension_eval_matches_scalar():
     ext = extension_field(F5, 2)
     f = Poly.from_coeffs(F5, (2, 0, 1, 3))
-    vals = ext.eval_poly_all(f)
+    (_, (vals,)), = ext.eval_blocks([f])
     for x in range(ext.order):
         assert int(vals[x]) == ext.eval_poly(f, x)

@@ -116,6 +116,17 @@ def test_sample_mode_refuses_sizes_below_one(size):
         moments.average_trace(F3, 1, 1, mode="sample", sample_size=size)
 
 
+def test_sample_mode_builds_no_curve_triple(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sample mode validated a CurveTriple")
+
+    monkeypatch.setattr(biquad.CurveTriple, "__post_init__", refuse)
+    for n in (1, 2):
+        rep = moments.average_trace(GF(5), 1, n, biquad.FULL, mode="sample",
+                                    sample_size=200, seed=4)
+        assert rep.sample_size == 200
+
+
 def test_sample_mode_reproducible():
     a = moments.average_trace(F3, 2, 2, mode="sample", sample_size=50, seed=42)
     b = moments.average_trace(F3, 2, 2, mode="sample", sample_size=50, seed=42)

@@ -105,10 +105,11 @@ def test_batched_horner_matches_scalar_eval(monkeypatch, q, n):
     assert np.concatenate([vals for _, vals in blocks]).tolist() == values
     assert ext.chi_rows(polys).tolist() == chi
     assert ext.zero_counts(polys).tolist() == zeros
+    # one-row calls: a block with no padding
     for f, want_values, want_chi, want_zeros in zip(polys, values, chi, zeros):
-        assert ext.eval_poly_all(f).tolist() == want_values
-        assert ext.chi_vector(f)[0].tolist() == want_chi
-        assert ext.zero_count(f) == want_zeros
+        assert [vals.tolist() for _, vals in ext.eval_blocks([f])] == [[want_values]]
+        assert ext.chi_rows([f]).tolist() == [want_chi]
+        assert ext.zero_counts([f]).tolist() == [want_zeros]
 
 
 def test_family_totals_do_not_depend_on_the_block_size(monkeypatch):
@@ -121,11 +122,12 @@ def test_family_totals_do_not_depend_on_the_block_size(monkeypatch):
         moments._family_totals.cache_clear()
 
 
-def test_eval_poly_all_over_a_prime_power_base():
+def test_eval_blocks_over_a_prime_power_base():
+    polys = [Poly.from_coeffs(F9, (5, 0, 7, 1)), Poly.from_coeffs(F9, (8, 3, 1))]
     for n in (1, 2):
         ext = ffpoly.extension_field(F9, n)
-        for f in (Poly.from_coeffs(F9, (5, 0, 7, 1)), Poly.from_coeffs(F9, (8, 3, 1))):
-            assert ext.eval_poly_all(f).tolist() == [ext.eval_poly(f, x) for x in ext.elements()]
+        (_, values), = ext.eval_blocks(polys)
+        assert values.tolist() == [[ext.eval_poly(f, x) for x in ext.elements()] for f in polys]
     assert np.array_equal(F9.add_array(np.arange(9), 5), [F9.add(a, 5) for a in range(9)])
 
 
