@@ -134,54 +134,201 @@ class MonicFamily(NamedTuple):
     rows: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _prime_bits(field):
-    """Bit position of every prime factor met so far, keyed (degree, code);
-    shared so that masks from separate calls can be compared."""
-    return {}
+class SquarefreeDegree(NamedTuple):
+    """The square-free monic polynomials of one degree and their prime factors.
+
+    `polys` follow ascending code order, the order of
+    ffpoly.enumerate_polys.  Entry j of the flat int64 arrays says that
+    the prime of degree `prime_deg[j]` and column `prime_col[j]` divides
+    polys[poly[j]].  Columns number the monic primes by degree, then code,
+    so the primes of degree <= m are the first _prime_columns(q, m).
+    """
+
+    polys: tuple
+    poly: np.ndarray
+    prime_deg: np.ndarray
+    prime_col: np.ndarray
 
 
-#: the most codes q^d that squarefree_masks scans: a mask has a bit per
-#: prime met so far, so masks grow about 5x per degree (17 MiB at 3^10, 86 MiB at 3^11)
+#: the most codes q^d that squarefree_factors scans: it builds a Poly per
+#: square-free code and the sieve tables reach degree d
 SQUAREFREE_CODES_CAP = 3 ** 10
 
 
 def check_squarefree_degree(field, d):
-    """ValueError when squarefree_masks(field, d) would pass SQUAREFREE_CODES_CAP."""
+    """ValueError when squarefree_factors(field, d) would pass SQUAREFREE_CODES_CAP."""
     if field.q ** d > SQUAREFREE_CODES_CAP:
-        raise ValueError(f"square-free masks: q={field.q} with degree {d} is over the cap "
+        raise ValueError(f"square-free factors: q={field.q} with degree {d} is over the cap "
                          f"of {SQUAREFREE_CODES_CAP} codes")
 
 
-@functools.lru_cache(maxsize=None)
-def squarefree_masks(field, d):
-    """(polys, masks) for the square-free monic polynomials of degree d.
+def _prime_columns(q, m):
+    """The number of monic primes of degree <= m."""
+    return sum(ffpoly.prime_count_exact(q, e) for e in range(1, m + 1))
 
-    polys follow the enumeration order of ffpoly.enumerate_polys; masks[i]
-    has one bit per distinct prime factor of polys[i], so two square-free
-    polynomials are coprime exactly when their masks are disjoint.  The
-    factors come from the sieve tables.  A degree over the cap of
-    check_squarefree_degree is refused before anything is built.
+
+@functools.lru_cache(maxsize=None)
+def squarefree_factors(field, d):
+    """SquarefreeDegree for the square-free monic polynomials of degree d.
+
+    Every code of degree d is factored at once off the sieve tables: at
+    level k = d, d-1, ..., 1 the codes whose cofactor has degree k give up
+    their smallest prime factor (the whole cofactor when it is prime).
+    The factors of a code thus come out in ascending (degree, code)
+    order, so a repeated factor comes out twice in a row.  A degree over
+    the cap of check_squarefree_degree is refused before anything is built.
     """
     check_squarefree_degree(field, d)
-    bits = _prime_bits(field)
-
-    def mask(factors):
-        m = 0
-        for key in factors:
-            m |= 1 << bits.setdefault(key, len(bits))
-        return m
-
+    empty = np.zeros(0, dtype=np.int64)
     if d == 0:
-        return (ffpoly.Poly.one(field),), (0,)
-    polys, masks = [], []
+        return SquarefreeDegree((ffpoly.Poly.one(field),), empty, empty, empty)
+    q = field.q
     T = poly_tables(field, d)
-    for code in range(field.q ** d):
-        fac = T.factor(d, code)
-        if fac is not None:
-            polys.append(ffpoly.Poly.monic_from_code(field, d, code))
-            masks.append(mask(fac))
-    return tuple(polys), tuple(masks)
+    pack = q ** T.max_deg
+    deg = np.full(q ** d, d, dtype=np.int64)
+    code = np.arange(q ** d, dtype=np.int64)
+    found = []
+    for k in range(d, 0, -1):
+        rows = np.flatnonzero(deg == k)
+        cur = code[rows]
+        packed = T.spf[k][cur]
+        a, rest = np.divmod(packed, pack)
+        prime = packed == 0
+        a[prime] = k
+        pcode, cof = np.divmod(rest, q ** (k - a))
+        pcode[prime] = cur[prime]
+        deg[rows], code[rows] = k - a, cof
+        found.append((rows, a, pcode))
+    rows, pdeg, pcode = (np.concatenate(x) for x in zip(*found))
+    order = np.argsort(rows, kind="stable")
+    rows, pdeg, pcode = rows[order], pdeg[order], pcode[order]
+    repeated = (rows[1:] == rows[:-1]) & (pdeg[1:] == pdeg[:-1]) & (pcode[1:] == pcode[:-1])
+    squarefree = np.ones(q ** d, dtype=bool)
+    squarefree[rows[1:][repeated]] = False
+    keep = squarefree[rows]
+    rows, pdeg, pcode = rows[keep], pdeg[keep], pcode[keep]
+    col = np.empty_like(pcode)
+    for e in range(1, d + 1):
+        at = pdeg == e
+        col[at] = _prime_columns(q, e - 1) + np.searchsorted(T.prime_codes[e], pcode[at])
+    codes = np.flatnonzero(squarefree)
+    index = np.cumsum(squarefree) - 1
+    polys = tuple(ffpoly.Poly.monic_from_code(field, d, c) for c in codes.tolist())
+    out = SquarefreeDegree(polys, index[rows], pdeg, col)
+    for arr in out[1:]:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _incidence(field, d, m):
+    """float32 0/1 matrix: [i, c] is 1 when prime column c (degree <= m)
+    divides the i-th square-free monic of degree d."""
+    sf = squarefree_factors(field, d)
+    at = sf.prime_deg <= m
+    out = np.zeros((len(sf.polys), _prime_columns(field.q, m)), dtype=np.float32)
+    out[sf.poly[at], sf.prime_col[at]] = 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def coprime_mask(field, da, db):
+    """bool (N_da, N_db): whether the square-free monics of degrees da and
+    db are coprime, from prime-factor incidence.  A common prime has
+    degree <= min(da, db), so only those primes are columns; the
+    incidence product counts shared primes, at most d < 2^24, exactly."""
+    m = min(da, db)
+    A, B = _incidence(field, da, m), _incidence(field, db, m)
+    out = (A @ B.T) == 0
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _coprime_series(field, d, length):
+    """int64 (N_d, length): the coefficients of u^0 .. u^(length-1) in
+    prod_{P | f} 1/(1 + u^deg P), one row per square-free monic f of
+    degree d.  Dividing a series by 1 + u^e is the recurrence
+    c[i] -= c[i - e], run in place from low i to high."""
+    sf = squarefree_factors(field, d)
+    counts = np.zeros((len(sf.polys), d + 1), dtype=np.int64)
+    np.add.at(counts, (sf.poly, sf.prime_deg), 1)
+    series = np.zeros((len(sf.polys), length), dtype=np.int64)
+    series[:, 0] = 1
+    for e in range(1, min(d, length - 1) + 1):
+        for k in range(1, int(counts[:, e].max()) + 1):
+            rows = counts[:, e] >= k
+            sub = series[rows]
+            for i in range(e, length):
+                sub[:, i] -= sub[:, i - e]
+            series[rows] = sub
+    return series
+
+
+@functools.lru_cache(maxsize=None)
+def pair_weight(field, da, db, dc):
+    """int64 (N_da, N_db): entry [i, j] counts the square-free monic f of
+    degree dc coprime to fa_i fb_j when fa_i and fb_j are coprime, and is
+    0 otherwise (fa_i, fb_j the square-free monics of degrees da, db in
+    squarefree_factors order).
+
+    For coprime fa, fb these f are counted by the u^dc coefficient of
+    Z_SF(u) / prod_{P | fa fb} (1 + u^deg P), Z_SF(u) = sum_k
+    squarefree_count(q, k) u^k, and the product splits over fa and fb.
+    So the block is cop o (B_a S B_b^T): B the truncated series of
+    _coprime_series, S[i, j] = squarefree_count(q, dc - i - j) (0 when
+    i + j > dc), cop the coprime_mask."""
+    q = field.q
+    S = np.array([[ffpoly.squarefree_count(q, dc - i - j) if i + j <= dc else 0
+                   for j in range(dc + 1)] for i in range(dc + 1)], dtype=np.int64)
+    W = _coprime_series(field, da, dc + 1) @ S @ _coprime_series(field, db, dc + 1).T
+    W *= coprime_mask(field, da, db)
+    W.flags.writeable = False  # shared by every caller through the cache
+    return W
+
+
+def family_degrees(g):
+    """The degrees the kept patterns of genus g use, ascending."""
+    return sorted({d for pat in admissible_patterns(g)[0] for d in pat})
+
+
+#: the most bytes of one pair block: its int64 weights, 4-byte incidence
+#: product and 1-byte coprimality mask
+PAIR_BLOCK_BYTES_CAP = 1 << 28
+
+
+@functools.lru_cache(maxsize=None)
+def pair_weights(field, g):
+    """{pattern: (W12, W13, W23)} over the kept patterns of genus g.
+
+    Wab = pair_weight(field, d_a, d_b, d_c) weighs the pair (f_a, f_b) by
+    the number of third polynomials that make it a member, so a sum over
+    members of any function of (f_a, f_b) is its sum against Wab, and
+    each of the three blocks sums to the pattern's member count; a
+    disagreement raises InvariantError.  A block over PAIR_BLOCK_BYTES_CAP
+    is refused with a ValueError before anything is built.  The dict is
+    shared through the cache: read it, do not change it."""
+    kept, _ = admissible_patterns(g)
+    for d1, d2, _ in kept:
+        need = 13 * ffpoly.squarefree_count(field.q, d1) * ffpoly.squarefree_count(field.q, d2)
+        if need > PAIR_BLOCK_BYTES_CAP:
+            raise ValueError(f"pair weights: q={field.q}, g={g} needs a {(d1, d2)} degree block "
+                             f"of about {need} bytes, over the cap of {PAIR_BLOCK_BYTES_CAP}")
+    # top degree first: its sieve table then serves every lower degree
+    for d in reversed(family_degrees(g)):
+        squarefree_factors(field, d)
+    out = {}
+    for d1, d2, d3 in kept:
+        blocks = (pair_weight(field, d1, d2, d3), pair_weight(field, d1, d3, d2),
+                  pair_weight(field, d2, d3, d1))
+        if len({int(W.sum()) for W in blocks}) != 1:
+            raise InvariantError(f"pair weights of pattern {(d1, d2, d3)} disagree on its size")
+        out[d1, d2, d3] = blocks
+    return out
+
+
+#: the most members monic_family lists: 2^22 index rows are 96 MiB of int64
+FAMILY_ROWS_CAP = 1 << 22
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,42 +336,43 @@ def monic_family(field, g):
     """All monic-variant members for genus g, deterministic order.
 
     Members run over the kept patterns in order, then f1, f2, f3 in
-    square-free enumeration order, so indices are stable.  Coprimality
-    is decided by disjoint prime-factor masks (squarefree_masks).
+    square-free enumeration order, so indices are stable.  A pattern's
+    members are the True entries, in C order, of the outer AND of its
+    three coprime_masks.  The member count is read off the pair weights
+    first, and a family over FAMILY_ROWS_CAP members is refused with a
+    ValueError before any row is built.
     """
-    kept, _ = admissible_patterns(g)
-    degrees = sorted({d for pat in kept for d in pat})
-    # top degree first: its sieve table then serves every lower degree
-    by_degree = {d: squarefree_masks(field, d) for d in reversed(degrees)}
-    polys, masks, span = [], [], {}
+    size = family_size(field, g)
+    if size > FAMILY_ROWS_CAP:
+        raise ValueError(f"monic family: q={field.q}, g={g} has {size} members, over the "
+                         f"cap of {FAMILY_ROWS_CAP} index rows")
+    degrees = family_degrees(g)
+    polys, start = [], {}
     for d in degrees:
-        sf, sf_masks = by_degree[d]
-        span[d] = range(len(polys), len(polys) + len(sf))
-        polys.extend(sf)
-        masks.extend(sf_masks)
-    rows = []
-    for d1, d2, d3 in kept:
-        for i1 in span[d1]:
-            m1 = masks[i1]
-            for i2 in span[d2]:
-                m2 = masks[i2]
-                if m1 & m2:
-                    continue
-                m12 = m1 | m2
-                rows.extend((i1, i2, i3) for i3 in span[d3] if not m12 & masks[i3])
-    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        start[d] = len(polys)
+        polys.extend(squarefree_factors(field, d).polys)
+    blocks = [np.zeros((0, 3), dtype=np.int64)]
+    for (d1, d2, d3), (W12, _, _) in pair_weights(field, g).items():
+        members = (coprime_mask(field, d1, d2)[:, :, None]
+                   & coprime_mask(field, d1, d3)[:, None, :]
+                   & coprime_mask(field, d2, d3)[None, :, :])
+        rows = np.argwhere(members) + [start[d1], start[d2], start[d3]]
+        if len(rows) != W12.sum():
+            raise InvariantError(f"pattern {(d1, d2, d3)} lists {len(rows)} members, "
+                                 f"its pair weights {int(W12.sum())}")
+        blocks.append(rows)
+    rows = np.concatenate(blocks)
     rows.flags.writeable = False  # shared by every caller through the cache
     return MonicFamily(tuple(polys), rows)
 
 
 def family_size(field, g, variant=MONIC):
-    """Exact member count; the full variant is (q-1)^2 times the monic one."""
-    n = len(monic_family(field, g).rows)
-    if variant == FULL:
-        return (field.q - 1) ** 2 * n
-    if variant == MONIC:
-        return n
-    raise ValueError(f"unknown variant {variant!r}")
+    """Exact member count, the total of the W12 pair weights; the full
+    variant is (q-1)^2 times the monic one."""
+    if variant not in (MONIC, FULL):
+        raise ValueError(f"unknown variant {variant!r}")
+    n = sum(int(W12.sum()) for W12, _, _ in pair_weights(field, g).values())
+    return (field.q - 1) ** 2 * n if variant == FULL else n
 
 
 def member_rows(field, g, variant, index):

@@ -203,6 +203,7 @@ def _cmd_family(args):
             ["q", "g", "variant", "size", "ratio"], args.format, args.out,
         )
         return
+    _flag_value("--genus", biquad.monic_family, field, args.genus)
     rows = [
         {"index": i, "f1": poly_str(t.f1), "f2": poly_str(t.f2), "f3": poly_str(t.f3)}
         for i, t in enumerate(biquad.enumerate_family(field, args.genus, args.variant))
@@ -246,14 +247,23 @@ def _cmd_moments(args):
     if args.mode != "exhaustive":
         _require_at_least("--sample-size", args.sample_size, 1)
     size = _require_family(field, args)
-    # the top degree first: its field is refused before any lower n is run
-    _flag_value("--n-max", ffpoly.extension_field, field, args.n_max)
-    rows = []
+    modes = {}
     for n in range(1, args.n_max + 1):
         cost = size * (field.q ** n + 1)
         mode = args.mode
         if mode == "auto":
             mode = "sample" if (args.work_budget and cost > args.work_budget) else "exhaustive"
+        modes[n] = mode
+    # the top n first: its totals, its field and the sampled members' rows
+    # are refused before any lower n is run
+    exhaustive = [n for n, mode in modes.items() if mode == "exhaustive"]
+    if exhaustive:
+        _flag_value("--n-max", moments.check_family_totals, field, args.genus, max(exhaustive))
+    _flag_value("--n-max", ffpoly.extension_field, field, args.n_max)
+    if "sample" in modes.values():
+        _flag_value("--genus", biquad.monic_family, field, args.genus)
+    rows = []
+    for n, mode in modes.items():
         rep = moments.average_trace(
             field, args.genus, n, args.variant, mode=mode,
             sample_size=args.sample_size, seed=args.seed,

@@ -19,6 +19,15 @@ C_{k1,k2}(d;P), C(g;P) follow, with exact L-values and truncated Euler
 products supplying the predictions; reference values for the matrix
 integrals over USp(2g), USp(2g)^3 and U(2g) close the loop for the
 trace-moment experiment and the one-level density.
+
+No exhaustive sum lists the members.  Every one is a sum over pairs
+(f_a, f_b) of square-free monics weighted by the number of third
+polynomials that complete the pair (biquad.pair_weight): the character
+sums over F_{q^n} are sum(W o chi_a chi_b^T) with one float32 Gram block
+per degree pair, the prime-sum form is sum(W o X_a^T X_b) with X the
+residue-table Legendre matrix of the degree-n primes, and the
+fixed-prime sums are r_a^T W r_b.  Member rows (biquad.monic_family) are
+built only for sample mode and the density cross-check.
 """
 
 from __future__ import annotations
@@ -59,54 +68,109 @@ def matrix_integral_reference(group, g, n):
 
 
 # ---------------------------------------------------------------------------
-# Family scans
+# Family sums
 # ---------------------------------------------------------------------------
 
 
-def _member_sum(fam, chi):
-    """sum over members of chi(f1) chi(f2) for chi given per polynomial."""
-    return int((chi[fam.rows[:, 0]] * chi[fam.rows[:, 1]]).sum(dtype=np.int64))
+#: the most bytes _family_totals may take: the per-degree chi matrices
+#: (int8 while built, float32 in the Gram products, 5 bytes an entry) and
+#: three int64 blocks of the largest weight/Gram pair
+TOTALS_BYTES_CAP = 1 << 28
+
+
+def family_totals_bytes(field, g, n):
+    """The bytes _family_totals(field, g, n) would allocate, estimated from
+    square-free counts before anything is built."""
+    kept, _ = biquad.admissible_patterns(g)
+    count = {d: ffpoly.squarefree_count(field.q, d) for pat in kept for d in pat}
+    block = max((count[a] * count[b] for a, b, _ in kept), default=0)
+    return 5 * field.q ** n * sum(count.values()) + 3 * 8 * block
+
+
+def check_family_totals(field, g, n):
+    """ValueError when family_totals_bytes passes TOTALS_BYTES_CAP."""
+    need = family_totals_bytes(field, g, n)
+    if need > TOTALS_BYTES_CAP:
+        raise ValueError(f"family totals: q={field.q}, g={g} at n={n} need about {need} bytes "
+                         f"of chi matrices and Gram blocks, over the cap of {TOTALS_BYTES_CAP}")
+
+
+def _degree_polys(field, g):
+    """{degree: square-free monics} over the degrees the kept patterns use."""
+    return {d: biquad.squarefree_factors(field, d).polys for d in biquad.family_degrees(g)}
+
+
+def _grams(chi):
+    """gram(a, b): the int64 Gram block chi[a] chi[b]^T of float32 rows,
+    each unordered degree pair multiplied once."""
+    cache = {}
+
+    def gram(a, b):
+        if a > b:
+            return gram(b, a).T
+        if (a, b) not in cache:
+            cache[a, b] = (chi[a] @ chi[b].T).astype(np.int64)
+        return cache[a, b]
+
+    return gram
 
 
 @functools.lru_cache(maxsize=None)
 def _family_totals(field, g, n):
-    """Exhaustive totals over the monic family.
+    """Exhaustive totals over the monic family, from pair weights.
 
     Returns (sum of S13+S23+S12, sum of S12, sum of (roots on P^1 of the
     half field minus 1), sum of the outside-subfield bilinear character
     sum, sum of its generating-x part) -- the last three only for even n.
+
+    A member sum of chi(fa fb) over F_{q^n} is sum(Wab o G) per pattern,
+    Wab its pair weights (biquad.pair_weights) and G = chi_a chi_b^T the
+    Gram block of the chi rows of degrees d_a, d_b; S13 and S23 read their
+    own W13, W23 blocks, so s_all = 3 s12 is a check, not a product.  Every
+    member is monic, so chi at infinity of fa fb is 1 for even degree.
+
+    Exactness of the float32 GEMM: a Gram entry is a sum of q^n products
+    in {-1, 0, 1}, so it and every partial sum, in any order, is an integer
+    of absolute value at most q^n.  ExtensionField refuses 32 n e q^n >
+    EXTENSION_BYTES_CAP = 2^26, hence q^n <= 2^21 / (n e) < 2^24, and float32
+    holds every integer up to 2^24 exactly.  The same bound covers the
+    non-generating columns taken out for gen_tot.
     """
-    fam = biquad.monic_family(field, g)
+    check_family_totals(field, g, n)
+    weights = biquad.pair_weights(field, g)
+    polys = _degree_polys(field, g)
     ext = ffpoly.extension_field(field, n)
-    chi = ext.chi_rows(fam.polys)
-    deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
-    d1, d2, d3 = (deg[fam.rows[:, k]] for k in range(3))
-    # every member is monic, so chi at infinity of fa*fb is 1 for even degree
-    inf12 = int(np.count_nonzero((d1 + d2) % 2 == 0))
-    inf_rest = int(np.count_nonzero((d1 + d3) % 2 == 0) + np.count_nonzero((d2 + d3) % 2 == 0))
-    even = n % 2 == 0
-    if even:
-        gen_mask = np.ones(ext.order, dtype=bool)
-        for d in range(1, n):
-            if n % d == 0:
-                gen_mask &= ~ext.subfield_mask(d)
-    fin_rest = fin12 = gen_tot = 0
-    for _, v1, v2, v3 in biquad.chi_blocks(chi, fam.rows):
-        fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
-        v12 = v1 * v2
-        fin12 += int(v12.sum(dtype=np.int64))
-        if even:
-            gen_tot += int(v12[:, gen_mask].sum(dtype=np.int64))
-    s12_tot = fin12 + inf12
-    s_all = fin_rest + inf_rest + s12_tot
-    if not even:
+    if ext.order >= 1 << 24:
+        raise InvariantError(f"q^n = {ext.order} is beyond exact float32 Gram blocks")
+    chi = {d: ext.chi_rows(p).astype(np.float32) for d, p in polys.items()}
+    gram = _grams(chi)
+    fin, inf = [0, 0, 0], [0, 0, 0]
+    for (d1, d2, d3), blocks in weights.items():
+        for k, ((a, b), W) in enumerate(zip(((d1, d2), (d1, d3), (d2, d3)), blocks)):
+            fin[k] += int((W * gram(a, b)).sum())
+            if (a + b) % 2 == 0:
+                inf[k] += int(W.sum())
+    s12_tot = fin[0] + inf[0]
+    s_all = sum(fin) + sum(inf)
+    if n % 2:
         return s_all, s12_tot, 0, 0, 0
+    gen_mask = np.ones(ext.order, dtype=bool)
+    for d in range(1, n):
+        if n % d == 0:
+            gen_mask &= ~ext.subfield_mask(d)
+    nongen = np.flatnonzero(~gen_mask)
+    gram_nongen = _grams({d: rows[:, nongen] for d, rows in chi.items()})
     half = ffpoly.extension_field(field, n // 2)
-    zeros = half.zero_counts(fam.polys)
-    zeros_half = int(zeros[fam.rows[:, 0]].sum() + zeros[fam.rows[:, 1]].sum())
-    size = len(fam.rows)
-    roots_tot = zeros_half + int(((d1 + d2) % 2).sum()) - size
-    bil_tot = fin12 - (size * field.q ** (n // 2) - zeros_half)
+    zeros = {d: half.zero_counts(p) for d, p in polys.items()}
+    size = zeros_half = odd = gen_tot = 0
+    for (d1, d2, _), (W12, _, _) in weights.items():
+        members = int(W12.sum())
+        size += members
+        odd += (d1 + d2) % 2 * members
+        zeros_half += int(zeros[d1] @ W12.sum(axis=1) + zeros[d2] @ W12.sum(axis=0))
+        gen_tot += int((W12 * (gram(d1, d2) - gram_nongen(d1, d2))).sum())
+    roots_tot = zeros_half + odd - size
+    bil_tot = fin[0] - (size * field.q ** (n // 2) - zeros_half)
     return s_all, s12_tot, roots_tot, bil_tot, gen_tot
 
 
@@ -238,11 +302,19 @@ def error_decomposition(field, g, n):
 def _bilinear_prime_form(field, g, n):
     """sum_{deg P = n} sum_{family} chi_P(f1 f2), exact.
 
-    chi_P is completely multiplicative, so each member's value is
-    chi_P(f1) chi_P(f2), with chi_P taken once per family polynomial.
-    """
-    fam = biquad.monic_family(field, g)
-    return sum(_member_sum(fam, row) for row in _chi_rows(fam.polys, ffpoly.primes(field, n)))
+    chi_P is completely multiplicative, so a member's value is
+    chi_P(f1) chi_P(f2), and the family sum is sum(W12 o X_a^T X_b) per
+    pattern, X the Legendre matrix [P, f] = chi_P(f) of the degree-n primes
+    read off the residue tables.  X_a^T X_b is exact in float32: its
+    entries are sums of at most q^n / n < 2^24 products in {-1, 0, 1}
+    (see _family_totals for the bound on q^n)."""
+    weights = biquad.pair_weights(field, g)
+    polys = _degree_polys(field, g)
+    flat = [f for p in polys.values() for f in p]
+    X = np.stack(list(_chi_rows(flat, ffpoly.primes(field, n)))).astype(np.float32)
+    ends = np.cumsum([len(p) for p in polys.values()])[:-1]
+    gram = _grams(dict(zip(polys, np.split(X.T, ends))))
+    return sum(int((W12 * gram(d1, d2)).sum()) for (d1, d2, _), (W12, _, _) in weights.items())
 
 
 def _chi_rows(polys, primes):
@@ -267,45 +339,36 @@ def nkk_sum(field, P, d, k1, k2):
 
 
 def nkk_sums_all(field, P, d, chi_of=None):
-    """All four parity classes of N_{k1,k2}(d;P) in one enumeration pass.
+    """All four parity classes of N_{k1,k2}(d;P) from pair weights.
 
-    Triples are coprime exactly when their prime-factor masks are
-    disjoint, so each coprime (f1, f2) adds chi_P(f1) chi_P(f2) times the
-    number of degree-c masks disjoint from theirs.  `chi_of` overrides
-    the character (the degenerate chi = 1 turns the sums into plain
-    census counts, a sanity cross-check on the family)."""
+    For each degree split a + b + c = d, the triples are weighed pairwise:
+    chi_a^T W chi_b with W = biquad.pair_weight(field, a, b, c), which
+    counts for each coprime (f1, f2) the square-free f3 of degree c
+    coprime to both.  `chi_of` overrides the character (the degenerate
+    chi = 1 turns the sums into plain census counts, a sanity cross-check
+    on the family)."""
     if d < 0:
         raise ValueError("d must be >= 0")
     # top degree first: its sieve table then serves every lower degree
-    sf = [biquad.squarefree_masks(field, e) for e in range(d, -1, -1)][::-1]
-    masks = [m for _, m in sf]
+    polys = [biquad.squarefree_factors(field, e).polys for e in range(d, -1, -1)][::-1]
     if chi_of is None:
-        chis = [_squarefree_chi(field, P, e).tolist() for e in range(d + 1)]
+        chis = [_squarefree_chi(field, P, e).astype(np.int64) for e in range(d + 1)]
     else:
-        chis = [[chi_of(f) for f in polys] for polys, _ in sf]
+        chis = [np.array([chi_of(f) for f in p], dtype=np.int64) for p in polys]
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
     for a in range(d + 1):
-        row1 = [(m, x) for m, x in zip(masks[a], chis[a]) if x]
         for b in range(d - a + 1):
             c = d - a - b
-            row2 = [(m, x) for m, x in zip(masks[b], chis[b]) if x]
-            masks3 = masks[c]
-            total = 0
-            for m1, x1 in row1:
-                for m2, x2 in row2:
-                    if m1 & m2:
-                        continue
-                    m12 = m1 | m2
-                    total += x1 * x2 * sum(1 for m3 in masks3 if not m12 & m3)
-            out[((a + c) % 2, (b + c) % 2)] += total
+            out[(a + c) % 2, (b + c) % 2] += int(chis[a] @ biquad.pair_weight(field, a, b, c)
+                                                 @ chis[b])
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _squarefree_chi(field, P, e):
     """int8 chi_P(f) over the square-free monics f of degree e, in
-    biquad.squarefree_masks order."""
-    row = next(_chi_rows(biquad.squarefree_masks(field, e)[0], (P,)))
+    biquad.squarefree_factors order."""
+    row = next(_chi_rows(biquad.squarefree_factors(field, e).polys, (P,)))
     row.flags.writeable = False  # shared by every caller through the cache
     return row
 
@@ -470,9 +533,11 @@ def excluded_degree_correction(field, P, g):
 
 
 def fixed_prime_family_sum(field, g, P):
-    """sum over the monic family of chi_P(f1 f2), exact by enumeration."""
-    fam = biquad.monic_family(field, g)
-    return _member_sum(fam, next(_chi_rows(fam.polys, (P,))))
+    """sum over the monic family of chi_P(f1 f2), exact: r_a^T W12 r_b per
+    pattern, r the chi_P rows of the square-free monics by degree."""
+    weights = biquad.pair_weights(field, g)
+    r = {d: _squarefree_chi(field, P, d).astype(np.int64) for d in biquad.family_degrees(g)}
+    return sum(int(r[d1] @ W12 @ r[d2]) for (d1, d2, _), (W12, _, _) in weights.items())
 
 
 def family_sum_report(field, g, P, M):
@@ -640,6 +705,14 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     if g < 1:
         raise ValueError(f"one-level density needs genus >= 1, got {g}")
     terms = _density_terms(g, alpha)
+    # the cross-check first: it lists members, which monic_family refuses
+    # for a family too large before the totals below do any work
+    worst = 0.0
+    step = max(1, biquad.family_size(field, g, biquad.MONIC) // max(1, crosscheck_curves))
+    for idx in range(0, biquad.family_size(field, g, biquad.MONIC), step):
+        t = biquad.family_member(field, g, biquad.MONIC, idx)
+        z_t, z_p = curve_density_pair(t, fhat, alpha)
+        worst = max(worst, abs(z_t - z_p))
     # family side: average of per-curve trace expansions = expansion of
     # the average traces (linearity); computed from exact family totals
     fam = fhat(0.0)
@@ -649,12 +722,6 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     ref = fhat(0.0)
     for n in terms:
         ref += fhat(n / (2 * g)) * matrix_integral_reference(USP_CUBED, g, n) / g
-    worst = 0.0
-    step = max(1, biquad.family_size(field, g, biquad.MONIC) // max(1, crosscheck_curves))
-    for idx in range(0, biquad.family_size(field, g, biquad.MONIC), step):
-        t = biquad.family_member(field, g, biquad.MONIC, idx)
-        z_t, z_p = curve_density_pair(t, fhat, alpha)
-        worst = max(worst, abs(z_t - z_p))
     return DensityReport(
         q=q, g=g, alpha=alpha, variant=variant, terms=terms,
         family_value=fam, reference_value=ref,

@@ -6,6 +6,11 @@ residue tables, and finite-field tables built element by element from
 digit-vector products over F_p, with no matrices.  They are slow and
 independent of _tables and of the exp/log construction, which is what
 makes them oracles.
+
+The member-row scans at the end are the exception: they read the same chi
+rows as the fast paths, but sum them member by member over the rows of
+biquad.monic_family (and, for N_{k1,k2}, over triples tested by disjoint
+prime-factor bitmasks), so they check the pair weights that replace them.
 """
 
 import functools
@@ -13,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ffstat import ffpoly
+from ffstat import biquad, ffpoly, moments
 from ffstat.ffpoly import Poly
 
 
@@ -269,3 +274,97 @@ def extension_exp_log(F, n, modulus):
         log[acc] = j
         acc = mul(acc, g)
     return g, exp, log
+
+
+# -- member-row scans: the family sums before the pair weights ------------------
+
+
+def _member_sum(fam, chi):
+    """sum over members of chi(f1) chi(f2) for chi given per polynomial."""
+    return int((chi[fam.rows[:, 0]] * chi[fam.rows[:, 1]]).sum(dtype=np.int64))
+
+
+def row_scan_totals(field, g, n):
+    """moments._family_totals by gathering the three int8 chi rows of every
+    member, block by block."""
+    fam = biquad.monic_family(field, g)
+    ext = ffpoly.extension_field(field, n)
+    chi = ext.chi_rows(fam.polys)
+    deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
+    d1, d2, d3 = (deg[fam.rows[:, k]] for k in range(3))
+    inf12 = int(np.count_nonzero((d1 + d2) % 2 == 0))
+    inf_rest = int(np.count_nonzero((d1 + d3) % 2 == 0) + np.count_nonzero((d2 + d3) % 2 == 0))
+    even = n % 2 == 0
+    if even:
+        gen_mask = np.ones(ext.order, dtype=bool)
+        for d in range(1, n):
+            if n % d == 0:
+                gen_mask &= ~ext.subfield_mask(d)
+    fin_rest = fin12 = gen_tot = 0
+    for _, v1, v2, v3 in biquad.chi_blocks(chi, fam.rows):
+        fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
+        v12 = v1 * v2
+        fin12 += int(v12.sum(dtype=np.int64))
+        if even:
+            gen_tot += int(v12[:, gen_mask].sum(dtype=np.int64))
+    s12_tot = fin12 + inf12
+    s_all = fin_rest + inf_rest + s12_tot
+    if not even:
+        return s_all, s12_tot, 0, 0, 0
+    half = ffpoly.extension_field(field, n // 2)
+    zeros = half.zero_counts(fam.polys)
+    zeros_half = int(zeros[fam.rows[:, 0]].sum() + zeros[fam.rows[:, 1]].sum())
+    size = len(fam.rows)
+    roots_tot = zeros_half + int(((d1 + d2) % 2).sum()) - size
+    bil_tot = fin12 - (size * field.q ** (n // 2) - zeros_half)
+    return s_all, s12_tot, roots_tot, bil_tot, gen_tot
+
+
+def row_scan_prime_form(field, g, n):
+    """moments._bilinear_prime_form as one member sum per degree-n prime."""
+    fam = biquad.monic_family(field, g)
+    return sum(_member_sum(fam, row)
+               for row in moments._chi_rows(fam.polys, ffpoly.primes(field, n)))
+
+
+def row_scan_fixed_prime_sum(field, g, P):
+    """moments.fixed_prime_family_sum as one member sum."""
+    fam = biquad.monic_family(field, g)
+    return _member_sum(fam, next(moments._chi_rows(fam.polys, (P,))))
+
+
+def _factor_masks(field, d):
+    """One int per square-free monic of degree d, with bit c set for each
+    prime column c dividing it."""
+    sf = biquad.squarefree_factors(field, d)
+    masks = [0] * len(sf.polys)
+    for i, c in zip(sf.poly.tolist(), sf.prime_col.tolist()):
+        masks[i] |= 1 << c
+    return sf.polys, masks
+
+
+def mask_loop_nkk_sums_all(field, P, d, chi_of=None):
+    """moments.nkk_sums_all by a loop over coprime (f1, f2), each adding
+    chi(f1) chi(f2) times the number of degree-c masks disjoint from theirs."""
+    sf = [_factor_masks(field, e) for e in range(d, -1, -1)][::-1]
+    masks = [m for _, m in sf]
+    if chi_of is None:
+        chis = [next(moments._chi_rows(polys, (P,))).tolist() for polys, _ in sf]
+    else:
+        chis = [[chi_of(f) for f in polys] for polys, _ in sf]
+    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
+    for a in range(d + 1):
+        row1 = [(m, x) for m, x in zip(masks[a], chis[a]) if x]
+        for b in range(d - a + 1):
+            c = d - a - b
+            row2 = [(m, x) for m, x in zip(masks[b], chis[b]) if x]
+            masks3 = masks[c]
+            total = 0
+            for m1, x1 in row1:
+                for m2, x2 in row2:
+                    if m1 & m2:
+                        continue
+                    m12 = m1 | m2
+                    total += x1 * x2 * sum(1 for m3 in masks3 if not m12 & m3)
+            out[((a + c) % 2, (b + c) % 2)] += total
+    return out

@@ -69,14 +69,13 @@ def test_family_g0_members_are_distinct_linears():
         assert t.genus == 0
 
 
-def test_squarefree_masks_refuse_large_degrees_before_building():
+def test_squarefree_factors_refuse_large_degrees_before_building():
     biquad.check_squarefree_degree(F3, 10)
     tracemalloc.start()
     try:
-        # 86 MiB of masks at 3^11, five times more per degree after it
         for field, d in ((F3, 11), (F5, 7), (F3, 30)):
             with pytest.raises(ValueError, match="over the cap"):
-                biquad.squarefree_masks(field, d)
+                biquad.squarefree_factors(field, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -246,7 +246,7 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["density", "--genus", "30", "--alpha", "1"], "--genus"),
     (["primes", "--degree", "30"], "--degree"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "30"], "--M"),
-    # square-free masks over the size cap, refused before they are built
+    # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
     # extension fields over the size cap: F_{3^12} is the first refused
@@ -258,6 +258,16 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
      "--f1, --f2, --f3"),
     (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "11"],
      "--f1, --f2, --f3"),
+    # member rows over the cap (6 224 760 members at genus 9), refused
+    # before any is listed; the exhaustive totals need no rows
+    (["family", "--genus", "9"], "--genus"),
+    (["density", "--genus", "9", "--alpha", "1"], "--genus"),
+    (["moments", "--genus", "9", "--n-max", "1", "--mode", "sample",
+      "--sample-size", "5"], "--genus"),
+    # a pair-weight block over its cap (58 806 x 58 806 square-free quadratics)
+    (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
+    # chi matrices of the exhaustive totals over their cap (5.8 GB at n = 11)
+    (["moments", "--genus", "7", "--n-max", "11"], "--n-max"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])

@@ -7,11 +7,14 @@ by member from chi vectors evaluated point by point
 triples with poly_gcd and scalar jacobi_symbol, multiply one Fraction
 per prime for H_{P,kind}, sum one Fraction per prime for the prime
 sums, and evaluate the C_{k1,k2} formula literally.  All are the
-straightforward definitions the fast paths replace.
+straightforward definitions the fast paths replace.  The member-row scans
+of scalar_oracles check the pair weights behind the exhaustive sums.
 """
 
+import ast
 import csv
 import functools
+import inspect
 import io
 import math
 import random
@@ -19,10 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracles as oracle
 from ffstat import biquad, cli, eulerprod, ffpoly, moments
+from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF
 
 FIELDS = {3: GF(3), 5: GF(5), 9: GF(3, 2)}
@@ -92,6 +96,94 @@ def test_monic_family_matches_scalar_enumeration(q, g):
 def test_family_totals_match_scalar_scan(q, g, n):
     field = FIELDS[q]
     assert moments._family_totals(field, g, n) == scalar_family_totals(field, g, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([3, 5, 9]), g=st.integers(0, 3), n=st.integers(1, 4),
+       deg=st.integers(1, 3), index=st.integers(0, 10 ** 6))
+@example(q=5, g=3, n=4, deg=2, index=3).via("the largest prime-field cell")
+@example(q=9, g=1, n=4, deg=3, index=100).via("the largest prime-power cell")
+def test_pair_weight_sums_match_the_row_scans(q, g, n, deg, index):
+    # q = 9 only up to genus 1; P is a random prime of degree 1 to 3
+    field = FIELDS[q]
+    g = min(g, 1) if q == 9 else g
+    primes = ffpoly.primes(field, deg)
+    P = primes[index % len(primes)]
+    assert biquad.family_size(field, g) == len(biquad.monic_family(field, g).rows)
+    assert moments._family_totals(field, g, n) == oracle.row_scan_totals(field, g, n)
+    if n % 2 == 0:
+        assert moments._bilinear_prime_form(field, g, n) == oracle.row_scan_prime_form(field, g, n)
+    assert (moments.fixed_prime_family_sum(field, g, P)
+            == oracle.row_scan_fixed_prime_sum(field, g, P))
+    assert moments.nkk_sums_all(field, P, g + 3) == oracle.mask_loop_nkk_sums_all(field, P, g + 3)
+
+
+MEMBER_FREE = ((moments, "_family_totals"), (moments, "_bilinear_prime_form"),
+               (moments, "fixed_prime_family_sum"), (moments, "nkk_sums_all"),
+               (biquad, "family_size"))
+
+
+@pytest.mark.parametrize("module,name", MEMBER_FREE, ids=[name for _, name in MEMBER_FREE])
+def test_member_free_sums_name_no_member_rows(module, name):
+    tree = ast.parse(inspect.getsource(getattr(module, name)).lstrip())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr in ("rows", "monic_family"))
+        assert not (isinstance(node, ast.Name) and node.id == "monic_family")
+
+
+def test_member_free_sums_build_no_member_rows(monkeypatch):
+    def refuse(field, g):
+        raise AssertionError("member rows built")
+
+    field, g, P = GF(5), 2, ffpoly.primes(GF(5), 2)[3]
+    want = (oracle.row_scan_totals(field, g, 4), oracle.row_scan_prime_form(field, g, 4),
+            oracle.row_scan_fixed_prime_sum(field, g, P), len(biquad.monic_family(field, g).rows))
+    moments._family_totals.cache_clear()
+    monkeypatch.setattr(biquad, "monic_family", refuse)
+    got = (moments._family_totals(field, g, 4), moments._bilinear_prime_form(field, g, 4),
+           moments.fixed_prime_family_sum(field, g, P), biquad.family_size(field, g))
+    assert got == want
+    moments.nkk_sums_all(field, P, g + 3)
+
+
+def test_pair_weights_that_disagree_raise(monkeypatch):
+    true_weight = biquad.pair_weight
+
+    def off_by_one(field, da, db, dc):
+        W = true_weight(field, da, db, dc).copy()
+        if (da, db, dc) == (0, 1, 2):
+            W[0, 0] += 1
+        return W
+
+    biquad.pair_weights.cache_clear()
+    monkeypatch.setattr(biquad, "pair_weight", off_by_one)
+    try:
+        with pytest.raises(InvariantError, match=r"pair weights of pattern \(0, (1, 2|2, 1)\)"):
+            biquad.pair_weights(GF(3), 1)
+    finally:
+        biquad.pair_weights.cache_clear()
+
+
+def test_monic_family_refuses_more_rows_than_the_cap(monkeypatch):
+    assert biquad.family_size(GF(5), 5) == 3_283_920 <= biquad.FAMILY_ROWS_CAP
+    assert biquad.family_size(GF(3), 9) == 6_224_760 > biquad.FAMILY_ROWS_CAP
+    with pytest.raises(ValueError, match="6224760 members, over the cap"):
+        biquad.monic_family(GF(3), 9)
+    # the cap is read before any row is built: (3, 4) has 7416 members
+    monkeypatch.setattr(biquad, "FAMILY_ROWS_CAP", 7415)
+    with pytest.raises(ValueError, match="over the cap"):
+        biquad.monic_family.__wrapped__(GF(3), 4)
+    monkeypatch.setattr(biquad, "FAMILY_ROWS_CAP", 7416)
+    assert len(biquad.monic_family.__wrapped__(GF(3), 4).rows) == 7416
+
+
+def test_family_totals_refuse_before_building_chi_matrices():
+    assert moments.family_totals_bytes(GF(3), 7, 11) > moments.TOTALS_BYTES_CAP
+    with pytest.raises(ValueError, match="over the cap"):
+        moments._family_totals(GF(3), 7, 11)
+    # the largest runs of the baseline table stay under it
+    for q, g, n in ((5, 5, 4), (3, 8, 6)):
+        assert moments.family_totals_bytes(GF(q), g, n) <= moments.TOTALS_BYTES_CAP
 
 
 @pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])

@@ -43,12 +43,16 @@ def test_double_char_sum_matches_the_scalar_loop(d, n):
 
 
 @pytest.mark.parametrize("field,d", [(F3, 4), (F9, 2), (F9, 3)])
-def test_squarefree_masks_match_trial_division(field, d):
-    polys, masks = biquad.squarefree_masks(field, d)
+def test_squarefree_factors_match_trial_division(field, d):
+    sf = biquad.squarefree_factors(field, d)
     want_polys, want_factors = oracle.squarefree_factors(field, d)
-    assert polys == want_polys
-    key_of = {bit: key for key, bit in biquad._prime_bits(field).items()}
-    got = [frozenset(key_of[b] for b in range(m.bit_length()) if m >> b & 1) for m in masks]
+    assert sf.polys == want_polys
+    # prime columns run by degree, then code
+    key_of = [(e, P.monic_code()) for e in range(1, d + 1) for P in oracle.prime_list(field, e)]
+    got = [set() for _ in sf.polys]
+    for i, e, c in zip(sf.poly.tolist(), sf.prime_deg.tolist(), sf.prime_col.tolist()):
+        assert key_of[c][0] == e
+        got[i].add(key_of[c])
     assert got == want_factors
 
 
