@@ -122,18 +122,6 @@ class CurveData:
 # ---------------------------------------------------------------------------
 
 
-class MonicFamily(NamedTuple):
-    """The monic family as index rows.
-
-    `polys` holds the square-free monic polynomials of every degree the
-    kept patterns use, concatenated by degree; row i of the (N, 3) int64
-    array `rows` indexes (f1, f2, f3) of member i.
-    """
-
-    polys: tuple
-    rows: np.ndarray
-
-
 class SquarefreeDegree(NamedTuple):
     """The square-free monic polynomials of one degree and their prime factors.
 
@@ -297,6 +285,14 @@ def family_degrees(g):
 PAIR_BLOCK_BYTES_CAP = 1 << 28
 
 
+def largest_pair_block(field, g):
+    """(N_a N_b, (d_a, d_b)): the largest (d1, d2) pair block of genus g, or
+    (0, None); the kept patterns are closed under permutation, so W13 and W23 too."""
+    count = functools.partial(ffpoly.squarefree_count, field.q)
+    return max(((count(a) * count(b), (a, b)) for a, b, _ in admissible_patterns(g)[0]),
+               key=lambda item: item[0], default=(0, None))
+
+
 @functools.lru_cache(maxsize=None)
 def pair_weights(field, g):
     """{pattern: (W12, W13, W23)} over the kept patterns of genus g.
@@ -308,62 +304,19 @@ def pair_weights(field, g):
     disagreement raises InvariantError.  A block over PAIR_BLOCK_BYTES_CAP
     is refused with a ValueError before anything is built.  The dict is
     shared through the cache: read it, do not change it."""
-    kept, _ = admissible_patterns(g)
-    for d1, d2, _ in kept:
-        need = 13 * ffpoly.squarefree_count(field.q, d1) * ffpoly.squarefree_count(field.q, d2)
-        if need > PAIR_BLOCK_BYTES_CAP:
-            raise ValueError(f"pair weights: q={field.q}, g={g} needs a {(d1, d2)} degree block "
-                             f"of about {need} bytes, over the cap of {PAIR_BLOCK_BYTES_CAP}")
-    # top degree first: its sieve table then serves every lower degree
-    for d in reversed(family_degrees(g)):
-        squarefree_factors(field, d)
+    entries, degrees = largest_pair_block(field, g)
+    if 13 * entries > PAIR_BLOCK_BYTES_CAP:
+        raise ValueError(f"pair weights: q={field.q}, g={g} needs a {degrees} degree block "
+                         f"of about {13 * entries} bytes, over the cap of {PAIR_BLOCK_BYTES_CAP}")
+    family_polys(field, g)  # the square-free factors, top degree first
     out = {}
-    for d1, d2, d3 in kept:
+    for d1, d2, d3 in admissible_patterns(g)[0]:
         blocks = (pair_weight(field, d1, d2, d3), pair_weight(field, d1, d3, d2),
                   pair_weight(field, d2, d3, d1))
         if len({int(W.sum()) for W in blocks}) != 1:
             raise InvariantError(f"pair weights of pattern {(d1, d2, d3)} disagree on its size")
         out[d1, d2, d3] = blocks
     return out
-
-
-#: the most members monic_family lists: 2^22 index rows are 96 MiB of int64
-FAMILY_ROWS_CAP = 1 << 22
-
-
-@functools.lru_cache(maxsize=None)
-def monic_family(field, g):
-    """All monic-variant members for genus g, deterministic order.
-
-    Members run over the kept patterns in order, then f1, f2, f3 in
-    square-free enumeration order, so indices are stable.  A pattern's
-    members are the True entries, in C order, of the outer AND of its
-    three coprime_masks.  The member count is read off the pair weights
-    first, and a family over FAMILY_ROWS_CAP members is refused with a
-    ValueError before any row is built.
-    """
-    size = family_size(field, g)
-    if size > FAMILY_ROWS_CAP:
-        raise ValueError(f"monic family: q={field.q}, g={g} has {size} members, over the "
-                         f"cap of {FAMILY_ROWS_CAP} index rows")
-    degrees = family_degrees(g)
-    polys, start = [], {}
-    for d in degrees:
-        start[d] = len(polys)
-        polys.extend(squarefree_factors(field, d).polys)
-    blocks = [np.zeros((0, 3), dtype=np.int64)]
-    for (d1, d2, d3), (W12, _, _) in pair_weights(field, g).items():
-        members = (coprime_mask(field, d1, d2)[:, :, None]
-                   & coprime_mask(field, d1, d3)[:, None, :]
-                   & coprime_mask(field, d2, d3)[None, :, :])
-        rows = np.argwhere(members) + [start[d1], start[d2], start[d3]]
-        if len(rows) != W12.sum():
-            raise InvariantError(f"pattern {(d1, d2, d3)} lists {len(rows)} members, "
-                                 f"its pair weights {int(W12.sum())}")
-        blocks.append(rows)
-    rows = np.concatenate(blocks)
-    rows.flags.writeable = False  # shared by every caller through the cache
-    return MonicFamily(tuple(polys), rows)
 
 
 def family_size(field, g, variant=MONIC):
@@ -375,35 +328,96 @@ def family_size(field, g, variant=MONIC):
     return (field.q - 1) ** 2 * n if variant == FULL else n
 
 
+def family_polys(field, g):
+    """{degree: its square-free monics} over family_degrees(g), ascending.
+    The top degree is built first: its sieve table serves every lower one."""
+    built = {d: squarefree_factors(field, d).polys for d in reversed(family_degrees(g))}
+    return dict(sorted(built.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_cumsums(field, g):
+    """{pattern: 0 and the row-major cumulative sum of its W12}: pair
+    (f1, f2) number p holds the members of ranks cum[p] to cum[p + 1] - 1."""
+    return {pattern: np.cumsum(np.append(0, W[0])) for pattern, W in pair_weights(field, g).items()}
+
+
+def _unrank(field, pattern, cum, rank):
+    """(i1, i2, i3), each an index into the square-free monics of its
+    degree, for the members at the ascending ranks `rank` within one
+    pattern: (i1, i2) the pair that holds the rank, i3 the r-th f3 coprime
+    to both.  The f3 of about ffpoly.BLOCK_BYTES of pairs are listed at
+    once, and a pair listing other than its weight raises InvariantError."""
+    m13, m23 = (coprime_mask(field, d, pattern[2]) for d in pattern[:2])
+    flat = np.searchsorted(cum, rank, side="right") - 1
+    pairs, at = np.unique(flat, return_inverse=True)
+    weight = cum[pairs + 1] - cum[pairs]
+    r = rank - cum[flat]
+    i1, i2 = np.divmod(pairs, len(m23))
+    i3 = np.empty_like(rank)
+    step = max(1, ffpoly.BLOCK_BYTES // m13.shape[1])
+    for lo in range(0, len(pairs), step):
+        mask = m13[i1[lo:lo + step]] & m23[i2[lo:lo + step]]
+        count = mask.sum(axis=1)
+        if not np.array_equal(count, weight[lo:lo + step]):
+            raise InvariantError(f"pattern {pattern}: a pair lists other f3 than its weight")
+        a, b = np.searchsorted(at, [lo, lo + step])
+        j = at[a:b] - lo
+        i3[a:b] = np.flatnonzero(mask)[np.cumsum(count)[j] - count[j] + r[a:b]] % mask.shape[1]
+    return i1[at], i2[at], i3
+
+
 def member_rows(field, g, variant, index):
-    """(rows, twists) for a sequence of member indices: rows into
-    monic_family(field, g).polys and the codes (c1, c2) scaling f1, f2."""
+    """(polys, rows, twists) for a sequence of member indices: the
+    concatenated family_polys, rows of indices (f1, f2, f3) into them and
+    the codes (c1, c2) scaling f1, f2.  Members run by kept pattern, then
+    f1, f2, f3 in square-free order, then twist; they are unranked from the
+    pair weights, with no member array.  Indices outside [0, family_size)
+    raise ValueError."""
+    size = family_size(field, g, variant)
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise ValueError(f"member indices {index.min()}..{index.max()} are not within [0, {size})")
     u = 1 if variant == MONIC else field.q - 1
-    tidx, rest = np.divmod(index, u * u)
-    return monic_family(field, g).rows[tidx], np.stack(np.divmod(rest, u), axis=1) + 1
+    monic, rest = np.divmod(index, u * u)
+    cums, polys = _pair_cumsums(field, g), family_polys(field, g)
+    start = dict(zip(polys, np.cumsum([0] + [len(p) for p in polys.values()])))
+    edges = np.cumsum([0] + [int(cum[-1]) for cum in cums.values()])
+    order = np.argsort(monic, kind="stable")
+    bounds = np.searchsorted(monic[order], edges)
+    rows = np.empty((len(index), 3), dtype=np.int64)
+    for (pattern, cum), edge, a, b in zip(cums.items(), edges, bounds, bounds[1:]):
+        if a < b:
+            found = _unrank(field, pattern, cum, monic[order[a:b]] - edge)
+            rows[order[a:b]] = np.stack(found, axis=1) + [start[d] for d in pattern]
+    return sum(polys.values(), ()), rows, np.stack(np.divmod(rest, u), axis=1) + 1
 
 
-def _members(field, g, variant, index):
-    """Validated CurveTriples for a sequence of member indices, decoded
-    4096 at a time."""
-    polys = monic_family(field, g).polys
+def member_polys(field, g, variant, index):
+    """(f1, f2, f3) for a sequence of member indices, unranked 4096 at a
+    time; correct by construction, so not validated as CurveTriples."""
     for lo in range(0, len(index), 4096):
-        rows, twists = member_rows(field, g, variant, index[lo:lo + 4096])
+        polys, rows, twists = member_rows(field, g, variant, index[lo:lo + 4096])
         for (i1, i2, i3), (c1, c2) in zip(rows.tolist(), twists.tolist()):
-            yield CurveTriple(polys[i1].scale(c1), polys[i2].scale(c2), polys[i3], variant)
+            yield polys[i1].scale(c1), polys[i2].scale(c2), polys[i3]
 
 
 def family_member(field, g, variant, index):
-    """Random access into the deterministic enumeration order."""
-    return next(_members(field, g, variant, [index]))
+    """Random access into the deterministic enumeration order: a validated
+    CurveTriple.  An index outside [0, family_size) raises ValueError."""
+    return CurveTriple(*next(member_polys(field, g, variant, [index])), variant)
 
 
 def enumerate_family(field, g, variant=MONIC, start=0, stop=None):
-    """Stream of CurveTriple in deterministic order, sliceable by index."""
+    """Stream of validated CurveTriples in deterministic order, sliceable
+    by index; stop is cut to the family size, and start < 0 or start >
+    stop raises ValueError."""
     total = family_size(field, g, variant)
-    if stop is None or stop > total:
-        stop = total
-    yield from _members(field, g, variant, range(start, stop))
+    stop = total if stop is None else min(stop, total)
+    if not 0 <= start <= stop:
+        raise ValueError(f"member slice [{start}, {stop}) is not within [0, {total}]")
+    for f1, f2, f3 in member_polys(field, g, variant, range(start, stop)):
+        yield CurveTriple(f1, f2, f3, variant)
 
 
 def family_size_ratio(field, g, variant=MONIC):

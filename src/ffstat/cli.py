@@ -11,8 +11,8 @@ round-trip decimals.  Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import re
 import sys
@@ -105,24 +105,20 @@ def _json_cell(v):
 
 
 def emit(rows, header, fmt, out):
-    """Single-writer serialization of a list of dict rows."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
+    """Single-writer serialization of an iterable of dict rows, written as
+    they come; the JSON is json.dumps(list(rows), indent=2), row by row."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([_csv_cell(row.get(col)) for col in header] for row in rows)
+            return
+        sep = "["
         for row in rows:
-            w.writerow([_csv_cell(row.get(col)) for col in header])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(
-            [{k: _json_cell(v) for k, v in row.items()} for row in rows],
-            indent=2,
-        ) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            item = json.dumps({k: _json_cell(v) for k, v in row.items()}, indent=2)
+            fh.write(sep + "\n  " + item.replace("\n", "\n  "))
+            sep = ","
+        fh.write("[]\n" if sep == "[" else "\n]\n")
 
 
 def _flag_value(flag, fn, *args):
@@ -194,7 +190,7 @@ def _cmd_lfunc(args):
 
 def _cmd_family(args):
     field = _field_for(args.q)
-    _family_size(field, args)  # an empty family is a valid answer here
+    size = _family_size(field, args)  # an empty family is a valid answer here
     if args.count:
         size, ratio = biquad.family_size_ratio(field, args.genus, args.variant)
         emit(
@@ -203,11 +199,9 @@ def _cmd_family(args):
             ["q", "g", "variant", "size", "ratio"], args.format, args.out,
         )
         return
-    _flag_value("--genus", biquad.monic_family, field, args.genus)
-    rows = [
-        {"index": i, "f1": poly_str(t.f1), "f2": poly_str(t.f2), "f3": poly_str(t.f3)}
-        for i, t in enumerate(biquad.enumerate_family(field, args.genus, args.variant))
-    ]
+    members = biquad.member_polys(field, args.genus, args.variant, range(size))
+    rows = ({"index": i, "f1": poly_str(f1), "f2": poly_str(f2), "f3": poly_str(f3)}
+            for i, (f1, f2, f3) in enumerate(members))
     emit(rows, ["index", "f1", "f2", "f3"], args.format, args.out)
 
 
@@ -254,14 +248,12 @@ def _cmd_moments(args):
         if mode == "auto":
             mode = "sample" if (args.work_budget and cost > args.work_budget) else "exhaustive"
         modes[n] = mode
-    # the top n first: its totals, its field and the sampled members' rows
-    # are refused before any lower n is run
+    # the top n first: its totals and its field are refused before any
+    # lower n is run
     exhaustive = [n for n, mode in modes.items() if mode == "exhaustive"]
     if exhaustive:
         _flag_value("--n-max", moments.check_family_totals, field, args.genus, max(exhaustive))
     _flag_value("--n-max", ffpoly.extension_field, field, args.n_max)
-    if "sample" in modes.values():
-        _flag_value("--genus", biquad.monic_family, field, args.genus)
     rows = []
     for n, mode in modes.items():
         rep = moments.average_trace(

@@ -26,8 +26,8 @@ polynomials that complete the pair (biquad.pair_weight): the character
 sums over F_{q^n} are sum(W o chi_a chi_b^T) with one float32 Gram block
 per degree pair, the prime-sum form is sum(W o X_a^T X_b) with X the
 residue-table Legendre matrix of the degree-n primes, and the
-fixed-prime sums are r_a^T W r_b.  Member rows (biquad.monic_family) are
-built only for sample mode and the density cross-check.
+fixed-prime sums are r_a^T W r_b.  Members are unranked from the pair
+weights (biquad.member_rows) only for sample mode and the density cross-check.
 """
 
 from __future__ import annotations
@@ -81,10 +81,8 @@ TOTALS_BYTES_CAP = 1 << 28
 def family_totals_bytes(field, g, n):
     """The bytes _family_totals(field, g, n) would allocate, estimated from
     square-free counts before anything is built."""
-    kept, _ = biquad.admissible_patterns(g)
-    count = {d: ffpoly.squarefree_count(field.q, d) for pat in kept for d in pat}
-    block = max((count[a] * count[b] for a, b, _ in kept), default=0)
-    return 5 * field.q ** n * sum(count.values()) + 3 * 8 * block
+    chi = sum(ffpoly.squarefree_count(field.q, d) for d in biquad.family_degrees(g))
+    return 5 * field.q ** n * chi + 3 * 8 * biquad.largest_pair_block(field, g)[0]
 
 
 def check_family_totals(field, g, n):
@@ -93,11 +91,6 @@ def check_family_totals(field, g, n):
     if need > TOTALS_BYTES_CAP:
         raise ValueError(f"family totals: q={field.q}, g={g} at n={n} need about {need} bytes "
                          f"of chi matrices and Gram blocks, over the cap of {TOTALS_BYTES_CAP}")
-
-
-def _degree_polys(field, g):
-    """{degree: square-free monics} over the degrees the kept patterns use."""
-    return {d: biquad.squarefree_factors(field, d).polys for d in biquad.family_degrees(g)}
 
 
 def _grams(chi):
@@ -138,7 +131,7 @@ def _family_totals(field, g, n):
     """
     check_family_totals(field, g, n)
     weights = biquad.pair_weights(field, g)
-    polys = _degree_polys(field, g)
+    polys = biquad.family_polys(field, g)
     ext = ffpoly.extension_field(field, n)
     if ext.order >= 1 << 24:
         raise InvariantError(f"q^n = {ext.order} is beyond exact float32 Gram blocks")
@@ -219,8 +212,7 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
         rng = np.random.Generator(np.random.Philox(seed))
         k = min(sample_size, size)
         idx = np.sort(rng.choice(size, size=k, replace=False))
-        vals = biquad.member_traces(field, n, biquad.monic_family(field, g).polys,
-                                    *biquad.member_rows(field, g, variant, idx))
+        vals = biquad.member_traces(field, n, *biquad.member_rows(field, g, variant, idx))
         avg_T = Fraction(int(vals.sum()), k)
         se = float(np.std(vals.astype(float), ddof=1) / math.sqrt(k)) / q ** (n / 2) if k > 1 else 0.0
         sample_size_out = k
@@ -309,7 +301,7 @@ def _bilinear_prime_form(field, g, n):
     entries are sums of at most q^n / n < 2^24 products in {-1, 0, 1}
     (see _family_totals for the bound on q^n)."""
     weights = biquad.pair_weights(field, g)
-    polys = _degree_polys(field, g)
+    polys = biquad.family_polys(field, g)
     flat = [f for p in polys.values() for f in p]
     X = np.stack(list(_chi_rows(flat, ffpoly.primes(field, n)))).astype(np.float32)
     ends = np.cumsum([len(p) for p in polys.values()])[:-1]
@@ -705,13 +697,13 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     if g < 1:
         raise ValueError(f"one-level density needs genus >= 1, got {g}")
     terms = _density_terms(g, alpha)
-    # the cross-check first: it lists members, which monic_family refuses
-    # for a family too large before the totals below do any work
+    # the cross-check first: its point counts need the largest extension
+    # field, refused for a genus too large before the totals below do any work
     worst = 0.0
-    step = max(1, biquad.family_size(field, g, biquad.MONIC) // max(1, crosscheck_curves))
-    for idx in range(0, biquad.family_size(field, g, biquad.MONIC), step):
-        t = biquad.family_member(field, g, biquad.MONIC, idx)
-        z_t, z_p = curve_density_pair(t, fhat, alpha)
+    monic = biquad.family_size(field, g, biquad.MONIC)
+    picked = range(0, monic, max(1, monic // max(1, crosscheck_curves)))
+    for f in biquad.member_polys(field, g, biquad.MONIC, picked):
+        z_t, z_p = curve_density_pair(biquad.CurveTriple(*f, biquad.MONIC), fhat, alpha)
         worst = max(worst, abs(z_t - z_p))
     # family side: average of per-curve trace expansions = expansion of
     # the average traces (linearity); computed from exact family totals

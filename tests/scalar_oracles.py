@@ -9,8 +9,10 @@ makes them oracles.
 
 The member-row scans at the end are the exception: they read the same chi
 rows as the fast paths, but sum them member by member over the rows of
-biquad.monic_family (and, for N_{k1,k2}, over triples tested by disjoint
+outer_and_family (and, for N_{k1,k2}, over triples tested by disjoint
 prime-factor bitmasks), so they check the pair weights that replace them.
+outer_and_family lists every member at once from the coprimality masks,
+independent of the unranking in biquad.
 """
 
 import functools
@@ -279,6 +281,25 @@ def extension_exp_log(F, n, modulus):
 # -- member-row scans: the family sums before the pair weights ------------------
 
 
+@functools.lru_cache(maxsize=None)
+def outer_and_family(field, g):
+    """The monic family as (polys, rows): the square-free monics of every
+    degree the kept patterns use, concatenated by degree, and one row of
+    indices (f1, f2, f3) into them per member, in enumeration order.  A
+    pattern's rows are the True entries, in C order, of the outer AND of
+    its three coprime_masks."""
+    polys, start, blocks = [], {}, [np.zeros((0, 3), dtype=np.int64)]
+    for d in biquad.family_degrees(g):
+        start[d] = len(polys)
+        polys.extend(biquad.squarefree_factors(field, d).polys)
+    for d1, d2, d3 in biquad.admissible_patterns(g)[0]:
+        members = (biquad.coprime_mask(field, d1, d2)[:, :, None]
+                   & biquad.coprime_mask(field, d1, d3)[:, None, :]
+                   & biquad.coprime_mask(field, d2, d3)[None, :, :])
+        blocks.append(np.argwhere(members) + [start[d1], start[d2], start[d3]])
+    return SimpleNamespace(polys=tuple(polys), rows=np.concatenate(blocks))
+
+
 def _member_sum(fam, chi):
     """sum over members of chi(f1) chi(f2) for chi given per polynomial."""
     return int((chi[fam.rows[:, 0]] * chi[fam.rows[:, 1]]).sum(dtype=np.int64))
@@ -287,7 +308,7 @@ def _member_sum(fam, chi):
 def row_scan_totals(field, g, n):
     """moments._family_totals by gathering the three int8 chi rows of every
     member, block by block."""
-    fam = biquad.monic_family(field, g)
+    fam = outer_and_family(field, g)
     ext = ffpoly.extension_field(field, n)
     chi = ext.chi_rows(fam.polys)
     deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
@@ -322,14 +343,14 @@ def row_scan_totals(field, g, n):
 
 def row_scan_prime_form(field, g, n):
     """moments._bilinear_prime_form as one member sum per degree-n prime."""
-    fam = biquad.monic_family(field, g)
+    fam = outer_and_family(field, g)
     return sum(_member_sum(fam, row)
                for row in moments._chi_rows(fam.polys, ffpoly.primes(field, n)))
 
 
 def row_scan_fixed_prime_sum(field, g, P):
     """moments.fixed_prime_family_sum as one member sum."""
-    fam = biquad.monic_family(field, g)
+    fam = outer_and_family(field, g)
     return _member_sum(fam, next(moments._chi_rows(fam.polys, (P,))))
 
 

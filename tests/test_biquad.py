@@ -91,6 +91,22 @@ def test_enumeration_slicing_matches_full_stream():
     assert len(full) == biquad.family_size(F3, 1, biquad.FULL)
 
 
+@pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])
+def test_member_indices_outside_the_family_are_refused(variant):
+    size = biquad.family_size(F3, 1, variant)
+    for bad in (-1, size, size + 7):
+        with pytest.raises(ValueError, match=f"member indices {bad}\\.\\.{bad} are not within"):
+            biquad.family_member(F3, 1, variant, bad)
+        with pytest.raises(ValueError, match=f"are not within \\[0, {size}\\)"):
+            biquad.member_rows(F3, 1, variant, [0, bad, 1])
+    assert biquad.family_member(F3, 1, variant, size - 1) == list(
+        biquad.enumerate_family(F3, 1, variant))[-1]
+    for start, stop in ((-2, 1), (-1, None), (5, 3), (size + 1, None)):
+        with pytest.raises(ValueError, match="member slice"):
+            list(biquad.enumerate_family(F3, 1, variant, start=start, stop=stop))
+    assert list(biquad.enumerate_family(F3, 1, variant, start=size)) == []
+
+
 def test_triple_validation():
     x = Poly.x(F3)
     with pytest.raises(ValueError):

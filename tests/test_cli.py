@@ -9,11 +9,14 @@ import importlib.util
 import json
 import math
 import pathlib
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffstat import cli, ffpoly, lfunc, moments
+from ffstat import biquad, cli, ffpoly, lfunc, moments
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -258,11 +261,13 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
      "--f1, --f2, --f3"),
     (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "11"],
      "--f1, --f2, --f3"),
-    # member rows over the cap (6 224 760 members at genus 9), refused
-    # before any is listed; the exhaustive totals need no rows
-    (["family", "--genus", "9"], "--genus"),
+    # the listing and sample mode unrank members from the pair weights,
+    # whose square-free factor tables are refused at genus 10 before any
+    # member is printed (genus 9 runs: see the tests below)
+    (["family", "--genus", "10"], "--genus"),
+    # the density cross-check needs F_{3^17} at genus 9, refused
     (["density", "--genus", "9", "--alpha", "1"], "--genus"),
-    (["moments", "--genus", "9", "--n-max", "1", "--mode", "sample",
+    (["moments", "--genus", "10", "--n-max", "1", "--mode", "sample",
       "--sample-size", "5"], "--genus"),
     # a pair-weight block over its cap (58 806 x 58 806 square-free quadratics)
     (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
@@ -274,6 +279,65 @@ def test_range_errors_name_the_flag(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"config error: {flag}: ")
+
+
+def test_sample_mode_runs_over_a_family_of_millions(capsys):
+    # 24 899 040 members at (3, 9), no member array: the five sampled
+    # members are unranked and their traces match the one-curve path
+    code, out, _ = run_cli(capsys, "moments", "--q", "3", "--genus", "9", "--n-max", "1",
+                           "--mode", "sample", "--sample-size", "5", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)[0]
+    size = biquad.family_size(F3, 9, biquad.FULL)
+    assert rec["family_size"] == size == 24_899_040
+    rng = np.random.Generator(np.random.Philox(0))
+    idx = np.sort(rng.choice(size, size=5, replace=False))
+    traces = [biquad.curve_counts(biquad.family_member(F3, 9, biquad.FULL, int(i)), 1).T[0]
+              for i in idx]
+    assert Fraction(rec["avg_T_num"], rec["avg_T_den"]) == Fraction(sum(traces), 5)
+    assert biquad.member_traces(F3, 1, *biquad.member_rows(F3, 9, biquad.FULL, idx)).tolist() == traces
+
+
+class _ClosedAfter(io.StringIO):
+    """A stdout whose reader goes away once `limit` characters are written."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError
+        return super().write(text)
+
+
+def test_family_listing_streams_until_the_reader_goes_away():
+    # the (3, 9) listing would take 149 MB as index rows of its 6 224 760
+    # monic members; it writes as it unranks, so a reader that stops after
+    # 8 KiB costs a few blocks (the pair weights are built beforehand)
+    biquad.family_size(F3, 9)
+    stdout = _ClosedAfter(8192)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(["family", "--q", "3", "--genus", "9"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert stdout.closed
+    assert peak < 149_000_000 // 4
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"q": 3, "avg": Fraction(-7, 3), "N": [4, 16], "T": [], "x": None, "f": 0.1}],
+    [{"index": i, "f1": "X^2+1", "P_C": [1, 0, i], "v": Fraction(i, 2)} for i in range(3)],
+])
+def test_json_rows_stream_as_one_dump(capsys, rows):
+    cli.emit(iter(rows), ["q"], "json", None)
+    want = json.dumps([{k: cli._json_cell(v) for k, v in row.items()} for row in rows], indent=2)
+    assert capsys.readouterr().out == want + "\n"
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,6 +509,22 @@ def test_fixed_prime_output_matches_golden_digest(capsys, command):
 def test_sample_mode_output_matches_pinned_digest(capsys, command, digest):
     # sha256 of the stdout of the per-member validated path sample mode
     # replaced
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("family --q 3 --genus 2 --variant full",
+     "7fc2bf9be6c20859c1aaf56bf7dd1b9891aa9a5206c869cde15b02a4be8a37e3"),
+    ("family --q 9 --genus 0 --variant monic",
+     "eab6e172bb3cace7915a19d08c2537de7725e4e36b7145c1d326651beb37f001"),
+    ("family --q 3 --genus 1 --format json",
+     "6057d62fcba32510a8cecf5f532a067492d59e48abdb91f7fb43aa6652bf961a"),
+])
+def test_family_listing_matches_pinned_digest(capsys, command, digest):
+    # sha256 of the stdout of the listing that built every member as a
+    # validated CurveTriple from an array of all member rows
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

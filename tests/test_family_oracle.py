@@ -78,17 +78,45 @@ def scalar_family_totals(field, g, n):
     return s_all, s12_tot, roots_tot, bil_tot, gen_tot
 
 
-@pytest.mark.parametrize("q,g", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (9, 0), (9, 1)])
+ENUMERATED = [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (9, 0), (9, 1)]
+
+
+@pytest.mark.parametrize("q,g", ENUMERATED)
 def test_monic_family_matches_scalar_enumeration(q, g):
+    # every index unranked at once, and again in shuffled order
     field = FIELDS[q]
-    oracle = scalar_monic_triples(field, g)
-    fam = biquad.monic_family(field, g)
-    assert fam.rows.shape == (len(oracle), 3)
-    got = [tuple(fam.polys[i] for i in row) for row in fam.rows]
-    assert got == [(t.f1, t.f2, t.f3) for t in oracle]
-    assert biquad.family_size(field, g) == len(oracle)
-    for i in (0, len(oracle) // 2, len(oracle) - 1):
-        assert biquad.family_member(field, g, biquad.MONIC, i) == oracle[i]
+    triples = scalar_monic_triples(field, g)
+    assert biquad.family_size(field, g) == len(triples)
+    polys, rows, twists = biquad.member_rows(field, g, biquad.MONIC, range(len(triples)))
+    assert [tuple(polys[i] for i in row) for row in rows] == [(t.f1, t.f2, t.f3) for t in triples]
+    assert (twists == 1).all()
+    assert np.array_equal(rows, oracle.outer_and_family(field, g).rows)
+    shuffled = np.random.default_rng(q + g).permutation(len(triples))
+    assert np.array_equal(biquad.member_rows(field, g, biquad.MONIC, shuffled)[1], rows[shuffled])
+    for i in (0, len(triples) // 2, len(triples) - 1):
+        assert biquad.family_member(field, g, biquad.MONIC, i) == triples[i]
+
+
+@pytest.mark.parametrize("q,g", ENUMERATED)
+def test_full_family_matches_scalar_enumeration(q, g):
+    # monic member t with f1, f2 scaled by each (c1, c2) in turn: every
+    # index as rows and twists, some 5000 as polynomials
+    field = FIELDS[q]
+    triples = scalar_monic_triples(field, g)
+    grid = [(c1, c2) for c1 in range(1, q) for c2 in range(1, q)]
+    size = biquad.family_size(field, g, biquad.FULL)
+    assert size == len(grid) * len(triples)
+    polys, rows, twists = biquad.member_rows(field, g, biquad.FULL, range(size))
+    assert np.array_equal(rows, np.repeat(oracle.outer_and_family(field, g).rows, len(grid), axis=0))
+    assert np.array_equal(twists, np.tile(grid, (len(triples), 1)))
+    picked = range(0, size, max(1, size // 5000))
+    want = []
+    for i in picked:
+        t, (c1, c2) = triples[i // len(grid)], grid[i % len(grid)]
+        want.append((t.f1.scale(c1), t.f2.scale(c2), t.f3))
+    assert list(biquad.member_polys(field, g, biquad.FULL, picked)) == want
+    assert biquad.family_member(field, g, biquad.FULL, picked[-1]) == biquad.CurveTriple(
+        *want[-1], biquad.FULL)
 
 
 @pytest.mark.parametrize("q,g,n", [(3, g, n) for g in (0, 1, 2) for n in (1, 2, 3, 4)]
@@ -109,7 +137,7 @@ def test_pair_weight_sums_match_the_row_scans(q, g, n, deg, index):
     g = min(g, 1) if q == 9 else g
     primes = ffpoly.primes(field, deg)
     P = primes[index % len(primes)]
-    assert biquad.family_size(field, g) == len(biquad.monic_family(field, g).rows)
+    assert biquad.family_size(field, g) == len(oracle.outer_and_family(field, g).rows)
     assert moments._family_totals(field, g, n) == oracle.row_scan_totals(field, g, n)
     if n % 2 == 0:
         assert moments._bilinear_prime_form(field, g, n) == oracle.row_scan_prime_form(field, g, n)
@@ -123,23 +151,27 @@ MEMBER_FREE = ((moments, "_family_totals"), (moments, "_bilinear_prime_form"),
                (biquad, "family_size"))
 
 
+UNRANKING = ("_unrank", "member_rows", "member_polys", "family_member", "enumerate_family")
+
+
 @pytest.mark.parametrize("module,name", MEMBER_FREE, ids=[name for _, name in MEMBER_FREE])
 def test_member_free_sums_name_no_member_rows(module, name):
     tree = ast.parse(inspect.getsource(getattr(module, name)).lstrip())
     for node in ast.walk(tree):
-        assert not (isinstance(node, ast.Attribute) and node.attr in ("rows", "monic_family"))
-        assert not (isinstance(node, ast.Name) and node.id == "monic_family")
+        assert not (isinstance(node, ast.Attribute) and node.attr in UNRANKING)
+        assert not (isinstance(node, ast.Name) and node.id in UNRANKING)
 
 
 def test_member_free_sums_build_no_member_rows(monkeypatch):
-    def refuse(field, g):
-        raise AssertionError("member rows built")
+    def refuse(field, g, variant, index):
+        raise AssertionError("members unranked")
 
     field, g, P = GF(5), 2, ffpoly.primes(GF(5), 2)[3]
     want = (oracle.row_scan_totals(field, g, 4), oracle.row_scan_prime_form(field, g, 4),
-            oracle.row_scan_fixed_prime_sum(field, g, P), len(biquad.monic_family(field, g).rows))
+            oracle.row_scan_fixed_prime_sum(field, g, P),
+            len(oracle.outer_and_family(field, g).rows))
     moments._family_totals.cache_clear()
-    monkeypatch.setattr(biquad, "monic_family", refuse)
+    monkeypatch.setattr(biquad, "member_rows", refuse)
     got = (moments._family_totals(field, g, 4), moments._bilinear_prime_form(field, g, 4),
            moments.fixed_prime_family_sum(field, g, P), biquad.family_size(field, g))
     assert got == want
@@ -164,17 +196,33 @@ def test_pair_weights_that_disagree_raise(monkeypatch):
         biquad.pair_weights.cache_clear()
 
 
-def test_monic_family_refuses_more_rows_than_the_cap(monkeypatch):
-    assert biquad.family_size(GF(5), 5) == 3_283_920 <= biquad.FAMILY_ROWS_CAP
-    assert biquad.family_size(GF(3), 9) == 6_224_760 > biquad.FAMILY_ROWS_CAP
-    with pytest.raises(ValueError, match="6224760 members, over the cap"):
-        biquad.monic_family(GF(3), 9)
-    # the cap is read before any row is built: (3, 4) has 7416 members
-    monkeypatch.setattr(biquad, "FAMILY_ROWS_CAP", 7415)
-    with pytest.raises(ValueError, match="over the cap"):
-        biquad.monic_family.__wrapped__(GF(3), 4)
-    monkeypatch.setattr(biquad, "FAMILY_ROWS_CAP", 7416)
-    assert len(biquad.monic_family.__wrapped__(GF(3), 4).rows) == 7416
+def test_unranking_checks_each_pair_count_against_its_weight(monkeypatch):
+    # one coprimality entry flipped after the weights are built: member 0,
+    # of pair (1, X) in the first pattern (0, 1, 2), then finds one third
+    # polynomial fewer than its weight counts
+    field, g = GF(3), 1
+    biquad.family_size(field, g)
+    true_mask = biquad.coprime_mask
+
+    def flipped(field, da, db):
+        mask = true_mask(field, da, db).copy()
+        if (da, db) == (1, 2):
+            mask[0, np.argmax(mask[0])] = False
+        return mask
+
+    monkeypatch.setattr(biquad, "coprime_mask", flipped)
+    assert list(biquad.pair_weights(field, g))[0] == (0, 1, 2)
+    with pytest.raises(InvariantError, match=r"pattern \(0, 1, 2\)"):
+        biquad.member_rows(field, g, biquad.MONIC, [0])
+
+
+@pytest.mark.parametrize("q,g", [(3, 1), (3, 4), (5, 2), (9, 1)])
+def test_largest_pair_block_is_the_largest_weight_block(q, g):
+    field = FIELDS[q]
+    entries, (da, db) = biquad.largest_pair_block(field, g)
+    sizes = [W.size for blocks in biquad.pair_weights(field, g).values() for W in blocks]
+    assert entries == max(sizes)
+    assert entries == len(biquad.family_polys(field, g)[da]) * len(biquad.family_polys(field, g)[db])
 
 
 def test_family_totals_refuse_before_building_chi_matrices():
@@ -195,8 +243,7 @@ def test_member_traces_match_curve_counts(monkeypatch, q, g, variant):
     field = FIELDS[q]
     size = biquad.family_size(field, g, variant)
     idx = np.sort(np.random.default_rng(q).choice(size, size=12, replace=False))
-    polys = biquad.monic_family(field, g).polys
-    rows, twists = biquad.member_rows(field, g, variant, idx)
+    polys, rows, twists = biquad.member_rows(field, g, variant, idx)
     members = [biquad.family_member(field, g, variant, int(i)) for i in idx]
     if variant == biquad.FULL:
         assert any(not m.f1.is_monic() for m in members)
