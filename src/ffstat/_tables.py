@@ -39,6 +39,24 @@ their own rows ask `coef_rows` for them.  The quadratic residue table of
 a prime Q reduces the squares of every residue; the squares do not
 depend on Q, so they are built once per degree.
 
+Stacked kernel.  `legendre_array` takes a list of primes and returns one
+int8 matrix of symbols.  The primes of each degree k reduce together:
+the cached alpha^t X^j mod Q rows of a block of them are concatenated
+into one matrix, and blocks of about ffpoly.BLOCK_BYTES / 32 rows reduce
+against it with one matmul and the floor pass above, the block of primes
+sized so that the float result stays near 4 BLOCK_BYTES, inside the
+cache.  Concatenation changes no entry's arithmetic, so the bounds above
+hold as they are.  The quadratic residue tables of one degree live in one
+int8 store, built the same stacked way (the squares against the stacked
+rows of the missing primes), and each symbol is read off it with one flat
+take.  `char_sums` sums characters chi_D = prod_{Q | D} (F/Q) over a
+matrix of rows for a whole list of D: a row sum of the Legendre matrix
+for prime D, and for D = D' Q with omega >= 2 an entry of a float32 Gram
+block between the int8 rows of the D' (products of Legendre rows) and
+those of the Q of one degree.  A Gram entry is a sum of as many products
+in {-1, 0, 1} as the chunk has rows, so chunks stay at most 2^24 rows
+wide, where float32 is exact; a wider chunk raises InvariantError.
+
 The sieve multiplies each prime by every monic of the complementary
 degree with the same kind of matmul (the block matrix of multiplication
 by the prime, in float64, whose entries stay far below chiq's) and
@@ -95,8 +113,10 @@ class PolyTables:
         self._sieve()
         self._square_cache = {}
         self._coefmat_cache = {}
-        self._chiq_cache = {}
+        self._chiq_tabs = {}  # degree -> (int8 table store, rows used)
+        self._chiq_row = {}  # qkey -> its row in the store of its degree
         self._xrow_cache = {}
+        self._stack_cache = {}
 
     # -- digit rows -----------------------------------------------------
 
@@ -202,7 +222,7 @@ class PolyTables:
 
     def monic_coefmat(self, d):
         """(q^d x (d+1)e) digit rows of all monic of degree d, in the
-        table's float type and column-major, so that reduce_codes reads
+        table's float type and column-major, so that the kernel reads
         its transpose as one contiguous block."""
         key = ("monic", d)
         if key not in self._coefmat_cache:
@@ -245,37 +265,81 @@ class PolyTables:
             cached = self._xrow_cache[qkey] = np.concatenate(blocks, axis=1).astype(self.dtype)
         return cached[:nrows]
 
+    def _check_rows(self, coefmat, caller):
+        """The width, in coefficients, of coefmat's rows; InvariantError
+        when they are float32 at a width float_type does not admit."""
+        width = -(-coefmat.shape[1] // self.e)
+        if coefmat.dtype == np.float32 and self.float_type(width) is not np.float32:
+            raise InvariantError(
+                f"{caller}: float32 rows of width {width} are not exact "
+                f"at q={self.q} with max_deg={self.max_deg}")
+        return width
+
+    def _qkey_rows(self, qkey, width):
+        """(width e x k e) rows of alpha^t X^j mod Q digits, t < e: the
+        matrix that maps a digit row of width coefficients to Q's residue
+        digits."""
+        return self._xpow_rows(qkey, width)[:, : self.e].reshape(width * self.e, -1)
+
     def reduce_codes(self, coefmat, qkey):
         """Residue codes modulo the prime Q given by qkey=(deg, code).
 
         Runs in coefmat's float type.  float64 rows may hold any integers
         whose matmul entries stay below 2^51; float32 rows hold entries in
         0..p-1 at a width float_type admits in float32."""
-        ncols = coefmat.shape[1]
-        width = -(-ncols // self.e)
-        if coefmat.dtype == np.float32 and self.float_type(width) is not np.float32:
-            raise InvariantError(
-                f"reduce_codes: float32 rows of width {width} are not exact "
-                f"at q={self.q} with max_deg={self.max_deg}")
-        R = self._xpow_rows(qkey, width)[:, : self.e].reshape(width * self.e, -1)
-        return self._reduce(coefmat, R[:ncols], qkey[0])
+        width = self._check_rows(coefmat, "reduce_codes")
+        R = self._qkey_rows(qkey, width)[: coefmat.shape[1]]
+        return self._reduce(coefmat, R, qkey[0])[0]
 
     def _reduce(self, mat, R, k):
-        """The kernel: residue codes of the rows of mat against the rows R
-        of alpha^t X^j mod Q digits, for Q of degree k."""
+        """The kernel: residue codes of the rows of mat against the stacked
+        rows R of alpha^t X^j mod Q digits of m primes Q of degree k, column
+        t m + i holding digit t of the i-th Q; an (m, rows) int64 array."""
         ppow = self._ppow_f[: k * self.e]
         if mat.dtype != R.dtype:
             R = R.astype(mat.dtype)
             ppow = ppow.astype(mat.dtype)
         p = self.p
-        res = R.T @ mat.T  # (k e, rows); BLAS reads both transposes in place
+        res = R.T @ mat.T  # (k e m, rows); BLAS reads both transposes in place
         # res -= p * floor((res + 1/2) / p), with one temporary
         quot = res + 0.5
         quot *= 1.0 / p
         np.floor(quot, out=quot)
         quot *= p
         res -= quot
-        return (ppow @ res).astype(np.int64)
+        rows = res.shape[1]
+        return (ppow @ res.reshape(k * self.e, -1)).astype(np.int64).reshape(-1, rows)
+
+    def _stacked(self, keys, width):
+        """(R, offsets) for the primes keys of one degree: their _qkey_rows
+        stacked as one (len(keys), width e, k e) array, at least width
+        coefficients wide, and the flat offset of each prime's row in the
+        degree's chiq store, as a column.  Cached per tuple of keys, since
+        l_suite asks for the same primes at each row degree; the first
+        build covers the table's own rows (max_deg + 1 wide)."""
+        cached = self._stack_cache.get(keys)
+        if cached is None or cached[0] < width:
+            tab, rows = self.chiq(keys)
+            width = max(width, self.max_deg + 1)
+            R = np.array([self._qkey_rows(key, width) for key in keys])
+            cached = self._stack_cache[keys] = width, R, rows[:, None] * tab.shape[1]
+        return cached[1:]
+
+    def _stacked_codes(self, mat, k, R):
+        """Residue codes of mat's rows modulo the primes of degree k whose
+        rows for _reduce are stacked in R (one prime per first index, at
+        least mat's columns of rows each), in cache blocks: about
+        ffpoly.BLOCK_BYTES / 32 rows (2048 at 64 KiB) against as many
+        primes as keep the float result near 4 BLOCK_BYTES.  Yields (i, r, codes), codes[a, b] the
+        residue of row r + b modulo prime i + a."""
+        ncols, m, K = mat.shape[1], R.shape[0], R.shape[2]
+        step = max(1, ffpoly.BLOCK_BYTES // 32)
+        qstep = max(1, 4 * ffpoly.BLOCK_BYTES // (K * min(step, len(mat)) * mat.dtype.itemsize))
+        for i in range(0, m, qstep):
+            # the block's columns digit-major, as _reduce reads them
+            block = R[i:i + qstep, :ncols].transpose(1, 2, 0).reshape(ncols, -1)
+            for r in range(0, len(mat), step):
+                yield i, r, self._reduce(mat[r:r + step], block, k)
 
     # -- quadratic residue tables ----------------------------------------
 
@@ -297,44 +361,124 @@ class PolyTables:
             sq += (digits[:, a:a + 1] * digits[:, a:]) @ place
         return sq
 
-    def chiq(self, qkey):
-        """int8 table over residue codes mod prime Q: (r/Q) in {-1, 0, 1}."""
-        tab = self._chiq_cache.get(qkey)
-        if tab is not None:
-            return tab
-        k, _ = qkey
-        n = self.q ** k
-        squares = self._square_cache.get(k)
-        if squares is None:
-            squares = self._square_cache[k] = self._squares(k)
-        R = self._xpow_rows(qkey, 2 * k - 1).reshape(-1, k * self.e)
-        sq_codes = self._reduce(squares, R, k)
-        tab = np.full(n, -1, dtype=np.int8)
-        tab[sq_codes] = 1
-        tab[0] = 0
-        self._chiq_cache[qkey] = tab
-        return tab
+    def chiq(self, qkeys):
+        """Quadratic residue tables of primes Q of one degree k, given by
+        qkeys=[(k, code), ...]: (tab, rows), tab an int8 array whose row
+        rows[i] holds (r/Q_i) in {-1, 0, 1} at each residue code r mod Q_i.
 
-    def legendre_array(self, coefmat, qkey):
-        """(F/Q) for every row F of coefmat, as int8."""
-        return self.chiq(qkey)[self.reduce_codes(coefmat, qkey)]
+        tab is the degree's table store, shared by every call.  The
+        missing tables are built together: the squares of all residues,
+        reduced against the stacked rows of their primes."""
+        k = qkeys[0][0]
+        tab, used = self._chiq_tabs.get(k, (None, 0))
+        new = [key for key in dict.fromkeys(qkeys) if key not in self._chiq_row]
+        if new:
+            n, K = self.q ** k, k * self.e
+            if tab is None or used + len(new) > len(tab):
+                grown = np.empty((max(used + len(new), 2 * used), n), dtype=np.int8)
+                if tab is not None:
+                    grown[:used] = tab[:used]
+                tab = grown
+            squares = self._square_cache.get(k)
+            if squares is None:
+                squares = self._square_cache[k] = self._squares(k)
+            block = tab[used:used + len(new)]
+            block.fill(-1)
+            R = np.array([self._xpow_rows(key, 2 * k - 1).reshape(-1, K) for key in new])
+            for i, r, codes in self._stacked_codes(squares, k, R):
+                block[np.arange(i, i + len(codes))[:, None], codes] = 1
+            block[:, 0] = 0
+            for key in new:
+                self._chiq_row[key] = used
+                used += 1
+            self._chiq_tabs[k] = tab, used
+        return tab, np.array([self._chiq_row[key] for key in qkeys], dtype=np.int64)
 
-    def prime_char_sums(self, factorizations, n):
-        """sum over the monic primes P of degree n of chi_D(P), for each
-        square-free D given by its factorization [(deg, code), ...]:
-        chi_D(P) is the product of (P/Q) over the prime factors Q of D
-        (1 for D = 1, whose factorization is empty)."""
-        pmat = self.prime_coefmat(n)
-        legp = {}
-        sums = []
-        for fac in factorizations:
-            arr = None
-            for qkey in fac:
-                leg = legp.get(qkey)
-                if leg is None:
-                    leg = legp[qkey] = self.legendre_array(pmat, qkey)
-                arr = leg if arr is None else arr * leg
-            sums.append(len(pmat) if arr is None else int(arr.sum(dtype=np.int64)))
+    def legendre_array(self, coefmat, qkeys):
+        """(F/Q) for every prime Q given by qkeys=[(deg, code), ...] and
+        every row F of coefmat: an int8 (len(qkeys), rows) matrix.
+
+        The primes of each degree reduce together (_stacked_codes) and
+        each symbol is read off the stacked chiq tables with one flat
+        take.  float32 rows must be at a width float_type admits."""
+        width = self._check_rows(coefmat, "legendre_array")
+        qkeys = [(int(k), int(code)) for k, code in qkeys]
+        groups = {}
+        for i, (k, _) in enumerate(qkeys):
+            groups.setdefault(k, []).append(i)
+        # rows of out by degree, put back in qkeys order at the end
+        out = np.empty((len(qkeys), len(coefmat)), dtype=np.int8)
+        start = 0
+        for k, idx in groups.items():
+            keys = tuple(qkeys[i] for i in idx)
+            R, offsets = self._stacked(keys, width)
+            tab = self._chiq_tabs[k][0]
+            for i, r, codes in self._stacked_codes(coefmat, k, R):
+                codes += offsets[i:i + len(codes)]
+                out[start + i:start + i + len(codes), r:r + codes.shape[1]] = tab.take(codes)
+            start += len(keys)
+        order = [i for idx in groups.values() for i in idx]
+        if order != sorted(order):
+            out[order] = out.copy()
+        return out
+
+    # -- character sums ---------------------------------------------------
+
+    def char_sums(self, coefmat, factorizations):
+        """sum over the rows F of coefmat of chi_D(F) = prod_{Q | D} (F/Q),
+        for each square-free D given by its factorization, a list of
+        (deg, code) tuples as factor gives it (the empty one, D = 1, counts
+        the rows), as an int64 array.
+
+        The rows go in chunks, each read as one legendre_array matrix L
+        over every prime factor.  A prime D sums its row of L.  A D with
+        omega >= 2 factors splits as D' Q, Q its last factor (the one of
+        largest degree in the order factor gives; any order is exact, and
+        this one shares the most D' between the D).  The int8 rows of the
+        distinct D' are products of rows of L, built for all D' of one
+        factor count at once, and the sums are entries of one float32 Gram
+        block per degree of Q.  A Gram entry is a sum of chunk-width
+        products in {-1, 0, 1}, exact in float32 while the chunk width is
+        at most 2^24; chunks hold about 64 ffpoly.BLOCK_BYTES of int8 rows
+        of L and of the D'."""
+        qkeys = sorted({key for fac in factorizations for key in fac})
+        col = {key: i for i, key in enumerate(qkeys)}
+        sums = np.zeros(len(factorizations), dtype=np.int64)
+        single, heads, by_last = [], {}, {}
+        for i, fac in enumerate(factorizations):
+            if len(fac) >= 2:
+                h = heads.setdefault(tuple(fac[:-1]), len(heads))
+                by_last.setdefault(fac[-1][0], []).append((i, h, col[fac[-1]]))
+            elif fac:
+                single.append((i, col[fac[0]]))
+            else:
+                sums[i] = len(coefmat)
+        p_at, p_col = np.array(single, dtype=np.int64).reshape(-1, 2).T
+        by_count = {}
+        for head, h in heads.items():
+            by_count.setdefault(len(head), []).append([h] + [col[key] for key in head])
+        by_count = {c: np.array(rows, dtype=np.int64) for c, rows in by_count.items()}
+        grams = []
+        for trip in by_last.values():
+            at, h, c = np.array(trip, dtype=np.int64).T
+            hsel, hpos = np.unique(h, return_inverse=True)
+            csel, cpos = np.unique(c, return_inverse=True)
+            grams.append((at, hsel, hpos, csel, cpos))
+        chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(qkeys) + len(heads)))
+        if min(chunk, len(coefmat)) > 1 << 24:
+            raise InvariantError(f"char_sums: a chunk of {chunk} rows is beyond exact float32 Gram blocks")
+        for r in range(0, len(coefmat) if qkeys else 0, chunk):
+            L = self.legendre_array(coefmat[r:r + chunk], qkeys)
+            sums[p_at] += L.sum(axis=1, dtype=np.int32)[p_col]
+            head_rows = np.empty((len(heads), L.shape[1]), dtype=np.int8)
+            for c, rows in by_count.items():
+                prod = L[rows[:, 1]]
+                for j in range(2, c + 1):
+                    prod *= L[rows[:, j]]
+                head_rows[rows[:, 0]] = prod
+            for at, hsel, hpos, csel, cpos in grams:
+                G = head_rows[hsel].astype(np.float32) @ L[csel].astype(np.float32).T
+                sums[at] += G[hpos, cpos].astype(np.int64)
         return sums
 
 

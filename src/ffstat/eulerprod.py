@@ -136,14 +136,19 @@ def _chi_pm(P, Q, sign, lookup=None):
 @functools.lru_cache(maxsize=None)
 def chi_plain_rows(P, max_deg):
     """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
-    ffpoly.primes order, for d = 1..max_deg; read off the residue tables.
-    Shared by the three kinds, so the rows are read-only."""
+    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
+    in one legendre_array call over the prime rows of every degree,
+    zero-padded to the widest.  Shared by the three kinds, so the rows
+    are read-only."""
     T = poly_tables(P.field, max(max_deg, int(P.degree)))
-    qkey = (int(P.degree), P.monic_code())
-    rows = [T.legendre_array(T.prime_coefmat(d), qkey) for d in range(1, max_deg + 1)]
-    for row in rows:
-        row.flags.writeable = False
-    return tuple(rows)
+    mats = [T.prime_coefmat(d) for d in range(1, max_deg + 1)]
+    ends = np.cumsum([len(m) for m in mats])
+    stacked = np.zeros((ends[-1], mats[-1].shape[1]), dtype=T.dtype)
+    for m, end in zip(mats, ends):
+        stacked[end - len(m):end, : m.shape[1]] = m
+    leg = T.legendre_array(stacked, [(int(P.degree), P.monic_code())])[0]
+    leg.flags.writeable = False
+    return tuple(np.split(leg, ends[:-1]))
 
 
 def _value_counts(row):

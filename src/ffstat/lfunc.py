@@ -410,11 +410,16 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     of coefficients at degree >= deg D, and explicit-formula traces
     against Newton traces for n <= n_max.  Returns a SuiteReport.
 
-    Every character value comes from the residue tables of _tables,
-    whose float32/float64 kernel is exact while e*width digit entries
-    times (p-1)^2 stay below its bound (4 D^2 e^2 (p-1)^3 < 2^51 for
-    D = max(n_max, max_deg)) and q^D < 2^53; beyond that the tables
-    raise ValueError.
+    Every character sum is one PolyTables.char_sums pass over the whole
+    catalogue: phase 1 runs one per degree d <= max_deg over the monic
+    rows of degree d (the raw coefficients), phase 2 one per degree
+    n <= n_max over the prime rows of degree n (the s_n(D) of the
+    explicit formula).  Each pass reads the Legendre symbols of every
+    prime factor in stacked legendre_array calls and multiplies them out
+    in Gram blocks (see _tables), whose float32/float64 kernel is exact
+    while e*width digit entries times (p-1)^2 stay below its bound
+    (4 D^2 e^2 (p-1)^3 < 2^51 for D = max(n_max, max_deg)) and
+    q^D < 2^53; beyond that the tables raise ValueError.
 
     `collect`, if given, is called with each record dict (used by tests
     to cross-check samples against the scalar path).
@@ -424,57 +429,47 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     rh_worst = 0.0
     bound_worst = 0.0
 
-    # concatenated (F/Q) arrays over all monic F of degree 0..max_deg
-    offsets = np.cumsum([0] + [q ** d for d in range(max_deg + 1)])
-    monic_mats = [T.monic_coefmat(d) for d in range(max_deg + 1)]
-    legf_cache = {}
-
-    def legf(qkey):
-        arr = legf_cache.get(qkey)
-        if arr is None:
-            arr = np.concatenate([T.legendre_array(m, qkey) for m in monic_mats])
-            legf_cache[qkey] = arr
-        return arr
-
-    # phase 1: raw coefficients, then the checks of each distinct raw
-    # L-polynomial (a pure function of its coefficients here), run once
-    records = []
-    raw_checks = {}
+    moduli = []  # (deg, code, factors) of every square-free monic D
     for dd in range(1, max_deg + 1):
         for code in range(q ** dd):
             factors = T.factor(dd, code)
-            if factors is None:
-                continue
-            arr = legf(tuple(factors[0]))
-            for fac in factors[1:]:
-                arr = arr * legf(tuple(fac))
-            sums = [
-                int(arr[offsets[e] : offsets[e + 1]].sum(dtype=np.int64))
-                for e in range(max_deg + 1)
-            ]
-            label = f"D deg={dd} code={code}"
-            for e in range(dd, max_deg + 1):
-                if sums[e] != 0:
-                    failures.append(f"{label}: coefficient at degree {e} nonzero")
-            raw = LPoly(tuple(sums[:dd]), dd, PLUS, completed=False, q=q)
-            checked = raw_checks.get(raw.coeffs)
-            if checked is None:
-                raw_minus = LPoly(
-                    tuple((-1) ** e * c for e, c in enumerate(raw.coeffs)),
-                    dd, MINUS, completed=False, q=q,
-                )
-                checked = raw_checks[raw.coeffs] = _check_raw(raw, raw_minus, q, n_max, rh_tol)
-            lstar, t_plus, dev, problems = checked
-            failures.extend(f"{label}: {msg}" for msg in problems)
-            if lstar is None:
-                continue
-            rh_worst = max(rh_worst, dev)
-            records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
-                            "lstar": lstar, "t": t_plus, "lam": raw.lam})
+            if factors is not None:
+                moduli.append((dd, code, factors))
+    factorizations = [factors for _, _, factors in moduli]
 
-    # phase 2: prime character sums s_d(D) for the explicit formula
+    # phase 1: raw coefficients, one char_sums pass per degree of F over
+    # every modulus, then the checks of each distinct raw L-polynomial (a
+    # pure function of its coefficients here), run once
+    coeffs = zip(*(T.char_sums(T.monic_coefmat(d), factorizations).tolist()
+                   for d in range(max_deg + 1)))
+    records = []
+    raw_checks = {}
+    for (dd, code, factors), sums in zip(moduli, coeffs):
+        label = f"D deg={dd} code={code}"
+        for e in range(dd, max_deg + 1):
+            if sums[e] != 0:
+                failures.append(f"{label}: coefficient at degree {e} nonzero")
+        raw = LPoly(tuple(sums[:dd]), dd, PLUS, completed=False, q=q)
+        checked = raw_checks.get(raw.coeffs)
+        if checked is None:
+            raw_minus = LPoly(
+                tuple((-1) ** e * c for e, c in enumerate(raw.coeffs)),
+                dd, MINUS, completed=False, q=q,
+            )
+            checked = raw_checks[raw.coeffs] = _check_raw(raw, raw_minus, q, n_max, rh_tol)
+        lstar, t_plus, dev, problems = checked
+        failures.extend(f"{label}: {msg}" for msg in problems)
+        if lstar is None:
+            continue
+        rh_worst = max(rh_worst, dev)
+        records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
+                        "lstar": lstar, "t": t_plus, "lam": raw.lam})
+
+    # phase 2: prime character sums s_d(D) for the explicit formula, one
+    # char_sums pass per prime degree over the records' moduli
     factorizations = [rec["factors"] for rec in records]
-    s_table = [T.prime_char_sums(factorizations, d) for d in range(1, n_max + 1)]
+    s_table = [T.char_sums(T.prime_coefmat(d), factorizations).tolist()
+               for d in range(1, n_max + 1)]
 
     # phase 3: explicit formula vs Newton, and the prime-sum size bound
     pi_q = {d: ffpoly.prime_count_exact(q, d) for d in range(1, n_max + 1)}

@@ -303,19 +303,17 @@ def _bilinear_prime_form(field, g, n):
     weights = biquad.pair_weights(field, g)
     polys = biquad.family_polys(field, g)
     flat = [f for p in polys.values() for f in p]
-    X = np.stack(list(_chi_rows(flat, ffpoly.primes(field, n)))).astype(np.float32)
+    X = _chi_rows(flat, ffpoly.primes(field, n)).astype(np.float32)
     ends = np.cumsum([len(p) for p in polys.values()])[:-1]
     gram = _grams(dict(zip(polys, np.split(X.T, ends))))
     return sum(int((W12 * gram(d1, d2)).sum()) for (d1, d2, _), (W12, _, _) in weights.items())
 
 
 def _chi_rows(polys, primes):
-    """int8 rows chi_P(f) over polys, one per P in primes, read off the
-    residue tables."""
+    """int8 matrix [P, f] = chi_P(f) over polys, one row per P in primes,
+    read off the residue tables in one stacked call."""
     T = poly_tables(polys[0].field, max(int(P.degree) for P in primes))
-    mat = T.coef_rows(polys)
-    for P in primes:
-        yield T.legendre_array(mat, (int(P.degree), P.monic_code()))
+    return T.legendre_array(T.coef_rows(polys), [(int(P.degree), P.monic_code()) for P in primes])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def nkk_sums_all(field, P, d, chi_of=None):
 def _squarefree_chi(field, P, e):
     """int8 chi_P(f) over the square-free monics f of degree e, in
     biquad.squarefree_factors order."""
-    row = next(_chi_rows(biquad.squarefree_factors(field, e).polys, (P,)))
+    row = _chi_rows(biquad.squarefree_factors(field, e).polys, (P,))[0]
     row.flags.writeable = False  # shared by every caller through the cache
     return row
 
@@ -564,7 +562,7 @@ def double_char_sum(field, d, n):
     q = field.q
     T = poly_tables(field, max(d, n))
     facs = (T.factor(d, code) for code in range(q ** d))
-    total = sum(T.prime_char_sums([fac for fac in facs if fac is not None], n))
+    total = int(T.char_sums(T.prime_coefmat(n), [fac for fac in facs if fac is not None]).sum())
     return n * total / q ** (d + n / 2), total
 
 

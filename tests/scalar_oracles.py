@@ -351,7 +351,7 @@ def row_scan_prime_form(field, g, n):
 def row_scan_fixed_prime_sum(field, g, P):
     """moments.fixed_prime_family_sum as one member sum."""
     fam = outer_and_family(field, g)
-    return _member_sum(fam, next(moments._chi_rows(fam.polys, (P,))))
+    return _member_sum(fam, moments._chi_rows(fam.polys, (P,))[0])
 
 
 def _factor_masks(field, d):
@@ -370,7 +370,7 @@ def mask_loop_nkk_sums_all(field, P, d, chi_of=None):
     sf = [_factor_masks(field, e) for e in range(d, -1, -1)][::-1]
     masks = [m for _, m in sf]
     if chi_of is None:
-        chis = [next(moments._chi_rows(polys, (P,))).tolist() for polys, _ in sf]
+        chis = [moments._chi_rows(polys, (P,))[0].tolist() for polys, _ in sf]
     else:
         chis = [[chi_of(f) for f in polys] for polys, _ in sf]
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}

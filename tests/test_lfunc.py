@@ -1,11 +1,15 @@
 """Quadratic characters, L-polynomials, completion, traces, explicit formula."""
 
+import ast
+import hashlib
+import inspect
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ffstat import ffpoly, lfunc
+from ffstat import _tables, ffpoly, lfunc
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 
@@ -236,6 +240,77 @@ def test_l_suite_reports_completion_failure_per_modulus(monkeypatch):
     assert rep.failures == [f"{label}: non-exact division by trivial-zero factor"
                             for label in labels]
     assert sorted(calls) == sorted(raws)
+
+
+def _suite_digest(q, max_deg, n_max):
+    """sha256 of every record (deg, code, L* coefficients, t, s) and the
+    report, in the line format of the benchmark's l_suite command."""
+    lines = []
+
+    def emit(rec):
+        lines.append(json.dumps([rec["deg"], rec["code"], rec["lstar"].coeffs,
+                                 rec["t"], rec["s"]]) + "\n")
+
+    rep = lfunc.l_suite(q, max_deg=max_deg, n_max=n_max, collect=emit)
+    lines.append(json.dumps(
+        {"q": rep.q, "max_deg": rep.max_deg, "n_max": rep.n_max,
+         "moduli": rep.moduli, "failures": rep.failures,
+         "rh_max_dev": repr(rep.rh_max_dev),
+         "prime_sum_bound_max": repr(rep.prime_sum_bound_max)},
+        sort_keys=True) + "\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q,max_deg,n_max,digest", [
+    (3, 4, 6, "f0a801070f7efdbc87f5aed106c52e798fa2813f261b249ad2b655e2faf2569d"),
+    (5, 3, 5, "a6ca641dec682b7b9507fad5bbc8695173bcd1cb8152414f69e34377d430244c"),
+    (9, 2, 4, "4954cd4bc3fb9b0bd4ea52eff55f8b3c8842d10bb18265f7fddbd862df7aaa49"),
+])
+def test_l_suite_records_are_pinned(q, max_deg, n_max, digest):
+    # captured from the per-modulus implementation before the stacked one
+    assert _suite_digest(q, max_deg, n_max) == digest
+
+
+def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
+    # one legendre_array call per row degree, each over every prime factor
+    # of the catalogue, and no per-modulus sums left in l_suite
+    calls = []
+    stacked = _tables.PolyTables.legendre_array
+
+    def counting(self, coefmat, qkeys):
+        calls.append(len(qkeys))
+        return stacked(self, coefmat, qkeys)
+
+    monkeypatch.setattr(_tables.PolyTables, "legendre_array", counting)
+    max_deg, n_max = 4, 6
+    rep = lfunc.l_suite(3, max_deg=max_deg, n_max=n_max)
+    assert rep.ok()
+    T = _tables.poly_tables(F3, n_max)
+    factors = sum(len(T.prime_codes[d]) for d in range(1, max_deg + 1))
+    assert calls == [factors] * (max_deg + 1 + n_max)
+    assert not hasattr(_tables.PolyTables, "prime_char_sums")
+    tree = ast.parse(inspect.getsource(lfunc.l_suite))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"legf", "legf_cache", "offsets"} & names
+    assert not {"sum", "legendre_array", "prime_char_sums"} & attrs
+
+
+def test_l_suite_stacks_each_prime_once(monkeypatch):
+    # the stacked rows of each degree's primes are built at the first row
+    # degree, wide enough for every later one, and then reused
+    built = []
+    rows = _tables.PolyTables._qkey_rows
+
+    def counting(self, qkey, width):
+        built.append(qkey)
+        return rows(self, qkey, width)
+
+    monkeypatch.setattr(_tables, "_largest", {})
+    monkeypatch.setattr(_tables.PolyTables, "_qkey_rows", counting)
+    lfunc.l_suite(3, max_deg=4, n_max=6)
+    T = _tables.poly_tables(F3, 6)
+    assert sorted(built) == [(d, c) for d in range(1, 5) for c in T.prime_codes[d].tolist()]
 
 
 def test_squarefree_part():

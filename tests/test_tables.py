@@ -58,7 +58,77 @@ def test_legendre_array_matches_scalar_jacobi(case):
     polys = [Poly.from_coeffs(field, row) for row in rows]
     mat = _digits_of(T, rows).astype(np.float64)
     assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
-    assert T.legendre_array(mat, qkey).tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+    assert T.legendre_array(mat, [qkey])[0].tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+
+
+class _Float64Tables(PolyTables):
+    """Tables that build every matrix in float64, as fields beyond the
+    float32 bound do, at a size the tests can afford."""
+
+    def float_type(self, width, entry=None):
+        return np.float64
+
+
+#: q and the degree its stacked tables reach
+STACKED_DEGREE = {3: 4, 5: 3, 9: 3, 25: 2, 27: 2}
+_stacked_tables = {}
+
+
+@st.composite
+def _stacked_case(draw):
+    q = draw(st.sampled_from(sorted(STACKED_DEGREE)))
+    kind = draw(st.sampled_from([PolyTables, _Float64Tables]))
+    if (q, kind) not in _stacked_tables:
+        _stacked_tables[q, kind] = kind(ffpoly.field_of_order(q), STACKED_DEGREE[q])
+    T = _stacked_tables[q, kind]
+    primes = [(k, c) for k in range(1, T.max_deg + 1) for c in T.prime_codes[k].tolist()]
+    qkeys = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=40))
+    width = draw(st.integers(1, 2 * T.max_deg + 1))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+                         min_size=1, max_size=20))
+    dtype = draw(st.sampled_from([np.float32, np.float64] if kind is PolyTables else [np.float64]))
+    # blocks of 1, 3, 7 and 2048 rows; a block of primes holds about
+    # 32 / (k e) of them in float32, 16 / (k e) in float64, so that row
+    # and prime counts fall on both sides of a block edge
+    block_bytes = draw(st.sampled_from([32, 96, 224, ffpoly.BLOCK_BYTES]))
+    return T, qkeys, rows, dtype, block_bytes
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stacked_case())
+def test_stacked_legendre_array_matches_scalar_jacobi(case):
+    T, qkeys, rows, dtype, block_bytes = case
+    polys = [Poly.from_coeffs(T.field, row) for row in rows]
+    default, ffpoly.BLOCK_BYTES = ffpoly.BLOCK_BYTES, block_bytes
+    try:
+        T._stack_cache.clear()  # restack at this case's block size
+        got = T.legendre_array(_digits_of(T, rows).astype(dtype), qkeys)
+    finally:
+        ffpoly.BLOCK_BYTES = default
+    assert got.dtype == np.int8 and got.shape == (len(qkeys), len(rows))
+    for qkey, row in zip(qkeys, got.tolist()):
+        Q = Poly.monic_from_code(T.field, *qkey)
+        assert row == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+
+
+def test_stacked_legendre_array_straddles_the_default_blocks():
+    # more rows than one row block and more cubic primes than one block
+    # of stacked primes, against each prime's own kernel call and chiq row
+    T = poly_tables(GF(5), 3)
+    qkeys = [(3, c) for c in T.prime_codes[3].tolist()] + [(1, 2), (2, 3)]
+    step = ffpoly.BLOCK_BYTES // 32
+    assert T.dtype is np.float32 and len(qkeys) > 4 * ffpoly.BLOCK_BYTES // (3 * step * 4)
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 5, size=(step + 5, 5))
+    mat = rows.astype(np.float32)
+    got = T.legendre_array(mat, qkeys)
+    for qkey, row in zip(qkeys, got):
+        tab, at = T.chiq([qkey])
+        assert (row == tab[at[0]][T.reduce_codes(mat, qkey)]).all()
+    Q = Poly.monic_from_code(T.field, *qkeys[-3])
+    for r in (0, step - 1, step, step + 4):
+        f = Poly.from_coeffs(T.field, rows[r].tolist())
+        assert got[-3, r] == ffpoly.jacobi_symbol(f, Q)
 
 
 def test_reduce_codes_exact_for_large_entries():
@@ -106,20 +176,59 @@ def test_poly_tables_refuses_oversized_sieves_before_allocating(monkeypatch):
     assert peak < 1 << 16
 
 
-def test_prime_char_sums_matches_scalar():
-    T = poly_tables(GF(3), 4)
-    F3 = T.field
-    facs = [T.factor(3, code) for code in range(27)]
+def test_char_sums_matches_scalar():
+    # D = 1, every prime D, and products of omega = 2, 3, 4 factors; the
+    # rows are the primes of degree n (l_suite's phase 2) and all monics
+    # of degree 2 (its phase 1)
+    T = poly_tables(GF(5), 4)
+    F5 = T.field
+    facs = [T.factor(d, code) for d in range(1, 5) for code in range(0, 5 ** d, 1 + d * d)]
     facs = [[]] + [fac for fac in facs if fac is not None]
-    for n in (1, 2, 3):
-        primes = ffpoly.primes(F3, n)
+    four = Poly.one(F5)
+    for c in range(4):
+        four = four * Poly.monic_from_code(F5, 1, c)
+    facs.append(T.factor(4, four.monic_code()))
+    assert {len(fac) for fac in facs} == {0, 1, 2, 3, 4}
+    for rows, polys in [(T.prime_coefmat(n), ffpoly.primes(F5, n)) for n in (1, 2, 3)] + [
+            (T.monic_coefmat(2), list(ffpoly.monic_polys(F5, 2)))]:
         expect = []
         for fac in facs:
-            D = Poly.one(F3)
+            D = Poly.one(F5)
             for qkey in fac:
-                D = D * Poly.monic_from_code(F3, *qkey)
-            expect.append(sum(ffpoly.jacobi_symbol(P, D) for P in primes))
-        assert T.prime_char_sums(facs, n) == expect
+                D = D * Poly.monic_from_code(F5, *qkey)
+            expect.append(sum(ffpoly.jacobi_symbol(P, D) for P in polys))
+        got = T.char_sums(rows, facs)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
+
+
+def test_char_sums_refuses_inexact_gram_chunks(monkeypatch):
+    # a chunk wider than 2^24 rows could round a float32 Gram entry; the
+    # rows are a broadcast view, so nothing of that size is allocated
+    T = poly_tables(GF(3), 2)
+    monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 1 << 40)
+    rows = np.broadcast_to(T.monic_coefmat(1)[:1], ((1 << 24) + 1, 2))
+    with pytest.raises(InvariantError, match="beyond exact float32 Gram blocks"):
+        T.char_sums(rows, [[(1, 0), (1, 1)]])
+
+
+def test_char_sums_peak_memory_at_degree_8():
+    # l_suite(5, 5, 8)'s largest phase-2 pass: 829 prime factors over the
+    # 48 750 primes of degree 8; a whole int8 Legendre matrix of that size
+    # alone is 38.5 MiB
+    T = poly_tables(GF(5), 8)
+    facs = [T.factor(d, code) for d in range(1, 6) for code in range(5 ** d)]
+    facs = [fac for fac in facs if fac is not None]
+    rows = T.prime_coefmat(8)
+    T.legendre_array(rows[:1], sorted({key for fac in facs for key in fac}))  # chiq tables
+    tracemalloc.start()
+    try:
+        sums = T.char_sums(rows, facs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20
+    assert sums[facs.index([(1, 0)])] == int(T.legendre_array(rows, [(1, 0)])[0].sum())
 
 
 def _widest_float32_width(q):
@@ -140,8 +249,8 @@ def test_float32_kernel_matches_float64_and_scalar(case):
     codes = T.reduce_codes(mat32, qkey)
     assert codes.tolist() == T.reduce_codes(mat64, qkey).tolist()
     assert codes.tolist() == [_residue_code(f, Q) for f in polys]
-    leg = T.legendre_array(mat32, qkey)
-    assert leg.tolist() == T.legendre_array(mat64, qkey).tolist()
+    leg = T.legendre_array(mat32, [qkey])[0]
+    assert leg.tolist() == T.legendre_array(mat64, [qkey])[0].tolist()
     assert leg.tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
 
 
@@ -159,7 +268,7 @@ def test_float32_kernel_exact_at_widest_width(q):
     codes = T.reduce_codes(rows.astype(np.float32), qkey)
     assert codes.tolist() == T.reduce_codes(rows.astype(np.float64), qkey).tolist()
     assert codes[0] == _residue_code(Poly.from_coeffs(T.field, rows[0].tolist()), Q)
-    leg = T.legendre_array(rows.astype(np.float32), qkey)
+    leg = T.legendre_array(rows.astype(np.float32), [qkey])[0]
     residues = [Poly.from_coeffs(T.field, [int(c) // q ** i % q for i in range(4)])
                 for c in codes]
     assert leg.tolist() == [ffpoly.jacobi_symbol(r, Q) for r in residues]
@@ -195,7 +304,7 @@ def test_table_beyond_float32_bound_runs_in_float64():
             polys = [Poly.from_coeffs(T.field, row[:width]) for row in rows]
             mat = np.array([row[:width] for row in rows], dtype=dtype)
             assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
-            assert T.legendre_array(mat, qkey).tolist() == [
+            assert T.legendre_array(mat, [qkey])[0].tolist() == [
                 ffpoly.jacobi_symbol(f, Q) for f in polys]
         with pytest.raises(InvariantError, match="float32 rows"):
             T.reduce_codes(np.array(rows, dtype=np.float32)[:, :3], qkey)
@@ -242,7 +351,8 @@ def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
     for k in (1, 2):
         for code in T.prime_codes[k][:: len(T.prime_codes[k]) - 1].tolist():
             Q = Poly.monic_from_code(field, k, code)
-            tab = T.chiq((k, code))
+            tab, rows = T.chiq([(k, code)])
+            tab = tab[rows[0]]
             residues = [Poly(field, [r // field.q ** i % field.q for i in range(k)])
                         for r in range(field.q ** k)]
             assert tab.tolist() == [ffpoly.legendre_symbol(r, Q) for r in residues]
@@ -291,7 +401,7 @@ def test_tables_are_keyed_by_the_field_modulus():
         for code in T.prime_codes[2][:6].tolist():
             Q = Poly.monic_from_code(field, 2, code)
             polys = [Poly.monic_from_code(field, 3, c) for c in range(0, 729, 13)]
-            assert T.legendre_array(T.coef_rows(polys), (2, code)).tolist() == [
+            assert T.legendre_array(T.coef_rows(polys), [(2, code)])[0].tolist() == [
                 ffpoly.jacobi_symbol(f, Q) for f in polys]
 
 
