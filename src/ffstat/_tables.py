@@ -10,64 +10,89 @@ e*j + t is the alpha^t part of the X^j coefficient, and a row of e*width
 digits holds width coefficients.  For prime q (e = 1) digits and
 coefficients coincide.
 
-Reduction modulo a fixed monic Q is F_q-linear, hence F_p-linear on these
-digit rows, so a batch reduces with one matmul against the block matrix
-whose row (j, t) holds the digits of alpha^t (X^j mod Q), then subtracts
-p * floor((x + 1/2) / p) from each entry and combines the residue digits
-with one more matmul.  Residue codes keep their range, since
-q^k = p^(ek).  There is one kernel, and it runs in its input's float
-type: float64 rows reduce in float64, float32 rows in float32.
+The kernel.  Reduction modulo a fixed monic Q of degree k is F_q-linear,
+hence F_p-linear on these digit rows: row (j, t) of its matrix R holds
+the K = k e digits of alpha^t (X^j mod Q), and a row c maps to the digit
+sums x_t = sum_j c_j R[j, t], whose residues mod p are the digits of the
+residue.  The kernel reads no x_t itself.  One matmul against the matrix
+[R / p | code] (`_kernel_matrix`), whose last column holds the codes
+sum_t p^t R[j, t] of the X^j mod Q, gives z_t ~ x_t / p and
+y = sum_j c_j code_j = sum_t p^t x_t, and then the residue code is
 
-Exactness.  Every matmul entry x is a sum of products of non-negative
-integers, so it and each partial sum are exact while they stay below
-2^24 (float32) or 2^53 (float64).  For an integer x < 2^22 in float32,
-x + 1/2 is exact and fl((x + 1/2) * fl(1/p)) lies within
-(x + 1/2)/p * (2^-23 + 2^-48) < (1/2)/p of (x + 1/2)/p, which is itself
-at least (1/2)/p from the nearest integer, so the floor is exact;
-float64 gives the same below 2^51.  The digit combination is exact
-while residue codes, below q^deg Q, stay below 2^24 (float32) or 2^53
-(float64).
+    y - sum_t p^(t+1) floor(z_t + 1/(2p)) = sum_t p^t (x_t mod p),
 
-`PolyTables.float_type` checks these bounds in one place, with 2^21 for
-float32 to keep a factor-2 margin: rows of width coefficients are e*width
-digit entries, each times a matrix entry of at most p-1.  Each table
-builds its own matrices (digit rows, alpha^t X^j mod Q rows, the squares
-behind `chiq`) in float32 when every matmul entry they can produce stays
-below 2^21 and q^max_deg < 2^24, and in float64 otherwise; the largest
-such entry is chiq's, below 4 max_deg^2 e^2 (p-1)^3.  Callers that build
-their own rows ask `coef_rows` for them.  The quadratic residue table of
-a prime Q reduces the squares of every residue; the squares do not
-depend on Q, so they are built once per degree.
+one in-place add and floor followed by one small matmul over the block
+(`_stacked_codes`).  Residue codes keep their range, since q^k = p^(ek).
+The same kernel runs in float32 or float64, whichever its rows are in.
+The sieve runs through it too, with the matrix of multiplication by a
+prime in place of R, so the module has one reduction step.
+
+Exactness.  Let a row hold J digit entries in 0..p-1 and R entries in
+0..p-1, so x_t <= x_max = J (p-1)^2, and let u be the unit roundoff
+(2^-24 in float32, 2^-53 in float64).
+- The code column: every product c_j code_j and every partial sum of y
+  is an integer at most y <= J (p-1) q^k, so y is exact while
+  J (p-1) q^k < 2^24 (float32) or 2^53 (float64).
+- The floors: each entry of R / p is within u of R[j, t] / p relative to
+  it, a dot product of J non-negative terms in any order (FMA or not)
+  within gamma_J = J u / (1 - J u) of its sum, and the bias add rounds
+  once more, so the computed z_t + 1/(2p) lies within about
+  ((J + 2) x_max + 1/2) u / p of (2 x_t + 1) / (2p).  That value is at
+  least 1/(2p) from every integer, so the floor is floor(x_t / p) while
+  (J + 2) x_max < 2^23 (float32) or 2^52 (float64), up to the terms in
+  u^2 and the rounding of 1/(2p) itself.
+- The combination: each p^(t+1) floor(x_t / p) is at most y, and every
+  partial sum of the signed sum lies in [-y, y], so it is exact under
+  the code bound.
+
+`PolyTables.float_type` checks both bounds in one place.  It asks
+(J + 2) x_max < 2^22 (float32) or 2^51 (float64), a factor-2 margin
+that absorbs the terms left out above.  The code bound needs no margin,
+since nothing in it rounds.  Entries above p-1 (chiq's squares, below
+k e (p-1)^2) scale x_max and the code bound by the same factor, and q^k
+is taken at k = max_deg unless the caller names a degree.  The table's
+own digit rows (monic and prime rows up to max_deg) are float32 when
+float_type admits rows of max_deg + 1 coefficients, else float64,
+and callers that build their own rows ask `coef_rows` for them; float32
+rows at a width float_type does not admit raise InvariantError.  The
+quadratic residue table of a prime Q reduces the squares of every
+residue; the squares do not depend on Q, so they are built once per
+degree, in the float type their own bound gives.
 
 Stacked kernel.  `legendre_array` takes a list of primes and returns one
-int8 matrix of symbols.  The primes of each degree k reduce together:
-the cached alpha^t X^j mod Q rows of a block of them are concatenated
-into one matrix, and blocks of about ffpoly.BLOCK_BYTES / 32 rows reduce
-against it with one matmul and the floor pass above, the block of primes
-sized so that the float result stays near 4 BLOCK_BYTES, inside the
-cache.  Concatenation changes no entry's arithmetic, so the bounds above
-hold as they are.  The quadratic residue tables of one degree live in one
-int8 store, built the same stacked way (the squares against the stacked
-rows of the missing primes), and each symbol is read off it with one flat
-take.  `char_sums` sums characters chi_D = prod_{Q | D} (F/Q) over a
-matrix of rows for a whole list of D: a row sum of the Legendre matrix
-for prime D, and for D = D' Q with omega >= 2 an entry of a float32 Gram
-block between the int8 rows of the D' (products of Legendre rows) and
-those of the Q of one degree.  A Gram entry is a sum of as many products
-in {-1, 0, 1} as the chunk has rows, so chunks stay at most 2^24 rows
-wide, where float32 is exact; a wider chunk raises InvariantError.
+int8 matrix of symbols.  The primes of each run of one degree reduce
+together: the alpha^t X^j mod Q rows of all of them are built in one
+batched F_p power pass over their stacked companion matrices
+(`_xrow_batch`, once per prime), their kernel matrices are laid side by
+side, prime by prime, and blocks of about ffpoly.BLOCK_BYTES / 32 rows
+reduce against as many primes as keep the float digit sums near
+4 BLOCK_BYTES, inside the cache, into scratch buffers the table keeps,
+so no block allocates.  Laying matrices side by side changes no entry's
+arithmetic, so the bounds above hold as they are.  The quadratic residue
+tables of one degree live in one int8 store, built the same stacked way
+(the squares against the kernel matrices of the missing primes), and
+each symbol is read off it with one flat take.  `char_sums` sums
+characters chi_D = prod_{Q | D} (F/Q) over a matrix of rows for a whole
+list of D: a row sum of the Legendre matrix for prime D, and for
+D = D' Q with omega >= 2 an entry of a float32 Gram block between the
+int8 rows of the D' (products of Legendre rows) and those of the Q of
+one degree.  A Gram entry is a sum of as many products in {-1, 0, 1} as
+the chunk has rows, so chunks stay at most 2^24 rows wide, where float32
+is exact; a wider chunk raises InvariantError.
 
 The sieve multiplies each prime by every monic of the complementary
-degree with the same kind of matmul (the block matrix of multiplication
-by the prime, in float64, whose entries stay far below chiq's) and
-records, for each composite code, a smallest-degree prime factor of
-least code together with its cofactor, so factoring needs no division.
+degree through the kernel (the matrix of multiplication by the prime,
+truncated below X^d, in place of R) and records, for each composite
+code, a smallest-degree prime factor of least code together with its
+cofactor, so factoring needs no division.
 
 Everything here is cross-checked against scalar oracles by the test
 suite.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -99,17 +124,27 @@ class PolyTables:
         self.field = field
         self.p, self.e, self.q = field.p, field.e, field.q
         self.max_deg = max_deg
-        # the largest matmul entry the reductions meet is chiq's: squares of
+        # the largest matmul entries the kernel meets are chiq's: squares of
         # residues of degree < k <= max_deg, taken over F_p[alpha, X], have
-        # (2k-1)(2e-1) digit entries up to k e (p-1)^2
-        self.dtype = self.float_type(2 * max_deg, 2 * max_deg * self.e * (self.p - 1) ** 2)
+        # (2k-1)(2e-1) <= 2e(2k-1) digit entries up to k e (p-1)^2; a field
+        # beyond float64 there is refused before anything is built
+        self._square_type(max_deg)
+        self.dtype = self.float_type(max_deg + 1)
         self._ppow = np.array([self.p ** i for i in range(self.e * max_deg)], dtype=np.int64)
-        # residue digit weights p^0..p^(e max_deg - 1), exact in self.dtype
-        self._ppow_f = self._ppow.astype(self.dtype)
-        # alpha^0..alpha^(2e-2) as element codes (alpha has code p)
+        # alpha^0..alpha^(2e-2) as element codes (alpha has code p), and the
+        # matrices of multiplication by them: row s of _alpha_mul[u] holds
+        # the digits of alpha^u alpha^s, so a digit row times it is alpha^u
+        # times that element
         self._alpha = [1]
         for _ in range(2 * self.e - 2):
             self._alpha.append(field.mul(self._alpha[-1], self.p))
+        self._alpha_mul = np.array([
+            self._element_rows([field.mul(a, t) for t in self._alpha[:self.e]], self.e)
+            for a in self._alpha])
+        self._scratch = {}
+        # (K + 1, float type) -> the weights -p^(t+1), 1 that turn the floors
+        # and y into a residue code, and the bias 1/(2p)
+        self._combine = {}
         self._sieve()
         self._square_cache = {}
         self._coefmat_cache = {}
@@ -139,16 +174,16 @@ class PolyTables:
         """Block matrix of multiplication by the polynomial with element
         codes pcoeffs: row (i, t) holds the digits of alpha^t X^i times it,
         for i <= m, truncated to the coefficients below X^d."""
-        F, e = self.field, self.e
-        codes = [[F.mul(c, a) for c in pcoeffs] for a in self._alpha[:e]]
-        blocks = self._element_rows(codes, e)  # [t, e j + s]: digit s of alpha^t c_j
-        mat = np.zeros(((m + 1) * e, (d + 1) * e), dtype=np.float64)
+        e = self.e
+        # [t, e j + s]: digit s of alpha^t c_j
+        blocks = (self._element_rows(pcoeffs, len(pcoeffs)) @ self._alpha_mul[:e] % self.p).reshape(e, -1)
+        mat = np.zeros(((m + 1) * e, (d + 1) * e), dtype=np.int64)
         for i in range(m + 1):
             mat[i * e:(i + 1) * e, i * e:(i + len(pcoeffs)) * e] = blocks
         return mat[:, : d * e]
 
     def _sieve(self):
-        q, D, e = self.q, self.max_deg, self.e
+        q, D = self.q, self.max_deg
         # spf[d][code] = a * q^D + pcode * q^(d-a) + cofactor code, for the
         # smallest-degree prime factor (a, pcode) of least code; 0 if prime
         self.spf = {d: np.zeros(q ** d, dtype=np.int64) for d in range(1, D + 1)}
@@ -157,17 +192,16 @@ class PolyTables:
         for d in range(2, D + 1):
             spf_d = self.spf[d]
             # the last write wins, so primes go in descending order
-            ppow = self._ppow[: d * e].astype(np.float64)
             for a in range(d // 2, 0, -1):
                 m = d - a
                 cofactors = np.arange(q ** m, dtype=np.int64)
-                mult = self._monic_rows(cofactors, m).astype(np.float64)
+                # the products are monic of degree d: codes below q^d
+                mult = self._monic_rows(cofactors, m).astype(self.float_type(m + 1, k=d))
                 for pcode in self.prime_codes[a][::-1].tolist():
                     pco = ffpoly._decode_digits(pcode, a, q) + (1,)
-                    prod = mult @ self._mul_matrix(pco, m, d)
-                    prod -= self.p * np.floor((prod + 0.5) * (1.0 / self.p))
-                    codes = (prod @ ppow).astype(np.int64)
-                    spf_d[codes] = a * pack + pcode * q ** m + cofactors
+                    S = self._kernel_matrix(self._mul_matrix(pco, m, d)[None], mult.dtype)
+                    for _, r, codes in self._stacked_codes(mult, d, S):
+                        spf_d[codes[0]] = a * pack + pcode * q ** m + cofactors[r:r + codes.shape[1]]
             self.prime_codes[d] = np.nonzero(spf_d == 0)[0].astype(np.int64)
 
     def factor(self, deg, code):
@@ -193,23 +227,26 @@ class PolyTables:
 
     # -- batched reduction ----------------------------------------------
 
-    def float_type(self, width, entry=None):
-        """The float type in which reduce_codes is exact on rows of `width`
-        coefficients, that is e*width digit entries in 0..entry (default
-        p-1): float32 while every matmul entry stays below 2^21 and residue
-        codes below 2^24, else float64 while they stay below 2^51 and 2^53
-        (see the module docstring)."""
+    def float_type(self, width, entry=None, k=None):
+        """The float type in which the kernel is exact on rows of `width`
+        coefficients, that is J = e*width digit entries in 0..entry
+        (default p-1), reduced modulo primes of degree k (default max_deg):
+        float32 while (J + 2) x_max < 2^22 and y_max < 2^24, x_max =
+        J entry (p-1) the largest digit sum and y_max = J entry q^k the
+        largest code sum, else float64 while they stay below 2^51 and 2^53
+        (see the module docstring); beyond that a ValueError."""
         p, e = self.p, self.e
-        top = e * width * (p - 1 if entry is None else entry) * (p - 1)
-        codes = p ** (e * self.max_deg)
-        if top < 2 ** 21 and codes < 2 ** 24:
+        J, entry = e * width, p - 1 if entry is None else entry
+        x_max = J * entry * (p - 1)
+        y_max = J * entry * p ** (e * (self.max_deg if k is None else k))
+        if (J + 2) * x_max < 2 ** 22 and y_max < 2 ** 24:
             return np.float32
-        if top < 2 ** 51 and codes < 2 ** 53:
+        if (J + 2) * x_max < 2 ** 51 and y_max < 2 ** 53:
             return np.float64
         raise ValueError(
             f"PolyTables: q={p ** e} with max_deg={self.max_deg} is beyond exact "
-            f"float64 residue reduction (matmul entries up to {top}, "
-            f"residue codes up to {codes})")
+            f"float64 residue reduction (digit sums up to {x_max}, "
+            f"code sums up to {y_max})")
 
     def coef_rows(self, polys):
         """Digit rows of arbitrary polynomials, zero-padded to the widest,
@@ -238,32 +275,57 @@ class PolyTables:
             self._coefmat_cache[key] = rows.astype(self.dtype, order="F")
         return self._coefmat_cache[key]
 
-    def _xpow_rows(self, qkey, nrows):
-        """Array whose entry [j, u] holds the digits of alpha^u (X^j mod Q),
-        for u < 2e - 1 (the squares in chiq reach alpha^(2e-2)).
+    def _xrow_batch(self, k, codes, n):
+        """Digits of alpha^u (X^j mod Q) for the primes Q of degree k with
+        these codes, in one batched F_p power pass over their companion
+        matrices: an (len(codes), n, 2e - 1, k e) int64 array, entry
+        [i, j, u] the digits of alpha^u X^j mod Q_i (u < 2e - 1, since the
+        squares in chiq reach alpha^(2e-2))."""
+        e, p, K = self.e, self.p, k * self.e
+        m = len(codes)
+        # the digits of -Q's lower coefficients: -c has digits -d mod p
+        neg = -ffpoly._digit_rows(codes, K, p) % p
+        # C, multiplication by X mod Q: row (i, t) holds the digits of
+        # alpha^t X^(i+1) mod Q, a unit row below the top coefficient, and
+        # alpha^t times -Q's lower coefficients at it
+        C = np.zeros((m, K, K), dtype=np.int64)
+        C[:, np.arange(K - e), np.arange(e, K)] = 1
+        C[:, K - e:] = (neg.reshape(m, 1, k, e) @ self._alpha_mul[:e] % p).reshape(m, e, K)
+        # rows (j, t): the unit rows alpha^t times C^j
+        start = np.zeros((m, e, K), dtype=np.int64)
+        start[:, :, :e] = np.eye(e, dtype=np.int64)
+        rows = ffpoly._power_rows(start, C, n * e, p).reshape(m, n, e, K)
+        # alpha^u for u >= e, from the digits of X^j mod Q
+        high = rows[:, :, 0].reshape(m, n, 1, k, e) @ self._alpha_mul[e:] % p
+        return np.concatenate([rows, high.reshape(m, n, e - 1, K)], axis=2)
 
-        The first build covers every width the table's own rows need (the
-        monic and prime rows up to max_deg, chiq's 2k - 1 squares), so one
-        build serves Q; only wider coef_rows callers rebuild."""
-        k, code = qkey
-        cached = self._xrow_cache.get(qkey)
-        if cached is None or cached.shape[0] < nrows:
-            F, e, p = self.field, self.e, self.p
-            n, K = max(nrows, 2 * k - 1, self.max_deg + 1), k * e
-            # C, multiplication by X mod Q: row (i, t) holds the digits of
-            # alpha^t X^(i+1) mod Q, a unit row below the top coefficient
-            C = np.eye(K, K, e, dtype=np.int64)
-            neg_q = [F.neg(c) for c in ffpoly._decode_digits(code, k, self.q)]
-            C[K - e:] = self._element_rows([[F.mul(a, c) for c in neg_q] for a in self._alpha[:e]], e)
-            # rows (j, t): the unit rows alpha^t times C^j
-            rows = ffpoly._power_rows(np.eye(e, K, dtype=np.int64), C, n * e, p).reshape(n, e, K)
-            blocks = [rows]
-            for a in self._alpha[e:]:
-                # alpha^u for u >= e: digit row t of M holds alpha^u alpha^t
-                M = self._element_rows([F.mul(a, t) for t in self._alpha[:e]], e)
-                blocks.append((rows[:, 0].reshape(n, k, e) @ M % p).reshape(n, 1, K))
-            cached = self._xrow_cache[qkey] = np.concatenate(blocks, axis=1).astype(self.dtype)
-        return cached[:nrows]
+    def _xrows(self, keys, n):
+        """(len(keys), n, 2e - 1, k e) digits of alpha^u (X^j mod Q) for the
+        primes of one degree k given by keys, as _xrow_batch lays them out.
+        The primes not built yet, or built narrower than n, are built in
+        one batch, wide enough for the table's own rows (max_deg + 1
+        coefficients) and chiq's 2k - 1 squares, so one build serves a
+        prime; only wider coef_rows callers rebuild."""
+        k = keys[0][0]
+        cache = self._xrow_cache
+        missing = [key for key in dict.fromkeys(keys) if len(cache.get(key, ())) < n]
+        if missing:
+            built = self._xrow_batch(k, [code for _, code in missing], max(n, 2 * k - 1, self.max_deg + 1))
+            cache.update(zip(missing, built))
+        return np.stack([cache[key][:n] for key in keys])
+
+    def _kernel_matrix(self, digits, dtype):
+        """The kernel's matrix for the F_p-linear maps whose (rows, K) digit
+        matrices are stacked in digits, (m, rows, K): a (rows, m (K + 1))
+        array in dtype whose columns i (K + 1) + t hold digit t of map i
+        divided by p (rounded once, in dtype) and column i (K + 1) + K the
+        codes sum_t p^t digit t."""
+        m, rows, K = digits.shape
+        S = np.empty((rows, m, K + 1), dtype=dtype)
+        S[:, :, :K] = digits.transpose(1, 0, 2)
+        S[:, :, :K] /= self.p
+        S[:, :, K] = (digits @ self._ppow[:K]).T
+        return S.reshape(rows, -1)
 
     def _check_rows(self, coefmat, caller):
         """The width, in coefficients, of coefmat's rows; InvariantError
@@ -275,73 +337,91 @@ class PolyTables:
                 f"at q={self.q} with max_deg={self.max_deg}")
         return width
 
-    def _qkey_rows(self, qkey, width):
-        """(width e x k e) rows of alpha^t X^j mod Q digits, t < e: the
-        matrix that maps a digit row of width coefficients to Q's residue
-        digits."""
-        return self._xpow_rows(qkey, width)[:, : self.e].reshape(width * self.e, -1)
-
     def reduce_codes(self, coefmat, qkey):
         """Residue codes modulo the prime Q given by qkey=(deg, code).
 
-        Runs in coefmat's float type.  float64 rows may hold any integers
-        whose matmul entries stay below 2^51; float32 rows hold entries in
-        0..p-1 at a width float_type admits in float32."""
+        Runs in coefmat's float type.  Its rows may hold any integers
+        (they are reduced mod p first); float32 rows must be at a width
+        float_type admits."""
         width = self._check_rows(coefmat, "reduce_codes")
-        R = self._qkey_rows(qkey, width)[: coefmat.shape[1]]
-        return self._reduce(coefmat, R, qkey[0])[0]
+        k, ncols = qkey[0], coefmat.shape[1]
+        X = self._xrows([qkey], width)[:, :, :self.e].reshape(1, width * self.e, -1)
+        S = self._kernel_matrix(X[:, :ncols], coefmat.dtype)
+        out = np.empty(len(coefmat), dtype=np.int64)
+        for _, r, codes in self._stacked_codes(np.mod(coefmat, self.p), k, S):
+            out[r:r + codes.shape[1]] = codes[0]
+        return out
 
-    def _reduce(self, mat, R, k):
-        """The kernel: residue codes of the rows of mat against the stacked
-        rows R of alpha^t X^j mod Q digits of m primes Q of degree k, column
-        t m + i holding digit t of the i-th Q; an (m, rows) int64 array."""
-        ppow = self._ppow_f[: k * self.e]
-        if mat.dtype != R.dtype:
-            R = R.astype(mat.dtype)
-            ppow = ppow.astype(mat.dtype)
-        p = self.p
-        res = R.T @ mat.T  # (k e m, rows); BLAS reads both transposes in place
-        # res -= p * floor((res + 1/2) / p), with one temporary
-        quot = res + 0.5
-        quot *= 1.0 / p
-        np.floor(quot, out=quot)
-        quot *= p
-        res -= quot
-        rows = res.shape[1]
-        return (ppow @ res.reshape(k * self.e, -1)).astype(np.int64).reshape(-1, rows)
+    def _scratch_buffers(self, dtype, nsums, ncodes):
+        """The kernel's block buffers in dtype: digit sums, float codes and
+        int64 codes, kept by the table and grown to the largest block seen,
+        so that no block allocates."""
+        bufs = self._scratch.get(dtype)
+        if bufs is None or bufs[0].size < nsums or bufs[1].size < ncodes:
+            if bufs is not None:
+                nsums, ncodes = max(nsums, bufs[0].size), max(ncodes, bufs[1].size)
+            bufs = self._scratch[dtype] = (
+                np.empty(nsums, dtype), np.empty(ncodes, dtype), np.empty(ncodes, np.int64))
+        return bufs
 
-    def _stacked(self, keys, width):
-        """(R, offsets) for the primes keys of one degree: their _qkey_rows
-        stacked as one (len(keys), width e, k e) array, at least width
-        coefficients wide, and the flat offset of each prime's row in the
-        degree's chiq store, as a column.  Cached per tuple of keys, since
-        l_suite asks for the same primes at each row degree; the first
-        build covers the table's own rows (max_deg + 1 wide)."""
-        cached = self._stack_cache.get(keys)
+    def _stacked_codes(self, mat, k, S):
+        """The kernel: residue codes of mat's rows modulo the m primes of
+        degree k whose _kernel_matrix is S (at least mat's columns of
+        rows, m (k e + 1) columns, in mat's float type), in cache blocks:
+        about ffpoly.BLOCK_BYTES / 32 rows (2048 at 64 KiB) against as many
+        primes as keep the digit sums near 4 BLOCK_BYTES.  Yields
+        (i, r, codes), codes[a, b] the residue of row r + b modulo prime
+        i + a: an int64 view of the table's scratch buffer, which the next
+        block overwrites, so no two of these generators may run at once."""
+        p, K1 = self.p, k * self.e + 1
+        ncols, m, dtype = mat.shape[1], S.shape[1] // K1, mat.dtype
+        step = max(1, ffpoly.BLOCK_BYTES // 32)
+        nrows = max(1, min(step, len(mat)))
+        qstep = min(m, max(1, 4 * ffpoly.BLOCK_BYTES // ((K1 - 1) * nrows * dtype.itemsize)))
+        sums, fcodes, icodes = self._scratch_buffers(dtype, qstep * K1 * nrows, qstep * nrows)
+        combine = self._combine.get((K1, dtype))
+        if combine is None:
+            weights = np.append(-p * self._ppow[:K1 - 1], 1).astype(dtype)
+            combine = self._combine[K1, dtype] = weights, np.array(0.5 / p, dtype)
+        weights, half = combine
+        for i in range(0, m, qstep):
+            block = S[:ncols, i * K1:(i + qstep) * K1]
+            mb = block.shape[1] // K1
+            for r in range(0, len(mat), step):
+                rows = mat[r:r + step]
+                n = len(rows)
+                z = sums[:mb * K1 * n].reshape(mb * K1, n)
+                np.matmul(block.T, rows.T, out=z)  # BLAS reads both transposes in place
+                z += half
+                np.floor(z, out=z)
+                np.matmul(weights, z.reshape(mb, K1, n), out=fcodes[:mb * n].reshape(mb, n))
+                codes = icodes[:mb * n].reshape(mb, n)
+                np.copyto(codes, fcodes[:mb * n].reshape(mb, n), casting="unsafe")
+                yield i, r, codes
+
+    def _stacked(self, keys, width, dtype):
+        """(S, offsets) for the primes keys of one degree: their kernel
+        matrices side by side in dtype, at least width coefficients of
+        rows, and the flat offset of each prime's row in the degree's
+        chiq store, as a column.  Cached per tuple of keys and float type,
+        since l_suite asks for the same primes at each row degree; the
+        first build covers the table's own rows (max_deg + 1 wide)."""
+        cached = self._stack_cache.get((keys, dtype))
         if cached is None or cached[0] < width:
             tab, rows = self.chiq(keys)
             width = max(width, self.max_deg + 1)
-            R = np.array([self._qkey_rows(key, width) for key in keys])
-            cached = self._stack_cache[keys] = width, R, rows[:, None] * tab.shape[1]
+            X = self._xrows(keys, width)[:, :, :self.e]
+            S = self._kernel_matrix(X.reshape(len(keys), width * self.e, -1), dtype)
+            cached = self._stack_cache[keys, dtype] = width, S, rows[:, None] * tab.shape[1]
         return cached[1:]
 
-    def _stacked_codes(self, mat, k, R):
-        """Residue codes of mat's rows modulo the primes of degree k whose
-        rows for _reduce are stacked in R (one prime per first index, at
-        least mat's columns of rows each), in cache blocks: about
-        ffpoly.BLOCK_BYTES / 32 rows (2048 at 64 KiB) against as many
-        primes as keep the float result near 4 BLOCK_BYTES.  Yields (i, r, codes), codes[a, b] the
-        residue of row r + b modulo prime i + a."""
-        ncols, m, K = mat.shape[1], R.shape[0], R.shape[2]
-        step = max(1, ffpoly.BLOCK_BYTES // 32)
-        qstep = max(1, 4 * ffpoly.BLOCK_BYTES // (K * min(step, len(mat)) * mat.dtype.itemsize))
-        for i in range(0, m, qstep):
-            # the block's columns digit-major, as _reduce reads them
-            block = R[i:i + qstep, :ncols].transpose(1, 2, 0).reshape(ncols, -1)
-            for r in range(0, len(mat), step):
-                yield i, r, self._reduce(mat[r:r + step], block, k)
-
     # -- quadratic residue tables ----------------------------------------
+
+    def _square_type(self, k):
+        """The float type of the squares of the residues of degree < k:
+        rows of 2k - 1 coefficients of 2e - 1 alpha powers, at most 2e(2k-1)
+        digit entries up to k e (p-1)^2, reduced modulo primes of degree k."""
+        return self.float_type(2 * (2 * k - 1), k * self.e * (self.p - 1) ** 2, k)
 
     def _squares(self, k):
         """The squares of all q^k residues of degree < k, taken over
@@ -349,13 +429,14 @@ class PolyTables:
         alpha^u X^m, u < 2e - 1, in the square of r's digit polynomial
         (digit e*i + s times digit e*j + t lands on alpha^(s+t) X^(i+j))."""
         e, nu, K = self.e, len(self._alpha), k * self.e
-        digits = ffpoly._digit_rows(np.arange(self.q ** k), K, self.p).astype(self.dtype)
-        sq = np.zeros((len(digits), (2 * k - 1) * nu), dtype=self.dtype)
+        dtype = self._square_type(k)
+        digits = ffpoly._digit_rows(np.arange(self.q ** k), K, self.p).astype(dtype)
+        sq = np.zeros((len(digits), (2 * k - 1) * nu), dtype=dtype)
         for a in range(K):
             # digit a times digits b >= a, weight 2 off the diagonal
             (i, s), (j, t) = divmod(a, e), np.divmod(np.arange(a, K), e)
             cols = (i + j) * nu + s + t
-            place = np.zeros((K - a, sq.shape[1]), dtype=self.dtype)
+            place = np.zeros((K - a, sq.shape[1]), dtype=dtype)
             place[np.arange(K - a), cols] = 2
             place[0, cols[0]] = 1  # digit a squared
             sq += (digits[:, a:a + 1] * digits[:, a:]) @ place
@@ -368,7 +449,7 @@ class PolyTables:
 
         tab is the degree's table store, shared by every call.  The
         missing tables are built together: the squares of all residues,
-        reduced against the stacked rows of their primes."""
+        reduced against the kernel matrices of their primes."""
         k = qkeys[0][0]
         tab, used = self._chiq_tabs.get(k, (None, 0))
         new = [key for key in dict.fromkeys(qkeys) if key not in self._chiq_row]
@@ -384,9 +465,12 @@ class PolyTables:
                 squares = self._square_cache[k] = self._squares(k)
             block = tab[used:used + len(new)]
             block.fill(-1)
-            R = np.array([self._xpow_rows(key, 2 * k - 1).reshape(-1, K) for key in new])
-            for i, r, codes in self._stacked_codes(squares, k, R):
-                block[np.arange(i, i + len(codes))[:, None], codes] = 1
+            X = self._xrows(new, 2 * k - 1)
+            S = self._kernel_matrix(X.reshape(len(new), -1, K), squares.dtype)
+            flat = block.reshape(-1)
+            for i, _, codes in self._stacked_codes(squares, k, S):
+                codes += np.arange(i * n, (i + len(codes)) * n, n)[:, None]
+                flat[codes] = 1
             block[:, 0] = 0
             for key in new:
                 self._chiq_row[key] = used
@@ -395,31 +479,27 @@ class PolyTables:
         return tab, np.array([self._chiq_row[key] for key in qkeys], dtype=np.int64)
 
     def legendre_array(self, coefmat, qkeys):
-        """(F/Q) for every prime Q given by qkeys=[(deg, code), ...] and
-        every row F of coefmat: an int8 (len(qkeys), rows) matrix.
+        """(F/Q) for every prime Q given by qkeys=[(deg, code), ...], int
+        pairs, and every row F of coefmat: an int8 (len(qkeys), rows)
+        matrix.
 
-        The primes of each degree reduce together (_stacked_codes) and
-        each symbol is read off the stacked chiq tables with one flat
-        take.  float32 rows must be at a width float_type admits."""
+        The primes of each run of one degree reduce together
+        (_stacked_codes), so callers list them by degree, and each symbol
+        is read off the stacked chiq tables with one flat take.  The rows
+        hold digits in 0..p-1, as coef_rows and the coefmats build them;
+        float32 rows must be at a width float_type admits."""
         width = self._check_rows(coefmat, "legendre_array")
-        qkeys = [(int(k), int(code)) for k, code in qkeys]
-        groups = {}
-        for i, (k, _) in enumerate(qkeys):
-            groups.setdefault(k, []).append(i)
-        # rows of out by degree, put back in qkeys order at the end
         out = np.empty((len(qkeys), len(coefmat)), dtype=np.int8)
         start = 0
-        for k, idx in groups.items():
-            keys = tuple(qkeys[i] for i in idx)
-            R, offsets = self._stacked(keys, width)
+        for k, run in itertools.groupby(qkeys, key=lambda key: key[0]):
+            keys = tuple(run)
+            S, offsets = self._stacked(keys, width, coefmat.dtype)
             tab = self._chiq_tabs[k][0]
-            for i, r, codes in self._stacked_codes(coefmat, k, R):
+            for i, r, codes in self._stacked_codes(coefmat, k, S):
                 codes += offsets[i:i + len(codes)]
-                out[start + i:start + i + len(codes), r:r + codes.shape[1]] = tab.take(codes)
+                at = out[start + i:start + i + len(codes), r:r + codes.shape[1]]
+                tab.take(codes, out=at, mode="wrap")
             start += len(keys)
-        order = [i for idx in groups.values() for i in idx]
-        if order != sorted(order):
-            out[order] = out.copy()
         return out
 
     # -- character sums ---------------------------------------------------

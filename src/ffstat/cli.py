@@ -18,6 +18,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import biquad, eulerprod, ffpoly, lfunc, moments
 from .errors import InvariantError
 
@@ -199,10 +201,23 @@ def _cmd_family(args):
             ["q", "g", "variant", "size", "ratio"], args.format, args.out,
         )
         return
-    members = biquad.member_polys(field, args.genus, args.variant, range(size))
-    rows = ({"index": i, "f1": poly_str(f1), "f2": poly_str(f2), "f3": poly_str(f3)}
-            for i, (f1, f2, f3) in enumerate(members))
-    emit(rows, ["index", "f1", "f2", "f3"], args.format, args.out)
+    emit(_member_listing(field, args.genus, args.variant, size),
+         ["index", "f1", "f2", "f3"], args.format, args.out)
+
+
+def _member_listing(field, g, variant, size):
+    """The family listing's rows, unranked 4096 members at a time: each
+    (polynomial, twist) string of a block is formatted once, and the rows
+    read them by index."""
+    q = field.q
+    for lo in range(0, size, 4096):
+        polys, rows, twists = biquad.member_rows(field, g, variant, np.arange(lo, min(lo + 4096, size)))
+        # key polynomial * q + twist: f1 and f2 under their twists, f3 as it is
+        keys = np.hstack([rows[:, :2] * q + twists, rows[:, 2:] * q + 1])
+        distinct, at = np.unique(keys, return_inverse=True)
+        text = [poly_str(polys[key // q].scale(key % q)) for key in distinct.tolist()]
+        for index, (a, b, c) in enumerate(at.reshape(-1, 3).tolist(), lo):
+            yield {"index": index, "f1": text[a], "f2": text[b], "f3": text[c]}
 
 
 def _cmd_curve(args):

@@ -105,13 +105,14 @@ def _digit_rows(codes, length, p):
 
 def _power_rows(start, step, count, p):
     """The first `count` rows of start, start @ step, start @ step^2, ...
-    over F_p, each block of len(start) rows in turn: the rows so far times
-    step^L give the next L rows, then step^L is squared."""
+    over F_p, each block of start's rows in turn: the rows so far times
+    step^L give the next L rows, then step^L is squared.  Leading axes of
+    start and step are a batch: one power pass serves every matrix."""
     rows, power = start, step
-    while len(rows) < count:
-        rows = np.vstack([rows, rows @ power % p])
+    while rows.shape[-2] < count:
+        rows = np.concatenate([rows, rows @ power % p], axis=-2)
         power = power @ power % p
-    return rows[:count]
+    return rows[..., :count, :]
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,17 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     n <= n_max over the prime rows of degree n (the s_n(D) of the
     explicit formula).  Each pass reads the Legendre symbols of every
     prime factor in stacked legendre_array calls and multiplies them out
-    in Gram blocks (see _tables), whose float32/float64 kernel is exact
-    while e*width digit entries times (p-1)^2 stay below its bound
-    (4 D^2 e^2 (p-1)^3 < 2^51 for D = max(n_max, max_deg)) and
-    q^D < 2^53; beyond that the tables raise ValueError.
+    in Gram blocks (see _tables), whose floor-only kernel is exact while
+    the bounds of PolyTables.float_type hold (float32 or float64); beyond
+    them, for D = max(n_max, max_deg), the tables raise ValueError.
+
+    The checks of phase 1 run once per distinct raw L-polynomial, on one
+    frozen LPoly shared by every modulus with those coefficients, and
+    the vanishing of the coefficients at degree >= deg D, the explicit
+    formula of phase 3 and the prime-sum bound are int64 array operations
+    over all records; failures come out per modulus in catalogue order,
+    and the bound is the exact ratio of the largest |s_n| of each degree
+    of D, divided in exact ints.
 
     `collect`, if given, is called with each record dict (used by tests
     to cross-check samples against the scalar path).
@@ -427,7 +434,6 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     T = poly_tables(ffpoly.field_of_order(q), max(n_max, max_deg))
     failures = []
     rh_worst = 0.0
-    bound_worst = 0.0
 
     moduli = []  # (deg, code, factors) of every square-free monic D
     for dd in range(1, max_deg + 1):
@@ -438,62 +444,80 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     factorizations = [factors for _, _, factors in moduli]
 
     # phase 1: raw coefficients, one char_sums pass per degree of F over
-    # every modulus, then the checks of each distinct raw L-polynomial (a
-    # pure function of its coefficients here), run once
-    coeffs = zip(*(T.char_sums(T.monic_coefmat(d), factorizations).tolist()
-                   for d in range(max_deg + 1)))
-    records = []
-    raw_checks = {}
-    for (dd, code, factors), sums in zip(moduli, coeffs):
-        label = f"D deg={dd} code={code}"
-        for e in range(dd, max_deg + 1):
-            if sums[e] != 0:
-                failures.append(f"{label}: coefficient at degree {e} nonzero")
-        raw = LPoly(tuple(sums[:dd]), dd, PLUS, completed=False, q=q)
-        checked = raw_checks.get(raw.coeffs)
-        if checked is None:
-            raw_minus = LPoly(
-                tuple((-1) ** e * c for e, c in enumerate(raw.coeffs)),
-                dd, MINUS, completed=False, q=q,
-            )
-            checked = raw_checks[raw.coeffs] = _check_raw(raw, raw_minus, q, n_max, rh_tol)
-        lstar, t_plus, dev, problems = checked
-        failures.extend(f"{label}: {msg}" for msg in problems)
-        if lstar is None:
-            continue
-        rh_worst = max(rh_worst, dev)
-        records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
-                        "lstar": lstar, "t": t_plus, "lam": raw.lam})
+    # every modulus; the checks of each distinct raw L-polynomial (a pure
+    # function of its coefficients here) run once, on one shared LPoly
+    sums = np.array([T.char_sums(T.monic_coefmat(d), factorizations) for d in range(max_deg + 1)])
+    degs = np.array([dd for dd, _, _ in moduli], dtype=np.int64)
+    nonzero = (sums != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
+    flagged = set(np.flatnonzero(nonzero.any(axis=0)).tolist())
+    checked = []  # (raw, lstar, t_plus, dev, problems) per distinct raw
+    which = np.empty(len(moduli), dtype=np.int64)  # each modulus's entry
+    for dd in range(1, max_deg + 1):
+        at = np.flatnonzero(degs == dd)
+        distinct, inverse = np.unique(sums[:dd, at].T, axis=0, return_inverse=True)
+        which[at] = len(checked) + inverse.reshape(-1)
+        for coeffs in distinct.tolist():
+            raw = LPoly(tuple(coeffs), dd, PLUS, completed=False, q=q)
+            raw_minus = LPoly(tuple((-1) ** e * c for e, c in enumerate(coeffs)),
+                              dd, MINUS, completed=False, q=q)
+            checked.append((raw,) + _check_raw(raw, raw_minus, q, n_max, rh_tol))
+    records, kept = [], []
+    for i, (dd, code, factors) in enumerate(moduli):
+        raw, lstar, t_plus, dev, problems = checked[which[i]]
+        if i in flagged or problems:
+            label = f"D deg={dd} code={code}"
+            failures.extend(f"{label}: coefficient at degree {e} nonzero"
+                            for e in np.flatnonzero(nonzero[:, i]).tolist())
+            failures.extend(f"{label}: {msg}" for msg in problems)
+        if lstar is not None:
+            kept.append(i)
+            records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
+                            "lstar": lstar, "t": t_plus, "lam": raw.lam})
+    for _, lstar, _, dev, _ in checked:
+        if lstar is not None:
+            rh_worst = max(rh_worst, dev)
 
     # phase 2: prime character sums s_d(D) for the explicit formula, one
     # char_sums pass per prime degree over the records' moduli
     factorizations = [rec["factors"] for rec in records]
-    s_table = [T.char_sums(T.prime_coefmat(d), factorizations).tolist()
-               for d in range(1, n_max + 1)]
+    s_table = np.array([T.char_sums(T.prime_coefmat(d), factorizations)
+                        for d in range(1, n_max + 1)]).reshape(n_max, len(records))
 
-    # phase 3: explicit formula vs Newton, and the prime-sum size bound
-    pi_q = {d: ffpoly.prime_count_exact(q, d) for d in range(1, n_max + 1)}
+    # phase 3: explicit formula vs Newton over every record at once, in
+    # int64: |s_d| <= q^d < 2^53 keeps the explicit side below 2^62, and a
+    # Newton trace beyond that range is clamped, so it still differs
+    rec_deg = degs[kept]
+    lam = (rec_deg % 2 == 0).astype(np.int64)
+    top = 1 << 62
+    newton = np.array([[max(-top, min(top, -t)) for t in t_plus or (0,) * n_max]
+                       for _, _, t_plus, _, _ in checked], dtype=np.int64).reshape(-1, n_max)
+    newton = newton[which[kept]].T
+    omega = np.zeros((n_max, len(records)), dtype=np.int64)  # factors of degree d
     for i, rec in enumerate(records):
-        s = [row[i] for row in s_table]
-        dd = rec["deg"]
-        omega = {}
         for a, _ in rec["factors"]:
-            omega[a] = omega.get(a, 0) + 1
-        for n in range(1, n_max + 1):
-            lam_sum = 0
-            for d in range(1, n + 1):
-                if n % d:
-                    continue
+            if a <= n_max:
+                omega[a - 1, i] += 1
+    explicit = np.empty_like(newton)
+    for n in range(1, n_max + 1):
+        acc = lam.copy()
+        for d in range(1, n + 1):
+            if n % d == 0:
                 if (n // d) % 2:
-                    lam_sum += d * s[d - 1]
+                    acc += d * s_table[d - 1]
                 else:
-                    lam_sum += d * (pi_q[d] - omega.get(d, 0))
-            if -rec["t"][n - 1] != rec["lam"] + lam_sum:
-                failures.append(
-                    f"D deg={dd} code={rec['code']}: explicit formula n={n}"
-                )
-            ratio = s[n - 1] ** 2 / (dd ** 2 * q ** n)
-            bound_worst = max(bound_worst, ratio)
+                    acc += d * (ffpoly.prime_count_exact(q, d) - omega[d - 1])
+        explicit[n - 1] = acc
+    for i, n in zip(*np.nonzero((newton != explicit).T)):
+        failures.append(f"D deg={records[i]['deg']} code={records[i]['code']}: explicit formula n={n + 1}")
+
+    # the prime-sum size bound s_n^2 / (degD^2 q^n): rounding is monotone,
+    # so the largest float is the exact ratio of the largest |s_n| of each
+    # degree of D, divided once in exact ints
+    bound_worst = 0.0
+    for dd in np.unique(rec_deg).tolist():
+        for n, s_max in enumerate(np.abs(s_table[:, rec_deg == dd]).max(axis=1).tolist(), 1):
+            bound_worst = max(bound_worst, s_max ** 2 / (dd ** 2 * q ** n))
+    for rec, s in zip(records, s_table.T.tolist()):
         rec["s"] = s
         if collect is not None:
             collect(rec)

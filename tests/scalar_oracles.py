@@ -40,6 +40,26 @@ def prime_list(field, d):
                  if not composite[code])
 
 
+def xpow_rows(T, qkey, n):
+    """The digits of alpha^u (X^j mod Q) for one prime Q of a PolyTables T,
+    built on its own: an (n, 2e - 1, k e) array, [j, u] those of
+    alpha^u X^j mod Q, from the powers of Q's companion matrix with F.mul
+    lists for its last row; PolyTables._xrow_batch builds every prime of
+    a degree in one batched pass."""
+    k, code = qkey
+    F, e, p = T.field, T.e, T.p
+    K = k * e
+    C = np.eye(K, K, e, dtype=np.int64)
+    neg_q = [F.neg(c) for c in ffpoly._decode_digits(code, k, T.q)]
+    C[K - e:] = T._element_rows([[F.mul(a, c) for c in neg_q] for a in T._alpha[:e]], e)
+    rows = ffpoly._power_rows(np.eye(e, K, dtype=np.int64), C, n * e, p).reshape(n, e, K)
+    blocks = [rows]
+    for a in T._alpha[e:]:
+        M = T._element_rows([F.mul(a, t) for t in T._alpha[:e]], e)
+        blocks.append((rows[:, 0].reshape(n, k, e) @ M % p).reshape(n, 1, K))
+    return np.concatenate(blocks, axis=1)
+
+
 def chi_rows(polys, primes):
     """int8 rows chi_P(f) over polys, one per P in primes, by reciprocity
     (the rows of moments._chi_rows)."""

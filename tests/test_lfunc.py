@@ -297,20 +297,23 @@ def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
 
 
 def test_l_suite_stacks_each_prime_once(monkeypatch):
-    # the stacked rows of each degree's primes are built at the first row
-    # degree, wide enough for every later one, and then reused
+    # the X^j mod Q rows of each degree's primes are built in one batched
+    # pass at the first row degree, wide enough for every later one, and
+    # then reused
     built = []
-    rows = _tables.PolyTables._qkey_rows
+    batch = _tables.PolyTables._xrow_batch
 
-    def counting(self, qkey, width):
-        built.append(qkey)
-        return rows(self, qkey, width)
+    def counting(self, k, codes, n):
+        built.append((k, list(codes)))
+        return batch(self, k, codes, n)
 
     monkeypatch.setattr(_tables, "_largest", {})
-    monkeypatch.setattr(_tables.PolyTables, "_qkey_rows", counting)
+    monkeypatch.setattr(_tables.PolyTables, "_xrow_batch", counting)
     lfunc.l_suite(3, max_deg=4, n_max=6)
     T = _tables.poly_tables(F3, 6)
-    assert sorted(built) == [(d, c) for d in range(1, 5) for c in T.prime_codes[d].tolist()]
+    assert [k for k, _ in built] == [1, 2, 3, 4]
+    for k, codes in built:
+        assert codes == T.prime_codes[k].tolist()
 
 
 def test_squarefree_part():

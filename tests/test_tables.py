@@ -1,6 +1,8 @@
 """The batched residue engine in _tables against the scalar ffpoly paths,
 over prime fields and prime-power fields alike."""
 
+import ast
+import inspect
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -65,7 +67,7 @@ class _Float64Tables(PolyTables):
     """Tables that build every matrix in float64, as fields beyond the
     float32 bound do, at a size the tests can afford."""
 
-    def float_type(self, width, entry=None):
+    def float_type(self, width, entry=None, k=None):
         return np.float64
 
 
@@ -132,8 +134,8 @@ def test_stacked_legendre_array_straddles_the_default_blocks():
 
 
 def test_reduce_codes_exact_for_large_entries():
-    # reduction is linear, so any integer representatives are valid rows;
-    # entries near 2^47 put the matmul within a factor 4 of the 2^51 limit
+    # reduction is linear, so any integer representatives are valid rows:
+    # reduce_codes takes entries near 2^47 mod p before the kernel
     T = poly_tables(GF(3), 4)
     rng = random.Random(11)
     for k in (2, 4):
@@ -231,9 +233,17 @@ def test_char_sums_peak_memory_at_degree_8():
     assert sums[facs.index([(1, 0)])] == int(T.legendre_array(rows, [(1, 0)])[0].sum())
 
 
-def _widest_float32_width(q):
-    """The widest row of entries in 0..q-1 that float_type admits in float32."""
-    return (2 ** 21 - 1) // (q - 1) ** 2
+def _widest_float32_width(p, e, k):
+    """The widest row of coefficients in 0..q-1 (q = p^e) that float_type
+    admits in float32 modulo primes of degree k: J = e*width digit entries
+    in 0..p-1 with (J + 2) J (p-1)^2 < 2^22 (the floors) and
+    J (p-1) q^k < 2^24 (the code column)."""
+    width = 0
+    while True:
+        J = e * (width + 1)
+        if (J + 2) * J * (p - 1) ** 2 >= 2 ** 22 or J * (p - 1) * p ** (e * k) >= 2 ** 24:
+            return width
+        width += 1
 
 
 @settings(max_examples=240, deadline=None)
@@ -256,9 +266,10 @@ def test_float32_kernel_matches_float64_and_scalar(case):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_float32_kernel_exact_at_widest_width(q):
-    # an all-(q-1) row puts every matmul entry just below 2^21
+    # an all-(q-1) row at the widest width the bound admits; the floors
+    # bound it at q = 3, 5, 7 and the code column at q = 11, 13
     T = PolyTables(GF(q), 4)
-    width = _widest_float32_width(q)
+    width = _widest_float32_width(q, 1, 4)
     assert T.float_type(width) is np.float32
     assert T.float_type(width + 1) is np.float64
     rng = np.random.default_rng(q)
@@ -276,7 +287,7 @@ def test_float32_kernel_exact_at_widest_width(q):
 
 def test_float32_rows_beyond_the_bound_are_refused():
     T = poly_tables(GF(13), 4)
-    width = _widest_float32_width(13) + 1
+    width = _widest_float32_width(13, 1, 4) + 1
     qkey = (2, int(T.prime_codes[2][0]))
     rows = np.full((2, width), 12)
     with pytest.raises(InvariantError, match="float32 rows"):
@@ -288,33 +299,41 @@ def test_float32_rows_beyond_the_bound_are_refused():
 
 def test_table_beyond_float32_bound_runs_in_float64():
     q = 1009
-    T = PolyTables(GF(q), 2)  # chiq entries reach 4 * 2^2 * 1008^3 > 2^21
+    T = PolyTables(GF(q), 2)  # a code column up to 3 * 1008 * 1009^2 > 2^24
     assert T.dtype is np.float64
     assert T.monic_coefmat(2).dtype == np.float64
     assert T.prime_coefmat(2).dtype == np.float64
-    # rows of entries in 0..1008 stay exact in float32 up to width 2
-    assert _widest_float32_width(q) == 2
-    assert T.float_type(2) is np.float32
-    assert T.float_type(3) is np.float64
+    # no row is exact in float32 modulo quadratics; one coefficient is
+    # modulo linear primes, as in a table of degree 1
+    assert _widest_float32_width(q, 1, 2) == 0 and _widest_float32_width(q, 1, 1) == 1
+    assert T.float_type(1) is np.float64
+    assert T.float_type(1, k=1) is np.float32
+    assert T.float_type(2, k=1) is np.float64
+    T1 = PolyTables(GF(q), 1)
+    assert T1.float_type(1) is np.float32
     rng = random.Random(q)
     rows = [[rng.randrange(q) for _ in range(5)] for _ in range(40)] + [[q - 1] * 5]
-    for qkey in ((1, 7), (2, int(T.prime_codes[2][-1]))):
+    # (tables, prime, row type and width, the float32 width refused)
+    for tables, qkey, dtype, width, refused in ((T, (1, 7), np.float64, 5, 1),
+                                                (T, (2, int(T.prime_codes[2][-1])), np.float64, 5, 1),
+                                                (T1, (1, 7), np.float32, 1, 2)):
         Q = Poly.monic_from_code(T.field, *qkey)
-        for dtype, width in ((np.float64, 5), (np.float32, 2)):
-            polys = [Poly.from_coeffs(T.field, row[:width]) for row in rows]
-            mat = np.array([row[:width] for row in rows], dtype=dtype)
-            assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
-            assert T.legendre_array(mat, [qkey])[0].tolist() == [
-                ffpoly.jacobi_symbol(f, Q) for f in polys]
+        polys = [Poly.from_coeffs(T.field, row[:width]) for row in rows]
+        mat = np.array([row[:width] for row in rows], dtype=dtype)
+        assert tables.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
+        assert tables.legendre_array(mat, [qkey])[0].tolist() == [
+            ffpoly.jacobi_symbol(f, Q) for f in polys]
         with pytest.raises(InvariantError, match="float32 rows"):
-            T.reduce_codes(np.array(rows, dtype=np.float32)[:, :3], qkey)
+            tables.reduce_codes(np.array(rows, dtype=np.float32)[:, :refused], qkey)
 
 
 @pytest.mark.parametrize("q,max_deg,width,expect", [
-    (3, 15, 1, np.float32),                 # 3^15 < 2^24
-    (3, 16, 1, np.float64),                 # residue codes reach 3^16 > 2^24
-    (5, 2, (2 ** 21 - 1) // 16, np.float32),
-    (5, 2, (2 ** 21 - 1) // 16 + 1, np.float64),
+    (3, 14, 1, np.float32),                 # code column 2 * 3^14 < 2^24
+    (3, 15, 1, np.float64),                 # 2 * 3^15 > 2^24
+    (3, 16, 1, np.float64),
+    (5, 2, 511, np.float32),                # floors: 513 * 511 * 16 < 2^22
+    (5, 2, 512, np.float64),                # 514 * 512 * 16 > 2^22
+    (5, 2, 131072, np.float64),
 ])
 def test_float_type_bounds(q, max_deg, width, expect):
     # the rule alone, without building a q^max_deg sieve
@@ -360,12 +379,12 @@ def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
 
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_float32_kernel_exact_at_widest_width_prime_power(q):
-    # e*width digits of p-1 (coefficients q-1) put every matmul entry
-    # just below 2^21
+    # e*width digits of p-1 (coefficients q-1) at the widest width the
+    # bound admits
     field = ffpoly.field_of_order(q)
     p, e = field.p, field.e
     T = PolyTables(field, 2)
-    width = (2 ** 21 - 1) // (e * (p - 1) ** 2)
+    width = _widest_float32_width(p, e, 2)
     assert T.float_type(width) is np.float32
     assert T.float_type(width + 1) is np.float64
     rows = np.vstack([np.full(width, q - 1), np.random.default_rng(q).integers(0, q, size=width)])
@@ -380,11 +399,13 @@ def test_float32_kernel_exact_at_widest_width_prime_power(q):
 
 
 @pytest.mark.parametrize("p,e,max_deg,width,expect", [
-    (3, 2, 7, 1, np.float32),                   # 9^7 = 3^14 < 2^24
-    (3, 2, 8, 1, np.float64),                   # 9^8 = 3^16 > 2^24
-    (3, 2, 2, (2 ** 21 - 1) // 8, np.float32),  # e * (p-1)^2 = 8 per coefficient
-    (3, 2, 2, (2 ** 21 - 1) // 8 + 1, np.float64),
-    (5, 2, 2, (2 ** 21 - 1) // 32 + 1, np.float64),
+    (3, 2, 6, 1, np.float32),                   # code column 2 * 2 * 9^6 < 2^24
+    (3, 2, 7, 1, np.float64),                   # 2 * 2 * 9^7 > 2^24
+    (3, 2, 8, 1, np.float64),
+    (3, 2, 2, 511, np.float32),                 # J = 1022 digits: 1024 * 1022 * 4 < 2^22
+    (3, 2, 2, 512, np.float64),                 # 1026 * 1024 * 4 > 2^22
+    (3, 2, 2, 262144, np.float64),
+    (5, 2, 2, 65536, np.float64),
 ])
 def test_float_type_bounds_prime_power(p, e, max_deg, width, expect):
     assert PolyTables.float_type(SimpleNamespace(p=p, e=e, max_deg=max_deg), width) is expect
@@ -426,3 +447,70 @@ def test_ascending_prime_requests_build_one_table(monkeypatch):
         assert ffpoly.factorize(f) == [(cubics[0], 1), (cubics[-1], 1)]
         assert built == [3]
         built.clear()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_batched_xpow_rows_match_the_per_prime_build(q):
+    # every prime of degree <= 3 in one batch per degree, alpha^u blocks
+    # (u < 2e - 1) included, against each prime's own companion powers
+    T = PolyTables(ffpoly.field_of_order(q), 3)
+    for k in (1, 2, 3):
+        codes = T.prime_codes[k].tolist()
+        n = 2 * k + 1
+        got = T._xrow_batch(k, codes, n)
+        assert got.shape == (len(codes), n, 2 * T.e - 1, k * T.e)
+        for code, rows in zip(codes, got):
+            assert np.array_equal(rows, oracle.xpow_rows(T, (k, code), n))
+
+
+#: fields of q <= 27 with the degree of their tables
+WIDEST_CASES = [(GF(q), 4) for q in (3, 5, 7, 11, 13)] + list(PRIME_POWER_DEGREE.items())
+
+
+@st.composite
+def _rows_at_the_widest_width(draw):
+    field, max_deg = draw(st.sampled_from(WIDEST_CASES))
+    T = poly_tables(field, max_deg)  # may reach past max_deg, if built so before
+    width = _widest_float32_width(T.p, T.e, T.max_deg)
+    k = draw(st.integers(1, max_deg))
+    code = int(draw(st.sampled_from(T.prime_codes[k].tolist())))
+    q = field.q
+    rows = [[q - 1] * width] + draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=width, max_size=width), min_size=1, max_size=3))
+    return T, (k, code), width, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rows_at_the_widest_width())
+def test_float32_kernel_matches_scalar_at_the_widest_width(case):
+    # the floor-only kernel in float32 at the edge of its bound, against
+    # the scalar residues and symbols; one coefficient more is refused
+    T, qkey, width, rows = case
+    assert T.float_type(width) is np.float32
+    assert T.float_type(width + 1) is np.float64
+    Q = Poly.monic_from_code(T.field, *qkey)
+    polys = [Poly.from_coeffs(T.field, row) for row in rows]
+    mat = _digits_of(T, rows).astype(np.float32)
+    assert T.reduce_codes(mat, qkey).tolist() == [_residue_code(f, Q) for f in polys]
+    assert T.legendre_array(mat, [qkey])[0].tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+    wider = np.hstack([mat, mat[:, :T.e]])
+    with pytest.raises(InvariantError, match="float32 rows"):
+        T.legendre_array(wider, [qkey])
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_one_reduction_step_and_no_per_prime_power_loop():
+    # the floor pass lives in the kernel alone: the sieve reduces through
+    # it, and the X^j mod Q rows come from one batched power pass
+    module = ast.parse(inspect.getsource(_tables))
+    methods = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+    sieve = methods["_sieve"]
+    assert not _calls(sieve, "floor")
+    assert _calls(sieve, "_stacked_codes")
+    assert [node.name for node in methods.values() if _calls(node, "floor")] == ["_stacked_codes"]
+    assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch"]
+    assert not [node for node in ast.walk(methods["_xrow_batch"]) if isinstance(node, (ast.For, ast.comprehension))]
