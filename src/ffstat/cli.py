@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import decimal
 import json
 import re
 import sys
@@ -88,6 +89,47 @@ def poly_str(p):
 # ---------------------------------------------------------------------------
 
 
+#: ints of more bits than this print through _decimal_digits; str(int) is
+#: quadratic in the length before Python 3.12, which switches near here too
+_DECIMAL_STR_BITS = 30_000
+#: the bit length at which _decimal_digits stops splitting
+_DECIMAL_LEAF_BITS = 512
+
+
+def _decimal_digits(n):
+    """str(n) in subquadratic time: n is split in halves of bits down to
+    _DECIMAL_LEAF_BITS-bit pieces, and the halves are joined as
+    lo + hi * 2^w in decimal.Decimal, exactly, whose multiplication of big
+    numbers is subquadratic (libmpdec's number-theoretic transform)."""
+    D = decimal.Decimal
+    two_powers = {}
+
+    def two_pow(w):
+        # 2^w as a Decimal; the widths of one level differ by at most one,
+        # so each is the one below it doubled or a product of two halves
+        if w not in two_powers:
+            if w <= _DECIMAL_LEAF_BITS:
+                two_powers[w] = D(1 << w)
+            elif w - 1 in two_powers:
+                two_powers[w] = two_powers[w - 1] * 2
+            else:
+                two_powers[w] = two_pow(w >> 1) * two_pow(w - (w >> 1))
+        return two_powers[w]
+
+    def join(m, w):
+        if w <= _DECIMAL_LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return join(m - (hi << half), half) + join(hi, w - half) * two_pow(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(n), abs(n).bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def _csv_cell(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
@@ -95,6 +137,8 @@ def _csv_cell(v):
         return repr(v)
     if v is None:
         return ""
+    if isinstance(v, int) and v.bit_length() > _DECIMAL_STR_BITS:
+        return _decimal_digits(v)
     return str(v)
 
 
@@ -357,7 +401,7 @@ def _cmd_eulersum(args):
         r = _flag_value("--n, --M", eulerprod.prime_sum, kind, field, args.n, args.M)
         rows.append({
             "q": args.q, "n": args.n, "M": args.M, "kind": kind,
-            "sum_num": r.value.numerator, "sum_den": r.value.denominator,
+            "sum_num": r.num, "sum_den": r.den,
             "reference_num": r.reference.numerator,
             "reference_den": r.reference.denominator,
             "scaled_gap": r.scaled_gap,
@@ -484,10 +528,19 @@ def build_parser():
 
 
 def main(argv=None):
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact numerators/denominators can run to thousands of digits;
-        # lift the int-to-str conversion cap so they serialize faithfully
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    # exact numerators/denominators can run to thousands of digits; lift
+    # the int-to-str conversion cap while they serialize, then restore it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

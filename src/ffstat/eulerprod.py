@@ -17,11 +17,15 @@ local numerator an integer over a power of q); numerators multiply in a
 balanced tree so catalog-scale truncations stay cheap.  Sums of the
 truncated products over primes of fixed degree approach
 pi_q(n)/zeta_q(2), and the module reports the three error scales of that
-approximation alongside the exact value.
+approximation alongside the exact value.  At u = 1/q such a sum is an
+integer over a power of p, so it is reduced by the p-adic valuation of
+its numerator: the prime sums build no Fraction and run no gcd on their
+~10^5-bit numerators.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -33,6 +37,7 @@ import numpy as np
 from . import ffpoly
 from . import lfunc
 from ._tables import poly_tables
+from .errors import InvariantError
 
 KINDS = ("plus", "minus", "zero")
 
@@ -225,8 +230,10 @@ def h_value(kind, P, u, M):
     zeta and L local factors out of 1 + delta_{P,kind}.
 
     The Fraction of _h_pair's numerator over b^exponent, u = a/b.  At
-    u = 1/q and M around 9 that costs one gcd on numbers of ~10^5 bits,
-    so the fixed-prime constants read the pair instead."""
+    u = 1/q and M around 9 that costs one gcd on numbers of ~10^5 bits:
+    Fraction's constructor always runs one, even on a pair already reduced
+    by p-valuation as _prime_sum's is.  So the fixed-prime constants read
+    the unreduced pair instead, and only library callers pay the gcd."""
     u = Fraction(u)
     num, den_exp = _h_pair(kind, P, u, M)
     return Fraction(num, u.denominator ** den_exp)
@@ -280,13 +287,22 @@ def assembled_product(kind, P, u, M):
 
 @dataclass(frozen=True)
 class PrimeSumResult:
+    """The prime sum as the coprime ints num / den, den a power of p."""
+
     q: int
     n: int
     M: int
     kind: str
-    value: Fraction
+    num: int
+    den: int
     reference: Fraction
     scales: dict = dc_field(compare=False, default_factory=dict)
+
+    @property
+    def value(self):
+        """num / den as a Fraction, for library callers: its constructor
+        runs one gcd on the ~10^5-bit pair."""
+        return Fraction(self.num, self.den)
 
     @property
     def gap(self):
@@ -294,8 +310,14 @@ class PrimeSumResult:
 
     @property
     def scaled_gap(self):
-        """|gap| normalized by n / q^(n/2) (the leading error scale)."""
-        return abs(float(self.gap)) * self.n / self.q ** (self.n / 2)
+        """|gap| normalized by n / q^(n/2) (the leading error scale).
+
+        float(gap) is one int true division of the unreduced difference:
+        CPython rounds int / int correctly, as Fraction.__float__ does the
+        reduced pair, so both give the same float."""
+        ref = self.reference
+        gap = (self.num * ref.denominator - ref.numerator * self.den) / (self.den * ref.denominator)
+        return abs(gap) * self.n / self.q ** (self.n / 2)
 
 
 def prime_sum(kind, field, n, M):
@@ -309,7 +331,7 @@ def prime_sum(kind, field, n, M):
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     q = field.q
-    value = _prime_sum(kind, field, n, M)
+    num, den = _prime_sum(kind, field, n, M)
     reference = Fraction(ffpoly.prime_count_exact(q, n)) * (
         1 / lfunc.zeta_q_value(q, 2)
     )
@@ -318,7 +340,7 @@ def prime_sum(kind, field, n, M):
         "fluctuation": q ** (n / 2) * M ** 3 / n,
         "product_tail": q ** n / (n * M * q ** (M / 2)),
     }
-    return PrimeSumResult(q, n, M, kind, value, reference, scales)
+    return PrimeSumResult(q, n, M, kind, num, den, reference, scales)
 
 
 def _local_terms(kind, d, chi_plain, ad, bd):
@@ -334,13 +356,51 @@ def _local_terms(kind, d, chi_plain, ad, bd):
 
 
 def _prime_sum(kind, field, n, M):
-    """Every product shares the denominator q^(2 sum_{d<=M} d pi_q(d)), so
-    the numerators are summed as integers and reduced once."""
+    """The prime sum as the reduced pair (num, den), with no gcd.
+
+    Every product shares the denominator q^E, E = 2 sum_{d<=M} d pi_q(d),
+    so the numerators are summed as integers.  The numerator at P is
+    prod_k base_k^(c_{P,k}) over the distinct local numerators base_k, so
+    the part prod_k base_k^(min_P c_{P,k}) common to every P is multiplied
+    once and only the per-P remainders are summed.  With q = p^e and
+    v = min(v_p(total), e E), the pair is (total / p^v, p^(e E - v)):
+    coprime, since den is a power of p that divides no more of num."""
     q = field.q
-    total = 0
+    poly_tables(field, max(n, M))  # one sieve, before the degree-n primes ask for less
+    counts = []
     for P in ffpoly.primes(field, n):
-        total += _prod(_local_terms(kind, d, chi, 1, q ** d)[0] ** count
-                       for d, row in enumerate(chi_plain_rows(P, M), 1)
-                       for chi, count in _value_counts(row))
-    den_exp = 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))
-    return Fraction(total, q ** den_exp)
+        c = collections.Counter()
+        for d, row in enumerate(chi_plain_rows(P, M), 1):
+            for chi, count in _value_counts(row):
+                c[_local_terms(kind, d, chi, 1, q ** d)[0]] += count
+        counts.append(c)
+    common = {base: min(c[base] for c in counts) for base in counts[0]}
+    total = _prod(base ** k for base, k in common.items()) * sum(
+        _prod(base ** (k - common.get(base, 0)) for base, k in c.items()) for c in counts)
+    if total <= 0:
+        raise InvariantError(f"prime sum ({kind}, q={q}, n={n}, M={M}): numerator is not positive")
+    den_exp = field.e * 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))
+    v, num = p_valuation(total, field.p, den_exp)
+    return num, field.p ** (den_exp - v)
+
+
+def p_valuation(n, p, cap):
+    """(v, n // p^v) with v = min(v_p(n), cap), for n != 0.
+
+    p^1, p^2, p^4, ... divide out while they go in, then the same powers
+    in reverse take the rest, one binary digit of v each: O(log v) big
+    divisions, where dividing by p one at a time is quadratic in v."""
+    v, powers, pw, k = 0, [], p, 1
+    while k <= cap - v:
+        quo, rem = divmod(n, pw)
+        if rem:
+            break
+        n, v = quo, v + k
+        powers.append((pw, k))
+        pw, k = pw * pw, 2 * k
+    for pw, k in reversed(powers):
+        if k <= cap - v:
+            quo, rem = divmod(n, pw)
+            if not rem:
+                n, v = quo, v + k
+    return v, n

@@ -409,3 +409,11 @@ def mask_loop_nkk_sums_all(field, P, d, chi_of=None):
                     total += x1 * x2 * sum(1 for m3 in masks3 if not m12 & m3)
             out[((a + c) % 2, (b + c) % 2)] += total
     return out
+
+
+def p_valuation_by_division(n, p, cap):
+    """eulerprod.p_valuation by dividing out p one factor at a time."""
+    v = 0
+    while v < cap and n % p == 0:
+        n, v = n // p, v + 1
+    return v, n

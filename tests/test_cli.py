@@ -9,14 +9,16 @@ import importlib.util
 import json
 import math
 import pathlib
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ffstat import biquad, cli, ffpoly, lfunc, moments
+from ffstat import _tables, biquad, cli, eulerprod, ffpoly, lfunc, moments
 from ffstat.cli import ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -537,6 +539,101 @@ def test_fixed_prime_output_at_m10_matches_pinned_digest(capsys):
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "9a3e6cc334f7d25285bb5c8f7b0670112ba6cf9af0ce1d45592c51b0bc10cb4f")
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("eulersum --q 3 --n 3 --M 9 --format json",
+     "ef7a0d77eacc547598aa43d9e9feab37a059337ceb32898c71a9f6bcf3742a7d"),
+    ("eulersum --q 5 --n 2 --M 5 --kind zero",
+     "6666a3f7246af7ad506995ff1a1ae5475a128f96407070f50d76a3e9f71dd4fa"),
+])
+def test_eulersum_output_matches_pinned_digest(capsys, command, digest):
+    # sha256 of the stdout of the code that printed the reduced Fraction
+    # through str(int); the JSON rows still print their ints through
+    # int.__repr__ (json.dumps), which is left quadratic on purpose
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_eulersum_runs_no_big_gcd(capsys, monkeypatch):
+    # the prime sums are reduced by p-adic valuation, and scaled_gap is an
+    # int division: no Fraction is built from a ~10^5-bit numerator.
+    # fractions looks math.gcd up at call time, so the wrapper sees its calls
+    biggest = []
+    real_gcd = math.gcd
+
+    def gcd(*args):
+        biggest.append(max(abs(a).bit_length() for a in args))
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", gcd)
+    code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())
+    monkeypatch.undo()
+    assert code == 0
+    assert max(biggest, default=0) <= 4096
+
+
+def test_eulersum_sieves_once(capsys, monkeypatch):
+    # one PolyTables reaching max(n, M), not a degree-n table for the
+    # primes P followed by a degree-M one for their chi rows
+    built = []
+
+    class Counted(_tables.PolyTables):
+        def __init__(self, field, max_deg):
+            built.append(max_deg)
+            super().__init__(field, max_deg)
+
+    monkeypatch.setattr(_tables, "PolyTables", Counted)
+    monkeypatch.setattr(_tables, "_largest", {})
+    eulerprod.chi_plain_rows.cache_clear()
+    ffpoly.primes.cache_clear()
+    code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())
+    assert code == 0
+    assert built == [9]
+
+
+@contextlib.contextmanager
+def _str_digit_limit(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_main_restores_the_int_str_digit_limit(capsys):
+    # main lifts the int-to-str cap for the ~27 000-digit numerators it
+    # prints, and hands the caller's limit back afterwards
+    with _str_digit_limit(4321):
+        code, out, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9 --format json".split())
+        assert code == 0 and len(out) > 4321
+        assert sys.get_int_max_str_digits() == 4321
+
+
+def _ints_near_the_decimal_edges():
+    # random ints of bit lengths on both sides of the leaf size and of the
+    # threshold, and 10^k - 1, 10^k, 10^k + 1 (all nines, a carry into a
+    # new digit, a one after a run of zeros) of as many digits
+    edges = (cli._DECIMAL_LEAF_BITS, cli._DECIMAL_STR_BITS)
+    bits = st.one_of(st.integers(0, 64), *(st.integers(w - 70, w + 70) for w in edges),
+                     st.integers(0, 3 * cli._DECIMAL_STR_BITS))
+    digits = st.one_of(st.integers(0, 3), *(st.integers(int(w * math.log10(2)) - 2,
+                                                        int(w * math.log10(2)) + 2) for w in edges))
+    return st.one_of(
+        st.builds(lambda b, seed: random.Random(seed).getrandbits(b), bits, st.integers(0, 2 ** 32)),
+        st.builds(lambda k, d: 10 ** k + d, digits, st.integers(-1, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_ints_near_the_decimal_edges(), negative=st.booleans())
+@example(n=0, negative=False)
+def test_decimal_digits_equal_str(n, negative):
+    n = -n if negative else n
+    with _str_digit_limit(0):
+        assert cli._decimal_digits(n) == str(n)
+        assert cli._csv_cell(n) == str(n)
 
 
 def test_lemma61_runs_no_big_gcd(capsys, monkeypatch):

@@ -405,5 +405,33 @@ def per_prime_fraction_sum(kind, field, n, M):
 def test_prime_sum_matches_per_prime_fraction_sum(q, n, M):
     field = FIELDS[q]
     for kind in eulerprod.KINDS:
-        assert (eulerprod.prime_sum(kind, field, n, M).value
-                == per_prime_fraction_sum(kind, field, n, M)), kind
+        r = eulerprod.prime_sum(kind, field, n, M)
+        value = per_prime_fraction_sum(kind, field, n, M)
+        assert r.value == value, kind
+        # the valuation-reduced pair is the reduced fraction: coprime, and
+        # its denominator a power of p
+        assert math.gcd(r.num, r.den) == 1, kind
+        assert oracle.p_valuation_by_division(r.den, field.p, r.den)[1] == 1, kind
+        assert r.scaled_gap == abs(float(value - r.reference)) * n / q ** (n / 2), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 101]), v=st.integers(0, 3000),
+       unit=st.integers(1, 2 ** 64), cap=st.one_of(st.integers(0, 40), st.integers(0, 4000)),
+       negative=st.booleans())
+@example(p=3, v=1744, unit=2, cap=4000, negative=False)
+@example(p=3, v=1744, unit=2, cap=1744, negative=False)
+@example(p=3, v=1744, unit=2, cap=1743, negative=False)
+@example(p=3, v=0, unit=1, cap=0, negative=False)
+@example(p=5, v=7, unit=5 ** 3, cap=9, negative=True)
+def test_p_valuation_matches_division_loop(p, v, unit, cap, negative):
+    # v_p capped at cap, against dividing p out one factor at a time
+    n = unit * p ** v * (-1 if negative else 1)
+    assert eulerprod.p_valuation(n, p, cap) == oracle.p_valuation_by_division(n, p, cap)
+
+
+def test_prime_sum_refuses_a_non_positive_numerator(monkeypatch):
+    # every local numerator is positive, so a total <= 0 is an invariant failure
+    monkeypatch.setattr(eulerprod, "_local_terms", lambda *args: (0, 0, 0))
+    with pytest.raises(InvariantError, match="not positive"):
+        eulerprod.prime_sum("plus", FIELDS[3], 1, 2)
