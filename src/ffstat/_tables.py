@@ -14,50 +14,61 @@ The kernel.  Reduction modulo a fixed monic Q of degree k is F_q-linear,
 hence F_p-linear on these digit rows: row (j, t) of its matrix R holds
 the K = k e digits of alpha^t (X^j mod Q), and a row c maps to the digit
 sums x_t = sum_j c_j R[j, t], whose residues mod p are the digits of the
-residue.  The kernel reads no x_t itself.  One matmul against the matrix
-[R / p | code] (`_kernel_matrix`), whose last column holds the codes
-sum_t p^t R[j, t] of the X^j mod Q, gives z_t ~ x_t / p and
-y = sum_j c_j code_j = sum_t p^t x_t, and then the residue code is
+residue.  The kernel reads no x_t itself.  Each block of rows is copied
+once, transposed, below a constant 1 row, and one matmul against the
+matrix [b | o ; R / p | code] (`_kernel_matrix`) gives
 
-    y - sum_t p^(t+1) floor(z_t + 1/(2p)) = sum_t p^t (x_t mod p),
+    z_t = x_t / p + 1/(2p)   and   y = sum_j c_j code_j + o,
 
-one in-place add and floor followed by one small matmul over the block
+since the row met by the 1 holds the bias b = 1/(2p) in the digit
+columns and an offset o in the code column, whose other entries are the
+codes sum_t p^t R[j, t] of the X^j mod Q, so sum_j c_j code_j =
+sum_t p^t x_t.  Then the residue code plus o is
+
+    y - sum_t p^(t+1) floor(z_t) = o + sum_t p^t (x_t mod p),
+
+so a block is five passes: the matmul, one floor in place, one small
+combining matmul, the int64 cast and the caller's read of the codes
 (`_stacked_codes`).  Residue codes keep their range, since q^k = p^(ek).
-The same kernel runs in float32 or float64, whichever its rows are in.
-The sieve runs through it too, with the matrix of multiplication by a
-prime in place of R, so the module has one reduction step.
+The offset is 0 for plain residues; `chiq` and `legendre_array` put a
+prime's place in the quadratic residue store there, so a code is the
+index of its symbol.  The same kernel runs in float32 or float64,
+whichever its rows are in.  The sieve runs through it too, with the
+matrix of multiplication by a prime in place of R, so the module has
+one reduction step.
 
 Exactness.  Let a row hold J digit entries in 0..p-1 and R entries in
-0..p-1, so x_t <= x_max = J (p-1)^2, and let u be the unit roundoff
-(2^-24 in float32, 2^-53 in float64).
-- The code column: every product c_j code_j and every partial sum of y
-  is an integer at most y <= J (p-1) q^k, so y is exact while
-  J (p-1) q^k < 2^24 (float32) or 2^53 (float64).
-- The floors: each entry of R / p is within u of R[j, t] / p relative to
-  it, a dot product of J non-negative terms in any order (FMA or not)
-  within gamma_J = J u / (1 - J u) of its sum, and the bias add rounds
-  once more, so the computed z_t + 1/(2p) lies within about
-  ((J + 2) x_max + 1/2) u / p of (2 x_t + 1) / (2p).  That value is at
-  least 1/(2p) from every integer, so the floor is floor(x_t / p) while
-  (J + 2) x_max < 2^23 (float32) or 2^52 (float64), up to the terms in
-  u^2 and the rounding of 1/(2p) itself.
-- The combination: each p^(t+1) floor(x_t / p) is at most y, and every
-  partial sum of the signed sum lies in [-y, y], so it is exact under
-  the code bound.
+0..p-1, so x_t <= x_max = J (p-1)^2, let the offsets be below
+o_max + 1, and let u be the unit roundoff (2^-24 in float32, 2^-53 in
+float64).
+- The code column: every product c_j code_j, the offset and every
+  partial sum of y are integers at most y <= J (p-1) q^k + o_max, so y
+  is exact while J (p-1) q^k + o_max < 2^24 (float32) or 2^53 (float64).
+- The floors: each entry of R / p and the bias are within u of
+  R[j, t] / p and 1/(2p) relative to them, and a dot product of J + 1
+  non-negative terms in any order (FMA or not) is within
+  gamma_(J+1) = (J + 1) u / (1 - (J + 1) u) of its sum, so the computed
+  z_t lies within about (J + 2) (x_max + 1/2) u / p of
+  (2 x_t + 1) / (2p).  That value is at least 1/(2p) from every integer,
+  so the floor is floor(x_t / p) while (J + 2) (2 x_max + 1) u < 1, which
+  (J + 2) x_max < 2^22 (float32) or 2^51 (float64) implies with room for
+  the terms in u^2 left out.
+- The combination: each p^(t+1) floor(x_t / p) is at most
+  y - o = sum_t p^t x_t, and every partial sum of the signed sum lies in
+  [-(y - o), y], so it is exact under the code bound.
 
-`PolyTables.float_type` checks both bounds in one place.  It asks
-(J + 2) x_max < 2^22 (float32) or 2^51 (float64), a factor-2 margin
-that absorbs the terms left out above.  The code bound needs no margin,
-since nothing in it rounds.  Entries above p-1 (chiq's squares, below
-k e (p-1)^2) scale x_max and the code bound by the same factor, and q^k
-is taken at k = max_deg unless the caller names a degree.  The table's
-own digit rows (monic and prime rows up to max_deg) are float32 when
-float_type admits rows of max_deg + 1 coefficients, else float64,
-and callers that build their own rows ask `coef_rows` for them; float32
-rows at a width float_type does not admit raise InvariantError.  The
-quadratic residue table of a prime Q reduces the squares of every
-residue; the squares do not depend on Q, so they are built once per
-degree, in the float type their own bound gives.
+`PolyTables.float_type` checks both bounds for o_max = 0, with the caps
+of `_EXACT`.  The code bound needs no margin, since nothing in it
+rounds.  Entries above p-1 (chiq's squares, below k e (p-1)^2) scale
+x_max and the code bound by the same factor, and q^k is taken at
+k = max_deg unless the caller names a degree.  The table's own digit
+rows (monic and prime rows up to max_deg) are float32 when float_type
+admits rows of max_deg + 1 coefficients, else float64, and callers that
+build their own rows ask `coef_rows` for them; float32 rows at a width
+float_type does not admit raise InvariantError.  The quadratic residue
+table of a prime Q reduces the squares of every residue; the squares do
+not depend on Q, so they are built once per degree, in the float type
+their own bound gives.
 
 Stacked kernel.  `legendre_array` takes a list of primes and returns one
 int8 matrix of symbols.  The primes of each run of one degree reduce
@@ -65,15 +76,26 @@ together: the alpha^t X^j mod Q rows of all of them are built in one
 batched F_p power pass over their stacked companion matrices
 (`_xrow_batch`, once per prime), their kernel matrices are laid side by
 side, prime by prime, and blocks of about ffpoly.BLOCK_BYTES / 32 rows
-reduce against as many primes as keep the float digit sums near
-4 BLOCK_BYTES, inside the cache, into scratch buffers the table keeps,
-so no block allocates.  Laying matrices side by side changes no entry's
-arithmetic, so the bounds above hold as they are.  The quadratic residue
-tables of one degree live in one int8 store, built the same stacked way
-(the squares against the kernel matrices of the missing primes), and
-each symbol is read off it with one flat take.  `char_sums` sums
-characters chi_D = prod_{Q | D} (F/Q) over a matrix of rows for a whole
-list of D: a row sum of the Legendre matrix for prime D, and for
+reduce against groups of as many primes as keep the float digit sums
+near 4 BLOCK_BYTES, inside the cache, into scratch buffers the table
+keeps, so no block allocates.  Laying matrices side by side changes no
+entry's arithmetic.  The quadratic residue tables of one degree live in
+one int8 store, built the same stacked way (the squares against the
+kernel matrices of the missing primes), and `chiq` keeps the rows of
+each run of primes consecutive, so the offset of a prime is its
+distance from the first prime of its group, (i mod group) q^k, and each
+group's symbols are read off the store with one flat take from the
+group's first row.  The offsets are thus below o_max + 1 = group q^k,
+and the code bound becomes
+
+    J (p-1) q^k + (group - 1) q^k < 2^24 (float32) or 2^53 (float64),
+
+which `PolyTables._group` enforces at run time: it takes fewer primes per
+group where the bound asks for it, and raises InvariantError where not
+even one fits.  Offsets counted from the whole store, up to its number
+of rows times q^k, would pass 2^24 at q = 7, k = 5 already.  `char_sums`
+sums characters chi_D = prod_{Q | D} (F/Q) over a matrix of rows for a
+whole list of D: a row sum of the Legendre matrix for prime D, and for
 D = D' Q with omega >= 2 an entry of a float32 Gram block between the
 int8 rows of the D' (products of Legendre rows) and those of the Q of
 one degree.  A Gram entry is a sum of as many products in {-1, 0, 1} as
@@ -84,7 +106,8 @@ The sieve multiplies each prime by every monic of the complementary
 degree through the kernel (the matrix of multiplication by the prime,
 truncated below X^d, in place of R) and records, for each composite
 code, a smallest-degree prime factor of least code together with its
-cofactor, so factoring needs no division.
+cofactor, so factoring needs no division.  `factor_all` factors every
+code of one degree at once off these tables.
 
 Everything here is cross-checked against scalar oracles by the test
 suite.
@@ -104,6 +127,25 @@ from .errors import InvariantError
 #: temporaries take about 14 times as much again (PolyTables(GF(3), 12):
 #: 6.4 MB of spf, 90 MiB above the interpreter's own peak)
 SIEVE_BYTES_CAP = 1 << 25
+
+#: float type -> (cap on (J + 2) x_max, cap on the code sums): the
+#: kernel is exact below both (module docstring); float32 first
+_EXACT = {np.float32: (2 ** 22, 2 ** 24), np.float64: (2 ** 51, 2 ** 53)}
+
+
+def _sum_bounds(p, e, width, entry, k):
+    """((J + 2) x_max, y_max) for rows of width coefficients over F_(p^e),
+    J = e*width digit entries in 0..entry (p-1 when None), reduced modulo
+    primes of degree k: x_max = J entry (p-1) the largest digit sum and
+    y_max = J entry q^k the largest code sum."""
+    J, entry = e * width, p - 1 if entry is None else entry
+    x_max = J * entry * (p - 1)
+    return (J + 2) * x_max, J * entry * p ** (e * k)
+
+
+def _block_rows():
+    """Rows per kernel block: about ffpoly.BLOCK_BYTES / 32 (2048 at 64 KiB)."""
+    return max(1, ffpoly.BLOCK_BYTES // 32)
 
 
 class PolyTables:
@@ -143,7 +185,7 @@ class PolyTables:
             for a in self._alpha])
         self._scratch = {}
         # (K + 1, float type) -> the weights -p^(t+1), 1 that turn the floors
-        # and y into a residue code, and the bias 1/(2p)
+        # and the code sum into a residue code
         self._combine = {}
         self._sieve()
         self._square_cache = {}
@@ -200,9 +242,44 @@ class PolyTables:
                 for pcode in self.prime_codes[a][::-1].tolist():
                     pco = ffpoly._decode_digits(pcode, a, q) + (1,)
                     S = self._kernel_matrix(self._mul_matrix(pco, m, d)[None], mult.dtype)
-                    for _, r, codes in self._stacked_codes(mult, d, S):
+                    for _, r, codes in self._stacked_codes(mult, d, S, 1):
                         spf_d[codes[0]] = a * pack + pcode * q ** m + cofactors[r:r + codes.shape[1]]
             self.prime_codes[d] = np.nonzero(spf_d == 0)[0].astype(np.int64)
+
+    def factor_all(self, d):
+        """Every monic of degree d >= 1 factored at once off the spf
+        tables: (squarefree, rows, deg, code), squarefree a bool array over
+        the q^d codes and (deg[i], code[i]) a prime factor of the code
+        rows[i], for the square-free codes alone, by ascending code and,
+        within one code, in ascending (degree, code) order, as factor
+        lists them.
+
+        At level k = d, d-1, ..., 1 the codes whose cofactor has degree k
+        give up its smallest prime factor (the whole cofactor when it is
+        prime), so a repeated factor comes out twice in a row."""
+        q, pack = self.q, self.q ** self.max_deg
+        deg = np.full(q ** d, d, dtype=np.int64)
+        code = np.arange(q ** d, dtype=np.int64)
+        found = []
+        for k in range(d, 0, -1):
+            rows = np.flatnonzero(deg == k)
+            cur = code[rows]
+            packed = self.spf[k][cur]
+            a, rest = np.divmod(packed, pack)
+            prime = packed == 0
+            a[prime] = k
+            pcode, cof = np.divmod(rest, q ** (k - a))
+            pcode[prime] = cur[prime]
+            deg[rows], code[rows] = k - a, cof
+            found.append((rows, a, pcode))
+        rows, pdeg, pcode = (np.concatenate(x) for x in zip(*found))
+        order = np.argsort(rows, kind="stable")
+        rows, pdeg, pcode = rows[order], pdeg[order], pcode[order]
+        repeated = (rows[1:] == rows[:-1]) & (pdeg[1:] == pdeg[:-1]) & (pcode[1:] == pcode[:-1])
+        squarefree = np.ones(q ** d, dtype=bool)
+        squarefree[rows[1:][repeated]] = False
+        keep = squarefree[rows]
+        return squarefree, rows[keep], pdeg[keep], pcode[keep]
 
     def factor(self, deg, code):
         """Factor a monic square-free polynomial into [(deg, code), ...].
@@ -231,22 +308,35 @@ class PolyTables:
         """The float type in which the kernel is exact on rows of `width`
         coefficients, that is J = e*width digit entries in 0..entry
         (default p-1), reduced modulo primes of degree k (default max_deg):
-        float32 while (J + 2) x_max < 2^22 and y_max < 2^24, x_max =
-        J entry (p-1) the largest digit sum and y_max = J entry q^k the
-        largest code sum, else float64 while they stay below 2^51 and 2^53
-        (see the module docstring); beyond that a ValueError."""
-        p, e = self.p, self.e
-        J, entry = e * width, p - 1 if entry is None else entry
-        x_max = J * entry * (p - 1)
-        y_max = J * entry * p ** (e * (self.max_deg if k is None else k))
-        if (J + 2) * x_max < 2 ** 22 and y_max < 2 ** 24:
-            return np.float32
-        if (J + 2) * x_max < 2 ** 51 and y_max < 2 ** 53:
-            return np.float64
+        float32 while (J + 2) x_max < 2^22 and y_max < 2^24, else float64
+        while they stay below 2^51 and 2^53 (_sum_bounds, _EXACT and the
+        module docstring); beyond that a ValueError."""
+        floors, y_max = _sum_bounds(self.p, self.e, width, entry, self.max_deg if k is None else k)
+        for dtype, (floor_cap, code_cap) in _EXACT.items():
+            if floors < floor_cap and y_max < code_cap:
+                return dtype
         raise ValueError(
-            f"PolyTables: q={p ** e} with max_deg={self.max_deg} is beyond exact "
-            f"float64 residue reduction (digit sums up to {x_max}, "
+            f"PolyTables: q={self.p ** self.e} with max_deg={self.max_deg} is beyond exact "
+            f"float64 residue reduction ((J + 2) x_max = {floors}, "
             f"code sums up to {y_max})")
+
+    def _group(self, k, m, dtype, width, entry=None):
+        """How many of m stacked primes of degree k one kernel block takes:
+        as many as keep its digit sums near 4 ffpoly.BLOCK_BYTES, and few
+        enough that the chiq store offsets the code sums carry, below
+        group q^k, keep them exact in dtype on rows of width coefficients
+        (entries in 0..entry): y_max + (group - 1) q^k < 2^24 (float32) or
+        2^53 (float64).  InvariantError when even one prime is beyond that
+        or beyond the floor bound, so the bound is checked, not assumed."""
+        floors, y_max = _sum_bounds(self.p, self.e, width, entry, k)
+        floor_cap, code_cap = _EXACT[np.dtype(dtype).type]
+        room = code_cap - 1 - y_max
+        if floors >= floor_cap or room < 0:
+            raise InvariantError(
+                f"kernel: rows of width {width} modulo degree {k} are beyond exact "
+                f"{np.dtype(dtype).name} reduction at q={self.q}")
+        cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * _block_rows() * np.dtype(dtype).itemsize)
+        return max(1, min(m, cached, 1 + room // self.q ** k))
 
     def coef_rows(self, polys):
         """Digit rows of arbitrary polynomials, zero-padded to the widest,
@@ -314,18 +404,23 @@ class PolyTables:
             cache.update(zip(missing, built))
         return np.stack([cache[key][:n] for key in keys])
 
-    def _kernel_matrix(self, digits, dtype):
+    def _kernel_matrix(self, digits, dtype, offsets=0):
         """The kernel's matrix for the F_p-linear maps whose (rows, K) digit
-        matrices are stacked in digits, (m, rows, K): a (rows, m (K + 1))
-        array in dtype whose columns i (K + 1) + t hold digit t of map i
-        divided by p (rounded once, in dtype) and column i (K + 1) + K the
-        codes sum_t p^t digit t."""
+        matrices are stacked in digits, (m, rows, K): a (1 + rows, m (K + 1))
+        array in dtype.  Row 0 meets the kernel's constant 1 row: it holds
+        the bias 1/(2p) (rounded once, in dtype) in the digit columns
+        i (K + 1) + t and offsets[i] in the code column i (K + 1) + K.  Row
+        1 + j holds in column i (K + 1) + t digit t of row j of map i divided
+        by p (rounded once, in dtype) and in column i (K + 1) + K its code
+        sum_t p^t digit t."""
         m, rows, K = digits.shape
-        S = np.empty((rows, m, K + 1), dtype=dtype)
-        S[:, :, :K] = digits.transpose(1, 0, 2)
-        S[:, :, :K] /= self.p
-        S[:, :, K] = (digits @ self._ppow[:K]).T
-        return S.reshape(rows, -1)
+        S = np.empty((1 + rows, m, K + 1), dtype=dtype)
+        S[0, :, :K] = 0.5 / self.p
+        S[0, :, K] = offsets
+        S[1:, :, :K] = digits.transpose(1, 0, 2)
+        S[1:, :, :K] /= self.p
+        S[1:, :, K] = (digits @ self._ppow[:K]).T
+        return S.reshape(1 + rows, -1)
 
     def _check_rows(self, coefmat, caller):
         """The width, in coefficients, of coefmat's rows; InvariantError
@@ -348,80 +443,91 @@ class PolyTables:
         X = self._xrows([qkey], width)[:, :, :self.e].reshape(1, width * self.e, -1)
         S = self._kernel_matrix(X[:, :ncols], coefmat.dtype)
         out = np.empty(len(coefmat), dtype=np.int64)
-        for _, r, codes in self._stacked_codes(np.mod(coefmat, self.p), k, S):
+        for _, r, codes in self._stacked_codes(np.mod(coefmat, self.p), k, S, 1):
             out[r:r + codes.shape[1]] = codes[0]
         return out
 
-    def _scratch_buffers(self, dtype, nsums, ncodes):
-        """The kernel's block buffers in dtype: digit sums, float codes and
-        int64 codes, kept by the table and grown to the largest block seen,
-        so that no block allocates."""
+    def _scratch_buffers(self, dtype, *sizes):
+        """The kernel's block buffers: padded rows, digit sums and float
+        codes in dtype and int64 codes, of at least these sizes, kept by
+        the table and grown to the largest block seen, so that no block
+        allocates."""
         bufs = self._scratch.get(dtype)
-        if bufs is None or bufs[0].size < nsums or bufs[1].size < ncodes:
+        if bufs is None or any(buf.size < size for buf, size in zip(bufs, sizes)):
             if bufs is not None:
-                nsums, ncodes = max(nsums, bufs[0].size), max(ncodes, bufs[1].size)
-            bufs = self._scratch[dtype] = (
-                np.empty(nsums, dtype), np.empty(ncodes, dtype), np.empty(ncodes, np.int64))
+                sizes = [max(buf.size, size) for buf, size in zip(bufs, sizes)]
+            bufs = self._scratch[dtype] = [
+                np.empty(size, kind) for size, kind in zip(sizes, (dtype, dtype, dtype, np.int64))]
         return bufs
 
-    def _stacked_codes(self, mat, k, S):
+    def _stacked_codes(self, mat, k, S, group):
         """The kernel: residue codes of mat's rows modulo the m primes of
-        degree k whose _kernel_matrix is S (at least mat's columns of
-        rows, m (k e + 1) columns, in mat's float type), in cache blocks:
-        about ffpoly.BLOCK_BYTES / 32 rows (2048 at 64 KiB) against as many
-        primes as keep the digit sums near 4 BLOCK_BYTES.  Yields
-        (i, r, codes), codes[a, b] the residue of row r + b modulo prime
-        i + a: an int64 view of the table's scratch buffer, which the next
-        block overwrites, so no two of these generators may run at once."""
-        p, K1 = self.p, k * self.e + 1
+        degree k whose _kernel_matrix is S (row 0 and at least mat's
+        columns of rows below it, m (k e + 1) columns, in mat's float
+        type), each plus the offset in its row 0, in cache blocks of
+        _block_rows() rows against `group` primes.  Each row block is
+        copied once, transposed, below a constant 1 row that meets S's
+        row 0, so that one matmul gives the biased digit sums and the
+        offset code sums; a block is then the matmul, one floor, the
+        combining matmul and the int64 cast.  Yields (i, r, codes),
+        codes[a, b] the residue of row r + b modulo prime i + a plus that
+        prime's offset: an int64 view of the table's scratch buffer,
+        which the next block overwrites, so no two of these generators
+        may run at once."""
+        K1 = k * self.e + 1
         ncols, m, dtype = mat.shape[1], S.shape[1] // K1, mat.dtype
-        step = max(1, ffpoly.BLOCK_BYTES // 32)
-        nrows = max(1, min(step, len(mat)))
-        qstep = min(m, max(1, 4 * ffpoly.BLOCK_BYTES // ((K1 - 1) * nrows * dtype.itemsize)))
-        sums, fcodes, icodes = self._scratch_buffers(dtype, qstep * K1 * nrows, qstep * nrows)
-        combine = self._combine.get((K1, dtype))
-        if combine is None:
-            weights = np.append(-p * self._ppow[:K1 - 1], 1).astype(dtype)
-            combine = self._combine[K1, dtype] = weights, np.array(0.5 / p, dtype)
-        weights, half = combine
-        for i in range(0, m, qstep):
-            block = S[:ncols, i * K1:(i + qstep) * K1]
-            mb = block.shape[1] // K1
-            for r in range(0, len(mat), step):
-                rows = mat[r:r + step]
-                n = len(rows)
+        step = _block_rows()
+        nrows = min(step, len(mat))
+        padded, sums, fcodes, icodes = self._scratch_buffers(
+            dtype, (1 + ncols) * nrows, group * K1 * nrows, group * nrows, group * nrows)
+        weights = self._combine.get((K1, dtype))
+        if weights is None:
+            weights = self._combine[K1, dtype] = np.append(-self.p * self._ppow[:K1 - 1], 1).astype(dtype)
+        for r in range(0, len(mat), step):
+            n = min(step, len(mat) - r)
+            rows = padded[:(1 + ncols) * n].reshape(1 + ncols, n)
+            rows[0] = 1
+            rows[1:] = mat[r:r + n].T
+            for i in range(0, m, group):
+                block = S[:1 + ncols, i * K1:(i + group) * K1]
+                mb = block.shape[1] // K1
                 z = sums[:mb * K1 * n].reshape(mb * K1, n)
-                np.matmul(block.T, rows.T, out=z)  # BLAS reads both transposes in place
-                z += half
+                np.matmul(block.T, rows, out=z)  # BLAS reads block's transpose in place
                 np.floor(z, out=z)
                 np.matmul(weights, z.reshape(mb, K1, n), out=fcodes[:mb * n].reshape(mb, n))
                 codes = icodes[:mb * n].reshape(mb, n)
                 np.copyto(codes, fcodes[:mb * n].reshape(mb, n), casting="unsafe")
                 yield i, r, codes
 
-    def _stacked(self, keys, width, dtype):
-        """(S, offsets) for the primes keys of one degree: their kernel
-        matrices side by side in dtype, at least width coefficients of
-        rows, and the flat offset of each prime's row in the degree's
-        chiq store, as a column.  Cached per tuple of keys and float type,
-        since l_suite asks for the same primes at each row degree; the
-        first build covers the table's own rows (max_deg + 1 wide)."""
+    def _stacked(self, keys, width, dtype, group):
+        """The kernel matrices of the primes keys of one degree k side by
+        side in dtype, at least width coefficients of rows, row 0 holding
+        each prime's chiq store offset from the first prime of its block
+        of `group`, (i mod group) q^k.  Cached per tuple of keys and float
+        type, since l_suite asks for the same primes at each row degree;
+        the first build covers the table's own rows (max_deg + 1 wide)."""
         cached = self._stack_cache.get((keys, dtype))
-        if cached is None or cached[0] < width:
-            tab, rows = self.chiq(keys)
+        if cached is None or cached[0] < width or cached[1] != group:
             width = max(width, self.max_deg + 1)
             X = self._xrows(keys, width)[:, :, :self.e]
-            S = self._kernel_matrix(X.reshape(len(keys), width * self.e, -1), dtype)
-            cached = self._stack_cache[keys, dtype] = width, S, rows[:, None] * tab.shape[1]
-        return cached[1:]
+            offsets = np.arange(len(keys)) % group * self.q ** keys[0][0]
+            S = self._kernel_matrix(X.reshape(len(keys), width * self.e, -1), dtype, offsets)
+            cached = self._stack_cache[keys, dtype] = width, group, S
+        return cached[2]
 
     # -- quadratic residue tables ----------------------------------------
 
-    def _square_type(self, k):
-        """The float type of the squares of the residues of degree < k:
+    def _square_rows(self, k):
+        """(width, entry) of the squares of the residues of degree < k:
         rows of 2k - 1 coefficients of 2e - 1 alpha powers, at most 2e(2k-1)
-        digit entries up to k e (p-1)^2, reduced modulo primes of degree k."""
-        return self.float_type(2 * (2 * k - 1), k * self.e * (self.p - 1) ** 2, k)
+        digit entries, counted as 2(2k - 1) coefficients, up to
+        k e (p-1)^2."""
+        return 2 * (2 * k - 1), k * self.e * (self.p - 1) ** 2
+
+    def _square_type(self, k):
+        """The float type of the squares of the residues of degree < k,
+        reduced modulo primes of degree k."""
+        return self.float_type(*self._square_rows(k), k)
 
     def _squares(self, k):
         """The squares of all q^k residues of degree < k, taken over
@@ -445,16 +551,22 @@ class PolyTables:
     def chiq(self, qkeys):
         """Quadratic residue tables of primes Q of one degree k, given by
         qkeys=[(k, code), ...]: (tab, rows), tab an int8 array whose row
-        rows[i] holds (r/Q_i) in {-1, 0, 1} at each residue code r mod Q_i.
+        rows[i] holds (r/Q_i) in {-1, 0, 1} at each residue code r mod Q_i,
+        and rows one ascending run, rows[0] + arange(len(qkeys)), so that
+        a stacked kernel block reads its symbols at offsets from its first
+        row.
 
         tab is the degree's table store, shared by every call.  The
-        missing tables are built together: the squares of all residues,
-        reduced against the kernel matrices of their primes."""
+        missing tables are built together at its end: the squares of all
+        residues, reduced against the kernel matrices of their primes,
+        each code sum carrying the prime's offset from the first row of its
+        block.  When qkeys meets tables of earlier calls out of that order,
+        the store is rewritten with the rows of qkeys first."""
         k = qkeys[0][0]
+        n = self.q ** k
         tab, used = self._chiq_tabs.get(k, (None, 0))
         new = [key for key in dict.fromkeys(qkeys) if key not in self._chiq_row]
         if new:
-            n, K = self.q ** k, k * self.e
             if tab is None or used + len(new) > len(tab):
                 grown = np.empty((max(used + len(new), 2 * used), n), dtype=np.int8)
                 if tab is not None:
@@ -466,17 +578,26 @@ class PolyTables:
             block = tab[used:used + len(new)]
             block.fill(-1)
             X = self._xrows(new, 2 * k - 1)
-            S = self._kernel_matrix(X.reshape(len(new), -1, K), squares.dtype)
+            group = self._group(k, len(new), squares.dtype, *self._square_rows(k))
+            offsets = np.arange(len(new)) % group * n
+            S = self._kernel_matrix(X.reshape(len(new), -1, k * self.e), squares.dtype, offsets)
             flat = block.reshape(-1)
-            for i, _, codes in self._stacked_codes(squares, k, S):
-                codes += np.arange(i * n, (i + len(codes)) * n, n)[:, None]
-                flat[codes] = 1
+            for i, _, codes in self._stacked_codes(squares, k, S, group):
+                flat[i * n:][codes] = 1
             block[:, 0] = 0
             for key in new:
                 self._chiq_row[key] = used
                 used += 1
             self._chiq_tabs[k] = tab, used
-        return tab, np.array([self._chiq_row[key] for key in qkeys], dtype=np.int64)
+        rows = np.array([self._chiq_row[key] for key in qkeys], dtype=np.int64)
+        if (np.diff(rows) != 1).any():
+            order = list(qkeys) + [key for key in self._chiq_row
+                                   if key[0] == k and key not in set(qkeys)]
+            tab = tab[[self._chiq_row[key] for key in order]]
+            self._chiq_row.update((key, row) for row, key in enumerate(order))
+            self._chiq_tabs[k] = tab, len(tab)
+            rows = np.arange(len(qkeys), dtype=np.int64)
+        return tab, rows
 
     def legendre_array(self, coefmat, qkeys):
         """(F/Q) for every prime Q given by qkeys=[(deg, code), ...], int
@@ -484,21 +605,24 @@ class PolyTables:
         matrix.
 
         The primes of each run of one degree reduce together
-        (_stacked_codes), so callers list them by degree, and each symbol
-        is read off the stacked chiq tables with one flat take.  The rows
-        hold digits in 0..p-1, as coef_rows and the coefmats build them;
-        float32 rows must be at a width float_type admits."""
+        (_stacked_codes), so callers list them by degree.  Their chiq rows
+        are one run, and each block's codes carry their offsets from the
+        block's first row, so each symbol is read off the store with one
+        flat take from that row.  The rows hold digits in 0..p-1, as
+        coef_rows and the coefmats build them; float32 rows must be at a
+        width float_type admits."""
         width = self._check_rows(coefmat, "legendre_array")
         out = np.empty((len(qkeys), len(coefmat)), dtype=np.int8)
         start = 0
         for k, run in itertools.groupby(qkeys, key=lambda key: key[0]):
             keys = tuple(run)
-            S, offsets = self._stacked(keys, width, coefmat.dtype)
-            tab = self._chiq_tabs[k][0]
-            for i, r, codes in self._stacked_codes(coefmat, k, S):
-                codes += offsets[i:i + len(codes)]
+            tab, rows = self.chiq(keys)
+            group = self._group(k, len(keys), coefmat.dtype, width)
+            S = self._stacked(keys, width, coefmat.dtype, group)
+            flat, n = tab.reshape(-1), self.q ** k
+            for i, r, codes in self._stacked_codes(coefmat, k, S, group):
                 at = out[start + i:start + i + len(codes), r:r + codes.shape[1]]
-                tab.take(codes, out=at, mode="wrap")
+                flat[(rows[0] + i) * n:].take(codes, out=at, mode="wrap")
             start += len(keys)
         return out
 

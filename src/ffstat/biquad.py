@@ -159,12 +159,10 @@ def _prime_columns(q, m):
 def squarefree_factors(field, d):
     """SquarefreeDegree for the square-free monic polynomials of degree d.
 
-    Every code of degree d is factored at once off the sieve tables: at
-    level k = d, d-1, ..., 1 the codes whose cofactor has degree k give up
-    their smallest prime factor (the whole cofactor when it is prime).
-    The factors of a code thus come out in ascending (degree, code)
-    order, so a repeated factor comes out twice in a row.  A degree over
-    the cap of check_squarefree_degree is refused before anything is built.
+    Every code of degree d is factored at once off the sieve tables
+    (PolyTables.factor_all), its factors in ascending (degree, code)
+    order.  A degree over the cap of check_squarefree_degree is refused
+    before anything is built.
     """
     check_squarefree_degree(field, d)
     empty = np.zeros(0, dtype=np.int64)
@@ -172,29 +170,7 @@ def squarefree_factors(field, d):
         return SquarefreeDegree((ffpoly.Poly.one(field),), empty, empty, empty)
     q = field.q
     T = poly_tables(field, d)
-    pack = q ** T.max_deg
-    deg = np.full(q ** d, d, dtype=np.int64)
-    code = np.arange(q ** d, dtype=np.int64)
-    found = []
-    for k in range(d, 0, -1):
-        rows = np.flatnonzero(deg == k)
-        cur = code[rows]
-        packed = T.spf[k][cur]
-        a, rest = np.divmod(packed, pack)
-        prime = packed == 0
-        a[prime] = k
-        pcode, cof = np.divmod(rest, q ** (k - a))
-        pcode[prime] = cur[prime]
-        deg[rows], code[rows] = k - a, cof
-        found.append((rows, a, pcode))
-    rows, pdeg, pcode = (np.concatenate(x) for x in zip(*found))
-    order = np.argsort(rows, kind="stable")
-    rows, pdeg, pcode = rows[order], pdeg[order], pcode[order]
-    repeated = (rows[1:] == rows[:-1]) & (pdeg[1:] == pdeg[:-1]) & (pcode[1:] == pcode[:-1])
-    squarefree = np.ones(q ** d, dtype=bool)
-    squarefree[rows[1:][repeated]] = False
-    keep = squarefree[rows]
-    rows, pdeg, pcode = rows[keep], pdeg[keep], pcode[keep]
+    squarefree, rows, pdeg, pcode = T.factor_all(d)
     col = np.empty_like(pcode)
     for e in range(1, d + 1):
         at = pdeg == e

@@ -142,12 +142,23 @@ def _csv_cell(v):
     return str(v)
 
 
-def _json_cell(v):
+def _json_cell(v, big=None):
+    """v as json.dumps takes it.  When big is given, an int of more than
+    _DECIMAL_STR_BITS bits is appended to it as _decimal_digits gives it,
+    and stands in as a NUL character followed by its index in big, a
+    string that emit swaps for the digits."""
     if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator}
+        return {"num": _json_cell(v.numerator, big), "den": _json_cell(v.denominator, big)}
     if isinstance(v, tuple):
         return list(v)
+    if big is not None and isinstance(v, int) and v.bit_length() > _DECIMAL_STR_BITS:
+        big.append(_decimal_digits(v))
+        return f"\0{len(big) - 1}"
     return v
+
+
+#: a big int's stand-in as json.dumps writes it
+_JSON_BIG = re.compile(r'"\\u0000(\d+)"')
 
 
 def emit(rows, header, fmt, out):
@@ -161,7 +172,10 @@ def emit(rows, header, fmt, out):
             return
         sep = "["
         for row in rows:
-            item = json.dumps({k: _json_cell(v) for k, v in row.items()}, indent=2)
+            big = []
+            item = json.dumps({k: _json_cell(v, big) for k, v in row.items()}, indent=2)
+            if big:
+                item = _JSON_BIG.sub(lambda m: big[int(m[1])], item)
             fh.write(sep + "\n  " + item.replace("\n", "\n  "))
             sep = ","
         fh.write("[]\n" if sep == "[" else "\n]\n")

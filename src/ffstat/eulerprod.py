@@ -298,14 +298,15 @@ class PrimeSumResult:
     reference: Fraction
     scales: dict = dc_field(compare=False, default_factory=dict)
 
-    @property
+    @functools.cached_property
     def value(self):
         """num / den as a Fraction, for library callers: its constructor
-        runs one gcd on the ~10^5-bit pair."""
+        runs one gcd on the ~10^5-bit pair, so it is built once."""
         return Fraction(self.num, self.den)
 
-    @property
+    @functools.cached_property
     def gap(self):
+        """value - reference, built once (the subtraction runs gcds too)."""
         return self.value - self.reference
 
     @property

@@ -437,10 +437,11 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
 
     moduli = []  # (deg, code, factors) of every square-free monic D
     for dd in range(1, max_deg + 1):
-        for code in range(q ** dd):
-            factors = T.factor(dd, code)
-            if factors is not None:
-                moduli.append((dd, code, factors))
+        _, rows, pdeg, pcode = T.factor_all(dd)
+        factors = list(zip(pdeg.tolist(), pcode.tolist()))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+        for code, lo, hi in zip(rows[starts].tolist(), starts, starts[1:] + [len(rows)]):
+            moduli.append((dd, code, factors[lo:hi]))
     factorizations = [factors for _, _, factors in moduli]
 
     # phase 1: raw coefficients, one char_sums pass per degree of F over
@@ -514,7 +515,7 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     # so the largest float is the exact ratio of the largest |s_n| of each
     # degree of D, divided once in exact ints
     bound_worst = 0.0
-    for dd in np.unique(rec_deg).tolist():
+    for dd in sorted(set(rec_deg.tolist())):  # np.unique would import numpy.ma
         for n, s_max in enumerate(np.abs(s_table[:, rec_deg == dd]).max(axis=1).tolist(), 1):
             bound_worst = max(bound_worst, s_max ** 2 / (dd ** 2 * q ** n))
     for rec, s in zip(records, s_table.T.tolist()):

@@ -549,8 +549,8 @@ def test_fixed_prime_output_at_m10_matches_pinned_digest(capsys):
 ])
 def test_eulersum_output_matches_pinned_digest(capsys, command, digest):
     # sha256 of the stdout of the code that printed the reduced Fraction
-    # through str(int); the JSON rows still print their ints through
-    # int.__repr__ (json.dumps), which is left quadratic on purpose
+    # through str(int) and the JSON rows through int.__repr__ (json.dumps);
+    # both now print ints above _DECIMAL_STR_BITS through _decimal_digits
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -634,6 +634,32 @@ def test_decimal_digits_equal_str(n, negative):
     with _str_digit_limit(0):
         assert cli._decimal_digits(n) == str(n)
         assert cli._csv_cell(n) == str(n)
+
+
+@pytest.mark.parametrize("row", [
+    {"num": 7 ** 20_000, "den": -(3 ** 19_000) - 1, "small": 12, "flag": True},
+    {"v": Fraction(5 ** 15_000 + 2, 3 ** 20_000), "text": "X^2+1", "pair": (2, 1)},
+])
+def test_json_big_ints_print_through_decimal_digits(capsys, monkeypatch, row):
+    # the JSON rows give every int above _DECIMAL_STR_BITS bits (at the top
+    # of a row or in a Fraction) to _decimal_digits, and print the bytes
+    # json.dumps prints
+    converted = []
+    digits = cli._decimal_digits
+
+    def counting(n):
+        converted.append(n)
+        return digits(n)
+
+    monkeypatch.setattr(cli, "_decimal_digits", counting)
+    with _str_digit_limit(0):
+        want = json.dumps([{k: cli._json_cell(v) for k, v in row.items()}], indent=2) + "\n"
+        cli.emit(iter([row]), list(row), "json", None)
+        assert capsys.readouterr().out == want
+    big = [v for v in row.values() if isinstance(v, int) and v.bit_length() > cli._DECIMAL_STR_BITS]
+    big += [x for v in row.values() if isinstance(v, Fraction) for x in (v.numerator, v.denominator)
+            if x.bit_length() > cli._DECIMAL_STR_BITS]
+    assert sorted(converted) == sorted(big)
 
 
 def test_lemma61_runs_no_big_gcd(capsys, monkeypatch):

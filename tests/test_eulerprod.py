@@ -1,5 +1,6 @@
 """Local factors, truncated products, tail scales, prime sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -213,3 +214,22 @@ def test_prime_sum_scales_reported():
     r = eulerprod.prime_sum("plus", F3, 2, 6)
     assert set(r.scales) == {"zeta_tail", "fluctuation", "product_tail"}
     assert r.scales["fluctuation"] == pytest.approx(3 * 6 ** 3 / 2)
+
+
+def test_prime_sum_value_and_gap_are_built_once(monkeypatch):
+    # value and gap are cached: a second access runs no gcd on the
+    # ~10^5-bit pair
+    r = eulerprod.prime_sum("plus", F3, 2, 6)
+    first = (r.value, r.gap)
+    calls = []
+    real_gcd = math.gcd
+
+    def gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", gcd)
+    assert (r.value, r.gap) == first
+    assert r.value is first[0] and r.gap is first[1]
+    assert calls == []
+    assert r.gap == Fraction(r.num, r.den) - r.reference and calls

@@ -4,7 +4,10 @@ import ast
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -320,3 +323,31 @@ def test_squarefree_part():
     # (1 + 2u + 3u^2)^2 reduces to the simple-root factor
     assert lfunc.squarefree_part((1, 4, 10, 12, 9)) == (1, 2, 3)
     assert lfunc.squarefree_part((1, 0, 3)) == (1, 0, 3)
+
+
+def test_l_suite_leaves_numpy_ma_unimported():
+    # numpy 2.4's one-dimensional np.unique imports numpy.ma, a cost of
+    # 13-15 ms in a fresh process that no l_suite result needs
+    code = ("import sys\n"
+            "from ffstat import lfunc\n"
+            "assert lfunc.l_suite(3, 3, 4).ok()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_l_suite_catalogue_factors_each_degree_at_once(monkeypatch):
+    # the catalogue comes from one factor_all pass per degree, not from a
+    # factor call per code, and lists the moduli and factors factor gives
+    factor = _tables.PolyTables.factor
+
+    def refuse(self, deg, code):
+        raise AssertionError("per-code factor")
+
+    monkeypatch.setattr(_tables.PolyTables, "factor", refuse)
+    seen = []
+    assert lfunc.l_suite(3, max_deg=3, n_max=4, collect=seen.append).ok()
+    T = _tables.poly_tables(F3, 4)
+    want = [(d, code, factor(T, d, code)) for d in range(1, 4) for code in range(3 ** d)]
+    assert [(rec["deg"], rec["code"], rec["factors"]) for rec in seen] == [w for w in want if w[2]]

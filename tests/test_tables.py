@@ -514,3 +514,136 @@ def test_one_reduction_step_and_no_per_prime_power_loop():
     assert [node.name for node in methods.values() if _calls(node, "floor")] == ["_stacked_codes"]
     assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch"]
     assert not [node for node in ast.walk(methods["_xrow_batch"]) if isinstance(node, (ast.For, ast.comprehension))]
+
+
+def test_stacked_kernel_exact_at_the_float32_code_bound_with_store_offsets():
+    # at q = 11, degree-4 primes and the widest float32 rows (J = 114),
+    # y_max = J (p-1) q^4 leaves room for store offsets of 5 q^4 below 2^24
+    # and not 6 q^4, so a block takes 6 primes; one coefficient less takes
+    # the 8 primes the cache allows.  Both sides match the scalar symbols,
+    # all-(q-1) rows (the largest code sums) and random rows alike.
+    q, k = 11, 4
+    T = PolyTables(GF(q), k)
+    width = _widest_float32_width(q, 1, k)
+    assert width == 114 and T.float_type(width) is np.float32
+    y_max = width * (q - 1) * q ** k
+    assert y_max + 5 * q ** k < 2 ** 24 <= y_max + 6 * q ** k
+    qkeys = [(k, c) for c in T.prime_codes[k][:13].tolist()]
+    rng = np.random.default_rng(11)
+    for w, group in ((width, 6), (width - 1, 8)):
+        assert T._group(k, len(qkeys), np.float32, w) == group
+        rows = np.vstack([np.full((2, w), q - 1), rng.integers(0, q, size=(4, w))])
+        got = T.legendre_array(rows.astype(np.float32), qkeys)
+        for qkey, row in zip(qkeys, got.tolist()):
+            Q = Poly.monic_from_code(T.field, *qkey)
+            assert row == [ffpoly.jacobi_symbol(Poly.from_coeffs(T.field, f.tolist()), Q) for f in rows]
+
+
+def test_kernel_exact_at_the_code_bound_with_store_offsets():
+    # maps of digits p-1 and rows of digits p-1 (a few p-2) meet code sums
+    # near y_max: with the offsets of as many primes as _group admits, a
+    # block's code sums come within 2 q^k of 2^24, and one prime more
+    # would pass it.  Every code is the exact sum_t p^t (x_t mod p) plus
+    # the map's offset, computed in int64.
+    q, k = 11, 4
+    T = poly_tables(GF(q), k)
+    width = _widest_float32_width(q, 1, k)
+    m, K = 13, k
+    rng = np.random.default_rng(4)
+    digits = np.full((m, width, K), q - 1)
+    group = T._group(k, m, np.float32, width)
+    assert group == 6
+    offsets = np.arange(m) % group * q ** k
+    S = T._kernel_matrix(digits, np.float32, offsets)
+    rows = np.vstack([np.full((1, width), q - 1), q - 1 - (rng.random((300, width)) < 0.02)])
+    x = np.einsum("rj,mjt->mrt", rows, digits)
+    want = (x % q * q ** np.arange(K)).sum(axis=2) + offsets[:, None]
+    assert ((x * q ** np.arange(K)).sum(axis=2) + offsets[:, None]).max() > 2 ** 24 - 2 * q ** k
+    got = np.empty_like(want)
+    for i, r, codes in T._stacked_codes(rows.astype(np.float32), k, S, group):
+        got[i:i + len(codes), r:r + codes.shape[1]] = codes
+    assert (got == want).all()
+
+
+def test_kernel_group_checks_the_code_bound():
+    # rows of the widest float32 width modulo primes of degree max_deg
+    # leave no room at all one coefficient wider: InvariantError, never a
+    # silently inexact block
+    T = poly_tables(GF(13), 4)
+    width = _widest_float32_width(13, 1, 4)
+    assert T._group(4, 10, np.float32, width) >= 1
+    with pytest.raises(InvariantError, match="beyond exact float32"):
+        T._group(4, 10, np.float32, width + 1)
+    assert T._group(4, 10, np.float64, width + 1) >= 1
+
+
+def test_chiq_rows_of_a_call_are_one_run():
+    # tables built by earlier calls out of order are moved so that the
+    # rows of each call are consecutive, with every table unchanged
+    T = PolyTables(GF(5), 2)
+    codes = T.prime_codes[2].tolist()
+    singles = {}
+    for c in codes[3:6]:
+        tab, rows = T.chiq([(2, c)])
+        singles[c] = tab[rows[0]].copy()
+    qkeys = [(2, c) for c in (codes[5], codes[0], codes[3], codes[1], codes[4])]
+    tab, rows = T.chiq(qkeys)
+    assert rows.tolist() == list(range(rows[0], rows[0] + len(qkeys)))
+    for (_, c), row in zip(qkeys, rows.tolist()):
+        Q = Poly.monic_from_code(T.field, 2, c)
+        assert tab[row].tolist() == [ffpoly.jacobi_symbol(Poly(T.field, [r % 5, r // 5]), Q)
+                                     for r in range(25)]
+        if c in singles:
+            assert (tab[row] == singles[c]).all()
+    mat = np.array([[1, 2, 3], [4, 0, 1]], dtype=np.float32)
+    again = T.legendre_array(mat, qkeys[::-1])
+    for qkey, row in zip(qkeys[::-1], again.tolist()):
+        Q = Poly.monic_from_code(T.field, *qkey)
+        assert row == [ffpoly.jacobi_symbol(Poly.from_coeffs(T.field, f), Q) for f in ([1, 2, 3], [4, 0, 1])]
+
+
+def _stacked_codes_loops(method):
+    """The names bound by the for loops of method over _stacked_codes."""
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.For) and _calls(node.iter, "_stacked_codes"):
+            names |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_kernel_block_is_five_passes_and_callers_add_nothing_to_codes():
+    # a kernel block is the matmul, the floor, the combining matmul and
+    # the int64 cast, and its callers read the codes as they come: the
+    # bias and the store offsets ride in the matmul, so nothing adds to
+    # the digit sums or the codes in place
+    module = ast.parse(inspect.getsource(_tables))
+    methods = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+    kernel = methods["_stacked_codes"]
+    assert not [node for node in ast.walk(kernel) if isinstance(node, ast.AugAssign)]
+    inner = [node for node in ast.walk(kernel) if isinstance(node, ast.For)][-1]
+    passes = [node.func.attr for stmt in inner.body for node in ast.walk(stmt)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert passes == ["matmul", "floor", "matmul", "copyto"]
+    for name in ("legendre_array", "chiq", "reduce_codes", "_sieve"):
+        bound = _stacked_codes_loops(methods[name])
+        assert "codes" in bound
+        assert not [node for node in ast.walk(methods[name]) if isinstance(node, ast.AugAssign)
+                    and {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)} & bound]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 5), (5, 4), (9, 3)]), st.data())
+def test_factor_all_matches_per_code_factor(q_deg, data):
+    q, max_deg = q_deg
+    T = poly_tables(ffpoly.field_of_order(q), max_deg)
+    d = data.draw(st.integers(1, max_deg))
+    squarefree, rows, pdeg, pcode = T.factor_all(d)
+    got = {}
+    for row, a, c in zip(rows.tolist(), pdeg.tolist(), pcode.tolist()):
+        got.setdefault(row, []).append((a, c))
+    assert sorted(got) == np.flatnonzero(squarefree).tolist()
+    for code in range(q ** d):
+        want = T.factor(d, code)
+        assert (want is not None) == bool(squarefree[code])
+        assert got.get(code) == want
