@@ -589,15 +589,15 @@ class PolyTables:
                 self._chiq_row[key] = used
                 used += 1
             self._chiq_tabs[k] = tab, used
-        rows = np.array([self._chiq_row[key] for key in qkeys], dtype=np.int64)
-        if (np.diff(rows) != 1).any():
-            order = list(qkeys) + [key for key in self._chiq_row
-                                   if key[0] == k and key not in set(qkeys)]
+        rows = [self._chiq_row[key] for key in qkeys]
+        if rows != list(range(rows[0], rows[0] + len(rows))):
+            run = set(qkeys)
+            order = list(qkeys) + [key for key in self._chiq_row if key[0] == k and key not in run]
             tab = tab[[self._chiq_row[key] for key in order]]
             self._chiq_row.update((key, row) for row, key in enumerate(order))
             self._chiq_tabs[k] = tab, len(tab)
-            rows = np.arange(len(qkeys), dtype=np.int64)
-        return tab, rows
+            rows = list(range(len(qkeys)))
+        return tab, np.array(rows, dtype=np.int64)
 
     def legendre_array(self, coefmat, qkeys):
         """(F/Q) for every prime Q given by qkeys=[(deg, code), ...], int
