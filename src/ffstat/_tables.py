@@ -320,9 +320,10 @@ class PolyTables:
             f"float64 residue reduction ((J + 2) x_max = {floors}, "
             f"code sums up to {y_max})")
 
-    def _group(self, k, m, dtype, width, entry=None):
-        """How many of m stacked primes of degree k one kernel block takes:
-        as many as keep its digit sums near 4 ffpoly.BLOCK_BYTES, and few
+    def _group(self, k, m, dtype, nrows, width, entry=None):
+        """How many of m stacked primes of degree k one kernel block takes
+        on nrows rows: as many as keep its digit sums near
+        4 ffpoly.BLOCK_BYTES at min(nrows, _block_rows()) rows, and few
         enough that the chiq store offsets the code sums carry, below
         group q^k, keep them exact in dtype on rows of width coefficients
         (entries in 0..entry): y_max + (group - 1) q^k < 2^24 (float32) or
@@ -335,7 +336,8 @@ class PolyTables:
             raise InvariantError(
                 f"kernel: rows of width {width} modulo degree {k} are beyond exact "
                 f"{np.dtype(dtype).name} reduction at q={self.q}")
-        cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * _block_rows() * np.dtype(dtype).itemsize)
+        block_rows = max(1, min(nrows, _block_rows()))
+        cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * block_rows * np.dtype(dtype).itemsize)
         return max(1, min(m, cached, 1 + room // self.q ** k))
 
     def coef_rows(self, polys):
@@ -505,14 +507,19 @@ class PolyTables:
         each prime's chiq store offset from the first prime of its block
         of `group`, (i mod group) q^k.  Cached per tuple of keys and float
         type, since l_suite asks for the same primes at each row degree;
-        the first build covers the table's own rows (max_deg + 1 wide)."""
+        the first build covers the table's own rows (max_deg + 1 wide), and
+        a call with another group rewrites the offsets in place."""
+        k = keys[0][0]
         cached = self._stack_cache.get((keys, dtype))
-        if cached is None or cached[0] < width or cached[1] != group:
+        if cached is None or cached[0] < width:
             width = max(width, self.max_deg + 1)
             X = self._xrows(keys, width)[:, :, :self.e]
-            offsets = np.arange(len(keys)) % group * self.q ** keys[0][0]
-            S = self._kernel_matrix(X.reshape(len(keys), width * self.e, -1), dtype, offsets)
-            cached = self._stack_cache[keys, dtype] = width, group, S
+            S = self._kernel_matrix(X.reshape(len(keys), width * self.e, -1), dtype)
+            cached = self._stack_cache[keys, dtype] = [width, 1, S]
+        if cached[1] != group:
+            K1 = k * self.e + 1
+            cached[2][0, K1 - 1::K1] = np.arange(len(keys)) % group * self.q ** k
+            cached[1] = group
         return cached[2]
 
     # -- quadratic residue tables ----------------------------------------
@@ -578,7 +585,7 @@ class PolyTables:
             block = tab[used:used + len(new)]
             block.fill(-1)
             X = self._xrows(new, 2 * k - 1)
-            group = self._group(k, len(new), squares.dtype, *self._square_rows(k))
+            group = self._group(k, len(new), squares.dtype, len(squares), *self._square_rows(k))
             offsets = np.arange(len(new)) % group * n
             S = self._kernel_matrix(X.reshape(len(new), -1, k * self.e), squares.dtype, offsets)
             flat = block.reshape(-1)
@@ -617,7 +624,7 @@ class PolyTables:
         for k, run in itertools.groupby(qkeys, key=lambda key: key[0]):
             keys = tuple(run)
             tab, rows = self.chiq(keys)
-            group = self._group(k, len(keys), coefmat.dtype, width)
+            group = self._group(k, len(keys), coefmat.dtype, len(coefmat), width)
             S = self._stacked(keys, width, coefmat.dtype, group)
             flat, n = tab.reshape(-1), self.q ** k
             for i, r, codes in self._stacked_codes(coefmat, k, S, group):

@@ -519,9 +519,10 @@ def test_one_reduction_step_and_no_per_prime_power_loop():
 def test_stacked_kernel_exact_at_the_float32_code_bound_with_store_offsets():
     # at q = 11, degree-4 primes and the widest float32 rows (J = 114),
     # y_max = J (p-1) q^4 leaves room for store offsets of 5 q^4 below 2^24
-    # and not 6 q^4, so a block takes 6 primes; one coefficient less takes
-    # the 8 primes the cache allows.  Both sides match the scalar symbols,
-    # all-(q-1) rows (the largest code sums) and random rows alike.
+    # and not 6 q^4, so a block takes 6 primes; one coefficient less leaves
+    # room for 16 and a block of 6 rows takes all 13 primes.  Both sides
+    # match the scalar symbols, all-(q-1) rows (the largest code sums) and
+    # random rows alike.
     q, k = 11, 4
     T = PolyTables(GF(q), k)
     width = _widest_float32_width(q, 1, k)
@@ -530,8 +531,8 @@ def test_stacked_kernel_exact_at_the_float32_code_bound_with_store_offsets():
     assert y_max + 5 * q ** k < 2 ** 24 <= y_max + 6 * q ** k
     qkeys = [(k, c) for c in T.prime_codes[k][:13].tolist()]
     rng = np.random.default_rng(11)
-    for w, group in ((width, 6), (width - 1, 8)):
-        assert T._group(k, len(qkeys), np.float32, w) == group
+    for w, group in ((width, 6), (width - 1, 13)):
+        assert T._group(k, len(qkeys), np.float32, 6, w) == group
         rows = np.vstack([np.full((2, w), q - 1), rng.integers(0, q, size=(4, w))])
         got = T.legendre_array(rows.astype(np.float32), qkeys)
         for qkey, row in zip(qkeys, got.tolist()):
@@ -551,7 +552,7 @@ def test_kernel_exact_at_the_code_bound_with_store_offsets():
     m, K = 13, k
     rng = np.random.default_rng(4)
     digits = np.full((m, width, K), q - 1)
-    group = T._group(k, m, np.float32, width)
+    group = T._group(k, m, np.float32, 301, width)
     assert group == 6
     offsets = np.arange(m) % group * q ** k
     S = T._kernel_matrix(digits, np.float32, offsets)
@@ -571,10 +572,10 @@ def test_kernel_group_checks_the_code_bound():
     # silently inexact block
     T = poly_tables(GF(13), 4)
     width = _widest_float32_width(13, 1, 4)
-    assert T._group(4, 10, np.float32, width) >= 1
+    assert T._group(4, 10, np.float32, 2048, width) >= 1
     with pytest.raises(InvariantError, match="beyond exact float32"):
-        T._group(4, 10, np.float32, width + 1)
-    assert T._group(4, 10, np.float64, width + 1) >= 1
+        T._group(4, 10, np.float32, 2048, width + 1)
+    assert T._group(4, 10, np.float64, 2048, width + 1) >= 1
 
 
 def test_chiq_rows_of_a_call_are_one_run():
