@@ -329,15 +329,16 @@ class PolyTables:
         (entries in 0..entry): y_max + (group - 1) q^k < 2^24 (float32) or
         2^53 (float64).  InvariantError when even one prime is beyond that
         or beyond the floor bound, so the bound is checked, not assumed."""
+        dtype = np.dtype(dtype)
         floors, y_max = _sum_bounds(self.p, self.e, width, entry, k)
-        floor_cap, code_cap = _EXACT[np.dtype(dtype).type]
+        floor_cap, code_cap = _EXACT[dtype.type]
         room = code_cap - 1 - y_max
         if floors >= floor_cap or room < 0:
             raise InvariantError(
                 f"kernel: rows of width {width} modulo degree {k} are beyond exact "
-                f"{np.dtype(dtype).name} reduction at q={self.q}")
+                f"{dtype.name} reduction at q={self.q}")
         block_rows = max(1, min(nrows, _block_rows()))
-        cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * block_rows * np.dtype(dtype).itemsize)
+        cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * block_rows * dtype.itemsize)
         return max(1, min(m, cached, 1 + room // self.q ** k))
 
     def coef_rows(self, polys):
@@ -449,17 +450,17 @@ class PolyTables:
             out[r:r + codes.shape[1]] = codes[0]
         return out
 
-    def _scratch_buffers(self, dtype, *sizes):
+    def _scratch_buffers(self, dtype, npadded, nsums, ncodes):
         """The kernel's block buffers: padded rows, digit sums and float
-        codes in dtype and int64 codes, of at least these sizes, kept by
-        the table and grown to the largest block seen, so that no block
-        allocates."""
+        codes in dtype and int64 codes, kept by the table and grown to the
+        largest block seen, so that no block allocates."""
         bufs = self._scratch.get(dtype)
-        if bufs is None or any(buf.size < size for buf, size in zip(bufs, sizes)):
+        if bufs is None or bufs[0].size < npadded or bufs[1].size < nsums or bufs[2].size < ncodes:
             if bufs is not None:
-                sizes = [max(buf.size, size) for buf, size in zip(bufs, sizes)]
-            bufs = self._scratch[dtype] = [
-                np.empty(size, kind) for size, kind in zip(sizes, (dtype, dtype, dtype, np.int64))]
+                npadded, nsums, ncodes = (max(npadded, bufs[0].size), max(nsums, bufs[1].size),
+                                          max(ncodes, bufs[2].size))
+            bufs = self._scratch[dtype] = (np.empty(npadded, dtype), np.empty(nsums, dtype),
+                                           np.empty(ncodes, dtype), np.empty(ncodes, np.int64))
         return bufs
 
     def _stacked_codes(self, mat, k, S, group):
@@ -481,7 +482,7 @@ class PolyTables:
         step = _block_rows()
         nrows = min(step, len(mat))
         padded, sums, fcodes, icodes = self._scratch_buffers(
-            dtype, (1 + ncols) * nrows, group * K1 * nrows, group * nrows, group * nrows)
+            dtype, (1 + ncols) * nrows, group * K1 * nrows, group * nrows)
         weights = self._combine.get((K1, dtype))
         if weights is None:
             weights = self._combine[K1, dtype] = np.append(-self.p * self._ppow[:K1 - 1], 1).astype(dtype)
