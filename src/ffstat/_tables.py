@@ -636,27 +636,95 @@ class PolyTables:
 
     # -- character sums ---------------------------------------------------
 
-    def char_sums(self, coefmat, factorizations):
+    def char_sums(self, coefmat, plan):
         """sum over the rows F of coefmat of chi_D(F) = prod_{Q | D} (F/Q),
-        for each square-free D given by its factorization, a list of
-        (deg, code) tuples as factor gives it (the empty one, D = 1, counts
-        the rows), as an int64 array.
+        for each square-free D of plan (a CharPlan; its empty
+        factorization, D = 1, counts the rows), as an int64 array.
 
         The rows go in chunks, each read as one legendre_array matrix L
         over every prime factor.  A prime D sums its row of L.  A D with
-        omega >= 2 factors splits as D' Q, Q its last factor (the one of
-        largest degree in the order factor gives; any order is exact, and
-        this one shares the most D' between the D).  The int8 rows of the
-        distinct D' are products of rows of L, built for all D' of one
-        factor count at once, and the sums are entries of one float32 Gram
-        block per degree of Q.  A Gram entry is a sum of chunk-width
+        omega >= 2 factors splits as D' Q (see CharPlan).  The int8 rows
+        of the distinct D' are products of rows of L, built for all D' of
+        one factor count at once, and the sums are entries of one float32
+        Gram block per degree of Q.  A Gram entry is a sum of chunk-width
         products in {-1, 0, 1}, exact in float32 while the chunk width is
         at most 2^24; chunks hold about 64 ffpoly.BLOCK_BYTES of int8 rows
         of L and of the D'."""
-        qkeys = sorted({key for fac in factorizations for key in fac})
-        col = {key: i for i, key in enumerate(qkeys)}
-        sums = np.zeros(len(factorizations), dtype=np.int64)
-        single, heads, by_last = [], {}, {}
+        sums = np.zeros(plan.size, dtype=np.int64)
+        sums[plan.unit] = len(coefmat)
+        chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(plan.qkeys) + plan.heads))
+        if min(chunk, len(coefmat)) > 1 << 24:
+            raise InvariantError(f"char_sums: a chunk of {chunk} rows is beyond exact float32 Gram blocks")
+        for r in range(0, len(coefmat) if plan.qkeys else 0, chunk):
+            L = self.legendre_array(coefmat[r:r + chunk], plan.qkeys)
+            sums[plan.p_at] += L.sum(axis=1, dtype=np.int32)[plan.p_col]
+            head_rows = np.empty((plan.heads, L.shape[1]), dtype=np.int8)
+            for c, rows in plan.by_count.items():
+                prod = L[rows[:, 1]]
+                for j in range(2, c + 1):
+                    prod *= L[rows[:, j]]
+                head_rows[rows[:, 0]] = prod
+            for at, hsel, hpos, csel, cpos in plan.grams:
+                G = head_rows[hsel].astype(np.float32) @ L[csel].astype(np.float32).T
+                sums[at] += G[hpos, cpos].astype(np.int64)
+        return sums
+
+    # -- translations ----------------------------------------------------
+
+    def translate_codes(self, d, codes):
+        """The codes of F(X - a) for the monic F of degree 1 <= d <= max_deg
+        with these codes and every a in F_q: a (q, len(codes)) int64 array,
+        row a for the element of code a.
+
+        F -> F(X - a) is F_q-linear, hence F_p-linear on digit rows: row
+        (j, t) of its matrix holds the digits of alpha^t (X - a)^j below
+        X^d, and the (X - a)^j of every a come from one batched F_p power
+        pass over the matrices of multiplication by X - a, as _xrow_batch
+        builds the X^j mod Q.  The codes come out of the kernel with
+        offset 0, as the sieve's products do, so (X - a)^d, monic, keeps
+        the leading 1 implicit."""
+        e, p, q = self.e, self.p, self.q
+        W = (d + 1) * e
+        # multiplication by X - a on the digit rows of degree <= d: row
+        # (i, t) moves to (i + 1, t) (dropped at i = d, which no (X - a)^j
+        # with j <= d meets), plus the digits of alpha^t (-a) at (i, .)
+        neg = -ffpoly._digit_rows(np.arange(q), e, p) % p
+        times_neg = (neg.reshape(q, 1, 1, e) @ self._alpha_mul[:e] % p).reshape(q, 1, e, 1, e)
+        step = (np.eye(d + 1, dtype=np.int64)[:, None, :, None] * times_neg).reshape(q, W, W)
+        step[:, np.arange(W - e), np.arange(e, W)] = 1
+        start = np.zeros((q, e, W), dtype=np.int64)
+        start[:, :, :e] = np.eye(e, dtype=np.int64)
+        shift = ffpoly._power_rows(start, step, W, p)[:, :, :d * e]
+        mat = self._monic_rows(codes, d).astype(self.float_type(d + 1, k=d))
+        S = self._kernel_matrix(shift, mat.dtype)
+        out = np.empty((q, len(mat)), dtype=np.int64)
+        for i, r, got in self._stacked_codes(mat, d, S, self._group(d, q, mat.dtype, len(mat), d + 1)):
+            out[i:i + len(got), r:r + got.shape[1]] = got
+        return out
+
+
+class CharPlan:
+    """The factorization bookkeeping of PolyTables.char_sums for a list of
+    square-free D, each a list of (deg, code) prime factors as
+    PolyTables.factor gives them; it does not depend on the rows, so one
+    plan serves every char_sums call over the same D.
+
+    A D with omega >= 2 factors splits as D' Q, Q its last factor (the one
+    of largest degree in the order factor gives; any order is exact, and
+    this one shares the most D' between the D).  The plan holds the
+    sorted prime keys (qkeys), the D = 1 entries (unit), the prime D with
+    their key columns (p_at, p_col), the distinct D' (heads of them)
+    grouped by factor count as rows [head index, key columns...]
+    (by_count), and per degree of Q the Gram block's entries: the D at,
+    the D' and Q selected, and each D's position in the block (grams)."""
+
+    __slots__ = ("size", "qkeys", "unit", "p_at", "p_col", "heads", "by_count", "grams")
+
+    def __init__(self, factorizations):
+        self.size = len(factorizations)
+        self.qkeys = sorted({key for fac in factorizations for key in fac})
+        col = {key: i for i, key in enumerate(self.qkeys)}
+        unit, single, heads, by_last = [], [], {}, {}
         for i, fac in enumerate(factorizations):
             if len(fac) >= 2:
                 h = heads.setdefault(tuple(fac[:-1]), len(heads))
@@ -664,34 +732,20 @@ class PolyTables:
             elif fac:
                 single.append((i, col[fac[0]]))
             else:
-                sums[i] = len(coefmat)
-        p_at, p_col = np.array(single, dtype=np.int64).reshape(-1, 2).T
+                unit.append(i)
+        self.unit = np.array(unit, dtype=np.int64)
+        self.p_at, self.p_col = np.array(single, dtype=np.int64).reshape(-1, 2).T
+        self.heads = len(heads)
         by_count = {}
         for head, h in heads.items():
             by_count.setdefault(len(head), []).append([h] + [col[key] for key in head])
-        by_count = {c: np.array(rows, dtype=np.int64) for c, rows in by_count.items()}
-        grams = []
+        self.by_count = {c: np.array(rows, dtype=np.int64) for c, rows in by_count.items()}
+        self.grams = []
         for trip in by_last.values():
             at, h, c = np.array(trip, dtype=np.int64).T
             hsel, hpos = np.unique(h, return_inverse=True)
             csel, cpos = np.unique(c, return_inverse=True)
-            grams.append((at, hsel, hpos, csel, cpos))
-        chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(qkeys) + len(heads)))
-        if min(chunk, len(coefmat)) > 1 << 24:
-            raise InvariantError(f"char_sums: a chunk of {chunk} rows is beyond exact float32 Gram blocks")
-        for r in range(0, len(coefmat) if qkeys else 0, chunk):
-            L = self.legendre_array(coefmat[r:r + chunk], qkeys)
-            sums[p_at] += L.sum(axis=1, dtype=np.int32)[p_col]
-            head_rows = np.empty((len(heads), L.shape[1]), dtype=np.int8)
-            for c, rows in by_count.items():
-                prod = L[rows[:, 1]]
-                for j in range(2, c + 1):
-                    prod *= L[rows[:, j]]
-                head_rows[rows[:, 0]] = prod
-            for at, hsel, hpos, csel, cpos in grams:
-                G = head_rows[hsel].astype(np.float32) @ L[csel].astype(np.float32).T
-                sums[at] += G[hpos, cpos].astype(np.int64)
-        return sums
+            self.grams.append((at, hsel, hpos, csel, cpos))
 
 
 #: the table of highest max_deg built so far, per field

@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc, moments
+from ._tables import poly_tables
 from .errors import InvariantError
 
 EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT = 0, 1, 2
@@ -228,6 +229,9 @@ def _cmd_lfunc(args):
     D = _flag_value("--modulus", parse_poly, field, args.modulus)
     sign = _flag_value("--sign", lfunc.parse_sign, args.sign)
     chi = _flag_value("--modulus", lfunc.QuadChar, D, sign)
+    # the L-polynomial's character sums read tables reaching deg D, which
+    # refuse a modulus whose sieve passes SIEVE_BYTES_CAP before any is built
+    _flag_value("--modulus", poly_tables, field, int(chi.modulus.degree))
     raw, lstar, frob, dev = lfunc.l_data(chi, n_max=args.n_max)
     if args.check_rh and dev >= 1e-9:
         raise InvariantError(f"RH deviation {dev:.3e} exceeds 1e-9")

@@ -138,28 +138,35 @@ def _chi_pm(P, Q, sign, lookup=None):
     return chi
 
 
-@functools.lru_cache(maxsize=None)
-def chi_plain_rows(P, max_deg):
-    """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
-    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
-    in one legendre_array call over the prime rows of every degree,
-    zero-padded to the widest.  Shared by the three kinds, so the rows
-    are read-only."""
-    T = poly_tables(P.field, max(max_deg, int(P.degree)))
+def _prime_rows(T, max_deg):
+    """The prime rows of every degree 1..max_deg stacked in ffpoly.primes
+    order, zero-padded to the widest, and the end of each degree's run."""
     mats = [T.prime_coefmat(d) for d in range(1, max_deg + 1)]
     ends = np.cumsum([len(m) for m in mats])
     stacked = np.zeros((ends[-1], mats[-1].shape[1]), dtype=T.dtype)
     for m, end in zip(mats, ends):
         stacked[end - len(m):end, : m.shape[1]] = m
+    return stacked, ends
+
+
+@functools.lru_cache(maxsize=None)
+def chi_plain_rows(P, max_deg):
+    """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
+    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
+    in one legendre_array call over the prime rows of every degree.
+    Shared by the three kinds, so the rows are read-only."""
+    T = poly_tables(P.field, max(max_deg, int(P.degree)))
+    stacked, ends = _prime_rows(T, max_deg)
     leg = T.legendre_array(stacked, [(int(P.degree), P.monic_code())])[0]
     leg.flags.writeable = False
     return tuple(np.split(leg, ends[:-1]))
 
 
-def _value_counts(row):
-    """(value, multiplicity) pairs of an integer row."""
-    vals, counts = np.unique(row, return_counts=True)
-    return zip(vals.tolist(), counts.tolist())
+def _value_counts(symbols):
+    """The multiplicities of -1, 0 and 1 along the last axis of an array of
+    symbols, as a (..., 3) array: one count per row, where np.unique
+    would sort each row on its own."""
+    return np.stack([(symbols == v).sum(axis=-1) for v in (-1, 0, 1)], axis=-1)
 
 
 def local_factor(kind, P, Q, u, _validate=True):
@@ -255,9 +262,10 @@ def _h_pair(kind, P, u, M):
     nums, den_exp = [], 0
     for d, row in enumerate(chi_plain_rows(P, M), 1):
         ad, bd = a ** d, b ** d
-        for chi, count in _value_counts(row):
-            base, c1, c2 = _local_terms(kind, d, chi, ad, bd)
-            nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
+        for chi, count in zip((-1, 0, 1), _value_counts(row).tolist()):
+            if count:
+                base, c1, c2 = _local_terms(kind, d, chi, ad, bd)
+                nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
         den_exp += 4 * d * len(row)
     return _prod(nums), den_exp
 
@@ -367,14 +375,26 @@ def _prime_sum(kind, field, n, M):
     v = min(v_p(total), e E), the pair is (total / p^v, p^(e E - v)):
     coprime, since den is a power of p that divides no more of num."""
     q = field.q
-    poly_tables(field, max(n, M))  # one sieve, before the degree-n primes ask for less
+    T = poly_tables(field, max(n, M))
+    stacked, ends = _prime_rows(T, M)
+    keys = [(n, code) for code in T.prime_codes[n].tolist()]
+    # (Q/P) for every prime P of degree n at once, in chunks of about
+    # 64 ffpoly.BLOCK_BYTES of symbols
+    step = max(1, 64 * ffpoly.BLOCK_BYTES // len(stacked))
+    bases = [[_local_terms(kind, d, chi, 1, q ** d)[0] for chi in (-1, 0, 1)]
+             for d in range(1, M + 1)]
     counts = []
-    for P in ffpoly.primes(field, n):
-        c = collections.Counter()
-        for d, row in enumerate(chi_plain_rows(P, M), 1):
-            for chi, count in _value_counts(row):
-                c[_local_terms(kind, d, chi, 1, q ** d)[0]] += count
-        counts.append(c)
+    for lo in range(0, len(keys), step):
+        leg = T.legendre_array(stacked, keys[lo:lo + step])
+        # [P, d - 1]: the multiplicities of -1, 0, 1 among the (Q/P), deg Q = d
+        per_degree = np.stack([_value_counts(block) for block in np.split(leg, ends[:-1], axis=1)], axis=1)
+        for row in per_degree.tolist():
+            c = collections.Counter()
+            for base_d, count_d in zip(bases, row):
+                for base, count in zip(base_d, count_d):
+                    if count:
+                        c[base] += count
+            counts.append(c)
     common = {base: min(c[base] for c in counts) for base in counts[0]}
     total = _prod(base ** k for base, k in common.items()) * sum(
         _prod(base ** (k - common.get(base, 0)) for base, k in c.items()) for c in counts)

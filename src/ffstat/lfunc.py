@@ -11,9 +11,11 @@ t_n = q^(n/2) * Tr(Theta^n), recovered exactly by Newton's identities and
 cross-checkable against the von Mangoldt character sum (the explicit
 formula): -t_n = lambda + sum_{deg F = n} Lambda(F) chi(F).
 
-Scalar operations here are pure-Python exact; `l_suite` runs the whole
-catalog of moduli through the vectorized residue engine (every odd q)
-and reports aggregate check results.
+Every character sum runs through the vectorized residue engine of
+:mod:`ffstat._tables` (every odd q): `l_polynomial`, `prime_char_sum` and
+`explicit_formula_trace` for one modulus, and `l_suite` for the whole
+catalogue of moduli, reporting aggregate check results; only
+`char_value`, one symbol, is scalar.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import ffpoly
-from ._tables import poly_tables
+from ._tables import CharPlan, poly_tables
 from .errors import InvariantError
 
 PLUS, MINUS = 1, -1
@@ -143,19 +145,19 @@ class FrobeniusData:
 
 
 def l_polynomial(chi):
-    """Raw L-polynomial by direct character sums over monic polynomials."""
+    """Raw L-polynomial: coefficient d < deg D is the sum of chi over the
+    monic polynomials of degree d, sign^d times one PolyTables.char_sums
+    pass of chi_D^+ over their rows.  Its tables reach deg D, so a modulus
+    whose sieve passes SIEVE_BYTES_CAP raises ValueError before any is
+    built."""
     D = chi.modulus
     deg = int(D.degree)
-    field = chi.field
-    coeffs = []
-    for d in range(deg):
-        total = 0
-        for f in ffpoly.monic_polys(field, d):
-            total += char_value(chi, f)
-        coeffs.append(total)
+    T = poly_tables(chi.field, deg)
+    plan = CharPlan([T.factor(deg, D.monic_code())])
+    coeffs = [chi.sign ** d * int(T.char_sums(T.monic_coefmat(d), plan)[0]) for d in range(deg)]
     if coeffs[0] != 1:
         raise InvariantError("constant coefficient of L must be 1")
-    return LPoly(tuple(coeffs), deg, chi.sign, completed=False, q=field.q)
+    return LPoly(tuple(coeffs), deg, chi.sign, completed=False, q=chi.field.q)
 
 
 def complete_l(lpoly):
@@ -310,32 +312,44 @@ def rh_max_deviation(lstar, q):
 
 
 def prime_char_sum(chi_or_modulus, n):
-    """s_n(D) = sum over monic primes P of degree n of chi_D(P) (plus sign)."""
+    """s_n(D) = sum over monic primes P of degree n of chi_D(P) (plus sign),
+    one PolyTables.char_sums pass over the primes of degree n; ValueError
+    for a D that is not monic and square-free."""
     D = chi_or_modulus.modulus if isinstance(chi_or_modulus, QuadChar) else chi_or_modulus
-    return sum(ffpoly.jacobi_symbol(p, D) for p in ffpoly.primes(D.field, n))
+    deg = int(D.degree)
+    T = poly_tables(D.field, max(n, deg))
+    factors = T.factor(deg, D.monic_code())
+    if factors is None:
+        raise ValueError("modulus must be square-free")
+    return int(T.char_sums(T.prime_coefmat(n), CharPlan([factors]))[0])
 
 
 def explicit_formula_trace(chi, n):
     """lambda + sum_{deg F = n} Lambda(F) chi(F), an exact integer.
 
-    Grouped over prime powers: Lambda(P^k) = deg P.  Equals -t_n of
+    Grouped over prime powers P^k, deg P = d, k = n / d: Lambda(P^k) = d,
+    and chi(P)^k is chi(P) = sign^d (P/D) for odd k, and 1 unless P | D for
+    even k, so the sum is d times sign^d s_d(D), one PolyTables.char_sums
+    pass over the primes of degree d, or the count of degree-d primes
+    prime to D.  Equals -t_n of
     `frobenius_traces` for every valid modulus; the test suite pins this.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     D = chi.modulus
-    field = D.field
-    lam = 1 if int(D.degree) % 2 == 0 else 0
-    total = 0
-    # top degree first: its sieve table then serves every lower degree
-    for d in range(n, 0, -1):
+    deg = int(D.degree)
+    T = poly_tables(chi.field, max(n, deg))
+    factors = T.factor(deg, D.monic_code())
+    plan = CharPlan([factors])
+    total = 1 if deg % 2 == 0 else 0
+    for d in range(1, n + 1):
         if n % d:
             continue
-        k = n // d
-        for p in ffpoly.primes(field, d):
-            v = char_value(chi, p)
-            total += d * (v if k % 2 else v * v)
-    return lam + total
+        if (n // d) % 2:
+            total += d * chi.sign ** d * int(T.char_sums(T.prime_coefmat(d), plan)[0])
+        else:
+            total += d * (ffpoly.prime_count_exact(T.q, d) - sum(a == d for a, _ in factors))
+    return total
 
 
 def zeta_q_value(q, s):
@@ -402,6 +416,47 @@ class SuiteReport:
         return not self.failures
 
 
+def _translation_index(T, degs, codes):
+    """(q, len(codes)) catalogue positions of D(X - a), for each entry D of
+    a catalogue given by its degrees and codes, and every a in F_q.
+    InvariantError when a translate is missing from the catalogue, so no
+    position is ever -1."""
+    index = np.empty((T.q, len(codes)), dtype=np.int64)
+    for d in sorted(set(degs.tolist())):  # np.unique would import numpy.ma
+        at = np.flatnonzero(degs == d)
+        place = np.full(T.q ** d, -1, dtype=np.int64)
+        place[codes[at]] = at
+        index[:, at] = place[T.translate_codes(d, codes[at])]
+    if (index < 0).any():
+        raise InvariantError("l_suite: a translate D(X - a) is missing from the catalogue")
+    return index
+
+
+def _orbit_representatives(codes, n, q):
+    """How many of these ascending codes of monic polynomials of degree n
+    have X^(n-1) coefficient 0: those below q^(n-1), a prefix."""
+    return int(np.searchsorted(codes, q ** (n - 1)))
+
+
+def _orbit_sums(T, n, coefmat, codes, plan, shifts):
+    """sum of chi_D(F) over the rows F of coefmat, the monic polynomials of
+    degree n with these ascending codes (all of them, or the primes), for
+    every D of plan, a catalogue closed under translation whose
+    _translation_index is shifts.  Where p does not divide n the rows
+    with X^(n-1) coefficient 0 represent the orbits of X -> X + a, and
+    the sums over them alone are folded over the q translates of each D
+    (l_suite); where p | n every row is summed.  InvariantError when the
+    representatives are not 1/q of the rows."""
+    if n % T.p == 0:
+        return T.char_sums(coefmat, plan)
+    reps = _orbit_representatives(codes, n, T.q)
+    if T.q * reps != len(codes):
+        raise InvariantError(
+            f"l_suite: {reps} orbit representatives of degree {n} for {len(codes)} "
+            f"rows at q={T.q}")
+    return T.char_sums(coefmat[:reps], plan)[shifts].sum(axis=0)
+
+
 def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     """Verify the whole catalog of square-free monic moduli of degree
     1..max_deg over F_q, for any odd prime power q = p^e, with the
@@ -411,14 +466,40 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     against Newton traces for n <= n_max.  Returns a SuiteReport.
 
     Every character sum is one PolyTables.char_sums pass over the whole
-    catalogue: phase 1 runs one per degree d <= max_deg over the monic
-    rows of degree d (the raw coefficients), phase 2 one per degree
-    n <= n_max over the prime rows of degree n (the s_n(D) of the
-    explicit formula).  Each pass reads the Legendre symbols of every
-    prime factor in stacked legendre_array calls and multiplies them out
-    in Gram blocks (see _tables), whose floor-only kernel is exact while
-    the bounds of PolyTables.float_type hold (float32 or float64); beyond
-    them, for D = max(n_max, max_deg), the tables raise ValueError.
+    catalogue, with one CharPlan for all of them: phase 1 runs one per
+    degree d <= max_deg over the monic rows of degree d (the raw
+    coefficients), phase 2 one per degree n <= n_max over the prime rows
+    of degree n (the s_n(D) of the explicit formula).  Each pass reads
+    the Legendre symbols of every prime factor in stacked legendre_array
+    calls and multiplies them out in Gram blocks (see _tables), whose
+    floor-only kernel is exact while the bounds of PolyTables.float_type
+    hold (float32 or float64); beyond them, for D = max(n_max, max_deg),
+    the tables raise ValueError.
+
+    The translation fold.  Let p not divide n.  For a in F_q, F -> F(X + a)
+    is a ring automorphism of F_q[X] that fixes F_q and keeps monic
+    polynomials monic of their degree, so it permutes the monic
+    polynomials of degree n and the monic primes among them.  The X^(n-1)
+    coefficient of F(X + a) is c_(n-1) + n a, and n is a unit of F_q, so
+    the q translates of F are distinct and exactly one of them has
+    X^(n-1) coefficient 0: the orbits have q members each, and the rows
+    of coefficient 0 (the codes below q^(n-1)) represent them once each.
+    An automorphism s fixing F_q keeps Jacobi symbols, (s A / s B) =
+    (A / B), since it maps F_q[X]/(Q) onto F_q[X]/(s Q) and keeps which
+    units are squares; with s: X -> X - a, (R(X + a) / D) = (R / D(X - a)).
+    So, R over the representatives,
+
+        sum_F chi_D(F) = sum_(a in F_q) sum_R chi_(D(X - a))(R),
+
+    and D(X - a) is again monic, square-free and of degree deg D, so the
+    catalogue is closed under translation: each pass sums chi over the
+    representatives alone, 1/q of the rows, and adds the results at the
+    q translates of each D (_orbit_sums, over the index that
+    _translation_index builds once per call, with the shift's digit
+    matrix run through the table's kernel).  Where p | n every row is
+    summed.  Phase 2 folds over the whole catalogue and then keeps the
+    records' columns, so a modulus whose completion fails leaves its
+    translates' sums intact.
 
     The checks of phase 1 run once per distinct raw L-polynomial, on one
     frozen LPoly shared by every modulus with those coefficients, and
@@ -442,13 +523,16 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
         starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
         for code, lo, hi in zip(rows[starts].tolist(), starts, starts[1:] + [len(rows)]):
             moduli.append((dd, code, factors[lo:hi]))
-    factorizations = [factors for _, _, factors in moduli]
-
-    # phase 1: raw coefficients, one char_sums pass per degree of F over
-    # every modulus; the checks of each distinct raw L-polynomial (a pure
-    # function of its coefficients here) run once, on one shared LPoly
-    sums = np.array([T.char_sums(T.monic_coefmat(d), factorizations) for d in range(max_deg + 1)])
+    plan = CharPlan([factors for _, _, factors in moduli])
     degs = np.array([dd for dd, _, _ in moduli], dtype=np.int64)
+    shifts = _translation_index(T, degs, np.array([code for _, code, _ in moduli], dtype=np.int64))
+
+    # phase 1: raw coefficients, one translation-folded char_sums pass per
+    # degree of F over every modulus; the checks of each distinct raw
+    # L-polynomial (a pure function of its coefficients here) run once, on
+    # one shared LPoly
+    sums = np.array([_orbit_sums(T, d, T.monic_coefmat(d), np.arange(q ** d), plan, shifts)
+                     for d in range(max_deg + 1)])
     nonzero = (sums != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
     flagged = set(np.flatnonzero(nonzero.any(axis=0)).tolist())
     checked = []  # (raw, lstar, t_plus, dev, problems) per distinct raw
@@ -479,10 +563,10 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
             rh_worst = max(rh_worst, dev)
 
     # phase 2: prime character sums s_d(D) for the explicit formula, one
-    # char_sums pass per prime degree over the records' moduli
-    factorizations = [rec["factors"] for rec in records]
-    s_table = np.array([T.char_sums(T.prime_coefmat(d), factorizations)
-                        for d in range(1, n_max + 1)]).reshape(n_max, len(records))
+    # translation-folded char_sums pass per prime degree over every
+    # modulus, of which the records' are kept
+    s_table = np.array([_orbit_sums(T, d, T.prime_coefmat(d), T.prime_codes[d], plan, shifts)
+                        for d in range(1, n_max + 1)])[:, kept]
 
     # phase 3: explicit formula vs Newton over every record at once, in
     # int64: |s_d| <= q^d < 2^53 keeps the explicit side below 2^62, and a

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc
-from ._tables import poly_tables
+from ._tables import CharPlan, poly_tables
 from .errors import InvariantError
 
 USP, USP_CUBED, UNITARY = "USp", "USp_cubed", "U"
@@ -562,7 +562,7 @@ def double_char_sum(field, d, n):
     q = field.q
     T = poly_tables(field, max(d, n))
     facs = (T.factor(d, code) for code in range(q ** d))
-    total = int(T.char_sums(T.prime_coefmat(n), [fac for fac in facs if fac is not None]).sum())
+    total = int(T.char_sums(T.prime_coefmat(n), CharPlan([fac for fac in facs if fac is not None])).sum())
     return n * total / q ** (d + n / 2), total
 
 

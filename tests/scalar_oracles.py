@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ffstat import biquad, ffpoly, moments
+from ffstat import biquad, ffpoly, lfunc, moments
 from ffstat.ffpoly import Poly
 
 
@@ -114,6 +114,25 @@ def prime_char_sum(D, n):
     """sum over the monic primes P of degree n of (P/D), over the scalar
     sieve."""
     return sum(ffpoly.jacobi_symbol(P, D) for P in prime_list(D.field, n))
+
+
+def l_polynomial_coeffs(chi):
+    """The raw L-polynomial's coefficients, one char_value per monic
+    polynomial of each degree below deg D (lfunc.l_polynomial)."""
+    field = chi.field
+    return tuple(sum(lfunc.char_value(chi, f) for f in ffpoly.monic_polys(field, d))
+                 for d in range(int(chi.modulus.degree)))
+
+
+def explicit_formula_trace(chi, n):
+    """lambda + sum over prime powers P^k of degree n of deg P chi(P)^k,
+    one char_value per prime of the scalar sieve
+    (lfunc.explicit_formula_trace)."""
+    total = 1 if int(chi.modulus.degree) % 2 == 0 else 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += d * sum(lfunc.char_value(chi, P) ** (n // d) for P in prime_list(chi.field, d))
+    return total
 
 
 class PointwiseChi:

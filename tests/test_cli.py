@@ -251,6 +251,7 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["density", "--genus", "30", "--alpha", "1"], "--genus"),
     (["primes", "--degree", "30"], "--degree"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "30"], "--M"),
+    (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffstat import eulerprod, ffpoly, lfunc
+from ffstat import _tables, eulerprod, ffpoly, lfunc
 from ffstat.ffpoly import GF, Poly
 
 F3 = GF(3)
@@ -189,6 +189,31 @@ def test_prime_sum_fast_equals_pure():
         pure = sum(eulerprod.truncated_product(eulerprod.delta_spec(kind, P), 4, U3).value
                    for P in ffpoly.primes(F3, 2))
         assert eulerprod.prime_sum(kind, F3, 2, 4).value == pure
+
+
+def test_prime_sum_over_a_prime_power_field_equals_pure():
+    F9 = GF(3, 2)
+    u = Fraction(1, 9)
+    for kind in eulerprod.KINDS:
+        pure = sum(eulerprod.truncated_product(eulerprod.delta_spec(kind, P), 2, u).value
+                   for P in ffpoly.primes(F9, 1))
+        assert eulerprod.prime_sum(kind, F9, 1, 2).value == pure
+
+
+def test_prime_sum_reads_every_prime_in_one_legendre_call(monkeypatch):
+    # (Q/P) for all 36 degree-2 primes P of F_9 in one stacked call, where
+    # one call per P ran before
+    calls = []
+    stacked = _tables.PolyTables.legendre_array
+
+    def counting(self, coefmat, qkeys):
+        calls.append((len(coefmat), len(qkeys)))
+        return stacked(self, coefmat, qkeys)
+
+    monkeypatch.setattr(_tables.PolyTables, "legendre_array", counting)
+    F9 = GF(3, 2)
+    eulerprod.prime_sum("zero", F9, 2, 3)
+    assert calls == [(9 + 36 + 240, 36)]
 
 
 def test_h_value_rejects_empty_product():

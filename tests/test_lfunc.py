@@ -10,7 +10,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffstat import _tables, ffpoly, lfunc
 from ffstat.errors import InvariantError
@@ -351,3 +353,112 @@ def test_l_suite_catalogue_factors_each_degree_at_once(monkeypatch):
     T = _tables.poly_tables(F3, 4)
     want = [(d, code, factor(T, d, code)) for d in range(1, 4) for code in range(3 ** d)]
     assert [(rec["deg"], rec["code"], rec["factors"]) for rec in seen] == [w for w in want if w[2]]
+
+
+# -- translation fold -------------------------------------------------------------
+
+#: q -> (degree of the catalogue, row degrees): both p | n and p not
+#: dividing n where q^n stays small (F_25 has no p | n below 25^5)
+FOLD_GRID = {3: (3, (1, 2, 3, 4, 6)), 5: (2, (1, 2, 4, 5)), 7: (2, (1, 2, 3)),
+             9: (2, (1, 2, 3)), 25: (2, (1, 2)), 27: (2, (1, 2, 3))}
+
+
+def _catalogue(T, max_deg):
+    """(degs, codes, factorizations) of the square-free monic D of degree
+    1..max_deg, by degree and code, as l_suite lists them."""
+    moduli = [(d, code, T.factor(d, code)) for d in range(1, max_deg + 1) for code in range(T.q ** d)]
+    moduli = [m for m in moduli if m[2] is not None]
+    degs, codes, facs = zip(*moduli)
+    return np.array(degs, dtype=np.int64), np.array(codes, dtype=np.int64), list(facs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(FOLD_GRID)), data=st.data())
+def test_translation_fold_matches_plain_char_sums(q, data):
+    max_deg, row_degrees = FOLD_GRID[q]
+    n = data.draw(st.sampled_from(row_degrees), label="n")
+    primes = data.draw(st.booleans(), label="prime rows")
+    T = _tables.poly_tables(ffpoly.field_of_order(q), max(max_deg, max(row_degrees)))
+    degs, codes, facs = _catalogue(T, max_deg)
+    plan = _tables.CharPlan(facs)
+    shifts = lfunc._translation_index(T, degs, codes)
+    if primes:
+        rows, row_codes = T.prime_coefmat(n), T.prime_codes[n]
+    else:
+        rows, row_codes = T.monic_coefmat(n), np.arange(q ** n)
+    got = lfunc._orbit_sums(T, n, rows, row_codes, plan, shifts)
+    assert got.tolist() == T.char_sums(rows, plan).tolist()
+
+
+def test_orbit_sums_refuse_a_wrong_representative_count(monkeypatch):
+    count = lfunc._orbit_representatives
+    monkeypatch.setattr(lfunc, "_orbit_representatives", lambda codes, n, q: count(codes, n, q) - 1)
+    with pytest.raises(InvariantError, match="orbit representatives"):
+        lfunc.l_suite(5, max_deg=2, n_max=3)
+
+
+def test_translation_index_refuses_a_missing_translate():
+    T = _tables.poly_tables(F3, 3)
+    degs, codes, _ = _catalogue(T, 3)
+    assert (lfunc._translation_index(T, degs, codes) >= 0).all()
+    drop = int(np.flatnonzero(degs == 2)[4])
+    keep = np.arange(len(codes)) != drop
+    with pytest.raises(InvariantError, match="missing from the catalogue"):
+        lfunc._translation_index(T, degs[keep], codes[keep])
+
+
+def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch):
+    # 1/q of the rows where p does not divide the row degree, every row
+    # where it does (d = 0, and d = 3 at q = 3)
+    rows = []
+    stacked = _tables.PolyTables.legendre_array
+
+    def counting(self, coefmat, qkeys):
+        rows.append(len(coefmat))
+        return stacked(self, coefmat, qkeys)
+
+    monkeypatch.setattr(_tables.PolyTables, "legendre_array", counting)
+    for q, max_deg, n_max in [(3, 3, 4), (5, 2, 4)]:
+        rows.clear()
+        assert lfunc.l_suite(q, max_deg=max_deg, n_max=n_max).ok()
+        p = ffpoly.field_of_order(q).p
+        monic = [q ** d if d % p == 0 else q ** (d - 1) for d in range(max_deg + 1)]
+        prime = [ffpoly.prime_count_exact(q, n) // (1 if n % p == 0 else q) for n in range(1, n_max + 1)]
+        assert rows == monic + prime
+
+
+def test_l_suite_builds_one_char_plan(monkeypatch):
+    plans = []
+
+    class Counting(_tables.CharPlan):
+        __slots__ = ()
+
+        def __init__(self, factorizations):
+            plans.append(len(factorizations))
+            super().__init__(factorizations)
+
+    monkeypatch.setattr(lfunc, "CharPlan", Counting)
+    rep = lfunc.l_suite(3, max_deg=3, n_max=4)
+    assert plans == [rep.moduli]
+
+
+def test_lfunc_reads_jacobi_symbol_only_in_char_value():
+    # every character sum of lfunc goes through PolyTables.char_sums; the
+    # one-value char_value is the only scalar symbol left
+    tree = ast.parse(inspect.getsource(lfunc))
+    users = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and any(isinstance(sub, ast.Attribute) and sub.attr == "jacobi_symbol"
+                     or isinstance(sub, ast.Name) and sub.id == "jacobi_symbol"
+                     for sub in ast.walk(node))]
+    assert users == ["char_value"]
+    assert "jacobi_symbol" not in {alias.name for node in ast.walk(tree)
+                                   if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_l_polynomial_tables_are_refused_before_the_sieve(monkeypatch):
+    # deg D = 15 at q = 3 needs 164 MiB of sieve tables, over SIEVE_BYTES_CAP
+    monkeypatch.setattr(_tables, "_largest", {})
+    D = Poly.monic_from_code(F3, 15, 3 + 1)  # X^15 + X + 1
+    with pytest.raises(ValueError, match="over the cap"):
+        lfunc.l_polynomial(lfunc.QuadChar(D))
+    assert _tables._largest == {}

@@ -75,6 +75,19 @@ def test_l_suite_runs_over_prime_powers(q, max_deg, n_max, step):
             assert rec["raw"].coeffs == lfunc.l_polynomial(chi).coeffs
 
 
+@pytest.mark.parametrize("field,max_deg,n_max", [(GF(3), 4, 4), (GF(5), 3, 3), (GF(3, 2), 2, 3),
+                                                 (GF(5, 2), 2, 2), (GF(3, 3), 2, 2)])
+def test_l_polynomial_and_explicit_formula_match_the_scalar_loops(field, max_deg, n_max):
+    for d in range(1, max_deg + 1):
+        for D in ffpoly.enumerate_polys(field, d, "squarefree-monic")[::max(1, field.q ** d // 40)]:
+            for sign in (lfunc.PLUS, lfunc.MINUS):
+                chi = lfunc.QuadChar(D, sign)
+                assert lfunc.l_polynomial(chi).coeffs == oracle.l_polynomial_coeffs(chi)
+            for n in range(1, n_max + 1):
+                assert lfunc.explicit_formula_trace(chi, n) == oracle.explicit_formula_trace(chi, n)
+                assert lfunc.prime_char_sum(D, n) == oracle.prime_char_sum(D, n)
+
+
 def _batch_polys(field, order):
     """Mixed degrees, a constant, zero inner coefficients and non-monic
     leading coefficients, with the scaled f1, f2 of two genus-0 members of

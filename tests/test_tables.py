@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_oracles as oracle
 from ffstat import _tables, ffpoly
-from ffstat._tables import PolyTables, poly_tables
+from ffstat._tables import CharPlan, PolyTables, poly_tables
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 
@@ -199,7 +199,7 @@ def test_char_sums_matches_scalar():
             for qkey in fac:
                 D = D * Poly.monic_from_code(F5, *qkey)
             expect.append(sum(ffpoly.jacobi_symbol(P, D) for P in polys))
-        got = T.char_sums(rows, facs)
+        got = T.char_sums(rows, CharPlan(facs))
         assert got.dtype == np.int64
         assert got.tolist() == expect
 
@@ -211,7 +211,7 @@ def test_char_sums_refuses_inexact_gram_chunks(monkeypatch):
     monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 1 << 40)
     rows = np.broadcast_to(T.monic_coefmat(1)[:1], ((1 << 24) + 1, 2))
     with pytest.raises(InvariantError, match="beyond exact float32 Gram blocks"):
-        T.char_sums(rows, [[(1, 0), (1, 1)]])
+        T.char_sums(rows, CharPlan([[(1, 0), (1, 1)]]))
 
 
 def test_char_sums_peak_memory_at_degree_8():
@@ -225,7 +225,7 @@ def test_char_sums_peak_memory_at_degree_8():
     T.legendre_array(rows[:1], sorted({key for fac in facs for key in fac}))  # chiq tables
     tracemalloc.start()
     try:
-        sums = T.char_sums(rows, facs)
+        sums = T.char_sums(rows, CharPlan(facs))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -505,15 +505,19 @@ def _calls(tree, name):
 
 def test_one_reduction_step_and_no_per_prime_power_loop():
     # the floor pass lives in the kernel alone: the sieve reduces through
-    # it, and the X^j mod Q rows come from one batched power pass
+    # it, and the X^j mod Q rows of a degree's primes and the (X - a)^j
+    # rows of every translation each come from one batched power pass
     module = ast.parse(inspect.getsource(_tables))
     methods = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
     sieve = methods["_sieve"]
     assert not _calls(sieve, "floor")
     assert _calls(sieve, "_stacked_codes")
     assert [node.name for node in methods.values() if _calls(node, "floor")] == ["_stacked_codes"]
-    assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch"]
+    assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch", "translate_codes"]
     assert not [node for node in ast.walk(methods["_xrow_batch"]) if isinstance(node, (ast.For, ast.comprehension))]
+    # translate_codes loops over the kernel's blocks alone, not over the a
+    loops = [node for node in ast.walk(methods["translate_codes"]) if isinstance(node, (ast.For, ast.comprehension))]
+    assert [loop.iter.func.attr for loop in loops] == ["_stacked_codes"]
 
 
 def test_stacked_kernel_exact_at_the_float32_code_bound_with_store_offsets():
