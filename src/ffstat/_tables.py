@@ -34,8 +34,9 @@ The offset is 0 for plain residues; `chiq` and `legendre_array` put a
 prime's place in the quadratic residue store there, so a code is the
 index of its symbol.  The same kernel runs in float32 or float64,
 whichever its rows are in.  The sieve runs through it too, with the
-matrix of multiplication by a prime in place of R, so the module has
-one reduction step.
+matrix of multiplication by a prime in place of R, and so does
+`translate_codes`, with the matrix of X^j -> (X - a)^j, so the module
+has one reduction step.
 
 Exactness.  Let a row hold J digit entries in 0..p-1 and R entries in
 0..p-1, so x_t <= x_max = J (p-1)^2, let the offsets be below

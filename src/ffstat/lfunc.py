@@ -144,16 +144,26 @@ class FrobeniusData:
         return self.t[n - 1] / self.q ** (n / 2)
 
 
+def _modulus_plan(D, max_deg):
+    """(T, factors, plan): the tables reaching max_deg >= deg D, the prime
+    factors of the monic D as PolyTables.factor lists them, and their
+    CharPlan.  ValueError for a D that is not square-free, and for tables
+    over SIEVE_BYTES_CAP, before any is built."""
+    T = poly_tables(D.field, max_deg)
+    factors = T.factor(int(D.degree), D.monic_code())
+    if factors is None:
+        raise ValueError("modulus must be square-free")
+    return T, factors, CharPlan([factors])
+
+
 def l_polynomial(chi):
     """Raw L-polynomial: coefficient d < deg D is the sum of chi over the
     monic polynomials of degree d, sign^d times one PolyTables.char_sums
     pass of chi_D^+ over their rows.  Its tables reach deg D, so a modulus
     whose sieve passes SIEVE_BYTES_CAP raises ValueError before any is
     built."""
-    D = chi.modulus
-    deg = int(D.degree)
-    T = poly_tables(chi.field, deg)
-    plan = CharPlan([T.factor(deg, D.monic_code())])
+    deg = int(chi.modulus.degree)
+    T, _, plan = _modulus_plan(chi.modulus, deg)
     coeffs = [chi.sign ** d * int(T.char_sums(T.monic_coefmat(d), plan)[0]) for d in range(deg)]
     if coeffs[0] != 1:
         raise InvariantError("constant coefficient of L must be 1")
@@ -316,12 +326,8 @@ def prime_char_sum(chi_or_modulus, n):
     one PolyTables.char_sums pass over the primes of degree n; ValueError
     for a D that is not monic and square-free."""
     D = chi_or_modulus.modulus if isinstance(chi_or_modulus, QuadChar) else chi_or_modulus
-    deg = int(D.degree)
-    T = poly_tables(D.field, max(n, deg))
-    factors = T.factor(deg, D.monic_code())
-    if factors is None:
-        raise ValueError("modulus must be square-free")
-    return int(T.char_sums(T.prime_coefmat(n), CharPlan([factors]))[0])
+    T, _, plan = _modulus_plan(D, max(n, int(D.degree)))
+    return int(T.char_sums(T.prime_coefmat(n), plan)[0])
 
 
 def explicit_formula_trace(chi, n):
@@ -336,11 +342,8 @@ def explicit_formula_trace(chi, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    D = chi.modulus
-    deg = int(D.degree)
-    T = poly_tables(chi.field, max(n, deg))
-    factors = T.factor(deg, D.monic_code())
-    plan = CharPlan([factors])
+    deg = int(chi.modulus.degree)
+    T, factors, plan = _modulus_plan(chi.modulus, max(n, deg))
     total = 1 if deg % 2 == 0 else 0
     for d in range(1, n + 1):
         if n % d:

@@ -251,7 +251,6 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["density", "--genus", "30", "--alpha", "1"], "--genus"),
     (["primes", "--degree", "30"], "--degree"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "2", "--M", "30"], "--M"),
-    (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
@@ -276,6 +275,8 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
     # chi matrices of the exhaustive totals over their cap (5.8 GB at n = 11)
     (["moments", "--genus", "7", "--n-max", "11"], "--n-max"),
+    # the L-polynomial's sieve tables over their cap (164 MiB at deg D = 15)
+    (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
