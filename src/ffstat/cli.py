@@ -165,7 +165,11 @@ _JSON_BIG = re.compile(r'"\\u0000(\d+)"')
 def emit(rows, header, fmt, out):
     """Single-writer serialization of an iterable of dict rows, written as
     they come; the JSON is json.dumps(list(rows), indent=2), row by row."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    try:
+        opened = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+    with opened as fh:
         if fmt == "csv":
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
@@ -315,8 +319,11 @@ MOMENTS_HEADER = [
 def _cmd_moments(args):
     field = _field_for(args.q)
     _require_at_least("--n-max", args.n_max, 1)
+    if args.work_budget is not None:
+        _require_at_least("--work-budget", args.work_budget, 0)
     if args.mode != "exhaustive":
         _require_at_least("--sample-size", args.sample_size, 1)
+        _require_at_least("--seed", args.seed, 0)
     size = _require_family(field, args)
     modes = {}
     for n in range(1, args.n_max + 1):

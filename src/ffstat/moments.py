@@ -405,29 +405,10 @@ def c_blocks(P, M):
     }
 
 
-_BLOCK_KEYS = ("L_plus", "L_minus", "H_plus", "H_minus", "H_zero")
-
-
 @functools.lru_cache(maxsize=16)
 def _q_power(q, e):
     """q^e, kept for the few exponents of the blocks in use."""
     return q ** e
-
-
-def _q_pair(x, q):
-    """A rational as (num, e) meaning num / q^e; ValueError unless its
-    denominator divides a power of q."""
-    x = Fraction(x)
-    den = x.denominator
-    # q^e for the least e with q^e >= den: den divides a power of q
-    # exactly when it divides this one
-    e = max(0, int((den.bit_length() - 1) / math.log2(q)) - 1)
-    qe = _q_power(q, e)
-    while qe < den:
-        e, qe = e + 1, qe * q
-    if qe % den:
-        raise ValueError(f"block denominator {den} does not divide a power of q={q}")
-    return x.numerator * (qe // den), e
 
 
 def _c_combine(q, l_plus, l_minus, h_plus, h_minus, h_zero):
@@ -458,13 +439,6 @@ def _c_pairs(P, M):
                       *(eulerprod._h_pair(kind, P, u, M) for kind in eulerprod.KINDS))
 
 
-def _c_of(blocks, P, M):
-    if not blocks:
-        return _c_pairs(P, M)
-    q = P.field.q
-    return _c_combine(q, *(_q_pair(blocks[k], q) for k in _BLOCK_KEYS))
-
-
 @functools.lru_cache(maxsize=16)
 def _q_fraction(num, q, e):
     """num / q^e as a Fraction: one gcd on numbers of ~10^5 bits, paid
@@ -479,14 +453,12 @@ def _kk_index(d, k1, k2):
     return 0 if (d + k1) % 2 == 0 else 1
 
 
-def c_constant_kk(P, d, k1, k2, M, blocks=None):
+def c_constant_kk(P, d, k1, k2, M):
     """C_{k1,k2}(d;P) = t1 + (-1)^(k1+k2) t2 + (-1)^d ((-1)^k1 + (-1)^k2) t3.
 
     Mixed parities give t1 - t2; equal parities give t1 + t2 + 2 t3 when
-    d + k1 is even and t1 + t2 - 2 t3 when it is odd.  Caller-supplied
-    blocks must have denominators dividing a power of q (ValueError
-    otherwise)."""
-    e, _, c = _c_of(blocks, P, M)
+    d + k1 is even and t1 + t2 - 2 t3 when it is odd."""
+    e, _, c = _c_pairs(P, M)
     return _q_fraction(c[_kk_index(d, k1, k2)], P.field.q, e)
 
 
@@ -505,11 +477,11 @@ def _scaled_float(num, q, e, d):
     return num * q ** d / (4 * _q_power(q, e))
 
 
-def c_constant_g(P, g, M, blocks=None):
+def c_constant_g(P, g, M):
     """C(g;P) = (q+3)/q t1 + (q-1)/q t2 - 2 (-1)^g (q+1)/q t3, the
     genus-level combination of the same blocks."""
     q = P.field.q
-    e, (t1, t2, t3), _ = _c_of(blocks, P, M)
+    e, (t1, t2, t3), _ = _c_pairs(P, M)
     num = (q + 3) * t1 + (q - 1) * t2 - 2 * (-1) ** g * (q + 1) * t3
     return _q_fraction(num, q, e + 1)
 
@@ -533,14 +505,13 @@ def fixed_prime_family_sum(field, g, P):
 def family_sum_report(field, g, P, M):
     """Prop.-6.2-style report: exact family sum against
     C(g;P)/4 q^(g+3) minus the odd-g exclusion correction."""
-    blocks = c_blocks(P, M)
-    c = c_constant_g(P, g, M, blocks)
+    c = c_constant_g(P, g, M)
     pred = c / 4 * field.q ** (g + 3)
     if g % 2 == 1:
         pred -= excluded_degree_correction(field, P, g)
     return FixedPrimeReport(
         P=P, M=M, exact_sum=fixed_prime_family_sum(field, g, P),
-        predicted=float(pred), c_value=c, blocks=blocks, g=g,
+        predicted=float(pred), c_value=c, blocks=c_blocks(P, M), g=g,
     )
 
 

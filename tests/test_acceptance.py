@@ -104,11 +104,10 @@ def test_criterion_6_fixed_prime():
     ds = range(4, 9)
     per_d = {d: [] for d in ds}
     for P in primes:
-        blocks = moments.c_blocks(P, 10)
         for d in ds:
             sums = moments.nkk_sums_all(F3, P, d)
             for (k1, k2), exact in sums.items():
-                c = moments.c_constant_kk(P, d, k1, k2, 10, blocks)
+                c = moments.c_constant_kk(P, d, k1, k2, 10)
                 v = abs(exact - float(c / 4 * 3 ** d)) / 3 ** (0.6 * d)
                 assert v <= 1.0, (P, d, k1, k2, v)
                 per_d[d].append(v)

@@ -277,6 +277,16 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["moments", "--genus", "7", "--n-max", "11"], "--n-max"),
     # the L-polynomial's sieve tables over their cap (164 MiB at deg D = 15)
     (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
+    # the sampling flags, checked before any family table is built
+    (["moments", "--genus", "1", "--n-max", "1", "--mode", "sample", "--seed", "-1"], "--seed"),
+    (["moments", "--genus", "1", "--n-max", "2", "--mode", "auto", "--seed", "-1"], "--seed"),
+    (["moments", "--genus", "1", "--n-max", "2", "--mode", "auto",
+      "--work-budget", "-1"], "--work-budget"),
+    (["moments", "--genus", "1", "--n-max", "2", "--work-budget", "-5"], "--work-budget"),
+    # an output path that cannot be opened: a directory, a path under a file
+    (["primes", "--degree", "1", "--out", "."], "--out"),
+    (["moments", "--genus", "1", "--n-max", "2", "--out", str(pathlib.Path(__file__) / "x.csv")],
+     "--out"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
@@ -349,18 +359,21 @@ def test_json_rows_stream_as_one_dump(capsys, rows):
                                 "lemma61", "eulersum", "primes"]),
        n_max=st.integers(-3, 3), genus=st.integers(-2, 1),
        mode=st.sampled_from(["exhaustive", "sample", "auto"]),
-       sample_size=st.integers(-3, 3), count=st.booleans(),
+       sample_size=st.integers(-3, 3), seed=st.integers(-2, 2),
+       work_budget=st.sampled_from([-2, -1, 0, 1, 50]), count=st.booleans(),
        degree=st.integers(-2, 3), d_min=st.integers(-2, 2), d_max=st.integers(-2, 3),
        M=st.integers(-2, 3), n=st.integers(-2, 3),
        alpha=st.sampled_from(["-1", "0", "0.5", "1", "1.5", "nan", "inf"]))
 def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode, sample_size,
-                                                     count, degree, d_min, d_max, M, n, alpha):
+                                                     seed, work_budget, count, degree, d_min,
+                                                     d_max, M, n, alpha):
     # exit 1 exactly when a flag is out of range, naming it; never a traceback
     argv = {
         "lfunc": ["--modulus", "X^2+1", "--n-max", str(n_max)],
         "curve": [*_CURVE, "--n-max", str(n_max)],
         "moments": ["--genus", str(genus), "--n-max", str(n_max), "--mode", mode,
-                    "--sample-size", str(sample_size), "--work-budget", "1"],
+                    "--sample-size", str(sample_size), "--seed", str(seed),
+                    "--work-budget", str(work_budget)],
         "density": ["--genus", str(genus), "--alpha", alpha],
         "family": ["--genus", str(genus), *(["--count"] if count else [])],
         "lemma61": ["--prime", "X^2+1", "--d-min", str(d_min), "--d-max", str(d_max),
@@ -371,7 +384,8 @@ def test_generated_ranges_exit_zero_or_name_the_flag(command, n_max, genus, mode
     bad = {
         "lfunc": n_max < 1,
         "curve": n_max < 1,
-        "moments": n_max < 1 or genus < 0 or (mode != "exhaustive" and sample_size < 1),
+        "moments": (n_max < 1 or genus < 0 or work_budget < 0
+                    or (mode != "exhaustive" and (sample_size < 1 or seed < 0))),
         # the one-level density is normalised by 1/g
         "density": genus < 1 or not 0 < float(alpha) <= 1,
         # an empty family is a valid answer: size 0, or a header alone

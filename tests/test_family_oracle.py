@@ -329,11 +329,19 @@ def test_h_value_matches_per_prime_fractions(q, deg, index, M_max):
                 assert eulerprod.h_value(kind, P, u, M) == literal_h_value(kind, P, u, M), (M, u, kind)
 
 
-@pytest.mark.parametrize("deg", [1, 2])
-def test_c_constants_match_literal_formula(deg):
-    P = nth_prime(3, deg, 0)
-    M = 5
+@pytest.mark.parametrize("q,deg,index,M", [
+    pytest.param(3, 1, 0, 5, id="1"), pytest.param(3, 2, 0, 5, id="2"),
+    pytest.param(9, 2, 7, 3, id="q9"),
+])
+def test_c_constants_match_literal_formula(q, deg, index, M):
+    P = nth_prime(q, deg, index)
     blocks = moments.c_blocks(P, M)
+    if q == 9:
+        # a reduced block denominator can be an odd power of 3, which
+        # divides a power of 9 without being one
+        exps = [round(math.log(b.denominator, 3)) for b in blocks.values()]
+        assert all(3 ** e == b.denominator for e, b in zip(exps, blocks.values()))
+        assert any(e % 2 for e in exps)
     t1 = blocks["L_plus"] ** 2 * blocks["H_plus"]
     t2 = blocks["L_minus"] ** 2 * blocks["H_minus"]
     t3 = blocks["L_plus"] * blocks["L_minus"] * blocks["H_zero"]
@@ -341,11 +349,11 @@ def test_c_constants_match_literal_formula(deg):
         for k1 in (0, 1):
             for k2 in (0, 1):
                 literal = t1 + (-1) ** (k1 + k2) * t2 + (-1) ** d * ((-1) ** k1 + (-1) ** k2) * t3
-                assert moments.c_constant_kk(P, d, k1, k2, M, blocks) == literal, (d, k1, k2)
                 assert moments.c_constant_kk(P, d, k1, k2, M) == literal, (d, k1, k2)
     for g in (1, 2):
-        literal = 2 * t1 + Fraction(2, 3) * t2 - 2 * (-1) ** g * Fraction(4, 3) * t3
-        assert moments.c_constant_g(P, g, M, blocks) == literal
+        literal = (Fraction(q + 3, q) * t1 + Fraction(q - 1, q) * t2
+                   - 2 * (-1) ** g * Fraction(q + 1, q) * t3)
+        assert moments.c_constant_g(P, g, M) == literal
 
 
 @pytest.mark.parametrize("q,M_max", [(3, 6), (5, 3), (9, 3)])

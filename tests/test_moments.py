@@ -252,40 +252,8 @@ def test_degenerate_character_counts_family():
 def test_c_constant_parity_structure():
     # mixed-parity classes carry no H_0 cross term and coincide
     P = P3(1, 0, 1)
-    blocks = moments.c_blocks(P, 6)
-    poisoned = dict(blocks, H_zero=Fraction(10 ** 6))
     for d in (4, 5):
-        c01 = moments.c_constant_kk(P, d, 0, 1, 6, blocks)
-        c10 = moments.c_constant_kk(P, d, 1, 0, 6, blocks)
-        assert c01 == c10
-        assert moments.c_constant_kk(P, d, 0, 1, 6, poisoned) == c01
-        assert moments.c_constant_kk(P, d, 0, 0, 6, poisoned) != \
-            moments.c_constant_kk(P, d, 0, 0, 6, blocks)
-
-
-def test_c_constants_from_blocks_equal_the_pair_path():
-    # at q = 9 a reduced block denominator can be an odd power of 3, which
-    # divides a power of 9 without being one
-    P9 = ffpoly.primes(F9, 2)[7]
-    assert any(9 ** moments._q_pair(b, 9)[1] != b.denominator
-               for b in moments.c_blocks(P9, 3).values())
-    for P, M in ((P3(1, 0, 1), 5), (P9, 3)):
-        blocks = moments.c_blocks(P, M)
-        for d in (4, 5):
-            for k1 in (0, 1):
-                for k2 in (0, 1):
-                    assert (moments.c_constant_kk(P, d, k1, k2, M, blocks)
-                            == moments.c_constant_kk(P, d, k1, k2, M))
-        assert moments.c_constant_g(P, 1, M, blocks) == moments.c_constant_g(P, 1, M)
-
-
-def test_c_constants_reject_blocks_off_powers_of_q():
-    P = P3(1, 0, 1)
-    blocks = dict(moments.c_blocks(P, 4), H_zero=Fraction(1, 2))
-    with pytest.raises(ValueError, match="does not divide a power of q=3"):
-        moments.c_constant_kk(P, 4, 0, 0, 4, blocks)
-    with pytest.raises(ValueError, match="does not divide a power of q=3"):
-        moments.c_constant_g(P, 1, 4, blocks)
+        assert moments.c_constant_kk(P, d, 0, 1, 6) == moments.c_constant_kk(P, d, 1, 0, 6)
 
 
 def test_c_blocks_rejects_empty_product():
@@ -294,11 +262,16 @@ def test_c_blocks_rejects_empty_product():
 
 
 def test_family_sum_report_even_g_has_no_correction():
+    # and odd g subtracts excluded_degree_correction
     P = Poly.x(F3)
-    rep = moments.family_sum_report(F3, 2, P, 6)
-    blocks = rep.blocks
-    c = moments.c_constant_g(P, 2, 6, blocks)
-    assert rep.predicted == float(c / 4 * 3 ** 5)
+    for g in (1, 2):
+        rep = moments.family_sum_report(F3, g, P, 6)
+        c = moments.c_constant_g(P, g, 6)
+        assert rep.c_value == c
+        want = c / 4 * 3 ** (g + 3)
+        if g % 2:
+            want -= moments.excluded_degree_correction(F3, P, g)
+        assert rep.predicted == float(want), g
 
 
 def test_excluded_degree_correction_matches_literal():
@@ -319,11 +292,10 @@ def test_lemma61_scaled_gap_bounded_and_trending_down():
     ds = range(4, 7)
     per_d = {d: [] for d in ds}
     for P in (Poly.x(F3), P3(1, 0, 1)):
-        blocks = moments.c_blocks(P, 8)
         for d in ds:
             sums = moments.nkk_sums_all(F3, P, d)
             for (k1, k2), exact in sums.items():
-                c = moments.c_constant_kk(P, d, k1, k2, 8, blocks)
+                c = moments.c_constant_kk(P, d, k1, k2, 8)
                 v = abs(exact - float(c / 4 * 3 ** d)) / 3 ** (0.6 * d)
                 assert v <= 1.0, (P, d, k1, k2, v)
                 per_d[d].append(v)
