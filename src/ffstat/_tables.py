@@ -103,12 +103,30 @@ one degree.  A Gram entry is a sum of as many products in {-1, 0, 1} as
 the chunk has rows, so chunks stay at most 2^24 rows wide, where float32
 is exact; a wider chunk raises InvariantError.
 
-The sieve multiplies each prime by every monic of the complementary
-degree through the kernel (the matrix of multiplication by the prime,
-truncated below X^d, in place of R) and records, for each composite
-code, a smallest-degree prime factor of least code together with its
-cofactor, so factoring needs no division.  `factor_all` factors every
-code of one degree at once off these tables.
+The sieve records, for each composite code, its smallest prime factor
+(least degree, then least code) together with its cofactor, so factoring
+needs no division; `factor_all` factors every code of one degree at once
+off these tables.  It writes each composite exactly once, by that
+factor.  Going up the cofactor degrees m, the q^m cofactors are taken
+in ascending order of the key (deg, code) of their own smallest prime
+factor (a prime is its own key).  A prime P of degree
+a <= min(m, max_deg - m) then multiplies exactly the suffix of cofactors
+whose key is at least (a, P): every factor of such a product is at least
+P, and every composite of degree a + m with smallest factor P comes out
+of it once.  The scatter into the table of degree a + m thus has
+distinct indices.  No sort is needed: the products of P make up the
+class of key (a, P) at degree a + m, of known size, so each pass writes
+its codes straight into their place in that degree's order, its classes
+before those of larger a that earlier passes wrote, and the primes of
+the degree go last.  The products go through the kernel with the
+matrix of multiplication by the prime, truncated below X^(a+m), in
+place of R.  The matrices of all primes of degree a come from one
+batched build, are laid side by side as in `legendre_array`, and reduce
+in one stacked pass per (a, m) over the cofactor rows from the first
+prime's suffix on; each prime keeps the codes of its own suffix.  The
+cofactor rows of m are built once, straight in the kernel's float type.
+At every degree the sieve checks that it found pi_q(d) primes and wrote
+q^d - pi_q(d) codes, so no composite was written twice.
 
 Everything here is cross-checked against scalar oracles by the test
 suite.
@@ -125,8 +143,10 @@ from .errors import InvariantError
 
 
 #: the most bytes of spf tables one PolyTables may hold; the sieve's
-#: temporaries take about 14 times as much again (PolyTables(GF(3), 12):
-#: 6.4 MB of spf, 90 MiB above the interpreter's own peak)
+#: temporaries take about 2.4 times as much again (PolyTables(GF(3), 12):
+#: 6.4 MB of spf, a tracemalloc peak of 20 MiB in all, ru_maxrss 20 MiB
+#: above its value before the build), and about 4 times at the cap
+#: (GF(3), 13), where the widest cofactor rows are float64
 SIEVE_BYTES_CAP = 1 << 25
 
 #: float type -> (cap on (J + 2) x_max, cap on the code sums): the
@@ -198,13 +218,17 @@ class PolyTables:
 
     # -- digit rows -----------------------------------------------------
 
-    def _monic_rows(self, codes, d):
-        """Digit rows of the monic polynomials of degree d with these codes."""
-        e = self.e
-        rows = np.zeros((len(codes), (d + 1) * e), dtype=np.int64)
-        rows[:, : d * e] = ffpoly._digit_rows(codes, d * e, self.p)
-        rows[:, d * e] = 1
-        return rows
+    def _monic_rows(self, codes, d, dtype):
+        """Digit rows of the monic polynomials of degree d with these codes,
+        built straight in dtype one digit column at a time, column-major,
+        as the kernel reads their transpose."""
+        e, p = self.e, self.p
+        cols = np.zeros(((d + 1) * e, len(codes)), dtype=dtype)
+        cols[d * e] = 1
+        rem = codes
+        for j in range(d * e):
+            rem, cols[j] = np.divmod(rem, p)
+        return cols.T
 
     def _element_rows(self, codes, nrows):
         """The base-p digits of an int array of element codes, e per entry
@@ -213,39 +237,104 @@ class PolyTables:
 
     # -- sieve ----------------------------------------------------------
 
-    def _mul_matrix(self, pcoeffs, m, d):
-        """Block matrix of multiplication by the polynomial with element
-        codes pcoeffs: row (i, t) holds the digits of alpha^t X^i times it,
-        for i <= m, truncated to the coefficients below X^d."""
-        e = self.e
-        # [t, e j + s]: digit s of alpha^t c_j
-        blocks = (self._element_rows(pcoeffs, len(pcoeffs)) @ self._alpha_mul[:e] % self.p).reshape(e, -1)
-        mat = np.zeros(((m + 1) * e, (d + 1) * e), dtype=np.int64)
+    def _mul_matrices(self, a, codes, m):
+        """Digit matrices of multiplication by the monic primes of degree a
+        with these codes, in one batched pass: an (len(codes), (m + 1) e,
+        (a + m) e) int64 array whose row (i, t) of matrix b holds the digits
+        of alpha^t X^i times prime b, for i <= m, truncated to the
+        coefficients below X^(a + m)."""
+        e, p, n = self.e, self.p, len(codes)
+        # [b, j, s]: digit s of coefficient j of prime b, the leading 1 last
+        coef = np.zeros((n, a + 1, e), dtype=np.int64)
+        coef[:, :a] = ffpoly._digit_rows(codes, a * e, p).reshape(n, a, e)
+        coef[:, a, 0] = 1
+        # [b, t, e j + s]: digit s of alpha^t c_j
+        blocks = (coef[:, None] @ self._alpha_mul[:e] % p).reshape(n, e, -1)
+        mat = np.zeros((n, m + 1, e, (a + m + 1) * e), dtype=np.int64)
         for i in range(m + 1):
-            mat[i * e:(i + 1) * e, i * e:(i + len(pcoeffs)) * e] = blocks
-        return mat[:, : d * e]
+            mat[:, i, :, i * e:(i + a + 1) * e] = blocks
+        return mat.reshape(n, (m + 1) * e, -1)[:, :, :(a + m) * e]
 
     def _sieve(self):
-        q, D = self.q, self.max_deg
-        # spf[d][code] = a * q^D + pcode * q^(d-a) + cofactor code, for the
-        # smallest-degree prime factor (a, pcode) of least code; 0 if prime
-        self.spf = {d: np.zeros(q ** d, dtype=np.int64) for d in range(1, D + 1)}
-        self.prime_codes = {1: np.arange(q, dtype=np.int64)}
+        """spf[d][code] = a q^max_deg + pcode q^(d-a) + cofactor code, for
+        the smallest-degree prime factor (a, pcode) of least code, and 0
+        for a prime: each composite written once, by that factor, in one
+        stacked kernel pass per prime degree a and cofactor degree m
+        (module docstring)."""
+        q, e, D = self.q, self.e, self.max_deg
         pack = q ** D
-        for d in range(2, D + 1):
-            spf_d = self.spf[d]
-            # the last write wins, so primes go in descending order
-            for a in range(d // 2, 0, -1):
-                m = d - a
-                cofactors = np.arange(q ** m, dtype=np.int64)
-                # the products are monic of degree d: codes below q^d
-                mult = self._monic_rows(cofactors, m).astype(self.float_type(m + 1, k=d))
-                for pcode in self.prime_codes[a][::-1].tolist():
-                    pco = ffpoly._decode_digits(pcode, a, q) + (1,)
-                    S = self._kernel_matrix(self._mul_matrix(pco, m, d)[None], mult.dtype)
-                    for _, r, codes in self._stacked_codes(mult, d, S, 1):
-                        spf_d[codes[0]] = a * pack + pcode * q ** m + cofactors[r:r + codes.shape[1]]
-            self.prime_codes[d] = np.nonzero(spf_d == 0)[0].astype(np.int64)
+        self.spf = {d: np.zeros(q ** d, dtype=np.int64) for d in range(1, D + 1)}
+        self.prime_codes = {}
+        composites = {d: q ** d - ffpoly.prime_count_exact(q, d) for d in range(1, D + 1)}
+        written = dict.fromkeys(range(1, D + 1), 0)
+        # order[d]: the codes of degree d < D in ascending order of the key
+        # (deg, code) of their smallest prime factor, a prime being its own
+        # key; the composites come class by class, each pass placing its
+        # classes before those of larger a that earlier passes placed
+        order = {d: np.empty(q ** d, dtype=np.int64) for d in range(1, D)}
+        begins = {}  # (d, a) -> where the class of each degree-a prime begins in order[d]
+        muls = {}  # a -> _mul_matrices of the degree-a primes, for m up to D - a
+        for m in range(1, D + 1):
+            # every composite of degree m has a cofactor of lower degree
+            self._sieve_degree(m, written[m], composites[m])
+            if m == D:
+                break
+            ordered = order.pop(m)
+            ordered[composites[m]:] = self.prime_codes[m]
+            top = min(m, D - m)
+            rows = self._monic_rows(ordered, m, self.float_type(m + 1, k=m + top))
+            for a in range(1, top + 1):
+                d, pcodes = a + m, self.prime_codes[a]
+                if a not in muls:
+                    muls[a] = self._mul_matrices(a, pcodes, D - a)
+                # the prime P multiplies the suffix of cofactors whose key is
+                # at least (a, P), so P is the smallest factor of each product;
+                # no composite of degree m has a smallest factor of degree
+                # above m / 2, so past 2a > m the suffixes hold primes alone
+                if 2 * a <= m:
+                    starts = begins.pop((m, a))
+                elif a < m:
+                    starts = np.full(len(pcodes), composites[m])
+                else:
+                    starts = composites[m] + np.arange(len(pcodes))
+                sizes = q ** m - starts
+                written[d] += int(sizes.sum())
+                if written[d] > composites[d]:
+                    # the places in order[d] below would run out of range
+                    raise InvariantError(
+                        f"sieve: {written[d]} codes written at degree {d} at q={q}, more than its "
+                        f"{composites[d]} composites")
+                begins[d, a] = composites[d] - written[d] + np.cumsum(sizes) - sizes
+                # the suffixes shrink as P grows; the kernel runs on the first
+                # one, and prime i's product with its row r goes to
+                # order[d][at[i] + r]
+                first = starts[0]
+                skip, cofactors = starts - first, ordered[first:]
+                at = begins[d, a] - skip
+                heads = a * pack + pcodes * q ** m
+                S = self._kernel_matrix(muls[a][:, :(m + 1) * e, :d * e], rows.dtype)
+                group = self._group(d, len(pcodes), rows.dtype, len(cofactors), m + 1)
+                spf_d = self.spf[d]
+                for i, r, codes in self._stacked_codes(rows[first:], d, S, group):
+                    n = codes.shape[1]
+                    for j, lo in enumerate(np.maximum(skip[i:i + len(codes)] - r, 0).tolist()):
+                        spf_d[codes[j, lo:]] = heads[i + j] + cofactors[r + lo:r + n]
+                        if d < D:
+                            order[d][at[i + j] + r + lo:at[i + j] + r + n] = codes[j, lo:]
+            del ordered, rows, cofactors
+
+    def _sieve_degree(self, d, written, composites):
+        """Read the primes of degree d off a finished spf[d], checking that
+        the q^d - pi_q(d) composites were written once each and that the
+        rest, pi_q(d) codes, are prime."""
+        if written != composites:
+            raise InvariantError(
+                f"sieve: {written} codes written at degree {d} at q={self.q}, not the "
+                f"{composites} composites once each")
+        primes = self.prime_codes[d] = np.flatnonzero(self.spf[d] == 0)
+        if len(primes) != self.q ** d - composites:
+            raise InvariantError(
+                f"sieve: {len(primes)} primes of degree {d} at q={self.q}, not pi = {self.q ** d - composites}")
 
     def factor_all(self, d):
         """Every monic of degree d >= 1 factored at once off the spf
@@ -357,16 +446,14 @@ class PolyTables:
         its transpose as one contiguous block."""
         key = ("monic", d)
         if key not in self._coefmat_cache:
-            rows = self._monic_rows(np.arange(self.q ** d), d)
-            self._coefmat_cache[key] = rows.astype(self.dtype, order="F")
+            self._coefmat_cache[key] = self._monic_rows(np.arange(self.q ** d), d, self.dtype)
         return self._coefmat_cache[key]
 
     def prime_coefmat(self, d):
         """The rows of monic_coefmat(d) that are prime, in the same layout."""
         key = ("prime", d)
         if key not in self._coefmat_cache:
-            rows = self._monic_rows(self.prime_codes[d], d)
-            self._coefmat_cache[key] = rows.astype(self.dtype, order="F")
+            self._coefmat_cache[key] = self._monic_rows(self.prime_codes[d], d, self.dtype)
         return self._coefmat_cache[key]
 
     def _xrow_batch(self, k, codes, n):
@@ -696,7 +783,7 @@ class PolyTables:
         start = np.zeros((q, e, W), dtype=np.int64)
         start[:, :, :e] = np.eye(e, dtype=np.int64)
         shift = ffpoly._power_rows(start, step, W, p)[:, :, :d * e]
-        mat = self._monic_rows(codes, d).astype(self.float_type(d + 1, k=d))
+        mat = self._monic_rows(codes, d, self.float_type(d + 1, k=d))
         S = self._kernel_matrix(shift, mat.dtype)
         out = np.empty((q, len(mat)), dtype=np.int64)
         for i, r, got in self._stacked_codes(mat, d, S, self._group(d, q, mat.dtype, len(mat), d + 1)):

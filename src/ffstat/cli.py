@@ -15,6 +15,7 @@ import contextlib
 import csv
 import decimal
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -184,6 +185,22 @@ def emit(rows, header, fmt, out):
             fh.write(sep + "\n  " + item.replace("\n", "\n  "))
             sep = ","
         fh.write("[]\n" if sep == "[" else "\n]\n")
+
+
+def _check_out(out):
+    """Refuse an --out path that emit could not open, before any stage
+    runs: its directory must exist and be writable, and the path must not
+    be a directory or a file that cannot be written.  The file itself is
+    left alone, so a later refusal truncates nothing."""
+    if out is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise ConfigError(f"--out: {out!r} is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out: no directory {parent!r}")
+    if not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(out) and not os.access(out, os.W_OK)):
+        raise ConfigError(f"--out: {out!r} is not writable")
 
 
 def _flag_value(flag, fn, *args):
@@ -479,9 +496,6 @@ def _add_common(sp, *, genus=False, variant=False):
                     help="accepted for compatibility; has no effect")
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--work-budget", type=int, default=None,
-                    help="cost cap (members x points) before sampling kicks in")
     if genus:
         sp.add_argument("--genus", type=int, required=True)
     if variant:
@@ -520,6 +534,9 @@ def build_parser():
     sp.add_argument("--mode", choices=("exhaustive", "sample", "auto"),
                     default="exhaustive")
     sp.add_argument("--sample-size", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--work-budget", type=int, default=None,
+                    help="cost cap (members x points) before sampling kicks in")
     sp.set_defaults(fn=_cmd_moments)
 
     sp = sub.add_parser("density", help="one-level density vs matrix-integral reference")
@@ -569,6 +586,7 @@ def _run(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        _check_out(args.out)
         args.fn(args)
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error

@@ -21,6 +21,7 @@ catalogue of moduli, reporting aggregate check results; only
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -283,16 +284,62 @@ def _rational_gcd(a, b):
     return a
 
 
+#: the prime modulo which squarefree_part first takes its gcd, 2^61 - 1
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod(a, b, P):
+    """True when the integer coefficient lists a and b (constant term
+    first) have leading coefficients P does not divide and a gcd over F_P
+    that is a nonzero constant; False otherwise."""
+    a, b = [int(x) % P for x in a], [int(x) % P for x in b]
+    if not (a and b and a[-1] and b[-1]):
+        return False
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, P)
+        while len(a) >= len(b):
+            c, off = a[-1] * inv % P, len(a) - len(b)
+            for i in range(len(b)):
+                a[off + i] = (a[off + i] - c * b[i]) % P
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
 def squarefree_part(coeffs):
     """coeffs / gcd(coeffs, coeffs'), exact; same root set, all simple.
 
     Normalized to constant term 1 (which our L* and zeta-numerator
-    polynomials always have, their roots being nonzero)."""
+    polynomials always have, their roots being nonzero).
+
+    Integer coefficients first go through the gcd modulo the prime
+    P = 2^61 - 1 (_coprime_mod).  Let c have integer coefficients, and let
+    P divide neither the leading coefficient of c nor that of c'.  If the
+    rational gcd g of c and c' had degree >= 1, take it primitive in Z[X].
+    By Gauss's lemma it divides c and c' in Z[X], so its leading
+    coefficient divides that of c, and P does not divide it.  Reduced mod
+    P, g then keeps its degree and divides both reductions, so their gcd
+    over F_P has degree >= 1.  Hence a gcd mod P that is a nonzero
+    constant proves that the rational gcd is 1, and coeffs come back
+    unchanged, as the Fraction path returns them in that case.  Every
+    other input (a repeated factor, P dividing a leading coefficient,
+    coefficients that are not ints) takes the Fraction path."""
     c = list(coeffs)
     dc = [i * c[i] for i in range(1, len(c))]
+    if all(isinstance(x, numbers.Integral) for x in c) and _coprime_mod(c, dc, _GCD_PRIME):
+        return tuple(coeffs)
+    return _rational_squarefree_part(c, dc)
+
+
+def _rational_squarefree_part(c, dc):
+    """squarefree_part of the coefficient list c, whose derivative is dc,
+    by Euclid's algorithm over Fractions."""
     g = _rational_gcd(c, dc)
     if len(g) <= 1:
-        return tuple(coeffs)
+        return tuple(c)
     a = [Fraction(x) for x in c]
     out = []
     for i in range(len(a) - 1, len(g) - 2, -1):

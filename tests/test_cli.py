@@ -287,12 +287,40 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     (["primes", "--degree", "1", "--out", "."], "--out"),
     (["moments", "--genus", "1", "--n-max", "2", "--out", str(pathlib.Path(__file__) / "x.csv")],
      "--out"),
+    # a missing directory, refused before the 4 s of stages this run takes
+    (["moments", "--genus", "8", "--n-max", "6", "--out",
+      str(pathlib.Path(__file__).parent / "no-such-directory" / "x.csv")], "--out"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
     assert code == 1
     assert out == ""
     assert err.startswith(f"config error: {flag}: ")
+
+
+def test_bad_out_is_refused_before_the_first_stage(capsys, monkeypatch, tmp_path):
+    # no stage runs, and an existing file is not truncated by a run that
+    # is refused after the path was checked
+    monkeypatch.setattr(cli, "_field_for", lambda q: pytest.fail("a stage ran"))
+    code, out, err = run_cli(capsys, "primes", "--q", "3", "--degree", "1",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (1, "") and err.startswith("config error: --out: no directory")
+    monkeypatch.undo()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    code, _, err = run_cli(capsys, "primes", "--q", "3", "--degree", "0", "--out", str(kept))
+    assert code == 1 and err.startswith("config error: --degree: ")
+    assert kept.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("command", [["primes", "--degree", "1"], ["lfunc", "--modulus", "X^2+1"],
+                                     ["family", "--genus", "1", "--count"]])
+@pytest.mark.parametrize("flag", ["--seed", "--work-budget"])
+def test_seed_and_work_budget_belong_to_moments_alone(capsys, command, flag):
+    # a command that reads neither refuses them rather than ignoring them
+    code, out, err = run_cli(capsys, command[0], "--q", "3", *command[1:], flag, "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config error: {flag} 1: unrecognized")
 
 
 def test_sample_mode_runs_over_a_family_of_millions(capsys):

@@ -327,6 +327,39 @@ def test_squarefree_part():
     assert lfunc.squarefree_part((1, 0, 3)) == (1, 0, 3)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+#: integer coefficient lists with nonzero constant and leading terms
+_int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(
+    lambda c: [c[0] or 1] + c[1:-1] + [c[-1] or 1] if len(c) > 1 else [c[0] or 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_polys, _int_polys, st.integers(0, 2), st.sampled_from([1, -3, lfunc._GCD_PRIME]))
+def test_squarefree_part_fast_path_equals_the_fraction_path(a, b, power, lead):
+    # c = lead * a * b^power: with power 2 a squared factor whenever b has
+    # degree >= 1, and a leading coefficient P divides when lead is P; the
+    # mod-P gcd never claims a square-free c the rational gcd denies
+    c = [lead * x for x in a]
+    for _ in range(power):
+        c = _poly_mul(c, b)
+    dc = [i * c[i] for i in range(1, len(c))]
+    want = lfunc._rational_squarefree_part(c, dc)
+    assert lfunc.squarefree_part(tuple(c)) == want
+    if lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME):
+        assert want == tuple(c)
+    if power == 2 and len(b) > 1:
+        assert not lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME)
+    if lead == lfunc._GCD_PRIME:
+        assert not lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME)
+
+
 def test_l_suite_leaves_numpy_ma_unimported():
     # numpy 2.4's one-dimensional np.unique imports numpy.ma, a cost of
     # 13-15 ms in a fresh process that no l_suite result needs

@@ -363,6 +363,47 @@ def test_poly_tables_build_for_prime_powers(p, e, max_deg):
             assert prod == f
 
 
+@pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 4), (7, 3), (9, 3), (25, 2), (27, 2)])
+def test_spf_tables_match_trial_division_at_every_code(q, max_deg):
+    # every code of every degree: 0 for a prime, else the packed smallest
+    # prime factor (least degree, then least code) and its cofactor
+    field = ffpoly.field_of_order(q)
+    T = PolyTables(field, max_deg)
+    pack = q ** max_deg
+    for d in range(1, max_deg + 1):
+        for code in range(q ** d):
+            f = Poly.monic_from_code(field, d, code)
+            P = oracle.trial_factors(f)[0]
+            if P == f:
+                assert T.spf[d][code] == 0
+            else:
+                a = int(P.degree)
+                want = a * pack + P.monic_code() * q ** (d - a) + (f // P).monic_code()
+                assert T.spf[d][code] == want
+        assert T.prime_codes[d].tolist() == np.flatnonzero(T.spf[d] == 0).tolist()
+
+
+def test_sieve_checks_its_prime_counts(monkeypatch):
+    # products that all land on code 0 leave q^2 - 1 "primes" of degree 2
+    monkeypatch.setattr(PolyTables, "_mul_matrices",
+                        lambda self, a, codes, m: np.zeros((len(codes), (m + 1) * self.e, (a + m) * self.e),
+                                                           dtype=np.int64))
+    with pytest.raises(InvariantError, match="8 primes of degree 2 at q=3, not pi = 3"):
+        PolyTables(GF(3), 3)
+
+
+def test_sieve_checks_each_composite_is_written_once(monkeypatch):
+    # with pi_3(2) taken as 4 the six composites of degree 2 the passes
+    # write are one more than q^2 - pi_3(2), and with pi_3(3) taken as 7
+    # they are one fewer
+    count = ffpoly.prime_count_exact
+    for n, off, match in ((2, 1, "6 codes written at degree 2 at q=3, more than its 5 composites"),
+                          (3, -1, "19 codes written at degree 3 at q=3, not the 20 composites")):
+        monkeypatch.setattr(ffpoly, "prime_count_exact", lambda q, k: count(q, k) + off * (k == n))
+        with pytest.raises(InvariantError, match=match):
+            PolyTables(GF(3), 3)
+
+
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
 def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
     field = GF(p, e)
