@@ -2,13 +2,12 @@
 
 from . import biquad, eulerprod, ffpoly, lfunc, moments
 from .errors import InvariantError
-from .ffpoly import GF, INFINITY, ExtensionField, FiniteField, Poly
+from .ffpoly import GF, ExtensionField, FiniteField, Poly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF",
-    "INFINITY",
     "ExtensionField",
     "FiniteField",
     "InvariantError",

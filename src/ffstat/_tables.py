@@ -65,7 +65,7 @@ x_max and the code bound by the same factor, and q^k is taken at
 k = max_deg unless the caller names a degree.  The table's own digit
 rows (monic and prime rows up to max_deg) are float32 when float_type
 admits rows of max_deg + 1 coefficients, else float64, and callers that
-build their own rows ask `coef_rows` for them; float32 rows at a width
+build their own rows ask `code_rows` for them; float32 rows at a width
 float_type does not admit raise InvariantError.  The quadratic residue
 table of a prime Q reduces the squares of every residue; the squares do
 not depend on Q, so they are built once per degree, in the float type
@@ -431,14 +431,10 @@ class PolyTables:
         cached = 4 * ffpoly.BLOCK_BYTES // (k * self.e * block_rows * dtype.itemsize)
         return max(1, min(m, cached, 1 + room // self.q ** k))
 
-    def coef_rows(self, polys):
-        """Digit rows of arbitrary polynomials, zero-padded to the widest,
-        in the float type float_type gives that width."""
-        width = max(len(f.coeffs) for f in polys)
-        codes = np.zeros((len(polys), width), dtype=np.int64)
-        for i, f in enumerate(polys):
-            codes[i, : len(f.coeffs)] = f.coeffs
-        return self._element_rows(codes, len(polys)).astype(self.float_type(width))
+    def code_rows(self, d, codes):
+        """Digit rows of the monic polynomials of degree d with these codes,
+        in the float type float_type gives rows of d + 1 coefficients."""
+        return self._monic_rows(np.asarray(codes, dtype=np.int64), d, self.float_type(d + 1))
 
     def monic_coefmat(self, d):
         """(q^d x (d+1)e) digit rows of all monic of degree d, in the
@@ -486,7 +482,7 @@ class PolyTables:
         The primes not built yet, or built narrower than n, are built in
         one batch, wide enough for the table's own rows (max_deg + 1
         coefficients) and chiq's 2k - 1 squares, so one build serves a
-        prime; only wider coef_rows callers rebuild."""
+        prime; only callers of wider rows rebuild."""
         k = keys[0][0]
         cache = self._xrow_cache
         missing = [key for key in dict.fromkeys(keys) if len(cache.get(key, ())) < n]
@@ -705,7 +701,7 @@ class PolyTables:
         are one run, and each block's codes carry their offsets from the
         block's first row, so each symbol is read off the store with one
         flat take from that row.  The rows hold digits in 0..p-1, as
-        coef_rows and the coefmats build them; float32 rows must be at a
+        code_rows and the coefmats build them; float32 rows must be at a
         width float_type admits."""
         width = self._check_rows(coefmat, "legendre_array")
         out = np.empty((len(qkeys), len(coefmat)), dtype=np.int8)

@@ -11,7 +11,9 @@ Point counts are defined by the quadratic character sum over P^1(F_{q^n}):
     N_n = sum_x (1 + chi2(f1*f3(x)) + chi2(f2*f3(x)) + chi2(f1*f2(x)))
 
 where chi2 at infinity is chi2(leading coefficient) for even degree and 0
-for odd.  T_n = q^n+1-N_n is the integer q^{n/2} Tr(Theta_C^n), and the
+for odd.  The finite x are summed by their minimal polynomials, the monic
+primes of degree dividing n (orbit_columns), not point by point.
+T_n = q^n+1-N_n is the integer q^{n/2} Tr(Theta_C^n), and the
 zeta numerator P_C(u) of degree 2g is recovered from T_1..T_g by Newton's
 identities plus the functional equation, with an independent T_{g+1}
 consistency check.
@@ -117,6 +119,56 @@ class CurveData:
         return q ** n + 1 - (power_sums(self.pc, n)[-1] if n else 0)
 
 
+class PolySet:
+    """Monic square-free polynomials over `field` as int arrays, with their
+    prime factors.
+
+    Polynomial i has degree deg[i] and its lower coefficients are the
+    base-q digits of code[i].  Factor entry j says that key[j] divides
+    polynomial poly[j], poly ascending; key k is the monic prime of degree
+    key_deg[k] and code key_code[k], the keys in ascending (degree, code)
+    order.  Indexing builds the Poly, for printing and library callers.
+    """
+
+    __slots__ = ("field", "deg", "code", "poly", "key", "key_deg", "key_code")
+
+    def __init__(self, field, deg, code, poly, key, key_deg, key_code):
+        self.field = field
+        self.deg, self.code, self.poly, self.key, self.key_deg, self.key_code = (
+            np.asarray(a, dtype=np.int64) for a in (deg, code, poly, key, key_deg, key_code))
+
+    @classmethod
+    def of(cls, field, polys):
+        """The PolySet of monic square-free Polys, factored off the sieve
+        tables; ValueError for one that is not square-free."""
+        deg = [int(f.degree) for f in polys]
+        code = [f.monic_code() for f in polys]
+        T = poly_tables(field, max([1, *deg]))
+        factors = [T.factor(d, c) if d else [] for d, c in zip(deg, code)]
+        if None in factors:
+            raise ValueError("the polynomials of a PolySet must be square-free")
+        keys = sorted({key for fac in factors for key in fac})
+        entries = [(i, keys.index(key)) for i, fac in enumerate(factors) for key in fac]
+        return cls(field, deg, code, *np.reshape(entries, (-1, 2)).T, *np.reshape(keys, (-1, 2)).T)
+
+    def __len__(self):
+        return len(self.deg)
+
+    def __getitem__(self, i):
+        return ffpoly.Poly.monic_from_code(self.field, int(self.deg[i]), int(self.code[i]))
+
+    def take(self, index):
+        """The PolySet of the polynomials at the ascending distinct
+        indices `index`, with the keys that divide them."""
+        taken = np.zeros(len(self), dtype=bool)
+        taken[index] = True
+        at = taken[self.poly]
+        used, key = np.unique(self.key[at], return_inverse=True)
+        return PolySet(self.field, self.deg[index], self.code[index],
+                       np.searchsorted(index, self.poly[at]), key,
+                       self.key_deg[used], self.key_code[used])
+
+
 # ---------------------------------------------------------------------------
 # Family enumeration
 # ---------------------------------------------------------------------------
@@ -125,21 +177,22 @@ class CurveData:
 class SquarefreeDegree(NamedTuple):
     """The square-free monic polynomials of one degree and their prime factors.
 
-    `polys` follow ascending code order, the order of
+    `codes` holds their codes in ascending order, the order of
     ffpoly.enumerate_polys.  Entry j of the flat int64 arrays says that
     the prime of degree `prime_deg[j]` and column `prime_col[j]` divides
-    polys[poly[j]].  Columns number the monic primes by degree, then code,
-    so the primes of degree <= m are the first _prime_columns(q, m).
+    the polynomial of code codes[poly[j]].  Columns number the monic
+    primes by degree, then code, so the primes of degree <= m are the
+    first _prime_columns(q, m).
     """
 
-    polys: tuple
+    codes: np.ndarray
     poly: np.ndarray
     prime_deg: np.ndarray
     prime_col: np.ndarray
 
 
-#: the most codes q^d that squarefree_factors scans: it builds a Poly per
-#: square-free code and the sieve tables reach degree d
+#: the most codes q^d that squarefree_factors scans: the sieve tables
+#: reach degree d, and the factor arrays hold a few entries per code
 SQUAREFREE_CODES_CAP = 3 ** 10
 
 
@@ -167,19 +220,18 @@ def squarefree_factors(field, d):
     check_squarefree_degree(field, d)
     empty = np.zeros(0, dtype=np.int64)
     if d == 0:
-        return SquarefreeDegree((ffpoly.Poly.one(field),), empty, empty, empty)
-    q = field.q
-    T = poly_tables(field, d)
-    squarefree, rows, pdeg, pcode = T.factor_all(d)
-    col = np.empty_like(pcode)
-    for e in range(1, d + 1):
-        at = pdeg == e
-        col[at] = _prime_columns(q, e - 1) + np.searchsorted(T.prime_codes[e], pcode[at])
-    codes = np.flatnonzero(squarefree)
-    index = np.cumsum(squarefree) - 1
-    polys = tuple(ffpoly.Poly.monic_from_code(field, d, c) for c in codes.tolist())
-    out = SquarefreeDegree(polys, index[rows], pdeg, col)
-    for arr in out[1:]:
+        out = SquarefreeDegree(np.zeros(1, dtype=np.int64), empty, empty, empty)
+    else:
+        q = field.q
+        T = poly_tables(field, d)
+        squarefree, rows, pdeg, pcode = T.factor_all(d)
+        col = np.empty_like(pcode)
+        for e in range(1, d + 1):
+            at = pdeg == e
+            col[at] = _prime_columns(q, e - 1) + np.searchsorted(T.prime_codes[e], pcode[at])
+        index = np.cumsum(squarefree) - 1
+        out = SquarefreeDegree(np.flatnonzero(squarefree), index[rows], pdeg, col)
+    for arr in out:
         arr.flags.writeable = False  # shared by every caller through the cache
     return out
 
@@ -190,7 +242,7 @@ def _incidence(field, d, m):
     divides the i-th square-free monic of degree d."""
     sf = squarefree_factors(field, d)
     at = sf.prime_deg <= m
-    out = np.zeros((len(sf.polys), _prime_columns(field.q, m)), dtype=np.float32)
+    out = np.zeros((len(sf.codes), _prime_columns(field.q, m)), dtype=np.float32)
     out[sf.poly[at], sf.prime_col[at]] = 1
     return out
 
@@ -215,9 +267,9 @@ def _coprime_series(field, d, length):
     degree d.  Dividing a series by 1 + u^e is the recurrence
     c[i] -= c[i - e], run in place from low i to high."""
     sf = squarefree_factors(field, d)
-    counts = np.zeros((len(sf.polys), d + 1), dtype=np.int64)
+    counts = np.zeros((len(sf.codes), d + 1), dtype=np.int64)
     np.add.at(counts, (sf.poly, sf.prime_deg), 1)
-    series = np.zeros((len(sf.polys), length), dtype=np.int64)
+    series = np.zeros((len(sf.codes), length), dtype=np.int64)
     series[:, 0] = 1
     for e in range(1, min(d, length - 1) + 1):
         for k in range(1, int(counts[:, e].max()) + 1):
@@ -269,6 +321,17 @@ def largest_pair_block(field, g):
                key=lambda item: item[0], default=(0, None))
 
 
+def check_family(field, g):
+    """ValueError, with nothing built, when the tables of the family of
+    genus g would pass their caps: its top degree that of
+    check_squarefree_degree, or its largest pair block PAIR_BLOCK_BYTES_CAP."""
+    check_squarefree_degree(field, max(family_degrees(g), default=0))
+    entries, degrees = largest_pair_block(field, g)
+    if 13 * entries > PAIR_BLOCK_BYTES_CAP:
+        raise ValueError(f"pair weights: q={field.q}, g={g} needs a {degrees} degree block "
+                         f"of about {13 * entries} bytes, over the cap of {PAIR_BLOCK_BYTES_CAP}")
+
+
 @functools.lru_cache(maxsize=None)
 def pair_weights(field, g):
     """{pattern: (W12, W13, W23)} over the kept patterns of genus g.
@@ -277,14 +340,12 @@ def pair_weights(field, g):
     the number of third polynomials that make it a member, so a sum over
     members of any function of (f_a, f_b) is its sum against Wab, and
     each of the three blocks sums to the pattern's member count; a
-    disagreement raises InvariantError.  A block over PAIR_BLOCK_BYTES_CAP
-    is refused with a ValueError before anything is built.  The dict is
+    disagreement raises InvariantError.  A family over the caps of
+    check_family is refused before anything is built.  The dict is
     shared through the cache: read it, do not change it."""
-    entries, degrees = largest_pair_block(field, g)
-    if 13 * entries > PAIR_BLOCK_BYTES_CAP:
-        raise ValueError(f"pair weights: q={field.q}, g={g} needs a {degrees} degree block "
-                         f"of about {13 * entries} bytes, over the cap of {PAIR_BLOCK_BYTES_CAP}")
-    family_polys(field, g)  # the square-free factors, top degree first
+    check_family(field, g)
+    for d in reversed(family_degrees(g)):
+        squarefree_factors(field, d)  # top degree first: its sieve table serves every lower one
     out = {}
     for d1, d2, d3 in admissible_patterns(g)[0]:
         blocks = (pair_weight(field, d1, d2, d3), pair_weight(field, d1, d3, d2),
@@ -304,11 +365,22 @@ def family_size(field, g, variant=MONIC):
     return (field.q - 1) ** 2 * n if variant == FULL else n
 
 
+@functools.lru_cache(maxsize=None)
 def family_polys(field, g):
-    """{degree: its square-free monics} over family_degrees(g), ascending.
-    The top degree is built first: its sieve table serves every lower one."""
-    built = {d: squarefree_factors(field, d).polys for d in reversed(family_degrees(g))}
-    return dict(sorted(built.items()))
+    """PolySet of the square-free monics of the degrees family_degrees(g),
+    by degree, then code; its keys are all the monic primes of degree up
+    to the top one, numbered as squarefree_factors' prime columns.  The
+    top degree is built first: its sieve table serves every lower one."""
+    degrees = family_degrees(g)
+    sf = [squarefree_factors(field, d) for d in reversed(degrees)][::-1]
+    sizes = [len(f.codes) for f in sf]
+    start = np.cumsum([0] + sizes)
+    top = max(degrees, default=0)
+    primes = [poly_tables(field, top).prime_codes[a] for a in range(1, top + 1)]
+    cat = lambda arrays: np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+    return PolySet(field, np.repeat(degrees, sizes), cat(f.codes for f in sf),
+                   cat(f.poly + s for f, s in zip(sf, start)), cat(f.prime_col for f in sf),
+                   np.repeat(np.arange(1, top + 1), [len(c) for c in primes]), cat(primes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,7 +417,7 @@ def _unrank(field, pattern, cum, rank):
 
 def member_rows(field, g, variant, index):
     """(polys, rows, twists) for a sequence of member indices: the
-    concatenated family_polys, rows of indices (f1, f2, f3) into them and
+    family_polys PolySet, rows of indices (f1, f2, f3) into it and
     the codes (c1, c2) scaling f1, f2.  Members run by kept pattern, then
     f1, f2, f3 in square-free order, then twist; they are unranked from the
     pair weights, with no member array.  Indices outside [0, family_size)
@@ -357,7 +429,6 @@ def member_rows(field, g, variant, index):
     u = 1 if variant == MONIC else field.q - 1
     monic, rest = np.divmod(index, u * u)
     cums, polys = _pair_cumsums(field, g), family_polys(field, g)
-    start = dict(zip(polys, np.cumsum([0] + [len(p) for p in polys.values()])))
     edges = np.cumsum([0] + [int(cum[-1]) for cum in cums.values()])
     order = np.argsort(monic, kind="stable")
     bounds = np.searchsorted(monic[order], edges)
@@ -365,8 +436,8 @@ def member_rows(field, g, variant, index):
     for (pattern, cum), edge, a, b in zip(cums.items(), edges, bounds, bounds[1:]):
         if a < b:
             found = _unrank(field, pattern, cum, monic[order[a:b]] - edge)
-            rows[order[a:b]] = np.stack(found, axis=1) + [start[d] for d in pattern]
-    return sum(polys.values(), ()), rows, np.stack(np.divmod(rest, u), axis=1) + 1
+            rows[order[a:b]] = np.stack(found, axis=1) + np.searchsorted(polys.deg, pattern)
+    return polys, rows, np.stack(np.divmod(rest, u), axis=1) + 1
 
 
 def member_polys(field, g, variant, index):
@@ -409,51 +480,113 @@ def family_size_ratio(field, g, variant=MONIC):
 # ---------------------------------------------------------------------------
 
 
-def chi_blocks(chi, rows):
-    """Yield (lo, v1, v2, v3): the int8 chi rows of f1, f2, f3 gathered
-    for the members rows[lo:lo + step], in blocks of about
-    ffpoly.BLOCK_BYTES per operand."""
-    step = max(1, ffpoly.BLOCK_BYTES // chi.shape[1])
-    for lo in range(0, len(rows), step):
-        yield (lo, *(chi[r] for r in rows[lo:lo + step].T))
+def divisors(n):
+    """The divisors of n >= 1, ascending."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def orbit_columns(polys, degrees):
+    """Yield (d, X) for each degree d of `degrees` and each block of the
+    monic primes P of degree d: X[i, j] = (f_i / P_j) in int8, for the
+    polynomials f_i of the PolySet polys and the primes P_j of the block,
+    in code order.
+
+    An x in F_{q^n} with minimal polynomial P of degree d | n has
+    chi_{q^n}(f(x)) = chi_{q^d}(f(x))^(n/d) = (f/P)^(n/d), and the d roots
+    of P share that value, so a character sum over F_{q^n} is the sum over
+    d | n of these columns raised to n/d, each weighted by d.  (f/P) is
+    the product of (Q/P) over the key primes Q dividing f.  Those are read
+    off the residue tables of the column primes (q^d entries each) up to
+    the top degree of the polynomials, if those are no more entries than
+    the keys' own; otherwise by reciprocity, (Q/P) = (-1)^((q-1)/2 deg Q d)
+    (P/Q), off the tables of the keys, so no table passes the top degree.
+    A key equal to P gives 0 either way.  Blocks hold about
+    64 ffpoly.BLOCK_BYTES of symbols of the polynomials and keys."""
+    field, q = polys.field, polys.field.q
+    top = int(polys.deg.max(initial=0))
+    T = poly_tables(field, max(top, 1, *degrees))
+    key_entries = sum(q ** a for a in polys.key_deg.tolist())
+    keys = list(zip(polys.key_deg.tolist(), polys.key_code.tolist()))
+    # sorted(set()), as np.unique would import numpy.ma
+    key_rows = [T.code_rows(a, polys.key_code[polys.key_deg == a])
+                for a in sorted(set(polys.key_deg.tolist()))]
+    # slot j: the j-th factor of each polynomial that has more than j, so
+    # that no slot names a polynomial twice
+    slot = np.arange(len(polys.poly)) - np.searchsorted(polys.poly, polys.poly)
+    slots = [(polys.poly[slot == j], polys.key[slot == j]) for j in range(int(slot.max(initial=-1)) + 1)]
+    step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(polys) + len(keys)))
+    for d in degrees:
+        direct = d <= top and ffpoly.prime_count_exact(q, d) * q ** d <= key_entries
+        flip = (q - 1) // 2 * d * polys.key_deg % 2 == 1
+        primes = T.prime_codes[d]
+        for lo in range(0, len(primes), step):
+            codes = primes[lo:lo + step]
+            if direct:
+                qkeys = [(d, c) for c in codes.tolist()]
+                L = np.concatenate([T.legendre_array(rows, qkeys) for rows in key_rows], axis=1).T
+            else:
+                L = T.legendre_array(T.code_rows(d, codes), keys)
+                L[flip] *= -1
+            X = np.ones((len(polys), len(codes)), dtype=np.int8)
+            for at, key in slots:
+                X[at] *= L[key]
+            yield d, X
 
 
 def member_traces(field, n, polys, rows, twists):
     """T_n = -(S13 + S23 + S12) for each member (c1 f1, c2 f2, f3), with
-    f1, f2, f3 the monic polys a row of `rows` indexes and (c1, c2) the
-    codes in the matching row of `twists`.  Chi rows are built for the
-    polys in use; chi_2 at infinity of a monic product is 1 for even degree,
-    and a twist enters as chi_2(c f(x)) = chi_2(c) chi_2(f(x)) on all of P^1."""
-    ext = ffpoly.extension_field(field, n)
+    f1, f2, f3 the polynomials of the PolySet polys that a row of `rows`
+    indexes and (c1, c2) the codes in the matching row of `twists`."""
+    return _member_traces(field, [n], polys, rows, twists)[0]
+
+
+def _member_traces(field, ns, polys, rows, twists):
+    """member_traces for each n of ns at once, one row per n.  The finite
+    part of S_ab is the sum over d | n of d times the products of the orbit
+    columns (orbit_columns) of fa and fb raised to n/d, over the
+    polynomials in use: each degree's columns are read once for all n.
+    chi_2 at infinity of a monic product is 1 for even degree, and a twist
+    enters as chi_{q^n}(c) = chi_q(c)^n on all of P^1."""
     used, local = np.unique(rows, return_inverse=True)
-    rows = local.reshape(rows.shape)
-    chi = ext.chi_rows([polys[i] for i in used])
-    deg = np.array([polys[i].degree for i in used], dtype=np.int64)
-    d1, d2, d3 = (deg[rows[:, k]] for k in range(3))
-    s13, s23, s12 = ((da + db + 1) % 2 for da, db in ((d1, d3), (d2, d3), (d1, d2)))
-    for lo, v1, v2, v3 in chi_blocks(chi, rows):
-        hi = lo + len(v1)
-        s13[lo:hi] += (v1 * v3).sum(axis=1, dtype=np.int64)
-        s23[lo:hi] += (v2 * v3).sum(axis=1, dtype=np.int64)
-        s12[lo:hi] += (v1 * v2).sum(axis=1, dtype=np.int64)
-    chi_c = np.array([ext.chi2(ext.embed_base(c)) for c in range(field.q)], dtype=np.int64)
-    x1, x2 = chi_c[twists[:, 0]], chi_c[twists[:, 1]]
-    return -(x1 * s13 + x2 * s23 + x1 * x2 * s12)
+    rows = local.reshape(np.shape(rows))
+    polys = polys.take(used)
+    deg = [polys.deg[rows[:, k]] for k in range(3)]
+    pairs = ((0, 2), (1, 2), (0, 1))
+    sums = np.array([[(deg[a] + deg[b] + 1) % 2 for a, b in pairs]] * len(ns))
+    degrees = [d for d in range(1, max(ns) + 1) if any(n % d == 0 for n in ns)]
+    for d, X in orbit_columns(polys, degrees):
+        step = max(1, ffpoly.BLOCK_BYTES // X.shape[1])
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            prods = [X[block[:, a]] * X[block[:, b]] for a, b in pairs]
+            for i, n in enumerate(ns):
+                if n % d == 0:
+                    powers = (p if n // d % 2 else p * p for p in prods)
+                    sums[i, :, lo:lo + len(block)] += d * np.stack([p.sum(axis=1, dtype=np.int64) for p in powers])
+    chi = np.array([[field.chi2(c) ** n for c in range(field.q)] for n in ns], dtype=np.int64)
+    x1, x2 = chi[:, twists[:, 0]], chi[:, twists[:, 1]]
+    return -(x1 * sums[:, 0] + x2 * sums[:, 1] + x1 * x2 * sums[:, 2])
 
 
 def curve_counts(triple, n_max):
-    """N_n and T_n for 1 <= n <= n_max by the character sum over P^1."""
+    """N_n and T_n for 1 <= n <= n_max by the character sum over P^1.  The
+    sieve table of the top degree is asked for first, so a refused one is
+    refused before any is built."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     f1, f2, f3 = triple.f1, triple.f2, triple.f3
-    polys = (f1.to_monic(), f2.to_monic(), f3)
+    field = triple.field
+    monic = (f1.to_monic(), f2.to_monic(), f3)
+    poly_tables(field, max(n_max, *(int(f.degree) for f in monic)))
+    polys = PolySet.of(field, monic)
     twists = np.array([[f1.leading, f2.leading]])
-    q = triple.field.q
-    # the top degree first: its field is refused before any lower n is run
-    T = tuple(int(member_traces(triple.field, n, polys, np.array([[0, 1, 2]]), twists)[0])
-              for n in range(n_max, 0, -1))[::-1]
-    N = tuple(q ** n + 1 - t for n, t in enumerate(T, start=1))
-    return CurveData(N, T)
+    return _curve_data(field.q, _member_traces(field, range(1, n_max + 1), polys, [[0, 1, 2]], twists)[:, 0])
+
+
+def _curve_data(q, T):
+    """CurveData of the traces T_1, T_2, ... in an int array."""
+    T = tuple(T.tolist())
+    return CurveData(tuple(q ** n + 1 - t for n, t in enumerate(T, start=1)), T)
 
 
 def zeta_numerator(triple, n_max=None):
@@ -465,9 +598,19 @@ def zeta_numerator(triple, n_max=None):
     against the direct character sum; a mismatch raises InvariantError.
     """
     g = triple.genus
-    q = triple.field.q
-    upto = max(g + 1, n_max or 0)
-    data = curve_counts(triple, upto)
+    return _with_zeta_numerator(curve_counts(triple, max(g + 1, n_max or 0)), g, triple.field.q)
+
+
+def member_zeta_numerators(field, g, index, n_max=None):
+    """zeta_numerator of the monic members of genus g at these indices, in
+    a list; the traces of all of them come from one orbit-column pass."""
+    polys, rows, twists = member_rows(field, g, MONIC, index)
+    T = _member_traces(field, range(1, max(g + 1, n_max or 0) + 1), polys, rows, twists)
+    return [_with_zeta_numerator(_curve_data(field.q, col), g, field.q) for col in T.T]
+
+
+def _with_zeta_numerator(data, g, q):
+    """data with P_C, from its T_1..T_(g+1) (zeta_numerator)."""
     T = data.T
     a = [1] + [0] * (2 * g)
     for k in range(1, g + 1):

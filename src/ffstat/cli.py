@@ -341,6 +341,10 @@ def _cmd_moments(args):
     if args.mode != "exhaustive":
         _require_at_least("--sample-size", args.sample_size, 1)
         _require_at_least("--seed", args.seed, 0)
+    # one sieve table for the command, the top degree's, before any other
+    top = max(biquad.family_degrees(args.genus), default=0)
+    _flag_value("--genus", biquad.check_family, field, args.genus)
+    _flag_value("--n-max" if args.n_max > top else "--genus", poly_tables, field, max(args.n_max, top))
     size = _require_family(field, args)
     modes = {}
     for n in range(1, args.n_max + 1):
@@ -349,12 +353,13 @@ def _cmd_moments(args):
         if mode == "auto":
             mode = "sample" if (args.work_budget and cost > args.work_budget) else "exhaustive"
         modes[n] = mode
-    # the top n first: its totals and its field are refused before any
-    # lower n is run
-    exhaustive = [n for n, mode in modes.items() if mode == "exhaustive"]
-    if exhaustive:
-        _flag_value("--n-max", moments.check_family_totals, field, args.genus, max(exhaustive))
-    _flag_value("--n-max", ffpoly.extension_field, field, args.n_max)
+    # every exhaustive n is checked before any is run: the totals, and the
+    # prime form of the decomposition at even n
+    for n, mode in modes.items():
+        if mode == "exhaustive":
+            _flag_value("--n-max", moments.check_family_totals, field, args.genus, n)
+            if n % 2 == 0:
+                _flag_value("--n-max", moments.check_prime_form, field, n)
     rows = []
     for n, mode in modes.items():
         rep = moments.average_trace(
@@ -388,7 +393,6 @@ def _cmd_density(args):
     if not 0 < args.alpha <= 1:
         raise ConfigError("--alpha: must lie in (0, 1]")
     _require_at_least("--genus", args.genus, 1)
-    _require_family(field, args)
     fhat = moments.fejer_kernel(args.alpha)
     rep = _flag_value("--genus", moments.one_level_density,
                       field, args.genus, fhat, args.alpha, args.variant)

@@ -20,27 +20,12 @@ import numpy as np
 from .errors import InvariantError
 
 
-class _Infinity:
-    """Point at infinity on P^1; a unique sentinel, not a number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
 #: degree of the zero polynomial
 NEG_INFINITY = float("-inf")
 
-#: bytes of each block temporary in the batched passes over an extension
-#: field: 2^13 int64 Horner values, or 2^16 int8 chi entries in a scan
+#: bytes of each block temporary in the batched passes: 2^16 int8 symbols
+#: of the orbit columns in a member scan, and the kernel and Gram blocks
+#: of the residue tables, sized from it
 BLOCK_BYTES = 1 << 16
 
 #: the most bytes an ExtensionField may take, estimated as 32 n e q^n
@@ -181,14 +166,6 @@ class FiniteField:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def add_array(self, a, c):
-        """a + c for every code in the int array a and one element c: a
-        gather from the q x q addition table, as int64 (plain addition mod
-        p when e == 1, where a table would cost q^2 entries for nothing)."""
-        if self.e == 1:
-            return (a + c) % self.p
-        return self._add_table[a, c].astype(np.int64)
 
     def mul(self, a, b):
         if self.e == 1:
@@ -521,19 +498,6 @@ def factorize(f):
     return out
 
 
-def mobius_squarefree(f):
-    """(mu(f), is_squarefree(f)) with mu = (-1)^r on a unit times r distinct
-    primes and 0 otherwise; constants are units with mu = 1."""
-    if f.is_zero():
-        raise ValueError("mu of the zero polynomial is undefined")
-    if f.is_constant():
-        return 1, True
-    if not is_squarefree(f):
-        return 0, False
-    r = len(factorize(f))
-    return (-1) ** r, True
-
-
 def is_irreducible(f):
     """Primality in F_q[X] by trial division against sieved primes."""
     deg = f.degree
@@ -658,42 +622,6 @@ def squarefree_count(q, d):
 # ---------------------------------------------------------------------------
 
 
-def legendre_symbol(f, p, method="euler"):
-    """(f/p) for p monic irreducible: 0 if p | f, else +-1 by squareness
-    of f mod p.
-
-    method="euler" runs the Euler criterion f^((q^deg p - 1)/2) mod p;
-    method="reciprocity" runs the Jacobi-symbol reduction, which must
-    agree (both are exercised by the test suite).
-    """
-    if p.is_constant() or not p.is_monic() or not is_irreducible(p):
-        raise ValueError("second argument must be monic irreducible")
-    if method == "euler":
-        r = f % p
-        if r.is_zero():
-            return 0
-        acc = _poly_powmod(r, (f.field.q ** p.degree - 1) // 2, p)
-        if acc == Poly.one(f.field):
-            return 1
-        if acc == Poly.constant(f.field, f.field.neg(1)):
-            return -1
-        raise InvariantError("Euler criterion did not land on +-1")
-    if method == "reciprocity":
-        return jacobi_symbol(f, p)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _poly_powmod(base, n, modulus):
-    r = Poly.one(base.field)
-    base = base % modulus
-    while n:
-        if n & 1:
-            r = (r * base) % modulus
-        base = (base * base) % modulus
-        n >>= 1
-    return r
-
-
 def _chi_q_unit(field, c):
     """Quadratic character of F_q at a unit c (interpreted in the base field)."""
     return field.chi2(c % field.q)
@@ -729,26 +657,6 @@ def jacobi_symbol(f, m):
         if (flip_parity * a.degree * b.degree) % 2 == 1:
             sign = -sign
         a, b = b, a
-
-
-def quad_char_eval(f, x, ext=None):
-    """chi_2(f(x)) for x in P^1(F_{q^n}).
-
-    x is either INFINITY or an element code of `ext` (an ExtensionField
-    over f's field; defaults to the degree-1 extension, i.e. the base
-    field itself).  chi_2 is the unique quadratic character of the
-    evaluation field; at infinity the convention is chi_2(leading
-    coefficient) for even-degree f and 0 for odd degree.
-    """
-    if f.is_zero():
-        raise ValueError("character of the zero polynomial is undefined")
-    if ext is None:
-        ext = extension_field(f.field, 1)
-    if x is INFINITY:
-        if f.degree % 2 == 1:
-            return 0
-        return ext.chi2(ext.embed_base(f.leading))
-    return ext.chi2(ext.eval_poly(f, x))
 
 
 # ---------------------------------------------------------------------------
@@ -803,11 +711,6 @@ class ExtensionField:
     def _encode(self, digits):
         return sum(c * self.q ** i for i, c in enumerate(digits))
 
-    def add(self, a, b):
-        F = self.base
-        da, db = self._decode(a), self._decode(b)
-        return self._encode(tuple(F.add(x, y) for x, y in zip(da, db)))
-
     def _mul_matrix(self, g):
         """M_g: row e*i + t holds the F_p digits of alpha^t X^i g mod the
         modulus, where alpha^t X^i is the element of code p^(e*i + t)."""
@@ -834,14 +737,9 @@ class ExtensionField:
         if log[0] != -1 or np.any(log[1:] < 0):
             raise InvariantError("generator powers do not cover the units")
         self.generator = g
-        # the Horner pass's tables: log 0 points past the doubled exp table,
-        # and np.take(..., mode="clip") maps every index from there onto
-        # the trailing 0, so a product with a zero factor gathers 0
-        self._expz = np.concatenate([exp, exp, [0]])
-        self._exp = self._expz[:-1]
+        # doubled, so that a sum of two logs indexes it with no reduction
+        self._exp = np.concatenate([exp, exp])
         self._log = log
-        self._logz = log.copy()
-        self._logz[0] = 2 * (Q - 1)
         # chi2 by log parity: squares are even powers of the generator
         chi = np.where(log % 2 == 0, 1, -1).astype(np.int8)
         chi[0] = 0
@@ -870,75 +768,5 @@ class ExtensionField:
     def elements(self):
         return range(self.order)
 
-    def eval_poly(self, f, x):
-        """f over the base field evaluated at the code x."""
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = self.add(self.mul(acc, x), self.embed_base(c))
-        return acc
-
-    # -- batched evaluation --
-
-    def _horner(self, coefs):
-        """Codes of f(x) for every code x, one row per row of coefs: the
-        base-field coefficient codes of f, highest degree first.  One
-        Horner pass for the whole block: acc * x is a gather from the exp
-        table at log acc + log x, and adding a base-field coefficient
-        changes only the lowest base-q digit of acc."""
-        q, base = self.q, self.base
-        acc = np.repeat(coefs[:, :1], self.order, axis=1)
-        for c in coefs[:, 1:].T:
-            logs = self._logz[acc]
-            logs += self._logz  # log x, as the columns run over every code x
-            np.take(self._expz, logs, out=acc, mode="clip")
-            low = acc % q
-            acc += base.add_array(low, c[:, None])
-            acc -= low
-        return acc
-
-    def eval_blocks(self, polys):
-        """Yield (start, values) for consecutive blocks of polys, values[i]
-        the codes of polys[start + i] at every x.  Blocks hold about
-        BLOCK_BYTES of int64 values; polynomials shorter than the longest
-        of their block are left-padded with zero coefficients."""
-        step = max(1, BLOCK_BYTES // (8 * self.order))
-        for lo in range(0, len(polys), step):
-            block = polys[lo:lo + step]
-            width = max(1, max(len(f.coeffs) for f in block))
-            coefs = np.zeros((len(block), width), dtype=np.int64)
-            for i, f in enumerate(block):
-                coefs[i, width - len(f.coeffs):] = f.coeffs[::-1]
-            yield lo, self._horner(coefs)
-
-    def chi_rows(self, polys):
-        """int8 matrix of chi_2(f(x)), one row per polynomial, indexed by x."""
-        chi = np.empty((len(polys), self.order), dtype=np.int8)
-        for lo, values in self.eval_blocks(polys):
-            np.take(self._chi2, values, out=chi[lo:lo + len(values)], mode="clip")
-        return chi
-
-    def zero_counts(self, polys):
-        """Number of x in F_{q^n} with f(x) = 0, for each polynomial f."""
-        counts = np.empty(len(polys), dtype=np.int64)
-        for lo, values in self.eval_blocks(polys):
-            counts[lo:lo + len(values)] = np.count_nonzero(values == 0, axis=1)
-        return counts
-
-    def subfield_mask(self, m):
-        """Boolean array marking the image of F_{q^m} (requires m | n)."""
-        if self.n % m != 0:
-            raise ValueError("not a subfield degree")
-        step = (self.order - 1) // (self.q ** m - 1)
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        mask[1:] = self._log[1:] % step == 0
-        return mask
-
     def __repr__(self):
         return f"ExtensionField({self.base!r}, n={self.n})"
-
-
-@functools.lru_cache(maxsize=None)
-def extension_field(base, n):
-    """Cached F_{q^n} with the canonical (least) modulus."""
-    return ExtensionField(base, n)

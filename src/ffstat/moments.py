@@ -11,8 +11,9 @@ P^1(F_{q^(n/2)}) (the point at infinity counts as a root precisely when
 deg f1*f2 is odd, and each member contributes its root count minus one,
 which keeps the main term at exactly -3), and bilinear_term is the
 character sum over x in F_{q^n} outside F_{q^(n/2)}.  The degree-n part
-of the bilinear term is recomputed independently through the n-to-1
-correspondence with monic primes of degree n and asserted equal.
+of the bilinear term, the x of minimal polynomial of degree n, is
+recomputed independently by reducing each family polynomial modulo the
+monic primes of degree n and asserted equal.
 
 Fixed-prime sums N_{k1,k2}(d;P) and their residue-derived constants
 C_{k1,k2}(d;P), C(g;P) follow, with exact L-values and truncated Euler
@@ -20,14 +21,18 @@ products supplying the predictions; reference values for the matrix
 integrals over USp(2g), USp(2g)^3 and U(2g) close the loop for the
 trace-moment experiment and the one-level density.
 
-No exhaustive sum lists the members.  Every one is a sum over pairs
-(f_a, f_b) of square-free monics weighted by the number of third
-polynomials that complete the pair (biquad.pair_weight): the character
-sums over F_{q^n} are sum(W o chi_a chi_b^T) with one float32 Gram block
-per degree pair, the prime-sum form is sum(W o X_a^T X_b) with X the
-residue-table Legendre matrix of the degree-n primes, and the
-fixed-prime sums are r_a^T W r_b.  Members are unranked from the pair
-weights (biquad.member_rows) only for sample mode and the density cross-check.
+No exhaustive sum lists the members, and no point of F_{q^n} is
+evaluated.  Every sum is over pairs (f_a, f_b) of square-free monics
+weighted by the number of third polynomials that complete the pair
+(biquad.pair_weight): the character sums over F_{q^n} are sum(W o G_ab)
+with G_ab = sum_{d | n} d X_a X_b^T one float32 Gram block per degree
+pair over the orbit columns X[f, P] = (f/P)^(n/d) of the monic primes P
+of degree d | n (biquad.orbit_columns: an x with minimal polynomial P has
+chi(f(x)) = (f/P)^(n/d), and P stands for its d roots), the prime-sum
+form is sum(W o X_a^T X_b) with X the residue-table Legendre matrix of
+the degree-n primes, and the fixed-prime sums are r_a^T W r_b.  Members
+are unranked from the pair weights (biquad.member_rows) only for sample
+mode and the density cross-check.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc
-from ._tables import CharPlan, poly_tables
+from ._tables import poly_tables
 from .errors import InvariantError
 
 USP, USP_CUBED, UNITARY = "USp", "USp_cubed", "U"
@@ -72,40 +77,53 @@ def matrix_integral_reference(group, g, n):
 # ---------------------------------------------------------------------------
 
 
-#: the most bytes _family_totals may take: the per-degree chi matrices
-#: (int8 while built, float32 in the Gram products, 5 bytes an entry) and
-#: three int64 blocks of the largest weight/Gram pair
+#: the most bytes _family_totals or _bilinear_prime_form may take
 TOTALS_BYTES_CAP = 1 << 28
+
+
+def _gram_pairs(patterns):
+    """The degree pairs (a <= b) of the Gram blocks of these patterns."""
+    return sorted({tuple(sorted(pair)) for d1, d2, d3 in patterns
+                   for pair in ((d1, d2), (d1, d3), (d2, d3))})
 
 
 def family_totals_bytes(field, g, n):
     """The bytes _family_totals(field, g, n) would allocate, estimated from
-    square-free counts before anything is built."""
-    chi = sum(ffpoly.squarefree_count(field.q, d) for d in biquad.family_degrees(g))
-    return 5 * field.q ** n * chi + 3 * 8 * biquad.largest_pair_block(field, g)[0]
+    prime and square-free counts before anything is built: the residue
+    tables of its orbit columns, those of the primes of the degrees d | n
+    up to the family's top degree (the keys, all primes up to there, have
+    more entries; biquad.orbit_columns) and the keys' own when n passes
+    it; a block of columns, in int8 and two float32 copies; per Gram
+    degree pair two float32 and two int64 blocks."""
+    q = field.q
+    degrees = biquad.family_degrees(g)
+    top = max(degrees, default=0)
+    pi = {d: ffpoly.prime_count_exact(q, d) for d in range(1, max(n, top) + 1)}
+    count = {d: ffpoly.squarefree_count(q, d) for d in degrees}
+    tables = sum(pi[d] * q ** d for d in biquad.divisors(n) if d <= top)
+    tables += (n > top) * sum(pi[a] * q ** a for a in range(1, top + 1))
+    width = sum(count.values()) + sum(pi[a] for a in range(1, top + 1))
+    block = 9 * min(width * sum(pi[d] for d in biquad.divisors(n)), max(width, 64 * ffpoly.BLOCK_BYTES))
+    grams = 24 * sum(count[a] * count[b] for a, b in _gram_pairs(biquad.admissible_patterns(g)[0]))
+    return tables + block + grams
+
+
+def _check_bytes(what, need):
+    if need > TOTALS_BYTES_CAP:
+        raise ValueError(f"{what} need about {need} bytes, over the cap of {TOTALS_BYTES_CAP}")
 
 
 def check_family_totals(field, g, n):
     """ValueError when family_totals_bytes passes TOTALS_BYTES_CAP."""
-    need = family_totals_bytes(field, g, n)
-    if need > TOTALS_BYTES_CAP:
-        raise ValueError(f"family totals: q={field.q}, g={g} at n={n} need about {need} bytes "
-                         f"of chi matrices and Gram blocks, over the cap of {TOTALS_BYTES_CAP}")
+    _check_bytes(f"family totals: q={field.q}, g={g} at n={n}", family_totals_bytes(field, g, n))
 
 
-def _grams(chi):
-    """gram(a, b): the int64 Gram block chi[a] chi[b]^T of float32 rows,
-    each unordered degree pair multiplied once."""
-    cache = {}
-
-    def gram(a, b):
-        if a > b:
-            return gram(b, a).T
-        if (a, b) not in cache:
-            cache[a, b] = (chi[a] @ chi[b].T).astype(np.int64)
-        return cache[a, b]
-
-    return gram
+def check_prime_form(field, n):
+    """ValueError when the residue tables _bilinear_prime_form reads, one
+    int8 table of q^n entries per monic prime of degree n, pass
+    TOTALS_BYTES_CAP."""
+    _check_bytes(f"prime form: q={field.q} at n={n}",
+                 ffpoly.prime_count_exact(field.q, n) * field.q ** n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,51 +135,68 @@ def _family_totals(field, g, n):
     sum, sum of its generating-x part) -- the last three only for even n.
 
     A member sum of chi(fa fb) over F_{q^n} is sum(Wab o G) per pattern,
-    Wab its pair weights (biquad.pair_weights) and G = chi_a chi_b^T the
-    Gram block of the chi rows of degrees d_a, d_b; S13 and S23 read their
-    own W13, W23 blocks, so s_all = 3 s12 is a check, not a product.  Every
-    member is monic, so chi at infinity of fa fb is 1 for even degree.
+    Wab its pair weights (biquad.pair_weights) and G the Gram block
+    sum_{d | n} d X_a X_b^T of the orbit columns X (biquad.orbit_columns)
+    of degree d of the polynomials of degrees d_a, d_b; S13 and S23 read
+    their own W13, W23 blocks, so s_all = 3 s12 is a check, not a product.
+    Every member is monic, so chi at infinity of fa fb is 1 for even
+    degree.  The generating x are those whose minimal polynomial has
+    degree n: the columns of d = n alone.  f has a zero in F_{q^(n/2)} at
+    each root of a prime factor of degree dividing n/2, so its zero count
+    there is the sum of those degrees, read off the factor arrays.
 
-    Exactness of the float32 GEMM: a Gram entry is a sum of q^n products
-    in {-1, 0, 1}, so it and every partial sum, in any order, is an integer
-    of absolute value at most q^n.  ExtensionField refuses 32 n e q^n >
-    EXTENSION_BYTES_CAP = 2^26, hence q^n <= 2^21 / (n e) < 2^24, and float32
-    holds every integer up to 2^24 exactly.  The same bound covers the
-    non-generating columns taken out for gen_tot.
+    Exactness of the float32 GEMM: column entries are (f/P)^(n/d) in
+    {-1, 0, 1}, weighted by d.  Each x in F_{q^n} has one minimal
+    polynomial, of degree d | n, and shares it with d - 1 others, so
+    sum_{d | n} d pi_q(d) = q^n, and a Gram entry and each partial sum of
+    it, in any order and over any blocks of columns, is an integer of
+    absolute value at most q^n; the generating part alone is at most
+    n pi_q(n) <= q^n.  float32 holds every integer up to 2^24 exactly, and
+    q^n >= 2^24 raises InvariantError before anything is built.
     """
+    if field.q ** n >= 1 << 24:
+        raise InvariantError(f"q^n = {field.q ** n} is beyond exact float32 Gram blocks")
     check_family_totals(field, g, n)
     weights = biquad.pair_weights(field, g)
-    polys = biquad.family_polys(field, g)
-    ext = ffpoly.extension_field(field, n)
-    if ext.order >= 1 << 24:
-        raise InvariantError(f"q^n = {ext.order} is beyond exact float32 Gram blocks")
-    chi = {d: ext.chi_rows(p).astype(np.float32) for d, p in polys.items()}
-    gram = _grams(chi)
+    fam = biquad.family_polys(field, g)
+    span = {d: slice(*np.searchsorted(fam.deg, [d, d + 1])) for d in biquad.family_degrees(g)}
+    count = {d: s.stop - s.start for d, s in span.items()}
+    # per degree pair, the Gram blocks of the columns of d < n, weighted,
+    # and of the generating columns d = n, unweighted
+    grams = {(a, b): np.zeros((2, count[a], count[b]), dtype=np.float32) for a, b in _gram_pairs(weights)}
+    for d, X in biquad.orbit_columns(fam, biquad.divisors(n)):
+        if n // d % 2 == 0:
+            X *= X
+        Xf = X.astype(np.float32)
+        Xw = Xf if d == n else d * Xf
+        for (a, b), G in grams.items():
+            G[int(d == n)] += Xw[span[a]] @ Xf[span[b]].T
+    gen = {pair: n * G[1].astype(np.int64) for pair, G in grams.items()}
+    full = {pair: G[0].astype(np.int64) + gen[pair] for pair, G in grams.items()}
+
+    def gram(blocks, a, b):
+        return blocks[a, b] if a <= b else blocks[b, a].T
+
     fin, inf = [0, 0, 0], [0, 0, 0]
-    for (d1, d2, d3), blocks in weights.items():
-        for k, ((a, b), W) in enumerate(zip(((d1, d2), (d1, d3), (d2, d3)), blocks)):
-            fin[k] += int((W * gram(a, b)).sum())
+    for (d1, d2, d3), pair_blocks in weights.items():
+        for k, ((a, b), W) in enumerate(zip(((d1, d2), (d1, d3), (d2, d3)), pair_blocks)):
+            fin[k] += int((W * gram(full, a, b)).sum())
             if (a + b) % 2 == 0:
                 inf[k] += int(W.sum())
     s12_tot = fin[0] + inf[0]
     s_all = sum(fin) + sum(inf)
     if n % 2:
         return s_all, s12_tot, 0, 0, 0
-    gen_mask = np.ones(ext.order, dtype=bool)
-    for d in range(1, n):
-        if n % d == 0:
-            gen_mask &= ~ext.subfield_mask(d)
-    nongen = np.flatnonzero(~gen_mask)
-    gram_nongen = _grams({d: rows[:, nongen] for d, rows in chi.items()})
-    half = ffpoly.extension_field(field, n // 2)
-    zeros = {d: half.zero_counts(p) for d, p in polys.items()}
+    key_deg = fam.key_deg[fam.key]
+    zeros = np.zeros(len(fam), dtype=np.int64)
+    np.add.at(zeros, fam.poly, np.where(n // 2 % key_deg == 0, key_deg, 0))
     size = zeros_half = odd = gen_tot = 0
     for (d1, d2, _), (W12, _, _) in weights.items():
         members = int(W12.sum())
         size += members
         odd += (d1 + d2) % 2 * members
-        zeros_half += int(zeros[d1] @ W12.sum(axis=1) + zeros[d2] @ W12.sum(axis=0))
-        gen_tot += int((W12 * (gram(d1, d2) - gram_nongen(d1, d2))).sum())
+        zeros_half += int(zeros[span[d1]] @ W12.sum(axis=1) + zeros[span[d2]] @ W12.sum(axis=0))
+        gen_tot += int((W12 * gram(gen, d1, d2)).sum())
     roots_tot = zeros_half + odd - size
     bil_tot = fin[0] - (size * field.q ** (n // 2) - zeros_half)
     return s_all, s12_tot, roots_tot, bil_tot, gen_tot
@@ -233,11 +268,11 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
     infinity, so summing a member's trace over its (q-1)^2 leading
     coefficient twists multiplies the f1*f3 and f2*f3 pair sums by
     (q-1) * sum_c chi2(c) and the f1*f2 pair sum by (sum_c chi2(c))^2.
-    The constant sum is computed literally: it is q-1 for even n (every
-    unit of F_q is a square in F_{q^n}) and 0 for odd n.
+    The constant sum is computed literally, chi_{q^n}(c) = chi_q(c)^n for
+    c in F_q: it is q-1 for even n (every unit of F_q is a square in
+    F_{q^n}) and 0 for odd n.
     """
-    ext = ffpoly.extension_field(field, n)
-    const_sum = sum(ext.chi2(ext.embed_base(c)) for c in field.units())
+    const_sum = sum(field.chi2(c) ** n for c in field.units())
     u = field.q - 1
     size_full = u * u * biquad.family_size(field, g, biquad.MONIC)
     total = const_sum * u * (monic_s_all - monic_s12) + const_sum ** 2 * monic_s12
@@ -296,36 +331,28 @@ def _bilinear_prime_form(field, g, n):
 
     chi_P is completely multiplicative, so a member's value is
     chi_P(f1) chi_P(f2), and the family sum is sum(W12 o X_a^T X_b) per
-    pattern, X the Legendre matrix [P, f] = chi_P(f) of the degree-n primes
-    read off the residue tables.  X_a^T X_b is exact in float32: its
-    entries are sums of at most q^n / n < 2^24 products in {-1, 0, 1}
-    (see _family_totals for the bound on q^n)."""
+    pattern, X the Legendre matrix [P, f] = chi_P(f) of the degree-n primes,
+    each f reduced modulo P and read off P's residue table.  That is a
+    computation apart from the orbit columns of _family_totals, whose
+    generating part error_decomposition checks against this.  X_a^T X_b is
+    exact in float32: its entries are sums of at most q^n / n < 2^24
+    products in {-1, 0, 1} (see _family_totals for the bound on q^n).
+    Tables over TOTALS_BYTES_CAP are refused with a ValueError before any
+    is built."""
+    check_prime_form(field, n)
     weights = biquad.pair_weights(field, g)
-    polys = biquad.family_polys(field, g)
-    flat = [f for p in polys.values() for f in p]
-    X = _chi_rows(flat, ffpoly.primes(field, n)).astype(np.float32)
-    ends = np.cumsum([len(p) for p in polys.values()])[:-1]
-    gram = _grams(dict(zip(polys, np.split(X.T, ends))))
+    fam = biquad.family_polys(field, g)
+    T = poly_tables(field, max(n, int(fam.deg.max(initial=0))))
+    primes = [(n, c) for c in T.prime_codes[n].tolist()]
+    X = {d: T.legendre_array(T.code_rows(d, fam.code[fam.deg == d]), primes).astype(np.float32)
+         for d in biquad.family_degrees(g)}
+    gram = functools.cache(lambda a, b: (X[a].T @ X[b]).astype(np.int64))
     return sum(int((W12 * gram(d1, d2)).sum()) for (d1, d2, _), (W12, _, _) in weights.items())
-
-
-def _chi_rows(polys, primes):
-    """int8 matrix [P, f] = chi_P(f) over polys, one row per P in primes,
-    read off the residue tables in one stacked call."""
-    T = poly_tables(polys[0].field, max(int(P.degree) for P in primes))
-    return T.legendre_array(T.coef_rows(polys), [(int(P.degree), P.monic_code()) for P in primes])
 
 
 # ---------------------------------------------------------------------------
 # Fixed-prime sums and their constants
 # ---------------------------------------------------------------------------
-
-
-def nkk_sum(field, P, d, k1, k2):
-    """N_{k1,k2}(d;P): the sum of chi_P(f1 f2) over ordered monic triples
-    with square-free pairwise-coprime product of total degree d and the
-    stated degree parities of f1*f3 and f2*f3."""
-    return nkk_sums_all(field, P, d)[(k1, k2)]
 
 
 def nkk_sums_all(field, P, d, chi_of=None):
@@ -340,11 +367,12 @@ def nkk_sums_all(field, P, d, chi_of=None):
     if d < 0:
         raise ValueError("d must be >= 0")
     # top degree first: its sieve table then serves every lower degree
-    polys = [biquad.squarefree_factors(field, e).polys for e in range(d, -1, -1)][::-1]
+    codes = [biquad.squarefree_factors(field, e).codes for e in range(d, -1, -1)][::-1]
     if chi_of is None:
         chis = [_squarefree_chi(field, P, e).astype(np.int64) for e in range(d + 1)]
     else:
-        chis = [np.array([chi_of(f) for f in p], dtype=np.int64) for p in polys]
+        chis = [np.array([chi_of(ffpoly.Poly.monic_from_code(field, e, c)) for c in cs.tolist()],
+                         dtype=np.int64) for e, cs in enumerate(codes)]
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
     for a in range(d + 1):
         for b in range(d - a + 1):
@@ -358,7 +386,9 @@ def nkk_sums_all(field, P, d, chi_of=None):
 def _squarefree_chi(field, P, e):
     """int8 chi_P(f) over the square-free monics f of degree e, in
     biquad.squarefree_factors order."""
-    row = _chi_rows(biquad.squarefree_factors(field, e).polys, (P,))[0]
+    T = poly_tables(field, int(P.degree))
+    codes = biquad.squarefree_factors(field, e).codes
+    row = T.legendre_array(T.code_rows(e, codes), [(int(P.degree), P.monic_code())])[0]
     row.flags.writeable = False  # shared by every caller through the cache
     return row
 
@@ -528,15 +558,6 @@ def family_sum_nkk_decomposition(field, g, P):
     return total
 
 
-def double_char_sum(field, d, n):
-    """(n / q^(d + n/2)) * sum_{deg D = d, sq-free} sum_{deg P = n} chi_D(P)."""
-    q = field.q
-    T = poly_tables(field, max(d, n))
-    facs = (T.factor(d, code) for code in range(q ** d))
-    total = int(T.char_sums(T.prime_coefmat(n), CharPlan([fac for fac in facs if fac is not None])).sum())
-    return n * total / q ** (d + n / 2), total
-
-
 # ---------------------------------------------------------------------------
 # The trace-moment experiment
 # ---------------------------------------------------------------------------
@@ -635,13 +656,14 @@ def curve_density_pair(triple, fhat, alpha):
     """(trace-expansion Z, eigenphase Z) for a single curve."""
     g = triple.genus
     terms = _density_terms(g, alpha)
-    q = triple.field.q
     data = biquad.zeta_numerator(triple, n_max=max(terms) if terms else None)
-    traces = [(n, data.T[n - 1]) for n in terms]
-    z_trace = trace_expansion_z(fhat, g, traces, q)
-    phases = biquad.eigenphases(data.pc)
-    z_phase = eigenphase_z(fhat, g, phases, terms)
-    return z_trace, z_phase
+    return _density_pair(fhat, g, triple.field.q, terms, data)
+
+
+def _density_pair(fhat, g, q, terms, data):
+    """(trace-expansion Z, eigenphase Z) of a curve's CurveData with P_C."""
+    z_trace = trace_expansion_z(fhat, g, [(n, data.T[n - 1]) for n in terms], q)
+    return z_trace, eigenphase_z(fhat, g, biquad.eigenphases(data.pc), terms)
 
 
 def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
@@ -660,19 +682,24 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
     if alpha > 1:
         warnings.warn("alpha > 1 exceeds the n <= 2g trace convention")
     q = field.q
+    terms = _density_terms(g, alpha)
+    # refused before the first stage, or else one sieve table for the run,
+    # the top degree's, asked for before any other: the cross-check
+    # curves' counts reach max(terms) and g + 1, the family's polynomials g + 1
+    biquad.check_family(field, g)
+    for n in terms:
+        check_family_totals(field, g, n)
+    poly_tables(field, max(1, g + 1, *terms))
     size = biquad.family_size(field, g, variant)
     if size == 0:
         raise ValueError(f"family (q={q}, g={g}) is empty")
     if g < 1:
         raise ValueError(f"one-level density needs genus >= 1, got {g}")
-    terms = _density_terms(g, alpha)
-    # the cross-check first: its point counts need the largest extension
-    # field, refused for a genus too large before the totals below do any work
     worst = 0.0
     monic = biquad.family_size(field, g, biquad.MONIC)
     picked = range(0, monic, max(1, monic // max(1, crosscheck_curves)))
-    for f in biquad.member_polys(field, g, biquad.MONIC, picked):
-        z_t, z_p = curve_density_pair(biquad.CurveTriple(*f, biquad.MONIC), fhat, alpha)
+    for data in biquad.member_zeta_numerators(field, g, picked, max(terms, default=None)):
+        z_t, z_p = _density_pair(fhat, g, q, terms, data)
         worst = max(worst, abs(z_t - z_p))
     # family side: average of per-curve trace expansions = expansion of
     # the average traces (linearity); computed from exact family totals

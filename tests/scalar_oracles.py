@@ -7,12 +7,17 @@ digit-vector products over F_p, with no matrices.  They are slow and
 independent of _tables and of the exp/log construction, which is what
 makes them oracles.
 
-The member-row scans at the end are the exception: they read the same chi
-rows as the fast paths, but sum them member by member over the rows of
-outer_and_family (and, for N_{k1,k2}, over triples tested by disjoint
-prime-factor bitmasks), so they check the pair weights that replace them.
-outer_and_family lists every member at once from the coprimality masks,
-independent of the unranking in biquad.
+The point engine evaluates polynomials at every point of F_{q^n}, built
+as an ffpoly.ExtensionField, in one batched Horner pass: the character
+sums over F_{q^n} as they were before the orbit columns of the monic
+primes of degree dividing n replaced them.
+
+The member-row scans at the end are the exception: they read chi rows of
+the residue tables and of the point engine, but sum them member by member
+over the rows of outer_and_family (and, for N_{k1,k2}, over triples tested
+by disjoint prime-factor bitmasks), so they check the pair weights that
+replace them.  outer_and_family lists every member at once from the
+coprimality masks, independent of the unranking in biquad.
 """
 
 import functools
@@ -21,7 +26,19 @@ from types import SimpleNamespace
 import numpy as np
 
 from ffstat import biquad, ffpoly, lfunc, moments
+from ffstat._tables import CharPlan, poly_tables
+from ffstat.errors import InvariantError
 from ffstat.ffpoly import Poly
+
+
+class _Infinity:
+    """Point at infinity on P^1; a unique sentinel, not a number."""
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,7 +79,7 @@ def xpow_rows(T, qkey, n):
 
 def chi_rows(polys, primes):
     """int8 rows chi_P(f) over polys, one per P in primes, by reciprocity
-    (the rows of moments._chi_rows)."""
+    (the rows of table_chi_rows)."""
     return [np.array([ffpoly.jacobi_symbol(f, P) for f in polys], dtype=np.int8)
             for P in primes]
 
@@ -75,12 +92,243 @@ def chi_plain_rows(P, max_deg):
                  for d in range(1, max_deg + 1))
 
 
+def coef_rows(T, polys):
+    """Digit rows of arbitrary polynomials for the PolyTables T, zero-padded
+    to the widest, in the float type T.float_type gives that width."""
+    width = max(len(f.coeffs) for f in polys)
+    codes = np.zeros((len(polys), width), dtype=np.int64)
+    for i, f in enumerate(polys):
+        codes[i, : len(f.coeffs)] = f.coeffs
+    return T._element_rows(codes, len(polys)).astype(T.float_type(width))
+
+
+def table_chi_rows(polys, primes):
+    """int8 matrix [P, f] = chi_P(f) over polys, one row per P in primes,
+    read off the residue tables in one stacked call."""
+    T = poly_tables(polys[0].field, max(int(P.degree) for P in primes))
+    return T.legendre_array(coef_rows(T, polys), [(int(P.degree), P.monic_code()) for P in primes])
+
+
+def double_char_sum(field, d, n):
+    """(n / q^(d + n/2)) * sum_{deg D = d, sq-free} sum_{deg P = n} chi_D(P),
+    and the integer double sum, from one char_sums pass."""
+    q = field.q
+    T = poly_tables(field, max(d, n))
+    facs = (T.factor(d, code) for code in range(q ** d))
+    total = int(T.char_sums(T.prime_coefmat(n), CharPlan([fac for fac in facs if fac is not None])).sum())
+    return n * total / q ** (d + n / 2), total
+
+
+def nkk_sum(field, P, d, k1, k2):
+    """N_{k1,k2}(d;P): one parity class of moments.nkk_sums_all."""
+    return moments.nkk_sums_all(field, P, d)[(k1, k2)]
+
+
 def double_char_total(field, d, n):
     """sum over square-free monic D of degree d and monic primes P of
-    degree n of (P/D): the integer behind moments.double_char_sum."""
+    degree n of (P/D): the integer behind double_char_sum."""
     return sum(ffpoly.jacobi_symbol(Pr, D)
                for D in ffpoly.enumerate_polys(field, d, "squarefree-monic")
                for Pr in prime_list(field, n))
+
+
+def mobius_squarefree(f):
+    """(mu(f), is_squarefree(f)) with mu = (-1)^r on a unit times r distinct
+    primes and 0 otherwise; constants are units with mu = 1."""
+    if f.is_zero():
+        raise ValueError("mu of the zero polynomial is undefined")
+    if f.is_constant():
+        return 1, True
+    if not ffpoly.is_squarefree(f):
+        return 0, False
+    return (-1) ** len(ffpoly.factorize(f)), True
+
+
+def _poly_powmod(base, n, modulus):
+    r = Poly.one(base.field)
+    base = base % modulus
+    while n:
+        if n & 1:
+            r = (r * base) % modulus
+        base = (base * base) % modulus
+        n >>= 1
+    return r
+
+
+def legendre_symbol(f, p, method="euler"):
+    """(f/p) for p monic irreducible: 0 if p | f, else +-1 by squareness
+    of f mod p.
+
+    method="euler" runs the Euler criterion f^((q^deg p - 1)/2) mod p;
+    method="reciprocity" runs the Jacobi-symbol reduction, which must
+    agree (both are exercised by the test suite).
+    """
+    if p.is_constant() or not p.is_monic() or not ffpoly.is_irreducible(p):
+        raise ValueError("second argument must be monic irreducible")
+    if method == "euler":
+        r = f % p
+        if r.is_zero():
+            return 0
+        acc = _poly_powmod(r, (f.field.q ** p.degree - 1) // 2, p)
+        if acc == Poly.one(f.field):
+            return 1
+        if acc == Poly.constant(f.field, f.field.neg(1)):
+            return -1
+        raise InvariantError("Euler criterion did not land on +-1")
+    if method == "reciprocity":
+        return ffpoly.jacobi_symbol(f, p)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def eval_poly(ext, f, x):
+    """f over the base field of the ExtensionField ext evaluated at the code
+    x; adding a base-field coefficient changes only the lowest base-q digit."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = ext.mul(acc, x)
+        acc += ext.base.add(acc % ext.q, c) - acc % ext.q
+    return acc
+
+
+def quad_char_eval(f, x, ext=None):
+    """chi_2(f(x)) for x in P^1(F_{q^n}).
+
+    x is either INFINITY or an element code of `ext` (an ExtensionField
+    over f's field; defaults to the degree-1 extension, i.e. the base
+    field itself).  chi_2 is the unique quadratic character of the
+    evaluation field; at infinity the convention is chi_2(leading
+    coefficient) for even-degree f and 0 for odd degree.
+    """
+    if f.is_zero():
+        raise ValueError("character of the zero polynomial is undefined")
+    if ext is None:
+        ext = extension_field(f.field, 1)
+    if x is INFINITY:
+        if f.degree % 2 == 1:
+            return 0
+        return ext.chi2(ext.embed_base(f.leading))
+    return ext.chi2(eval_poly(ext, f, x))
+
+
+# -- the point engine: every point of F_{q^n} in one batched Horner pass ------------
+
+
+@functools.lru_cache(maxsize=None)
+def extension_field(base, n):
+    """Cached F_{q^n} with the canonical (least) modulus."""
+    return ffpoly.ExtensionField(base, n)
+
+
+def add_array(F, a, c):
+    """a + c in the FiniteField F for every code in the int array a and one
+    element c: a gather from F's q x q addition table, as int64 (plain
+    addition mod p when e == 1)."""
+    if F.e == 1:
+        return (a + c) % F.p
+    return F._add_table[a, c].astype(np.int64)
+
+
+def horner(ext, coefs):
+    """Codes of f(x) for every code x of ext, one row per row of coefs: the
+    base-field coefficient codes of f, highest degree first.  acc * x is
+    a gather from the exp table at log acc + log x, with log 0 pointing
+    past the doubled exp table onto a trailing 0 (np.take clips there),
+    and adding a base-field coefficient changes only the lowest base-q
+    digit of acc."""
+    q, order = ext.q, ext.order
+    expz = np.append(ext._exp, 0)
+    logz = ext._log.copy()
+    logz[0] = 2 * (order - 1)
+    acc = np.repeat(coefs[:, :1], order, axis=1)
+    for c in coefs[:, 1:].T:
+        logs = logz[acc]
+        logs += logz  # log x, as the columns run over every code x
+        np.take(expz, logs, out=acc, mode="clip")
+        low = acc % q
+        acc += add_array(ext.base, low, c[:, None])
+        acc -= low
+    return acc
+
+
+def eval_blocks(ext, polys):
+    """Yield (start, values) for consecutive blocks of polys, values[i]
+    the codes of polys[start + i] at every x of ext.  Blocks hold about
+    ffpoly.BLOCK_BYTES of int64 values; polynomials shorter than the
+    longest of their block are left-padded with zero coefficients."""
+    step = max(1, ffpoly.BLOCK_BYTES // (8 * ext.order))
+    for lo in range(0, len(polys), step):
+        block = polys[lo:lo + step]
+        width = max(1, max(len(f.coeffs) for f in block))
+        coefs = np.zeros((len(block), width), dtype=np.int64)
+        for i, f in enumerate(block):
+            coefs[i, width - len(f.coeffs):] = f.coeffs[::-1]
+        yield lo, horner(ext, coefs)
+
+
+def point_chi_rows(ext, polys):
+    """int8 matrix of chi_2(f(x)), one row per polynomial, indexed by x."""
+    chi = np.empty((len(polys), ext.order), dtype=np.int8)
+    for lo, values in eval_blocks(ext, polys):
+        np.take(ext._chi2, values, out=chi[lo:lo + len(values)], mode="clip")
+    return chi
+
+
+def zero_counts(ext, polys):
+    """Number of x in ext with f(x) = 0, for each polynomial f."""
+    counts = np.empty(len(polys), dtype=np.int64)
+    for lo, values in eval_blocks(ext, polys):
+        counts[lo:lo + len(values)] = np.count_nonzero(values == 0, axis=1)
+    return counts
+
+
+def subfield_mask(ext, m):
+    """Boolean array marking the image of F_{q^m} in ext (requires m | n)."""
+    if ext.n % m != 0:
+        raise ValueError("not a subfield degree")
+    step = (ext.order - 1) // (ext.q ** m - 1)
+    mask = np.zeros(ext.order, dtype=bool)
+    mask[0] = True
+    mask[1:] = ext._log[1:] % step == 0
+    return mask
+
+
+def generating_mask(ext):
+    """Boolean array marking the x of ext in no proper subfield."""
+    mask = np.ones(ext.order, dtype=bool)
+    for d in range(1, ext.n):
+        if ext.n % d == 0:
+            mask &= ~subfield_mask(ext, d)
+    return mask
+
+
+def chi_blocks(chi, rows):
+    """Yield (lo, v1, v2, v3): the int8 chi rows of f1, f2, f3 gathered
+    for the members rows[lo:lo + step], in blocks of about
+    ffpoly.BLOCK_BYTES per operand."""
+    step = max(1, ffpoly.BLOCK_BYTES // chi.shape[1])
+    for lo in range(0, len(rows), step):
+        yield (lo, *(chi[r] for r in rows[lo:lo + step].T))
+
+
+def point_traces(field, n, polys, rows, twists):
+    """biquad.member_traces over every point of F_{q^n}: the chi rows of the
+    polynomials in use (monic Polys, indexed by rows), summed member by
+    member, and a twist c entering as chi_{q^n}(c) on all of P^1."""
+    ext = extension_field(field, n)
+    used, local = np.unique(rows, return_inverse=True)
+    rows = local.reshape(np.shape(rows))
+    chi = point_chi_rows(ext, [polys[i] for i in used])
+    deg = np.array([int(polys[i].degree) for i in used], dtype=np.int64)
+    d1, d2, d3 = (deg[rows[:, k]] for k in range(3))
+    s13, s23, s12 = ((da + db + 1) % 2 for da, db in ((d1, d3), (d2, d3), (d1, d2)))
+    for lo, v1, v2, v3 in chi_blocks(chi, rows):
+        hi = lo + len(v1)
+        s13[lo:hi] += (v1 * v3).sum(axis=1, dtype=np.int64)
+        s23[lo:hi] += (v2 * v3).sum(axis=1, dtype=np.int64)
+        s12[lo:hi] += (v1 * v2).sum(axis=1, dtype=np.int64)
+    chi_c = np.array([ext.chi2(ext.embed_base(c)) for c in range(field.q)], dtype=np.int64)
+    x1, x2 = chi_c[twists[:, 0]], chi_c[twists[:, 1]]
+    return -(x1 * s13 + x2 * s23 + x1 * x2 * s12)
 
 
 def trial_factors(f):
@@ -142,20 +390,20 @@ class PointwiseChi:
     The per-polynomial path that biquad.member_traces replaces."""
 
     def __init__(self, field, n):
-        self.ext = ffpoly.extension_field(field, n)
+        self.ext = extension_field(field, n)
         self._vec = {}
 
     def chi(self, f):
         got = self._vec.get(f)
         if got is None:
             ext = self.ext
-            got = np.array([ext.chi2(ext.eval_poly(f, x)) for x in ext.elements()],
+            got = np.array([ext.chi2(eval_poly(ext, f, x)) for x in ext.elements()],
                            dtype=np.int8)
             self._vec[f] = got
         return got
 
     def chi_inf_product(self, fa, fb):
-        return ffpoly.quad_char_eval(fa * fb, ffpoly.INFINITY, self.ext)
+        return quad_char_eval(fa * fb, INFINITY, self.ext)
 
     def pair_sum(self, fa, fb):
         """sum over P^1(F_{q^n}) of chi_2((fa fb)(x)), exact int."""
@@ -330,7 +578,8 @@ def outer_and_family(field, g):
     polys, start, blocks = [], {}, [np.zeros((0, 3), dtype=np.int64)]
     for d in biquad.family_degrees(g):
         start[d] = len(polys)
-        polys.extend(biquad.squarefree_factors(field, d).polys)
+        polys.extend(Poly.monic_from_code(field, d, c)
+                     for c in biquad.squarefree_factors(field, d).codes.tolist())
     for d1, d2, d3 in biquad.admissible_patterns(g)[0]:
         members = (biquad.coprime_mask(field, d1, d2)[:, :, None]
                    & biquad.coprime_mask(field, d1, d3)[:, None, :]
@@ -346,22 +595,18 @@ def _member_sum(fam, chi):
 
 def row_scan_totals(field, g, n):
     """moments._family_totals by gathering the three int8 chi rows of every
-    member, block by block."""
+    member over the points of F_{q^n}, block by block."""
     fam = outer_and_family(field, g)
-    ext = ffpoly.extension_field(field, n)
-    chi = ext.chi_rows(fam.polys)
+    ext = extension_field(field, n)
+    chi = point_chi_rows(ext, fam.polys)
     deg = np.array([f.degree for f in fam.polys], dtype=np.int64)
     d1, d2, d3 = (deg[fam.rows[:, k]] for k in range(3))
     inf12 = int(np.count_nonzero((d1 + d2) % 2 == 0))
     inf_rest = int(np.count_nonzero((d1 + d3) % 2 == 0) + np.count_nonzero((d2 + d3) % 2 == 0))
     even = n % 2 == 0
-    if even:
-        gen_mask = np.ones(ext.order, dtype=bool)
-        for d in range(1, n):
-            if n % d == 0:
-                gen_mask &= ~ext.subfield_mask(d)
+    gen_mask = generating_mask(ext)
     fin_rest = fin12 = gen_tot = 0
-    for _, v1, v2, v3 in biquad.chi_blocks(chi, fam.rows):
+    for _, v1, v2, v3 in chi_blocks(chi, fam.rows):
         fin_rest += int(((v1 + v2) * v3).sum(dtype=np.int64))
         v12 = v1 * v2
         fin12 += int(v12.sum(dtype=np.int64))
@@ -371,8 +616,8 @@ def row_scan_totals(field, g, n):
     s_all = fin_rest + inf_rest + s12_tot
     if not even:
         return s_all, s12_tot, 0, 0, 0
-    half = ffpoly.extension_field(field, n // 2)
-    zeros = half.zero_counts(fam.polys)
+    half = extension_field(field, n // 2)
+    zeros = zero_counts(half, fam.polys)
     zeros_half = int(zeros[fam.rows[:, 0]].sum() + zeros[fam.rows[:, 1]].sum())
     size = len(fam.rows)
     roots_tot = zeros_half + int(((d1 + d2) % 2).sum()) - size
@@ -384,23 +629,23 @@ def row_scan_prime_form(field, g, n):
     """moments._bilinear_prime_form as one member sum per degree-n prime."""
     fam = outer_and_family(field, g)
     return sum(_member_sum(fam, row)
-               for row in moments._chi_rows(fam.polys, ffpoly.primes(field, n)))
+               for row in table_chi_rows(fam.polys, ffpoly.primes(field, n)))
 
 
 def row_scan_fixed_prime_sum(field, g, P):
     """moments.fixed_prime_family_sum as one member sum."""
     fam = outer_and_family(field, g)
-    return _member_sum(fam, moments._chi_rows(fam.polys, (P,))[0])
+    return _member_sum(fam, table_chi_rows(fam.polys, (P,))[0])
 
 
 def _factor_masks(field, d):
     """One int per square-free monic of degree d, with bit c set for each
     prime column c dividing it."""
     sf = biquad.squarefree_factors(field, d)
-    masks = [0] * len(sf.polys)
+    masks = [0] * len(sf.codes)
     for i, c in zip(sf.poly.tolist(), sf.prime_col.tolist()):
         masks[i] |= 1 << c
-    return sf.polys, masks
+    return [Poly.monic_from_code(field, d, c) for c in sf.codes.tolist()], masks
 
 
 def mask_loop_nkk_sums_all(field, P, d, chi_of=None):
@@ -409,7 +654,7 @@ def mask_loop_nkk_sums_all(field, P, d, chi_of=None):
     sf = [_factor_masks(field, e) for e in range(d, -1, -1)][::-1]
     masks = [m for _, m in sf]
     if chi_of is None:
-        chis = [moments._chi_rows(polys, (P,))[0].tolist() for polys, _ in sf]
+        chis = [table_chi_rows(polys, (P,))[0].tolist() for polys, _ in sf]
     else:
         chis = [[chi_of(f) for f in polys] for polys, _ in sf]
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}

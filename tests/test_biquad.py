@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
-from ffstat import biquad, ffpoly
+import scalar_oracles as oracle
+from ffstat import _tables, biquad, ffpoly
 from ffstat.errors import InvariantError
-from ffstat.ffpoly import GF, INFINITY, Poly, extension_field, quad_char_eval
+from ffstat.ffpoly import GF, Poly
+from scalar_oracles import INFINITY, extension_field, quad_char_eval
 
 F3 = GF(3)
 F5 = GF(5)
@@ -144,15 +146,24 @@ def test_worked_curve_counts_against_pointwise_oracle():
 
 
 def test_curve_counts_refuse_the_top_field_before_building_any(monkeypatch):
+    # the counts to n read the sieve table of degree n, asked for first: a
+    # cap that refuses degree 4 refuses n_max = 4 before any table is built,
+    # and n_max = 3 builds the one table of degree 3
     built = []
-    fresh = functools.lru_cache(maxsize=None)(ffpoly.ExtensionField)
-    monkeypatch.setattr(ffpoly, "extension_field", lambda base, n: built.append(n) or fresh(base, n))
-    monkeypatch.setattr(ffpoly, "EXTENSION_BYTES_CAP", 32 * 3 * 27)  # F_27 builds, F_81 not
-    with pytest.raises(ValueError, match="n=4 .* over the cap"):
+
+    class Counted(_tables.PolyTables):
+        def __init__(self, field, max_deg):
+            built.append(max_deg)
+            super().__init__(field, max_deg)
+
+    monkeypatch.setattr(_tables, "PolyTables", Counted)
+    monkeypatch.setattr(_tables, "_largest", {})
+    monkeypatch.setattr(_tables, "SIEVE_BYTES_CAP", 8 * (3 + 9 + 27))  # degree 3 builds, 4 not
+    with pytest.raises(ValueError, match="max_deg=4 .* over the cap"):
         biquad.curve_counts(WORKED(), 4)
     assert built == [4]
     assert biquad.curve_counts(WORKED(), 3).N[:2] == (4, 16)
-    assert built == [4, 3, 2, 1]
+    assert built == [4, 3]
 
 
 def test_genus0_traces_vanish():
@@ -228,7 +239,7 @@ def test_odd_n_constant_twist_cancellation():
     for _ in range(30):
         f = Poly.from_coeffs(F3, [rng.randrange(3) for _ in range(4)] + [1])
         x = rng.randrange(ext.order)
-        val = ext.eval_poly(f, x)
+        val = oracle.eval_poly(ext, f, x)
         if val == 0:
             continue
         assert sum(ext.chi2(ext.mul(ext.embed_base(c), val)) for c in F3.units()) == 0

@@ -254,26 +254,30 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
-    # extension fields over the size cap: F_{3^12} is the first refused
+    # the residue tables of the decomposition's prime form over their cap
+    # (347 MB at n = 10)
     (["moments", "--genus", "1", "--n-max", "12"], "--n-max"),
-    (["curve", *_CURVE, "--n-max", "12"], "--n-max"),
-    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "12"], "--n-max"),
-    # genus 11: the zeta numerator needs T_1..T_12 whatever --n-max asks
-    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "1"],
+    # sieve tables over the size cap: degree 14 is the first refused at q = 3
+    (["curve", *_CURVE, "--n-max", "14"], "--n-max"),
+    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "14"], "--n-max"),
+    # genus 13: the zeta numerator needs T_1..T_14 whatever --n-max asks
+    (["curve", "--f1", "X^14+X+2", "--f2", "X", "--f3", "1", "--n-max", "1"],
      "--f1, --f2, --f3"),
-    (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "11"],
+    (["curve", "--f1", "X^14+X+2", "--f2", "X", "--f3", "1", "--n-max", "13"],
      "--f1, --f2, --f3"),
     # the listing and sample mode unrank members from the pair weights,
     # whose square-free factor tables are refused at genus 10 before any
     # member is printed (genus 9 runs: see the tests below)
     (["family", "--genus", "10"], "--genus"),
-    # the density cross-check needs F_{3^17} at genus 9, refused
+    # the density's totals need T_1..T_17 at genus 9, whose orbit columns
+    # would read the residue tables of every prime of degree <= 10, refused
     (["density", "--genus", "9", "--alpha", "1"], "--genus"),
     (["moments", "--genus", "10", "--n-max", "1", "--mode", "sample",
       "--sample-size", "5"], "--genus"),
     # a pair-weight block over its cap (58 806 x 58 806 square-free quadratics)
     (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
-    # chi matrices of the exhaustive totals over their cap (5.8 GB at n = 11)
+    # the prime form's residue tables over their cap at n = 10, checked
+    # before any n is run
     (["moments", "--genus", "7", "--n-max", "11"], "--n-max"),
     # the L-polynomial's sieve tables over their cap (164 MiB at deg D = 15)
     (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
@@ -463,15 +467,63 @@ def test_no_prime_power_forks_outside_ffpoly():
     assert found == []
 
 
+def _count_poly_tables(monkeypatch):
+    """The max_deg of every PolyTables built from here on, with no table
+    cached beforehand."""
+    built = []
+
+    class Counted(_tables.PolyTables):
+        def __init__(self, field, max_deg):
+            built.append(max_deg)
+            super().__init__(field, max_deg)
+
+    monkeypatch.setattr(_tables, "PolyTables", Counted)
+    monkeypatch.setattr(_tables, "_largest", {})
+    return built
+
+
 def test_density_names_the_genus_for_a_refused_field(capsys, monkeypatch):
-    # genus 2 at alpha 1 sums T_1..T_3; a cap below F_{3^3} refuses the
-    # last, whose degree the genus sets
-    monkeypatch.setattr(ffpoly, "EXTENSION_BYTES_CAP", 32 * 3 * 27 - 1)
-    monkeypatch.setattr(ffpoly, "extension_field",
-                        functools.lru_cache(maxsize=None)(ffpoly.ExtensionField))
-    code, out, err = run_cli(capsys, "density", "--q", "3", "--genus", "2", "--alpha", "1")
+    # genus 3 at alpha 1 sums T_1..T_5 over members of degree <= 4; a
+    # sieve cap below degree 5 refuses the top table, whose degree the
+    # genus sets, before the family's degree-4 table is built
+    built = _count_poly_tables(monkeypatch)
+    monkeypatch.setattr(_tables, "SIEVE_BYTES_CAP", 8 * (3 + 9 + 27 + 81 + 243) - 1)
+    code, out, err = run_cli(capsys, "density", "--q", "3", "--genus", "3", "--alpha", "1")
     assert (code, out) == (1, "")
-    assert err.startswith("config error: --genus: ExtensionField: q=3 with n=3 ")
+    assert err.startswith("config error: --genus: PolyTables: q=3 with max_deg=5 ")
+    assert built == [5]
+
+
+@pytest.mark.parametrize("command,top", [
+    ("moments --q 3 --genus 2 --n-max 5", 5),
+    ("moments --q 3 --genus 4 --n-max 2 --variant monic", 5),
+    ("moments --q 5 --genus 1 --n-max 3 --mode sample --sample-size 7", 3),
+    ("density --q 3 --genus 3 --alpha 1", 5),
+    ("curve --q 3 --f1 X^2+1 --f2 X^2+X+2 --f3 1 --n-max 6", 6),
+    ("curve --q 9 --f1 4 --f2 4X^2+3X --f3 X^2+X+4 --n-max 4", 4),
+])
+def test_family_and_curve_commands_sieve_once(capsys, monkeypatch, command, top):
+    # one PolyTables reaching the command's top degree (its largest n, or
+    # the family's or curve's top degree), asked for before any lower one
+    built = _count_poly_tables(monkeypatch)
+    code, _, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert built == [top]
+
+
+def test_family_and_curve_paths_read_no_extension_field():
+    # the family sums, member traces and curve counts run on the orbit
+    # columns of the residue tables; no point of F_{q^n} is evaluated
+    banned = {"ExtensionField", "extension_field", "chi_rows", "eval_blocks", "zero_counts",
+              "subfield_mask", "_horner", "eval_poly", "chi_blocks"}
+    found = []
+    for module in (moments, biquad, cli):
+        path = pathlib.Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_per_polynomial_evaluation_outside_ffpoly():
@@ -621,15 +673,7 @@ def test_eulersum_runs_no_big_gcd(capsys, monkeypatch):
 def test_eulersum_sieves_once(capsys, monkeypatch):
     # one PolyTables reaching max(n, M), not a degree-n table for the
     # primes P followed by a degree-M one for their chi rows
-    built = []
-
-    class Counted(_tables.PolyTables):
-        def __init__(self, field, max_deg):
-            built.append(max_deg)
-            super().__init__(field, max_deg)
-
-    monkeypatch.setattr(_tables, "PolyTables", Counted)
-    monkeypatch.setattr(_tables, "_largest", {})
+    built = _count_poly_tables(monkeypatch)
     eulerprod.chi_plain_rows.cache_clear()
     ffpoly.primes.cache_clear()
     code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())

@@ -18,6 +18,7 @@ import inspect
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -55,10 +56,7 @@ def scalar_family_totals(field, g, n):
     even = n % 2 == 0
     if even:
         half = oracle.pointwise_chi(field, n // 2)
-        gen_mask = np.ones(cache.ext.order, dtype=bool)
-        for d in range(1, n):
-            if n % d == 0:
-                gen_mask &= ~cache.ext.subfield_mask(d)
+        gen_mask = oracle.generating_mask(cache.ext)
     s_all = s12_tot = roots_tot = bil_tot = gen_tot = 0
     for t in scalar_monic_triples(field, g):
         s13 = cache.pair_sum(t.f1, t.f3)
@@ -222,16 +220,43 @@ def test_largest_pair_block_is_the_largest_weight_block(q, g):
     entries, (da, db) = biquad.largest_pair_block(field, g)
     sizes = [W.size for blocks in biquad.pair_weights(field, g).values() for W in blocks]
     assert entries == max(sizes)
-    assert entries == len(biquad.family_polys(field, g)[da]) * len(biquad.family_polys(field, g)[db])
+    count = lambda d: len(biquad.squarefree_factors(field, d).codes)
+    assert entries == count(da) * count(db)
+
+
+def _peak_bytes(fn, *args):
+    """The tracemalloc peak of fn(*args), which must raise."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(Exception) as raised:
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return raised.value, peak
 
 
 def test_family_totals_refuse_before_building_chi_matrices():
-    assert moments.family_totals_bytes(GF(3), 7, 11) > moments.TOTALS_BYTES_CAP
-    with pytest.raises(ValueError, match="over the cap"):
-        moments._family_totals(GF(3), 7, 11)
-    # the largest runs of the baseline table stay under it
-    for q, g, n in ((5, 5, 4), (3, 8, 6)):
+    # at n = 11 > 10, the top degree of genus 9, the orbit columns would go
+    # by reciprocity off the residue tables of every prime of degree <= 10
+    # (347 MB): refused before anything is built
+    assert moments.family_totals_bytes(GF(3), 9, 11) > moments.TOTALS_BYTES_CAP
+    exc, peak = _peak_bytes(moments._family_totals, GF(3), 9, 11)
+    assert isinstance(exc, ValueError) and "over the cap" in str(exc)
+    assert peak < 1 << 16
+    # the largest runs of the baseline table stay under it, and so do n = 11
+    # at genus 7 and n = 12 at genus 6, refused by the point engine's cap
+    for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12)):
         assert moments.family_totals_bytes(GF(q), g, n) <= moments.TOTALS_BYTES_CAP
+
+
+def test_family_totals_refuse_q_to_the_n_beyond_exact_float32():
+    # a weighted Gram entry reaches q^n, and float32 is exact below 2^24:
+    # 3^16 is refused before the sieve or any other table is built
+    exc, peak = _peak_bytes(moments._family_totals, GF(3), 0, 16)
+    assert isinstance(exc, InvariantError) and "beyond exact float32" in str(exc)
+    assert peak < 1 << 16
+    assert moments._family_totals(GF(3), 0, 2) == oracle.row_scan_totals(GF(3), 0, 2)
 
 
 @pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])
@@ -253,6 +278,44 @@ def test_member_traces_match_curve_counts(monkeypatch, q, g, variant):
         assert got == [biquad.curve_counts(m, n).T[n - 1] for m in members], n
         pointwise = oracle.pointwise_chi(field, n)
         assert got == [pointwise.triple_T(m.f1, m.f2, m.f3) for m in members], n
+
+
+#: q -> (largest genus, largest n) of the orbit property: both classes of
+#: q mod 4 (the reciprocity sign turns only for q = 3 mod 4), prime powers,
+#: and n past the family's top degree g + 1, where the columns go by
+#: reciprocity; the point oracle stays below some 10^8 member-points
+ORBIT_GRID = {3: (2, 9), 5: (1, 5), 7: (1, 4), 9: (1, 4), 25: (0, 3), 27: (0, 3)}
+
+
+@st.composite
+def orbit_cells(draw):
+    q = draw(st.sampled_from(sorted(ORBIT_GRID)))
+    g_max, n_max = ORBIT_GRID[q]
+    return q, draw(st.integers(0, g_max)), draw(st.integers(1, n_max)), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=orbit_cells())
+@example(cell=(3, 2, 9, 0)).via("reciprocity, q = 3 mod 4")
+@example(cell=(27, 0, 3, 1)).via("reciprocity over a prime power, q = 3 mod 4")
+@example(cell=(25, 0, 3, 2)).via("reciprocity over a prime power, q = 1 mod 4")
+@example(cell=(9, 1, 4, 3)).via("direct and reciprocal degrees at q = 9")
+def test_orbit_columns_match_the_point_oracle(cell):
+    # the family totals, twisted members' traces and one curve's counts
+    # from the monic primes of degree dividing n, against every point of
+    # F_{q^n} (scalar_oracles' point engine)
+    q, g, n, seed = cell
+    field = ffpoly.field_of_order(q)
+    assert moments._family_totals(field, g, n) == oracle.row_scan_totals(field, g, n)
+    size = biquad.family_size(field, g, biquad.FULL)
+    idx = np.sort(np.random.default_rng(seed).choice(size, size=min(size, 12), replace=False))
+    polys, rows, twists = biquad.member_rows(field, g, biquad.FULL, idx)
+    assert (twists != 1).any()
+    want = oracle.point_traces(field, n, polys, rows, twists).tolist()
+    assert biquad.member_traces(field, n, polys, rows, twists).tolist() == want
+    member = biquad.family_member(field, g, biquad.FULL, int(idx[-1]))
+    assert biquad.curve_counts(member, n).T == tuple(
+        int(oracle.point_traces(field, k, polys, rows[-1:], twists[-1:])[0]) for k in range(1, n + 1))
 
 
 # -- fixed-prime layer -------------------------------------------------------------

@@ -24,10 +24,12 @@ def test_primes_match_the_scalar_sieve(field, max_deg):
 
 @pytest.mark.parametrize("field", [F3, F9])
 def test_chi_rows_match_reciprocity(field):
-    polys = [f for p in biquad.family_polys(field, 0).values() for f in p]
+    # the fixed-prime chi rows over the square-free monics of each degree
     primes = ffpoly.primes(field, 1)[:4] + ffpoly.primes(field, 2)[::7]
-    got = list(moments._chi_rows(polys, primes))
-    assert [r.tolist() for r in got] == [r.tolist() for r in oracle.chi_rows(polys, primes)]
+    for e in (0, 1, 2):
+        polys = [Poly.monic_from_code(field, e, c) for c in biquad.squarefree_factors(field, e).codes.tolist()]
+        got = [moments._squarefree_chi(field, P, e) for P in primes]
+        assert [r.tolist() for r in got] == [r.tolist() for r in oracle.chi_rows(polys, primes)]
 
 
 def test_chi_plain_rows_match_reciprocity():
@@ -38,7 +40,7 @@ def test_chi_plain_rows_match_reciprocity():
 
 @pytest.mark.parametrize("d,n", [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
 def test_double_char_sum_matches_the_scalar_loop(d, n):
-    _, total = moments.double_char_sum(F9, d, n)
+    _, total = oracle.double_char_sum(F9, d, n)
     assert total == oracle.double_char_total(F9, d, n)
 
 
@@ -46,10 +48,10 @@ def test_double_char_sum_matches_the_scalar_loop(d, n):
 def test_squarefree_factors_match_trial_division(field, d):
     sf = biquad.squarefree_factors(field, d)
     want_polys, want_factors = oracle.squarefree_factors(field, d)
-    assert sf.polys == want_polys
+    assert sf.codes.tolist() == [f.monic_code() for f in want_polys]
     # prime columns run by degree, then code
     key_of = [(e, P.monic_code()) for e in range(1, d + 1) for P in oracle.prime_list(field, e)]
-    got = [set() for _ in sf.polys]
+    got = [set() for _ in sf.codes]
     for i, e, c in zip(sf.poly.tolist(), sf.prime_deg.tolist(), sf.prime_col.tolist()):
         assert key_of[c][0] == e
         got[i].add(key_of[c])
@@ -107,32 +109,32 @@ def _batch_polys(field, order):
 @pytest.mark.parametrize("q,n", [(q, n) for q in (3, 5, 9, 25, 27) for n in (1, 2, 3)])
 def test_batched_horner_matches_scalar_eval(monkeypatch, q, n):
     field = ffpoly.field_of_order(q)
-    ext = ffpoly.extension_field(field, n)
+    ext = oracle.extension_field(field, n)
     polys = _batch_polys(field, ext.order)
     degrees = {int(f.degree) for f in polys}
     assert {0, 3} <= degrees and len(degrees) >= 3
     assert any(not f.is_monic() for f in polys)
-    values = [[ext.eval_poly(f, x) for x in ext.elements()] for f in polys]
+    values = [[oracle.eval_poly(ext, f, x) for x in ext.elements()] for f in polys]
     chi = [[ext.chi2(v) for v in row] for row in values]
     zeros = [row.count(0) for row in values]
     # two polynomials per block, so several blocks run and the last is short
     monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 2 * 8 * ext.order)
-    blocks = list(ext.eval_blocks(polys))
+    blocks = list(oracle.eval_blocks(ext, polys))
     assert [lo for lo, _ in blocks] == list(range(0, len(polys), 2))
     assert np.concatenate([vals for _, vals in blocks]).tolist() == values
-    assert ext.chi_rows(polys).tolist() == chi
-    assert ext.zero_counts(polys).tolist() == zeros
+    assert oracle.point_chi_rows(ext, polys).tolist() == chi
+    assert oracle.zero_counts(ext, polys).tolist() == zeros
     # one-row calls: a block with no padding
     for f, want_values, want_chi, want_zeros in zip(polys, values, chi, zeros):
-        assert [vals.tolist() for _, vals in ext.eval_blocks([f])] == [[want_values]]
-        assert ext.chi_rows([f]).tolist() == [want_chi]
-        assert ext.zero_counts([f]).tolist() == [want_zeros]
+        assert [vals.tolist() for _, vals in oracle.eval_blocks(ext, [f])] == [[want_values]]
+        assert oracle.point_chi_rows(ext, [f]).tolist() == [want_chi]
+        assert oracle.zero_counts(ext, [f]).tolist() == [want_zeros]
 
 
 def test_family_totals_do_not_depend_on_the_block_size(monkeypatch):
     want = [moments._family_totals(F9, 1, n) for n in (1, 2)]
     moments._family_totals.cache_clear()
-    monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 3 * 8 * 81)  # 3 Horner rows at n = 2
+    monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 1)  # one orbit column, one kernel row a block
     try:
         assert [moments._family_totals(F9, 1, n) for n in (1, 2)] == want
     finally:
@@ -142,10 +144,10 @@ def test_family_totals_do_not_depend_on_the_block_size(monkeypatch):
 def test_eval_blocks_over_a_prime_power_base():
     polys = [Poly.from_coeffs(F9, (5, 0, 7, 1)), Poly.from_coeffs(F9, (8, 3, 1))]
     for n in (1, 2):
-        ext = ffpoly.extension_field(F9, n)
-        (_, values), = ext.eval_blocks(polys)
-        assert values.tolist() == [[ext.eval_poly(f, x) for x in ext.elements()] for f in polys]
-    assert np.array_equal(F9.add_array(np.arange(9), 5), [F9.add(a, 5) for a in range(9)])
+        ext = oracle.extension_field(F9, n)
+        (_, values), = oracle.eval_blocks(ext, polys)
+        assert values.tolist() == [[oracle.eval_poly(ext, f, x) for x in ext.elements()] for f in polys]
+    assert np.array_equal(oracle.add_array(F9, np.arange(9), 5), [F9.add(a, 5) for a in range(9)])
 
 
 # -- field construction ------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_add_array_gathers_int64_from_an_int16_table(p, e):
         lo, hi = np.arange(q) % p, np.arange(q) // p
         want = (lo[:, None] + lo) % p + p * ((hi[:, None] + hi) % p)
     for c in range(0, q, max(1, q // 50)):
-        got = F.add_array(np.arange(q), c)
+        got = oracle.add_array(F, np.arange(q), c)
         assert got.dtype == np.int64
         assert np.array_equal(got, want[:, c])
 
