@@ -1,13 +1,12 @@
 """Family enumeration, point counts, zeta numerators."""
 
-import functools
 import random
 import tracemalloc
 
 import pytest
 
 import scalar_oracles as oracle
-from ffstat import _tables, biquad, ffpoly
+from ffstat import _tables, biquad
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 from scalar_oracles import INFINITY, extension_field, quad_char_eval

@@ -2,7 +2,6 @@
 
 import ast
 import contextlib
-import functools
 import hashlib
 import io
 import importlib.util
@@ -269,8 +268,9 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # whose square-free factor tables are refused at genus 10 before any
     # member is printed (genus 9 runs: see the tests below)
     (["family", "--genus", "10"], "--genus"),
-    # the density's totals need T_1..T_17 at genus 9, whose orbit columns
-    # would read the residue tables of every prime of degree <= 10, refused
+    # the density's totals need T_1..T_17 at genus 9; at n = 10 their orbit
+    # columns would read the residue tables of the 5 880 primes of degree
+    # 10 (347 MB), refused before any is built
     (["density", "--genus", "9", "--alpha", "1"], "--genus"),
     (["moments", "--genus", "10", "--n-max", "1", "--mode", "sample",
       "--sample-size", "5"], "--genus"),

@@ -239,13 +239,13 @@ def _peak_bytes(fn, *args):
 def test_family_totals_refuse_before_building_chi_matrices():
     # at n = 11 > 10, the top degree of genus 9, the orbit columns would go
     # by reciprocity off the residue tables of every prime of degree <= 10
-    # (347 MB): refused before anything is built
+    # (some 400 MB): refused before anything is built
     assert moments.family_totals_bytes(GF(3), 9, 11) > moments.TOTALS_BYTES_CAP
     exc, peak = _peak_bytes(moments._family_totals, GF(3), 9, 11)
     assert isinstance(exc, ValueError) and "over the cap" in str(exc)
     assert peak < 1 << 16
     # the largest runs of the baseline table stay under it, and so do n = 11
-    # at genus 7 and n = 12 at genus 6, refused by the point engine's cap
+    # at genus 7 and n = 12 at genus 6, which the point-by-point sums refused
     for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12)):
         assert moments.family_totals_bytes(GF(q), g, n) <= moments.TOTALS_BYTES_CAP
 
