@@ -511,26 +511,15 @@ def test_family_and_curve_commands_sieve_once(capsys, monkeypatch, command, top)
     assert built == [top]
 
 
-def test_family_and_curve_paths_read_no_extension_field():
-    # the family sums, member traces and curve counts run on the orbit
-    # columns of the residue tables; no point of F_{q^n} is evaluated
-    banned = {"ExtensionField", "extension_field", "chi_rows", "eval_blocks", "zero_counts",
-              "subfield_mask", "_horner", "eval_poly", "chi_blocks"}
-    found = []
-    for module in (moments, biquad, cli):
-        path = pathlib.Path(module.__file__)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name in banned:
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
-
-
 def test_no_per_polynomial_evaluation_outside_ffpoly():
     # chi values and zero counts come from rows over a batch of
     # polynomials; a one-polynomial evaluator called from another module
-    # would bring back a per-member path
-    banned = {"eval_poly", "eval_poly_all", "chi_vector", "zero_count"}
+    # would bring back a per-member path.  The family sums, member traces
+    # and curve counts run on the orbit columns of the residue tables, so
+    # no module builds an extension field or evaluates at its points
+    banned = {"eval_poly", "eval_poly_all", "chi_vector", "zero_count", "ExtensionField",
+              "extension_field", "chi_rows", "eval_blocks", "zero_counts", "subfield_mask",
+              "_horner", "chi_blocks"}
     src = pathlib.Path(cli.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
