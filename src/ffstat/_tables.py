@@ -35,7 +35,7 @@ prime's place in the quadratic residue store there, so a code is the
 index of its symbol.  The same kernel runs in float32 or float64,
 whichever its rows are in.  The sieve runs through it too, with the
 matrix of multiplication by a prime in place of R, and so does
-`translate_codes`, with the matrix of X^j -> (X - a)^j, so the module
+`affine_codes`, with the matrix of X^j -> u^-d (uX + v)^j, so the module
 has one reduction step.
 
 Exactness.  Let a row hold J digit entries in 0..p-1 and R entries in
@@ -96,12 +96,14 @@ group where the bound asks for it, and raises InvariantError where not
 even one fits.  Offsets counted from the whole store, up to its number
 of rows times q^k, would pass 2^24 at q = 7, k = 5 already.  `char_sums`
 sums characters chi_D = prod_{Q | D} (F/Q) over a matrix of rows for a
-whole list of D: a row sum of the Legendre matrix for prime D, and for
-D = D' Q with omega >= 2 an entry of a float32 Gram block between the
-int8 rows of the D' (products of Legendre rows) and those of the Q of
-one degree.  A Gram entry is a sum of as many products in {-1, 0, 1} as
-the chunk has rows, so chunks stay at most 2^24 rows wide, where float32
-is exact; a wider chunk raises InvariantError.
+whole list of D, each row counted with an integer weight (1 unless the
+caller gives weights): a weighted row sum of the Legendre matrix for
+prime D, and for D = D' Q with omega >= 2 an entry of a float32 Gram
+block between the rows of the D' (products of Legendre rows, times the
+weights) and those of the Q of one degree.  A Gram entry is a sum of as
+many products in {-w, ..., w} as the chunk has rows, w the largest
+weight, so chunk width times w stays at most 2^24, where float32 is
+exact; a wider chunk raises InvariantError.
 
 The sieve records, for each composite code, its smallest prime factor
 (least degree, then least code) together with its cofactor, so factoring
@@ -122,8 +124,9 @@ the degree go last.  The products go through the kernel with the
 matrix of multiplication by the prime, truncated below X^(a+m), in
 place of R.  The matrices of all primes of degree a come from one
 batched build, are laid side by side as in `legendre_array`, and reduce
-in one stacked pass per (a, m) over the cofactor rows from the first
-prime's suffix on; each prime keeps the codes of its own suffix.  The
+in stacked passes per (a, m), one per kernel group of primes, each over
+the cofactor rows from its group's first suffix on; each prime keeps
+the codes of its own suffix.  The
 cofactor rows of m are built once, straight in the kernel's float type.
 At every degree the sieve checks that it found pi_q(d) primes and wrote
 q^d - pi_q(d) codes, so no composite was written twice.
@@ -258,9 +261,9 @@ class PolyTables:
     def _sieve(self):
         """spf[d][code] = a q^max_deg + pcode q^(d-a) + cofactor code, for
         the smallest-degree prime factor (a, pcode) of least code, and 0
-        for a prime: each composite written once, by that factor, in one
-        stacked kernel pass per prime degree a and cofactor degree m
-        (module docstring)."""
+        for a prime: each composite written once, by that factor, in
+        stacked kernel passes per prime degree a and cofactor degree m, one
+        per kernel group of primes (module docstring)."""
         q, e, D = self.q, self.e, self.max_deg
         pack = q ** D
         self.spf = {d: np.zeros(q ** d, dtype=np.int64) for d in range(1, D + 1)}
@@ -305,23 +308,24 @@ class PolyTables:
                         f"sieve: {written[d]} codes written at degree {d} at q={q}, more than its "
                         f"{composites[d]} composites")
                 begins[d, a] = composites[d] - written[d] + np.cumsum(sizes) - sizes
-                # the suffixes shrink as P grows; the kernel runs on the first
-                # one, and prime i's product with its row r goes to
-                # order[d][at[i] + r]
-                first = starts[0]
-                skip, cofactors = starts - first, ordered[first:]
-                at = begins[d, a] - skip
+                # the suffixes shrink as P grows; each group of primes runs on
+                # its first prime's suffix, and prime b's product with the
+                # cofactor at position x of ordered goes to order[d][at[b] + x]
+                at = begins[d, a] - starts
                 heads = a * pack + pcodes * q ** m
                 S = self._kernel_matrix(muls[a][:, :(m + 1) * e, :d * e], rows.dtype)
-                group = self._group(d, len(pcodes), rows.dtype, len(cofactors), m + 1)
-                spf_d = self.spf[d]
-                for i, r, codes in self._stacked_codes(rows[first:], d, S, group):
-                    n = codes.shape[1]
-                    for j, lo in enumerate(np.maximum(skip[i:i + len(codes)] - r, 0).tolist()):
-                        spf_d[codes[j, lo:]] = heads[i + j] + cofactors[r + lo:r + n]
-                        if d < D:
-                            order[d][at[i + j] + r + lo:at[i + j] + r + n] = codes[j, lo:]
-            del ordered, rows, cofactors
+                group = self._group(d, len(pcodes), rows.dtype, q ** m - starts[0], m + 1)
+                K1, spf_d = d * e + 1, self.spf[d]
+                for g in range(0, len(pcodes), group):
+                    first = int(starts[g])
+                    for i, r, codes in self._stacked_codes(rows[first:], d, S[:, g * K1:(g + group) * K1], group):
+                        x, n = first + r, codes.shape[1]
+                        for j, lo in enumerate(np.maximum(starts[g + i:g + i + len(codes)] - x, 0).tolist()):
+                            b = g + i + j
+                            spf_d[codes[j, lo:]] = heads[b] + ordered[x + lo:x + n]
+                            if d < D:
+                                order[d][at[b] + x + lo:at[b] + x + n] = codes[j, lo:]
+            del ordered, rows
 
     def _sieve_degree(self, d, written, composites):
         """Read the primes of degree d off a finished spf[d], checking that
@@ -720,71 +724,89 @@ class PolyTables:
 
     # -- character sums ---------------------------------------------------
 
-    def char_sums(self, coefmat, plan):
+    def char_sums(self, coefmat, plan, weights=None):
         """sum over the rows F of coefmat of chi_D(F) = prod_{Q | D} (F/Q),
         for each square-free D of plan (a CharPlan; its empty
-        factorization, D = 1, counts the rows), as an int64 array.
+        factorization, D = 1, counts the rows), as an int64 array; with
+        weights, an int array of one non-negative weight per row, the sum
+        of weight times chi_D(F).
 
-        The rows go in chunks, each read as one legendre_array matrix L
-        over every prime factor.  A prime D sums its row of L.  A D with
-        omega >= 2 factors splits as D' Q (see CharPlan).  The int8 rows
-        of the distinct D' are products of rows of L, built for all D' of
-        one factor count at once, and the sums are entries of one float32
-        Gram block per degree of Q.  A Gram entry is a sum of chunk-width
-        products in {-1, 0, 1}, exact in float32 while the chunk width is
-        at most 2^24; chunks hold about 64 ffpoly.BLOCK_BYTES of int8 rows
-        of L and of the D'."""
+        The rows go in chunks, each read as one int8 legendre_array matrix
+        L over every prime factor.  A prime D sums its row of L times the
+        weights.  A D with omega >= 2 factors splits as D' Q (see
+        CharPlan).  The rows of the distinct D' are products of rows of L,
+        built for all D' of one factor count at once, times the weights,
+        and the sums are entries of one float32 Gram block per degree of Q
+        between them and the rows of L.  Every partial sum is an integer of
+        size at most chunk width times the largest weight (1 without
+        weights), exact in float32 while that is at most 2^24; chunks hold
+        about 64 ffpoly.BLOCK_BYTES of int8 rows of L and of the D'."""
         sums = np.zeros(plan.size, dtype=np.int64)
-        sums[plan.unit] = len(coefmat)
+        sums[plan.unit] = len(coefmat) if weights is None else weights.sum()
         chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(plan.qkeys) + plan.heads))
-        if min(chunk, len(coefmat)) > 1 << 24:
-            raise InvariantError(f"char_sums: a chunk of {chunk} rows is beyond exact float32 Gram blocks")
+        top = 1 if weights is None else int(weights.max(initial=1))
+        if min(chunk, len(coefmat)) * top > 1 << 24:
+            raise InvariantError(
+                f"char_sums: a chunk of {chunk} rows of weight up to {top} is beyond exact float32 Gram blocks")
         for r in range(0, len(coefmat) if plan.qkeys else 0, chunk):
             L = self.legendre_array(coefmat[r:r + chunk], plan.qkeys)
-            sums[plan.p_at] += L.sum(axis=1, dtype=np.int32)[plan.p_col]
-            head_rows = np.empty((plan.heads, L.shape[1]), dtype=np.int8)
+            w = np.ones(L.shape[1], np.float32) if weights is None else weights[r:r + chunk].astype(np.float32)
+            sums[plan.p_at] += np.einsum("ij,j->i", L, w).astype(np.int64)[plan.p_col]
+            head_rows = np.empty((plan.heads, L.shape[1]), dtype=np.float32)
             for c, rows in plan.by_count.items():
                 prod = L[rows[:, 1]]
                 for j in range(2, c + 1):
                     prod *= L[rows[:, j]]
-                head_rows[rows[:, 0]] = prod
+                head_rows[rows[:, 0]] = prod * w
             for at, hsel, hpos, csel, cpos in plan.grams:
-                G = head_rows[hsel].astype(np.float32) @ L[csel].astype(np.float32).T
+                G = head_rows[hsel] @ L[csel].astype(np.float32).T
                 sums[at] += G[hpos, cpos].astype(np.int64)
         return sums
 
-    # -- translations ----------------------------------------------------
+    # -- affine maps -----------------------------------------------------
 
-    def translate_codes(self, d, codes):
-        """The codes of F(X - a) for the monic F of degree 1 <= d <= max_deg
-        with these codes and every a in F_q: a (q, len(codes)) int64 array,
-        row a for the element of code a.
+    def _times(self, codes):
+        """(len(codes), e, e) digit matrices of multiplication by the
+        elements with these codes: row t holds the digits of alpha^t x."""
+        digits = ffpoly._digit_rows(codes, self.e, self.p)
+        return (digits.reshape(-1, 1, 1, self.e) @ self._alpha_mul[:self.e] % self.p).reshape(-1, self.e, self.e)
 
-        F -> F(X - a) is F_q-linear, hence F_p-linear on digit rows: row
-        (j, t) of its matrix holds the digits of alpha^t (X - a)^j below
-        X^d, and the (X - a)^j of every a come from one batched F_p power
-        pass over the matrices of multiplication by X - a, as _xrow_batch
-        builds the X^j mod Q.  The codes come out of the kernel with
-        offset 0, as the sieve's products do, so (X - a)^d, monic, keeps
-        the leading 1 implicit."""
-        e, p, q = self.e, self.p, self.q
+    def affine_codes(self, d, codes, scales, shifts):
+        """The codes of u^-d F(uX + v) for the monic F of degree d <= max_deg
+        with these codes, u over the nonzero element codes `scales` and v
+        over the element codes `shifts`: a (len(scales), len(shifts),
+        len(codes)) int64 array.  The one monic of degree 0 is fixed.
+
+        F -> u^-d F(uX + v) is F_q-linear, hence F_p-linear on digit rows:
+        row (j, t) of its matrix holds the digits of alpha^t u^-d (uX + v)^j
+        below X^d.  Those of every (u, v) come from one batched F_p power
+        pass over the matrices of multiplication by uX + v, from the start
+        rows alpha^t u^-d, as _xrow_batch builds the X^j mod Q.  The codes
+        come out of the kernel with offset 0, as the sieve's products do, so
+        u^-d (uX + v)^d, monic, keeps the leading 1 implicit."""
+        e, p = self.e, self.p
+        scales, shifts = np.asarray(scales, dtype=np.int64), np.asarray(shifts, dtype=np.int64)
+        nu, nv = len(scales), len(shifts)
+        if d == 0:
+            return np.zeros((nu, nv, len(codes)), dtype=np.int64)
         W = (d + 1) * e
-        # multiplication by X - a on the digit rows of degree <= d: row
-        # (i, t) moves to (i + 1, t) (dropped at i = d, which no (X - a)^j
-        # with j <= d meets), plus the digits of alpha^t (-a) at (i, .)
-        neg = -ffpoly._digit_rows(np.arange(q), e, p) % p
-        times_neg = (neg.reshape(q, 1, 1, e) @ self._alpha_mul[:e] % p).reshape(q, 1, e, 1, e)
-        step = (np.eye(d + 1, dtype=np.int64)[:, None, :, None] * times_neg).reshape(q, W, W)
-        step[:, np.arange(W - e), np.arange(e, W)] = 1
-        start = np.zeros((q, e, W), dtype=np.int64)
-        start[:, :, :e] = np.eye(e, dtype=np.int64)
-        shift = ffpoly._power_rows(start, step, W, p)[:, :, :d * e]
-        mat = self._monic_rows(codes, d, self.float_type(d + 1, k=d))
-        S = self._kernel_matrix(shift, mat.dtype)
-        out = np.empty((q, len(mat)), dtype=np.int64)
-        for i, r, got in self._stacked_codes(mat, d, S, self._group(d, q, mat.dtype, len(mat), d + 1)):
+        # multiplication by uX + v on the digit rows of degree <= d: row
+        # (i, t) goes to alpha^t u at i + 1 (dropped at i = d, which no
+        # (uX + v)^j with j <= d meets) and alpha^t v at i
+        at = np.arange(d + 1)
+        step = np.zeros((nu, nv, d + 1, d + 1, e, e), dtype=np.int64)
+        step[:, :, at, at] = self._times(shifts)[None, :, None]
+        step[:, :, at[:-1], at[1:]] = self._times(scales)[:, None, None]
+        step = step.transpose(0, 1, 2, 4, 3, 5).reshape(nu * nv, W, W)
+        start = np.zeros((nu, nv, e, W), dtype=np.int64)
+        start[..., :e] = self._times([self.field.pow(int(u), -d) for u in scales])[:, None]
+        maps = ffpoly._power_rows(start.reshape(nu * nv, e, W), step, W, p)[:, :, :d * e]
+        mat = self._monic_rows(np.asarray(codes, dtype=np.int64), d, self.float_type(d + 1, k=d))
+        S = self._kernel_matrix(maps, mat.dtype)
+        out = np.empty((nu * nv, len(mat)), dtype=np.int64)
+        for i, r, got in self._stacked_codes(mat, d, S, self._group(d, nu * nv, mat.dtype, len(mat), d + 1)):
             out[i:i + len(got), r:r + got.shape[1]] = got
-        return out
+        return out.reshape(nu, nv, -1)
 
 
 class CharPlan:

@@ -133,6 +133,8 @@ def _decimal_digits(n):
 
 
 def _csv_cell(v):
+    if isinstance(v, str):
+        return v
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):

@@ -466,45 +466,62 @@ class SuiteReport:
         return not self.failures
 
 
-def _translation_index(T, degs, codes):
-    """(q, len(codes)) catalogue positions of D(X - a), for each entry D of
-    a catalogue given by its degrees and codes, and every a in F_q.
-    InvariantError when a translate is missing from the catalogue, so no
+def _affine_index(T, degs, codes):
+    """Catalogue positions of u^-d D(uX + v), for each entry D of degree d
+    of a catalogue given by its degrees and codes, every u in F_q^* and
+    every v in F_q: a (2, (q - 1)/2, q, len(codes)) int64 array, the u
+    that are squares at [0] and the others at [1], v by its element code.
+    InvariantError when an image is missing from the catalogue, so no
     position is ever -1."""
-    index = np.empty((T.q, len(codes)), dtype=np.int64)
+    units = sorted(range(1, T.q), key=lambda u: -T.field.chi2(u))
+    index = np.empty((T.q - 1, T.q, len(codes)), dtype=np.int64)
     for d in sorted(set(degs.tolist())):  # np.unique would import numpy.ma
         at = np.flatnonzero(degs == d)
         place = np.full(T.q ** d, -1, dtype=np.int64)
         place[codes[at]] = at
-        index[:, at] = place[T.translate_codes(d, codes[at])]
+        index[:, :, at] = place[T.affine_codes(d, codes[at], units, range(T.q))]
     if (index < 0).any():
-        raise InvariantError("l_suite: a translate D(X - a) is missing from the catalogue")
-    return index
+        raise InvariantError("l_suite: an image u^-d D(uX + v) is missing from the catalogue")
+    return index.reshape(2, (T.q - 1) // 2, T.q, len(codes))
 
 
-def _orbit_representatives(codes, n, q):
-    """How many of these ascending codes of monic polynomials of degree n
-    have X^(n-1) coefficient 0: those below q^(n-1), a prefix."""
-    return int(np.searchsorted(codes, q ** (n - 1)))
+def _orbit_representatives(T, n, codes):
+    """(at, weights): the positions, in these ascending codes of monic
+    polynomials of degree n (all of them, or the primes), of one member
+    of each orbit of the scalings F -> c^-n F(cX) among the codes with
+    X^(n-1) coefficient 0 (those below q^(n-1), a prefix), or among all
+    codes where p | n; the least code of each orbit, weighted by the
+    orbit size (q - 1)/|Stab|."""
+    head = codes if n % T.p == 0 else codes[:int(np.searchsorted(codes, T.q ** (n - 1)))]
+    images = T.affine_codes(n, head, range(1, T.q), [0])[:, 0]
+    at = np.flatnonzero((images >= head).all(axis=0))
+    return at, (T.q - 1) // (images[:, at] == head[at]).sum(axis=0)
 
 
-def _orbit_sums(T, n, coefmat, codes, plan, shifts):
-    """sum of chi_D(F) over the rows F of coefmat, the monic polynomials of
-    degree n with these ascending codes (all of them, or the primes), for
-    every D of plan, a catalogue closed under translation whose
-    _translation_index is shifts.  Where p does not divide n the rows
-    with X^(n-1) coefficient 0 represent the orbits of X -> X + a, and
-    the sums over them alone are folded over the q translates of each D
-    (l_suite); where p | n every row is summed.  InvariantError when the
-    representatives are not 1/q of the rows."""
-    if n % T.p == 0:
-        return T.char_sums(coefmat, plan)
-    reps = _orbit_representatives(codes, n, T.q)
-    if T.q * reps != len(codes):
+def _orbit_sums(T, n, codes, plan, index, degs):
+    """sum of chi_D(F) over the monic polynomials F of degree n with these
+    ascending codes (all of them, or the primes), for every D of plan, a
+    catalogue of these degrees whose _affine_index is index (l_suite).
+    One weighted char_sums pass over the rows of the
+    _orbit_representatives alone gives H; the sum at D is
+
+        sum_(u, v) chi_q(u)^(n deg D) H[u^-d D(uX + v)] / (q - 1),
+
+    v over F_q where p does not divide n, v = 0 where it does.
+    InvariantError when the orbit sizes do not add up to the rows or a
+    sum does not divide exactly."""
+    at, weights = _orbit_representatives(T, n, codes)
+    folds = 1 if n % T.p == 0 else T.q  # the translates of each row
+    if folds * int(weights.sum()) != len(codes):
         raise InvariantError(
-            f"l_suite: {reps} orbit representatives of degree {n} for {len(codes)} "
-            f"rows at q={T.q}")
-    return T.char_sums(coefmat[:reps], plan)[shifts].sum(axis=0)
+            f"l_suite: orbit representatives of degree {n} have orbit sizes adding up to "
+            f"{folds * int(weights.sum())}, not the {len(codes)} rows at q={T.q}")
+    H = T.char_sums(T.code_rows(n, codes[at]), plan, weights)
+    square, other = H[index if folds > 1 else index[:, :, :1]].sum(axis=(1, 2))
+    sums, rest = np.divmod(square + np.where(n * degs % 2, -other, other), T.q - 1)
+    if rest.any():
+        raise InvariantError(f"l_suite: a folded sum of degree {n} does not divide by q - 1 = {T.q - 1}")
+    return sums
 
 
 def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
@@ -519,37 +536,60 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     catalogue, with one CharPlan for all of them: phase 1 runs one per
     degree d <= max_deg over the monic rows of degree d (the raw
     coefficients), phase 2 one per degree n <= n_max over the prime rows
-    of degree n (the s_n(D) of the explicit formula).  Each pass reads
+    of degree n (the s_n(D) of the explicit formula), each over one row
+    per orbit of the affine fold below.  Each pass reads
     the Legendre symbols of every prime factor in stacked legendre_array
     calls and multiplies them out in Gram blocks (see _tables), whose
     floor-only kernel is exact while the bounds of PolyTables.float_type
     hold (float32 or float64); beyond them, for D = max(n_max, max_deg),
     the tables raise ValueError.
 
-    The translation fold.  Let p not divide n.  For a in F_q, F -> F(X + a)
-    is a ring automorphism of F_q[X] that fixes F_q and keeps monic
-    polynomials monic of their degree, so it permutes the monic
-    polynomials of degree n and the monic primes among them.  The X^(n-1)
-    coefficient of F(X + a) is c_(n-1) + n a, and n is a unit of F_q, so
-    the q translates of F are distinct and exactly one of them has
-    X^(n-1) coefficient 0: the orbits have q members each, and the rows
-    of coefficient 0 (the codes below q^(n-1)) represent them once each.
-    An automorphism s fixing F_q keeps Jacobi symbols, (s A / s B) =
-    (A / B), since it maps F_q[X]/(Q) onto F_q[X]/(s Q) and keeps which
-    units are squares; with s: X -> X - a, (R(X + a) / D) = (R / D(X - a)).
-    So, R over the representatives,
+    The affine fold.  For u in F_q^* and v in F_q, s: X -> uX + v is a
+    ring automorphism of F_q[X] that fixes F_q, and F(uX + v) has leading
+    coefficient u^n for F of degree n; write F^s = u^-n F(uX + v) for the
+    monic one.  F -> F^s is an action of the affine group that permutes
+    the monic polynomials of degree n and the monic primes among them,
+    and maps the square-free monic D of each degree onto themselves, so
+    the catalogue is closed under it.  Two facts about Jacobi symbols:
+    - (s A / s B) = (A / B): s maps F_q[X]/(Q) onto F_q[X]/(s Q), a ring
+      isomorphism, and keeps which units are squares.
+    - A constant c has (c / B) = chi_q(c)^(deg B) for monic B: at a prime
+      Q of degree k, c^((q^k - 1)/2) = (c^((q - 1)/2))^(1 + q + ... +
+      q^(k-1)), an exponent of the parity of k.  And (A / cB) = (A / B).
+    So for monic R of degree n, (R / D) = (u^n R^s / u^(deg D) D^s), that
+    is
 
-        sum_F chi_D(F) = sum_(a in F_q) sum_R chi_(D(X - a))(R),
+        chi_(D^s)(R^s) = chi_q(u)^(n deg D) chi_D(R).
 
-    and D(X - a) is again monic, square-free and of degree deg D, so the
-    catalogue is closed under translation: each pass sums chi over the
-    representatives alone, 1/q of the rows, and adds the results at the
-    q translates of each D (_orbit_sums, over the index that
-    _translation_index builds once per call, with the shift's digit
-    matrix run through the table's kernel).  Where p | n every row is
-    summed.  Phase 2 folds over the whole catalogue and then keeps the
-    records' columns, so a modulus whose completion fails leaves its
-    translates' sums intact.
+    Let G_n be the affine group where p does not divide n, the scalings
+    X -> uX alone where p | n.  Where p does not divide n, the X^(n-1)
+    coefficient of F(X + a) is c_(n-1) + n a and n is a unit, so the
+    translates of F are q distinct rows and exactly one has X^(n-1)
+    coefficient 0 (the codes below q^(n-1)); a scaling maps that
+    coefficient to c_(n-1) / u, so the rows of coefficient 0 are closed
+    under the scalings, and a map X -> uX + v fixing one of them has
+    n v / u = 0, v = 0.  Where p | n the scalings act on every row.  In
+    both cases the representatives R are the least codes of the scaling
+    orbits of those rows (_orbit_representatives), and R's stabilizer in
+    G_n is its stabilizer in F_q^*.  Its weight w(R) = (q - 1)/|Stab R|
+    is the size of its scaling orbit, so the weights add up to the rows
+    of coefficient 0, or to all rows where p | n; InvariantError
+    otherwise.  Each row is R^g for |Stab R| of the g in G_n, so by the
+    identity above, with g -> g^-1 a bijection and chi_q(u^-1) = chi_q(u),
+
+        sum_F chi_D(F) = sum_R (1/|Stab R|) sum_(g in G_n) chi_D(R^g)
+                       = sum_(g in G_n) chi_q(u_g)^(n deg D) H[D^g] / (q - 1),
+        H[E] = sum_R w(R) chi_E(R),
+
+    where H is one PolyTables.char_sums pass over the representatives
+    with weights w, exact in integers (_orbit_sums).  The sum over G_n
+    is then divided exactly once; a remainder raises InvariantError.  The
+    catalogue positions of the D^g come from the index _affine_index
+    builds once per call, each image run through the table's kernel
+    (PolyTables.affine_codes), and a missing one raises InvariantError.
+    Phase 2 folds over the whole catalogue and then keeps the
+    records' columns, so a modulus whose completion fails leaves the sums
+    of its images intact.
 
     The checks of phase 1 run once per distinct raw L-polynomial, on one
     frozen LPoly shared by every modulus with those coefficients, and
@@ -575,13 +615,13 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
             moduli.append((dd, code, factors[lo:hi]))
     plan = CharPlan([factors for _, _, factors in moduli])
     degs = np.array([dd for dd, _, _ in moduli], dtype=np.int64)
-    shifts = _translation_index(T, degs, np.array([code for _, code, _ in moduli], dtype=np.int64))
+    index = _affine_index(T, degs, np.array([code for _, code, _ in moduli], dtype=np.int64))
 
-    # phase 1: raw coefficients, one translation-folded char_sums pass per
+    # phase 1: raw coefficients, one affine-folded char_sums pass per
     # degree of F over every modulus; the checks of each distinct raw
     # L-polynomial (a pure function of its coefficients here) run once, on
     # one shared LPoly
-    sums = np.array([_orbit_sums(T, d, T.monic_coefmat(d), np.arange(q ** d), plan, shifts)
+    sums = np.array([_orbit_sums(T, d, np.arange(q ** d), plan, index, degs)
                      for d in range(max_deg + 1)])
     nonzero = (sums != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
     flagged = set(np.flatnonzero(nonzero.any(axis=0)).tolist())
@@ -613,9 +653,9 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
             rh_worst = max(rh_worst, dev)
 
     # phase 2: prime character sums s_d(D) for the explicit formula, one
-    # translation-folded char_sums pass per prime degree over every
-    # modulus, of which the records' are kept
-    s_table = np.array([_orbit_sums(T, d, T.prime_coefmat(d), T.prime_codes[d], plan, shifts)
+    # affine-folded char_sums pass per prime degree over every modulus, of
+    # which the records' are kept
+    s_table = np.array([_orbit_sums(T, d, T.prime_codes[d], plan, index, degs)
                         for d in range(1, n_max + 1)])[:, kept]
 
     # phase 3: explicit formula vs Newton over every record at once, in

@@ -388,10 +388,11 @@ def test_l_suite_catalogue_factors_each_degree_at_once(monkeypatch):
     assert [(rec["deg"], rec["code"], rec["factors"]) for rec in seen] == [w for w in want if w[2]]
 
 
-# -- translation fold -------------------------------------------------------------
+# -- affine fold ------------------------------------------------------------------
 
 #: q -> (degree of the catalogue, row degrees): both p | n and p not
-#: dividing n where q^n stays small (F_25 has no p | n below 25^5)
+#: dividing n where q^n stays small (F_25 has no p | n below 25^5), and
+#: F_q^* of order 2 to 26
 FOLD_GRID = {3: (3, (1, 2, 3, 4, 6)), 5: (2, (1, 2, 4, 5)), 7: (2, (1, 2, 3)),
              9: (2, (1, 2, 3)), 25: (2, (1, 2)), 27: (2, (1, 2, 3))}
 
@@ -405,44 +406,122 @@ def _catalogue(T, max_deg):
     return np.array(degs, dtype=np.int64), np.array(codes, dtype=np.int64), list(facs)
 
 
-@settings(max_examples=40, deadline=None)
+def _scaled_code(T, n, code, c):
+    """The code of c^-n F(cX) for the monic F of degree n with this code,
+    by scalar field arithmetic."""
+    F = Poly.monic_from_code(T.field, n, code)
+    return Poly.from_coeffs(T.field, [T.field.mul(a, T.field.pow(c, j - n))
+                                      for j, a in enumerate(F.coeffs)]).monic_code()
+
+
+def _even_rows(T, n, s):
+    """Ascending codes of the union of the orbits of X -> cX + a (of X -> cX
+    alone where p | n) through the monic polynomials of degree n in X^s:
+    rows whose scaling stabilizers are nontrivial."""
+    q = T.q
+    base = sum(np.divmod(np.arange(q ** (n // s)), q ** i)[0] % q * q ** (s * i) for i in range(n // s))
+    shifts = [0] if n % T.p == 0 else range(q)
+    return np.unique(T.affine_codes(n, base, range(1, q), shifts))
+
+
+@settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from(sorted(FOLD_GRID)), data=st.data())
 def test_translation_fold_matches_plain_char_sums(q, data):
+    # the affine fold (translations and scalings) of l_suite against one
+    # plain char_sums pass over every row: all monic rows, the primes, or
+    # the orbits of the polynomials in X^2 or X^4, whose stabilizers in
+    # F_q^* have order 2 or 4
     max_deg, row_degrees = FOLD_GRID[q]
     n = data.draw(st.sampled_from(row_degrees), label="n")
-    primes = data.draw(st.booleans(), label="prime rows")
+    kinds = ["monic", "prime"] + [f"X^{s}" for s in (2, 4) if n % s == 0]
+    kind = data.draw(st.sampled_from(kinds), label="rows")
     T = _tables.poly_tables(ffpoly.field_of_order(q), max(max_deg, max(row_degrees)))
     degs, codes, facs = _catalogue(T, max_deg)
     plan = _tables.CharPlan(facs)
-    shifts = lfunc._translation_index(T, degs, codes)
-    if primes:
-        rows, row_codes = T.prime_coefmat(n), T.prime_codes[n]
+    index = lfunc._affine_index(T, degs, codes)
+    if kind == "prime":
+        row_codes = T.prime_codes[n]
+    elif kind == "monic":
+        row_codes = np.arange(q ** n)
     else:
-        rows, row_codes = T.monic_coefmat(n), np.arange(q ** n)
-    got = lfunc._orbit_sums(T, n, rows, row_codes, plan, shifts)
-    assert got.tolist() == T.char_sums(rows, plan).tolist()
+        row_codes = _even_rows(T, n, int(kind[2:]))
+        _, weights = lfunc._orbit_representatives(T, n, row_codes)
+        assert (weights < q - 1).any()
+    got = lfunc._orbit_sums(T, n, row_codes, plan, index, degs)
+    assert got.tolist() == T.char_sums(T.code_rows(n, row_codes), plan).tolist()
+
+
+@pytest.mark.parametrize("q,n", [(5, 4), (9, 2), (5, 5), (3, 3)])
+def test_orbit_representatives_match_scalar_scaling_orbits(q, n):
+    # one least member of each orbit of F -> c^-n F(cX) among the rows of
+    # X^(n-1) coefficient 0 (every row where p | n), weighted by the orbit
+    # size (q - 1)/|Stab|, against orbits built by scalar arithmetic
+    T = _tables.poly_tables(ffpoly.field_of_order(q), n)
+    codes = np.arange(q ** n)
+    head = codes if n % T.p == 0 else codes[:q ** (n - 1)]
+    orbits = {min(_scaled_code(T, n, code, c) for c in range(1, q)):
+              len({_scaled_code(T, n, code, c) for c in range(1, q)}) for code in head.tolist()}
+    at, weights = lfunc._orbit_representatives(T, n, codes)
+    assert dict(zip(codes[at].tolist(), weights.tolist())) == orbits
+    assert (weights < q - 1).any()
 
 
 def test_orbit_sums_refuse_a_wrong_representative_count(monkeypatch):
-    count = lfunc._orbit_representatives
-    monkeypatch.setattr(lfunc, "_orbit_representatives", lambda codes, n, q: count(codes, n, q) - 1)
-    with pytest.raises(InvariantError, match="orbit representatives"):
-        lfunc.l_suite(5, max_deg=2, n_max=3)
+    # orbit sizes that do not add up to the rows: one representative
+    # dropped, or one weight off
+    reps = lfunc._orbit_representatives
+    for change in (lambda at, w: (at[:-1], w[:-1]), lambda at, w: (at, w + (np.arange(len(w)) == 0))):
+        monkeypatch.setattr(lfunc, "_orbit_representatives", lambda T, n, codes: change(*reps(T, n, codes)))
+        with pytest.raises(InvariantError, match="orbit representatives"):
+            lfunc.l_suite(5, max_deg=2, n_max=3)
+
+
+def test_orbit_sums_refuse_a_sum_that_does_not_divide(monkeypatch):
+    # one weighted sum off by one at a modulus whose stabilizer in the
+    # affine group is trivial: its folded sum is off by +-1, not a
+    # multiple of q - 1
+    T = _tables.poly_tables(F5, 3)
+    degs, codes, facs = _catalogue(T, 3)
+    index = lfunc._affine_index(T, degs, codes)
+    free = int(np.flatnonzero((index == np.arange(len(codes))).sum(axis=(0, 1, 2)) == 1)[0])
+    char_sums = _tables.PolyTables.char_sums
+
+    def off_by_one(self, coefmat, plan, weights=None):
+        sums = char_sums(self, coefmat, plan, weights)
+        sums[free] += 1
+        return sums
+
+    monkeypatch.setattr(_tables.PolyTables, "char_sums", off_by_one)
+    with pytest.raises(InvariantError, match="does not divide"):
+        lfunc._orbit_sums(T, 3, T.prime_codes[3], _tables.CharPlan(facs), index, degs)
 
 
 def test_translation_index_refuses_a_missing_translate():
     T = _tables.poly_tables(F3, 3)
     degs, codes, _ = _catalogue(T, 3)
-    assert (lfunc._translation_index(T, degs, codes) >= 0).all()
+    assert (lfunc._affine_index(T, degs, codes) >= 0).all()
     drop = int(np.flatnonzero(degs == 2)[4])
     keep = np.arange(len(codes)) != drop
     with pytest.raises(InvariantError, match="missing from the catalogue"):
-        lfunc._translation_index(T, degs[keep], codes[keep])
+        lfunc._affine_index(T, degs[keep], codes[keep])
+
+
+def test_affine_index_refuses_a_missing_scaled_modulus():
+    # the translates of X^2 - 2 over F_5 are closed under X -> X + a, and
+    # X -> cX maps X^2 - 2 to X^2 - 2/c^2, outside them for c^2 != 1
+    T = _tables.poly_tables(F5, 2)
+    D = Poly.from_coeffs(F5, [3, 0, 1])
+    codes = np.unique(T.affine_codes(2, [D.monic_code()], [1], range(5)))
+    assert len(codes) == 5
+    with pytest.raises(InvariantError, match="missing from the catalogue"):
+        lfunc._affine_index(T, np.full(5, 2), codes)
 
 
 def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch):
-    # 1/q of the rows where p does not divide the row degree, every row
-    # where it does (d = 0, and d = 3 at q = 3)
+    # one row per orbit of the affine group X -> cX + a where p does not
+    # divide the row degree, of the scalings X -> cX where it does (d = 0,
+    # and d = 3 at q = 3), counted by scalar arithmetic, and the rows of
+    # l_suite(5, 5, 8)
     rows = []
     stacked = _tables.PolyTables.legendre_array
 
@@ -454,10 +533,19 @@ def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch
     for q, max_deg, n_max in [(3, 3, 4), (5, 2, 4)]:
         rows.clear()
         assert lfunc.l_suite(q, max_deg=max_deg, n_max=n_max).ok()
-        p = ffpoly.field_of_order(q).p
-        monic = [q ** d if d % p == 0 else q ** (d - 1) for d in range(max_deg + 1)]
-        prime = [ffpoly.prime_count_exact(q, n) // (1 if n % p == 0 else q) for n in range(1, n_max + 1)]
+        T = _tables.poly_tables(ffpoly.field_of_order(q), n_max)
+
+        def orbits(n, codes):
+            head = [c for c in codes if n % T.p == 0 or c < q ** (n - 1)]
+            return len({min(_scaled_code(T, n, c, u) for u in range(1, q)) for c in head})
+
+        monic = [orbits(d, range(q ** d)) for d in range(max_deg + 1)]
+        prime = [orbits(n, T.prime_codes[n].tolist()) for n in range(1, n_max + 1)]
         assert rows == monic + prime
+    rows.clear()
+    assert lfunc.l_suite(5, max_deg=5, n_max=8).ok()
+    assert rows == [1, 1, 3, 8, 40, 790, 1, 1, 2, 10, 156, 134, 558, 2460]
+    assert sum(rows) == 4165
 
 
 def test_l_suite_builds_one_char_plan(monkeypatch):

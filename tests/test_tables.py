@@ -204,14 +204,33 @@ def test_char_sums_matches_scalar():
         assert got.tolist() == expect
 
 
+@pytest.mark.parametrize("q", [5, 9])
+def test_weighted_char_sums_equal_sums_over_repeated_rows(q):
+    # a row of weight w counts as w copies of itself, for D = 1, prime D
+    # and D of two and three factors alike
+    T = poly_tables(ffpoly.field_of_order(q), 3)
+    facs = [[]] + [fac for fac in (T.factor(d, code) for d in (1, 2, 3) for code in range(q ** d)) if fac]
+    plan = CharPlan(facs)
+    rng = np.random.default_rng(q)
+    codes = rng.choice(q ** 3, size=40, replace=False)
+    weights = rng.integers(0, q, size=40)
+    got = T.char_sums(T.code_rows(3, codes), plan, weights)
+    assert got.tolist() == T.char_sums(T.code_rows(3, np.repeat(codes, weights)), plan).tolist()
+
+
 def test_char_sums_refuses_inexact_gram_chunks(monkeypatch):
-    # a chunk wider than 2^24 rows could round a float32 Gram entry; the
-    # rows are a broadcast view, so nothing of that size is allocated
+    # a chunk wider than 2^24 rows could round a float32 Gram entry, and so
+    # could 2^23 + 1 rows of weight 2; the rows are a broadcast view, so
+    # nothing of that size is allocated
     T = poly_tables(GF(3), 2)
     monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 1 << 40)
+    plan = CharPlan([[(1, 0), (1, 1)]])
     rows = np.broadcast_to(T.monic_coefmat(1)[:1], ((1 << 24) + 1, 2))
     with pytest.raises(InvariantError, match="beyond exact float32 Gram blocks"):
-        T.char_sums(rows, CharPlan([[(1, 0), (1, 1)]]))
+        T.char_sums(rows, plan)
+    half = (1 << 23) + 1
+    with pytest.raises(InvariantError, match="of weight up to 2 is beyond exact float32 Gram blocks"):
+        T.char_sums(rows[:half], plan, np.broadcast_to(np.int64(2), half))
 
 
 def test_char_sums_peak_memory_at_degree_8():
@@ -404,6 +423,45 @@ def test_sieve_checks_each_composite_is_written_once(monkeypatch):
             PolyTables(GF(3), 3)
 
 
+@pytest.mark.parametrize("q,max_deg,computed,kept", [(5, 8, 536136, 424961), (3, 12, 840362, 727454)])
+def test_sieve_kernel_starts_each_group_of_primes_at_its_own_suffix(monkeypatch, q, max_deg, computed, kept):
+    # the products the sieve's kernel computes against the composites it
+    # keeps: each kernel group of primes runs from its own first suffix,
+    # so a group computes the products of its later primes' shorter
+    # suffixes over its first one's alone
+    seen = []
+    stacked = PolyTables._stacked_codes
+
+    def counting(self, mat, k, S, group):
+        for i, r, codes in stacked(self, mat, k, S, group):
+            seen.append(codes.size)
+            yield i, r, codes
+
+    monkeypatch.setattr(PolyTables, "_stacked_codes", counting)
+    PolyTables(ffpoly.field_of_order(q), max_deg)
+    assert kept == sum(q ** d - ffpoly.prime_count_exact(q, d) for d in range(1, max_deg + 1))
+    assert sum(seen) == computed
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (5, 2), (7, 2), (9, 2), (25, 1), (27, 2), (5, 0)])
+def test_affine_codes_match_scalar_substitution(q, d):
+    # u^-d F(uX + v) for every u, v and some monic F of degree d, by
+    # Horner's rule over ffpoly
+    field = ffpoly.field_of_order(q)
+    T = poly_tables(field, max(d, 1))
+    codes = np.arange(q ** d)[::max(1, q ** d // 40)]
+    got = T.affine_codes(d, codes, range(1, q), range(q))
+    assert got.shape == (q - 1, q, len(codes))
+    for u in range(1, q):
+        for v in range(q):
+            line = Poly.from_coeffs(field, [v, u])
+            for code, image in zip(codes.tolist(), got[u - 1, v].tolist()):
+                acc = Poly.from_coeffs(field, [0])
+                for c in reversed(Poly.monic_from_code(field, d, code).coeffs):
+                    acc = acc * line + Poly.from_coeffs(field, [c])
+                assert acc.to_monic().monic_code() == image
+
+
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3)])
 def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
     field = GF(p, e)
@@ -546,19 +604,22 @@ def _calls(tree, name):
 
 def test_one_reduction_step_and_no_per_prime_power_loop():
     # the floor pass lives in the kernel alone: the sieve reduces through
-    # it, and the X^j mod Q rows of a degree's primes and the (X - a)^j
-    # rows of every translation each come from one batched power pass
+    # it, and the X^j mod Q rows of a degree's primes and the
+    # u^-d (uX + v)^j rows of every affine map each come from one batched
+    # power pass
     module = ast.parse(inspect.getsource(_tables))
     methods = {node.name: node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
     sieve = methods["_sieve"]
     assert not _calls(sieve, "floor")
     assert _calls(sieve, "_stacked_codes")
     assert [node.name for node in methods.values() if _calls(node, "floor")] == ["_stacked_codes"]
-    assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch", "translate_codes"]
+    assert [node.name for node in methods.values() if _calls(node, "_power_rows")] == ["_xrow_batch", "affine_codes"]
     assert not [node for node in ast.walk(methods["_xrow_batch"]) if isinstance(node, (ast.For, ast.comprehension))]
-    # translate_codes loops over the kernel's blocks alone, not over the a
-    loops = [node for node in ast.walk(methods["translate_codes"]) if isinstance(node, (ast.For, ast.comprehension))]
-    assert [loop.iter.func.attr for loop in loops] == ["_stacked_codes"]
+    # affine_codes loops over the kernel's blocks and the scales' powers
+    # u^-d alone, not over the maps' matrices
+    loops = [node for node in ast.walk(methods["affine_codes"]) if isinstance(node, (ast.For, ast.comprehension))]
+    assert [loop.iter.func.attr if isinstance(loop.iter, ast.Call) else loop.iter.id
+            for loop in loops] == ["_stacked_codes", "scales"]
 
 
 def test_stacked_kernel_exact_at_the_float32_code_bound_with_store_offsets():
