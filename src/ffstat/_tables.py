@@ -741,16 +741,18 @@ class PolyTables:
         size at most chunk width times the largest weight (1 without
         weights), exact in float32 while that is at most 2^24; chunks hold
         about 64 ffpoly.BLOCK_BYTES of int8 rows of L and of the D'."""
-        sums = np.zeros(plan.size, dtype=np.int64)
-        sums[plan.unit] = len(coefmat) if weights is None else weights.sum()
+        if weights is None:
+            weights = np.broadcast_to(np.int64(1), len(coefmat))
         chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(plan.qkeys) + plan.heads))
-        top = 1 if weights is None else int(weights.max(initial=1))
+        top = int(weights.max(initial=1))
         if min(chunk, len(coefmat)) * top > 1 << 24:
             raise InvariantError(
                 f"char_sums: a chunk of {chunk} rows of weight up to {top} is beyond exact float32 Gram blocks")
+        sums = np.zeros(plan.size, dtype=np.int64)
+        sums[plan.unit] = weights.sum()
         for r in range(0, len(coefmat) if plan.qkeys else 0, chunk):
             L = self.legendre_array(coefmat[r:r + chunk], plan.qkeys)
-            w = np.ones(L.shape[1], np.float32) if weights is None else weights[r:r + chunk].astype(np.float32)
+            w = weights[r:r + chunk].astype(np.float32)
             sums[plan.p_at] += np.einsum("ij,j->i", L, w).astype(np.int64)[plan.p_col]
             head_rows = np.empty((plan.heads, L.shape[1]), dtype=np.float32)
             for c, rows in plan.by_count.items():
