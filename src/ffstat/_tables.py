@@ -626,13 +626,18 @@ class PolyTables:
         return self.float_type(*self._square_rows(k), k)
 
     def _squares(self, k):
-        """The squares of all q^k residues of degree < k, taken over
-        F_p[alpha, X]: row r holds at (m, u) the coefficient of
-        alpha^u X^m, u < 2e - 1, in the square of r's digit polynomial
-        (digit e*i + s times digit e*j + t lands on alpha^(s+t) X^(i+j))."""
-        e, nu, K = self.e, len(self._alpha), k * self.e
+        """The squares of the (q^k + 1)/2 residues r of degree < k whose
+        code is at most that of -r, taken over F_p[alpha, X]: r and -r
+        have one square, and -r negates each base-p digit of r, so these
+        are 0 and the codes whose top nonzero digit is at most (p-1)/2,
+        the ranges [p^j, (p+1)/2 p^j).  Row r holds at (m, u) the
+        coefficient of alpha^u X^m, u < 2e - 1, in the square of r's
+        digit polynomial (digit e*i + s times digit e*j + t lands on
+        alpha^(s+t) X^(i+j))."""
+        p, e, nu, K = self.p, self.e, len(self._alpha), k * self.e
         dtype = self._square_type(k)
-        digits = ffpoly._digit_rows(np.arange(self.q ** k), K, self.p).astype(dtype)
+        codes = np.concatenate([[0]] + [np.arange(p ** j, (p + 1) // 2 * p ** j) for j in range(K)])
+        digits = ffpoly._digit_rows(codes, K, p).astype(dtype)
         sq = np.zeros((len(digits), (2 * k - 1) * nu), dtype=dtype)
         for a in range(K):
             # digit a times digits b >= a, weight 2 off the diagonal

@@ -509,32 +509,28 @@ def _add_common(sp, *, genus=False, variant=False):
                         default=biquad.FULL)
 
 
-def build_parser():
-    ap = _Parser(prog="ffstat", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("lfunc", help="L-polynomial of a quadratic character")
+def _lfunc_flags(sp):
     _add_common(sp)
     sp.add_argument("--modulus", required=True)
     sp.add_argument("--sign", default="plus")
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--check-rh", action="store_true")
-    sp.set_defaults(fn=_cmd_lfunc)
 
-    sp = sub.add_parser("family", help="enumerate or count a curve family")
+
+def _family_flags(sp):
     _add_common(sp, genus=True, variant=True)
     sp.add_argument("--count", action="store_true")
-    sp.set_defaults(fn=_cmd_family)
 
-    sp = sub.add_parser("curve", help="point counts and zeta numerator of one curve")
+
+def _curve_flags(sp):
     _add_common(sp)
     sp.add_argument("--f1", required=True)
     sp.add_argument("--f2", required=True)
     sp.add_argument("--f3", required=True)
     sp.add_argument("--n-max", type=int, default=4)
-    sp.set_defaults(fn=_cmd_curve)
 
-    sp = sub.add_parser("moments", help="family trace averages with error split")
+
+def _moments_flags(sp):
     _add_common(sp, genus=True, variant=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--mode", choices=("exhaustive", "sample", "auto"),
@@ -543,36 +539,74 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--work-budget", type=int, default=None,
                     help="cost cap (members x points) before sampling kicks in")
-    sp.set_defaults(fn=_cmd_moments)
 
-    sp = sub.add_parser("density", help="one-level density vs matrix-integral reference")
+
+def _density_flags(sp):
     _add_common(sp, genus=True, variant=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--kernel", default="fejer")
-    sp.set_defaults(fn=_cmd_density)
 
-    sp = sub.add_parser("lemma61", help="fixed-prime parity sums vs residue constants")
+
+def _lemma61_flags(sp):
     _add_common(sp)
     sp.add_argument("--prime", required=True)
     sp.add_argument("--d-min", type=int, default=0)
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--M", type=int, default=8)
-    sp.set_defaults(fn=_cmd_lemma61)
 
-    sp = sub.add_parser("eulersum", help="truncated Euler products summed over primes")
+
+def _eulersum_flags(sp):
     _add_common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--kind", choices=eulerprod.KINDS + ("all",), default="all")
-    sp.set_defaults(fn=_cmd_eulersum)
 
-    sp = sub.add_parser("primes", help="monic prime polynomials of one degree")
+
+def _primes_flags(sp):
     _add_common(sp)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--count", action="store_true")
-    sp.set_defaults(fn=_cmd_primes)
 
+
+def _commands():
+    """name -> (handler, help text, function adding the command's flags).
+    Read at parse time, so the handlers are the module's current ones."""
+    return {
+        "lfunc": (_cmd_lfunc, "L-polynomial of a quadratic character", _lfunc_flags),
+        "family": (_cmd_family, "enumerate or count a curve family", _family_flags),
+        "curve": (_cmd_curve, "point counts and zeta numerator of one curve", _curve_flags),
+        "moments": (_cmd_moments, "family trace averages with error split", _moments_flags),
+        "density": (_cmd_density, "one-level density vs matrix-integral reference", _density_flags),
+        "lemma61": (_cmd_lemma61, "fixed-prime parity sums vs residue constants", _lemma61_flags),
+        "eulersum": (_cmd_eulersum, "truncated Euler products summed over primes", _eulersum_flags),
+        "primes": (_cmd_primes, "monic prime polynomials of one degree", _primes_flags),
+    }
+
+
+def build_parser():
+    """The parser of every command, each a subparser of `ffstat`."""
+    ap = _Parser(prog="ffstat", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (fn, text, add_flags) in _commands().items():
+        sp = sub.add_parser(name, help=text)
+        add_flags(sp)
+        sp.set_defaults(fn=fn)
     return ap
+
+
+def _parse(argv):
+    """argv's Namespace.  When argv[0] names a command, only that
+    command's parser is built, with the prog its subparser has; the full
+    parser is built for no command, an unknown one or a top-level -h,
+    whose usage, listing or error names all eight."""
+    entry = _commands().get(argv[0]) if argv else None
+    if entry is None:
+        return build_parser().parse_args(argv)
+    fn, _, add_flags = entry
+    ap = _Parser(prog=f"ffstat {argv[0]}")
+    add_flags(ap)
+    ap.set_defaults(fn=fn)
+    return ap.parse_args(argv[1:])
 
 
 def main(argv=None):
@@ -589,9 +623,8 @@ def main(argv=None):
 
 
 def _run(argv):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         _check_out(args.out)
         args.fn(args)
     except BrokenPipeError:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffstat import _tables, biquad, cli, eulerprod, ffpoly, lfunc, moments
-from ffstat.cli import ConfigError, main, parse_poly
+from ffstat.cli import EXIT_CONFIG, EXIT_OK, ConfigError, main, parse_poly
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 
@@ -558,6 +558,112 @@ def test_exit_code_invariant_violation(monkeypatch):
     # the parser binds the handler at build time, inside main()
     monkeypatch.setattr(cli, "_cmd_primes", boom)
     assert main(["primes", "--q", "3", "--degree", "1"]) == 2
+
+
+# -- one parser per command ----------------------------------------------------------
+
+#: each command's smallest argv that exits 0
+MINIMAL_ARGV = {
+    "lfunc": ["lfunc", "--q", "3", "--modulus", "X^2+1"],
+    "family": ["family", "--q", "3", "--genus", "0", "--count"],
+    "curve": ["curve", "--q", "3", "--f1", "X^2+1", "--f2", "X^2+X+2", "--f3", "1"],
+    "moments": ["moments", "--q", "3", "--genus", "0", "--n-max", "1"],
+    "density": ["density", "--q", "3", "--genus", "1", "--alpha", "1"],
+    "lemma61": ["lemma61", "--q", "3", "--prime", "X^2+1", "--d-max", "1", "--M", "1"],
+    "eulersum": ["eulersum", "--q", "3", "--n", "1", "--M", "1"],
+    "primes": ["primes", "--q", "3", "--degree", "1"],
+}
+
+PARSE_GRID = [
+    *MINIMAL_ARGV.values(),
+    ["moments", "--q", "3", "--gen", "0", "--n-max", "1"],              # abbreviated flag
+    ["family", "--q=3", "--genus=0", "--count"],                          # --flag=value
+    ["primes", "--q", "3", "--degree", "x"],                              # bad int
+    ["family", "--q", "3", "--genus", "0", "--variant", "bad"],           # bad choice
+    ["eulersum", "--q", "3", "--n", "1", "--M", "1", "--format", "xml"],  # bad choice
+    ["moments", "--q", "3", "--genus", "1"],                              # missing required
+    ["curve", "--q", "3"],                                                # missing required
+    ["primes", "--q"],                                                    # missing value
+    ["lfunc", "--q", "3", "--modulus", "X", "--bogus"],                   # unknown flag
+    ["moments", "--q", "3", "--genus", "0", "--n-max", "1", "--s", "1"],  # ambiguous flag
+    ["primes", "--q", "3", "--degree", "1", "--seed", "1"],               # moments' flag
+    ["eulersum", "--q", "3", "--n", "1", "--M", "1", "--work-budget", "5"],
+]
+
+
+def _parse_full(argv):
+    """argv parsed through build_parser(), every command a subparser."""
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_GRID, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # the same exit code, stdout and first stderr line; an unrecognized
+    # flag's usage line (the second) names the command, not ffstat
+    one = run_cli(capsys, *argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", _parse_full)
+        full = run_cli(capsys, *argv)
+    assert one[0] in (EXIT_OK, EXIT_CONFIG)
+    assert one[:2] == full[:2]
+    assert one[2].partition("\n")[0] == full[2].partition("\n")[0]
+    if one[0] == EXIT_CONFIG:
+        assert one[2].splitlines()[1].startswith(f"usage: ffstat {argv[0]} [-h]")
+
+
+@pytest.mark.parametrize("name", MINIMAL_ARGV)
+def test_command_help_matches_the_full_parser(capsys, monkeypatch, name):
+    helps = []
+    for parse in (cli._parse, _parse_full):
+        monkeypatch.setattr(cli, "_parse", parse)
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: ffstat {name} [-h] --q Q")
+
+
+def _option_strings(parser):
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def test_a_known_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+
+    class Spy(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    full = cli.build_parser()._subparsers._group_actions[0].choices
+    outputs = {name: run_cli(capsys, *argv) for name, argv in MINIMAL_ARGV.items()}
+
+    def refuse():
+        raise AssertionError("build_parser called for a known command")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(cli, "_Parser", Spy)
+    for name, argv in MINIMAL_ARGV.items():
+        built.clear()
+        assert run_cli(capsys, *argv) == outputs[name]
+        assert outputs[name][0] == 0
+        assert [p.prog for p in built] == [f"ffstat {name}"]
+        assert _option_strings(built[0]) == _option_strings(full[name])
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch", "--q", "3"]])
+def test_no_or_unknown_command_lists_all_eight(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "{" + ",".join(MINIMAL_ARGV) + "}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_all_eight(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert "{" + ",".join(MINIMAL_ARGV) + "}" in capsys.readouterr().out
 
 
 # -- output identity -----------------------------------------------------------------

@@ -476,6 +476,30 @@ def test_chiq_matches_euler_criterion_over_prime_powers(p, e):
             assert tab.tolist() == [oracle.legendre_symbol(r, Q) for r in residues]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_squares_keep_one_of_each_pair_r_and_minus_r(q):
+    field = ffpoly.field_of_order(q)
+    T = PolyTables(field, 1)
+    for k in (1, 2, 3) if q < 25 else (1, 2):
+        assert len(T._squares(k)) == (q ** k + 1) // 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chiq_from_half_the_squares_matches_euler_criterion(p):
+    # the first, a middle and the last prime of each degree, built in one
+    # stacked call, against (r/Q) by Euler's criterion at every residue
+    field = GF(p)
+    T = poly_tables(field, 3)
+    for k in (1, 2, 3):
+        codes = T.prime_codes[k].tolist()
+        keys = [(k, c) for c in dict.fromkeys((codes[0], codes[len(codes) // 2], codes[-1]))]
+        tab, rows = T.chiq(keys)
+        residues = [Poly(field, [r // p ** i % p for i in range(k)]) for r in range(p ** k)]
+        for key, row in zip(keys, rows.tolist()):
+            Q = Poly.monic_from_code(field, *key)
+            assert tab[row].tolist() == [oracle.legendre_symbol(r, Q) for r in residues]
+
+
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_float32_kernel_exact_at_widest_width_prime_power(q):
     # e*width digits of p-1 (coefficients q-1) at the widest width the
