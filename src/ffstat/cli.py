@@ -353,15 +353,12 @@ def _cmd_moments(args):
         cost = size * (field.q ** n + 1)
         mode = args.mode
         if mode == "auto":
-            mode = "sample" if (args.work_budget and cost > args.work_budget) else "exhaustive"
+            mode = "sample" if (args.work_budget is not None and cost > args.work_budget) else "exhaustive"
         modes[n] = mode
-    # every exhaustive n is checked before any is run: the totals, and the
-    # prime form of the decomposition at even n
+    # every exhaustive n's totals are checked before any is run
     for n, mode in modes.items():
         if mode == "exhaustive":
             _flag_value("--n-max", moments.check_family_totals, field, args.genus, n)
-            if n % 2 == 0:
-                _flag_value("--n-max", moments.check_prime_form, field, n)
     rows = []
     for n, mode in modes.items():
         rep = moments.average_trace(
@@ -419,16 +416,17 @@ def _cmd_lemma61(args):
     _require_at_least("--M", args.M, 1)
     _require_at_least("--d-min", args.d_min, 0)
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
-    _flag_value("--d-max", biquad.check_squarefree_degree, field, args.d_max)
+    # one sieve table, the top degree's, first: the constants' reach --M, the sums' --d-max
+    top = max(args.d_max, args.M, int(P.degree))
+    _flag_value("--d-max" if args.d_max == top else "--M", poly_tables, field, top)
     degrees = range(args.d_min, args.d_max + 1)
-    # the constants first: their chi rows sieve to degree M, and the sums
-    # then read that table instead of building smaller ones before it
     preds = {(d, k1, k2): _flag_value("--M", moments.predicted_nkk, P, d, k1, k2, args.M)
              for d in degrees for k1 in (0, 1) for k2 in (0, 1)}
+    # top degree first: its series then serves every lower degree
+    sums = {d: moments.nkk_sums_all(field, P, d) for d in reversed(degrees)}
     rows = []
     for d in degrees:
-        sums = moments.nkk_sums_all(field, P, d)
-        for (k1, k2), exact in sorted(sums.items()):
+        for (k1, k2), exact in sorted(sums[d].items()):
             pred = preds[d, k1, k2]
             rows.append({
                 "q": args.q, "P": poly_str(P), "d": d, "k1": k1, "k2": k2,

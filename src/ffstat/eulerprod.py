@@ -154,7 +154,7 @@ def chi_plain_rows(P, max_deg):
     """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
     ffpoly.primes order, for d = 1..max_deg; read off the residue tables
     in one legendre_array call over the prime rows of every degree.
-    Shared by the three kinds, so the rows are read-only."""
+    Shared by the three kinds and moments' series, so read-only."""
     T = poly_tables(P.field, max(max_deg, int(P.degree)))
     stacked, ends = _prime_rows(T, max_deg)
     leg = T.legendre_array(stacked, [(int(P.degree), P.monic_code())])[0]

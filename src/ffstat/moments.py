@@ -12,8 +12,8 @@ deg f1*f2 is odd, and each member contributes its root count minus one,
 which keeps the main term at exactly -3), and bilinear_term is the
 character sum over x in F_{q^n} outside F_{q^(n/2)}.  The degree-n part
 of the bilinear term, the x of minimal polynomial of degree n, is
-recomputed independently by reducing each family polynomial modulo the
-monic primes of degree n and asserted equal.
+recomputed independently from prime counts (triple_series) and
+asserted equal.
 
 Fixed-prime sums N_{k1,k2}(d;P) and their residue-derived constants
 C_{k1,k2}(d;P), C(g;P) follow, with exact L-values and truncated Euler
@@ -22,17 +22,17 @@ integrals over USp(2g), USp(2g)^3 and U(2g) close the loop for the
 trace-moment experiment and the one-level density.
 
 No exhaustive sum lists the members, and no point of F_{q^n} is
-evaluated.  Every sum is over pairs (f_a, f_b) of square-free monics
-weighted by the number of third polynomials that complete the pair
-(biquad.pair_weight): the character sums over F_{q^n} are sum(W o G_ab)
-with G_ab = sum_{d | n} d X_a X_b^T one float32 Gram block per degree
-pair over the orbit columns X[f, P] = (f/P)^(n/d) of the monic primes P
-of degree d | n (biquad.orbit_columns: an x with minimal polynomial P has
-chi(f(x)) = (f/P)^(n/d), and P stands for its d roots), the prime-sum
-form is sum(W o X_a^T X_b) with X the residue-table Legendre matrix of
-the degree-n primes, and the fixed-prime sums are r_a^T W r_b.  Members
-are unranked from the pair weights (biquad.member_rows) only for sample
-mode and the density cross-check.
+evaluated.  The family totals are sums over pairs (f_a, f_b) of
+square-free monics weighted by the number of third polynomials that
+complete the pair (biquad.pair_weight): the character sums over F_{q^n}
+are sum(W o G_ab) with G_ab = sum_{d | n} d X_a X_b^T one float32 Gram
+block per degree pair over the orbit columns X[f, P] = (f/P)^(n/d) of the
+monic primes P of degree d | n (biquad.orbit_columns: an x with minimal
+polynomial P has chi(f(x)) = (f/P)^(n/d), and P stands for its d roots).
+Every fixed-character sum over triples -- the fixed-prime sums,
+N_{k1,k2}(d;P), the prime-sum form -- is read off one series of prime
+counts (triple_series).  Members are unranked from the pair weights
+(biquad.member_rows) only for sample mode and the density cross-check.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def matrix_integral_reference(group, g, n):
 # ---------------------------------------------------------------------------
 
 
-#: the most bytes _family_totals or _bilinear_prime_form may take
+#: the most bytes _family_totals may take
 TOTALS_BYTES_CAP = 1 << 28
 
 
@@ -108,22 +108,12 @@ def family_totals_bytes(field, g, n):
     return tables + block + grams
 
 
-def _check_bytes(what, need):
-    if need > TOTALS_BYTES_CAP:
-        raise ValueError(f"{what} need about {need} bytes, over the cap of {TOTALS_BYTES_CAP}")
-
-
 def check_family_totals(field, g, n):
     """ValueError when family_totals_bytes passes TOTALS_BYTES_CAP."""
-    _check_bytes(f"family totals: q={field.q}, g={g} at n={n}", family_totals_bytes(field, g, n))
-
-
-def check_prime_form(field, n):
-    """ValueError when the residue tables _bilinear_prime_form reads, one
-    int8 table of q^n entries per monic prime of degree n, pass
-    TOTALS_BYTES_CAP."""
-    _check_bytes(f"prime form: q={field.q} at n={n}",
-                 ffpoly.prime_count_exact(field.q, n) * field.q ** n)
+    need = family_totals_bytes(field, g, n)
+    if need > TOTALS_BYTES_CAP:
+        raise ValueError(f"family totals: q={field.q}, g={g} at n={n} need about {need} bytes, "
+                         f"over the cap of {TOTALS_BYTES_CAP}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,8 +274,8 @@ def error_decomposition(field, g, n):
     rearrangement fails to close (it cannot, barring bugs).
 
     Also recomputes the degree-n (generating) part of the bilinear sum in
-    the prime-sum form through the n-to-1 correspondence x <-> P_x and
-    asserts exact agreement.
+    the prime-sum form through the n-to-1 correspondence x <-> P_x, from
+    prime counts (_generating_prime_sum), and asserts exact agreement.
     """
     if n % 2 or n < 2:
         raise ValueError("the decomposition is an even-n statement")
@@ -303,8 +293,7 @@ def error_decomposition(field, g, n):
     if avg_T / qn2 != -3 + roots_term - bilinear_term:
         raise InvariantError("error decomposition identity failed")
 
-    prime_form = _bilinear_prime_form(field, g, n)
-    if gen_tot != n * prime_form:
+    if gen_tot != n * _generating_prime_sum(field, g, n):
         raise InvariantError("x-sum and prime-sum forms disagree")
 
     nongen_tot = bil_tot - gen_tot
@@ -326,28 +315,60 @@ def error_decomposition(field, g, n):
     return report
 
 
-def _bilinear_prime_form(field, g, n):
-    """sum_{deg P = n} sum_{family} chi_P(f1 f2), exact.
+def triple_series(q, counts, D):
+    """int64 S[b, i, j, k]: the sum of chi(f1) chi(f2) over the pairwise
+    coprime square-free monic (f1, f2, f3) of degrees (i, j, k), i + j + k
+    <= D, chi having counts[b, a - 1] = (N-, N0, N+) monic primes of degree
+    a with chi = -1, 0, 1 (no others, so an entry is whole when its degrees
+    are at most counts.shape[1]).  A prime divides at most one f, so S =
+    prod_{a, s} (1 + s (x1^a + x2^a) + x3^a)^N_s, expanded binomially.
+    Exact in int64: an entry or partial sum is a signed count of distinct
+    triples, at most q^D, and a term weight at most N_s^m <= q^(a m);
+    q^D >= 2^63 raises InvariantError.  Products past D may wrap; they are
+    cleared."""
+    if q ** D >= 1 << 63:
+        raise InvariantError(f"q^D = {q ** D} is beyond exact int64 series")
+    counts, fact = np.asarray(counts, dtype=np.int64), math.factorial
+    S = np.zeros((len(counts),) + (D + 1,) * 3, dtype=np.int64)
+    S[:, 0, 0, 0] = 1
+    past = np.indices((D + 1,) * 3).sum(axis=0) > D
+    for a in range(1, min(counts.shape[1], D) + 1):
+        for s, N in zip((-1, 0, 1), counts[:, a - 1].T.tolist()):
+            if not any(N):
+                continue
+            old, S = S, S.copy()
+            for m in range(1, min(D // a, max(N)) + 1):  # C(N, m) = 0 for m > N
+                comb = np.array([math.comb(c, m) for c in N], dtype=np.int64)[:, None, None, None]
+                r = D + 1 - a * m
+                for m1 in range(m + 1 if s else 1):
+                    for m2 in range(m - m1 + 1 if s else 1):
+                        w = s ** (m1 + m2) * fact(m) // (fact(m1) * fact(m2) * fact(m - m1 - m2))
+                        i, j, k = a * m1, a * m2, a * (m - m1 - m2)
+                        S[:, i:i + r, j:j + r, k:k + r] += w * comb * old[:, :r, :r, :r]
+            S[:, past] = 0
+    return S
 
-    chi_P is completely multiplicative, so a member's value is
-    chi_P(f1) chi_P(f2), and the family sum is sum(W12 o X_a^T X_b) per
-    pattern, X the Legendre matrix [P, f] = chi_P(f) of the degree-n primes,
-    each f reduced modulo P and read off P's residue table.  That is a
-    computation apart from the orbit columns of _family_totals, whose
-    generating part error_decomposition checks against this.  X_a^T X_b is
-    exact in float32: its entries are sums of at most q^n / n < 2^24
-    products in {-1, 0, 1} (see _family_totals for the bound on q^n).
-    Tables over TOTALS_BYTES_CAP are refused with a ValueError before any
-    is built."""
-    check_prime_form(field, n)
-    weights = biquad.pair_weights(field, g)
-    fam = biquad.family_polys(field, g)
-    T = poly_tables(field, max(n, int(fam.deg.max(initial=0))))
-    primes = [(n, c) for c in T.prime_codes[n].tolist()]
-    X = {d: T.legendre_array(T.code_rows(d, fam.code[fam.deg == d]), primes).astype(np.float32)
-         for d in biquad.family_degrees(g)}
-    gram = functools.cache(lambda a, b: (X[a].T @ X[b]).astype(np.int64))
-    return sum(int((W12 * gram(d1, d2)).sum()) for (d1, d2, _), (W12, _, _) in weights.items())
+
+def _generating_prime_sum(field, g, n):
+    """sum over the monic primes P of degree n (even) of the family sum of
+    chi_P(f1 f2): the kept-pattern coefficients of one series per distinct
+    vector of counts of the key primes Q up to the family's top degree,
+    (Q/P) = (P/Q) read off the keys' own tables in blocks of about 64
+    ffpoly.BLOCK_BYTES.  No orbit column, Gram block or pair weight is read."""
+    top = max(biquad.family_degrees(g), default=0)
+    T = poly_tables(field, max(n, top))
+    keys = [(a, c) for a in range(1, top + 1) for c in T.prime_codes[a].tolist()]
+    ends = np.cumsum([len(T.prime_codes[a]) for a in range(1, top)])
+    primes, blocks = T.prime_codes[n], []
+    step = max(1, 64 * ffpoly.BLOCK_BYTES // len(keys))
+    for lo in range(0, len(primes), step):
+        L = T.legendre_array(T.code_rows(n, primes[lo:lo + step]), keys)
+        blocks.append(np.concatenate([eulerprod._value_counts(b.T) for b in np.split(L, ends)], axis=1))
+    vectors, mult = np.unique(np.concatenate(blocks), axis=0, return_counts=True)
+    kept = (slice(None), *np.array(biquad.admissible_patterns(g)[0]).T)
+    step = max(1, 8 * ffpoly.BLOCK_BYTES // (g + 4) ** 3)
+    return sum(int(triple_series(field.q, vectors[lo:lo + step].reshape(-1, top, 3), g + 3)[kept].sum(axis=1)
+                   @ mult[lo:lo + step]) for lo in range(0, len(vectors), step))
 
 
 # ---------------------------------------------------------------------------
@@ -355,49 +376,32 @@ def _bilinear_prime_form(field, g, n):
 # ---------------------------------------------------------------------------
 
 
-def nkk_sums_all(field, P, d, chi_of=None):
-    """All four parity classes of N_{k1,k2}(d;P) from pair weights.
+_series_of = {}  # per prime P, its series of the highest total degree built so far
 
-    For each degree split a + b + c = d, the triples are weighed pairwise:
-    chi_a^T W chi_b with W = biquad.pair_weight(field, a, b, c), which
-    counts for each coprime (f1, f2) the square-free f3 of degree c
-    coprime to both.  `chi_of` overrides the character (the degenerate
-    chi = 1 turns the sums into plain census counts, a sanity cross-check
-    on the family)."""
+
+def _prime_series(P, D):
+    """triple_series of chi_P reaching total degree D, its counts read off
+    eulerprod.chi_plain_rows.  The one of highest degree built so far for P
+    serves every lower D, so callers ask for their top degree first."""
+    S = _series_of.get(P)
+    if S is None or len(S) <= D:
+        counts = [eulerprod._value_counts(row) for row in eulerprod.chi_plain_rows(P, D)] if D else []
+        S = _series_of[P] = triple_series(P.field.q, np.reshape(counts, (1, D, 3)), D)[0]
+    return S
+
+
+def nkk_sums_all(field, P, d):
+    """All four parity classes of N_{k1,k2}(d;P): P's series (_prime_series)
+    at each split (a, b, c) of d goes to class ((a + c) % 2, (b + c) % 2)."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    # top degree first: its sieve table then serves every lower degree
-    codes = [biquad.squarefree_factors(field, e).codes for e in range(d, -1, -1)][::-1]
-    if chi_of is None:
-        chis = [_squarefree_chi(field, P, e).astype(np.int64) for e in range(d + 1)]
-    else:
-        chis = [np.array([chi_of(ffpoly.Poly.monic_from_code(field, e, c)) for c in cs.tolist()],
-                         dtype=np.int64) for e, cs in enumerate(codes)]
+    S = _prime_series(P, d)
     out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
     for a in range(d + 1):
         for b in range(d - a + 1):
             c = d - a - b
-            out[(a + c) % 2, (b + c) % 2] += int(chis[a] @ biquad.pair_weight(field, a, b, c)
-                                                 @ chis[b])
+            out[(a + c) % 2, (b + c) % 2] += int(S[a, b, c])
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _squarefree_chi(field, P, e):
-    """int8 chi_P(f) over the square-free monics f of degree e, in
-    biquad.squarefree_factors order."""
-    T = poly_tables(field, int(P.degree))
-    codes = biquad.squarefree_factors(field, e).codes
-    row = T.legendre_array(T.code_rows(e, codes), [(int(P.degree), P.monic_code())])[0]
-    row.flags.writeable = False  # shared by every caller through the cache
-    return row
-
-
-def _excluded_chi_sums(field, P, g):
-    """(sum of chi_P(f), count) over the square-free monics f of degrees
-    g+2 and g+3, the polynomials of the excluded degenerate patterns."""
-    rows = [_squarefree_chi(field, P, e) for e in (g + 2, g + 3)]
-    return sum(int(r.sum()) for r in rows), sum(len(r) for r in rows)
 
 
 @dataclass
@@ -518,18 +522,18 @@ def c_constant_g(P, g, M):
 
 def excluded_degree_correction(field, P, g):
     """2 sum_{deg f = g+2, g+3} mu^2(f) chi_P(f) + (q+1)/q * q^(g+3)/zeta_q(2),
-    the excluded-pattern correction active for odd g; exact Fraction."""
-    q = field.q
-    char_sum, _ = _excluded_chi_sums(field, P, g)
+    the excluded-pattern correction active for odd g; exact Fraction.  The
+    character sum is the entries [e, 0, 0] of P's series (f2 = f3 = 1)."""
+    q, S = field.q, _prime_series(P, g + 3)
+    char_sum = int(S[g + 2, 0, 0] + S[g + 3, 0, 0])
     return 2 * char_sum + Fraction(q + 1, q) * q ** (g + 3) / lfunc.zeta_q_value(q, 2)
 
 
 def fixed_prime_family_sum(field, g, P):
-    """sum over the monic family of chi_P(f1 f2), exact: r_a^T W12 r_b per
-    pattern, r the chi_P rows of the square-free monics by degree."""
-    weights = biquad.pair_weights(field, g)
-    r = {d: _squarefree_chi(field, P, d).astype(np.int64) for d in biquad.family_degrees(g)}
-    return sum(int(r[d1] @ W12 @ r[d2]) for (d1, d2, _), (W12, _, _) in weights.items())
+    """sum over the monic family of chi_P(f1 f2), exact: the coefficients
+    of P's series (_prime_series) at the kept patterns."""
+    S = _prime_series(P, g + 3)
+    return sum(int(S[pattern]) for pattern in biquad.admissible_patterns(g)[0])
 
 
 def family_sum_report(field, g, P, M):
@@ -548,14 +552,11 @@ def family_sum_report(field, g, P, M):
 def family_sum_nkk_decomposition(field, g, P):
     """The exact combinatorial identity behind the family sum: the four
     parity-class sums at total degrees g+3 / g+2, minus the excluded
-    degenerate triples when g is odd.  Exact integer."""
+    degenerate triples (odd g only) read off P's series.  Exact integer."""
     top = nkk_sums_all(field, P, g + 3)
     low = nkk_sums_all(field, P, g + 2)
-    total = top[(0, 0)] + low[(0, 1)] + low[(1, 0)] + low[(1, 1)]
-    if g % 2 == 1:
-        char_sum, count = _excluded_chi_sums(field, P, g)
-        total -= 2 * char_sum + count
-    return total
+    excluded = sum(int(_prime_series(P, g + 3)[pattern]) for pattern in biquad.admissible_patterns(g)[1])
+    return top[(0, 0)] + low[(0, 1)] + low[(1, 0)] + low[(1, 1)] - excluded
 
 
 # ---------------------------------------------------------------------------

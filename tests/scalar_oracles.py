@@ -626,7 +626,7 @@ def row_scan_totals(field, g, n):
 
 
 def row_scan_prime_form(field, g, n):
-    """moments._bilinear_prime_form as one member sum per degree-n prime."""
+    """moments._generating_prime_sum as one member sum per degree-n prime."""
     fam = outer_and_family(field, g)
     return sum(_member_sum(fam, row)
                for row in table_chi_rows(fam.polys, ffpoly.primes(field, n)))

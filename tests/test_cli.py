@@ -253,9 +253,8 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
-    # the residue tables of the decomposition's prime form over their cap
-    # (347 MB at n = 10)
-    (["moments", "--genus", "1", "--n-max", "12"], "--n-max"),
+    # the sieve tables of degree 14 over their cap, before the family's
+    (["moments", "--genus", "1", "--n-max", "14"], "--n-max"),
     # sieve tables over the size cap: degree 14 is the first refused at q = 3
     (["curve", *_CURVE, "--n-max", "14"], "--n-max"),
     (["curve", "--f1", "X^12+X+2", "--f2", "X", "--f3", "1", "--n-max", "14"], "--n-max"),
@@ -276,9 +275,9 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
       "--sample-size", "5"], "--genus"),
     # a pair-weight block over its cap (58 806 x 58 806 square-free quadratics)
     (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
-    # the prime form's residue tables over their cap at n = 10, checked
-    # before any n is run
-    (["moments", "--genus", "7", "--n-max", "11"], "--n-max"),
+    # the family totals' residue tables over their cap at n = 10 (416 MB),
+    # checked before any n is run
+    (["moments", "--genus", "9", "--n-max", "10"], "--n-max"),
     # the L-polynomial's sieve tables over their cap (164 MiB at deg D = 15)
     (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
     # the sampling flags, checked before any family table is built
@@ -300,6 +299,44 @@ def test_range_errors_name_the_flag(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"config error: {flag}: ")
+
+
+@pytest.mark.parametrize("command,flag,low,high", [
+    # the decomposition's check reads prime counts, not one residue table
+    # per prime of degree n, so even n >= 10 runs at q = 3
+    ("moments --q 3 --genus 1", "--n-max", 8, 12),
+    # the fixed-prime sums read prime counts, not square-free tables
+    ("lemma61 --q 3 --prime X^2+1 --M 8", "--d-max", 7, 11),
+])
+def test_a_higher_top_degree_runs_and_keeps_the_lower_rows(capsys, command, flag, low, high):
+    code, short, _ = run_cli(capsys, *command.split(), flag, str(low))
+    assert code == 0
+    code, long, _ = run_cli(capsys, *command.split(), flag, str(high))
+    assert code == 0
+    assert long.startswith(short) and len(long) > len(short)
+
+
+@pytest.mark.parametrize("budget", ["zero", "one", "between", "above"])
+def test_auto_mode_per_n_matches_theorem_experiment(capsys, monkeypatch, budget):
+    # --work-budget 0 samples every n, as theorem_experiment(work_budget=0) does
+    size = biquad.family_size(F3, 1, biquad.FULL)
+    budget = {"zero": 0, "one": 1, "between": size * (3 ** 2 + 1),
+              "above": size * (3 ** 4 + 1) + 1}[budget]
+    modes = []
+    real = moments.average_trace
+
+    def record(field, g, n, variant, mode, **kwargs):
+        modes.append(mode)
+        return real(field, g, n, variant, mode=mode, **kwargs)
+
+    monkeypatch.setattr(moments, "average_trace", record)
+    code, _, _ = run_cli(capsys, "moments", "--q", "3", "--genus", "1", "--n-max", "4",
+                         "--mode", "auto", "--work-budget", str(budget), "--sample-size", "5")
+    monkeypatch.undo()
+    assert code == 0
+    rows = moments.theorem_experiment(F3, [1], 4, work_budget=budget, sample_size=5)
+    assert modes == [row["mode"] for row in rows]
+    assert len(set(modes)) == (2 if budget == size * (3 ** 2 + 1) else 1)
 
 
 def test_bad_out_is_refused_before_the_first_stage(capsys, monkeypatch, tmp_path):

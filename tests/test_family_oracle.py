@@ -30,7 +30,7 @@ from ffstat import biquad, cli, eulerprod, ffpoly, moments
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF
 
-FIELDS = {3: GF(3), 5: GF(5), 9: GF(3, 2)}
+FIELDS = {3: GF(3), 5: GF(5), 7: GF(7), 9: GF(3, 2)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,26 +125,29 @@ def test_family_totals_match_scalar_scan(q, g, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(q=st.sampled_from([3, 5, 9]), g=st.integers(0, 3), n=st.integers(1, 4),
+@given(q=st.sampled_from([3, 5, 7, 9]), g=st.integers(0, 3), n=st.integers(1, 4),
        deg=st.integers(1, 3), index=st.integers(0, 10 ** 6))
 @example(q=5, g=3, n=4, deg=2, index=3).via("the largest prime-field cell")
+@example(q=7, g=2, n=4, deg=3, index=7).via("the largest cell at q = 7")
 @example(q=9, g=1, n=4, deg=3, index=100).via("the largest prime-power cell")
 def test_pair_weight_sums_match_the_row_scans(q, g, n, deg, index):
-    # q = 9 only up to genus 1; P is a random prime of degree 1 to 3
+    # q = 7 only up to genus 2, q = 9 up to genus 1; P is a random prime of
+    # degree 1 to 3.  The prime-count series (the prime-sum form, the
+    # fixed-prime and N_{k1,k2} sums) against the member-row scans too
     field = FIELDS[q]
-    g = min(g, 1) if q == 9 else g
+    g = min(g, {7: 2, 9: 1}.get(q, g))
     primes = ffpoly.primes(field, deg)
     P = primes[index % len(primes)]
     assert biquad.family_size(field, g) == len(oracle.outer_and_family(field, g).rows)
     assert moments._family_totals(field, g, n) == oracle.row_scan_totals(field, g, n)
     if n % 2 == 0:
-        assert moments._bilinear_prime_form(field, g, n) == oracle.row_scan_prime_form(field, g, n)
+        assert moments._generating_prime_sum(field, g, n) == oracle.row_scan_prime_form(field, g, n)
     assert (moments.fixed_prime_family_sum(field, g, P)
             == oracle.row_scan_fixed_prime_sum(field, g, P))
     assert moments.nkk_sums_all(field, P, g + 3) == oracle.mask_loop_nkk_sums_all(field, P, g + 3)
 
 
-MEMBER_FREE = ((moments, "_family_totals"), (moments, "_bilinear_prime_form"),
+MEMBER_FREE = ((moments, "_family_totals"), (moments, "_generating_prime_sum"),
                (moments, "fixed_prime_family_sum"), (moments, "nkk_sums_all"),
                (biquad, "family_size"))
 
@@ -170,10 +173,25 @@ def test_member_free_sums_build_no_member_rows(monkeypatch):
             len(oracle.outer_and_family(field, g).rows))
     moments._family_totals.cache_clear()
     monkeypatch.setattr(biquad, "member_rows", refuse)
-    got = (moments._family_totals(field, g, 4), moments._bilinear_prime_form(field, g, 4),
+    got = (moments._family_totals(field, g, 4), moments._generating_prime_sum(field, g, 4),
            moments.fixed_prime_family_sum(field, g, P), biquad.family_size(field, g))
     assert got == want
     moments.nkk_sums_all(field, P, g + 3)
+
+
+@pytest.mark.parametrize("q,g,n", [(3, 2, 4), (5, 1, 2), (9, 1, 4)])
+def test_prime_count_side_reads_no_column_gram_or_pair_weight(monkeypatch, q, g, n):
+    # the decomposition's independent side: prime counts and the series
+    # alone, not the orbit columns, Gram blocks or pair weights of the totals
+    def refuse(*args):
+        raise AssertionError("the count side read the totals' tables")
+
+    field = FIELDS[q]
+    want = oracle.row_scan_prime_form(field, g, n)
+    for name in ("orbit_columns", "pair_weights", "pair_weight", "family_polys", "coprime_mask"):
+        monkeypatch.setattr(biquad, name, refuse)
+    monkeypatch.setattr(moments, "_family_totals", refuse)
+    assert moments._generating_prime_sum(field, g, n) == want
 
 
 def test_pair_weights_that_disagree_raise(monkeypatch):
@@ -359,11 +377,17 @@ def test_nkk_sums_all_matches_gcd_enumeration(q, deg, index, d_max):
 
 @pytest.mark.parametrize("q,d_max", [(3, 5), (9, 3)])
 def test_nkk_census_matches_gcd_enumeration(q, d_max):
+    # the census is the series with every prime at +1
     field = FIELDS[q]
     one = lambda f: 1
     for d in range(d_max + 1):
-        assert (moments.nkk_sums_all(field, None, d, chi_of=one)
-                == scalar_nkk_sums_all(field, None, d, chi_of=one)), d
+        counts = [(0, 0, ffpoly.prime_count_exact(q, a)) for a in range(1, d + 1)]
+        S = moments.triple_series(q, np.reshape(counts, (1, d, 3)), d)[0]
+        census = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
+        for a in range(d + 1):
+            for b in range(d - a + 1):
+                census[(d - b) % 2, (d - a) % 2] += int(S[a, b, d - a - b])
+        assert census == scalar_nkk_sums_all(field, None, d, chi_of=one), d
 
 
 def literal_h_value(kind, P, u, M):

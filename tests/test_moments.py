@@ -3,10 +3,12 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import scalar_oracles as oracle
 from ffstat import biquad, ffpoly, lfunc, moments
+from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
 from scalar_oracles import INFINITY, extension_field, quad_char_eval
 
@@ -170,7 +172,21 @@ def test_prime_form_oracle_g1_n2(field, g, n):
     p_sum = sum(ffpoly.jacobi_symbol(t.f1 * t.f2, P)
                 for t in triples for P in ffpoly.primes(field, n))
     assert x_sum == n * p_sum
-    assert moments._bilinear_prime_form(field, g, n) == p_sum
+    assert moments._generating_prime_sum(field, g, n) == p_sum
+
+
+def test_decomposition_sides_that_disagree_raise(monkeypatch):
+    real = moments._generating_prime_sum
+    monkeypatch.setattr(moments, "_generating_prime_sum", lambda field, g, n: real(field, g, n) + 1)
+    with pytest.raises(InvariantError, match="x-sum and prime-sum forms disagree"):
+        moments.error_decomposition(F3, 1, 2)
+
+
+def test_series_refuse_q_to_the_d_beyond_int64():
+    # 3^39 < 2^63 <= 3^40: the bound is checked before the series is built
+    assert moments.triple_series(3, np.zeros((1, 0, 3)), 39)[0, 0, 0, 0] == 1
+    with pytest.raises(InvariantError, match="beyond exact int64"):
+        moments.triple_series(3, np.zeros((1, 0, 3)), 40)
 
 
 def test_nongenerating_piece_appears_at_n6():
@@ -236,14 +252,24 @@ def test_family_sum_decomposition_exact():
                     == moments.family_sum_nkk_decomposition(F3, g, P)), (P, g)
 
 
+def census_classes(field, d):
+    """The four parity classes of N_{k1,k2}(d) for chi = 1: the series with
+    every prime at +1, split as nkk_sums_all splits a prime's series."""
+    counts = [(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, d + 1)]
+    S = moments.triple_series(field.q, np.reshape(counts, (1, d, 3)), d)[0]
+    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            out[(d - b) % 2, (d - a) % 2] += int(S[a, b, d - a - b])
+    return out
+
+
 def test_degenerate_character_counts_family():
     # chi = 1 turns the parity sums into a census that must reproduce |F_g|
-    one = lambda f: 1
     for g in (1, 2):
         total = (
-            moments.nkk_sums_all(F3, None, g + 3, chi_of=one)[(0, 0)]
-            + sum(moments.nkk_sums_all(F3, None, g + 2, chi_of=one)[k]
-                  for k in [(0, 1), (1, 0), (1, 1)])
+            census_classes(F3, g + 3)[(0, 0)]
+            + sum(census_classes(F3, g + 2)[k] for k in [(0, 1), (1, 0), (1, 1)])
         )
         if g % 2 == 1:
             for e in (g + 2, g + 3):
