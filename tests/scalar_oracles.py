@@ -124,6 +124,20 @@ def nkk_sum(field, P, d, k1, k2):
     return moments.nkk_sums_all(field, P, d)[(k1, k2)]
 
 
+def series_census(field, d):
+    """The four parity classes of N_{k1,k2}(d) for chi = 1: moments'
+    triple series with every prime at +1, split by parity as
+    nkk_sums_all splits a prime's series (not an oracle: the fast path
+    the census tests check)."""
+    counts = [(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, d + 1)]
+    S = moments.triple_series(field.q, np.reshape(counts, (1, d, 3)), d)[0]
+    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            out[(d - b) % 2, (d - a) % 2] += int(S[a, b, d - a - b])
+    return out
+
+
 def double_char_total(field, d, n):
     """sum over square-free monic D of degree d and monic primes P of
     degree n of (P/D): the integer behind double_char_sum."""

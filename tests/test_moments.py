@@ -252,24 +252,12 @@ def test_family_sum_decomposition_exact():
                     == moments.family_sum_nkk_decomposition(F3, g, P)), (P, g)
 
 
-def census_classes(field, d):
-    """The four parity classes of N_{k1,k2}(d) for chi = 1: the series with
-    every prime at +1, split as nkk_sums_all splits a prime's series."""
-    counts = [(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, d + 1)]
-    S = moments.triple_series(field.q, np.reshape(counts, (1, d, 3)), d)[0]
-    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            out[(d - b) % 2, (d - a) % 2] += int(S[a, b, d - a - b])
-    return out
-
-
 def test_degenerate_character_counts_family():
     # chi = 1 turns the parity sums into a census that must reproduce |F_g|
     for g in (1, 2):
         total = (
-            census_classes(F3, g + 3)[(0, 0)]
-            + sum(census_classes(F3, g + 2)[k] for k in [(0, 1), (1, 0), (1, 1)])
+            oracle.series_census(F3, g + 3)[(0, 0)]
+            + sum(oracle.series_census(F3, g + 2)[k] for k in [(0, 1), (1, 0), (1, 1)])
         )
         if g % 2 == 1:
             for e in (g + 2, g + 3):
