@@ -222,15 +222,18 @@ class PolyTables:
     # -- digit rows -----------------------------------------------------
 
     def _monic_rows(self, codes, d, dtype):
-        """Digit rows of the monic polynomials of degree d with these codes,
-        built straight in dtype one digit column at a time, column-major,
-        as the kernel reads their transpose."""
+        """Digit rows of the monic polynomials of degree d (an int, or an
+        int array of one degree per code) with these codes, zero above
+        their explicit leading 1 up to the largest degree, built straight
+        in dtype one digit column at a time, column-major, as the kernel
+        reads their transpose.  A code of degree d is below q^d, so its
+        digits from d e on are 0 and the leading 1 lands on one of them."""
         e, p = self.e, self.p
-        cols = np.zeros(((d + 1) * e, len(codes)), dtype=dtype)
-        cols[d * e] = 1
+        cols = np.zeros(((int(np.max(d, initial=0)) + 1) * e, len(codes)), dtype=dtype)
         rem = codes
-        for j in range(d * e):
+        for j in range(len(cols) - e):
             rem, cols[j] = np.divmod(rem, p)
+        cols[np.asarray(d) * e, np.arange(len(codes))] = 1
         return cols.T
 
     def _element_rows(self, codes, nrows):
@@ -436,9 +439,12 @@ class PolyTables:
         return max(1, min(m, cached, 1 + room // self.q ** k))
 
     def code_rows(self, d, codes):
-        """Digit rows of the monic polynomials of degree d with these codes,
-        in the float type float_type gives rows of d + 1 coefficients."""
-        return self._monic_rows(np.asarray(codes, dtype=np.int64), d, self.float_type(d + 1))
+        """Digit rows of the monic polynomials of degree d (an int, or one
+        degree per code) with these codes, zero-padded to the largest
+        degree, in the float type float_type gives rows of max(d) + 1
+        coefficients."""
+        return self._monic_rows(np.asarray(codes, dtype=np.int64), d,
+                                self.float_type(int(np.max(d, initial=0)) + 1))
 
     def monic_coefmat(self, d):
         """(q^d x (d+1)e) digit rows of all monic of degree d, in the
@@ -729,46 +735,64 @@ class PolyTables:
 
     # -- character sums ---------------------------------------------------
 
-    def char_sums(self, coefmat, plan, weights=None):
+    def char_sums(self, coefmat, plan, weights=None, segments=None):
         """sum over the rows F of coefmat of chi_D(F) = prod_{Q | D} (F/Q),
         for each square-free D of plan (a CharPlan; its empty
         factorization, D = 1, counts the rows), as an int64 array; with
         weights, an int array of one non-negative weight per row, the sum
-        of weight times chi_D(F).
+        of weight times chi_D(F).  With segments, row counts that add up
+        to the rows of coefmat, the sums of each run of that many rows, in
+        order: a (len(segments), plan.size) array, of which the call
+        without segments is the one row.
 
         The rows go in chunks, each read as one int8 legendre_array matrix
         L over every prime factor.  A prime D sums its row of L times the
         weights.  A D with omega >= 2 factors splits as D' Q (see
         CharPlan).  The rows of the distinct D' are products of rows of L,
-        built for all D' of one factor count at once, times the weights,
-        and the sums are entries of one float32 Gram block per degree of Q
-        between them and the rows of L.  Every partial sum is an integer of
-        size at most chunk width times the largest weight (1 without
-        weights), exact in float32 while that is at most 2^24; chunks hold
-        about 64 ffpoly.BLOCK_BYTES of int8 rows of L and of the D'."""
+        built once per chunk for all D' of one factor count at once, times
+        the weights, and the sums are entries of float32 Gram blocks per
+        degree of Q, between their columns in a segment and those of the
+        rows of L, in pieces of a quarter chunk of columns.  Every partial
+        sum is an integer of size at most chunk width times the largest
+        weight (1 without weights), exact in float32 while that is at most
+        2^24; chunks hold about 64 ffpoly.BLOCK_BYTES of int8 rows of L and
+        of the D', and the float32 operands of a piece at most as many."""
         if weights is None:
             weights = np.broadcast_to(np.int64(1), len(coefmat))
+        bounds = np.cumsum([0, *([len(coefmat)] if segments is None else segments)])
+        if bounds[-1] != len(coefmat):
+            raise ValueError(f"char_sums: segments of {bounds[-1]} rows for a matrix of {len(coefmat)}")
         chunk = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(plan.qkeys) + plan.heads))
+        piece = max(1, chunk // 4)  # Gram columns: float32 operands of at most a chunk's bytes
         top = int(weights.max(initial=1))
         if min(chunk, len(coefmat)) * top > 1 << 24:
             raise InvariantError(
                 f"char_sums: a chunk of {chunk} rows of weight up to {top} is beyond exact float32 Gram blocks")
-        sums = np.zeros(plan.size, dtype=np.int64)
-        sums[plan.unit] = weights.sum()
+        sums = np.zeros((len(bounds) - 1, plan.size), dtype=np.int64)
+        running = np.concatenate([[0], np.cumsum(weights)])
+        sums[:, plan.unit] = (running[bounds[1:]] - running[bounds[:-1]])[:, None]
         for r in range(0, len(coefmat) if plan.qkeys else 0, chunk):
             L = self.legendre_array(coefmat[r:r + chunk], plan.qkeys)
             w = weights[r:r + chunk].astype(np.float32)
-            sums[plan.p_at] += np.einsum("ij,j->i", L, w).astype(np.int64)[plan.p_col]
             head_rows = np.empty((plan.heads, L.shape[1]), dtype=np.float32)
             for c, rows in plan.by_count.items():
                 prod = L[rows[:, 1]]
                 for j in range(2, c + 1):
                     prod *= L[rows[:, j]]
                 head_rows[rows[:, 0]] = prod * w
-            for at, hsel, hpos, csel, cpos in plan.grams:
-                G = head_rows[hsel] @ L[csel].astype(np.float32).T
-                sums[at] += G[hpos, cpos].astype(np.int64)
-        return sums
+            # the segments that meet this chunk, as column ranges of L
+            stop = r + L.shape[1]
+            for s in range(int(np.searchsorted(bounds, r, side="right")) - 1, int(np.searchsorted(bounds, stop))):
+                lo, hi = max(bounds[s], r) - r, min(bounds[s + 1], stop) - r
+                if lo == hi:
+                    continue
+                sums[s, plan.p_at] += np.einsum("ij,j->i", L[:, lo:hi], w[lo:hi]).astype(np.int64)[plan.p_col]
+                for a in range(lo, hi, piece):
+                    b = min(a + piece, hi)
+                    for at, hsel, hpos, csel, cpos in plan.grams:
+                        G = head_rows[hsel, a:b] @ L[csel, a:b].astype(np.float32).T
+                        sums[s, at] += G[hpos, cpos].astype(np.int64)
+        return sums[0] if segments is None else sums
 
     # -- affine maps -----------------------------------------------------
 

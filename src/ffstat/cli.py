@@ -132,7 +132,9 @@ def _decimal_digits(n):
     return "-" + digits if n < 0 else digits
 
 
-def _csv_cell(v):
+def _csv_cell(v, digits=None):
+    """v as a CSV cell; an int of more than _DECIMAL_STR_BITS bits prints
+    through digits (_decimal_digits unless given)."""
     if isinstance(v, str):
         return v
     if isinstance(v, Fraction):
@@ -142,22 +144,21 @@ def _csv_cell(v):
     if v is None:
         return ""
     if isinstance(v, int) and v.bit_length() > _DECIMAL_STR_BITS:
-        return _decimal_digits(v)
+        return (digits or _decimal_digits)(v)
     return str(v)
 
 
-def _json_cell(v, big=None):
-    """v as json.dumps takes it.  When big is given, an int of more than
-    _DECIMAL_STR_BITS bits is appended to it as _decimal_digits gives it,
-    and stands in as a NUL character followed by its index in big, a
-    string that emit swaps for the digits."""
+def _json_cell(v, place=None):
+    """v as json.dumps takes it.  When place is given, an int of more than
+    _DECIMAL_STR_BITS bits stands in as a NUL character followed by
+    place(v), the index of its digits, a string that emit swaps for
+    them."""
     if isinstance(v, Fraction):
-        return {"num": _json_cell(v.numerator, big), "den": _json_cell(v.denominator, big)}
+        return {"num": _json_cell(v.numerator, place), "den": _json_cell(v.denominator, place)}
     if isinstance(v, tuple):
         return list(v)
-    if big is not None and isinstance(v, int) and v.bit_length() > _DECIMAL_STR_BITS:
-        big.append(_decimal_digits(v))
-        return f"\0{len(big) - 1}"
+    if place is not None and isinstance(v, int) and v.bit_length() > _DECIMAL_STR_BITS:
+        return f"\0{place(v)}"
     return v
 
 
@@ -167,23 +168,35 @@ _JSON_BIG = re.compile(r'"\\u0000(\d+)"')
 
 def emit(rows, header, fmt, out):
     """Single-writer serialization of an iterable of dict rows, written as
-    they come; the JSON is json.dumps(list(rows), indent=2), row by row."""
+    they come; the JSON is json.dumps(list(rows), indent=2), row by row.
+    Each distinct big int of the call goes through _decimal_digits once."""
     try:
         opened = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from None
+    texts, places = [], {}
+
+    def place(n):
+        # the index of n's digits in texts, converted on its first use
+        if n not in places:
+            places[n] = len(texts)
+            texts.append(_decimal_digits(n))
+        return places[n]
+
+    def digits(n):
+        return texts[place(n)]
+
     with opened as fh:
         if fmt == "csv":
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
-            w.writerows([_csv_cell(row.get(col)) for col in header] for row in rows)
+            w.writerows([_csv_cell(row.get(col), digits) for col in header] for row in rows)
             return
         sep = "["
         for row in rows:
-            big = []
-            item = json.dumps({k: _json_cell(v, big) for k, v in row.items()}, indent=2)
-            if big:
-                item = _JSON_BIG.sub(lambda m: big[int(m[1])], item)
+            item = json.dumps({k: _json_cell(v, place) for k, v in row.items()}, indent=2)
+            if texts:
+                item = _JSON_BIG.sub(lambda m: texts[int(m[1])], item)
             fh.write(sep + "\n  " + item.replace("\n", "\n  "))
             sep = ","
         fh.write("[]\n" if sep == "[" else "\n]\n")
@@ -418,7 +431,8 @@ def _cmd_lemma61(args):
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
     # one sieve table, the top degree's, first: the constants' reach --M, the sums' --d-max
     top = max(args.d_max, args.M, int(P.degree))
-    _flag_value("--d-max" if args.d_max == top else "--M", poly_tables, field, top)
+    flag = "--d-max" if args.d_max == top else "--M" if args.M == top else "--prime"
+    _flag_value(flag, poly_tables, field, top)
     degrees = range(args.d_min, args.d_max + 1)
     preds = {(d, k1, k2): _flag_value("--M", moments.predicted_nkk, P, d, k1, k2, args.M)
              for d in degrees for k1 in (0, 1) for k2 in (0, 1)}

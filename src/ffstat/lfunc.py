@@ -171,58 +171,75 @@ def l_polynomial(chi):
     return LPoly(tuple(coeffs), deg, chi.sign, completed=False, q=chi.field.q)
 
 
+def _exact(rows, bound):
+    """rows as an int64 array when bound, a bound on every value computed
+    from them, is below 2^63, else as an object array of Python ints:
+    the arithmetic on them is exact either way."""
+    return np.asarray(rows, dtype=np.int64 if bound < 1 << 63 else object)
+
+
+def _largest(rows):
+    """max |entry| of an int array (int64 or object), 0 when empty."""
+    return int(np.abs(rows).max(initial=0))
+
+
+def _complete_rows(raw, deg, sign):
+    """complete_l of every row of raw, the ascending coefficients of raw
+    L-polynomials of modulus degree deg and this sign (an (m, n) int
+    array): (lstar, problems), lstar an (m, deg - lambda) array and
+    problems[i] None or the message complete_l raises for row i.
+
+    Dividing by 1 - s u (s = sign) is out_i = c_i + s out_(i-1), that is
+    out_i = s^i sum_(j <= i) s^j c_j, one cumulative sum; it is exact when
+    the full sum closes to zero.  Then the coefficients above 2 delta must
+    vanish and the one at 2 delta must not."""
+    lam = 1 if deg % 2 == 0 else 0
+    c = _exact(raw, max(1, np.shape(raw)[1]) * _largest(raw))
+    fail = np.zeros(len(c), dtype=object)
+    if lam:
+        twist = sign ** np.arange(c.shape[1])
+        acc = np.cumsum(c * twist, axis=1)
+        fail[(acc[:, -1:] != 0).any(axis=1)] = "non-exact division by trivial-zero factor"
+        c = (acc * twist)[:, :-1]
+    target = deg - 1 - lam
+    exceeds = (c[:, target + 1:] != 0).any(axis=1)
+    fail[(fail == 0) & exceeds] = "completed L-polynomial exceeds degree 2*delta"
+    c = c[:, :target + 1]
+    wrong = c[:, -1] == 0 if c.shape[1] == target + 1 else np.ones(len(c), dtype=bool)
+    fail[(fail == 0) & wrong] = "completed L-polynomial has wrong degree"
+    return c, [msg or None for msg in fail.tolist()]
+
+
 def complete_l(lpoly):
     """Divide out the trivial zero: by (1-u)^lambda for the plus sign,
     (1+u)^lambda for the minus sign.  The division must be exact in
-    integer arithmetic; a nonzero remainder means an upstream bug."""
+    integer arithmetic; a nonzero remainder means an upstream bug.  One
+    row of _complete_rows."""
     if lpoly.completed:
         return lpoly
-    lam = lpoly.lam
-    coeffs = list(lpoly.coeffs)
-    for _ in range(lam):
-        coeffs = _divide_linear(coeffs, at_one=(lpoly.sign == PLUS))
-    # trim exactly to degree 2*delta
-    target = lpoly.modulus_degree - 1 - lam
-    while len(coeffs) > target + 1:
-        if coeffs[-1] != 0:
-            raise InvariantError("completed L-polynomial exceeds degree 2*delta")
-        coeffs.pop()
-    if len(coeffs) != target + 1:
-        raise InvariantError("completed L-polynomial has wrong degree")
-    if coeffs[-1] == 0:
-        raise InvariantError("completed L-polynomial has wrong degree")
-    return LPoly(tuple(coeffs), lpoly.modulus_degree, lpoly.sign, completed=True,
+    rows, fail = _complete_rows(np.array([lpoly.coeffs], dtype=object).reshape(1, -1),
+                                lpoly.modulus_degree, lpoly.sign)
+    if fail[0]:
+        raise InvariantError(fail[0])
+    return LPoly(tuple(rows[0].tolist()), lpoly.modulus_degree, lpoly.sign, completed=True,
                  q=lpoly.q)
 
 
-def _divide_linear(coeffs, at_one):
-    """Exact division by (1 - u) when at_one else (1 + u)."""
-    # with s = +-1: c_i = out_i - s*out_{i-1}, so out_i = c_i + s*out_{i-1};
-    # the final carry must close to zero or the division was not exact
-    s = 1 if at_one else -1
-    out = [0] * (len(coeffs) - 1)
-    prev = 0
-    for i, c in enumerate(coeffs):
-        if i < len(out):
-            cur = c + s * prev
-            out[i] = cur
-            prev = cur
-        else:
-            if c + s * prev != 0:
-                raise InvariantError("non-exact division by trivial-zero factor")
-    return out
+def _functional_equation_rows(rows, q, delta):
+    """Whether each row c of rows (ascending coefficients, at least
+    2 delta + 1 of them) has c_j q^delta = q^j c_(2 delta - j) for every
+    j <= 2 delta: a bool array."""
+    c = rows[:, :2 * delta + 1]
+    c = _exact(c, _largest(c) * q ** (2 * delta))
+    powers = _exact([q ** j for j in range(2 * delta + 1)], q ** (2 * delta))
+    return (c * q ** delta == powers * c[:, ::-1]).all(axis=1)
 
 
 def functional_equation_ok(lstar, q):
-    """Exact coefficient symmetry c_j = q^{j-delta} c_{2delta-j}."""
-    d = lstar.delta
-    c = lstar.coeffs
-    for j in range(2 * d + 1):
-        lhs = c[j] * q ** d
-        rhs = q ** j * c[2 * d - j]
-        if lhs != rhs:
-            return False
-    return True
+    """Exact coefficient symmetry c_j = q^{j-delta} c_{2delta-j}; one row
+    of _functional_equation_rows."""
+    rows = np.array([lstar.coeffs], dtype=object).reshape(1, -1)
+    return bool(_functional_equation_rows(rows, q, lstar.delta)[0])
 
 
 def frobenius_traces(lstar, n_max, with_eigenphases=False):
@@ -239,19 +256,31 @@ def frobenius_traces(lstar, n_max, with_eigenphases=False):
     return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max), phases)
 
 
+def _newton_rows(rows, n_max):
+    """Power sums t_1..t_(n_max) of the reciprocal roots of each row c of
+    rows (ascending coefficients, c_0 = 1), by Newton's identities: an
+    (m, n_max) int array, exact.
+
+    The t_n are power sums of the roots gamma of u^N + c_1 u^(N-1) + ...
+    + c_N, so by Cauchy's bound |gamma| <= B = 1 + max_(i >= 1) |c_i| and
+    |t_n| <= N B^n; each term c_i t_(n-i) is then at most N B^n, and
+    every partial sum of t_n at most (N^2 + n) B^n.  The rows are int64
+    while (N^2 + n_max) B^n_max < 2^63, else Python ints."""
+    N = rows.shape[1] - 1
+    c = _exact(rows, (N * N + n_max) * (1 + _largest(rows[:, 1:])) ** n_max)
+    t = np.zeros((len(c), n_max), dtype=c.dtype)
+    for n in range(1, n_max + 1):
+        k = min(n - 1, N)
+        acc = (c[:, 1:k + 1] * t[:, n - 1 - np.arange(1, k + 1)]).sum(axis=1)
+        t[:, n - 1] = -(acc + n * c[:, n]) if n <= N else -acc
+    return t
+
+
 def power_sums(c, n_max):
     """Power sums t_1..t_{n_max} of the reciprocal roots of the ascending
-    coefficient tuple c (c_0 = 1), by Newton's identities; exact ints."""
-    N = len(c) - 1
-    t = []
-    for n in range(1, n_max + 1):
-        acc = 0
-        for i in range(1, min(n - 1, N) + 1):
-            acc += c[i] * t[n - i - 1]
-        if n <= N:
-            acc += n * c[n]
-        t.append(-acc)
-    return tuple(t)
+    coefficient tuple c (c_0 = 1), by Newton's identities; exact ints.
+    One row of _newton_rows."""
+    return tuple(_newton_rows(np.array([c], dtype=object).reshape(1, -1), n_max)[0].tolist())
 
 
 def reciprocal_roots(lstar):
@@ -284,29 +313,37 @@ def _rational_gcd(a, b):
     return a
 
 
-#: the prime modulo which squarefree_part first takes its gcd, 2^61 - 1
-_GCD_PRIME = (1 << 61) - 1
+#: the prime modulo which squarefree_part first takes its gcd, 2^31 - 1:
+#: a product of two residues is below 2^62
+_GCD_PRIME = (1 << 31) - 1
 
 
-def _coprime_mod(a, b, P):
-    """True when the integer coefficient lists a and b (constant term
-    first) have leading coefficients P does not divide and a gcd over F_P
-    that is a nonzero constant; False otherwise."""
-    a, b = [int(x) % P for x in a], [int(x) % P for x in b]
-    if not (a and b and a[-1] and b[-1]):
-        return False
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        inv = pow(b[-1], -1, P)
-        while len(a) >= len(b):
-            c, off = a[-1] * inv % P, len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] = (a[off + i] - c * b[i]) % P
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(b) == 1
+def _coprime_rows(rows):
+    """For each row c of rows (an (m, n) int array, int64 or object,
+    constant term first): True when P = _GCD_PRIME divides neither the
+    leading coefficient of c nor that of c', and the remainder sequence
+    of c and c' over F_P, each remainder of degree one less than its
+    divisor, ends in a nonzero constant, so that their gcd over F_P is
+    one; False otherwise, also where a remainder drops two degrees at
+    once.  All rows step together in int64: residues are below 2^31, so
+    every product and every difference of two products is below 2^62.
+    The remainders are pseudo-remainders, the divisor's leading
+    coefficient times the dividend, which keeps them over F_P free of
+    inverses and changes no degree."""
+    P = _GCD_PRIME
+    a = (np.asarray(rows) % P).astype(np.int64)
+    b = a[:, 1:] * np.arange(1, a.shape[1]) % P
+    ok = (a[:, -1] != 0) & (b[:, -1] != 0) if b.shape[1] else np.zeros(len(a), dtype=bool)
+    while b.shape[1] > 1:
+        # a has degree L and b degree L - 1: cancel a's X^L against X b,
+        # then the X^(L-1) left against b
+        top = b[:, -1:]
+        r = top * a[:, :-1] % P
+        r[:, 1:] = (r[:, 1:] - a[:, -1:] * b[:, :-1]) % P
+        r = ((top * r - r[:, -1:] * b) % P)[:, :-1]
+        ok &= r[:, -1] != 0
+        a, b = b, r
+    return ok
 
 
 def squarefree_part(coeffs):
@@ -316,7 +353,7 @@ def squarefree_part(coeffs):
     polynomials always have, their roots being nonzero).
 
     Integer coefficients first go through the gcd modulo the prime
-    P = 2^61 - 1 (_coprime_mod).  Let c have integer coefficients, and let
+    P = 2^31 - 1 (_coprime_rows).  Let c have integer coefficients, and let
     P divide neither the leading coefficient of c nor that of c'.  If the
     rational gcd g of c and c' had degree >= 1, take it primitive in Z[X].
     By Gauss's lemma it divides c and c' in Z[X], so its leading
@@ -325,13 +362,14 @@ def squarefree_part(coeffs):
     over F_P has degree >= 1.  Hence a gcd mod P that is a nonzero
     constant proves that the rational gcd is 1, and coeffs come back
     unchanged, as the Fraction path returns them in that case.  Every
-    other input (a repeated factor, P dividing a leading coefficient,
-    coefficients that are not ints) takes the Fraction path."""
+    other input (a repeated factor, P dividing a leading coefficient, a
+    remainder sequence mod P that drops two degrees at once, coefficients
+    that are not ints) takes the Fraction path."""
     c = list(coeffs)
-    dc = [i * c[i] for i in range(1, len(c))]
-    if all(isinstance(x, numbers.Integral) for x in c) and _coprime_mod(c, dc, _GCD_PRIME):
+    if all(isinstance(x, numbers.Integral) for x in c) and _coprime_rows(
+            np.array([c], dtype=object).reshape(1, -1))[0]:
         return tuple(coeffs)
-    return _rational_squarefree_part(c, dc)
+    return _rational_squarefree_part(c, [i * c[i] for i in range(1, len(c))])
 
 
 def _rational_squarefree_part(c, dc):
@@ -353,19 +391,57 @@ def _rational_squarefree_part(c, dc):
     return tuple(x / out[0] for x in out)
 
 
-def rh_max_deviation(lstar, q):
-    """max_i | |gamma_i|/sqrt(q) - 1 |, zero for delta = 0.
+def _rh_rows(rows, q):
+    """max_i | |gamma_i|/sqrt(q) - 1 | for each row of the (m, n) int
+    array rows (ascending coefficients), 0.0 for degree <= 0: a float
+    array.
 
-    Repeated roots wreck double-precision root finding, so the check runs
-    on the exact square-free part (same root set, simple roots).
-    """
-    if lstar.degree <= 0:
-        return 0.0
-    sf = squarefree_part(lstar.coeffs)
-    roots = np.roots([float(c) for c in sf])
-    if len(roots) == 0:
-        return 0.0
-    return float(np.max(np.abs(np.abs(roots) / math.sqrt(q) - 1.0)))
+    Repeated roots wreck double-precision root finding, so the roots are
+    those of the exact square-free part (same root set, simple roots),
+    and they come as np.roots finds them: its leading zeros (zero low
+    coefficients here) dropped, its trailing ones (zero top coefficients)
+    zero roots, and the eigenvalues of the companion matrix of what is
+    left, whose first row is -p[1:] / p[0], from one np.linalg.eigvals
+    over the stacked matrices of each size, the same LAPACK call per
+    matrix.  A row _coprime_rows proves square-free, with nonzero ends,
+    is its own square-free part with nothing to drop; the other rows go
+    through squarefree_part one at a time."""
+    dev = np.zeros(len(rows))
+    plain = _coprime_rows(rows) & (rows[:, :1] != 0).all(axis=1)
+    p = np.asarray(rows[plain], dtype=float)
+    at = np.flatnonzero(plain).tolist()
+    groups = {rows.shape[1] - 1: (at, [0] * len(at), list(-p[:, 1:] / p[:, :1]))}
+    for i in np.flatnonzero(~plain).tolist():
+        c = rows[i].tolist()
+        if max((j for j, x in enumerate(c) if x), default=0) <= 0:
+            continue
+        p = np.array([float(x) for x in squarefree_part(c)])
+        nonzero = np.flatnonzero(p)
+        if len(nonzero):
+            zeros = len(p) - 1 - nonzero[-1]
+            p = p[nonzero[0]:nonzero[-1] + 1]
+            for part, value in zip(groups.setdefault(len(p) - 1, ([], [], [])), (i, zeros, -p[1:] / p[0])):
+                part.append(value)
+    scale = math.sqrt(q)
+    for size, (at, zeros, first) in groups.items():
+        if not at:
+            continue
+        if size:
+            A = np.zeros((len(at), size, size))
+            A[:, 0] = first
+            A[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            worst = np.max(np.abs(np.abs(np.linalg.eigvals(A)) / scale - 1.0), axis=1)
+        else:
+            worst = np.zeros(len(at))
+        # a zero root reads |0 / sqrt(q) - 1| = 1
+        dev[at] = np.where(np.array(zeros) > 0, np.maximum(worst, 1.0), worst)
+    return dev
+
+
+def rh_max_deviation(lstar, q):
+    """max_i | |gamma_i|/sqrt(q) - 1 |, zero for delta = 0; one row of
+    _rh_rows."""
+    return float(_rh_rows(np.array([lstar.coeffs], dtype=object).reshape(1, -1), q)[0])
 
 
 def prime_char_sum(chi_or_modulus, n):
@@ -423,31 +499,39 @@ def l_data(chi, n_max=8):
 # ---------------------------------------------------------------------------
 
 
-def _check_raw(raw, raw_minus, q, n_max, rh_tol):
+def _check_rows(plus, minus, deg, q, n_max, rh_tol):
     """The checks of l_suite that depend on a modulus only through its raw
-    L-polynomial (plus sign) and its minus twist: (lstar, t_plus, dev,
-    problems), problems being failure messages without a modulus label.
-    A completion failure leaves lstar, t_plus and dev None."""
-    try:
-        lstar = complete_l(raw)
-        lstar_minus = complete_l(raw_minus)
-    except InvariantError as exc:
-        return None, None, None, [str(exc)]
-    problems = []
-    if lstar.degree != raw.modulus_degree - 1 - raw.lam:
-        problems.append("deg L* != deg D - 1 - lambda")
-    if not functional_equation_ok(lstar, q):
-        problems.append("functional equation (plus)")
-    if not functional_equation_ok(lstar_minus, q):
-        problems.append("functional equation (minus)")
-    t_plus = frobenius_traces(lstar, n_max).t
-    t_minus = frobenius_traces(lstar_minus, n_max).t
-    if any(t_minus[i] != (-1) ** (i + 1) * t_plus[i] for i in range(n_max)):
-        problems.append("minus traces != (-1)^n plus traces")
-    dev = rh_max_deviation(lstar, q)
-    if dev >= rh_tol:
-        problems.append(f"RH deviation {dev:.2e}")
-    return lstar, t_plus, dev, problems
+    L-polynomial (plus sign) and its minus twist, for the moduli of
+    degree deg whose raws are the rows of plus and minus ((m, deg) int
+    arrays), in one pass over all rows: completion, the functional
+    equation of both signs, the Newton traces of both and the minus
+    relation t_n(minus) = (-1)^n t_n(plus), and the RH deviation.
+    Returns (lstar, t_plus, dev, problems), lists of one entry per row:
+    the completed plus coefficients and traces as int tuples, the
+    deviation, and the failure messages without a modulus label.  A
+    completion failure (plus first) is the row's one problem and leaves
+    its lstar, t_plus and dev None.  Completion leaves L* of degree
+    exactly 2 delta = deg - 1 - lambda, so that needs no check of its
+    own."""
+    lstar, fail = _complete_rows(plus, deg, PLUS)
+    lstar_minus, fail_minus = _complete_rows(minus, deg, MINUS)
+    kept = [i for i, (a, b) in enumerate(zip(fail, fail_minus)) if not (a or b)]
+    lstar, lstar_minus = lstar[kept], lstar_minus[kept]
+    delta = (lstar.shape[1] - 1) // 2
+    t_plus = _newton_rows(lstar, n_max)
+    twisted = _newton_rows(lstar_minus, n_max) * (-1) ** np.arange(1, n_max + 1)
+    checks = [(_functional_equation_rows(lstar, q, delta), "functional equation (plus)"),
+              (_functional_equation_rows(lstar_minus, q, delta), "functional equation (minus)"),
+              ((twisted == t_plus).all(axis=1), "minus traces != (-1)^n plus traces")]
+    deviations = _rh_rows(lstar, q).tolist()
+    coeffs, traces, dev = [None] * len(plus), [None] * len(plus), [None] * len(plus)
+    problems = [[a or b] for a, b in zip(fail, fail_minus)]
+    for j, (i, c, t) in enumerate(zip(kept, lstar.tolist(), t_plus.tolist())):
+        coeffs[i], traces[i], dev[i] = tuple(c), tuple(t), deviations[j]
+        problems[i] = [msg for ok, msg in checks if not ok[j]]
+        if dev[i] >= rh_tol:
+            problems[i].append(f"RH deviation {dev[i]:.2e}")
+    return coeffs, traces, dev, problems
 
 
 @dataclass
@@ -498,29 +582,36 @@ def _orbit_representatives(T, n, codes):
     return at, (T.q - 1) // (images[:, at] == head[at]).sum(axis=0)
 
 
-def _orbit_sums(T, n, codes, plan, index, degs):
-    """sum of chi_D(F) over the monic polynomials F of degree n with these
-    ascending codes (all of them, or the primes), for every D of plan, a
-    catalogue of these degrees whose _affine_index is index (l_suite).
-    One weighted char_sums pass over the rows of the
-    _orbit_representatives alone gives H; the sum at D is
+def _orbit_sums(T, rows, plan, index, degs):
+    """sums[i, D] = sum of chi_D(F) over the monic polynomials F of degree
+    n with these ascending codes (all of them, or the primes), for each
+    (n, codes) of rows and every D of plan, a catalogue of these degrees
+    whose _affine_index is index (l_suite).  One weighted, segmented
+    char_sums pass over the rows of the _orbit_representatives of every
+    (n, codes), zero-padded to the widest, gives H[i]; the sum at D is
 
-        sum_(u, v) chi_q(u)^(n deg D) H[u^-d D(uX + v)] / (q - 1),
+        sum_(u, v) chi_q(u)^(n deg D) H[i, u^-d D(uX + v)] / (q - 1),
 
     v over F_q where p does not divide n, v = 0 where it does.
     InvariantError when the orbit sizes do not add up to the rows or a
     sum does not divide exactly."""
-    at, weights = _orbit_representatives(T, n, codes)
-    folds = 1 if n % T.p == 0 else T.q  # the translates of each row
-    if folds * int(weights.sum()) != len(codes):
-        raise InvariantError(
-            f"l_suite: orbit representatives of degree {n} have orbit sizes adding up to "
-            f"{folds * int(weights.sum())}, not the {len(codes)} rows at q={T.q}")
-    H = T.char_sums(T.code_rows(n, codes[at]), plan, weights)
-    square, other = H[index if folds > 1 else index[:, :, :1]].sum(axis=(1, 2))
-    sums, rest = np.divmod(square + np.where(n * degs % 2, -other, other), T.q - 1)
-    if rest.any():
-        raise InvariantError(f"l_suite: a folded sum of degree {n} does not divide by q - 1 = {T.q - 1}")
+    reps = [_orbit_representatives(T, n, codes) for n, codes in rows]
+    for (n, codes), (_, weights) in zip(rows, reps):
+        folds = 1 if n % T.p == 0 else T.q  # the translates of each row
+        if folds * int(weights.sum()) != len(codes):
+            raise InvariantError(
+                f"l_suite: orbit representatives of degree {n} have orbit sizes adding up to "
+                f"{folds * int(weights.sum())}, not the {len(codes)} rows at q={T.q}")
+    ns = np.repeat([n for n, _ in rows], [len(at) for at, _ in reps])
+    mat = T.code_rows(ns, np.concatenate([codes[at] for (_, codes), (at, _) in zip(rows, reps)]))
+    H = T.char_sums(mat, plan, np.concatenate([weights for _, weights in reps]),
+                    segments=[len(at) for at, _ in reps])
+    sums = np.empty((len(rows), len(degs)), dtype=np.int64)
+    for i, (n, _) in enumerate(rows):
+        square, other = H[i][index if n % T.p else index[:, :, :1]].sum(axis=(1, 2))
+        sums[i], rest = np.divmod(square + np.where(n * degs % 2, -other, other), T.q - 1)
+        if rest.any():
+            raise InvariantError(f"l_suite: a folded sum of degree {n} does not divide by q - 1 = {T.q - 1}")
     return sums
 
 
@@ -532,17 +623,20 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     of coefficients at degree >= deg D, and explicit-formula traces
     against Newton traces for n <= n_max.  Returns a SuiteReport.
 
-    Every character sum is one PolyTables.char_sums pass over the whole
-    catalogue, with one CharPlan for all of them: phase 1 runs one per
-    degree d <= max_deg over the monic rows of degree d (the raw
-    coefficients), phase 2 one per degree n <= n_max over the prime rows
-    of degree n (the s_n(D) of the explicit formula), each over one row
-    per orbit of the affine fold below.  Each pass reads
-    the Legendre symbols of every prime factor in stacked legendre_array
-    calls and multiplies them out in Gram blocks (see _tables), whose
-    floor-only kernel is exact while the bounds of PolyTables.float_type
-    hold (float32 or float64); beyond them, for D = max(n_max, max_deg),
-    the tables raise ValueError.
+    The character sums come from two PolyTables.char_sums passes over
+    the whole catalogue, with one CharPlan for both: phase 1 over the
+    monic rows of every degree d <= max_deg (the raw coefficients),
+    phase 2 over the prime rows of every degree n <= n_max (the s_n(D)
+    of the explicit formula), each over one row per orbit of the affine
+    fold below.  A pass stacks the rows of all its degrees in one
+    zero-padded matrix, the explicit leading 1 keeping each row's
+    polynomial, with one segment per degree, and returns one row of sums
+    per segment (_orbit_sums).  Each pass reads the Legendre symbols of
+    every prime factor in stacked legendre_array calls and multiplies
+    them out in Gram blocks (see _tables), whose floor-only kernel is
+    exact while the bounds of PolyTables.float_type hold (float32 or
+    float64); beyond them, for D = max(n_max, max_deg), the tables raise
+    ValueError.
 
     The affine fold.  For u in F_q^* and v in F_q, s: X -> uX + v is a
     ring automorphism of F_q[X] that fixes F_q, and F(uX + v) has leading
@@ -591,9 +685,10 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     records' columns, so a modulus whose completion fails leaves the sums
     of its images intact.
 
-    The checks of phase 1 run once per distinct raw L-polynomial, on one
-    frozen LPoly shared by every modulus with those coefficients, and
-    the vanishing of the coefficients at degree >= deg D, the explicit
+    The checks of phase 1 run once per distinct raw L-polynomial, in one
+    batched call per modulus degree (_check_rows), with one frozen LPoly
+    shared by every modulus with those coefficients, and the vanishing
+    of the coefficients at degree >= deg D, the explicit
     formula of phase 3 and the prime-sum bound are int64 array operations
     over all records; failures come out per modulus in catalogue order,
     and the bound is the exact ratio of the largest |s_n| of each degree
@@ -617,12 +712,12 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     degs = np.array([dd for dd, _, _ in moduli], dtype=np.int64)
     index = _affine_index(T, degs, np.array([code for _, code, _ in moduli], dtype=np.int64))
 
-    # phase 1: raw coefficients, one affine-folded char_sums pass per
-    # degree of F over every modulus; the checks of each distinct raw
-    # L-polynomial (a pure function of its coefficients here) run once, on
-    # one shared LPoly
-    sums = np.array([_orbit_sums(T, d, np.arange(q ** d), plan, index, degs)
-                     for d in range(max_deg + 1)])
+    # phase 1: raw coefficients, one affine-folded char_sums pass over the
+    # monic rows of every degree of F and every modulus; the checks of the
+    # distinct raw L-polynomials of each modulus degree (a pure function of
+    # the coefficients here) run once, in one batch, each raw and L* one
+    # shared LPoly
+    sums = _orbit_sums(T, [(d, np.arange(q ** d)) for d in range(max_deg + 1)], plan, index, degs)
     nonzero = (sums != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
     flagged = set(np.flatnonzero(nonzero.any(axis=0)).tolist())
     checked = []  # (raw, lstar, t_plus, dev, problems) per distinct raw
@@ -631,11 +726,13 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
         at = np.flatnonzero(degs == dd)
         distinct, inverse = np.unique(sums[:dd, at].T, axis=0, return_inverse=True)
         which[at] = len(checked) + inverse.reshape(-1)
-        for coeffs in distinct.tolist():
+        results = _check_rows(distinct, distinct * (-1) ** np.arange(dd), dd, q, n_max, rh_tol)
+        for coeffs, lstar, t_plus, dev, problems in zip(distinct.tolist(), *results):
             raw = LPoly(tuple(coeffs), dd, PLUS, completed=False, q=q)
-            raw_minus = LPoly(tuple((-1) ** e * c for e, c in enumerate(coeffs)),
-                              dd, MINUS, completed=False, q=q)
-            checked.append((raw,) + _check_raw(raw, raw_minus, q, n_max, rh_tol))
+            if lstar is not None:
+                lstar = LPoly(lstar, dd, PLUS, completed=True, q=q)
+                rh_worst = max(rh_worst, dev)
+            checked.append((raw, lstar, t_plus, dev, problems))
     records, kept = [], []
     for i, (dd, code, factors) in enumerate(moduli):
         raw, lstar, t_plus, dev, problems = checked[which[i]]
@@ -648,15 +745,12 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
             kept.append(i)
             records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
                             "lstar": lstar, "t": t_plus, "lam": raw.lam})
-    for _, lstar, _, dev, _ in checked:
-        if lstar is not None:
-            rh_worst = max(rh_worst, dev)
 
     # phase 2: prime character sums s_d(D) for the explicit formula, one
-    # affine-folded char_sums pass per prime degree over every modulus, of
-    # which the records' are kept
-    s_table = np.array([_orbit_sums(T, d, T.prime_codes[d], plan, index, degs)
-                        for d in range(1, n_max + 1)])[:, kept]
+    # affine-folded char_sums pass over the prime rows of every degree and
+    # every modulus, of which the records' are kept
+    s_table = _orbit_sums(T, [(d, T.prime_codes[d]) for d in range(1, n_max + 1)],
+                          plan, index, degs)[:, kept]
 
     # phase 3: explicit formula vs Newton over every record at once, in
     # int64: |s_d| <= q^d < 2^53 keeps the explicit side below 2^62, and a

@@ -695,3 +695,83 @@ def p_valuation_by_division(n, p, cap):
     while v < cap and n % p == 0:
         n, v = n // p, v + 1
     return v, n
+
+
+def complete_coeffs(coeffs, deg, sign):
+    """The coefficients of lfunc.complete_l of the raw L-polynomial of a
+    modulus of degree deg with this sign and these coefficients, by the
+    division loop it ran one polynomial at a time; InvariantError as it
+    raised it."""
+    lam = 1 if deg % 2 == 0 else 0
+    coeffs = list(coeffs)
+    for _ in range(lam):
+        # out_i = c_i + s out_(i-1); the final carry must close to zero
+        s, out, prev = sign, [], 0
+        for c in coeffs[:-1]:
+            prev = c + s * prev
+            out.append(prev)
+        if coeffs and coeffs[-1] + s * prev != 0:
+            raise InvariantError("non-exact division by trivial-zero factor")
+        coeffs = out
+    target = deg - 1 - lam
+    while len(coeffs) > target + 1:
+        if coeffs[-1] != 0:
+            raise InvariantError("completed L-polynomial exceeds degree 2*delta")
+        coeffs.pop()
+    if len(coeffs) != target + 1 or coeffs[-1] == 0:
+        raise InvariantError("completed L-polynomial has wrong degree")
+    return tuple(coeffs)
+
+
+def functional_equation_ok(c, q):
+    """c_j q^delta = q^j c_(2 delta - j) for the 2 delta + 1 coefficients c."""
+    d = (len(c) - 1) // 2
+    return all(c[j] * q ** d == q ** j * c[2 * d - j] for j in range(2 * d + 1))
+
+
+def power_sums(c, n_max):
+    """t_1..t_(n_max) by Newton's identities, one term at a time."""
+    N, t = len(c) - 1, []
+    for n in range(1, n_max + 1):
+        acc = sum(c[i] * t[n - i - 1] for i in range(1, min(n - 1, N) + 1))
+        t.append(-(acc + (n * c[n] if n <= N else 0)))
+    return tuple(t)
+
+
+def rh_max_deviation(c, q):
+    """max | |gamma|/sqrt(q) - 1 | over the np.roots of the square-free
+    part of c, one polynomial at a time; 0.0 for degree <= 0."""
+    if max((i for i, x in enumerate(c) if x), default=0) <= 0:
+        return 0.0
+    roots = np.roots([float(x) for x in lfunc.squarefree_part(c)])
+    if len(roots) == 0:
+        return 0.0
+    return float(np.max(np.abs(np.abs(roots) / np.sqrt(q) - 1.0)))
+
+
+def check_raw(raw, raw_minus, deg, q, n_max, rh_tol):
+    """The checks lfunc.l_suite runs on one raw L-polynomial (plus sign,
+    modulus degree deg) and its minus twist, as it ran them one polynomial
+    at a time: (lstar, t_plus, dev, problems), problems being failure
+    messages without a modulus label; a completion failure leaves lstar,
+    t_plus and dev None."""
+    try:
+        lstar = complete_coeffs(raw, deg, 1)
+        lstar_minus = complete_coeffs(raw_minus, deg, -1)
+    except InvariantError as exc:
+        return None, None, None, [str(exc)]
+    problems = []
+    if max((i for i, x in enumerate(lstar) if x), default=-1) != deg - 1 - (deg % 2 == 0):
+        problems.append("deg L* != deg D - 1 - lambda")
+    if not functional_equation_ok(lstar, q):
+        problems.append("functional equation (plus)")
+    if not functional_equation_ok(lstar_minus, q):
+        problems.append("functional equation (minus)")
+    t_plus = power_sums(lstar, n_max)
+    t_minus = power_sums(lstar_minus, n_max)
+    if any(t_minus[i] != (-1) ** (i + 1) * t_plus[i] for i in range(n_max)):
+        problems.append("minus traces != (-1)^n plus traces")
+    dev = rh_max_deviation(lstar, q)
+    if dev >= rh_tol:
+        problems.append(f"RH deviation {dev:.2e}")
+    return lstar, t_plus, dev, problems

@@ -253,6 +253,8 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
+    # the sieve top is the degree of --prime, above --d-max and --M
+    (["lemma61", "--prime", "X^14+X+2", "--d-max", "2", "--M", "2"], "--prime"),
     # the sieve tables of degree 14 over their cap, before the family's
     (["moments", "--genus", "1", "--n-max", "14"], "--n-max"),
     # sieve tables over the size cap: degree 14 is the first refused at q = 3
@@ -780,6 +782,62 @@ def test_eulersum_output_matches_pinned_digest(capsys, command, digest):
     # through str(int) and the JSON rows through int.__repr__ (json.dumps);
     # both now print ints above _DECIMAL_STR_BITS through _decimal_digits
     code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "b58c4b82196bf09a7801298141406fca29fef4626afe14680aebf8bfa34530a7"),
+    ("json", "ef7a0d77eacc547598aa43d9e9feab37a059337ceb32898c71a9f6bcf3742a7d"),
+])
+def test_emit_converts_each_distinct_big_int_once(capsys, monkeypatch, fmt, digest):
+    # the plus and minus rows print equal ~90 000-bit sums: four distinct
+    # big ints among six cells, each converted once per emit call, and the
+    # bytes printed when every cell was converted (sha256 of the stdout of
+    # the code that converted each cell)
+    converted = []
+    digits = cli._decimal_digits
+
+    def counting(n):
+        converted.append(n)
+        return digits(n)
+
+    sums = [v for r in (eulerprod.prime_sum(kind, F3, 3, 9) for kind in eulerprod.KINDS)
+            for v in (r.num, r.den)]
+    big = [v for v in sums if v.bit_length() > cli._DECIMAL_STR_BITS]
+    assert len(big) == 6 and len(set(big)) == 4
+    monkeypatch.setattr(cli, "_decimal_digits", counting)
+    code, out, _ = run_cli(capsys, *f"eulersum --q 3 --n 3 --M 9 --format {fmt}".split())
+    assert code == 0
+    assert sorted(converted) == sorted(set(big))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("--q 3 --modulus X^6+X^4+X^2+1 --sign plus",
+     "893ccc546611419cbf692c00ba856c211c40441c5ee5ff6379a03ad293f78fb6"),
+    ("--q 3 --modulus X^5+2X+1 --sign minus",
+     "bae9eac00a17b823bc6e4aaa02e564f85f00829f5b414c727465e2dfedb8f6aa"),
+    ("--q 5 --modulus X^5+X+1 --sign minus",
+     "34ea8cbd410778e656452a0f982baf1166cc0bf10bc07ed808223e2e2d20e6dc"),
+    ("--q 5 --modulus X^4+X+2 --sign plus",
+     "bf2da2acc42554c84d11e8f2e53bbbfe901a1b352e867150d627cd715ef29d6c"),
+    ("--q 9 --modulus X^3+X+1 --sign plus",
+     "8a2d3e44c8e628c8cbb2439a29a2ae2b156f44617ccd1659f0e2689152223626"),
+    ("--q 9 --modulus X^4+3X+5 --sign minus",
+     "ad4833761c065001398e7f00a21dbc814e8eed72d18df5cc260cea1e8be307c7"),
+    ("--q 25 --modulus X^3+X+7 --sign plus",
+     "6e7259fe83fa07ede9dcb104e429d1cfdc32cf2e636661bb154f2f60effa5e86"),
+    ("--q 25 --modulus X^3+X+1 --sign minus",
+     "011bb955ad9cd3b897d141c069aefcdc9c37816304746aac68df52b9567c3886"),
+])
+def test_lfunc_output_matches_pinned_digest(capsys, command, digest):
+    # sha256 of the stdout of the code that completed, traced and rooted
+    # one L-polynomial at a time (np.roots per polynomial); X^6+X^4+X^2+1,
+    # X^5+X+1 at q = 5 and X^3+X+1 at q = 9 have an L* with a repeated root.
+    # The q = 25 moduli stay at degree 3, the tables test_tables reads
+    # through the shared poly_tables cache
+    code, out, _ = run_cli(capsys, "lfunc", *command.split(), "--n-max", "8", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import scalar_oracles as oracle
 from ffstat import _tables, ffpoly, lfunc
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import GF, Poly
@@ -211,40 +212,125 @@ def _suite_labels_and_raws(q, max_deg, n_max):
     return labels, {r["raw"].coeffs for r in recs}
 
 
+def _counting_checks(monkeypatch):
+    """Patch lfunc._check_rows to record (deg, raw rows) of each call."""
+    calls = []
+    check = lfunc._check_rows
+
+    def counting(plus, minus, deg, q, n_max, rh_tol):
+        calls.append((deg, [tuple(row) for row in plus.tolist()]))
+        return check(plus, minus, deg, q, n_max, rh_tol)
+
+    monkeypatch.setattr(lfunc, "_check_rows", counting)
+    return calls
+
+
 def test_l_suite_checks_each_raw_polynomial_once(monkeypatch):
     labels, raws = _suite_labels_and_raws(3, 3, 4)
     assert len(raws) < len(labels)
-    calls = []
-    rh = lfunc.rh_max_deviation
-
-    def counting_rh(lstar, q):
-        calls.append(lstar.coeffs)
-        return rh(lstar, q)
-
-    monkeypatch.setattr(lfunc, "functional_equation_ok", lambda lstar, q: False)
-    monkeypatch.setattr(lfunc, "rh_max_deviation", counting_rh)
+    calls = _counting_checks(monkeypatch)
+    monkeypatch.setattr(lfunc, "_functional_equation_rows", lambda rows, q, delta: np.zeros(len(rows), dtype=bool))
     rep = lfunc.l_suite(3, max_deg=3, n_max=4)
     assert rep.moduli == len(labels)
-    # every failing modulus is still reported, with its own label
+    # every failing modulus is still reported, with its own label, in
+    # catalogue order
     assert rep.failures == [f"{label}: functional equation ({sign})"
                             for label in labels for sign in ("plus", "minus")]
-    assert len(calls) == len(raws)
+    # one batched call per modulus degree, each distinct raw in one row
+    assert [deg for deg, _ in calls] == [1, 2, 3]
+    checked = [row for deg, rows in calls for row in rows]
+    assert len(checked) == len(set(checked)) == len(raws)
+    assert set(checked) == raws
+    assert all(len(row) == deg for deg, rows in calls for row in rows)
 
 
 def test_l_suite_reports_completion_failure_per_modulus(monkeypatch):
-    labels, raws = _suite_labels_and_raws(3, 3, 4)
-    calls = []
+    recs = []
+    lfunc.l_suite(3, max_deg=3, n_max=4, collect=recs.append)
+    labels = [f"D deg={r['deg']} code={r['code']}" for r in recs]
+    complete = lfunc._complete_rows
+    message = "non-exact division by trivial-zero factor"
+    for fails in (lambda raw: True, lambda raw: raw[-1] > 0):
+        def failing(raw, deg, sign, fails=fails):
+            rows, problems = complete(raw, deg, sign)
+            return rows, [message if sign == lfunc.PLUS and fails(row) else msg
+                          for row, msg in zip(raw.tolist(), problems)]
 
-    def failing_complete(lpoly):
-        calls.append(lpoly.coeffs)
-        raise InvariantError("non-exact division by trivial-zero factor")
+        monkeypatch.setattr(lfunc, "_complete_rows", failing)
+        kept = []
+        rep = lfunc.l_suite(3, max_deg=3, n_max=4, collect=kept.append)
+        broken = [fails(r["raw"].coeffs) for r in recs]
+        assert rep.failures == [f"{label}: {message}" for label, bad in zip(labels, broken) if bad]
+        # the moduli that complete keep their records, prime sums included
+        assert rep.moduli == broken.count(False) == len(kept)
+        assert [(r["deg"], r["code"], r["lstar"].coeffs, r["t"], r["s"]) for r in kept] == [
+            (r["deg"], r["code"], r["lstar"].coeffs, r["t"], r["s"]) for r, bad in zip(recs, broken) if not bad]
+    assert 0 < broken.count(True) < len(recs)
 
-    monkeypatch.setattr(lfunc, "complete_l", failing_complete)
-    rep = lfunc.l_suite(3, max_deg=3, n_max=4)
-    assert rep.moduli == 0
-    assert rep.failures == [f"{label}: non-exact division by trivial-zero factor"
-                            for label in labels]
-    assert sorted(calls) == sorted(raws)
+
+#: q -> the largest modulus degree whose raw L-polynomials the batched
+#: checks are drawn on
+CHECK_GRID = {3: 6, 5: 5, 7: 4, 9: 4, 25: 3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(CHECK_GRID)), data=st.data())
+def test_batched_checks_match_the_scalar_oracle(q, data):
+    # real raws of square-free moduli of one degree, some changed so that
+    # completion, a functional equation or the minus relation fails (or
+    # the division stays exact and the rest fails): the same L*, traces,
+    # bit-equal RH deviation and the same problems, in order, as the
+    # one-polynomial-at-a-time checks
+    deg = data.draw(st.integers(1, CHECK_GRID[q]), label="deg")
+    T = _tables.poly_tables(ffpoly.field_of_order(q), CHECK_GRID[q])
+    codes = data.draw(st.lists(st.integers(0, q ** deg - 1), min_size=1, max_size=5), label="codes")
+    codes = [code for code in codes if T.factor(deg, code) is not None]
+    assume(codes)
+    twist = [(-1) ** e for e in range(deg)]
+    plus, minus = [], []
+    for code in codes:
+        raw = list(lfunc.l_polynomial(lfunc.QuadChar(Poly.monic_from_code(T.field, deg, code))).coeffs)
+        kind = data.draw(st.sampled_from(["none", "plus", "plus exact", "minus", "minus exact", "top"]),
+                         label="change")
+        j = data.draw(st.integers(0, deg - 1), label="at")
+        x = data.draw(st.integers(-3, 3).filter(bool), label="by")
+        if kind.startswith("plus"):
+            raw[j] += x
+            if kind == "plus exact" and j + 1 < deg:  # keeps a factor 1 - u
+                raw[j + 1] -= x
+        if kind == "top":
+            raw[-1] = 0
+        raw_minus = [s * c for s, c in zip(twist, raw)]
+        if kind.startswith("minus"):
+            raw_minus[j] += x
+            if kind == "minus exact" and j + 1 < deg:  # keeps a factor 1 + u
+                raw_minus[j + 1] += x
+        plus.append(raw)
+        minus.append(raw_minus)
+    n_max = data.draw(st.integers(1, 8), label="n_max")
+    args = (np.array(plus, dtype=np.int64), np.array(minus, dtype=np.int64), deg, q, n_max, 1e-9)
+    try:
+        want = [oracle.check_raw(a, b, deg, q, n_max, 1e-9) for a, b in zip(plus, minus)]
+    except InvariantError as exc:  # an L* of constant term 0 has no square-free part
+        with pytest.raises(InvariantError, match=str(exc)):
+            lfunc._check_rows(*args)
+        return
+    assert list(zip(*lfunc._check_rows(*args))) == want
+
+
+def test_newton_rows_are_exact_on_both_sides_of_the_int64_bound():
+    # t_n = A^n for u^2 - A u: int64 while (N^2 + n_max)(1 + A)^n_max
+    # < 2^63, Python ints past it, where A^n_max itself passes 2^63
+    n_max = 8
+    edge = next(a for a in range(1, 1 << 10) if (4 + n_max) * (1 + a) ** n_max >= 1 << 63)
+    for a in (edge - 1, edge, 3 ** 20):
+        rows = np.array([[1, -a, 0], [1, a, -1]], dtype=object)
+        got = lfunc._newton_rows(rows, n_max)
+        assert got.dtype == (np.int64 if a < edge else object)
+        assert [tuple(t) for t in got.tolist()] == [oracle.power_sums(row, n_max) for row in rows.tolist()]
+        assert got[0, -1] == a ** n_max
+    assert (3 ** 20) ** n_max > 1 << 63
+    assert lfunc.power_sums((1, -(3 ** 20), 0), n_max)[-1] == 3 ** (20 * n_max)
 
 
 def _suite_digest(q, max_deg, n_max):
@@ -277,7 +363,8 @@ def test_l_suite_records_are_pinned(q, max_deg, n_max, digest):
 
 
 def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
-    # one legendre_array call per row degree, each over every prime factor
+    # one legendre_array call per phase, the monic rows of every degree
+    # and then the prime rows of every degree, each over every prime factor
     # of the catalogue, and no per-modulus sums left in l_suite
     calls = []
     stacked = _tables.PolyTables.legendre_array
@@ -292,7 +379,7 @@ def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
     assert rep.ok()
     T = _tables.poly_tables(F3, n_max)
     factors = sum(len(T.prime_codes[d]) for d in range(1, max_deg + 1))
-    assert calls == [factors] * (max_deg + 1 + n_max)
+    assert calls == [factors] * 2
     assert not hasattr(_tables.PolyTables, "prime_char_sums")
     tree = ast.parse(inspect.getsource(lfunc.l_suite))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -345,19 +432,24 @@ _int_polys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(
 def test_squarefree_part_fast_path_equals_the_fraction_path(a, b, power, lead):
     # c = lead * a * b^power: with power 2 a squared factor whenever b has
     # degree >= 1, and a leading coefficient P divides when lead is P; the
-    # mod-P gcd never claims a square-free c the rational gcd denies
+    # mod-P remainder sequence never claims a square-free c the rational
+    # gcd denies, and a batch of rows reads as each row alone
     c = [lead * x for x in a]
     for _ in range(power):
         c = _poly_mul(c, b)
     dc = [i * c[i] for i in range(1, len(c))]
     want = lfunc._rational_squarefree_part(c, dc)
     assert lfunc.squarefree_part(tuple(c)) == want
-    if lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME):
+    coprime = lfunc._coprime_rows(np.array([c], dtype=object))[0]
+    if coprime:
         assert want == tuple(c)
     if power == 2 and len(b) > 1:
-        assert not lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME)
+        assert not coprime
     if lead == lfunc._GCD_PRIME:
-        assert not lfunc._coprime_mod(c, dc, lfunc._GCD_PRIME)
+        assert not coprime
+    rows = [c, [-x for x in c], c[:1] + [x + 1 for x in c[1:]]]
+    assert lfunc._coprime_rows(np.array(rows, dtype=object)).tolist() == [
+        lfunc._coprime_rows(np.array([row], dtype=object))[0] for row in rows]
 
 
 def test_l_suite_leaves_numpy_ma_unimported():
@@ -447,8 +539,8 @@ def test_translation_fold_matches_plain_char_sums(q, data):
         row_codes = _even_rows(T, n, int(kind[2:]))
         _, weights = lfunc._orbit_representatives(T, n, row_codes)
         assert (weights < q - 1).any()
-    got = lfunc._orbit_sums(T, n, row_codes, plan, index, degs)
-    assert got.tolist() == T.char_sums(T.code_rows(n, row_codes), plan).tolist()
+    got = lfunc._orbit_sums(T, [(n, row_codes)], plan, index, degs)
+    assert got.tolist() == [T.char_sums(T.code_rows(n, row_codes), plan).tolist()]
 
 
 @pytest.mark.parametrize("q,n", [(5, 4), (9, 2), (5, 5), (3, 3)])
@@ -486,14 +578,15 @@ def test_orbit_sums_refuse_a_sum_that_does_not_divide(monkeypatch):
     free = int(np.flatnonzero((index == np.arange(len(codes))).sum(axis=(0, 1, 2)) == 1)[0])
     char_sums = _tables.PolyTables.char_sums
 
-    def off_by_one(self, coefmat, plan, weights=None):
-        sums = char_sums(self, coefmat, plan, weights)
-        sums[free] += 1
+    def off_by_one(self, coefmat, plan, weights=None, segments=None):
+        sums = char_sums(self, coefmat, plan, weights, segments)
+        sums[-1, free] += 1
         return sums
 
     monkeypatch.setattr(_tables.PolyTables, "char_sums", off_by_one)
-    with pytest.raises(InvariantError, match="does not divide"):
-        lfunc._orbit_sums(T, 3, T.prime_codes[3], _tables.CharPlan(facs), index, degs)
+    rows = [(1, T.prime_codes[1]), (3, T.prime_codes[3])]
+    with pytest.raises(InvariantError, match="of degree 3 does not divide"):
+        lfunc._orbit_sums(T, rows, _tables.CharPlan(facs), index, degs)
 
 
 def test_translation_index_refuses_a_missing_translate():
@@ -521,16 +614,23 @@ def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch
     # one row per orbit of the affine group X -> cX + a where p does not
     # divide the row degree, of the scalings X -> cX where it does (d = 0,
     # and d = 3 at q = 3), counted by scalar arithmetic, and the rows of
-    # l_suite(5, 5, 8)
-    rows = []
-    stacked = _tables.PolyTables.legendre_array
+    # l_suite(5, 5, 8): one segment per degree of each phase's char_sums
+    # pass, all of them in the rows of its one legendre_array call
+    passes, rows = [], []
+    char_sums, stacked = _tables.PolyTables.char_sums, _tables.PolyTables.legendre_array
+
+    def counting_sums(self, coefmat, plan, weights=None, segments=None):
+        passes.append(list(segments))
+        return char_sums(self, coefmat, plan, weights, segments)
 
     def counting(self, coefmat, qkeys):
         rows.append(len(coefmat))
         return stacked(self, coefmat, qkeys)
 
+    monkeypatch.setattr(_tables.PolyTables, "char_sums", counting_sums)
     monkeypatch.setattr(_tables.PolyTables, "legendre_array", counting)
     for q, max_deg, n_max in [(3, 3, 4), (5, 2, 4)]:
+        passes.clear()
         rows.clear()
         assert lfunc.l_suite(q, max_deg=max_deg, n_max=n_max).ok()
         T = _tables.poly_tables(ffpoly.field_of_order(q), n_max)
@@ -541,10 +641,13 @@ def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch
 
         monic = [orbits(d, range(q ** d)) for d in range(max_deg + 1)]
         prime = [orbits(n, T.prime_codes[n].tolist()) for n in range(1, n_max + 1)]
-        assert rows == monic + prime
+        assert passes == [monic, prime]
+        assert rows == [sum(monic), sum(prime)]
+    passes.clear()
     rows.clear()
     assert lfunc.l_suite(5, max_deg=5, n_max=8).ok()
-    assert rows == [1, 1, 3, 8, 40, 790, 1, 1, 2, 10, 156, 134, 558, 2460]
+    assert passes == [[1, 1, 3, 8, 40, 790], [1, 1, 2, 10, 156, 134, 558, 2460]]
+    assert rows == [843, 3322]
     assert sum(rows) == 4165
 
 

@@ -218,6 +218,35 @@ def test_weighted_char_sums_equal_sums_over_repeated_rows(q):
     assert got.tolist() == T.char_sums(T.code_rows(3, np.repeat(codes, weights)), plan).tolist()
 
 
+@settings(max_examples=25, deadline=None)
+@given(q=st.sampled_from([3, 5, 9]), data=st.data())
+def test_segmented_char_sums_equal_one_call_per_segment(q, data):
+    # runs of rows of mixed degrees (empty runs too) in one zero-padded
+    # matrix, with weights, against one char_sums call per run; chunks of
+    # a few rows make runs cross chunk edges
+    T = poly_tables(ffpoly.field_of_order(q), 3)
+    facs = [[]] + [fac for fac in (T.factor(d, code) for d in (1, 2, 3) for code in range(q ** d)) if fac]
+    plan = CharPlan(facs)
+    runs = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=6),
+                     label="runs")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    codes = [rng.integers(0, q ** d, size=size) for d, size in runs]
+    weights = [rng.integers(0, q, size=size) for _, size in runs]
+    if data.draw(st.booleans(), label="small chunks"):
+        chunk_bytes = (len(plan.qkeys) + plan.heads) * data.draw(st.integers(1, 16), label="chunk rows") // 64
+        ffpoly.BLOCK_BYTES, before = max(1, chunk_bytes), ffpoly.BLOCK_BYTES
+    else:
+        before = ffpoly.BLOCK_BYTES
+    try:
+        mat = T.code_rows(np.repeat([d for d, _ in runs], [size for _, size in runs]), np.concatenate(codes))
+        got = T.char_sums(mat, plan, np.concatenate(weights), segments=[size for _, size in runs])
+        want = [T.char_sums(T.code_rows(d, c), plan, w) for (d, _), c, w in zip(runs, codes, weights)]
+    finally:
+        ffpoly.BLOCK_BYTES = before
+    assert got.shape == (len(runs), len(facs))
+    assert got.tolist() == [row.tolist() for row in want]
+
+
 def test_char_sums_refuses_inexact_gram_chunks(monkeypatch):
     # a chunk wider than 2^24 rows could round a float32 Gram entry, and so
     # could 2^23 + 1 rows of weight 2; the rows are a broadcast view, so
