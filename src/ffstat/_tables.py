@@ -784,8 +784,6 @@ class PolyTables:
             stop = r + L.shape[1]
             for s in range(int(np.searchsorted(bounds, r, side="right")) - 1, int(np.searchsorted(bounds, stop))):
                 lo, hi = max(bounds[s], r) - r, min(bounds[s + 1], stop) - r
-                if lo == hi:
-                    continue
                 sums[s, plan.p_at] += np.einsum("ij,j->i", L[:, lo:hi], w[lo:hi]).astype(np.int64)[plan.p_col]
                 for a in range(lo, hi, piece):
                     b = min(a + piece, hi)
