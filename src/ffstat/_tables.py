@@ -226,14 +226,13 @@ class PolyTables:
         int array of one degree per code) with these codes, zero above
         their explicit leading 1 up to the largest degree, built straight
         in dtype one digit column at a time, column-major, as the kernel
-        reads their transpose.  A code of degree d is below q^d, so its
-        digits from d e on are 0 and the leading 1 lands on one of them."""
-        e, p = self.e, self.p
-        cols = np.zeros(((int(np.max(d, initial=0)) + 1) * e, len(codes)), dtype=dtype)
-        rem = codes
-        for j in range(len(cols) - e):
-            rem, cols[j] = np.divmod(rem, p)
-        cols[np.asarray(d) * e, np.arange(len(codes))] = 1
+        reads their transpose.  A code of degree d is below q^d = p^(d e),
+        so the digits of code + q^d are its own and the leading 1 at d e."""
+        d = np.asarray(d)
+        cols = np.empty(((int(d.max(initial=0)) + 1) * self.e, len(codes)), dtype=dtype)
+        rem = codes + self.q ** d
+        for j in range(len(cols)):
+            rem, cols[j] = np.divmod(rem, self.p)
         return cols.T
 
     def _element_rows(self, codes, nrows):
@@ -443,8 +442,8 @@ class PolyTables:
         degree per code) with these codes, zero-padded to the largest
         degree, in the float type float_type gives rows of max(d) + 1
         coefficients."""
-        return self._monic_rows(np.asarray(codes, dtype=np.int64), d,
-                                self.float_type(int(np.max(d, initial=0)) + 1))
+        d = np.asarray(d)
+        return self._monic_rows(np.asarray(codes, dtype=np.int64), d, self.float_type(int(d.max(initial=0)) + 1))
 
     def monic_coefmat(self, d):
         """(q^d x (d+1)e) digit rows of all monic of degree d, in the

@@ -271,7 +271,7 @@ def _newton_rows(rows, n_max):
     t = np.zeros((len(c), n_max), dtype=c.dtype)
     for n in range(1, n_max + 1):
         k = min(n - 1, N)
-        acc = (c[:, 1:k + 1] * t[:, n - 1 - np.arange(1, k + 1)]).sum(axis=1)
+        acc = (c[:, 1:k + 1] * t[:, n - 1 - k:n - 1][:, ::-1]).sum(axis=1)
         t[:, n - 1] = -(acc + n * c[:, n]) if n <= N else -acc
     return t
 

@@ -253,8 +253,6 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # square-free factor tables over the size cap, refused before they are built
     (["family", "--genus", "10", "--count"], "--genus"),
     (["lemma61", "--prime", "X^2+1", "--d-max", "30", "--M", "2"], "--d-max"),
-    # the sieve top is the degree of --prime, above --d-max and --M
-    (["lemma61", "--prime", "X^14+X+2", "--d-max", "2", "--M", "2"], "--prime"),
     # the sieve tables of degree 14 over their cap, before the family's
     (["moments", "--genus", "1", "--n-max", "14"], "--n-max"),
     # sieve tables over the size cap: degree 14 is the first refused at q = 3
@@ -295,6 +293,8 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
     # a missing directory, refused before the 4 s of stages this run takes
     (["moments", "--genus", "8", "--n-max", "6", "--out",
       str(pathlib.Path(__file__).parent / "no-such-directory" / "x.csv")], "--out"),
+    # the sieve top is the degree of --prime, above --d-max and --M
+    (["lemma61", "--prime", "X^14+X+2", "--d-max", "2", "--M", "2"], "--prime"),
 ])
 def test_range_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, argv[0], "--q", "3", *argv[1:])
