@@ -232,11 +232,10 @@ def test_segmented_char_sums_equal_one_call_per_segment(q, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     codes = [rng.integers(0, q ** d, size=size) for d, size in runs]
     weights = [rng.integers(0, q, size=size) for _, size in runs]
+    before = ffpoly.BLOCK_BYTES
     if data.draw(st.booleans(), label="small chunks"):
-        chunk_bytes = (len(plan.qkeys) + plan.heads) * data.draw(st.integers(1, 16), label="chunk rows") // 64
-        ffpoly.BLOCK_BYTES, before = max(1, chunk_bytes), ffpoly.BLOCK_BYTES
-    else:
-        before = ffpoly.BLOCK_BYTES
+        rows = data.draw(st.integers(1, 16), label="chunk rows")
+        ffpoly.BLOCK_BYTES = max(1, (len(plan.qkeys) + plan.heads) * rows // 64)
     try:
         mat = T.code_rows(np.repeat([d for d, _ in runs], [size for _, size in runs]), np.concatenate(codes))
         got = T.char_sums(mat, plan, np.concatenate(weights), segments=[size for _, size in runs])
