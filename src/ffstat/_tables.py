@@ -105,6 +105,13 @@ many products in {-w, ..., w} as the chunk has rows, w the largest
 weight, so chunk width times w stays at most 2^24, where float32 is
 exact; a wider chunk raises InvariantError.
 
+Symbols between two sets of primes, (Q/P) for key primes Q and primes P
+of one degree d, go through `prime_symbols` alone, which picks whose
+residue tables to read: the P's, q^d entries each, when all pi_q(d) of
+them are no more entries than the keys' own, else the keys', with the
+reciprocity sign (-1)^((q-1)/2 deg Q d).  `prime_counts` counts the
+values -1, 0, 1 per degree of Q, which is all the prime sums read.
+
 The sieve records, for each composite code, its smallest prime factor
 (least degree, then least code) together with its cofactor, so factoring
 needs no division; `factor_all` factors every code of one degree at once
@@ -165,6 +172,13 @@ def _sum_bounds(p, e, width, entry, k):
     J, entry = e * width, p - 1 if entry is None else entry
     x_max = J * entry * (p - 1)
     return (J + 2) * x_max, J * entry * p ** (e * k)
+
+
+def _value_counts(symbols):
+    """The multiplicities of -1, 0 and 1 along the last axis of an array of
+    symbols, as a (..., 3) array: one count per row, where np.unique
+    would sort each row on its own."""
+    return np.stack([(symbols == v).sum(axis=-1) for v in (-1, 0, 1)], axis=-1)
 
 
 def _block_rows():
@@ -730,6 +744,50 @@ class PolyTables:
                 at = out[start + i:start + i + len(codes), r:r + codes.shape[1]]
                 flat[(rows[0] + i) * n:].take(codes, out=at, mode="wrap")
             start += len(keys)
+        return out
+
+    # -- symbols between primes -------------------------------------------
+
+    def prime_symbols(self, d, codes, keys):
+        """(Q/P) for the key primes Q of keys = (deg, code), two int arrays
+        in ascending order of degree, and the monic primes P of degree d
+        with these codes: an int8 (len(deg), len(codes)) matrix.  A key
+        equal to a P gives 0.
+
+        The keys' rows read the residue tables of the P (q^d entries each)
+        when all pi_q(d) of them are no more entries than the keys' own,
+        the sum of q^(deg Q); otherwise the row of each P reads the keys'
+        tables, and reciprocity, (Q/P) = (-1)^((q-1)/2 deg Q d) (P/Q),
+        turns them round.  So no table passes the keys' top degree: past
+        it pi_q(d) q^d exceeds what all primes below have.  Both sizes come
+        from the number of keys of each degree."""
+        q, top, (deg, code) = self.q, self.max_deg, keys
+        at = np.searchsorted(deg, np.arange(top + 2)).tolist()  # the first key of each degree
+        if len(self.prime_codes[d]) * q ** d <= sum((at[a + 1] - at[a]) * q ** a for a in range(1, top + 1)):
+            rows = self.code_rows(deg, code)
+            return self.legendre_array(rows, [(d, c) for c in np.asarray(codes).tolist()]).T
+        L = self.legendre_array(self.code_rows(d, codes), list(zip(deg.tolist(), code.tolist())))
+        if (q - 1) // 2 * d % 2:
+            for a in range(1, top + 1, 2):
+                L[at[a]:at[a + 1]] *= -1
+        return L
+
+    def prime_counts(self, d, codes, max_deg):
+        """The number of monic primes Q of each degree 1..max_deg with
+        (Q/P) = -1, 0, 1, for the monic primes P of degree d with these
+        codes: a (len(codes), max_deg, 3) int64 array, read off
+        prime_symbols in blocks of about 64 ffpoly.BLOCK_BYTES of
+        symbols."""
+        primes = [self.prime_codes[a] for a in range(1, max_deg + 1)]
+        sizes = [len(c) for c in primes]
+        keys = np.repeat(np.arange(1, max_deg + 1), sizes), np.concatenate([np.zeros(0, np.int64), *primes])
+        bounds = np.cumsum([0] + sizes)
+        step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(keys[0])))
+        out = np.empty((len(codes), max_deg, 3), dtype=np.int64)
+        for lo in range(0, len(codes), step):
+            L = self.prime_symbols(d, codes[lo:lo + step], keys)
+            for a in range(max_deg):
+                out[lo:lo + step, a] = _value_counts(L[bounds[a]:bounds[a + 1]].T)
         return out
 
     # -- character sums ---------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from . import ffpoly
 from ._tables import poly_tables
 from .errors import InvariantError
-from .lfunc import power_sums, squarefree_part
+from .lfunc import _rh_rows, power_sums
 
 MONIC, FULL = "monic", "full"
 
@@ -495,39 +495,22 @@ def orbit_columns(polys, degrees):
     chi_{q^n}(f(x)) = chi_{q^d}(f(x))^(n/d) = (f/P)^(n/d), and the d roots
     of P share that value, so a character sum over F_{q^n} is the sum over
     d | n of these columns raised to n/d, each weighted by d.  (f/P) is
-    the product of (Q/P) over the key primes Q dividing f.  Those are read
-    off the residue tables of the column primes (q^d entries each) up to
-    the top degree of the polynomials, if those are no more entries than
-    the keys' own; otherwise by reciprocity, (Q/P) = (-1)^((q-1)/2 deg Q d)
-    (P/Q), off the tables of the keys, so no table passes the top degree.
-    A key equal to P gives 0 either way.  Blocks hold about
-    64 ffpoly.BLOCK_BYTES of symbols of the polynomials and keys."""
-    field, q = polys.field, polys.field.q
-    top = int(polys.deg.max(initial=0))
-    T = poly_tables(field, max(top, 1, *degrees))
-    key_entries = sum(q ** a for a in polys.key_deg.tolist())
-    keys = list(zip(polys.key_deg.tolist(), polys.key_code.tolist()))
-    # sorted(set()), as np.unique would import numpy.ma
-    key_rows = [T.code_rows(a, polys.key_code[polys.key_deg == a])
-                for a in sorted(set(polys.key_deg.tolist()))]
+    the product of (Q/P) over the key primes Q dividing f
+    (PolyTables.prime_symbols, off whichever side's residue tables have
+    fewer entries, so no table passes the top degree of the polynomials).
+    Blocks hold about 64 ffpoly.BLOCK_BYTES of symbols of the polynomials
+    and keys."""
+    T = poly_tables(polys.field, max(int(polys.deg.max(initial=0)), 1, *degrees))
     # slot j: the j-th factor of each polynomial that has more than j, so
     # that no slot names a polynomial twice
     slot = np.arange(len(polys.poly)) - np.searchsorted(polys.poly, polys.poly)
     slots = [(polys.poly[slot == j], polys.key[slot == j]) for j in range(int(slot.max(initial=-1)) + 1)]
-    step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(polys) + len(keys)))
+    step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(polys) + len(polys.key_deg)))
     for d in degrees:
-        direct = d <= top and ffpoly.prime_count_exact(q, d) * q ** d <= key_entries
-        flip = (q - 1) // 2 * d * polys.key_deg % 2 == 1
         primes = T.prime_codes[d]
         for lo in range(0, len(primes), step):
-            codes = primes[lo:lo + step]
-            if direct:
-                qkeys = [(d, c) for c in codes.tolist()]
-                L = np.concatenate([T.legendre_array(rows, qkeys) for rows in key_rows], axis=1).T
-            else:
-                L = T.legendre_array(T.code_rows(d, codes), keys)
-                L[flip] *= -1
-            X = np.ones((len(polys), len(codes)), dtype=np.int8)
+            L = T.prime_symbols(d, primes[lo:lo + step], (polys.key_deg, polys.key_code))
+            X = np.ones((len(polys), L.shape[1]), dtype=np.int8)
             for at, key in slots:
                 X[at] *= L[key]
             yield d, X
@@ -628,23 +611,16 @@ def _with_zeta_numerator(data, g, q):
     return CurveData(data.N, data.T, pc)
 
 
-def pc_roots(pc_coeffs):
-    """Reciprocal roots of P_C (the sqrt(q)-scale Frobenius eigenvalues)."""
-    if len(pc_coeffs) <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(list(pc_coeffs))
-
-
 def pc_rh_deviation(pc_coeffs, q):
-    """max | |root|/sqrt(q) - 1 | over reciprocal roots of P_C, via the
-    exact square-free part (repeated roots would spoil double precision)."""
-    if len(pc_coeffs) <= 1:
-        return 0.0
-    sf = squarefree_part(pc_coeffs)
-    roots = np.roots([float(c) for c in sf])
-    return float(np.max(np.abs(np.abs(roots) / q ** 0.5 - 1.0)))
+    """max | |root|/sqrt(q) - 1 | over reciprocal roots of P_C: one row of
+    lfunc._rh_rows, which reads the roots of the exact square-free part
+    (repeated roots would spoil double precision)."""
+    return float(_rh_rows(np.array([pc_coeffs], dtype=object).reshape(1, -1), q)[0])
 
 
 def eigenphases(pc_coeffs):
-    """Sorted angles theta_j with reciprocal roots sqrt(q) e^{i theta_j}."""
-    return np.sort(np.angle(pc_roots(pc_coeffs)))
+    """Sorted angles theta_j with reciprocal roots sqrt(q) e^{i theta_j} of
+    P_C, via numpy roots."""
+    if len(pc_coeffs) <= 1:
+        return np.zeros(0)
+    return np.sort(np.angle(np.roots(list(pc_coeffs))))

@@ -32,8 +32,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import ffpoly
 from . import lfunc
 from ._tables import poly_tables
@@ -138,35 +136,15 @@ def _chi_pm(P, Q, sign, lookup=None):
     return chi
 
 
-def _prime_rows(T, max_deg):
-    """The prime rows of every degree 1..max_deg stacked in ffpoly.primes
-    order, zero-padded to the widest, and the end of each degree's run."""
-    mats = [T.prime_coefmat(d) for d in range(1, max_deg + 1)]
-    ends = np.cumsum([len(m) for m in mats])
-    stacked = np.zeros((ends[-1], mats[-1].shape[1]), dtype=T.dtype)
-    for m, end in zip(mats, ends):
-        stacked[end - len(m):end, : m.shape[1]] = m
-    return stacked, ends
-
-
 @functools.lru_cache(maxsize=None)
-def chi_plain_rows(P, max_deg):
-    """Row d-1 holds (Q/P) over the monic primes Q of degree d, in
-    ffpoly.primes order, for d = 1..max_deg; read off the residue tables
-    in one legendre_array call over the prime rows of every degree.
+def chi_counts(P, max_deg):
+    """Row d-1 holds the numbers of monic primes Q of degree d with
+    (Q/P) = -1, 0, 1, for d = 1..max_deg (PolyTables.prime_counts).
     Shared by the three kinds and moments' series, so read-only."""
-    T = poly_tables(P.field, max(max_deg, int(P.degree)))
-    stacked, ends = _prime_rows(T, max_deg)
-    leg = T.legendre_array(stacked, [(int(P.degree), P.monic_code())])[0]
-    leg.flags.writeable = False
-    return tuple(np.split(leg, ends[:-1]))
-
-
-def _value_counts(symbols):
-    """The multiplicities of -1, 0 and 1 along the last axis of an array of
-    symbols, as a (..., 3) array: one count per row, where np.unique
-    would sort each row on its own."""
-    return np.stack([(symbols == v).sum(axis=-1) for v in (-1, 0, 1)], axis=-1)
+    d = int(P.degree)
+    counts = poly_tables(P.field, max(max_deg, d)).prime_counts(d, [P.monic_code()], max_deg)[0]
+    counts.flags.writeable = False
+    return counts
 
 
 def local_factor(kind, P, Q, u, _validate=True):
@@ -260,13 +238,13 @@ def _h_pair(kind, P, u, M):
     u = Fraction(u)
     a, b = u.numerator, u.denominator
     nums, den_exp = [], 0
-    for d, row in enumerate(chi_plain_rows(P, M), 1):
+    for d, row in enumerate(chi_counts(P, M).tolist(), 1):
         ad, bd = a ** d, b ** d
-        for chi, count in zip((-1, 0, 1), _value_counts(row).tolist()):
+        for chi, count in zip((-1, 0, 1), row):
             if count:
                 base, c1, c2 = _local_terms(kind, d, chi, ad, bd)
                 nums.append((base * (bd - c1 * ad) * (bd - c2 * ad)) ** count)
-        den_exp += 4 * d * len(row)
+        den_exp += 4 * d * sum(row)
     return _prod(nums), den_exp
 
 
@@ -376,25 +354,17 @@ def _prime_sum(kind, field, n, M):
     coprime, since den is a power of p that divides no more of num."""
     q = field.q
     T = poly_tables(field, max(n, M))
-    stacked, ends = _prime_rows(T, M)
-    keys = [(n, code) for code in T.prime_codes[n].tolist()]
-    # (Q/P) for every prime P of degree n at once, in chunks of about
-    # 64 ffpoly.BLOCK_BYTES of symbols
-    step = max(1, 64 * ffpoly.BLOCK_BYTES // len(stacked))
     bases = [[_local_terms(kind, d, chi, 1, q ** d)[0] for chi in (-1, 0, 1)]
              for d in range(1, M + 1)]
     counts = []
-    for lo in range(0, len(keys), step):
-        leg = T.legendre_array(stacked, keys[lo:lo + step])
-        # [P, d - 1]: the multiplicities of -1, 0, 1 among the (Q/P), deg Q = d
-        per_degree = np.stack([_value_counts(block) for block in np.split(leg, ends[:-1], axis=1)], axis=1)
-        for row in per_degree.tolist():
-            c = collections.Counter()
-            for base_d, count_d in zip(bases, row):
-                for base, count in zip(base_d, count_d):
-                    if count:
-                        c[base] += count
-            counts.append(c)
+    # [P, d - 1]: the multiplicities of -1, 0, 1 among the (Q/P), deg Q = d
+    for row in T.prime_counts(n, T.prime_codes[n], M).tolist():
+        c = collections.Counter()
+        for base_d, count_d in zip(bases, row):
+            for base, count in zip(base_d, count_d):
+                if count:
+                    c[base] += count
+        counts.append(c)
     common = {base: min(c[base] for c in counts) for base in counts[0]}
     total = _prod(base ** k for base, k in common.items()) * sum(
         _prod(base ** (k - common.get(base, 0)) for base, k in c.items()) for c in counts)

@@ -24,7 +24,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -133,12 +132,11 @@ class LPoly:
 @dataclass(frozen=True)
 class FrobeniusData:
     """Exact power sums t_n = q^{n/2} Tr(Theta^n) of the unitarized
-    Frobenius class, plus optional numerically computed eigenphases."""
+    Frobenius class."""
 
     delta: int
     q: int
     t: tuple  # t[n-1] = t_n, exact ints
-    eigenphases: Optional[tuple] = None
 
     def trace(self, n):
         """Tr(Theta^n) as a float."""
@@ -242,7 +240,7 @@ def functional_equation_ok(lstar, q):
     return bool(_functional_equation_rows(rows, q, lstar.delta)[0])
 
 
-def frobenius_traces(lstar, n_max, with_eigenphases=False):
+def frobenius_traces(lstar, n_max):
     """Newton's identities on the completed coefficients.
 
     With L*(u) = prod(1 - gamma_i u), t_n = sum gamma_i^n satisfies
@@ -250,10 +248,7 @@ def frobenius_traces(lstar, n_max, with_eigenphases=False):
     """
     if not lstar.completed:
         raise ValueError("frobenius_traces needs a completed L-polynomial")
-    phases = None
-    if with_eigenphases and len(lstar.coeffs) > 1:
-        phases = tuple(np.sort(np.angle(reciprocal_roots(lstar))))
-    return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max), phases)
+    return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max))
 
 
 def _newton_rows(rows, n_max):
@@ -281,13 +276,6 @@ def power_sums(c, n_max):
     coefficient tuple c (c_0 = 1), by Newton's identities; exact ints.
     One row of _newton_rows."""
     return tuple(_newton_rows(np.array([c], dtype=object).reshape(1, -1), n_max)[0].tolist())
-
-
-def reciprocal_roots(lstar):
-    """The gamma_i with L*(u) = prod(1 - gamma_i u), via numpy roots."""
-    if lstar.degree <= 0:
-        return np.zeros(0, dtype=complex)
-    return np.roots(list(lstar.coeffs))
 
 
 def _rational_gcd(a, b):

@@ -352,19 +352,13 @@ def triple_series(q, counts, D):
 def _generating_prime_sum(field, g, n):
     """sum over the monic primes P of degree n (even) of the family sum of
     chi_P(f1 f2): the kept-pattern coefficients of one series per distinct
-    vector of counts of the key primes Q up to the family's top degree,
-    (Q/P) = (P/Q) read off the keys' own tables in blocks of about 64
-    ffpoly.BLOCK_BYTES.  No orbit column, Gram block or pair weight is read."""
+    vector of counts of the key primes Q up to the family's top degree
+    (PolyTables.prime_counts).  No orbit column, Gram block or pair weight
+    is read."""
     top = max(biquad.family_degrees(g), default=0)
     T = poly_tables(field, max(n, top))
-    keys = [(a, c) for a in range(1, top + 1) for c in T.prime_codes[a].tolist()]
-    ends = np.cumsum([len(T.prime_codes[a]) for a in range(1, top)])
-    primes, blocks = T.prime_codes[n], []
-    step = max(1, 64 * ffpoly.BLOCK_BYTES // len(keys))
-    for lo in range(0, len(primes), step):
-        L = T.legendre_array(T.code_rows(n, primes[lo:lo + step]), keys)
-        blocks.append(np.concatenate([eulerprod._value_counts(b.T) for b in np.split(L, ends)], axis=1))
-    vectors, mult = np.unique(np.concatenate(blocks), axis=0, return_counts=True)
+    counts = T.prime_counts(n, T.prime_codes[n], top)
+    vectors, mult = np.unique(counts.reshape(len(counts), -1), axis=0, return_counts=True)
     kept = (slice(None), *np.array(biquad.admissible_patterns(g)[0]).T)
     step = max(1, 8 * ffpoly.BLOCK_BYTES // (g + 4) ** 3)
     return sum(int(triple_series(field.q, vectors[lo:lo + step].reshape(-1, top, 3), g + 3)[kept].sum(axis=1)
@@ -380,13 +374,14 @@ _series_of = {}  # per prime P, its series of the highest total degree built so 
 
 
 def _prime_series(P, D):
-    """triple_series of chi_P reaching total degree D, its counts read off
-    eulerprod.chi_plain_rows.  The one of highest degree built so far for P
-    serves every lower D, so callers ask for their top degree first."""
+    """triple_series of chi_P reaching total degree D, from the counts of
+    the monic primes Q of degree up to D by (Q/P) (eulerprod.chi_counts).
+    The one of highest degree built so far for P serves every lower D, so
+    callers ask for their top degree first."""
     S = _series_of.get(P)
     if S is None or len(S) <= D:
-        counts = [eulerprod._value_counts(row) for row in eulerprod.chi_plain_rows(P, D)] if D else []
-        S = _series_of[P] = triple_series(P.field.q, np.reshape(counts, (1, D, 3)), D)[0]
+        counts = eulerprod.chi_counts(P, D) if D else np.zeros((0, 3), dtype=np.int64)
+        S = _series_of[P] = triple_series(P.field.q, counts[None], D)[0]
     return S
 
 

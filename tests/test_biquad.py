@@ -1,5 +1,6 @@
 """Family enumeration, point counts, zeta numerators."""
 
+import math
 import random
 import tracemalloc
 
@@ -264,3 +265,16 @@ def test_eigenphases_worked_curve():
 
     phases = biquad.eigenphases((1, 0, 3))
     assert np.allclose(sorted(phases), [-np.pi / 2, np.pi / 2])
+
+
+def test_rh_deviation_square_roots_agree_where_curve_reaches():
+    # pc_rh_deviation is a row of lfunc._rh_rows, which divides by
+    # math.sqrt(q), where it once divided by q ** 0.5: the two agree at
+    # every odd prime power q <= 2047 (3541 is the first where they part),
+    # and a curve of genus >= 1 at q >= 2048 is refused, since its sieve
+    # must reach degree 2 and 8 (q + q^2) bytes pass the cap there
+    powers = [q for q in range(3, 2048, 2)
+              if len({p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))}) == 1]
+    assert len(powers) == 329 and powers[-1] == 2039
+    assert all(q ** 0.5 == math.sqrt(q) for q in powers)
+    assert 8 * (2047 + 2047 ** 2) <= _tables.SIEVE_BYTES_CAP < 8 * (2048 + 2048 ** 2)

@@ -864,7 +864,7 @@ def test_eulersum_sieves_once(capsys, monkeypatch):
     # one PolyTables reaching max(n, M), not a degree-n table for the
     # primes P followed by a degree-M one for their chi rows
     built = _count_poly_tables(monkeypatch)
-    eulerprod.chi_plain_rows.cache_clear()
+    eulerprod.chi_counts.cache_clear()
     ffpoly.primes.cache_clear()
     code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())
     assert code == 0

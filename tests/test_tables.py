@@ -3,6 +3,8 @@ over prime fields and prime-power fields alike."""
 
 import ast
 import inspect
+import itertools
+import pathlib
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -27,6 +29,9 @@ def _residue_code(f, Q):
 #: tables reach (q^4 residues at q = 27 would cost 0.5 M rows per prime);
 #: the properties draw 240 examples, so the prime fields keep about 150
 PRIME_POWER_DEGREE = {GF(3, 2): 4, GF(5, 2): 3, GF(3, 3): 3}
+#: the strategy's own tables, one per field, so that larger tables other
+#: tests leave in the shared poly_tables cache change nothing it draws
+_rows_tables = {}
 
 
 @st.composite
@@ -35,7 +40,9 @@ def _rows_mod_prime(draw):
     max_deg = PRIME_POWER_DEGREE.get(field, 4)
     q = field.q
     k = draw(st.integers(1, max_deg))
-    T = poly_tables(field, max_deg)
+    if field not in _rows_tables:
+        _rows_tables[field] = PolyTables(field, max_deg)
+    T = _rows_tables[field]
     code = int(draw(st.sampled_from(list(T.prime_codes[k]))))
     width = draw(st.integers(1, 2 * k + 2))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
@@ -309,6 +316,16 @@ def test_float32_kernel_matches_float64_and_scalar(case):
     leg = T.legendre_array(mat32, [qkey])[0]
     assert leg.tolist() == T.legendre_array(mat64, [qkey])[0].tolist()
     assert leg.tolist() == [ffpoly.jacobi_symbol(f, Q) for f in polys]
+
+
+def test_float32_kernel_property_ignores_larger_shared_tables(monkeypatch):
+    # GF(25) tables to degree 4 in the shared cache, as an lfunc --q 25
+    # run with a modulus of degree 4 leaves them, refuse float32 rows of
+    # 8 coefficients, the widest the property draws for its degree-3
+    # tables; it draws its own tables and still passes
+    monkeypatch.setattr(_tables, "_largest", dict(_tables._largest))
+    assert poly_tables(GF(5, 2), 4).float_type(8) is np.float64
+    test_float32_kernel_matches_float64_and_scalar()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -806,3 +823,105 @@ def test_factor_all_matches_per_code_factor(q_deg, data):
         want = T.factor(d, code)
         assert (want is not None) == bool(squarefree[code])
         assert got.get(code) == want
+
+
+#: q and the degree the prime_symbols property's tables reach
+SYMBOL_DEGREE = {3: 4, 5: 3, 7: 3, 9: 3, 25: 2, 27: 2}
+_symbol_tables = {}
+
+
+@st.composite
+def _symbol_case(draw):
+    q = draw(st.sampled_from(sorted(SYMBOL_DEGREE)))
+    if q not in _symbol_tables:
+        _symbol_tables[q] = PolyTables(ffpoly.field_of_order(q), SYMBOL_DEGREE[q])
+    T = _symbol_tables[q]
+    d = draw(st.integers(1, T.max_deg))
+    columns = T.prime_codes[d].tolist()
+    codes = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # every column prime among the keys: their entries reach
+        # pi_q(d) q^d, so the keys' rows read the tables of the P
+        extra = [(a, c) for a in range(1, T.max_deg + 1) for c in T.prime_codes[a].tolist()]
+        keys = sorted(set(draw(st.lists(st.sampled_from(extra), max_size=20))) | {(d, c) for c in columns})
+        direct = True
+    else:
+        # fewer than pi_q(d) keys of degree <= d, one of them a column
+        # prime: fewer entries than the P's tables, so the P's rows read
+        # the keys' tables and reciprocity turns them round
+        below = [(a, c) for a in range(1, d + 1) for c in T.prime_codes[a].tolist()]
+        keys = sorted(set(draw(st.lists(st.sampled_from(below), max_size=len(columns) - 2))) | {(d, codes[0])})
+        direct = False
+    return T, d, codes, keys, direct
+
+
+def _key_arrays(keys):
+    """(deg, code) int arrays of a list of (deg, code) pairs."""
+    return tuple(np.array(keys, dtype=np.int64).reshape(-1, 2).T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symbol_case())
+def test_prime_symbols_match_scalar_jacobi_in_both_orientations(case):
+    # (Q/P) against ffpoly.jacobi_symbol whichever side's tables are read;
+    # at q = 3, 7, 27 (q = 3 mod 4) an odd deg Q * d flips the sign
+    T, d, codes, keys, direct = case
+    q = T.q
+    assert (len(T.prime_codes[d]) * q ** d <= sum(q ** a for a, _ in keys)) == direct
+    got = T.prime_symbols(d, np.array(codes), _key_arrays(keys))
+    assert got.dtype == np.int8 and got.shape == (len(keys), len(codes))
+    P = [Poly.monic_from_code(T.field, d, c) for c in codes]
+    for (a, c), row in zip(keys, got.tolist()):
+        Q = Poly.monic_from_code(T.field, a, c)
+        assert row == [ffpoly.jacobi_symbol(Q, p) for p in P]
+    assert got[keys.index((d, codes[0])), 0] == 0
+
+
+def test_prime_symbols_read_the_tables_of_the_smaller_side():
+    # P of degree 2 at q = 3 (3 tables of 9 entries) against every prime of
+    # degree 3 and 4: the keys' rows read the P's tables alone
+    T = PolyTables(GF(3), 4)
+    keys = [(a, c) for a in (3, 4) for c in T.prime_codes[a].tolist()]
+    codes = T.prime_codes[2]
+    got = T.prime_symbols(2, codes, _key_arrays(keys))
+    assert sorted(T._chiq_tabs) == [2]
+    P = [Poly.monic_from_code(T.field, 2, c) for c in codes.tolist()]
+    assert got.tolist() == [[ffpoly.jacobi_symbol(Poly.monic_from_code(T.field, *key), p) for p in P]
+                            for key in keys]
+    # P of degree 3 at q = 7 (112 tables of 343 entries) against the primes
+    # of degree 1 and one of degree 2: the P's rows read the keys' tables,
+    # and (q - 1)/2 deg Q d is odd at deg Q = 1
+    T = PolyTables(GF(7), 3)
+    keys = [(1, c) for c in range(7)] + [(2, int(T.prime_codes[2][5]))]
+    codes = T.prime_codes[3][::9]
+    got = T.prime_symbols(3, codes, _key_arrays(keys))
+    assert sorted(T._chiq_tabs) == [1, 2]
+    P = [Poly.monic_from_code(T.field, 3, c) for c in codes.tolist()]
+    want = [[ffpoly.jacobi_symbol(Poly.monic_from_code(T.field, *key), p) for p in P] for key in keys]
+    assert got.tolist() == want
+    assert any(row != [ffpoly.jacobi_symbol(p, Poly.monic_from_code(T.field, *key)) for p in P]
+               for key, row in zip(keys, want))
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 4), (9, 3), (25, 2)])
+def test_prime_counts_match_the_scalar_symbol_counts(q, max_deg):
+    # counts up to M < d read the keys' tables, the others the P's
+    field = ffpoly.field_of_order(q)
+    T = poly_tables(field, max_deg)
+    for d, M in itertools.product(range(1, max_deg + 1), repeat=2):
+        codes = T.prime_codes[d][::max(1, len(T.prime_codes[d]) // 3)]
+        got = T.prime_counts(d, codes, M)
+        assert got.dtype == np.int64 and got.shape == (len(codes), M, 3)
+        for code, counts in zip(codes.tolist(), got.tolist()):
+            rows = oracle.chi_plain_rows(Poly.monic_from_code(field, d, code), M)
+            assert counts == [[int((r == v).sum()) for v in (-1, 0, 1)] for r in rows]
+
+
+def test_legendre_array_is_called_only_inside_tables():
+    # every symbol between two sets of primes goes through prime_symbols,
+    # so the orientation and the reciprocity sign live in _tables alone
+    src = pathlib.Path(_tables.__file__).parent
+    callers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and _calls(node.func, "legendre_array")}
+    assert callers == {"_tables.py"}
