@@ -174,6 +174,17 @@ def _sum_bounds(p, e, width, entry, k):
     return (J + 2) * x_max, J * entry * p ** (e * k)
 
 
+def symbol_store(q, d, key_counts):
+    """(side, bytes) of the residue tables prime_symbols reads for the
+    monic primes P of degree d against key_counts[a - 1] keys of degree a:
+    ("P", pi_q(d) q^d) unless the keys' own, the sum of q^(deg Q), are
+    fewer, then ("keys", that sum); so no table passes the keys' top
+    degree."""
+    keys = sum(count * q ** a for a, count in enumerate(key_counts, 1))
+    mine = ffpoly.prime_count_exact(q, d) * q ** d
+    return ("P", mine) if mine <= keys else ("keys", keys)
+
+
 def _value_counts(symbols):
     """The multiplicities of -1, 0 and 1 along the last axis of an array of
     symbols, as a (..., 3) array: one count per row, where np.unique
@@ -754,16 +765,13 @@ class PolyTables:
         with these codes: an int8 (len(deg), len(codes)) matrix.  A key
         equal to a P gives 0.
 
-        The keys' rows read the residue tables of the P (q^d entries each)
-        when all pi_q(d) of them are no more entries than the keys' own,
-        the sum of q^(deg Q); otherwise the row of each P reads the keys'
-        tables, and reciprocity, (Q/P) = (-1)^((q-1)/2 deg Q d) (P/Q),
-        turns them round.  So no table passes the keys' top degree: past
-        it pi_q(d) q^d exceeds what all primes below have.  Both sizes come
-        from the number of keys of each degree."""
+        symbol_store picks the side, from the number of keys of each
+        degree: the keys' rows read the residue tables of the P, or the
+        row of each P reads the keys' tables and reciprocity, (Q/P) =
+        (-1)^((q-1)/2 deg Q d) (P/Q), turns them round."""
         q, top, (deg, code) = self.q, self.max_deg, keys
         at = np.searchsorted(deg, np.arange(top + 2)).tolist()  # the first key of each degree
-        if len(self.prime_codes[d]) * q ** d <= sum((at[a + 1] - at[a]) * q ** a for a in range(1, top + 1)):
+        if symbol_store(q, d, np.diff(at[1:]).tolist())[0] == "P":
             rows = self.code_rows(deg, code)
             return self.legendre_array(rows, [(d, c) for c in np.asarray(codes).tolist()]).T
         L = self.legendre_array(self.code_rows(d, codes), list(zip(deg.tolist(), code.tolist())))
@@ -775,15 +783,16 @@ class PolyTables:
     def prime_counts(self, d, codes, max_deg):
         """The number of monic primes Q of each degree 1..max_deg with
         (Q/P) = -1, 0, 1, for the monic primes P of degree d with these
-        codes: a (len(codes), max_deg, 3) int64 array, read off
-        prime_symbols in blocks of about 64 ffpoly.BLOCK_BYTES of
+        codes: a (len(codes), max_deg, 3) int32 array (a count is at most
+        pi_q(max_deg) < q^max_deg, which the sieve cap keeps below 2^31),
+        read off prime_symbols in blocks of about 64 ffpoly.BLOCK_BYTES of
         symbols."""
         primes = [self.prime_codes[a] for a in range(1, max_deg + 1)]
         sizes = [len(c) for c in primes]
         keys = np.repeat(np.arange(1, max_deg + 1), sizes), np.concatenate([np.zeros(0, np.int64), *primes])
         bounds = np.cumsum([0] + sizes)
         step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(keys[0])))
-        out = np.empty((len(codes), max_deg, 3), dtype=np.int64)
+        out = np.empty((len(codes), max_deg, 3), dtype=np.int32)
         for lo in range(0, len(codes), step):
             L = self.prime_symbols(d, codes[lo:lo + step], keys)
             for a in range(max_deg):

@@ -303,9 +303,10 @@ def pair_weight(field, da, db, dc):
     return W
 
 
+@functools.lru_cache(maxsize=None)
 def family_degrees(g):
     """The degrees the kept patterns of genus g use, ascending."""
-    return sorted({d for pat in admissible_patterns(g)[0] for d in pat})
+    return tuple(sorted({d for pat in admissible_patterns(g)[0] for d in pat}))
 
 
 #: the most bytes of one pair block: its int64 weights, 4-byte incidence

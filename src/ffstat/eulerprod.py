@@ -34,10 +34,14 @@ from typing import Callable
 
 from . import ffpoly
 from . import lfunc
-from ._tables import poly_tables
+from ._tables import poly_tables, symbol_store
 from .errors import InvariantError
 
 KINDS = ("plus", "minus", "zero")
+
+#: the most bytes of residue tables (_tables.symbol_store) a prime sum may
+#: read: eulersum --q 5 --n 7 --M 7 reads pi_5(7) 5^7, about 0.87 GB
+PRIME_SUM_BYTES_CAP = 1 << 30
 
 
 def _prod(vals):
@@ -311,13 +315,18 @@ def prime_sum(kind, field, n, M):
     """sum_{deg P = n} prod_{deg Q <= M} (1 + delta_{P,kind}(1/q; Q)) exactly.
 
     Reference value pi_q(n)/zeta_q(2); the scales dict reports the three
-    error terms q^(n-2M)/n, q^(n/2) M^3/n and q^n/(n M q^(M/2)).
+    error terms q^(n-2M)/n, q^(n/2) M^3/n and q^n/(n M q^(M/2)).  Residue
+    tables over PRIME_SUM_BYTES_CAP are refused before any is built.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     q = field.q
+    _, need = symbol_store(q, n, [ffpoly.prime_count_exact(q, a) for a in range(1, M + 1)])
+    if need > PRIME_SUM_BYTES_CAP:
+        raise ValueError(f"prime sum: q={q} at n={n}, M={M} needs about {need} bytes of "
+                         f"residue tables, over the cap of {PRIME_SUM_BYTES_CAP}")
     num, den = _prime_sum(kind, field, n, M)
     reference = Fraction(ffpoly.prime_count_exact(q, n)) * (
         1 / lfunc.zeta_q_value(q, 2)
@@ -328,6 +337,16 @@ def prime_sum(kind, field, n, M):
         "product_tail": q ** n / (n * M * q ** (M / 2)),
     }
     return PrimeSumResult(q, n, M, kind, num, den, reference, scales)
+
+
+@functools.lru_cache(maxsize=4)
+def _degree_counts(field, n, M):
+    """PolyTables.prime_counts of every monic prime of degree n against the
+    degrees 1..M.  Shared by the three kinds, so read-only."""
+    T = poly_tables(field, max(n, M))
+    counts = T.prime_counts(n, T.prime_codes[n], M)
+    counts.flags.writeable = False
+    return counts
 
 
 def _local_terms(kind, d, chi_plain, ad, bd):
@@ -353,12 +372,10 @@ def _prime_sum(kind, field, n, M):
     v = min(v_p(total), e E), the pair is (total / p^v, p^(e E - v)):
     coprime, since den is a power of p that divides no more of num."""
     q = field.q
-    T = poly_tables(field, max(n, M))
     bases = [[_local_terms(kind, d, chi, 1, q ** d)[0] for chi in (-1, 0, 1)]
              for d in range(1, M + 1)]
     counts = []
-    # [P, d - 1]: the multiplicities of -1, 0, 1 among the (Q/P), deg Q = d
-    for row in T.prime_counts(n, T.prime_codes[n], M).tolist():
+    for row in _degree_counts(field, n, M).tolist():
         c = collections.Counter()
         for base_d, count_d in zip(bases, row):
             for base, count in zip(base_d, count_d):

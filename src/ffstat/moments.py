@@ -10,10 +10,7 @@ where roots_term collects members whose f1*f2 vanishes somewhere on
 P^1(F_{q^(n/2)}) (the point at infinity counts as a root precisely when
 deg f1*f2 is odd, and each member contributes its root count minus one,
 which keeps the main term at exactly -3), and bilinear_term is the
-character sum over x in F_{q^n} outside F_{q^(n/2)}.  The degree-n part
-of the bilinear term, the x of minimal polynomial of degree n, is
-recomputed independently from prime counts (triple_series) and
-asserted equal.
+character sum over x in F_{q^n} outside F_{q^(n/2)}.
 
 Fixed-prime sums N_{k1,k2}(d;P) and their residue-derived constants
 C_{k1,k2}(d;P), C(g;P) follow, with exact L-values and truncated Euler
@@ -21,17 +18,18 @@ products supplying the predictions; reference values for the matrix
 integrals over USp(2g), USp(2g)^3 and U(2g) close the loop for the
 trace-moment experiment and the one-level density.
 
-No exhaustive sum lists the members, and no point of F_{q^n} is
-evaluated.  The family totals are sums over pairs (f_a, f_b) of
-square-free monics weighted by the number of third polynomials that
-complete the pair (biquad.pair_weight): the character sums over F_{q^n}
-are sum(W o G_ab) with G_ab = sum_{d | n} d X_a X_b^T one float32 Gram
-block per degree pair over the orbit columns X[f, P] = (f/P)^(n/d) of the
-monic primes P of degree d | n (biquad.orbit_columns: an x with minimal
-polynomial P has chi(f(x)) = (f/P)^(n/d), and P stands for its d roots).
-Every fixed-character sum over triples -- the fixed-prime sums,
-N_{k1,k2}(d;P), the prime-sum form -- is read off one series of prime
-counts (triple_series).  Members are unranked from the pair weights
+Every exhaustive sum is a sum over primes of short character sums
+(Rudnick; Bucur, Costa, David, Guerreiro and Lowry-Duda).  A monic prime
+divides at most one of the pairwise coprime f1, f2, f3, so the sum of
+chi(f1) chi(f2) over such square-free triples of degrees (i, j, k) is the
+coefficient of x1^i x2^j x3^k in F = prod_{a, s} (1 + s (x1^a + x2^a) +
+x3^a)^N_{s,a}, N_{s,a} the number of monic primes of degree a at chi = s.
+Every caller reads sums over one total degree and parity class, a quarter
+of the signed sum of the four F(e1 u, e2 u, u), e1, e2 = +-1, and the
+excluded patterns' one-variable coefficients (parity_series).  An x in
+F_{q^n} with minimal polynomial P of degree d | n has chi(f(x)) =
+(f/P)^(n/d), so a family total reads the series of chi_P for n/d odd and
+of chi_P^2 for n/d even.  Members are unranked from the pair weights
 (biquad.member_rows) only for sample mode and the density cross-check.
 """
 
@@ -47,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc
-from ._tables import poly_tables
+from ._tables import poly_tables, symbol_store
 from .errors import InvariantError
 
 USP, USP_CUBED, UNITARY = "USp", "USp_cubed", "U"
@@ -80,32 +78,80 @@ def matrix_integral_reference(group, g, n):
 #: the most bytes _family_totals may take
 TOTALS_BYTES_CAP = 1 << 28
 
+#: (e1, e2) of the columns F(e1 u, e2 u, u) of parity_series; its
+#: columns 4 and 5 are F(u, 0, 0) and F(0, 0, u)
+_SIGNS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
-def _gram_pairs(patterns):
-    """The degree pairs (a <= b) of the Gram blocks of these patterns."""
-    return sorted({tuple(sorted(pair)) for d1, d2, d3 in patterns
-                   for pair in ((d1, d2), (d1, d3), (d2, d3))})
+
+def parity_series(counts, D):
+    """int64 (V, 6, D + 1): the coefficients up to u^D of the six columns
+    of _SIGNS for each vector counts[v], counts[v, a - 1] the numbers
+    (N-, N0, N+) of monic primes of degree a at chi = -1, 0, 1.  A factor
+    1 + c u^a of F is expanded binomially, in one pass over (a, s, m) for
+    every vector and column.  Exact: |c| <= 3, so a term or partial sum,
+    and m C(N, m) <= 3^m C(N, m), is at most a coefficient of
+    prod_a (1 + u^a)^(3 n_a), n_a the most primes of degree a in a vector;
+    one of 2^63 or more up to u^D raises InvariantError before the series
+    is built."""
+    counts = np.asarray(counts, dtype=np.int64)
+    width = min(counts.shape[1], D)
+    major = [1] + [0] * D
+    for a, most in enumerate(counts[:, :width].sum(axis=2).max(axis=0).tolist(), 1):
+        major = [sum(math.comb(3 * most, m) * major[t - a * m] for m in range(t // a + 1)) for t in range(D + 1)]
+    if max(major) >= 1 << 63:
+        raise InvariantError(f"series to degree {D}: a coefficient bound of {max(major)} is beyond exact int64")
+    S = np.zeros((len(counts), 6, D + 1), dtype=np.int64)
+    S[:, :, 0] = 1
+    for a in range(1, width + 1):
+        for s, N in zip((-1, 0, 1), counts[:, a - 1].T):
+            top = min(D // a, int(N.max()))
+            if not top:
+                continue
+            c = np.array([1 + s * (e1 ** a + e2 ** a) for e1, e2 in _SIGNS] + [s, 1], dtype=np.int64)
+            old, comb = S.copy(), np.ones(len(N), dtype=np.int64)
+            for m in range(1, top + 1):
+                comb = comb * (N - m + 1) // m  # C(N, m)
+                S[:, :, a * m:] += (comb[:, None] * c ** m)[:, :, None] * old[:, :, :D + 1 - a * m]
+    return S
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_weights(g):
+    """int64 (6, 6, 2): four times the weight of column c at u^(g + 2 + t)
+    in row r of _kept_sums.  A cell, a total degree T and parities, is kept
+    as a whole (biquad.genus_length), T = g + 2 or g + 3, and the excluded
+    patterns in kept cells (odd g) go by their one-variable entries."""
+    kept, excluded = biquad.admissible_patterns(g)
+    W = np.zeros((6, 6, 2), dtype=np.int64)
+    for r, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for T, *par in {(sum(p), *(d % 2 for d in p)) for p in kept + excluded}:
+            for col, (e1, e2) in enumerate(_SIGNS):
+                W[r::3, col, T - g - 2] += e1 ** par[a] * e2 ** par[b] * np.array([1, par[a] == par[b]])
+        for p in excluded:
+            col, e = (5, p[3 - a - b]) if p[3 - a - b] else (4, p[a] + p[b])
+            W[r::3, col, e - g - 2] -= 4 * np.array([1, (p[a] + p[b]) % 2 == 0])
+    W.flags.writeable = False  # shared by every caller through the cache
+    return W
+
+
+def _kept_sums(series, g):
+    """(V, 6) Python ints off a parity_series reaching g + 3: per vector the
+    sums of chi(f_a) chi(f_b) over the monic family of genus g for (a, b) =
+    (1, 2), (1, 3), (2, 3), then over its members with deg f_a f_b even."""
+    return np.tensordot(series[:, :, g + 2:g + 4].astype(object), _kept_weights(g), axes=([1, 2], [1, 2])) // 4
 
 
 def family_totals_bytes(field, g, n):
-    """The bytes _family_totals(field, g, n) would allocate, estimated from
-    prime and square-free counts before anything is built: the residue
-    tables of its orbit columns, those of the primes of the degrees d | n
-    up to the family's top degree (the keys, all primes up to there, have
-    more entries; biquad.orbit_columns) and the keys' own when n passes
-    it; a block of columns, in int8 and two float32 copies; per Gram
-    degree pair two float32 and two int64 blocks."""
-    q = field.q
-    degrees = biquad.family_degrees(g)
-    top = max(degrees, default=0)
-    pi = {d: ffpoly.prime_count_exact(q, d) for d in range(1, max(n, top) + 1)}
-    count = {d: ffpoly.squarefree_count(q, d) for d in degrees}
-    tables = sum(pi[d] * q ** d for d in biquad.divisors(n) if d <= top)
-    tables += (n > top) * sum(pi[a] * q ** a for a in range(1, top + 1))
-    width = sum(count.values()) + sum(pi[a] for a in range(1, top + 1))
-    block = 9 * min(width * sum(pi[d] for d in biquad.divisors(n)), max(width, 64 * ffpoly.BLOCK_BYTES))
-    grams = 24 * sum(count[a] * count[b] for a, b in _gram_pairs(biquad.admissible_patterns(g)[0]))
-    return tables + block + grams
+    """The bytes _family_totals(field, g, n) would allocate, from prime
+    counts: for the primes of each degree d | n with n/d odd, the residue
+    tables of their counts (_tables.symbol_store) and per prime its int32
+    count vector in three copies; a block of symbols with a mask, and one
+    of the series (64 ffpoly.BLOCK_BYTES) three times over while built."""
+    q, top = field.q, max(biquad.family_degrees(g))
+    keys = [ffpoly.prime_count_exact(q, a) for a in range(1, top + 1)]
+    return 320 * ffpoly.BLOCK_BYTES + sum(
+        symbol_store(q, d, keys)[1] + 36 * top * ffpoly.prime_count_exact(q, d)
+        for d in biquad.divisors(n) if n // d % 2)
 
 
 def check_family_totals(field, g, n):
@@ -116,80 +162,68 @@ def check_family_totals(field, g, n):
                          f"over the cap of {TOTALS_BYTES_CAP}")
 
 
+def _trivial_counts(field, g):
+    """The count vector of chi = 1 over the primes up to genus g's top degree."""
+    top = max(biquad.family_degrees(g))
+    return np.array([(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, top + 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _series_size(field, g):
+    """The monic family size by the trivial vector's series."""
+    return int(_kept_sums(parity_series(_trivial_counts(field, g)[None], g + 3), g)[0, 0])
+
+
 @functools.lru_cache(maxsize=None)
 def _family_totals(field, g, n):
-    """Exhaustive totals over the monic family, from pair weights.
+    """Exhaustive totals over the monic family, from prime counts.
 
     Returns (sum of S13+S23+S12, sum of S12, sum of (roots on P^1 of the
     half field minus 1), sum of the outside-subfield bilinear character
     sum, sum of its generating-x part) -- the last three only for even n.
 
-    A member sum of chi(fa fb) over F_{q^n} is sum(Wab o G) per pattern,
-    Wab its pair weights (biquad.pair_weights) and G the Gram block
-    sum_{d | n} d X_a X_b^T of the orbit columns X (biquad.orbit_columns)
-    of degree d of the polynomials of degrees d_a, d_b; S13 and S23 read
-    their own W13, W23 blocks, so s_all = 3 s12 is a check, not a product.
-    Every member is monic, so chi at infinity of fa fb is 1 for even
-    degree.  The generating x are those whose minimal polynomial has
-    degree n: the columns of d = n alone.  f has a zero in F_{q^(n/2)} at
-    each root of a prime factor of degree dividing n/2, so its zero count
-    there is the sum of those degrees, read off the factor arrays.
-
-    Exactness of the float32 GEMM: column entries are (f/P)^(n/d) in
-    {-1, 0, 1}, weighted by d.  Each x in F_{q^n} has one minimal
-    polynomial, of degree d | n, and shares it with d - 1 others, so
-    sum_{d | n} d pi_q(d) = q^n, and a Gram entry and each partial sum of
-    it, in any order and over any blocks of columns, is an integer of
-    absolute value at most q^n; the generating part alone is at most
-    n pi_q(n) <= q^n.  float32 holds every integer up to 2^24 exactly, and
-    q^n >= 2^24 raises InvariantError before anything is built.
-    """
-    if field.q ** n >= 1 << 24:
-        raise InvariantError(f"q^n = {field.q ** n} is beyond exact float32 Gram blocks")
+    One parity_series, built in blocks of vectors, serves all five, over a
+    stack of count vectors: the trivial one; per d | n with n/d even, one
+    prime of degree d moved to chi = 0 (chi_P^2), its kept sum Z_d the
+    members it does not divide; per d | n with n/d odd, the distinct
+    vectors of (Q/P) over the primes P of degree d (PolyTables.prime_counts).
+    The finite part of S_ab is the sum over d | n of d pi_q(d) Z_d or d
+    times the kept sums; chi at infinity of the monic f_a f_b is 1 for even
+    degree.  The zeros in F_{q^(n/2)} are those of the prime factors of
+    degree e | n/2, sum_e e pi_q(e) (size - Z_e); the generating x are the
+    roots of the primes of degree n.  S13 and S23 read their own cells, so
+    s_all = 3 s12 is checked (InvariantError).  Sums over vectors are
+    Python ints."""
     check_family_totals(field, g, n)
-    weights = biquad.pair_weights(field, g)
-    fam = biquad.family_polys(field, g)
-    span = {d: slice(*np.searchsorted(fam.deg, [d, d + 1])) for d in biquad.family_degrees(g)}
-    count = {d: s.stop - s.start for d, s in span.items()}
-    # per degree pair, the Gram blocks of the columns of d < n, weighted,
-    # and of the generating columns d = n, unweighted
-    grams = {(a, b): np.zeros((2, count[a], count[b]), dtype=np.float32) for a, b in _gram_pairs(weights)}
-    for d, X in biquad.orbit_columns(fam, biquad.divisors(n)):
-        if n // d % 2 == 0:
-            X *= X
-        Xf = X.astype(np.float32)
-        Xw = Xf if d == n else d * Xf
-        for (a, b), G in grams.items():
-            G[int(d == n)] += Xw[span[a]] @ Xf[span[b]].T
-    gen = {pair: n * G[1].astype(np.int64) for pair, G in grams.items()}
-    full = {pair: G[0].astype(np.int64) + gen[pair] for pair, G in grams.items()}
-
-    def gram(blocks, a, b):
-        return blocks[a, b] if a <= b else blocks[b, a].T
-
-    fin, inf = [0, 0, 0], [0, 0, 0]
-    for (d1, d2, d3), pair_blocks in weights.items():
-        for k, ((a, b), W) in enumerate(zip(((d1, d2), (d1, d3), (d2, d3)), pair_blocks)):
-            fin[k] += int((W * gram(full, a, b)).sum())
-            if (a + b) % 2 == 0:
-                inf[k] += int(W.sum())
-    s12_tot = fin[0] + inf[0]
-    s_all = sum(fin) + sum(inf)
+    T = poly_tables(field, max(n, *biquad.family_degrees(g)))
+    trivial = _trivial_counts(field, g)
+    parts = [(trivial[None], 0, np.ones(1, dtype=np.int64))]  # (vectors, d, multiplicities)
+    for d in biquad.divisors(n):
+        if n // d % 2:
+            counts = T.prime_counts(d, T.prime_codes[d], len(trivial)).reshape(-1, trivial.size)
+            vectors, mult = np.unique(counts, axis=0, return_counts=True)
+            del counts  # freed before the series is built
+            parts.append((vectors.reshape(-1, *trivial.shape), d, mult))
+        else:
+            moved = trivial.copy()
+            moved[d - 1:d] += (0, 1, -1)  # none past the top degree
+            parts.append((moved[None], d, np.array([len(T.prime_codes[d])])))
+    stack, step = np.concatenate([v for v, _, _ in parts]), max(1, 64 * ffpoly.BLOCK_BYTES // (48 * (g + 4)))
+    sums = np.concatenate([_kept_sums(parity_series(stack[lo:lo + step], g + 3), g)
+                           for lo in range(0, len(stack), step)])
+    at = np.cumsum([0] + [len(v) for v, _, _ in parts])
+    part = {d: (sums[lo:hi] * mult[:, None]).sum(axis=0) for (_, d, mult), lo, hi in zip(parts, at, at[1:])}
+    size, inf = part[0][0], part[0][3:]
+    fin = sum(d * part[d][:3] for d in biquad.divisors(n))
+    s12_tot, s_all = int(fin[0] + inf[0]), int(sum(fin) + sum(inf))
+    if s_all != 3 * s12_tot:
+        raise InvariantError(f"pair-sum symmetry broke: s_all = {s_all}, s12 = {s12_tot}")
     if n % 2:
         return s_all, s12_tot, 0, 0, 0
-    key_deg = fam.key_deg[fam.key]
-    zeros = np.zeros(len(fam), dtype=np.int64)
-    np.add.at(zeros, fam.poly, np.where(n // 2 % key_deg == 0, key_deg, 0))
-    size = zeros_half = odd = gen_tot = 0
-    for (d1, d2, _), (W12, _, _) in weights.items():
-        members = int(W12.sum())
-        size += members
-        odd += (d1 + d2) % 2 * members
-        zeros_half += int(zeros[span[d1]] @ W12.sum(axis=1) + zeros[span[d2]] @ W12.sum(axis=0))
-        gen_tot += int((W12 * gram(gen, d1, d2)).sum())
-    roots_tot = zeros_half + odd - size
+    zeros_half = sum(e * (len(T.prime_codes[e]) * size - part[e][0]) for e in biquad.divisors(n // 2))
+    roots_tot = zeros_half - inf[0]  # zeros_half + (members of odd d1 + d2) - size
     bil_tot = fin[0] - (size * field.q ** (n // 2) - zeros_half)
-    return s_all, s12_tot, roots_tot, bil_tot, gen_tot
+    return s_all, s12_tot, int(roots_tot), int(bil_tot), int(n * part[n][0])
 
 
 @dataclass
@@ -225,8 +259,11 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
     q = field.q
     if mode == "exhaustive":
         s_all, s12_tot, *_ = _family_totals(field, g, n)
+        monic = biquad.family_size(field, g, biquad.MONIC)
+        if _series_size(field, g) != monic:
+            raise InvariantError(f"the series counts {_series_size(field, g)} members, the pair weights {monic}")
         if variant == biquad.MONIC:
-            avg_T = Fraction(-s_all, biquad.family_size(field, g, biquad.MONIC))
+            avg_T = Fraction(-s_all, monic)
         else:
             avg_T = _full_average(field, g, n, s_all, s12_tot)
         sample_size_out = None
@@ -271,12 +308,8 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
 
 def error_decomposition(field, g, n):
     """Exact pieces of the even-n identity; raises InvariantError if the
-    rearrangement fails to close (it cannot, barring bugs).
-
-    Also recomputes the degree-n (generating) part of the bilinear sum in
-    the prime-sum form through the n-to-1 correspondence x <-> P_x, from
-    prime counts (_generating_prime_sum), and asserts exact agreement.
-    """
+    rearrangement fails to close (it cannot, barring bugs), or if the
+    family size of the series and of the pair weights differ."""
     if n % 2 or n < 2:
         raise ValueError("the decomposition is an even-n statement")
     q = field.q
@@ -284,17 +317,14 @@ def error_decomposition(field, g, n):
     if size == 0:
         raise ValueError(f"family (q={field.q}, g={g}) is empty")
     s_all, s12_tot, roots_tot, bil_tot, gen_tot = _family_totals(field, g, n)
-    if s_all != 3 * s12_tot:
-        raise InvariantError("pair-sum symmetry broke")
+    if _series_size(field, g) != size:
+        raise InvariantError(f"the series counts {_series_size(field, g)} members, the pair weights {size}")
     qn2 = q ** (n // 2)
     avg_T = Fraction(-s_all, size)
     roots_term = Fraction(3 * roots_tot, qn2 * size)
     bilinear_term = Fraction(3 * bil_tot, qn2 * size)
     if avg_T / qn2 != -3 + roots_term - bilinear_term:
         raise InvariantError("error decomposition identity failed")
-
-    if gen_tot != n * _generating_prime_sum(field, g, n):
-        raise InvariantError("x-sum and prime-sum forms disagree")
 
     nongen_tot = bil_tot - gen_tot
     divs = [d for d in range(1, n) if n % d == 0 and (n // 2) % d != 0]
@@ -315,56 +345,6 @@ def error_decomposition(field, g, n):
     return report
 
 
-def triple_series(q, counts, D):
-    """int64 S[b, i, j, k]: the sum of chi(f1) chi(f2) over the pairwise
-    coprime square-free monic (f1, f2, f3) of degrees (i, j, k), i + j + k
-    <= D, chi having counts[b, a - 1] = (N-, N0, N+) monic primes of degree
-    a with chi = -1, 0, 1 (no others, so an entry is whole when its degrees
-    are at most counts.shape[1]).  A prime divides at most one f, so S =
-    prod_{a, s} (1 + s (x1^a + x2^a) + x3^a)^N_s, expanded binomially.
-    Exact in int64: an entry or partial sum is a signed count of distinct
-    triples, at most q^D, and a term weight at most N_s^m <= q^(a m);
-    q^D >= 2^63 raises InvariantError.  Products past D may wrap; they are
-    cleared."""
-    if q ** D >= 1 << 63:
-        raise InvariantError(f"q^D = {q ** D} is beyond exact int64 series")
-    counts, fact = np.asarray(counts, dtype=np.int64), math.factorial
-    S = np.zeros((len(counts),) + (D + 1,) * 3, dtype=np.int64)
-    S[:, 0, 0, 0] = 1
-    past = np.indices((D + 1,) * 3).sum(axis=0) > D
-    for a in range(1, min(counts.shape[1], D) + 1):
-        for s, N in zip((-1, 0, 1), counts[:, a - 1].T.tolist()):
-            if not any(N):
-                continue
-            old, S = S, S.copy()
-            for m in range(1, min(D // a, max(N)) + 1):  # C(N, m) = 0 for m > N
-                comb = np.array([math.comb(c, m) for c in N], dtype=np.int64)[:, None, None, None]
-                r = D + 1 - a * m
-                for m1 in range(m + 1 if s else 1):
-                    for m2 in range(m - m1 + 1 if s else 1):
-                        w = s ** (m1 + m2) * fact(m) // (fact(m1) * fact(m2) * fact(m - m1 - m2))
-                        i, j, k = a * m1, a * m2, a * (m - m1 - m2)
-                        S[:, i:i + r, j:j + r, k:k + r] += w * comb * old[:, :r, :r, :r]
-            S[:, past] = 0
-    return S
-
-
-def _generating_prime_sum(field, g, n):
-    """sum over the monic primes P of degree n (even) of the family sum of
-    chi_P(f1 f2): the kept-pattern coefficients of one series per distinct
-    vector of counts of the key primes Q up to the family's top degree
-    (PolyTables.prime_counts).  No orbit column, Gram block or pair weight
-    is read."""
-    top = max(biquad.family_degrees(g), default=0)
-    T = poly_tables(field, max(n, top))
-    counts = T.prime_counts(n, T.prime_codes[n], top)
-    vectors, mult = np.unique(counts.reshape(len(counts), -1), axis=0, return_counts=True)
-    kept = (slice(None), *np.array(biquad.admissible_patterns(g)[0]).T)
-    step = max(1, 8 * ffpoly.BLOCK_BYTES // (g + 4) ** 3)
-    return sum(int(triple_series(field.q, vectors[lo:lo + step].reshape(-1, top, 3), g + 3)[kept].sum(axis=1)
-                   @ mult[lo:lo + step]) for lo in range(0, len(vectors), step))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-prime sums and their constants
 # ---------------------------------------------------------------------------
@@ -374,29 +354,33 @@ _series_of = {}  # per prime P, its series of the highest total degree built so 
 
 
 def _prime_series(P, D):
-    """triple_series of chi_P reaching total degree D, from the counts of
+    """parity_series of chi_P to total degree D or more, from the counts of
     the monic primes Q of degree up to D by (Q/P) (eulerprod.chi_counts).
     The one of highest degree built so far for P serves every lower D, so
     callers ask for their top degree first."""
     S = _series_of.get(P)
-    if S is None or len(S) <= D:
+    if S is None or S.shape[1] <= D:
         counts = eulerprod.chi_counts(P, D) if D else np.zeros((0, 3), dtype=np.int64)
-        S = _series_of[P] = triple_series(P.field.q, counts[None], D)[0]
+        S = _series_of[P] = parity_series(counts[None], D)[0]
     return S
 
 
 def nkk_sums_all(field, P, d):
-    """All four parity classes of N_{k1,k2}(d;P): P's series (_prime_series)
-    at each split (a, b, c) of d goes to class ((a + c) % 2, (b + c) % 2)."""
+    """All four parity classes of N_{k1,k2}(d;P), off P's series."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    S = _prime_series(P, d)
-    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            c = d - a - b
-            out[(a + c) % 2, (b + c) % 2] += int(S[a, b, c])
-    return out
+    return _parity_classes(_prime_series(P, d), d)
+
+
+def _parity_classes(S, d):
+    """{(k1, k2): the sum of the entries [a, b, c] of a series of one
+    vector with a + b + c = d and (a + c, b + c) = (k1, k2) mod 2}: the
+    cell of parities ((d - k2) % 2, (d - k1) % 2), a quarter of the signed
+    sum of the four columns F(e1 u, e2 u, u) at u^d."""
+    cols = S[:4, d].tolist()
+    cell = {(p1, p2): sum(e1 ** p1 * e2 ** p2 * x for (e1, e2), x in zip(_SIGNS, cols)) // 4
+            for p1 in (0, 1) for p2 in (0, 1)}
+    return {(k1, k2): cell[(d - k2) % 2, (d - k1) % 2] for k1 in (0, 1) for k2 in (0, 1)}
 
 
 @dataclass
@@ -518,17 +502,16 @@ def c_constant_g(P, g, M):
 def excluded_degree_correction(field, P, g):
     """2 sum_{deg f = g+2, g+3} mu^2(f) chi_P(f) + (q+1)/q * q^(g+3)/zeta_q(2),
     the excluded-pattern correction active for odd g; exact Fraction.  The
-    character sum is the entries [e, 0, 0] of P's series (f2 = f3 = 1)."""
+    character sum is the entries [e, 0, 0] of P's series, F(u, 0, 0)."""
     q, S = field.q, _prime_series(P, g + 3)
-    char_sum = int(S[g + 2, 0, 0] + S[g + 3, 0, 0])
+    char_sum = int(S[4, g + 2]) + int(S[4, g + 3])
     return 2 * char_sum + Fraction(q + 1, q) * q ** (g + 3) / lfunc.zeta_q_value(q, 2)
 
 
 def fixed_prime_family_sum(field, g, P):
-    """sum over the monic family of chi_P(f1 f2), exact: the coefficients
-    of P's series (_prime_series) at the kept patterns."""
-    S = _prime_series(P, g + 3)
-    return sum(int(S[pattern]) for pattern in biquad.admissible_patterns(g)[0])
+    """sum over the monic family of chi_P(f1 f2), exact: the kept sum of
+    P's series (_prime_series, _kept_sums)."""
+    return int(_kept_sums(_prime_series(P, g + 3)[None], g)[0, 0])
 
 
 def family_sum_report(field, g, P, M):
@@ -547,10 +530,12 @@ def family_sum_report(field, g, P, M):
 def family_sum_nkk_decomposition(field, g, P):
     """The exact combinatorial identity behind the family sum: the four
     parity-class sums at total degrees g+3 / g+2, minus the excluded
-    degenerate triples (odd g only) read off P's series.  Exact integer."""
+    degenerate triples (odd g only), one-variable entries of P's series:
+    F(u, 0, 0) or, for [0, 0, k], F(0, 0, u).  Exact integer."""
     top = nkk_sums_all(field, P, g + 3)
     low = nkk_sums_all(field, P, g + 2)
-    excluded = sum(int(_prime_series(P, g + 3)[pattern]) for pattern in biquad.admissible_patterns(g)[1])
+    S = _prime_series(P, g + 3)
+    excluded = sum(int(S[5, k] if k else S[4, i + j]) for i, j, k in biquad.admissible_patterns(g)[1])
     return top[(0, 0)] + low[(0, 1)] + low[(1, 0)] + low[(1, 1)] - excluded
 
 

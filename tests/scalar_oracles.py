@@ -21,6 +21,7 @@ coprimality masks, independent of the unranking in biquad.
 """
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,16 +127,46 @@ def nkk_sum(field, P, d, k1, k2):
 
 def series_census(field, d):
     """The four parity classes of N_{k1,k2}(d) for chi = 1: moments'
-    triple series with every prime at +1, split by parity as
+    parity series with every prime at +1, split by parity as
     nkk_sums_all splits a prime's series (not an oracle: the fast path
     the census tests check)."""
     counts = [(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, d + 1)]
-    S = moments.triple_series(field.q, np.reshape(counts, (1, d, 3)), d)[0]
-    out = {(a, b): 0 for a in (0, 1) for b in (0, 1)}
-    for a in range(d + 1):
-        for b in range(d - a + 1):
-            out[(d - b) % 2, (d - a) % 2] += int(S[a, b, d - a - b])
-    return out
+    return moments._parity_classes(moments.parity_series(np.reshape(counts, (1, d, 3)), d)[0], d)
+
+
+def triple_series(q, counts, D):
+    """int64 S[b, i, j, k]: the sum of chi(f1) chi(f2) over the pairwise
+    coprime square-free monic (f1, f2, f3) of degrees (i, j, k), i + j + k
+    <= D, chi having counts[b, a - 1] = (N-, N0, N+) monic primes of degree
+    a with chi = -1, 0, 1 (no others, so an entry is whole when its degrees
+    are at most counts.shape[1]).  A prime divides at most one f, so S =
+    prod_{a, s} (1 + s (x1^a + x2^a) + x3^a)^N_s, expanded binomially
+    into the whole (D + 1)^3 cube: the oracle of moments.parity_series,
+    which keeps only its sums by total degree and parity class.  Exact in
+    int64: an entry or partial sum is a signed count of distinct triples,
+    at most q^D, and a term weight at most N_s^m <= q^(a m); q^D >= 2^63
+    raises InvariantError.  Products past D may wrap; they are cleared."""
+    if q ** D >= 1 << 63:
+        raise InvariantError(f"q^D = {q ** D} is beyond exact int64 series")
+    counts, fact = np.asarray(counts, dtype=np.int64), math.factorial
+    S = np.zeros((len(counts),) + (D + 1,) * 3, dtype=np.int64)
+    S[:, 0, 0, 0] = 1
+    past = np.indices((D + 1,) * 3).sum(axis=0) > D
+    for a in range(1, min(counts.shape[1], D) + 1):
+        for s, N in zip((-1, 0, 1), counts[:, a - 1].T.tolist()):
+            if not any(N):
+                continue
+            old, S = S, S.copy()
+            for m in range(1, min(D // a, max(N)) + 1):  # C(N, m) = 0 for m > N
+                comb = np.array([math.comb(c, m) for c in N], dtype=np.int64)[:, None, None, None]
+                r = D + 1 - a * m
+                for m1 in range(m + 1 if s else 1):
+                    for m2 in range(m - m1 + 1 if s else 1):
+                        w = s ** (m1 + m2) * fact(m) // (fact(m1) * fact(m2) * fact(m - m1 - m2))
+                        i, j, k = a * m1, a * m2, a * (m - m1 - m2)
+                        S[:, i:i + r, j:j + r, k:k + r] += w * comb * old[:, :r, :r, :r]
+            S[:, past] = 0
+    return S
 
 
 def double_char_total(field, d, n):
@@ -640,7 +671,8 @@ def row_scan_totals(field, g, n):
 
 
 def row_scan_prime_form(field, g, n):
-    """moments._generating_prime_sum as one member sum per degree-n prime."""
+    """The generating part of moments._family_totals over n: one member
+    sum of chi_P(f1 f2) per degree-n prime P."""
     fam = outer_and_family(field, g)
     return sum(_member_sum(fam, row)
                for row in table_chi_rows(fam.polys, ffpoly.primes(field, n)))

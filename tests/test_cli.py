@@ -865,10 +865,67 @@ def test_eulersum_sieves_once(capsys, monkeypatch):
     # primes P followed by a degree-M one for their chi rows
     built = _count_poly_tables(monkeypatch)
     eulerprod.chi_counts.cache_clear()
+    eulerprod._degree_counts.cache_clear()
     ffpoly.primes.cache_clear()
     code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())
     assert code == 0
     assert built == [9]
+
+
+def test_eulersum_counts_the_primes_once(capsys, monkeypatch):
+    # the three kinds read one prime_counts call's counts, and print what
+    # they printed with one call each
+    calls = []
+    real = _tables.PolyTables.prime_counts
+
+    def counting(self, d, codes, max_deg):
+        calls.append((d, len(codes), max_deg))
+        return real(self, d, codes, max_deg)
+
+    monkeypatch.setattr(_tables.PolyTables, "prime_counts", counting)
+    eulerprod._degree_counts.cache_clear()
+    code, out, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9 --format json".split())
+    assert code == 0
+    assert calls == [(3, 8, 9)]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ef7a0d77eacc547598aa43d9e9feab37a059337ceb32898c71a9f6bcf3742a7d")
+
+
+def _address_space_limit():
+    """preexec_fn: at most 512 MiB of address space for the child, so a
+    table that escapes the caps fails there instead of filling the host."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("args,need", [
+    ("--q 9 --n 6 --M 6", 88440 * 9 ** 6),  # pi_9(6) tables of 9^6 entries
+    ("--q 25 --n 4 --M 4", 97500 * 25 ** 4),
+])
+def test_eulersum_refuses_residue_tables_over_the_cap(args, need):
+    # each prime P of degree n reads its own q^n-entry table (the keys'
+    # side, every prime up to M >= n, is larger): refused with exit 1
+    # before any table is built, where a numpy MemoryError ended the run
+    import subprocess
+
+    env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    done = subprocess.run([sys.executable, "-m", "ffstat.cli", "eulersum", *args.split()], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=_address_space_limit)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    assert done.stderr == (f"config error: --n, --M: prime sum: q={args.split()[1]} at n={args.split()[3]}, "
+                           f"M={args.split()[5]} needs about {need} bytes of residue tables, over the cap "
+                           f"of {eulerprod.PRIME_SUM_BYTES_CAP}\n")
+
+
+def test_eulersum_admits_the_largest_run_of_the_baseline(monkeypatch):
+    # eulersum --q 5 --n 7 --M 7 completes in about 19 s at 1.4 GiB RSS: its
+    # pi_5(7) 5^7 bytes of tables pass the check (the sum is not run here)
+    assert _tables.symbol_store(5, 7, [ffpoly.prime_count_exact(5, a) for a in range(1, 8)]) == (
+        "P", 11160 * 5 ** 7)
+    monkeypatch.setattr(eulerprod, "_prime_sum", lambda kind, field, n, M: (1, 1))
+    assert eulerprod.prime_sum("plus", F5, 7, 7).num == 1
 
 
 @contextlib.contextmanager

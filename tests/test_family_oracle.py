@@ -17,6 +17,7 @@ import functools
 import inspect
 import io
 import math
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -141,14 +142,13 @@ def test_pair_weight_sums_match_the_row_scans(q, g, n, deg, index):
     assert biquad.family_size(field, g) == len(oracle.outer_and_family(field, g).rows)
     assert moments._family_totals(field, g, n) == oracle.row_scan_totals(field, g, n)
     if n % 2 == 0:
-        assert moments._generating_prime_sum(field, g, n) == oracle.row_scan_prime_form(field, g, n)
+        assert moments._family_totals(field, g, n)[4] == n * oracle.row_scan_prime_form(field, g, n)
     assert (moments.fixed_prime_family_sum(field, g, P)
             == oracle.row_scan_fixed_prime_sum(field, g, P))
     assert moments.nkk_sums_all(field, P, g + 3) == oracle.mask_loop_nkk_sums_all(field, P, g + 3)
 
 
-MEMBER_FREE = ((moments, "_family_totals"), (moments, "_generating_prime_sum"),
-               (moments, "fixed_prime_family_sum"), (moments, "nkk_sums_all"),
+MEMBER_FREE = ((moments, "_family_totals"), (moments, "fixed_prime_family_sum"), (moments, "nkk_sums_all"),
                (biquad, "family_size"))
 
 
@@ -173,25 +173,26 @@ def test_member_free_sums_build_no_member_rows(monkeypatch):
             len(oracle.outer_and_family(field, g).rows))
     moments._family_totals.cache_clear()
     monkeypatch.setattr(biquad, "member_rows", refuse)
-    got = (moments._family_totals(field, g, 4), moments._generating_prime_sum(field, g, 4),
-           moments.fixed_prime_family_sum(field, g, P), biquad.family_size(field, g))
+    totals = moments._family_totals(field, g, 4)
+    got = (totals, totals[4] // 4, moments.fixed_prime_family_sum(field, g, P), biquad.family_size(field, g))
     assert got == want
     moments.nkk_sums_all(field, P, g + 3)
 
 
 @pytest.mark.parametrize("q,g,n", [(3, 2, 4), (5, 1, 2), (9, 1, 4)])
 def test_prime_count_side_reads_no_column_gram_or_pair_weight(monkeypatch, q, g, n):
-    # the decomposition's independent side: prime counts and the series
-    # alone, not the orbit columns, Gram blocks or pair weights of the totals
+    # the family totals read prime counts and the series alone: no orbit
+    # column, family polynomial or pair weight, so the pair weights'
+    # family size stays an independent check
     def refuse(*args):
-        raise AssertionError("the count side read the totals' tables")
+        raise AssertionError("the totals read the family's tables")
 
     field = FIELDS[q]
-    want = oracle.row_scan_prime_form(field, g, n)
-    for name in ("orbit_columns", "pair_weights", "pair_weight", "family_polys", "coprime_mask"):
+    want = oracle.row_scan_totals(field, g, n)
+    for name in ("orbit_columns", "family_polys", "pair_weights", "pair_weight", "coprime_mask"):
         monkeypatch.setattr(biquad, name, refuse)
-    monkeypatch.setattr(moments, "_family_totals", refuse)
-    assert moments._generating_prime_sum(field, g, n) == want
+    moments._family_totals.cache_clear()
+    assert moments._family_totals(field, g, n) == want
 
 
 def test_pair_weights_that_disagree_raise(monkeypatch):
@@ -255,26 +256,40 @@ def _peak_bytes(fn, *args):
 
 
 def test_family_totals_refuse_before_building_chi_matrices():
-    # at n = 11 > 10, the top degree of genus 9, the orbit columns would go
-    # by reciprocity off the residue tables of every prime of degree <= 10
-    # (some 400 MB): refused before anything is built
+    # at n = 11 > 10, the top degree of genus 9, the counts of the primes of
+    # degree 11 would go by reciprocity off the residue tables of every
+    # prime of degree <= 10 (some 400 MB): refused before anything is built
     assert moments.family_totals_bytes(GF(3), 9, 11) > moments.TOTALS_BYTES_CAP
     exc, peak = _peak_bytes(moments._family_totals, GF(3), 9, 11)
     assert isinstance(exc, ValueError) and "over the cap" in str(exc)
     assert peak < 1 << 16
     # the largest runs of the baseline table stay under it, and so do n = 11
-    # at genus 7 and n = 12 at genus 6, which the point-by-point sums refused
-    for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12)):
-        assert moments.family_totals_bytes(GF(q), g, n) <= moments.TOTALS_BYTES_CAP
+    # at genus 7 and n = 12 at genus 6, which the point-by-point sums
+    # refused, and q = 25, 27 at genus 2, n = 4
+    for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12), (25, 2, 4), (27, 2, 4)):
+        assert moments.family_totals_bytes(ffpoly.field_of_order(q), g, n) <= moments.TOTALS_BYTES_CAP
 
 
-def test_family_totals_refuse_q_to_the_n_beyond_exact_float32():
-    # a weighted Gram entry reaches q^n, and float32 is exact below 2^24:
-    # 3^16 is refused before the sieve or any other table is built
+def test_family_totals_refuse_n_past_the_sieve_cap():
+    # the 2 690 010 primes of degree 16 at q = 3 need the sieve to degree
+    # 16: refused before the sieve or any other table is built
     exc, peak = _peak_bytes(moments._family_totals, GF(3), 0, 16)
-    assert isinstance(exc, InvariantError) and "beyond exact float32" in str(exc)
+    assert isinstance(exc, ValueError) and "max_deg=16" in str(exc) and "over the cap" in str(exc)
     assert peak < 1 << 16
     assert moments._family_totals(GF(3), 0, 2) == oracle.row_scan_totals(GF(3), 0, 2)
+
+
+def test_src_keeps_one_series_engine():
+    # the parity series replaced the (D+1)^3 cube and the Gram route: the
+    # cube is a test oracle now, and the totals read no orbit column
+    src = pathlib.Path(moments.__file__).parent
+    defined = {node.name for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"triple_series", "_gram_pairs", "_generating_prime_sum"}
+    tree = ast.parse(inspect.getsource(moments._family_totals.__wrapped__).lstrip())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "orbit_columns" not in names
 
 
 @pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])
@@ -363,6 +378,56 @@ def scalar_nkk_sums_all(field, P, d, chi_of=None):
 
 def nth_prime(q, deg, index):
     return ffpoly.primes(FIELDS[q], deg)[index]
+
+
+#: q -> the largest total degree of the series property; the oracle's
+#: (D+1)^3 cube stays small
+SERIES_DEGREES = {3: 8, 5: 6, 7: 5, 9: 5, 25: 4, 27: 4}
+
+
+@st.composite
+def count_stacks(draw):
+    """(q, D, counts): one to three count vectors, each splitting the
+    pi_q(a) monic primes of every degree a <= width into chi = -1, 0, 1."""
+    q = draw(st.sampled_from(sorted(SERIES_DEGREES)))
+    D = draw(st.integers(0, SERIES_DEGREES[q]))
+    width = draw(st.integers(0, D))
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for a in range(1, width + 1):
+            pi = ffpoly.prime_count_exact(q, a)
+            minus = draw(st.integers(0, pi))
+            zero = draw(st.integers(0, min(2, pi - minus)))
+            rows.append((minus, zero, pi - minus - zero))
+        vectors.append(rows)
+    return q, D, np.array(vectors, dtype=np.int64).reshape(len(vectors), width, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=count_stacks())
+@example(stack=(3, 8, np.array([[(0, 0, 3), (1, 1, 1), (4, 0, 4)]]))).via("odd g = 5 at q = 3")
+@example(stack=(27, 4, np.array([[(13, 1, 13), (0, 0, 351)], [(27, 0, 0), (100, 2, 249)]]))).via(
+    "two vectors at q = 27")
+def test_parity_series_matches_the_triple_series(stack):
+    # the kept-cell sums of genus D - 3, the four N_{k1,k2} parity classes
+    # at every total degree and the one-variable coefficients against the
+    # whole (D+1)^3 cube of the oracle
+    q, D, counts = stack
+    series, cube = moments.parity_series(counts, D), oracle.triple_series(q, counts, D)
+    i, j, k = np.indices((D + 1,) * 3)
+    for S, C in zip(series, cube):
+        for d in range(D + 1):
+            at = i + j + k == d
+            want = {(k1, k2): int(C[at & ((i + k) % 2 == k1) & ((j + k) % 2 == k2)].sum())
+                    for k1 in (0, 1) for k2 in (0, 1)}
+            assert moments._parity_classes(S, d) == want, d
+            assert (int(S[4, d]), int(S[5, d])) == (int(C[d, 0, 0]), int(C[0, 0, d])), d
+        if D >= 3:
+            kept = biquad.admissible_patterns(D - 3)[0]
+            want = [sum(int(C[p[a], p[b], p[3 - a - b]]) for p in kept if (p[a] + p[b]) % 2 == 0 or not even)
+                    for even in (False, True) for a, b in ((0, 1), (0, 2), (1, 2))]
+            assert moments._kept_sums(S[None], D - 3)[0].tolist() == want
 
 
 @pytest.mark.parametrize("q,deg,index,d_max", [

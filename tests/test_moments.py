@@ -1,5 +1,6 @@
 """Trace averages, the exact error split, fixed-prime sums, density."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -172,21 +173,43 @@ def test_prime_form_oracle_g1_n2(field, g, n):
     p_sum = sum(ffpoly.jacobi_symbol(t.f1 * t.f2, P)
                 for t in triples for P in ffpoly.primes(field, n))
     assert x_sum == n * p_sum
-    assert moments._generating_prime_sum(field, g, n) == p_sum
+    assert moments._family_totals(field, g, n)[4] == x_sum
 
 
 def test_decomposition_sides_that_disagree_raise(monkeypatch):
-    real = moments._generating_prime_sum
-    monkeypatch.setattr(moments, "_generating_prime_sum", lambda field, g, n: real(field, g, n) + 1)
-    with pytest.raises(InvariantError, match="x-sum and prime-sum forms disagree"):
+    # the family size of the trivial vector's series against the pair
+    # weights', one member off
+    real = biquad.family_size
+    monkeypatch.setattr(biquad, "family_size",
+                        lambda field, g, variant=biquad.MONIC: real(field, g, variant) + 1)
+    with pytest.raises(InvariantError, match="the series counts 144 members, the pair weights 145"):
         moments.error_decomposition(F3, 1, 2)
+    with pytest.raises(InvariantError, match="the series counts 144 members, the pair weights 145"):
+        moments.average_trace(F3, 1, 3, biquad.MONIC)
+
+
+def _majorant_coefficient(q, D):
+    """[u^D] prod_a (1 + 3 u^a)^pi_q(a) in Python ints: F(u, u, u) of the
+    trivial vector, the count of pairwise coprime square-free triples of
+    total degree D."""
+    series = [1] + [0] * D
+    for a in range(1, D + 1):
+        pi = ffpoly.prime_count_exact(q, a)
+        series = [sum(math.comb(pi, m) * 3 ** m * series[t - a * m] for m in range(t // a + 1))
+                  for t in range(D + 1)]
+    return series[D]
 
 
 def test_series_refuse_q_to_the_d_beyond_int64():
-    # 3^39 < 2^63 <= 3^40: the bound is checked before the series is built
-    assert moments.triple_series(3, np.zeros((1, 0, 3)), 39)[0, 0, 0, 0] == 1
+    # every prime at +1 to degree D at q = 3: D = 34 is the largest the
+    # int64 bound admits, exact against Python ints next to 2^63, and
+    # D = 35 is refused before the series is built
+    counts = [(0, 0, ffpoly.prime_count_exact(3, a)) for a in range(1, 36)]
+    S = moments.parity_series([counts[:34]], 34)[0]
+    assert int(S[0, 34]) == _majorant_coefficient(3, 34) > 1 << 60
+    assert int(S[5, 34]) == 3 ** 34 - 3 ** 33  # the square-free monics of degree 34
     with pytest.raises(InvariantError, match="beyond exact int64"):
-        moments.triple_series(3, np.zeros((1, 0, 3)), 40)
+        moments.parity_series([counts], 35)
 
 
 def test_nongenerating_piece_appears_at_n6():

@@ -24,14 +24,14 @@ def test_primes_match_the_scalar_sieve(field, max_deg):
 
 @pytest.mark.parametrize("field", [F3, F9])
 def test_chi_rows_match_reciprocity(field):
-    # the fixed-prime series entries [e, 0, 0] and [0, e, 0], the sums of
-    # chi_P over the square-free monics of degree e, against the scalar
-    # reciprocity rows
+    # the fixed-prime series' one-variable coefficients: of F(u, 0, 0), the
+    # sum of chi_P over the square-free monics of degree e, against the
+    # scalar reciprocity rows, and of F(0, 0, u), their number
     primes = ffpoly.primes(field, 1)[:4] + ffpoly.primes(field, 2)[::7]
     for e in (0, 1, 2, 3):
         polys = [Poly.monic_from_code(field, e, c) for c in biquad.squarefree_factors(field, e).codes.tolist()]
-        got = [(int(S[e, 0, 0]), int(S[0, e, 0])) for S in (moments._prime_series(P, e) for P in primes)]
-        assert got == [(int(r.sum()),) * 2 for r in oracle.chi_rows(polys, primes)]
+        got = [(int(S[4, e]), int(S[5, e])) for S in (moments._prime_series(P, e) for P in primes)]
+        assert got == [(int(r.sum()), len(polys)) for r in oracle.chi_rows(polys, primes)]
 
 
 def test_chi_plain_rows_match_reciprocity():

@@ -911,7 +911,7 @@ def test_prime_counts_match_the_scalar_symbol_counts(q, max_deg):
     for d, M in itertools.product(range(1, max_deg + 1), repeat=2):
         codes = T.prime_codes[d][::max(1, len(T.prime_codes[d]) // 3)]
         got = T.prime_counts(d, codes, M)
-        assert got.dtype == np.int64 and got.shape == (len(codes), M, 3)
+        assert got.dtype == np.int32 and got.shape == (len(codes), M, 3)
         for code, counts in zip(codes.tolist(), got.tolist()):
             rows = oracle.chi_plain_rows(Poly.monic_from_code(field, d, code), M)
             assert counts == [[int((r == v).sum()) for v in (-1, 0, 1)] for r in rows]
