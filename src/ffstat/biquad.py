@@ -315,8 +315,8 @@ PAIR_BLOCK_BYTES_CAP = 1 << 28
 
 
 def largest_pair_block(field, g):
-    """(N_a N_b, (d_a, d_b)): the largest (d1, d2) pair block of genus g, or
-    (0, None); the kept patterns are closed under permutation, so W13 and W23 too."""
+    """(N_a N_b, (d_a, d_b)): the largest W12 block of genus g, one per kept
+    pattern (pair_weights), or (0, None)."""
     count = functools.partial(ffpoly.squarefree_count, field.q)
     return max(((count(a) * count(b), (a, b)) for a, b, _ in admissible_patterns(g)[0]),
                key=lambda item: item[0], default=(0, None))
@@ -335,34 +335,27 @@ def check_family(field, g):
 
 @functools.lru_cache(maxsize=None)
 def pair_weights(field, g):
-    """{pattern: (W12, W13, W23)} over the kept patterns of genus g.
+    """{pattern: W12} over the kept patterns of genus g.
 
-    Wab = pair_weight(field, d_a, d_b, d_c) weighs the pair (f_a, f_b) by
-    the number of third polynomials that make it a member, so a sum over
-    members of any function of (f_a, f_b) is its sum against Wab, and
-    each of the three blocks sums to the pattern's member count; a
-    disagreement raises InvariantError.  A family over the caps of
-    check_family is refused before anything is built.  The dict is
-    shared through the cache: read it, do not change it."""
+    W12 = pair_weight(field, d1, d2, d3) weighs the pair (f1, f2) by the
+    number of f3 that make it a member, so a sum over members of any
+    function of (f1, f2) is its sum against W12, and the block sums to the
+    pattern's member count.  A family over the caps of check_family is
+    refused before anything is built.  The dict is shared through the
+    cache: read it, do not change it."""
     check_family(field, g)
     for d in reversed(family_degrees(g)):
         squarefree_factors(field, d)  # top degree first: its sieve table serves every lower one
-    out = {}
-    for d1, d2, d3 in admissible_patterns(g)[0]:
-        blocks = (pair_weight(field, d1, d2, d3), pair_weight(field, d1, d3, d2),
-                  pair_weight(field, d2, d3, d1))
-        if len({int(W.sum()) for W in blocks}) != 1:
-            raise InvariantError(f"pair weights of pattern {(d1, d2, d3)} disagree on its size")
-        out[d1, d2, d3] = blocks
-    return out
+    return {(d1, d2, d3): pair_weight(field, d1, d2, d3) for d1, d2, d3 in admissible_patterns(g)[0]}
 
 
+@functools.lru_cache(maxsize=None)
 def family_size(field, g, variant=MONIC):
-    """Exact member count, the total of the W12 pair weights; the full
-    variant is (q-1)^2 times the monic one."""
+    """Exact member count, the total of the W12 pair weights, summed once
+    per (field, g, variant); the full variant is (q-1)^2 times the monic one."""
     if variant not in (MONIC, FULL):
         raise ValueError(f"unknown variant {variant!r}")
-    n = sum(int(W12.sum()) for W12, _, _ in pair_weights(field, g).values())
+    n = sum(int(W12.sum()) for W12 in pair_weights(field, g).values())
     return (field.q - 1) ** 2 * n if variant == FULL else n
 
 
@@ -388,7 +381,7 @@ def family_polys(field, g):
 def _pair_cumsums(field, g):
     """{pattern: 0 and the row-major cumulative sum of its W12}: pair
     (f1, f2) number p holds the members of ranks cum[p] to cum[p + 1] - 1."""
-    return {pattern: np.cumsum(np.append(0, W[0])) for pattern, W in pair_weights(field, g).items()}
+    return {pattern: np.cumsum(np.append(0, W)) for pattern, W in pair_weights(field, g).items()}
 
 
 def _unrank(field, pattern, cum, rank):

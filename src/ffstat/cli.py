@@ -361,41 +361,15 @@ def _cmd_moments(args):
     _flag_value("--genus", biquad.check_family, field, args.genus)
     _flag_value("--n-max" if args.n_max > top else "--genus", poly_tables, field, max(args.n_max, top))
     size = _require_family(field, args)
-    modes = {}
-    for n in range(1, args.n_max + 1):
-        cost = size * (field.q ** n + 1)
-        mode = args.mode
-        if mode == "auto":
-            mode = "sample" if (args.work_budget is not None and cost > args.work_budget) else "exhaustive"
-        modes[n] = mode
     # every exhaustive n's totals are checked before any is run
-    for n, mode in modes.items():
+    for n, mode in moments.run_modes(field, size, args.n_max, args.mode, args.work_budget).items():
         if mode == "exhaustive":
             _flag_value("--n-max", moments.check_family_totals, field, args.genus, n)
-    rows = []
-    for n, mode in modes.items():
-        rep = moments.average_trace(
-            field, args.genus, n, args.variant, mode=mode,
-            sample_size=args.sample_size, seed=args.seed,
-        )
-        row = {
-            "q": args.q, "g": args.genus, "n": n,
-            "family_size": rep.family_size,
-            "avg_T_num": rep.avg_T.numerator,
-            "avg_T_den": rep.avg_T.denominator,
-            "avg_trace": rep.avg_trace,
-            "reference": rep.reference,
-            "gap": rep.gap,
-            "roots_term": None, "bilinear_term": None,
-            "roots_bound": 3 * (args.genus + 3) / field.q ** (n / 2),
-            "nongen_bound": 3 * field.q ** (-n / 6),
-        }
-        if n % 2 == 0 and mode == "exhaustive":
-            dec = moments.error_decomposition(field, args.genus, n)
-            row["roots_term"] = dec.roots_term
-            row["bilinear_term"] = dec.bilinear_term
-        rows.append(row)
-    emit(rows, MOMENTS_HEADER, args.format, args.out)
+    rows = moments.theorem_experiment(field, [args.genus], args.n_max, args.variant, args.work_budget,
+                                      args.sample_size, args.seed, args.mode)
+    for row in rows:
+        row["avg_T_num"], row["avg_T_den"] = row["avg_T"].numerator, row["avg_T"].denominator
+    emit([{col: row[col] for col in MOMENTS_HEADER} for row in rows], MOMENTS_HEADER, args.format, args.out)
 
 
 def _cmd_density(args):

@@ -174,6 +174,18 @@ def _series_size(field, g):
     return int(_kept_sums(parity_series(_trivial_counts(field, g)[None], g + 3), g)[0, 0])
 
 
+def _monic_size(field, g):
+    """The monic family size from the pair weights (biquad.family_size).
+    ValueError for an empty family; InvariantError when the trivial
+    vector's series (_series_size) counts another size."""
+    size = biquad.family_size(field, g, biquad.MONIC)
+    if size == 0:
+        raise ValueError(f"family (q={field.q}, g={g}) is empty")
+    if _series_size(field, g) != size:
+        raise InvariantError(f"the series counts {_series_size(field, g)} members, the pair weights {size}")
+    return size
+
+
 @functools.lru_cache(maxsize=None)
 def _family_totals(field, g, n):
     """Exhaustive totals over the monic family, from prime counts.
@@ -254,18 +266,14 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
     mode; sample mode draws uniformly without replacement from the
     deterministic enumeration order using a counter-based generator."""
     size = biquad.family_size(field, g, variant)
-    if size == 0:
-        raise ValueError(f"family (q={field.q}, g={g}) is empty")
+    monic = _monic_size(field, g)
     q = field.q
     if mode == "exhaustive":
         s_all, s12_tot, *_ = _family_totals(field, g, n)
-        monic = biquad.family_size(field, g, biquad.MONIC)
-        if _series_size(field, g) != monic:
-            raise InvariantError(f"the series counts {_series_size(field, g)} members, the pair weights {monic}")
         if variant == biquad.MONIC:
             avg_T = Fraction(-s_all, monic)
         else:
-            avg_T = _full_average(field, g, n, s_all, s12_tot)
+            avg_T = _full_average(field, n, monic, s_all, s12_tot)
         sample_size_out = None
         se = None
     elif mode == "sample":
@@ -288,7 +296,7 @@ def average_trace(field, g, n, variant=biquad.FULL, mode="exhaustive",
     )
 
 
-def _full_average(field, g, n, monic_s_all, monic_s12):
+def _full_average(field, n, monic, monic_s_all, monic_s12):
     """Exact full-variant average from monic pair sums.
 
     chi2((c f)(x)) = chi2(c) chi2(f(x)) at every point of P^1 including
@@ -297,11 +305,11 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
     (q-1) * sum_c chi2(c) and the f1*f2 pair sum by (sum_c chi2(c))^2.
     The constant sum is computed literally, chi_{q^n}(c) = chi_q(c)^n for
     c in F_q: it is q-1 for even n (every unit of F_q is a square in
-    F_{q^n}) and 0 for odd n.
+    F_{q^n}) and 0 for odd n.  monic is the monic family size.
     """
     const_sum = sum(field.chi2(c) ** n for c in field.units())
     u = field.q - 1
-    size_full = u * u * biquad.family_size(field, g, biquad.MONIC)
+    size_full = u * u * monic
     total = const_sum * u * (monic_s_all - monic_s12) + const_sum ** 2 * monic_s12
     return Fraction(-total, size_full)
 
@@ -309,16 +317,12 @@ def _full_average(field, g, n, monic_s_all, monic_s12):
 def error_decomposition(field, g, n):
     """Exact pieces of the even-n identity; raises InvariantError if the
     rearrangement fails to close (it cannot, barring bugs), or if the
-    family size of the series and of the pair weights differ."""
+    family size of the series and of the pair weights differ (_monic_size)."""
     if n % 2 or n < 2:
         raise ValueError("the decomposition is an even-n statement")
     q = field.q
-    size = biquad.family_size(field, g, biquad.MONIC)
-    if size == 0:
-        raise ValueError(f"family (q={field.q}, g={g}) is empty")
+    size = _monic_size(field, g)
     s_all, s12_tot, roots_tot, bil_tot, gen_tot = _family_totals(field, g, n)
-    if _series_size(field, g) != size:
-        raise InvariantError(f"the series counts {_series_size(field, g)} members, the pair weights {size}")
     qn2 = q ** (n // 2)
     avg_T = Fraction(-s_all, size)
     roots_term = Fraction(3 * roots_tot, qn2 * size)
@@ -547,25 +551,31 @@ def family_sum_nkk_decomposition(field, g, P):
 RANGE_LABEL_C = 5
 
 
+def run_modes(field, size, n_max, mode="auto", work_budget=None):
+    """{n: "exhaustive" or "sample"} for n = 1 .. n_max: mode itself, or for
+    "auto" sample mode at the n whose cost size (q^n + 1), members times
+    points of P^1(F_{q^n}), passes the work budget."""
+    if mode != "auto":
+        return dict.fromkeys(range(1, n_max + 1), mode)
+    return {n: "sample" if work_budget is not None and size * (field.q ** n + 1) > work_budget else "exhaustive"
+            for n in range(1, n_max + 1)}
+
+
 def theorem_experiment(field, g_list, n_max, variant=biquad.FULL,
-                       work_budget=None, sample_size=1000, seed=0):
-    """Rows of (g, n) cells: average trace, matrix-integral reference,
-    gap, and the error-term scale diagnostics.  Falls back to sampling
-    when family_size * q^n exceeds the work budget."""
+                       work_budget=None, sample_size=1000, seed=0, mode="auto"):
+    """Rows of (g, n) cells: average trace, matrix-integral reference, gap,
+    the even exhaustive n's roots_term and bilinear_term (else None) and the
+    error-term scale diagnostics.  Each n runs in its mode of run_modes:
+    "auto" samples where size (q^n + 1) passes the work budget."""
     rows = []
     for g in g_list:
         size = biquad.family_size(field, g, variant)
-        for n in range(1, n_max + 1):
-            cost = size * (field.q ** n + 1)
-            if work_budget is not None and cost > work_budget:
-                rep = average_trace(field, g, n, variant, mode="sample",
-                                    sample_size=sample_size, seed=seed)
-            else:
-                rep = average_trace(field, g, n, variant)
+        for n, how in run_modes(field, size, n_max, mode, work_budget).items():
+            rep = average_trace(field, g, n, variant, mode=how, sample_size=sample_size, seed=seed)
             logq_g = math.log(g, field.q) if g > 1 else 0.0
             lo = 3 * logq_g
             hi = 2 * g - RANGE_LABEL_C * logq_g
-            rows.append({
+            row = {
                 "q": field.q, "g": g, "n": n,
                 "family_size": size,
                 "avg_T": rep.avg_T,
@@ -575,9 +585,14 @@ def theorem_experiment(field, g_list, n_max, variant=biquad.FULL,
                 "mode": rep.mode,
                 "in_theorem_range": (n % 2 == 0 and lo <= n <= 2 * g),
                 "in_prime_range": n < hi,
+                "roots_term": None, "bilinear_term": None,
                 "roots_bound": 3 * (g + 3) / field.q ** (n / 2),
                 "nongen_bound": 3 * field.q ** (-n / 6),
-            })
+            }
+            if n % 2 == 0 and how == "exhaustive":
+                dec = error_decomposition(field, g, n)
+                row["roots_term"], row["bilinear_term"] = dec.roots_term, dec.bilinear_term
+            rows.append(row)
     return rows
 
 
@@ -672,12 +687,10 @@ def one_level_density(field, g, fhat, alpha, variant=biquad.FULL,
         check_family_totals(field, g, n)
     poly_tables(field, max(1, g + 1, *terms))
     size = biquad.family_size(field, g, variant)
-    if size == 0:
-        raise ValueError(f"family (q={q}, g={g}) is empty")
+    monic = _monic_size(field, g)
     if g < 1:
         raise ValueError(f"one-level density needs genus >= 1, got {g}")
     worst = 0.0
-    monic = biquad.family_size(field, g, biquad.MONIC)
     picked = range(0, monic, max(1, monic // max(1, crosscheck_curves)))
     for data in biquad.member_zeta_numerators(field, g, picked, max(terms, default=None)):
         z_t, z_p = _density_pair(fhat, g, q, terms, data)

@@ -320,7 +320,8 @@ def test_a_higher_top_degree_runs_and_keeps_the_lower_rows(capsys, command, flag
 
 @pytest.mark.parametrize("budget", ["zero", "one", "between", "above"])
 def test_auto_mode_per_n_matches_theorem_experiment(capsys, monkeypatch, budget):
-    # --work-budget 0 samples every n, as theorem_experiment(work_budget=0) does
+    # auto samples exactly the n whose cost, members times the q^n + 1
+    # points of P^1(F_{q^n}), passes the budget; --work-budget 0 samples every n
     size = biquad.family_size(F3, 1, biquad.FULL)
     budget = {"zero": 0, "one": 1, "between": size * (3 ** 2 + 1),
               "above": size * (3 ** 4 + 1) + 1}[budget]
@@ -334,10 +335,8 @@ def test_auto_mode_per_n_matches_theorem_experiment(capsys, monkeypatch, budget)
     monkeypatch.setattr(moments, "average_trace", record)
     code, _, _ = run_cli(capsys, "moments", "--q", "3", "--genus", "1", "--n-max", "4",
                          "--mode", "auto", "--work-budget", str(budget), "--sample-size", "5")
-    monkeypatch.undo()
     assert code == 0
-    rows = moments.theorem_experiment(F3, [1], 4, work_budget=budget, sample_size=5)
-    assert modes == [row["mode"] for row in rows]
+    assert modes == ["sample" if size * (3 ** n + 1) > budget else "exhaustive" for n in range(1, 5)]
     assert len(set(modes)) == (2 if budget == size * (3 ** 2 + 1) else 1)
 
 
@@ -741,6 +740,24 @@ def test_fixed_prime_output_matches_golden_digest(capsys, command):
 def test_sample_mode_output_matches_pinned_digest(capsys, command, digest):
     # sha256 of the stdout of the per-member validated path sample mode
     # replaced
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", [
+    ("moments --q 3 --genus 2 --n-max 6 --format json",
+     "bf242f7ada20c48d36fe9ff5eec4a7997dd6e63a76c8a6ea4e48be10e9a4438f"),
+    ("moments --q 3 --genus 2 --n-max 4 --mode auto --work-budget 30000 --sample-size 50 --format json",
+     "878d41ed11c55c74060acc67e3ed95cfac7915a4619be1c8a77045d93d1e1b0b"),
+    ("moments --q 5 --genus 1 --n-max 3 --variant monic --mode sample --sample-size 200 --seed 7 "
+     "--format json", "7b37bb45c4da29aae27f239b1051552a6651fdb9c2495be5c9ada160ea793892"),
+])
+def test_moments_json_matches_pinned_digest(capsys, command, digest):
+    # sha256 of the stdout of the code whose moments command ran its own
+    # (g, n) loop; JSON writes every key of a row, so a key of the
+    # experiment's rows outside the CSV header would change it.  The auto
+    # run is exhaustive at n = 1, 2 and samples n = 3, 4
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

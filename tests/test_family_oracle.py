@@ -17,6 +17,7 @@ import functools
 import inspect
 import io
 import math
+import os
 import pathlib
 import random
 import tracemalloc
@@ -204,13 +205,17 @@ def test_pair_weights_that_disagree_raise(monkeypatch):
             W[0, 0] += 1
         return W
 
+    # one W12 block per pattern: the family size of its totals is checked
+    # against the trivial vector's series, which reads no pair weight
     biquad.pair_weights.cache_clear()
+    biquad.family_size.cache_clear()
     monkeypatch.setattr(biquad, "pair_weight", off_by_one)
     try:
-        with pytest.raises(InvariantError, match=r"pair weights of pattern \(0, (1, 2|2, 1)\)"):
-            biquad.pair_weights(GF(3), 1)
+        with pytest.raises(InvariantError, match="the series counts 144 members, the pair weights 145"):
+            moments.average_trace(GF(3), 1, 2, biquad.MONIC)
     finally:
         biquad.pair_weights.cache_clear()
+        biquad.family_size.cache_clear()
 
 
 def test_unranking_checks_each_pair_count_against_its_weight(monkeypatch):
@@ -237,7 +242,7 @@ def test_unranking_checks_each_pair_count_against_its_weight(monkeypatch):
 def test_largest_pair_block_is_the_largest_weight_block(q, g):
     field = FIELDS[q]
     entries, (da, db) = biquad.largest_pair_block(field, g)
-    sizes = [W.size for blocks in biquad.pair_weights(field, g).values() for W in blocks]
+    sizes = [W.size for W in biquad.pair_weights(field, g).values()]
     assert entries == max(sizes)
     count = lambda d: len(biquad.squarefree_factors(field, d).codes)
     assert entries == count(da) * count(db)
@@ -290,6 +295,35 @@ def test_src_keeps_one_series_engine():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
     assert "orbit_columns" not in names
+
+
+def test_moments_runs_one_experiment_loop_on_one_block_per_pattern(monkeypatch):
+    # the moments command maps theorem_experiment's rows and runs no
+    # average of its own; the family size is checked in one place; and
+    # the pair weights build the W12 block of each kept pattern alone
+    tree = ast.parse(inspect.getsource(cli._cmd_moments))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"average_trace", "error_decomposition"}
+    src = pathlib.Path(moments.__file__).parent
+    assert sum(path.read_text().count("the series counts") for path in src.glob("*.py")) == 1
+    built = []
+    real = biquad.pair_weight
+
+    def counted(field, da, db, dc):
+        built.append((da, db, dc))
+        return real(field, da, db, dc)
+
+    biquad.pair_weights.cache_clear()
+    biquad.family_size.cache_clear()
+    monkeypatch.setattr(biquad, "pair_weight", counted)
+    try:
+        assert cli.main("moments --q 5 --genus 2 --n-max 4 --variant full --out".split()
+                        + [os.devnull]) == cli.EXIT_OK
+    finally:
+        biquad.pair_weights.cache_clear()
+        biquad.family_size.cache_clear()
+    assert built == biquad.admissible_patterns(2)[0]
 
 
 @pytest.mark.parametrize("variant", [biquad.MONIC, biquad.FULL])
