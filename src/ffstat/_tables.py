@@ -110,7 +110,14 @@ of one degree d, go through `prime_symbols` alone, which picks whose
 residue tables to read: the P's, q^d entries each, when all pi_q(d) of
 them are no more entries than the keys' own, else the keys', with the
 reciprocity sign (-1)^((q-1)/2 deg Q d).  `prime_counts` counts the
-values -1, 0, 1 per degree of Q, which is all the prime sums read.
+values -1, 0, 1 per degree of Q, which is all the prime sums read, and
+reads symbols only for the keys up to degree (d-1)//2 + 1 (`read_degree`):
+L(u, chi_P) has degree d - 1 and a functional equation, so the counts
+below (d-1)//2 + 1 fix it and, through the explicit formula, the counts
+of every higher degree (lfunc.completed_prime_sums); the degree read last
+is read and completed both, and the two must agree.  So a table reaching
+d serves counts up to any degree, and `check_sieve` is the size test that
+commands whose exact products reach further ask for first.
 
 The sieve records, for each composite code, its smallest prime factor
 (least degree, then least code) together with its cofactor, so factoring
@@ -174,6 +181,25 @@ def _sum_bounds(p, e, width, entry, k):
     return (J + 2) * x_max, J * entry * p ** (e * k)
 
 
+def check_sieve(field, max_deg):
+    """ValueError when the spf tables of a PolyTables(field, max_deg), 8 q^d
+    bytes for each degree d, would pass SIEVE_BYTES_CAP.  The constructor
+    asks first, and so do the commands whose exact products run over the
+    primes up to a degree past the tables they build."""
+    spf_bytes = 8 * sum(field.q ** d for d in range(1, max_deg + 1))
+    if spf_bytes > SIEVE_BYTES_CAP:
+        raise ValueError(
+            f"PolyTables: q={field.q} with max_deg={max_deg} needs {spf_bytes} "
+            f"bytes of sieve tables, over the cap of {SIEVE_BYTES_CAP}")
+
+
+def read_degree(d, max_deg):
+    """The top degree of the key primes whose symbols prime_counts reads
+    for primes P of degree d: (d-1)//2 + 1, the half of L(u, chi_P) that
+    fixes the rest and one degree to check it by, or max_deg if lower."""
+    return min(max_deg, (d - 1) // 2 + 1)
+
+
 def symbol_store(q, d, key_counts):
     """(side, bytes) of the residue tables prime_symbols reads for the
     monic primes P of degree d against key_counts[a - 1] keys of degree a:
@@ -207,11 +233,7 @@ class PolyTables:
     """
 
     def __init__(self, field, max_deg):
-        spf_bytes = 8 * sum(field.q ** d for d in range(1, max_deg + 1))
-        if spf_bytes > SIEVE_BYTES_CAP:
-            raise ValueError(
-                f"PolyTables: q={field.q} with max_deg={max_deg} needs {spf_bytes} "
-                f"bytes of sieve tables, over the cap of {SIEVE_BYTES_CAP}")
+        check_sieve(field, max_deg)
         self.field = field
         self.p, self.e, self.q = field.p, field.e, field.q
         self.max_deg = max_deg
@@ -783,20 +805,40 @@ class PolyTables:
     def prime_counts(self, d, codes, max_deg):
         """The number of monic primes Q of each degree 1..max_deg with
         (Q/P) = -1, 0, 1, for the monic primes P of degree d with these
-        codes: a (len(codes), max_deg, 3) int32 array (a count is at most
-        pi_q(max_deg) < q^max_deg, which the sieve cap keeps below 2^31),
-        read off prime_symbols in blocks of about 64 ffpoly.BLOCK_BYTES of
-        symbols."""
-        primes = [self.prime_codes[a] for a in range(1, max_deg + 1)]
+        codes: a (len(codes), max_deg, 3) array, int32 while pi_q(max_deg)
+        < 2^31, else int64.
+
+        Only keys up to read_degree(d, max_deg) are read, off prime_symbols
+        in blocks of about 64 ffpoly.BLOCK_BYTES of symbols, so the table
+        need reach no further than d.  Past it the counts of each block
+        come from those below (d-1)//2 + 1 through the functional equation
+        of L(u, chi_P) (lfunc.completed_prime_sums), and those of the
+        degree read last must equal the completed ones (InvariantError)."""
+        from .lfunc import completed_prime_sums  # lfunc imports this module
+
+        q, read = self.q, read_degree(d, max_deg)
+        primes = [self.prime_codes[a] for a in range(1, read + 1)]
         sizes = [len(c) for c in primes]
-        keys = np.repeat(np.arange(1, max_deg + 1), sizes), np.concatenate([np.zeros(0, np.int64), *primes])
+        keys = np.repeat(np.arange(1, read + 1), sizes), np.concatenate([np.zeros(0, np.int64), *primes])
         bounds = np.cumsum([0] + sizes)
         step = max(1, 64 * ffpoly.BLOCK_BYTES // max(1, len(keys[0])))
-        out = np.empty((len(codes), max_deg, 3), dtype=np.int32)
+        dtype = np.int32 if ffpoly.prime_count_exact(q, max_deg) < 1 << 31 else np.int64
+        out = np.empty((len(codes), max_deg, 3), dtype=dtype)
+        above = np.arange(read + 1, max_deg + 1)
+        even = np.array([ffpoly.prime_count_exact(q, a) for a in above.tolist()], dtype=dtype) - (above == d)
         for lo in range(0, len(codes), step):
             L = self.prime_symbols(d, codes[lo:lo + step], keys)
-            for a in range(max_deg):
-                out[lo:lo + step, a] = _value_counts(L[bounds[a]:bounds[a + 1]].T)
+            block = out[lo:lo + step]
+            for a in range(read):
+                block[:, a] = _value_counts(L[bounds[a]:bounds[a + 1]].T)
+            if read < max_deg:
+                s = completed_prime_sums(block[:, :read - 1, 2] - block[:, :read - 1, 0], d, q, max_deg)
+                if (s[:, read - 1] != block[:, read - 1, 2] - block[:, read - 1, 0]).any():
+                    raise InvariantError(f"prime counts of degree {read} against P of degree {d}: "
+                                         "the symbols read and the functional equation disagree")
+                block[:, read:, 0] = (even - s[:, read:]) // 2
+                block[:, read:, 1] = above == d
+                block[:, read:, 2] = (even + s[:, read:]) // 2
         return out
 
     # -- character sums ---------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 from . import ffpoly
 from ._tables import poly_tables
 from .errors import InvariantError
-from .lfunc import _rh_rows, power_sums
+from .lfunc import _functional_rows, _rh_rows, power_sums
 
 MONIC, FULL = "monic", "full"
 
@@ -575,34 +575,26 @@ def zeta_numerator(triple, n_max=None):
     against the direct character sum; a mismatch raises InvariantError.
     """
     g = triple.genus
-    return _with_zeta_numerator(curve_counts(triple, max(g + 1, n_max or 0)), g, triple.field.q)
+    return _with_zeta_numerators([curve_counts(triple, max(g + 1, n_max or 0))], g, triple.field.q)[0]
 
 
 def member_zeta_numerators(field, g, index, n_max=None):
     """zeta_numerator of the monic members of genus g at these indices, in
-    a list; the traces of all of them come from one orbit-column pass."""
+    a list; the traces of all of them come from one orbit-column pass, and
+    their numerators from one lfunc._functional_rows pass."""
     polys, rows, twists = member_rows(field, g, MONIC, index)
     T = _member_traces(field, range(1, max(g + 1, n_max or 0) + 1), polys, rows, twists)
-    return [_with_zeta_numerator(_curve_data(field.q, col), g, field.q) for col in T.T]
+    return _with_zeta_numerators([_curve_data(field.q, col) for col in T.T], g, field.q)
 
 
-def _with_zeta_numerator(data, g, q):
-    """data with P_C, from its T_1..T_(g+1) (zeta_numerator)."""
-    T = data.T
-    a = [1] + [0] * (2 * g)
-    for k in range(1, g + 1):
-        acc = T[k - 1]
-        for i in range(1, k):
-            acc += a[i] * T[k - i - 1]
-        if acc % k:
-            raise InvariantError("Newton inversion not integral")
-        a[k] = -(acc // k)
-    for j in range(g + 1, 2 * g + 1):
-        a[j] = q ** (j - g) * a[2 * g - j]
-    pc = tuple(a)
-    if power_sums(pc, g + 1)[g] != T[g]:
+def _with_zeta_numerators(data, g, q):
+    """Each CurveData of data with its P_C, from its T_1..T_(g+1)
+    (zeta_numerator), in one batched pass over all of them."""
+    T = np.array([d.T[:g + 1] for d in data], dtype=object).reshape(len(data), g + 1)
+    pc, t = _functional_rows(T, g, q, g + 1)
+    if (t[:, g] != T[:, g]).any():
         raise InvariantError("zeta numerator inconsistent with point counts")
-    return CurveData(data.N, data.T, pc)
+    return [CurveData(d.N, d.T, tuple(c)) for d, c in zip(data, pc.tolist())]
 
 
 def pc_rh_deviation(pc_coeffs, q):

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc, moments
-from ._tables import poly_tables
+from ._tables import check_sieve, poly_tables
 from .errors import InvariantError
 
 EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT = 0, 1, 2
@@ -403,10 +403,12 @@ def _cmd_lemma61(args):
     _require_at_least("--M", args.M, 1)
     _require_at_least("--d-min", args.d_min, 0)
     _require_at_least("--d-max", args.d_max, args.d_min, "--d-min")
-    # one sieve table, the top degree's, first: the constants' reach --M, the sums' --d-max
+    # the exact products run over the primes up to --M and the series up to
+    # --d-max, held to the sieve's reach before anything is built; the
+    # prime counts themselves read a table of degree deg P alone
     top = max(args.d_max, args.M, int(P.degree))
     flag = "--d-max" if args.d_max == top else "--M" if args.M == top else "--prime"
-    _flag_value(flag, poly_tables, field, top)
+    _flag_value(flag, check_sieve, field, top)
     degrees = range(args.d_min, args.d_max + 1)
     preds = {(d, k1, k2): _flag_value("--M", moments.predicted_nkk, P, d, k1, k2, args.M)
              for d in degrees for k1 in (0, 1) for k2 in (0, 1)}

@@ -34,13 +34,16 @@ from typing import Callable
 
 from . import ffpoly
 from . import lfunc
-from ._tables import poly_tables, symbol_store
+from ._tables import check_sieve, poly_tables, read_degree, symbol_store
 from .errors import InvariantError
 
 KINDS = ("plus", "minus", "zero")
 
 #: the most bytes of residue tables (_tables.symbol_store) a prime sum may
-#: read: eulersum --q 5 --n 7 --M 7 reads pi_5(7) 5^7, about 0.87 GB
+#: read.  The counts read keys up to degree (n-1)//2 + 1 alone, so no run
+#: the sieve cap admits comes near it: the largest, q = 157 at n = 3,
+#: reads the tables of the keys of degree <= 2, about 0.3 GB, and
+#: eulersum --q 25 --n 4 --M 4 those of its 325 keys, about 0.2 MB
 PRIME_SUM_BYTES_CAP = 1 << 30
 
 
@@ -143,10 +146,12 @@ def _chi_pm(P, Q, sign, lookup=None):
 @functools.lru_cache(maxsize=None)
 def chi_counts(P, max_deg):
     """Row d-1 holds the numbers of monic primes Q of degree d with
-    (Q/P) = -1, 0, 1, for d = 1..max_deg (PolyTables.prime_counts).
-    Shared by the three kinds and moments' series, so read-only."""
+    (Q/P) = -1, 0, 1, for d = 1..max_deg (PolyTables.prime_counts, which
+    reads keys up to read_degree(deg P, max_deg) <= deg P and completes the
+    rest, so the table reaches deg P alone).  Shared by the three kinds
+    and moments' series, so read-only."""
     d = int(P.degree)
-    counts = poly_tables(P.field, max(max_deg, d)).prime_counts(d, [P.monic_code()], max_deg)[0]
+    counts = poly_tables(P.field, d).prime_counts(d, [P.monic_code()], max_deg)[0]
     counts.flags.writeable = False
     return counts
 
@@ -315,15 +320,20 @@ def prime_sum(kind, field, n, M):
     """sum_{deg P = n} prod_{deg Q <= M} (1 + delta_{P,kind}(1/q; Q)) exactly.
 
     Reference value pi_q(n)/zeta_q(2); the scales dict reports the three
-    error terms q^(n-2M)/n, q^(n/2) M^3/n and q^n/(n M q^(M/2)).  Residue
-    tables over PRIME_SUM_BYTES_CAP are refused before any is built.
+    error terms q^(n-2M)/n, q^(n/2) M^3/n and q^n/(n M q^(M/2)).  The
+    product runs over the pi_q(1..M) primes, so M and n are held to the
+    reach of the sieve tables (_tables.check_sieve at max(n, M)) though
+    only the degree-n table is built, and residue tables over
+    PRIME_SUM_BYTES_CAP are refused; both before any table is built.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if n < 1 or M < 1:
         raise ValueError("n and M must be >= 1")
     q = field.q
-    _, need = symbol_store(q, n, [ffpoly.prime_count_exact(q, a) for a in range(1, M + 1)])
+    check_sieve(field, max(n, M))
+    keys = [ffpoly.prime_count_exact(q, a) for a in range(1, read_degree(n, M) + 1)]
+    _, need = symbol_store(q, n, keys)
     if need > PRIME_SUM_BYTES_CAP:
         raise ValueError(f"prime sum: q={q} at n={n}, M={M} needs about {need} bytes of "
                          f"residue tables, over the cap of {PRIME_SUM_BYTES_CAP}")
@@ -342,8 +352,9 @@ def prime_sum(kind, field, n, M):
 @functools.lru_cache(maxsize=4)
 def _degree_counts(field, n, M):
     """PolyTables.prime_counts of every monic prime of degree n against the
-    degrees 1..M.  Shared by the three kinds, so read-only."""
-    T = poly_tables(field, max(n, M))
+    degrees 1..M, off a table reaching n (chi_counts).  Shared by the three
+    kinds, so read-only."""
+    T = poly_tables(field, n)
     counts = T.prime_counts(n, T.prime_codes[n], M)
     counts.flags.writeable = False
     return counts

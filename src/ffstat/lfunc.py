@@ -9,7 +9,10 @@ c_j = q^(j-delta) * c_(2*delta-j), all of whose reciprocal roots have
 modulus sqrt(q).  Power sums of those reciprocal roots are the integers
 t_n = q^(n/2) * Tr(Theta^n), recovered exactly by Newton's identities and
 cross-checkable against the von Mangoldt character sum (the explicit
-formula): -t_n = lambda + sum_{deg F = n} Lambda(F) chi(F).
+formula): -t_n = lambda + sum_{deg F = n} Lambda(F) chi(F).  Run the
+other way, the two fix every prime sum of chi_P from those of degree up
+to (deg P - 1)//2 (`completed_prime_sums`), through the first half of
+the power sums of L* (`_functional_rows`).
 
 Every character sum runs through the vectorized residue engine of
 :mod:`ffstat._tables` (every odd q): `l_polynomial`, `prime_char_sum` and
@@ -251,24 +254,66 @@ def frobenius_traces(lstar, n_max):
     return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max))
 
 
+def _newton_majorant(C, n_max):
+    """U_1..U_(n_max) for the largest |c_i| of a set of rows, C = [C_0, ..
+    C_N]: U_n = sum_(1 <= i <= min(n-1, N)) C_i U_(n-i) + n C_n (C_n = 0
+    for n > N), Newton's recurrence with every term in absolute value (the
+    power sums of 1 - C_1 u - ... - C_N u^N).  By induction every t_n of
+    _newton_rows, each of its terms c_i t_(n-i) and each partial sum is at
+    most U_n in absolute value."""
+    N, U = len(C) - 1, []
+    for n in range(1, n_max + 1):
+        U.append(sum(C[i] * U[n - 1 - i] for i in range(1, min(n - 1, N) + 1))
+                 + (n * C[n] if n <= N else 0))
+    return U
+
+
 def _newton_rows(rows, n_max):
     """Power sums t_1..t_(n_max) of the reciprocal roots of each row c of
     rows (ascending coefficients, c_0 = 1), by Newton's identities: an
-    (m, n_max) int array, exact.
-
-    The t_n are power sums of the roots gamma of u^N + c_1 u^(N-1) + ...
-    + c_N, so by Cauchy's bound |gamma| <= B = 1 + max_(i >= 1) |c_i| and
-    |t_n| <= N B^n; each term c_i t_(n-i) is then at most N B^n, and
-    every partial sum of t_n at most (N^2 + n) B^n.  The rows are int64
-    while (N^2 + n_max) B^n_max < 2^63, else Python ints."""
+    (m, n_max) int array, exact.  The rows are int64 while every
+    coefficient and the bound of _newton_majorant are below 2^63, else
+    Python ints."""
     N = rows.shape[1] - 1
-    c = _exact(rows, (N * N + n_max) * (1 + _largest(rows[:, 1:])) ** n_max)
+    C = np.abs(rows).max(axis=0, initial=0).tolist()
+    c = _exact(rows, max([*C, *_newton_majorant(C, n_max)]))
     t = np.zeros((len(c), n_max), dtype=c.dtype)
     for n in range(1, n_max + 1):
         k = min(n - 1, N)
         acc = (c[:, 1:k + 1] * t[:, n - 1 - k:n - 1][:, ::-1]).sum(axis=1)
         t[:, n - 1] = -(acc + n * c[:, n]) if n <= N else -acc
     return t
+
+
+def _functional_rows(t, G, q, n_max):
+    """(c, s) for each row of t, whose first G columns are the power sums
+    t_1..t_G of a polynomial c of degree 2G with c_0 = 1 and the functional
+    equation c_(2G-j) = q^(G-j) c_j: its coefficients as an (m, 2G + 1)
+    int array and its power sums t_1..t_(n_max) (_newton_rows).
+
+    c_1..c_G come from Newton's identities run backwards,
+    k c_k = -(t_k + sum_(1 <= i < k) c_i t_(k-i)), where each division
+    must be exact (InvariantError), and the rest from the functional
+    equation.  With T_k the largest |t_k|, V_k = T_k + sum_(i < k) C_i
+    T_(k-i) bounds the right side and its partial sums and C_k = V_k // k
+    bounds |c_k|, so the rows are int64 while every V_k and q^(G-j) C_j is
+    below 2^63, else Python ints."""
+    T = np.abs(t[:, :G]).max(axis=0, initial=0).tolist()
+    C, V = [1], []
+    for k in range(1, G + 1):
+        V.append(T[k - 1] + sum(C[i] * T[k - 1 - i] for i in range(1, k)))
+        C.append(V[-1] // k)
+    t = _exact(t[:, :G], max([*V, *(q ** (G - j) * C[j] for j in range(G + 1))]))
+    c = np.zeros((len(t), 2 * G + 1), dtype=t.dtype)
+    c[:, 0] = 1
+    for k in range(1, G + 1):
+        acc = t[:, k - 1] + (c[:, 1:k] * t[:, :k - 1][:, ::-1]).sum(axis=1)
+        if (acc % k).any():
+            raise InvariantError("Newton inversion not integral")
+        c[:, k] = -(acc // k)
+    for j in range(G):
+        c[:, 2 * G - j] = q ** (G - j) * c[:, j]
+    return c, _newton_rows(c, n_max)
 
 
 def power_sums(c, n_max):
@@ -464,6 +509,51 @@ def explicit_formula_trace(chi, n):
         else:
             total += d * (ffpoly.prime_count_exact(T.q, d) - sum(a == d for a, _ in factors))
     return total
+
+
+def completed_prime_sums(sums, d, q, top):
+    """s_a = sum of (Q/P) over the monic primes Q of degree a, a = 1..top,
+    for monic primes P of degree d, from the first G = (d-1)//2 columns of
+    sums (an int array, one row per P, s_1..s_G): an (m, top) int array.
+
+    L(u, chi_P) = (1 - u)^lambda L*(u), lambda = [d even], where L* has
+    degree 2G and the functional equation, so t_n(L) = t_n(L*) + lambda and
+    L* is fixed by t_1..t_G (_functional_rows).  The explicit formula
+    -t_n(L) = sum_(b | n) b e_b, e_b = s_b for n/b odd and pi_q(b) - [b = d]
+    for n/b even (explicit_formula_trace), gives t_1..t_G from the s, and
+    each s_n past G from t_n(L): the division by n must be exact, and
+    |s_n| <= pi_q(n) - [n = d] with pi_q(n) - [n = d] + s_n even, so that
+    N+- = (pi_q(n) - [n = d] +- s_n) / 2 lie in 0..pi_q(n); a failure
+    raises InvariantError.  The given s are checked the same way, so
+    |t_n(L)| <= sum_(b | n) b pi_q(b) = q^n for n <= G and every partial
+    sum past G is at most q^top plus the largest |t_n(L)|: the sums are
+    int64 below 2^63, else Python ints."""
+    G, lam = (d - 1) // 2, 1 - d % 2
+    even = [ffpoly.prime_count_exact(q, b) - (b == d) if b else 0 for b in range(top + 1)]
+
+    def rest(s, n):
+        return sum(b * (s[:, b - 1] if n // b % 2 else even[b]) for b in range(1, n) if n % b == 0)
+
+    def check(s, n):
+        if (np.abs(s[:, n - 1]) > even[n]).any() or ((s[:, n - 1] + even[n]) % 2).any():
+            raise InvariantError(f"prime counts of degree {n} outside 0..pi_q({n})")
+
+    s = _exact(sums[:, :G], q ** G + lam)
+    t = np.zeros((len(s), G), dtype=s.dtype)
+    for n in range(1, G + 1):
+        check(s, n)
+        t[:, n - 1] = -(n * s[:, n - 1] + rest(s, n)) - lam
+    t = _functional_rows(t, G, q, top)[1]
+    t = _exact(t, _largest(t) + lam + q ** top)
+    out = np.zeros((len(s), top), dtype=t.dtype)
+    out[:, :G] = s
+    for n in range(G + 1, top + 1):
+        num = -(t[:, n - 1] + lam) - rest(out, n)
+        if (num % n).any():
+            raise InvariantError(f"explicit formula not integral at degree {n}")
+        out[:, n - 1] = num // n
+        check(out, n)
+    return out
 
 
 def zeta_q_value(q, s):

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc
-from ._tables import poly_tables, symbol_store
+from ._tables import poly_tables, read_degree, symbol_store
 from .errors import InvariantError
 
 USP, USP_CUBED, UNITARY = "USp", "USp_cubed", "U"
@@ -141,16 +141,27 @@ def _kept_sums(series, g):
     return np.tensordot(series[:, :, g + 2:g + 4].astype(object), _kept_weights(g), axes=([1, 2], [1, 2])) // 4
 
 
+def _top_degree(g):
+    """The top degree of the kept patterns of genus g; ValueError naming
+    the genus when it has none."""
+    degrees = biquad.family_degrees(g)
+    if not degrees:
+        raise ValueError(f"genus {g} has no kept degree pattern")
+    return degrees[-1]
+
+
 def family_totals_bytes(field, g, n):
     """The bytes _family_totals(field, g, n) would allocate, from prime
     counts: for the primes of each degree d | n with n/d odd, the residue
-    tables of their counts (_tables.symbol_store) and per prime its int32
-    count vector in three copies; a block of symbols with a mask, and one
-    of the series (64 ffpoly.BLOCK_BYTES) three times over while built."""
-    q, top = field.q, max(biquad.family_degrees(g))
+    tables of the keys their counts read, of degree up to
+    _tables.read_degree(d, top) (_tables.symbol_store), and per prime its
+    int32 count vector in three copies; a block of symbols with a mask, and
+    one of the series (64 ffpoly.BLOCK_BYTES) three times over while
+    built."""
+    q, top = field.q, _top_degree(g)
     keys = [ffpoly.prime_count_exact(q, a) for a in range(1, top + 1)]
     return 320 * ffpoly.BLOCK_BYTES + sum(
-        symbol_store(q, d, keys)[1] + 36 * top * ffpoly.prime_count_exact(q, d)
+        symbol_store(q, d, keys[:read_degree(d, top)])[1] + 36 * top * ffpoly.prime_count_exact(q, d)
         for d in biquad.divisors(n) if n // d % 2)
 
 
@@ -164,8 +175,7 @@ def check_family_totals(field, g, n):
 
 def _trivial_counts(field, g):
     """The count vector of chi = 1 over the primes up to genus g's top degree."""
-    top = max(biquad.family_degrees(g))
-    return np.array([(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, top + 1)])
+    return np.array([(0, 0, ffpoly.prime_count_exact(field.q, a)) for a in range(1, _top_degree(g) + 1)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,7 +217,7 @@ def _family_totals(field, g, n):
     s_all = 3 s12 is checked (InvariantError).  Sums over vectors are
     Python ints."""
     check_family_totals(field, g, n)
-    T = poly_tables(field, max(n, *biquad.family_degrees(g)))
+    T = poly_tables(field, max(n, _top_degree(g)))
     trivial = _trivial_counts(field, g)
     parts = [(trivial[None], 0, np.ones(1, dtype=np.int64))]  # (vectors, d, multiplicities)
     for d in biquad.divisors(n):

@@ -275,9 +275,10 @@ _CURVE = ["--f1", "X", "--f2", "X+1", "--f3", "X+2"]
       "--sample-size", "5"], "--genus"),
     # a pair-weight block over its cap (58 806 x 58 806 square-free quadratics)
     (["family", "--genus", "1", "--count", "--q", "243"], "--genus"),
-    # the family totals' residue tables over their cap at n = 10 (416 MB),
-    # checked before any n is run
-    (["moments", "--genus", "9", "--n-max", "10"], "--n-max"),
+    # genus 9 runs to n = 13 (23 to 66 MB of family totals, reading keys
+    # up to degree (n-1)//2 + 1); the sieve tables of degree 14 are
+    # refused before any n is run
+    (["moments", "--genus", "9", "--n-max", "14"], "--n-max"),
     # the L-polynomial's sieve tables over their cap (164 MiB at deg D = 15)
     (["lfunc", "--modulus", "X^15+X+1"], "--modulus"),
     # the sampling flags, checked before any family table is built
@@ -878,32 +879,39 @@ def test_eulersum_runs_no_big_gcd(capsys, monkeypatch):
 
 
 def test_eulersum_sieves_once(capsys, monkeypatch):
-    # one PolyTables reaching max(n, M), not a degree-n table for the
-    # primes P followed by a degree-M one for their chi rows
+    # one PolyTables reaching n: the counts read keys up to degree
+    # (n-1)//2 + 1 and complete the rest up to M, so no table reaches M
     built = _count_poly_tables(monkeypatch)
     eulerprod.chi_counts.cache_clear()
     eulerprod._degree_counts.cache_clear()
     ffpoly.primes.cache_clear()
     code, _, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9".split())
     assert code == 0
-    assert built == [9]
+    assert built == [3]
 
 
 def test_eulersum_counts_the_primes_once(capsys, monkeypatch):
     # the three kinds read one prime_counts call's counts, and print what
-    # they printed with one call each
-    calls = []
-    real = _tables.PolyTables.prime_counts
+    # they printed with one call each; that call reads the symbols of the
+    # keys up to degree (3-1)//2 + 1 = 2 alone, in one prime_symbols call
+    calls, read = [], []
+    real, symbols = _tables.PolyTables.prime_counts, _tables.PolyTables.prime_symbols
 
     def counting(self, d, codes, max_deg):
         calls.append((d, len(codes), max_deg))
         return real(self, d, codes, max_deg)
 
+    def reading(self, d, codes, keys):
+        read.append((d, len(codes), int(keys[0].max())))
+        return symbols(self, d, codes, keys)
+
     monkeypatch.setattr(_tables.PolyTables, "prime_counts", counting)
+    monkeypatch.setattr(_tables.PolyTables, "prime_symbols", reading)
     eulerprod._degree_counts.cache_clear()
     code, out, _ = run_cli(capsys, *"eulersum --q 3 --n 3 --M 9 --format json".split())
     assert code == 0
     assert calls == [(3, 8, 9)]
+    assert read == [(3, 8, 2)]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ef7a0d77eacc547598aa43d9e9feab37a059337ceb32898c71a9f6bcf3742a7d")
 
@@ -920,20 +928,44 @@ def _address_space_limit():
     ("--q 9 --n 6 --M 6", 88440 * 9 ** 6),  # pi_9(6) tables of 9^6 entries
     ("--q 25 --n 4 --M 4", 97500 * 25 ** 4),
 ])
-def test_eulersum_refuses_residue_tables_over_the_cap(args, need):
-    # each prime P of degree n reads its own q^n-entry table (the keys'
-    # side, every prime up to M >= n, is larger): refused with exit 1
-    # before any table is built, where a numpy MemoryError ended the run
+def test_eulersum_refuses_residue_tables_over_the_cap(capsys, monkeypatch, args, need):
+    # each prime P of degree n read its own q^n-entry table (need bytes,
+    # 47 GB and 38 GB) and the run was refused; the counts now read the
+    # keys up to degree (n-1)//2 + 1 alone, off their own tables, so both
+    # runs are admitted (the exact sums, 20 s and 68 s, are stubbed here)
+    q, n, M = map(int, args.split()[1::2])
+    keys = [ffpoly.prime_count_exact(q, a) for a in range(1, (n - 1) // 2 + 2)]
+    side, low = _tables.symbol_store(q, n, keys)
+    assert side == "keys" and low < need // 10 ** 5
+    monkeypatch.setattr(eulerprod, "_prime_sum", lambda kind, field, n, M: (1, 1))
+    assert eulerprod.prime_sum("plus", ffpoly.field_of_order(q), n, M).num == 1
+    # a cap below those tables still refuses, with exit 1 naming the flags
+    monkeypatch.setattr(eulerprod, "PRIME_SUM_BYTES_CAP", low - 1)
+    code, out, err = run_cli(capsys, "eulersum", *args.split())
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (f"config error: --n, --M: prime sum: q={q} at n={n}, M={M} needs about {low} "
+                   f"bytes of residue tables, over the cap of {low - 1}\n")
+
+
+#: sha256 of the stdout of eulersum --q 5 --n 7 --M 7 from the code that
+#: read every key up to M
+Q5_N7_DIGEST = "88e33dad2ec9aea9a1883a515979af552681323c997f5890d3d3a2227407821f"
+
+
+def test_eulersum_q5_n7_runs_under_512_mib():
+    # eulersum --q 5 --n 7 --M 7 read the residue tables of all 11 160
+    # primes of degree 7 (0.87 GB, a numpy MemoryError under this limit);
+    # it reads the 205 keys of degree <= 4 now, and prints what the code
+    # that read every key up to M printed without the limit
     import subprocess
 
     env = {"PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
-    done = subprocess.run([sys.executable, "-m", "ffstat.cli", "eulersum", *args.split()], env=env,
-                          capture_output=True, text=True, timeout=120, preexec_fn=_address_space_limit)
-    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
-    assert done.stderr == (f"config error: --n, --M: prime sum: q={args.split()[1]} at n={args.split()[3]}, "
-                           f"M={args.split()[5]} needs about {need} bytes of residue tables, over the cap "
-                           f"of {eulerprod.PRIME_SUM_BYTES_CAP}\n")
+    done = subprocess.run([sys.executable, "-m", "ffstat.cli", "eulersum", "--q", "5", "--n", "7", "--M", "7"],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_address_space_limit)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == Q5_N7_DIGEST
 
 
 def test_eulersum_admits_the_largest_run_of_the_baseline(monkeypatch):

@@ -261,18 +261,28 @@ def _peak_bytes(fn, *args):
 
 
 def test_family_totals_refuse_before_building_chi_matrices():
-    # at n = 11 > 10, the top degree of genus 9, the counts of the primes of
-    # degree 11 would go by reciprocity off the residue tables of every
-    # prime of degree <= 10 (some 400 MB): refused before anything is built
-    assert moments.family_totals_bytes(GF(3), 9, 11) > moments.TOTALS_BYTES_CAP
-    exc, peak = _peak_bytes(moments._family_totals, GF(3), 9, 11)
+    # at n = 15 the count vectors of the 956 576 primes of degree 15 (about
+    # 370 MB with their blocks): refused before anything is built
+    assert moments.family_totals_bytes(GF(3), 9, 15) > moments.TOTALS_BYTES_CAP
+    exc, peak = _peak_bytes(moments._family_totals, GF(3), 9, 15)
     assert isinstance(exc, ValueError) and "over the cap" in str(exc)
     assert peak < 1 << 16
     # the largest runs of the baseline table stay under it, and so do n = 11
     # at genus 7 and n = 12 at genus 6, which the point-by-point sums
-    # refused, and q = 25, 27 at genus 2, n = 4
-    for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12), (25, 2, 4), (27, 2, 4)):
+    # refused, q = 25, 27 at genus 2, n = 4, and genus 9 at n = 10..14,
+    # whose counts read keys up to degree (n-1)//2 + 1 alone (at n = 11 the
+    # residue tables of every prime of degree <= 10 came to some 400 MB)
+    for q, g, n in ((5, 5, 4), (3, 8, 6), (3, 7, 11), (3, 6, 12), (25, 2, 4), (27, 2, 4),
+                    *((3, 9, n) for n in range(10, 15))):
         assert moments.family_totals_bytes(ffpoly.field_of_order(q), g, n) <= moments.TOTALS_BYTES_CAP
+
+
+def test_family_totals_name_a_genus_with_no_pattern():
+    # genus -1 keeps no degree pattern: a ValueError naming the genus, not
+    # max() of an empty sequence
+    for fn in (moments.check_family_totals, moments._family_totals):
+        with pytest.raises(ValueError, match="genus -1 has no kept degree pattern"):
+            fn(GF(3), -1, 2)
 
 
 def test_family_totals_refuse_n_past_the_sieve_cap():

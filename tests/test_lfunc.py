@@ -319,10 +319,12 @@ def test_batched_checks_match_the_scalar_oracle(q, data):
 
 
 def test_newton_rows_are_exact_on_both_sides_of_the_int64_bound():
-    # t_n = A^n for u^2 - A u: int64 while (N^2 + n_max)(1 + A)^n_max
-    # < 2^63, Python ints past it, where A^n_max itself passes 2^63
+    # t_n = A^n for u^2 - A u: int64 while the majorant of Newton's
+    # recurrence on the largest |c_i| of the rows, (1, A, 1), stays below
+    # 2^63 (it is the power sums of 1 - A u - u^2), Python ints past it,
+    # where A^n_max itself passes 2^63
     n_max = 8
-    edge = next(a for a in range(1, 1 << 10) if (4 + n_max) * (1 + a) ** n_max >= 1 << 63)
+    edge = next(a for a in range(1, 1 << 10) if max(oracle.power_sums((1, -a, -1), n_max)) >= 1 << 63)
     for a in (edge - 1, edge, 3 ** 20):
         rows = np.array([[1, -a, 0], [1, a, -1]], dtype=object)
         got = lfunc._newton_rows(rows, n_max)

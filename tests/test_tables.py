@@ -917,6 +917,75 @@ def test_prime_counts_match_the_scalar_symbol_counts(q, max_deg):
             assert counts == [[int((r == v).sum()) for v in (-1, 0, 1)] for r in rows]
 
 
+#: q -> the (d, M) the completed-counts property draws: M past
+#: (d-1)//2 + 1, the last degree whose symbols prime_counts reads, and
+#: small enough for the scalar oracle's jacobi_symbol over every Q
+COMPLETED_CASES = {3: [(1, 4), (2, 6), (3, 7), (4, 6), (5, 7), (6, 8)], 5: [(2, 4), (3, 5), (4, 5)],
+                   7: [(2, 4), (3, 4)], 9: [(2, 3), (3, 3)], 25: [(1, 2), (2, 2)], 27: [(1, 2), (2, 2)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_completed_prime_counts_match_the_scalar_symbols(data):
+    # the counts past (d-1)//2 + 1 come from the functional equation of
+    # L(u, chi_P), not from symbols; they equal the scalar counts
+    q = data.draw(st.sampled_from(sorted(COMPLETED_CASES)))
+    d, M = data.draw(st.sampled_from(COMPLETED_CASES[q]))
+    assert M > (d - 1) // 2 + 1
+    field = ffpoly.field_of_order(q)
+    primes = poly_tables(field, d).prime_codes[d]
+    codes = np.array(data.draw(st.lists(st.sampled_from(primes.tolist()), min_size=1, max_size=3)))
+    got = poly_tables(field, d).prime_counts(d, codes, M)
+    for code, counts in zip(codes.tolist(), got.tolist()):
+        rows = oracle.chi_plain_rows(Poly.monic_from_code(field, d, code), M)
+        assert counts == [[int((r == v).sum()) for v in (-1, 0, 1)] for r in rows]
+
+
+def test_prime_counts_read_no_key_past_the_half_degree(monkeypatch):
+    # whatever max_deg asks, prime_symbols is given keys of degree at most
+    # (d-1)//2 + 1, and a table reaching d serves every max_deg
+    asked = []
+    symbols = PolyTables.prime_symbols
+
+    def recording(self, d, codes, keys):
+        asked.append((d, int(keys[0].max())))
+        return symbols(self, d, codes, keys)
+
+    monkeypatch.setattr(PolyTables, "prime_symbols", recording)
+    for q, d, M in ((3, 1, 12), (3, 2, 12), (3, 5, 13), (3, 8, 13), (5, 4, 9), (9, 3, 6), (25, 2, 4)):
+        field = ffpoly.field_of_order(q)
+        T = PolyTables(field, d)
+        asked.clear()
+        counts = T.prime_counts(d, T.prime_codes[d][:5], M)
+        assert asked and all(deg == d and top == (d - 1) // 2 + 1 for deg, top in asked)
+        assert (counts.sum(axis=2) == [ffpoly.prime_count_exact(q, a) for a in range(1, M + 1)]).all()
+
+
+def test_a_wrong_count_at_the_check_degree_raises(monkeypatch):
+    # the counts of degree (d-1)//2 + 1 are read and completed both; a
+    # completion off by one prime at that degree is caught
+    from ffstat import lfunc
+
+    real = lfunc.completed_prime_sums
+
+    def off(sums, d, q, top):
+        s = real(sums, d, q, top)
+        s[:, (d - 1) // 2] += 2
+        return s
+
+    T = poly_tables(GF(3), 5)
+    monkeypatch.setattr(lfunc, "completed_prime_sums", off)
+    with pytest.raises(InvariantError, match="disagree"):
+        T.prime_counts(5, T.prime_codes[5][:4], 7)
+    monkeypatch.undo()
+    # and a wrong count below it breaks an identity of the completion
+    good = T.prime_counts(5, T.prime_codes[5][:4], 2)
+    sums = (good[:, :, 2] - good[:, :, 0]).astype(np.int64)
+    for bad in (sums + [[2, 0]], sums + [[0, 1]], sums + [[0, 20]]):
+        with pytest.raises(InvariantError):
+            lfunc.completed_prime_sums(bad, 5, 3, 7)
+
+
 def test_legendre_array_is_called_only_inside_tables():
     # every symbol between two sets of primes goes through prime_symbols,
     # so the orientation and the reciprocity sign live in _tables alone
