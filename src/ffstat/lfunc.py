@@ -254,29 +254,21 @@ def frobenius_traces(lstar, n_max):
     return FrobeniusData(lstar.delta, lstar.q, power_sums(lstar.coeffs, n_max))
 
 
-def _newton_majorant(C, n_max):
-    """U_1..U_(n_max) for the largest |c_i| of a set of rows, C = [C_0, ..
-    C_N]: U_n = sum_(1 <= i <= min(n-1, N)) C_i U_(n-i) + n C_n (C_n = 0
-    for n > N), Newton's recurrence with every term in absolute value (the
-    power sums of 1 - C_1 u - ... - C_N u^N).  By induction every t_n of
-    _newton_rows, each of its terms c_i t_(n-i) and each partial sum is at
-    most U_n in absolute value."""
-    N, U = len(C) - 1, []
-    for n in range(1, n_max + 1):
-        U.append(sum(C[i] * U[n - 1 - i] for i in range(1, min(n - 1, N) + 1))
-                 + (n * C[n] if n <= N else 0))
-    return U
-
-
 def _newton_rows(rows, n_max):
     """Power sums t_1..t_(n_max) of the reciprocal roots of each row c of
     rows (ascending coefficients, c_0 = 1), by Newton's identities: an
-    (m, n_max) int array, exact.  The rows are int64 while every
-    coefficient and the bound of _newton_majorant are below 2^63, else
-    Python ints."""
+    (m, n_max) int array, exact.
+
+    With C_i the largest |c_i|, U_n = sum_(1 <= i <= min(n-1, N)) C_i
+    U_(n-i) + n C_n (C_n = 0 for n > N), the recurrence with every term in
+    absolute value, bounds |t_n|, each term c_i t_(n-i) and each partial
+    sum, by induction.  The rows are int64 while every C_i and U_n is
+    below 2^63, else Python ints."""
     N = rows.shape[1] - 1
-    C = np.abs(rows).max(axis=0, initial=0).tolist()
-    c = _exact(rows, max([*C, *_newton_majorant(C, n_max)]))
+    C, U = np.abs(rows).max(axis=0, initial=0).tolist(), []
+    for n in range(1, n_max + 1):
+        U.append(sum(C[i] * U[n - 1 - i] for i in range(1, min(n - 1, N) + 1)) + (n * C[n] if n <= N else 0))
+    c = _exact(rows, max([*C, *U]))
     t = np.zeros((len(c), n_max), dtype=c.dtype)
     for n in range(1, n_max + 1):
         k = min(n - 1, N)
