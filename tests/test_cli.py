@@ -932,7 +932,7 @@ def test_eulersum_refuses_residue_tables_over_the_cap(capsys, monkeypatch, args,
     # each prime P of degree n read its own q^n-entry table (need bytes,
     # 47 GB and 38 GB) and the run was refused; the counts now read the
     # keys up to degree (n-1)//2 + 1 alone, off their own tables, so both
-    # runs are admitted (the exact sums, 20 s and 68 s, are stubbed here)
+    # runs are admitted (the exact sums, about 65 s and 21 s, are stubbed)
     q, n, M = map(int, args.split()[1::2])
     keys = [ffpoly.prime_count_exact(q, a) for a in range(1, (n - 1) // 2 + 2)]
     side, low = _tables.symbol_store(q, n, keys)
@@ -969,10 +969,11 @@ def test_eulersum_q5_n7_runs_under_512_mib():
 
 
 def test_eulersum_admits_the_largest_run_of_the_baseline(monkeypatch):
-    # eulersum --q 5 --n 7 --M 7 completes in about 19 s at 1.4 GiB RSS: its
-    # pi_5(7) 5^7 bytes of tables pass the check (the sum is not run here)
-    assert _tables.symbol_store(5, 7, [ffpoly.prime_count_exact(5, a) for a in range(1, 8)]) == (
-        "P", 11160 * 5 ** 7)
+    # eulersum --q 5 --n 7 --M 7 read pi_5(7) 5^7 bytes of the P's tables
+    # (1.4 GiB RSS); its counts read the tables of the 205 keys of degree
+    # <= 4 now, which pass the check (the sum is not run here)
+    assert _tables.symbol_store(5, 7, [ffpoly.prime_count_exact(5, a) for a in range(1, 5)]) == (
+        "keys", 5 * 5 + 10 * 25 + 40 * 125 + 150 * 625)
     monkeypatch.setattr(eulerprod, "_prime_sum", lambda kind, field, n, M: (1, 1))
     assert eulerprod.prime_sum("plus", F5, 7, 7).num == 1
 
