@@ -152,6 +152,7 @@ suite.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -216,6 +217,22 @@ def _value_counts(symbols):
     symbols, as a (..., 3) array: one count per row, where np.unique
     would sort each row on its own."""
     return np.stack([(symbols == v).sum(axis=-1) for v in (-1, 0, 1)], axis=-1)
+
+
+def unique_rows(a):
+    """(distinct, inverse, counts) of the subarrays of a along axis 0, in
+    the lexicographic order np.unique(a, axis=0, return_inverse=True,
+    return_counts=True) gives, from one np.lexsort over the columns."""
+    a = np.asarray(a)
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))
+    order = np.lexsort(flat.T[::-1]) if flat.shape[1] else np.arange(len(a))  # rows of no entries are equal
+    ranked = flat[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return ranked[starts].reshape(len(starts), *a.shape[1:]), inverse, np.diff(starts, append=len(a))
 
 
 def _block_rows():
@@ -845,8 +862,8 @@ class PolyTables:
 
     def char_sums(self, coefmat, plan, weights=None, segments=None):
         """sum over the rows F of coefmat of chi_D(F) = prod_{Q | D} (F/Q),
-        for each square-free D of plan (a CharPlan; its empty
-        factorization, D = 1, counts the rows), as an int64 array; with
+        for each square-free D of plan (a CharPlan; a D of no factor
+        entry, D = 1, counts the rows), as an int64 array; with
         weights, an int array of one non-negative weight per row, the sum
         of weight times chi_D(F).  With segments, row counts that add up
         to the rows of coefmat, the sums of each run of that many rows, in
@@ -947,48 +964,55 @@ class PolyTables:
 
 
 class CharPlan:
-    """The factorization bookkeeping of PolyTables.char_sums for a list of
-    square-free D, each a list of (deg, code) prime factors as
-    PolyTables.factor gives them; it does not depend on the rows, so one
-    plan serves every char_sums call over the same D.
+    """The factorization bookkeeping of PolyTables.char_sums for `size`
+    square-free D, whose prime factors are the entries (pdeg[j], pcode[j])
+    of D owner[j], owners ascending (ValueError otherwise), each D's in the
+    order PolyTables.factor lists them (none for D = 1).  It does not
+    depend on the rows, so one plan serves every char_sums call over them.
 
     A D with omega >= 2 factors splits as D' Q, Q its last factor (the one
     of largest degree in the order factor gives; any order is exact, and
     this one shares the most D' between the D).  The plan holds the
-    sorted prime keys (qkeys), the D = 1 entries (unit), the prime D with
-    their key columns (p_at, p_col), the distinct D' (heads of them)
-    grouped by factor count as rows [head index, key columns...]
+    sorted prime keys (qkeys, (deg, code) int pairs), the D = 1 entries
+    (unit), the prime D with their key columns (p_at, p_col), the distinct
+    D' (heads of them, numbered in the lexicographic order of their key
+    columns) grouped by factor count as rows [head index, key columns...]
     (by_count), and per degree of Q the Gram block's entries: the D at,
     the D' and Q selected, and each D's position in the block (grams)."""
 
     __slots__ = ("size", "qkeys", "unit", "p_at", "p_col", "heads", "by_count", "grams")
 
-    def __init__(self, factorizations):
-        self.size = len(factorizations)
-        self.qkeys = sorted({key for fac in factorizations for key in fac})
-        col = {key: i for i, key in enumerate(self.qkeys)}
-        unit, single, heads, by_last = [], [], {}, {}
-        for i, fac in enumerate(factorizations):
-            if len(fac) >= 2:
-                h = heads.setdefault(tuple(fac[:-1]), len(heads))
-                by_last.setdefault(fac[-1][0], []).append((i, h, col[fac[-1]]))
-            elif fac:
-                single.append((i, col[fac[0]]))
-            else:
-                unit.append(i)
-        self.unit = np.array(unit, dtype=np.int64)
-        self.p_at, self.p_col = np.array(single, dtype=np.int64).reshape(-1, 2).T
-        self.heads = len(heads)
-        by_count = {}
-        for head, h in heads.items():
-            by_count.setdefault(len(head), []).append([h] + [col[key] for key in head])
-        self.by_count = {c: np.array(rows, dtype=np.int64) for c, rows in by_count.items()}
+    def __init__(self, size, owner, pdeg, pcode):
+        owner, pdeg, pcode = (np.asarray(x, dtype=np.int64) for x in (owner, pdeg, pcode))
+        if (np.diff(owner) < 0).any():
+            raise ValueError("CharPlan: the factors of each D must be consecutive, owners ascending")
+        self.size = size
+        base = int(pcode.max(initial=0)) + 1  # packs (deg, code) in key order
+        keys, col = np.unique(pdeg * base + pcode, return_inverse=True)
+        self.qkeys = list(zip((keys // base).tolist(), (keys % base).tolist()))
+        omega = np.bincount(owner, minlength=size)
+        first = np.cumsum(omega) - omega  # each D's first entry
+        self.unit = np.flatnonzero(omega == 0)
+        self.p_at = np.flatnonzero(omega == 1)
+        self.p_col = col[first[self.p_at]]
+        many = np.flatnonzero(omega >= 2)
+        # the heads: every key column of a D but the last, padded with -1
+        pos = np.arange(len(owner)) - first[owner]
+        in_head = pos < omega[owner] - 1
+        padded = np.full((size, int(omega.max(initial=1)) - 1), -1, dtype=np.int64)
+        padded[owner[in_head], pos[in_head]] = col[in_head]
+        distinct, head, _ = unique_rows(padded[many])
+        self.heads = len(distinct)
+        count = (distinct >= 0).sum(axis=1)
+        self.by_count = {c: np.column_stack([np.flatnonzero(count == c), distinct[count == c, :c]])
+                         for c in set(count.tolist())}
+        last = first[many] + omega[many] - 1
         self.grams = []
-        for trip in by_last.values():
-            at, h, c = np.array(trip, dtype=np.int64).T
-            hsel, hpos = np.unique(h, return_inverse=True)
-            csel, cpos = np.unique(c, return_inverse=True)
-            self.grams.append((at, hsel, hpos, csel, cpos))
+        for a in set(pdeg[last].tolist()):  # np.unique would import numpy.ma
+            sel = pdeg[last] == a
+            hsel, hpos = np.unique(head[sel], return_inverse=True)
+            csel, cpos = np.unique(col[last[sel]], return_inverse=True)
+            self.grams.append((many[sel], hsel, hpos, csel, cpos))
 
 
 #: the table of highest max_deg built so far, per field

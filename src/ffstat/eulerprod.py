@@ -34,7 +34,7 @@ from typing import Callable
 
 from . import ffpoly
 from . import lfunc
-from ._tables import check_sieve, poly_tables, read_degree, symbol_store
+from ._tables import check_sieve, poly_tables, read_degree, symbol_store, unique_rows
 from .errors import InvariantError
 
 KINDS = ("plus", "minus", "zero")
@@ -377,16 +377,18 @@ def _prime_sum(kind, field, n, M):
 
     Every product shares the denominator q^E, E = 2 sum_{d<=M} d pi_q(d),
     so the numerators are summed as integers.  The numerator at P is
-    prod_k base_k^(c_{P,k}) over the distinct local numerators base_k, so
-    the part prod_k base_k^(min_P c_{P,k}) common to every P is multiplied
-    once and only the per-P remainders are summed.  With q = p^e and
-    v = min(v_p(total), e E), the pair is (total / p^v, p^(e E - v)):
-    coprime, since den is a power of p that divides no more of num."""
+    prod_k base_k^(c_{P,k}) over the distinct local numerators base_k, one
+    per distinct row of counts, times its multiplicity; the part
+    prod_k base_k^(min_P c_{P,k}) common to every P is multiplied once.
+    With q = p^e and v = min(v_p(total), e E), the pair is (total / p^v,
+    p^(e E - v)): coprime, since den is a power of p that divides no more
+    of num."""
     q = field.q
     bases = [[_local_terms(kind, d, chi, 1, q ** d)[0] for chi in (-1, 0, 1)]
              for d in range(1, M + 1)]
+    rows, _, mult = unique_rows(_degree_counts(field, n, M))
     counts = []
-    for row in _degree_counts(field, n, M).tolist():
+    for row in rows.tolist():
         c = collections.Counter()
         for base_d, count_d in zip(bases, row):
             for base, count in zip(base_d, count_d):
@@ -395,7 +397,8 @@ def _prime_sum(kind, field, n, M):
         counts.append(c)
     common = {base: min(c[base] for c in counts) for base in counts[0]}
     total = _prod(base ** k for base, k in common.items()) * sum(
-        _prod(base ** (k - common.get(base, 0)) for base, k in c.items()) for c in counts)
+        m * _prod(base ** (k - common.get(base, 0)) for base, k in c.items())
+        for m, c in zip(mult.tolist(), counts))
     if total <= 0:
         raise InvariantError(f"prime sum ({kind}, q={q}, n={n}, M={M}): numerator is not positive")
     den_exp = field.e * 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ffpoly
-from ._tables import CharPlan, poly_tables
+from ._tables import CharPlan, poly_tables, unique_rows
 from .errors import InvariantError
 
 PLUS, MINUS = 1, -1
@@ -155,7 +155,8 @@ def _modulus_plan(D, max_deg):
     factors = T.factor(int(D.degree), D.monic_code())
     if factors is None:
         raise ValueError("modulus must be square-free")
-    return T, factors, CharPlan([factors])
+    pdeg, pcode = np.array(factors, dtype=np.int64).reshape(-1, 2).T
+    return T, factors, CharPlan(1, np.zeros(len(factors), dtype=np.int64), pdeg, pcode)
 
 
 def l_polynomial(chi):
@@ -658,7 +659,7 @@ def _orbit_sums(T, rows, plan, index, degs):
     (n, codes) of rows and every D of plan, a catalogue of these degrees
     whose _affine_index is index (l_suite).  One weighted, segmented
     char_sums pass over the rows of the _orbit_representatives of every
-    (n, codes), zero-padded to the widest, gives H[i]; the sum at D is
+    (n, codes), zero-padded to the widest, one segment each, gives H[i]:
 
         sum_(u, v) chi_q(u)^(n deg D) H[i, u^-d D(uX + v)] / (q - 1),
 
@@ -693,20 +694,19 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     of coefficients at degree >= deg D, and explicit-formula traces
     against Newton traces for n <= n_max.  Returns a SuiteReport.
 
-    The character sums come from two PolyTables.char_sums passes over
-    the whole catalogue, with one CharPlan for both: phase 1 over the
-    monic rows of every degree d <= max_deg (the raw coefficients),
-    phase 2 over the prime rows of every degree n <= n_max (the s_n(D)
-    of the explicit formula), each over one row per orbit of the affine
-    fold below.  A pass stacks the rows of all its degrees in one
-    zero-padded matrix, the explicit leading 1 keeping each row's
-    polynomial, with one segment per degree, and returns one row of sums
-    per segment (_orbit_sums).  Each pass reads the Legendre symbols of
-    every prime factor in stacked legendre_array calls and multiplies
-    them out in Gram blocks (see _tables), whose floor-only kernel is
-    exact while the bounds of PolyTables.float_type hold (float32 or
-    float64); beyond them, for D = max(n_max, max_deg), the tables raise
-    ValueError.
+    The catalogue stays integer arrays from PolyTables.factor_all on, and
+    one CharPlan is built from them.  The character sums come from one
+    PolyTables.char_sums pass over it: the monic rows of every degree
+    d <= max_deg (the raw coefficients, phase 1), then the prime rows of
+    every degree n <= n_max (the s_n(D) of the explicit formula, phase
+    2), one row per orbit of the affine fold below, stacked in one
+    zero-padded matrix (the explicit leading 1 keeps each row's
+    polynomial) with one segment, and one row of sums, per degree
+    (_orbit_sums).  It reads the Legendre symbols of every prime factor
+    in stacked legendre_array calls and multiplies them out in Gram
+    blocks (see _tables), whose floor-only kernel is exact while the
+    bounds of PolyTables.float_type hold (float32 or float64); beyond
+    them, for D = max(n_max, max_deg), the tables raise ValueError.
 
     The affine fold.  For u in F_q^* and v in F_q, s: X -> uX + v is a
     ring automorphism of F_q[X] that fixes F_q, and F(uX + v) has leading
@@ -751,91 +751,79 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     catalogue positions of the D^g come from the index _affine_index
     builds once per call, each image run through the table's kernel
     (PolyTables.affine_codes), and a missing one raises InvariantError.
-    Phase 2 folds over the whole catalogue and then keeps the
-    records' columns, so a modulus whose completion fails leaves the sums
-    of its images intact.
+    Phase 2 folds over the whole catalogue and then keeps the columns of
+    the moduli that complete, so one whose completion fails leaves the
+    sums of its images intact.
 
     The checks of phase 1 run once per distinct raw L-polynomial, in one
-    batched call per modulus degree (_check_rows), with one frozen LPoly
-    shared by every modulus with those coefficients, and the vanishing
-    of the coefficients at degree >= deg D, the explicit
-    formula of phase 3 and the prime-sum bound are int64 array operations
-    over all records; failures come out per modulus in catalogue order,
-    and the bound is the exact ratio of the largest |s_n| of each degree
-    of D, divided in exact ints.
+    batched call per modulus degree (_check_rows), and the vanishing
+    of the coefficients at degree >= deg D, the explicit formula of phase
+    3 and the prime-sum bound are int64 array operations over the kept
+    moduli, which the report counts; failures come out per modulus in
+    catalogue order, and the bound is the exact ratio of the largest
+    |s_n| of each degree of D, divided in exact ints.
 
-    `collect`, if given, is called with each record dict (used by tests
-    to cross-check samples against the scalar path).
+    `collect`, if given, is called with the record dict of each kept
+    modulus, one frozen LPoly shared by every modulus with those
+    coefficients (used by tests to cross-check samples against the
+    scalar path); without it no record is built.
     """
     T = poly_tables(ffpoly.field_of_order(q), max(n_max, max_deg))
-    failures = []
-    rh_worst = 0.0
 
-    moduli = []  # (deg, code, factors) of every square-free monic D
+    # every square-free monic D by degree and code, its prime factors as
+    # entries (owner, pdeg, pcode) in the order factor lists them
+    degs = codes = owner = pdeg = pcode = np.zeros(0, dtype=np.int64)
     for dd in range(1, max_deg + 1):
-        _, rows, pdeg, pcode = T.factor_all(dd)
-        factors = list(zip(pdeg.tolist(), pcode.tolist()))
-        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-        for code, lo, hi in zip(rows[starts].tolist(), starts, starts[1:] + [len(rows)]):
-            moduli.append((dd, code, factors[lo:hi]))
-    plan = CharPlan([factors for _, _, factors in moduli])
-    degs = np.array([dd for dd, _, _ in moduli], dtype=np.int64)
-    index = _affine_index(T, degs, np.array([code for _, code, _ in moduli], dtype=np.int64))
+        _, rows, a, c = T.factor_all(dd)
+        new = np.diff(rows, prepend=-1) != 0  # each modulus's first entry
+        owner = np.concatenate([owner, len(codes) + np.cumsum(new) - 1])
+        codes = np.concatenate([codes, rows[new]])
+        degs = np.concatenate([degs, np.full(np.count_nonzero(new), dd)])
+        pdeg, pcode = np.concatenate([pdeg, a]), np.concatenate([pcode, c])
+    plan = CharPlan(len(degs), owner, pdeg, pcode)
+    index = _affine_index(T, degs, codes)
 
-    # phase 1: raw coefficients, one affine-folded char_sums pass over the
-    # monic rows of every degree of F and every modulus; the checks of the
-    # distinct raw L-polynomials of each modulus degree (a pure function of
-    # the coefficients here) run once, in one batch, each raw and L* one
-    # shared LPoly
-    sums = _orbit_sums(T, [(d, np.arange(q ** d)) for d in range(max_deg + 1)], plan, index, degs)
-    nonzero = (sums != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
-    flagged = set(np.flatnonzero(nonzero.any(axis=0)).tolist())
-    checked = []  # (raw, lstar, t_plus, dev, problems) per distinct raw
-    which = np.empty(len(moduli), dtype=np.int64)  # each modulus's entry
+    # phases 1 and 2: one affine-folded char_sums pass over the monic rows
+    # of every degree <= max_deg, then the primes of every degree <= n_max
+    sums = _orbit_sums(T, [(d, np.arange(q ** d)) for d in range(max_deg + 1)]
+                       + [(d, T.prime_codes[d]) for d in range(1, n_max + 1)], plan, index, degs)
+
+    # phase 1: the checks of the distinct raw L-polynomials of each
+    # modulus degree (a pure function of the coefficients here) run once,
+    # in one batch
+    nonzero = (sums[:max_deg + 1] != 0) & (np.arange(max_deg + 1)[:, None] >= degs)
+    checked = []  # (deg, raw, lstar, t_plus, dev, problems) per distinct raw
+    which = np.empty(len(degs), dtype=np.int64)  # each modulus's entry
     for dd in range(1, max_deg + 1):
         at = np.flatnonzero(degs == dd)
-        distinct, inverse = np.unique(sums[:dd, at].T, axis=0, return_inverse=True)
-        which[at] = len(checked) + inverse.reshape(-1)
+        distinct, inverse, _ = unique_rows(sums[:dd, at].T)
+        which[at] = len(checked) + inverse
         results = _check_rows(distinct, distinct * (-1) ** np.arange(dd), dd, q, n_max, rh_tol)
-        for coeffs, lstar, t_plus, dev, problems in zip(distinct.tolist(), *results):
-            raw = LPoly(tuple(coeffs), dd, PLUS, completed=False, q=q)
-            if lstar is not None:
-                lstar = LPoly(lstar, dd, PLUS, completed=True, q=q)
-                rh_worst = max(rh_worst, dev)
-            checked.append((raw, lstar, t_plus, dev, problems))
-    records, kept = [], []
-    for i, (dd, code, factors) in enumerate(moduli):
-        raw, lstar, t_plus, dev, problems = checked[which[i]]
-        if i in flagged or problems:
-            label = f"D deg={dd} code={code}"
-            failures.extend(f"{label}: coefficient at degree {e} nonzero"
-                            for e in np.flatnonzero(nonzero[:, i]).tolist())
-            failures.extend(f"{label}: {msg}" for msg in problems)
-        if lstar is not None:
-            kept.append(i)
-            records.append({"deg": dd, "code": code, "factors": factors, "raw": raw,
-                            "lstar": lstar, "t": t_plus, "lam": raw.lam})
+        checked.extend((dd, *entry) for entry in zip(distinct.tolist(), *results))
+    rh_worst = max([0.0] + [dev for *_, dev, _ in checked if dev is not None])
+    problems = np.array([bool(entry[-1]) for entry in checked], dtype=bool)
+    failures = []
+    for i in np.flatnonzero(nonzero.any(axis=0) | problems[which]).tolist():
+        label = f"D deg={degs[i]} code={codes[i]}"
+        failures.extend(f"{label}: coefficient at degree {e} nonzero"
+                        for e in np.flatnonzero(nonzero[:, i]).tolist())
+        failures.extend(f"{label}: {msg}" for msg in checked[which[i]][-1])
+    kept = np.flatnonzero(np.array([entry[2] is not None for entry in checked], dtype=bool)[which])
+    s_table = sums[max_deg + 1:, kept]
 
-    # phase 2: prime character sums s_d(D) for the explicit formula, one
-    # affine-folded char_sums pass over the prime rows of every degree and
-    # every modulus, of which the records' are kept
-    s_table = _orbit_sums(T, [(d, T.prime_codes[d]) for d in range(1, n_max + 1)],
-                          plan, index, degs)[:, kept]
-
-    # phase 3: explicit formula vs Newton over every record at once, in
-    # int64: |s_d| <= q^d < 2^53 keeps the explicit side below 2^62, and a
-    # Newton trace beyond that range is clamped, so it still differs
+    # phase 3: explicit formula vs Newton over every kept modulus at once,
+    # in int64: |s_d| <= q^d < 2^53 keeps the explicit side below 2^62,
+    # and a Newton trace beyond that range is clamped, so it still differs
     rec_deg = degs[kept]
     lam = (rec_deg % 2 == 0).astype(np.int64)
     top = 1 << 62
-    newton = np.array([[max(-top, min(top, -t)) for t in t_plus or (0,) * n_max]
-                       for _, _, t_plus, _, _ in checked], dtype=np.int64).reshape(-1, n_max)
+    newton = np.array([[max(-top, min(top, -t)) for t in entry[3] or (0,) * n_max]
+                       for entry in checked], dtype=np.int64).reshape(-1, n_max)
     newton = newton[which[kept]].T
-    omega = np.zeros((n_max, len(records)), dtype=np.int64)  # factors of degree d
-    for i, rec in enumerate(records):
-        for a, _ in rec["factors"]:
-            if a <= n_max:
-                omega[a - 1, i] += 1
+    omega = np.zeros((n_max, len(degs)), dtype=np.int64)  # factors of degree d
+    low = pdeg <= n_max
+    np.add.at(omega, (pdeg[low] - 1, owner[low]), 1)
+    omega = omega[:, kept]
     explicit = np.empty_like(newton)
     for n in range(1, n_max + 1):
         acc = lam.copy()
@@ -847,7 +835,7 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
                     acc += d * (ffpoly.prime_count_exact(q, d) - omega[d - 1])
         explicit[n - 1] = acc
     for i, n in zip(*np.nonzero((newton != explicit).T)):
-        failures.append(f"D deg={records[i]['deg']} code={records[i]['code']}: explicit formula n={n + 1}")
+        failures.append(f"D deg={rec_deg[i]} code={codes[kept[i]]}: explicit formula n={n + 1}")
 
     # the prime-sum size bound s_n^2 / (degD^2 q^n): rounding is monotone,
     # so the largest float is the exact ratio of the largest |s_n| of each
@@ -856,16 +844,24 @@ def l_suite(q, max_deg=6, n_max=8, rh_tol=1e-9, collect=None):
     for dd in sorted(set(rec_deg.tolist())):  # np.unique would import numpy.ma
         for n, s_max in enumerate(np.abs(s_table[:, rec_deg == dd]).max(axis=1).tolist(), 1):
             bound_worst = max(bound_worst, s_max ** 2 / (dd ** 2 * q ** n))
-    for rec, s in zip(records, s_table.T.tolist()):
-        rec["s"] = s
-        if collect is not None:
-            collect(rec)
+
+    if collect is not None:
+        shared = [(LPoly(tuple(raw), dd, PLUS, completed=False, q=q),
+                   None if lstar is None else LPoly(lstar, dd, PLUS, completed=True, q=q), t_plus)
+                  for dd, raw, lstar, t_plus, _, _ in checked]
+        factors = list(zip(pdeg.tolist(), pcode.tolist()))
+        bounds = np.searchsorted(owner, np.arange(len(degs) + 1)).tolist()
+        deg, code, which = degs.tolist(), codes.tolist(), which.tolist()
+        for i, s in zip(kept.tolist(), s_table.T.tolist()):
+            raw, lstar, t_plus = shared[which[i]]
+            collect({"deg": deg[i], "code": code[i], "factors": factors[bounds[i]:bounds[i + 1]],
+                     "raw": raw, "lstar": lstar, "t": t_plus, "lam": raw.lam, "s": s})
 
     return SuiteReport(
         q=q,
         max_deg=max_deg,
         n_max=n_max,
-        moduli=len(records),
+        moduli=len(kept),
         failures=failures,
         rh_max_dev=rh_worst,
         prime_sum_bound_max=bound_worst,

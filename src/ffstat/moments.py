@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import biquad, eulerprod, ffpoly, lfunc
-from ._tables import poly_tables, read_degree, symbol_store
+from ._tables import poly_tables, read_degree, symbol_store, unique_rows
 from .errors import InvariantError
 
 USP, USP_CUBED, UNITARY = "USp", "USp_cubed", "U"
@@ -223,7 +223,7 @@ def _family_totals(field, g, n):
     for d in biquad.divisors(n):
         if n // d % 2:
             counts = T.prime_counts(d, T.prime_codes[d], len(trivial)).reshape(-1, trivial.size)
-            vectors, mult = np.unique(counts, axis=0, return_counts=True)
+            vectors, _, mult = unique_rows(counts)
             del counts  # freed before the series is built
             parts.append((vectors.reshape(-1, *trivial.shape), d, mult))
         else:

@@ -20,13 +20,14 @@ replace them.  outer_and_family lists every member at once from the
 coprimality masks, independent of the unranking in biquad.
 """
 
+import collections
 import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from ffstat import biquad, ffpoly, lfunc, moments
+from ffstat import biquad, eulerprod, ffpoly, lfunc, moments
 from ffstat._tables import CharPlan, poly_tables
 from ffstat.errors import InvariantError
 from ffstat.ffpoly import Poly
@@ -116,8 +117,76 @@ def double_char_sum(field, d, n):
     q = field.q
     T = poly_tables(field, max(d, n))
     facs = (T.factor(d, code) for code in range(q ** d))
-    total = int(T.char_sums(T.prime_coefmat(n), CharPlan([fac for fac in facs if fac is not None])).sum())
+    total = int(T.char_sums(T.prime_coefmat(n), char_plan([fac for fac in facs if fac is not None])).sum())
     return n * total / q ** (d + n / 2), total
+
+
+def plan_arrays(factorizations):
+    """(size, owner, pdeg, pcode), the arguments of CharPlan, for a list of
+    square-free D given as lists of (deg, code) prime factors."""
+    entries = [(i, d, code) for i, fac in enumerate(factorizations) for d, code in fac]
+    owner, pdeg, pcode = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return len(factorizations), owner, pdeg, pcode
+
+
+def char_plan(factorizations):
+    """The CharPlan of a list of factor lists, through its array constructor."""
+    return CharPlan(*plan_arrays(factorizations))
+
+
+def list_char_plan(factorizations):
+    """A CharPlan built one D at a time from lists of (deg, code) factors,
+    with dicts keyed by factor tuples: heads numbered in order of first
+    appearance, grams in order of the first D of each last degree."""
+    plan = object.__new__(CharPlan)
+    plan.size = len(factorizations)
+    plan.qkeys = sorted({key for fac in factorizations for key in fac})
+    col = {key: i for i, key in enumerate(plan.qkeys)}
+    unit, single, heads, by_last = [], [], {}, {}
+    for i, fac in enumerate(factorizations):
+        if len(fac) >= 2:
+            h = heads.setdefault(tuple(fac[:-1]), len(heads))
+            by_last.setdefault(fac[-1][0], []).append((i, h, col[fac[-1]]))
+        elif fac:
+            single.append((i, col[fac[0]]))
+        else:
+            unit.append(i)
+    plan.unit = np.array(unit, dtype=np.int64)
+    plan.p_at, plan.p_col = np.array(single, dtype=np.int64).reshape(-1, 2).T
+    plan.heads = len(heads)
+    by_count = {}
+    for head, h in heads.items():
+        by_count.setdefault(len(head), []).append([h] + [col[key] for key in head])
+    plan.by_count = {c: np.array(rows, dtype=np.int64) for c, rows in by_count.items()}
+    plan.grams = []
+    for trip in by_last.values():
+        at, h, c = np.array(trip, dtype=np.int64).T
+        hsel, hpos = np.unique(h, return_inverse=True)
+        csel, cpos = np.unique(c, return_inverse=True)
+        plan.grams.append((at, hsel, hpos, csel, cpos))
+    return plan
+
+
+def prime_sum_per_prime(kind, field, n, M):
+    """eulerprod._prime_sum with one Counter and one remainder product per
+    prime P of degree n, not per distinct row of prime counts."""
+    q = field.q
+    bases = [[eulerprod._local_terms(kind, d, chi, 1, q ** d)[0] for chi in (-1, 0, 1)]
+             for d in range(1, M + 1)]
+    counts = []
+    for row in eulerprod._degree_counts(field, n, M).tolist():
+        c = collections.Counter()
+        for base_d, count_d in zip(bases, row):
+            for base, count in zip(base_d, count_d):
+                if count:
+                    c[base] += count
+        counts.append(c)
+    common = {base: min(c[base] for c in counts) for base in counts[0]}
+    total = eulerprod._prod(base ** k for base, k in common.items()) * sum(
+        eulerprod._prod(base ** (k - common.get(base, 0)) for base, k in c.items()) for c in counts)
+    den_exp = field.e * 2 * sum(d * ffpoly.prime_count_exact(q, d) for d in range(1, M + 1))
+    v, num = p_valuation_by_division(total, field.p, den_exp)
+    return num, field.p ** (den_exp - v)
 
 
 def nkk_sum(field, P, d, k1, k2):

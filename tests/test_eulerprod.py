@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import scalar_oracles as oracle
 from ffstat import _tables, eulerprod, ffpoly, lfunc
 from ffstat.ffpoly import GF, Poly
 
@@ -260,3 +262,19 @@ def test_prime_sum_value_and_gap_are_built_once(monkeypatch):
     assert r.value is first[0] and r.gap is first[1]
     assert calls == []
     assert r.gap == Fraction(r.num, r.den) - r.reference and calls
+
+
+#: q -> the (n, M) the grouped prime sum is drawn on
+GROUPED_GRID = {3: (4, 5), 5: (3, 3), 7: (3, 3), 9: (2, 3)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(sorted(GROUPED_GRID)), data=st.data())
+def test_prime_sum_grouped_by_count_row_matches_the_per_prime_loop(q, data):
+    # one product per distinct row of prime counts, weighted by its
+    # multiplicity, against one product per prime, for the three kinds
+    n_top, M_top = GROUPED_GRID[q]
+    n, M = data.draw(st.integers(1, n_top), label="n"), data.draw(st.integers(1, M_top), label="M")
+    kind = data.draw(st.sampled_from(eulerprod.KINDS), label="kind")
+    field = ffpoly.field_of_order(q)
+    assert eulerprod._prime_sum(kind, field, n, M) == oracle.prime_sum_per_prime(kind, field, n, M)

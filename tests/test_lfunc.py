@@ -365,9 +365,9 @@ def test_l_suite_records_are_pinned(q, max_deg, n_max, digest):
 
 
 def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
-    # one legendre_array call per phase, the monic rows of every degree
-    # and then the prime rows of every degree, each over every prime factor
-    # of the catalogue, and no per-modulus sums left in l_suite
+    # one legendre_array call for both phases, the monic rows of every
+    # degree followed by the prime rows of every degree, over every prime
+    # factor of the catalogue, and no per-modulus sums left in l_suite
     calls = []
     stacked = _tables.PolyTables.legendre_array
 
@@ -381,7 +381,7 @@ def test_l_suite_reads_stacked_legendre_matrices(monkeypatch):
     assert rep.ok()
     T = _tables.poly_tables(F3, n_max)
     factors = sum(len(T.prime_codes[d]) for d in range(1, max_deg + 1))
-    assert calls == [factors] * 2
+    assert calls == [factors]
     assert not hasattr(_tables.PolyTables, "prime_char_sums")
     tree = ast.parse(inspect.getsource(lfunc.l_suite))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -531,7 +531,7 @@ def test_translation_fold_matches_plain_char_sums(q, data):
     kind = data.draw(st.sampled_from(kinds), label="rows")
     T = _tables.poly_tables(ffpoly.field_of_order(q), max(max_deg, max(row_degrees)))
     degs, codes, facs = _catalogue(T, max_deg)
-    plan = _tables.CharPlan(facs)
+    plan = oracle.char_plan(facs)
     index = lfunc._affine_index(T, degs, codes)
     if kind == "prime":
         row_codes = T.prime_codes[n]
@@ -588,7 +588,7 @@ def test_orbit_sums_refuse_a_sum_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(_tables.PolyTables, "char_sums", off_by_one)
     rows = [(1, T.prime_codes[1]), (3, T.prime_codes[3])]
     with pytest.raises(InvariantError, match="of degree 3 does not divide"):
-        lfunc._orbit_sums(T, rows, _tables.CharPlan(facs), index, degs)
+        lfunc._orbit_sums(T, rows, oracle.char_plan(facs), index, degs)
 
 
 def test_translation_index_refuses_a_missing_translate():
@@ -616,8 +616,9 @@ def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch
     # one row per orbit of the affine group X -> cX + a where p does not
     # divide the row degree, of the scalings X -> cX where it does (d = 0,
     # and d = 3 at q = 3), counted by scalar arithmetic, and the rows of
-    # l_suite(5, 5, 8): one segment per degree of each phase's char_sums
-    # pass, all of them in the rows of its one legendre_array call
+    # l_suite(5, 5, 8): one char_sums pass with one segment per degree,
+    # the monic rows of phase 1 and then the prime rows of phase 2, all of
+    # them in the rows of its one legendre_array call
     passes, rows = [], []
     char_sums, stacked = _tables.PolyTables.char_sums, _tables.PolyTables.legendre_array
 
@@ -643,29 +644,35 @@ def test_l_suite_reads_representative_rows_where_p_does_not_divide_n(monkeypatch
 
         monic = [orbits(d, range(q ** d)) for d in range(max_deg + 1)]
         prime = [orbits(n, T.prime_codes[n].tolist()) for n in range(1, n_max + 1)]
-        assert passes == [monic, prime]
-        assert rows == [sum(monic), sum(prime)]
+        assert passes == [monic + prime]
+        assert rows == [sum(monic) + sum(prime)]
     passes.clear()
     rows.clear()
     assert lfunc.l_suite(5, max_deg=5, n_max=8).ok()
-    assert passes == [[1, 1, 3, 8, 40, 790], [1, 1, 2, 10, 156, 134, 558, 2460]]
-    assert rows == [843, 3322]
+    assert passes == [[1, 1, 3, 8, 40, 790] + [1, 1, 2, 10, 156, 134, 558, 2460]]
+    assert rows == [843 + 3322]
     assert sum(rows) == 4165
 
 
 def test_l_suite_builds_one_char_plan(monkeypatch):
+    # one plan, from the catalogue's arrays: every modulus, and the prime
+    # factors of each in the order factor lists them
     plans = []
 
     class Counting(_tables.CharPlan):
         __slots__ = ()
 
-        def __init__(self, factorizations):
-            plans.append(len(factorizations))
-            super().__init__(factorizations)
+        def __init__(self, size, owner, pdeg, pcode):
+            plans.append((size, owner.tolist(), pdeg.tolist(), pcode.tolist()))
+            super().__init__(size, owner, pdeg, pcode)
 
     monkeypatch.setattr(lfunc, "CharPlan", Counting)
     rep = lfunc.l_suite(3, max_deg=3, n_max=4)
-    assert plans == [rep.moduli]
+    T = _tables.poly_tables(F3, 4)
+    facs = [fac for fac in (T.factor(d, code) for d in range(1, 4) for code in range(3 ** d)) if fac]
+    size, owner, pdeg, pcode = oracle.plan_arrays(facs)
+    assert plans == [(rep.moduli, owner.tolist(), pdeg.tolist(), pcode.tolist())]
+    assert size == rep.moduli
 
 
 def test_lfunc_reads_jacobi_symbol_only_in_char_value():

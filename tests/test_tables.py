@@ -206,7 +206,7 @@ def test_char_sums_matches_scalar():
             for qkey in fac:
                 D = D * Poly.monic_from_code(F5, *qkey)
             expect.append(sum(ffpoly.jacobi_symbol(P, D) for P in polys))
-        got = T.char_sums(rows, CharPlan(facs))
+        got = T.char_sums(rows, oracle.char_plan(facs))
         assert got.dtype == np.int64
         assert got.tolist() == expect
 
@@ -217,7 +217,7 @@ def test_weighted_char_sums_equal_sums_over_repeated_rows(q):
     # and D of two and three factors alike
     T = poly_tables(ffpoly.field_of_order(q), 3)
     facs = [[]] + [fac for fac in (T.factor(d, code) for d in (1, 2, 3) for code in range(q ** d)) if fac]
-    plan = CharPlan(facs)
+    plan = oracle.char_plan(facs)
     rng = np.random.default_rng(q)
     codes = rng.choice(q ** 3, size=40, replace=False)
     weights = rng.integers(0, q, size=40)
@@ -233,7 +233,7 @@ def test_segmented_char_sums_equal_one_call_per_segment(q, data):
     # a few rows make runs cross chunk edges
     T = poly_tables(ffpoly.field_of_order(q), 3)
     facs = [[]] + [fac for fac in (T.factor(d, code) for d in (1, 2, 3) for code in range(q ** d)) if fac]
-    plan = CharPlan(facs)
+    plan = oracle.char_plan(facs)
     runs = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=6),
                      label="runs")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
@@ -259,7 +259,7 @@ def test_char_sums_refuses_inexact_gram_chunks(monkeypatch):
     # nothing of that size is allocated
     T = poly_tables(GF(3), 2)
     monkeypatch.setattr(ffpoly, "BLOCK_BYTES", 1 << 40)
-    plan = CharPlan([[(1, 0), (1, 1)]])
+    plan = oracle.char_plan([[(1, 0), (1, 1)]])
     rows = np.broadcast_to(T.monic_coefmat(1)[:1], ((1 << 24) + 1, 2))
     with pytest.raises(InvariantError, match="beyond exact float32 Gram blocks"):
         T.char_sums(rows, plan)
@@ -279,7 +279,7 @@ def test_char_sums_peak_memory_at_degree_8():
     T.legendre_array(rows[:1], sorted({key for fac in facs for key in fac}))  # chiq tables
     tracemalloc.start()
     try:
-        sums = T.char_sums(rows, CharPlan(facs))
+        sums = T.char_sums(rows, oracle.char_plan(facs))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -823,6 +823,52 @@ def test_factor_all_matches_per_code_factor(q_deg, data):
         want = T.factor(d, code)
         assert (want is not None) == bool(squarefree[code])
         assert got.get(code) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda ndim: st.tuples(
+    st.integers(0, 12), st.lists(st.integers(1, 3), min_size=ndim - 1, max_size=ndim - 1))), st.data())
+def test_unique_rows_matches_numpy_unique(shape, data):
+    # signed int arrays of 0, 1 or more rows, 1-D to 3-D, with repeats:
+    # the same distinct rows in the same order, inverse and counts
+    rows, tail = shape
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=rows * int(np.prod(tail)),
+                                max_size=rows * int(np.prod(tail))), label="values")
+    a = np.array(values, dtype=np.int64).reshape(rows, *tail)
+    got = _tables.unique_rows(a)
+    want = np.unique(a, axis=0, return_inverse=True, return_counts=True)
+    assert got[0].shape == want[0].shape and got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].reshape(-1).tolist()
+    assert got[2].tolist() == want[2].tolist()
+    assert (got[0][got[1]] == a).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 5, 9]), data=st.data())
+def test_array_char_plan_matches_the_list_oracle(q, data):
+    # random catalogues of square-free D of degree 0..4 (D = 1 included,
+    # repeats allowed, any order): the plan built from the factor arrays
+    # has the list oracle's keys, unit, prime D and head count, and gives
+    # the same weighted char_sums
+    T = poly_tables(ffpoly.field_of_order(q), 4 if q < 9 else 3)
+    moduli = data.draw(st.lists(st.tuples(st.integers(0, T.max_deg), st.integers(0, q ** T.max_deg - 1)),
+                                max_size=40), label="moduli")
+    facs = [fac for fac in (T.factor(d, code % q ** d) for d, code in moduli) if fac is not None]
+    plan, want = CharPlan(*oracle.plan_arrays(facs)), oracle.list_char_plan(facs)
+    assert plan.size == want.size == len(facs)
+    assert plan.qkeys == want.qkeys
+    assert plan.unit.tolist() == want.unit.tolist()
+    assert (plan.p_at.tolist(), plan.p_col.tolist()) == (want.p_at.tolist(), want.p_col.tolist())
+    assert plan.heads == want.heads
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    d = int(rng.integers(0, T.max_deg + 1))
+    codes, weights = rng.integers(0, q ** d, size=30), rng.integers(0, q, size=30)
+    rows = T.code_rows(d, codes)
+    assert T.char_sums(rows, plan, weights).tolist() == T.char_sums(rows, want, weights).tolist()
+    size, owner, pdeg, pcode = oracle.plan_arrays(facs)
+    if len(set(owner.tolist())) > 1:
+        with pytest.raises(ValueError, match="owners ascending"):
+            CharPlan(size, owner[::-1], pdeg[::-1], pcode[::-1])
 
 
 #: q and the degree the prime_symbols property's tables reach
