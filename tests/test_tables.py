@@ -850,9 +850,10 @@ def test_array_char_plan_matches_the_list_oracle(q, data):
     # repeats allowed, any order): the plan built from the factor arrays
     # has the list oracle's keys, unit, prime D and head count, and gives
     # the same weighted char_sums
-    T = poly_tables(ffpoly.field_of_order(q), 4 if q < 9 else 3)
-    moduli = data.draw(st.lists(st.tuples(st.integers(0, T.max_deg), st.integers(0, q ** T.max_deg - 1)),
-                                max_size=40), label="moduli")
+    top = 4 if q < 9 else 3
+    T = poly_tables(ffpoly.field_of_order(q), top)
+    moduli = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, q ** top - 1)), max_size=40),
+                       label="moduli")
     facs = [fac for fac in (T.factor(d, code % q ** d) for d, code in moduli) if fac is not None]
     plan, want = CharPlan(*oracle.plan_arrays(facs)), oracle.list_char_plan(facs)
     assert plan.size == want.size == len(facs)
@@ -861,7 +862,7 @@ def test_array_char_plan_matches_the_list_oracle(q, data):
     assert (plan.p_at.tolist(), plan.p_col.tolist()) == (want.p_at.tolist(), want.p_col.tolist())
     assert plan.heads == want.heads
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    d = int(rng.integers(0, T.max_deg + 1))
+    d = int(rng.integers(0, top + 1))
     codes, weights = rng.integers(0, q ** d, size=30), rng.integers(0, q, size=30)
     rows = T.code_rows(d, codes)
     assert T.char_sums(rows, plan, weights).tolist() == T.char_sums(rows, want, weights).tolist()
